@@ -1103,6 +1103,16 @@ impl Txn {
             Isolation::ReadCommitted => Ts::MAX,
             _ => state.snapshot,
         };
+        let overlay = state.writes.keys().any(|rid| rid.collection == id);
+        if !overlay && state.isolation != Isolation::Serializable {
+            // nothing buffered to lay over it: the merge is already the
+            // answer, in key order (every read-lane scan takes this exit)
+            return Ok(inner
+                .storage
+                .scan_iter(id, read_ts, None, None)
+                .map(|(k, _, v)| (k, v))
+                .collect());
+        }
         let mut rows: std::collections::BTreeMap<Key, Arc<Value>> =
             if state.isolation == Isolation::Serializable {
                 // a serializable scan observes every record it returns

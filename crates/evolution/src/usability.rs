@@ -344,11 +344,7 @@ fn adapt_body(body: &QueryBody, outer: &Scope, ops: &[EvolutionOp]) -> QueryBody
         };
         clauses.push(adapted);
     }
-    QueryBody {
-        clauses,
-        distinct: body.distinct,
-        ret: adapt_expr(&body.ret, &scope, ops),
-    }
+    QueryBody::new(clauses, body.distinct, adapt_expr(&body.ret, &scope, ops))
 }
 
 fn adapt_expr(e: &Expr, scope: &Scope, ops: &[EvolutionOp]) -> Expr {

@@ -42,6 +42,21 @@ pub struct QueryBody {
     pub distinct: bool,
     /// The projected expression.
     pub ret: Expr,
+    /// What the executor derives from `clauses`, on first execution or
+    /// `explain`; edit a body by building a new one.
+    pub(crate) plan: crate::exec::PlanCell,
+}
+
+impl QueryBody {
+    /// A body from its parts.
+    pub fn new(clauses: Vec<Clause>, distinct: bool, ret: Expr) -> QueryBody {
+        QueryBody {
+            clauses,
+            distinct,
+            ret,
+            plan: Default::default(),
+        }
+    }
 }
 
 /// One pipeline clause.

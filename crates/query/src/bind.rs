@@ -138,11 +138,11 @@ fn bind_body(body: &QueryBody, params: &Params) -> Result<QueryBody> {
             },
         });
     }
-    Ok(QueryBody {
+    Ok(QueryBody::new(
         clauses,
-        distinct: body.distinct,
-        ret: bind_expr(&body.ret, params)?,
-    })
+        body.distinct,
+        bind_expr(&body.ret, params)?,
+    ))
 }
 
 fn bind_expr(expr: &Expr, params: &Params) -> Result<Expr> {
@@ -240,7 +240,7 @@ fn walk_body(body: &QueryBody, f: &mut impl FnMut(&Expr)) {
     walk_expr(&body.ret, f);
 }
 
-fn walk_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
+pub(crate) fn walk_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
     f(expr);
     match expr {
         Expr::Literal(_) | Expr::Var(_) | Expr::Param { .. } => {}

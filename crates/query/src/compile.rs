@@ -1,17 +1,15 @@
 //! Predicate compilation: turn a row-local MMQL expression into a
 //! **closure tree** evaluated directly against the borrowed row.
 //!
-//! The interpreter pays three per-row costs a hot filter never needs:
-//! it allocates an [`Env`](crate::eval::Env) binding, deep-clones the
-//! row out of the environment on every `Var` reference, and re-walks
-//! the AST with dynamic dispatch on every node. A [`CompiledPred`] pays
-//! none of them — member chains become a captured
-//! [`FieldPath`](udbms_core::FieldPath) resolved with
-//! [`Value::get_path`] on the borrowed row, constant subexpressions are
-//! folded once at compile time via [`eval_const`], and operators reuse
-//! the interpreter's own `apply_unary`/`apply_binary`, so results
-//! (including errors and short-circuit behaviour) are identical by
-//! construction.
+//! The interpreter pays two per-row costs a hot filter never needs: it
+//! allocates an [`Env`](crate::eval::Env) binding and re-walks the AST,
+//! resolving variables by name, on every node. A [`CompiledPred`] pays
+//! neither — member chains capture their steps and resolve on the
+//! borrowed row through the interpreter's own `walk_member`, constant
+//! subexpressions are folded once at compile time via [`eval_const`],
+//! and operators are the interpreter's `apply_unary`/`apply_binary`, so
+//! results (including errors and short-circuit behaviour) are identical
+//! by construction.
 //!
 //! Compilation is **total or nothing**: any node the compiler cannot
 //! prove row-local (function calls, subqueries, other variables, bind
@@ -20,13 +18,28 @@
 //! proptest (`tests/read_path.rs`) checks agreement on arbitrary
 //! expressions and rows.
 
-use udbms_core::{Result, Value};
+use udbms_core::{Error, Result, Value};
 
 use crate::ast::{BinOp, Expr};
-use crate::eval::{apply_binary, apply_unary, eval_const};
+use crate::eval::{apply_binary, apply_unary, eval_const, walk_member, Val};
 
-/// A compiled node: a boxed closure from the borrowed row to a value.
-type Node = Box<dyn Fn(&Value) -> Result<Value> + Send + Sync>;
+/// A compiled node: a folded constant, or a boxed closure from the
+/// borrowed row to a value that may still borrow from it.
+enum Node {
+    Const(Value),
+    Row(Box<RowFn>),
+}
+
+type RowFn = dyn for<'r> Fn(&'r Value) -> Result<Val<'r>> + Send + Sync;
+
+impl Node {
+    fn eval<'r>(&'r self, row: &'r Value) -> Result<Val<'r>> {
+        match self {
+            Node::Const(c) => Ok(Val::Ref(c)),
+            Node::Row(f) => f(row),
+        }
+    }
+}
 
 /// A row predicate (or projection) compiled from an [`Expr`] that only
 /// references one loop variable. Cheap to evaluate, `Send + Sync`, and
@@ -54,92 +67,93 @@ impl CompiledPred {
     /// the interpreter evaluating the source expression with the row
     /// bound to the loop variable.
     pub fn eval(&self, row: &Value) -> Result<Value> {
-        (self.root)(row)
+        self.root.eval(row).map(Val::into_owned)
     }
 
     /// Truthiness of [`CompiledPred::eval`] — the filter entry point.
     pub fn matches(&self, row: &Value) -> Result<bool> {
-        Ok(self.eval(row)?.is_truthy())
+        Ok(self.root.eval(row)?.is_truthy())
     }
 }
 
 /// Compile one AST node, or `None` when it is not row-local.
 fn compile_node(expr: &Expr, var: &str) -> Option<Node> {
-    // constant subtree: fold once, capture the value
+    // constant subtree: fold once, keep the value
     if let Some(c) = eval_const(expr) {
-        return Some(Box::new(move |_| Ok(c.clone())));
+        return Some(Node::Const(c));
     }
-    match expr {
-        Expr::Literal(v) => {
-            let v = v.clone();
-            Some(Box::new(move |_| Ok(v.clone())))
-        }
-        Expr::Var(name) if name == var => Some(Box::new(|row| Ok(row.clone()))),
-        // member chain rooted at the loop variable with static steps:
-        // capture a FieldPath, resolve on the borrowed row (no clone of
-        // the row, one clone of the projected leaf)
+    Some(Node::Row(match expr {
+        // the loop variable, or a member chain rooted at it with static
+        // steps: walk the borrowed row, clone nothing
         Expr::Member { .. } | Expr::Var(_) => {
-            let (v, path) = expr.as_var_path()?;
-            if v != var {
+            if expr.as_var_path()?.0 != var {
                 return None;
             }
-            Some(Box::new(move |row| Ok(row.get_path(&path).clone())))
+            let steps = match expr {
+                Expr::Member { steps, .. } => steps.clone(),
+                _ => Vec::new(),
+            };
+            Box::new(move |row| {
+                let leaf = walk_member(row, &steps, |e| match e {
+                    Expr::Literal(i) => Ok(Val::Ref(i)),
+                    _ => Err(Error::Invalid("dynamic index in a compiled path".into())),
+                })?;
+                Ok(Val::Ref(leaf))
+            })
         }
         Expr::Array(items) => {
             let nodes: Vec<Node> = items
                 .iter()
                 .map(|e| compile_node(e, var))
                 .collect::<Option<_>>()?;
-            Some(Box::new(move |row| {
-                nodes
-                    .iter()
-                    .map(|n| n(row))
-                    .collect::<Result<Vec<_>>>()
-                    .map(Value::Array)
-            }))
+            Box::new(move |row| {
+                let items = nodes.iter().map(|n| n.eval(row).map(Val::into_owned));
+                Ok(Val::Owned(Value::Array(items.collect::<Result<_>>()?)))
+            })
         }
         Expr::Object(fields) => {
             let nodes: Vec<(String, Node)> = fields
                 .iter()
                 .map(|(k, e)| compile_node(e, var).map(|n| (k.clone(), n)))
                 .collect::<Option<_>>()?;
-            Some(Box::new(move |row| {
+            Box::new(move |row| {
                 let mut m = std::collections::BTreeMap::new();
                 for (k, n) in &nodes {
-                    m.insert(k.clone(), n(row)?);
+                    m.insert(k.clone(), n.eval(row)?.into_owned());
                 }
-                Ok(Value::Object(m))
-            }))
+                Ok(Val::Owned(Value::Object(m)))
+            })
         }
         Expr::Unary { op, expr } => {
             let op = *op;
             let inner = compile_node(expr, var)?;
-            Some(Box::new(move |row| apply_unary(op, inner(row)?)))
+            Box::new(move |row| {
+                let v = inner.eval(row)?;
+                Ok(Val::Owned(apply_unary(op, &v)?))
+            })
         }
         Expr::Binary { op, lhs, rhs } => {
             let op = *op;
             let l = compile_node(lhs, var)?;
             let r = compile_node(rhs, var)?;
-            Some(Box::new(move |row| {
-                let lv = l(row)?;
+            Box::new(move |row| {
+                let lv = l.eval(row)?;
                 // mirror the interpreter's short-circuit exactly
                 match op {
-                    BinOp::And if !lv.is_truthy() => return Ok(Value::Bool(false)),
-                    BinOp::Or if lv.is_truthy() => return Ok(Value::Bool(true)),
+                    BinOp::And if !lv.is_truthy() => return Ok(Val::Owned(Value::Bool(false))),
+                    BinOp::Or if lv.is_truthy() => return Ok(Val::Owned(Value::Bool(true))),
                     _ => {}
                 }
-                apply_binary(op, lv, r(row)?)
-            }))
+                let rv = r.eval(row)?;
+                Ok(Val::Owned(apply_binary(op, &lv, &rv)?))
+            })
         }
         // calls, subqueries, params, foreign vars: interpreter territory
-        Expr::Call { .. } | Expr::Subquery(_) | Expr::Param { .. } => None,
-    }
-}
-
-/// Whether an expression *would* compile (used by `explain` to report
-/// the chosen filter strategy without building the closures twice).
-pub fn compilable(expr: &Expr, var: &str) -> bool {
-    CompiledPred::compile(expr, var).is_some()
+        // (a literal is a constant subtree, folded above)
+        Expr::Call { .. } | Expr::Subquery(_) | Expr::Param { .. } | Expr::Literal(_) => {
+            return None
+        }
+    }))
 }
 
 #[cfg(test)]

@@ -8,12 +8,12 @@ use udbms_engine::Txn;
 use udbms_graph::Direction;
 use udbms_relational::like_match;
 
-use crate::ast::{BinOp, Expr, MemberStep, UnOp};
+use crate::ast::{AggFunc, BinOp, Expr, MemberStep, UnOp};
 
 /// One binding frame of a persistent [`Env`] chain.
 #[derive(Debug)]
 struct Frame {
-    name: String,
+    name: Arc<str>,
     value: Arc<Value>,
     parent: Option<Arc<Frame>>,
 }
@@ -45,7 +45,7 @@ impl Env {
     pub fn get_shared(&self, name: &str) -> Option<&Arc<Value>> {
         let mut cur = self.head.as_ref();
         while let Some(frame) = cur {
-            if frame.name == name {
+            if &*frame.name == name {
                 return Some(&frame.value);
             }
             cur = frame.parent.as_ref();
@@ -63,9 +63,16 @@ impl Env {
     /// zero-copy row binding used by `FOR` over collection scans.
     #[must_use]
     pub fn with_shared(&self, name: &str, value: Arc<Value>) -> Env {
+        self.bind(&Arc::from(name), value)
+    }
+
+    /// [`Env::with_shared`] under a name interned once per clause (the
+    /// executor's per-row binding: two refcount bumps, no string copy).
+    #[must_use]
+    pub(crate) fn bind(&self, name: &Arc<str>, value: Arc<Value>) -> Env {
         Env {
             head: Some(Arc::new(Frame {
-                name: name.to_string(),
+                name: Arc::clone(name),
                 value,
                 parent: self.head.clone(),
             })),
@@ -78,7 +85,7 @@ impl Env {
         let mut m = BTreeMap::new();
         let mut cur = self.head.as_ref();
         while let Some(frame) = cur {
-            m.entry(frame.name.clone())
+            m.entry(frame.name.to_string())
                 .or_insert_with(|| frame.value.as_ref().clone());
             cur = frame.parent.as_ref();
         }
@@ -91,7 +98,7 @@ impl Env {
         let mut out = Vec::new();
         let mut cur = self.head.as_ref();
         while let Some(frame) = cur {
-            out.push(frame.name.as_str());
+            out.push(&*frame.name);
             cur = frame.parent.as_ref();
         }
         out.reverse();
@@ -102,130 +109,170 @@ impl Env {
 /// Evaluate an expression that must be constant (no variables, calls or
 /// subqueries). Returns `None` when the expression is not constant.
 pub fn eval_const(expr: &Expr) -> Option<Value> {
+    fn fold(expr: &Expr) -> Result<Val<'_>> {
+        eval_structural(expr, fold)
+    }
     if !expr.is_const() {
         return None;
     }
-    // No vars/calls ⇒ evaluation cannot touch the txn or an environment.
-    eval_pure(expr).ok()
+    fold(expr).ok().map(Val::into_owned)
 }
 
-/// Evaluate expressions that need no transaction (no DOCUMENT/NEIGHBORS/
-/// subqueries). Internal helper for constant folding.
-fn eval_pure(expr: &Expr) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Param { name, line, col } => Err(Error::parse(
-            "mmql",
-            *line,
-            *col,
-            format!("unbound parameter `@{name}`"),
-        )),
-        Expr::Array(items) => items
-            .iter()
-            .map(eval_pure)
-            .collect::<Result<Vec<_>>>()
-            .map(Value::Array),
+/// Literals, constructors and operators over whatever `child` makes of
+/// their operands; an error for a node that needs an environment.
+/// Constant folding and the interpreter are both this, so they cannot
+/// disagree.
+fn eval_structural<'a>(
+    expr: &'a Expr,
+    mut child: impl FnMut(&'a Expr) -> Result<Val<'a>>,
+) -> Result<Val<'a>> {
+    Ok(match expr {
+        Expr::Literal(v) => Val::Ref(v),
+        Expr::Array(items) => {
+            let items = items.iter().map(|e| child(e).map(Val::into_owned));
+            Val::Owned(Value::Array(items.collect::<Result<_>>()?))
+        }
         Expr::Object(fields) => {
             let mut m = BTreeMap::new();
             for (k, e) in fields {
-                m.insert(k.clone(), eval_pure(e)?);
+                m.insert(k.clone(), child(e)?.into_owned());
             }
-            Ok(Value::Object(m))
+            Val::Owned(Value::Object(m))
         }
-        Expr::Unary { op, expr } => apply_unary(*op, eval_pure(expr)?),
+        Expr::Unary { op, expr } => {
+            let v = child(expr)?;
+            Val::Owned(apply_unary(*op, &v)?)
+        }
         Expr::Binary { op, lhs, rhs } => {
-            let l = eval_pure(lhs)?;
-            // short-circuit still applies
-            match op {
-                BinOp::And if !l.is_truthy() => return Ok(Value::Bool(false)),
-                BinOp::Or if l.is_truthy() => return Ok(Value::Bool(true)),
-                _ => {}
-            }
-            let r = eval_pure(rhs)?;
-            apply_binary(*op, l, r)
+            let l = child(lhs)?;
+            Val::Owned(match op {
+                // short-circuit: the right side may not even evaluate
+                BinOp::And if !l.is_truthy() => Value::Bool(false),
+                BinOp::Or if l.is_truthy() => Value::Bool(true),
+                _ => {
+                    let r = child(rhs)?;
+                    apply_binary(*op, &l, &r)?
+                }
+            })
         }
-        _ => Err(Error::Invalid(
-            "non-constant expression in constant context".into(),
-        )),
+        _ => {
+            return Err(Error::Invalid(
+                "non-constant expression in constant context".into(),
+            ))
+        }
+    })
+}
+
+/// What borrowed evaluation yields: a reference into the AST or the
+/// environment wherever the value already exists, a shared handle for
+/// stored records, and an owned value only for what the expression
+/// computed. Dereferences to [`Value`].
+#[derive(Debug)]
+pub(crate) enum Val<'a> {
+    /// Borrowed from a literal, an [`Env`] frame or the row under test.
+    Ref(&'a Value),
+    /// A stored record, as handed out by the engine's shared reads.
+    Shared(Arc<Value>),
+    /// Computed by the expression.
+    Owned(Value),
+}
+
+impl std::ops::Deref for Val<'_> {
+    type Target = Value;
+
+    fn deref(&self) -> &Value {
+        match self {
+            Val::Ref(v) => v,
+            Val::Shared(v) => v,
+            Val::Owned(v) => v,
+        }
+    }
+}
+
+impl Val<'_> {
+    /// The value itself, cloning only what is still borrowed or shared.
+    pub(crate) fn into_owned(self) -> Value {
+        match self {
+            Val::Ref(v) => v.clone(),
+            Val::Shared(v) => Arc::try_unwrap(v).unwrap_or_else(|v| v.as_ref().clone()),
+            Val::Owned(v) => v,
+        }
+    }
+
+    /// A handle an [`Env`] frame can hold; a stored record stays shared.
+    pub(crate) fn into_shared(self) -> Arc<Value> {
+        match self {
+            Val::Shared(v) => v,
+            other => Arc::new(other.into_owned()),
+        }
     }
 }
 
 /// Evaluate an expression against an environment with transaction access
-/// (`DOCUMENT`, `NEIGHBORS`, `XPATH` on stored docs, subqueries).
+/// (`DOCUMENT`, `NEIGHBORS`, `XPATH` on stored docs, subqueries). The
+/// owned wrapper over the borrowed evaluator the executor runs on.
 pub fn eval(expr: &Expr, env: &Env, txn: &mut Txn) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Param { name, line, col } => Err(Error::parse(
-            "mmql",
-            *line,
-            *col,
-            format!("unbound parameter `@{name}` (execute with Params or bind first)"),
-        )),
-        Expr::Var(name) => env
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("variable `{name}`"))),
-        Expr::Member { base, steps } => {
-            let mut cur = eval(base, env, txn)?;
-            for step in steps {
-                cur = match step {
-                    MemberStep::Field(f) => cur.get_field(f).clone(),
-                    MemberStep::Index(e) => {
-                        let idx = eval(e, env, txn)?;
-                        match (&cur, &idx) {
-                            (Value::Array(items), Value::Int(i)) => {
-                                let i = *i;
-                                if i >= 0 {
-                                    items.get(i as usize).cloned().unwrap_or(Value::Null)
-                                } else {
-                                    // negative indexes count from the end
-                                    let n = items.len() as i64;
-                                    items
-                                        .get((n + i).max(0) as usize)
-                                        .cloned()
-                                        .unwrap_or(Value::Null)
-                                }
-                            }
-                            (Value::Object(_), Value::Str(k)) => cur.get_field(k).clone(),
-                            _ => Value::Null,
-                        }
-                    }
-                };
-            }
-            Ok(cur)
-        }
-        Expr::Array(items) => items
-            .iter()
-            .map(|e| eval(e, env, txn))
-            .collect::<Result<Vec<_>>>()
-            .map(Value::Array),
-        Expr::Object(fields) => {
-            let mut m = BTreeMap::new();
-            for (k, e) in fields {
-                m.insert(k.clone(), eval(e, env, txn)?);
-            }
-            Ok(Value::Object(m))
-        }
-        Expr::Unary { op, expr } => apply_unary(*op, eval(expr, env, txn)?),
-        Expr::Binary { op, lhs, rhs } => {
-            let l = eval(lhs, env, txn)?;
-            match op {
-                BinOp::And if !l.is_truthy() => return Ok(Value::Bool(false)),
-                BinOp::Or if l.is_truthy() => return Ok(Value::Bool(true)),
-                _ => {}
-            }
-            let r = eval(rhs, env, txn)?;
-            apply_binary(*op, l, r)
-        }
-        Expr::Call { name, args } => call_function(name, args, env, txn),
-        Expr::Subquery(body) => {
-            let rows = crate::exec::run_body(body, env, txn)?;
-            Ok(Value::Array(rows))
-        }
-    }
+    eval_ref(expr, env, txn).map(Val::into_owned)
 }
 
-pub(crate) fn apply_unary(op: UnOp, v: Value) -> Result<Value> {
+/// The interpreter. Variables, literals and member paths rooted in them
+/// come back as references, so reading `o.total` never copies `o`.
+pub(crate) fn eval_ref<'a>(expr: &'a Expr, env: &'a Env, txn: &mut Txn) -> Result<Val<'a>> {
+    Ok(match expr {
+        Expr::Param { name, line, col } => {
+            return Err(Error::parse(
+                "mmql",
+                *line,
+                *col,
+                format!("unbound parameter `@{name}` (execute with Params or bind first)"),
+            ))
+        }
+        Expr::Var(name) => Val::Ref(
+            env.get(name)
+                .ok_or_else(|| Error::NotFound(format!("variable `{name}`")))?,
+        ),
+        Expr::Member { base, steps } => match eval_ref(base, env, txn)? {
+            Val::Ref(v) => Val::Ref(walk_member(v, steps, |e| eval_ref(e, env, txn))?),
+            // a computed or fetched base: only the leaf is copied out
+            base => Val::Owned(walk_member(&base, steps, |e| eval_ref(e, env, txn))?.clone()),
+        },
+        Expr::Call { name, args } => return call_function(name, args, env, txn),
+        Expr::Subquery(body) => Val::Owned(Value::Array(crate::exec::run_body(body, env, txn)?)),
+        _ => return eval_structural(expr, |e| eval_ref(e, env, txn)),
+    })
+}
+
+/// Walk member-access steps over a borrowed value: the one path walk the
+/// interpreter and [`CompiledPred`](crate::CompiledPred) share. `index`
+/// evaluates a `[expr]` step's subscript. Missing steps yield `Null`.
+pub(crate) fn walk_member<'v, 'e>(
+    mut cur: &'v Value,
+    steps: &'e [MemberStep],
+    mut index: impl FnMut(&'e Expr) -> Result<Val<'e>>,
+) -> Result<&'v Value> {
+    const NULL: &Value = &Value::Null;
+    for step in steps {
+        cur = match step {
+            MemberStep::Field(f) => cur.get_field(f),
+            MemberStep::Index(e) => match (cur, &*index(e)?) {
+                (Value::Array(items), Value::Int(i)) => {
+                    // negative indexes count from the end
+                    let at = if *i >= 0 {
+                        *i
+                    } else {
+                        (items.len() as i64 + i).max(0)
+                    };
+                    items.get(at as usize).unwrap_or(NULL)
+                }
+                (Value::Object(_), Value::Str(k)) => cur.get_field(k),
+                _ => NULL,
+            },
+        };
+    }
+    Ok(cur)
+}
+
+pub(crate) fn apply_unary(op: UnOp, v: &Value) -> Result<Value> {
     match op {
         UnOp::Not => Ok(Value::Bool(!v.is_truthy())),
         UnOp::Neg => match v {
@@ -236,9 +283,9 @@ pub(crate) fn apply_unary(op: UnOp, v: Value) -> Result<Value> {
     }
 }
 
-pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
+pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     use std::cmp::Ordering;
-    let ord = || l.canonical_cmp(&r);
+    let ord = || l.canonical_cmp(r);
     Ok(match op {
         BinOp::Eq => Value::Bool(ord() == Ordering::Equal),
         BinOp::Ne => Value::Bool(ord() != Ordering::Equal),
@@ -249,14 +296,14 @@ pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
         BinOp::And => Value::Bool(l.is_truthy() && r.is_truthy()),
         BinOp::Or => Value::Bool(l.is_truthy() || r.is_truthy()),
         BinOp::In => match r {
-            Value::Array(items) => Value::Bool(items.contains(&l)),
+            Value::Array(items) => Value::Bool(items.contains(l)),
             _ => Value::Bool(false),
         },
-        BinOp::Like => match (&l, &r) {
+        BinOp::Like => match (l, r) {
             (Value::Str(s), Value::Str(p)) => Value::Bool(like_match(p, s)),
             _ => Value::Bool(false),
         },
-        BinOp::Add => match (&l, &r) {
+        BinOp::Add => match (l, r) {
             (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(*b)),
             (Value::Str(a), Value::Str(b)) => Value::Str(format!("{a}{b}")),
             (Value::Array(a), Value::Array(b)) => {
@@ -264,25 +311,25 @@ pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
                 out.extend(b.iter().cloned());
                 Value::Array(out)
             }
-            _ => numeric_op(&l, &r, "+", |a, b| a + b)?,
+            _ => numeric_op(l, r, "+", |a, b| a + b)?,
         },
-        BinOp::Sub => match (&l, &r) {
+        BinOp::Sub => match (l, r) {
             (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_sub(*b)),
-            _ => numeric_op(&l, &r, "-", |a, b| a - b)?,
+            _ => numeric_op(l, r, "-", |a, b| a - b)?,
         },
-        BinOp::Mul => match (&l, &r) {
+        BinOp::Mul => match (l, r) {
             (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_mul(*b)),
-            _ => numeric_op(&l, &r, "*", |a, b| a * b)?,
+            _ => numeric_op(l, r, "*", |a, b| a * b)?,
         },
         BinOp::Div => {
-            let (a, b) = both_numeric(&l, &r, "/")?;
+            let (a, b) = both_numeric(l, r, "/")?;
             if b == 0.0 {
                 Value::Null
             } else {
                 Value::Float(a / b)
             }
         }
-        BinOp::Mod => match (&l, &r) {
+        BinOp::Mod => match (l, r) {
             (Value::Int(a), Value::Int(b)) => {
                 if *b == 0 {
                     Value::Null
@@ -315,24 +362,44 @@ fn numeric_op(l: &Value, r: &Value, name: &str, f: impl Fn(f64, f64) -> f64) -> 
     Ok(Value::Float(f(a, b)))
 }
 
-/// Dispatch a function call.
-fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<Value> {
-    let argc = args.len();
+/// Dispatch a function call. Arguments are evaluated borrowed; the two
+/// functions that can hand back an existing value do so.
+fn call_function<'a>(name: &str, args: &'a [Expr], env: &'a Env, txn: &mut Txn) -> Result<Val<'a>> {
+    let mut vals: Vec<Val<'a>> = Vec::with_capacity(args.len());
+    for a in args {
+        vals.push(eval_ref(a, env, txn)?);
+    }
+    match name {
+        "COALESCE" | "NOT_NULL" => Ok(vals
+            .into_iter()
+            .find(|v| !v.is_null())
+            .unwrap_or(Val::Owned(Value::Null))),
+        "DOCUMENT" if vals.len() == 2 => {
+            let coll = vals[0].expect_str("DOCUMENT collection")?;
+            let key = Key::new((*vals[1]).clone())?;
+            // the stored record itself, not a copy of it
+            Ok(txn
+                .get_shared(coll, &key)?
+                .map_or(Val::Owned(Value::Null), Val::Shared))
+        }
+        _ => library_function(name, &vals, txn).map(Val::Owned),
+    }
+}
+
+/// The function library proper: everything that computes a new value.
+fn library_function(name: &str, vals: &[Val<'_>], txn: &mut Txn) -> Result<Value> {
+    let argc = vals.len();
     let wrong_arity = |want: &str| {
         Err(Error::Invalid(format!(
             "{name}() expects {want} argument(s), got {argc}"
         )))
     };
-    let mut vals: Vec<Value> = Vec::with_capacity(argc);
-    for a in args {
-        vals.push(eval(a, env, txn)?);
-    }
     match name {
         "LENGTH" | "COUNT" => {
             if argc != 1 {
                 return wrong_arity("1");
             }
-            Ok(Value::Int(match &vals[0] {
+            Ok(Value::Int(match &*vals[0] {
                 Value::Array(a) => a.len() as i64,
                 Value::Object(o) => o.len() as i64,
                 Value::Str(s) => s.chars().count() as i64,
@@ -347,7 +414,15 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             let items = vals[0]
                 .as_array()
                 .ok_or_else(|| Error::type_err("Array", vals[0].type_name()))?;
-            Ok(aggregate_array(name, items))
+            let func = match name {
+                "SUM" => AggFunc::Sum,
+                "AVG" => AggFunc::Avg,
+                "MIN" => AggFunc::Min,
+                _ => AggFunc::Max,
+            };
+            let mut acc = Accumulator::new(func);
+            items.iter().for_each(|v| acc.push(v));
+            Ok(acc.finish())
         }
         "FIRST" => {
             if argc != 1 {
@@ -376,13 +451,7 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             let items = vals[0]
                 .as_array()
                 .ok_or_else(|| Error::type_err("Array", vals[0].type_name()))?;
-            let mut seen = Vec::new();
-            for v in items {
-                if !seen.contains(v) {
-                    seen.push(v.clone());
-                }
-            }
-            Ok(Value::Array(seen))
+            Ok(Value::Array(distinct(items.to_vec())))
         }
         "FLATTEN" => {
             if argc != 1 {
@@ -408,13 +477,13 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
                 .as_array()
                 .ok_or_else(|| Error::type_err("Array", vals[0].type_name()))?
                 .to_vec();
-            items.push(vals[1].clone());
+            items.push((*vals[1]).clone());
             Ok(Value::Array(items))
         }
         "CONCAT" => {
             let mut s = String::new();
-            for v in &vals {
-                match v {
+            for v in vals {
+                match &**v {
                     Value::Null => {}
                     Value::Str(t) => s.push_str(t),
                     other => s.push_str(&other.to_string()),
@@ -449,7 +518,7 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             if argc != 2 {
                 return wrong_arity("2");
             }
-            match (&vals[0], &vals[1]) {
+            match (&*vals[0], &*vals[1]) {
                 (Value::Str(s), Value::Str(sub)) => Ok(Value::Bool(s.contains(sub.as_str()))),
                 (Value::Array(a), v) => Ok(Value::Bool(a.contains(v))),
                 _ => Ok(Value::Bool(false)),
@@ -459,7 +528,7 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             if argc != 1 {
                 return wrong_arity("1");
             }
-            match &vals[0] {
+            match &*vals[0] {
                 Value::Int(i) if name == "ABS" => Ok(Value::Int(i.abs())),
                 Value::Int(i) => Ok(Value::Int(*i)),
                 Value::Float(f) => Ok(match name {
@@ -475,7 +544,7 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             if argc != 1 {
                 return wrong_arity("1");
             }
-            Ok(Value::Str(match &vals[0] {
+            Ok(Value::Str(match &*vals[0] {
                 Value::Str(s) => s.clone(),
                 other => other.to_string(),
             }))
@@ -484,7 +553,7 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             if argc != 1 {
                 return wrong_arity("1");
             }
-            Ok(match &vals[0] {
+            Ok(match &*vals[0] {
                 Value::Int(i) => Value::Int(*i),
                 Value::Float(f) => Value::Float(*f),
                 Value::Str(s) => match s.trim().parse::<i64>() {
@@ -499,16 +568,12 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
                 _ => Value::Null,
             })
         }
-        "COALESCE" | "NOT_NULL" => Ok(vals
-            .into_iter()
-            .find(|v| !v.is_null())
-            .unwrap_or(Value::Null)),
         "MERGE" => {
             if argc != 2 {
                 return wrong_arity("2");
             }
-            let mut base = vals[0].clone();
-            base.merge_from(vals[1].clone());
+            let mut base = (*vals[0]).clone();
+            base.merge_from((*vals[1]).clone());
             Ok(base)
         }
         "KEYS" => {
@@ -544,20 +609,13 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             let b = vals[1].expect_int("RANGE end")?;
             Ok(Value::Array((a..=b).map(Value::Int).collect()))
         }
-        "DOCUMENT" => {
-            if argc != 2 {
-                return wrong_arity("2");
-            }
-            let coll = vals[0].expect_str("DOCUMENT collection")?.to_string();
-            let key = Key::new(vals[1].clone())?;
-            Ok(txn.get(&coll, &key)?.unwrap_or(Value::Null))
-        }
+        "DOCUMENT" => wrong_arity("2"),
         "NEIGHBORS" => {
             if !(3..=4).contains(&argc) {
                 return wrong_arity("3 or 4");
             }
-            let graph = vals[0].expect_str("NEIGHBORS graph")?.to_string();
-            let key = Key::new(vals[1].clone())?;
+            let graph = vals[0].expect_str("NEIGHBORS graph")?;
+            let key = Key::new((*vals[1]).clone())?;
             let dir = match vals[2]
                 .expect_str("NEIGHBORS direction")?
                 .to_ascii_uppercase()
@@ -568,12 +626,12 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
                 "ANY" | "BOTH" => Direction::Both,
                 other => return Err(Error::Invalid(format!("unknown direction `{other}`"))),
             };
-            let label = match vals.get(3) {
-                Some(Value::Str(s)) => Some(s.clone()),
+            let label = match vals.get(3).map(|v| &**v) {
+                Some(Value::Str(s)) => Some(s.as_str()),
                 Some(Value::Null) | None => None,
                 Some(other) => return Err(Error::type_err("Str (label)", other.type_name())),
             };
-            let keys = txn.neighbors(&graph, &key, dir, label.as_deref())?;
+            let keys = txn.neighbors(graph, &key, dir, label)?;
             Ok(Value::Array(
                 keys.into_iter().map(Key::into_value).collect(),
             ))
@@ -610,40 +668,116 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
     }
 }
 
-/// Shared array aggregation used by both the function library and
-/// `COLLECT AGGREGATE`.
-pub fn aggregate_array(func: &str, items: &[Value]) -> Value {
-    match func {
-        "SUM" | "AVG" => {
-            let nums: Vec<f64> = items.iter().filter_map(Value::as_float).collect();
-            if nums.is_empty() {
-                return Value::Null;
+/// First occurrences under canonical equality, in input order: `UNIQUE()`
+/// and `RETURN DISTINCT`.
+pub(crate) fn distinct(items: Vec<Value>) -> Vec<Value> {
+    let mut seen = std::collections::BTreeSet::new();
+    let first: Vec<bool> = items.iter().map(|v| seen.insert(v)).collect();
+    items
+        .into_iter()
+        .zip(first)
+        .filter_map(|(v, first)| first.then_some(v))
+        .collect()
+}
+
+/// One running aggregate, folded a value at a time: the single
+/// aggregation behind `COLLECT … AGGREGATE` (one per group and output)
+/// and the array functions `SUM`/`AVG`/`MIN`/`MAX`.
+#[derive(Debug)]
+pub(crate) enum Accumulator {
+    /// Every input counts, `NULL` included.
+    Count(i64),
+    /// `SUM` or `AVG` over the `n` numeric inputs, in arrival order. While
+    /// every non-null input is an `Int` the answer is `int`, summed in
+    /// `i64` under `+`'s wrapping rule; otherwise it is `float`, the plain
+    /// left-to-right `f64` sum.
+    Sum {
+        avg: bool,
+        n: usize,
+        int: i64,
+        float: f64,
+        exact: bool,
+    },
+    /// `MIN` or `MAX` in the canonical order, nulls skipped. Among equal
+    /// inputs `MIN` keeps the first and `MAX` the last.
+    Extreme { max: bool, best: Option<Value> },
+}
+
+impl Accumulator {
+    /// The empty aggregate of `func`.
+    pub(crate) fn new(func: AggFunc) -> Accumulator {
+        match func {
+            AggFunc::Count => Accumulator::Count(0),
+            AggFunc::Sum | AggFunc::Avg => Accumulator::Sum {
+                avg: func == AggFunc::Avg,
+                n: 0,
+                int: 0,
+                float: -0.0, // where std's `Sum for f64` starts
+                exact: true,
+            },
+            AggFunc::Min | AggFunc::Max => Accumulator::Extreme {
+                max: func == AggFunc::Max,
+                best: None,
+            },
+        }
+    }
+
+    /// Fold one input in.
+    pub(crate) fn push(&mut self, v: &Value) {
+        match self {
+            Accumulator::Count(n) => *n += 1,
+            Accumulator::Sum {
+                n,
+                int,
+                float,
+                exact,
+                ..
+            } => {
+                match v {
+                    Value::Null => return,
+                    Value::Int(i) => *int = int.wrapping_add(*i),
+                    _ => *exact = false,
+                }
+                if let Some(x) = v.as_float() {
+                    *float += x;
+                    *n += 1;
+                }
             }
-            let sum: f64 = nums.iter().sum();
-            if func == "AVG" {
-                Value::Float(sum / nums.len() as f64)
-            } else if items
-                .iter()
-                .all(|v| matches!(v, Value::Int(_) | Value::Null))
-            {
-                Value::Int(sum as i64)
-            } else {
-                Value::Float(sum)
+            Accumulator::Extreme { max, best } => {
+                let better = !v.is_null()
+                    && best
+                        .as_ref()
+                        .is_none_or(|b| if *max { v >= b } else { v < b });
+                if better {
+                    *best = Some(v.clone());
+                }
             }
         }
-        "MIN" => items
-            .iter()
-            .filter(|v| !v.is_null())
-            .min()
-            .cloned()
-            .unwrap_or(Value::Null),
-        "MAX" => items
-            .iter()
-            .filter(|v| !v.is_null())
-            .max()
-            .cloned()
-            .unwrap_or(Value::Null),
-        _ => Value::Int(items.len() as i64),
+    }
+
+    /// The aggregate's value; `NULL` when nothing countable came in.
+    pub(crate) fn finish(self) -> Value {
+        match self {
+            Accumulator::Count(n) => Value::Int(n),
+            Accumulator::Sum { n: 0, .. } => Value::Null,
+            Accumulator::Sum {
+                avg: false,
+                exact: true,
+                int,
+                ..
+            } => Value::Int(int),
+            Accumulator::Sum {
+                avg,
+                n,
+                int,
+                float,
+                exact,
+            } => {
+                let sum = if exact { int as f64 } else { float };
+                Value::Float(if avg { sum / n as f64 } else { sum })
+            }
+            Accumulator::Extreme { best, .. } => best.unwrap_or(Value::Null),
+        }
     }
 }
 
@@ -820,5 +954,92 @@ mod tests {
             panic!()
         };
         assert_eq!(eval_const(&body.ret), None);
+    }
+
+    #[test]
+    fn integer_sums_stay_exact() {
+        // 2^53 + 1 is not an f64
+        assert_eq!(
+            eval_str("SUM([9007199254740992, 1])"),
+            Value::Int(9_007_199_254_740_993)
+        );
+        assert_eq!(
+            eval_str("SUM([9223372036854775807, 1])"),
+            eval_str("9223372036854775807 + 1"),
+            "overflow follows `+`"
+        );
+        assert_eq!(eval_str("SUM([NULL, NULL])"), Value::Null);
+        assert_eq!(eval_str("AVG([NULL])"), Value::Null);
+        assert_eq!(eval_str("SUM([1, NULL, 2.5, 3])"), Value::Float(6.5));
+        assert_eq!(eval_str("SUM([2.5, 1])"), Value::Float(3.5));
+        assert_eq!(eval_str("AVG([1, NULL, 2.5])"), Value::Float(1.75));
+        assert_eq!(eval_str("AVG([1, 2])"), Value::Float(1.5));
+        assert_eq!(eval_str("SUM([1, 2, NULL])"), Value::Int(3));
+        // a non-numeric input is skipped, and makes the sum a Float
+        assert_eq!(eval_str("SUM([1, \"x\", 2])"), Value::Float(3.0));
+        assert_eq!(eval_str("SUM([\"x\"])"), Value::Null);
+        // callers around the aggregates are untouched
+        assert_eq!(eval_str("LENGTH([1, NULL, 3])"), Value::Int(3));
+        assert_eq!(eval_str("MIN([NULL])"), Value::Null);
+        assert_eq!(eval_str("MIN([2, 1.0, 1])"), Value::Float(1.0), "first");
+        assert_eq!(eval_str("MAX([1.0, 1, 0])"), Value::Int(1), "last");
+    }
+
+    #[test]
+    fn distinct_keeps_first_occurrences_in_order() {
+        let items: Vec<Value> = (0..10_000).map(|i| Value::Int(i % 100)).rev().collect();
+        let want: Vec<Value> = (0..100).map(Value::Int).rev().collect();
+        assert_eq!(distinct(items), want);
+        let one = distinct(vec![Value::Int(1), Value::Float(1.0)]);
+        assert!(
+            matches!(one[..], [Value::Int(1)]),
+            "canonical equality: {one:?}"
+        );
+    }
+
+    #[test]
+    fn evaluation_borrows_instead_of_copying() {
+        let engine = Engine::new();
+        engine
+            .create_collection(CollectionSchema::key_value("kv"))
+            .unwrap();
+        let mut txn = engine.begin(Isolation::Snapshot);
+        txn.put("kv", Key::int(1), obj! {"a" => obj! {"b" => arr![10, 20]}})
+            .unwrap();
+        let env = Env::new().with("o", obj! {"a" => obj! {"b" => arr![10, 20]}});
+        let ret = |src: &str| {
+            let crate::ast::Statement::Query(body) = parser::parse(src).unwrap() else {
+                panic!()
+            };
+            body.ret
+        };
+        // a variable and a path under it are references into the frame
+        let bound = env.get("o").unwrap();
+        for (src, want) in [
+            ("RETURN o", bound),
+            ("RETURN o.a.b", bound.get_field("a").get_field("b")),
+            (
+                "RETURN o.a.b[-1]",
+                &bound.get_field("a").get_field("b").as_array().unwrap()[1],
+            ),
+            ("RETURN o[\"a\"]", bound.get_field("a")),
+        ] {
+            let expr = ret(src);
+            let Val::Ref(got) = eval_ref(&expr, &env, &mut txn).unwrap() else {
+                panic!("{src} must borrow")
+            };
+            assert!(std::ptr::eq(got, want), "{src}");
+        }
+        // DOCUMENT hands out the stored record, and LET would bind it as is
+        let expr = ret("RETURN DOCUMENT(\"kv\", 1)");
+        let Val::Shared(doc) = eval_ref(&expr, &env, &mut txn).unwrap() else {
+            panic!("DOCUMENT must share")
+        };
+        let stored = txn.get_shared("kv", &Key::int(1)).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&doc, &stored));
+        assert!(Arc::ptr_eq(&Val::Shared(doc).into_shared(), &stored));
+        let expr = ret("RETURN DOCUMENT(\"kv\", 2)");
+        assert_eq!(eval(&expr, &env, &mut txn).unwrap(), Value::Null);
+        assert!(eval(&ret("RETURN DOCUMENT(\"kv\")"), &env, &mut txn).is_err());
     }
 }

@@ -2,17 +2,21 @@
 //! pushdown into the engine's index-accelerated `select`.
 //!
 //! Read-path fast lanes (see DESIGN.md "Read path"):
+//! * everything below is decided once per query body, in its
+//!   [`ClausePlan`]s, and reused by every execution and by `explain`;
 //! * collection sources iterate `Arc`-shared rows (`scan_shared` /
-//!   `select_shared`) — no per-row deep clone between storage and the
-//!   expression evaluator;
-//! * a residual `FILTER` that is row-local compiles once per `FOR`
-//!   clause into a [`CompiledPred`] closure tree and runs against the
-//!   borrowed row, skipping the `Env` binding for rejected rows;
+//!   `select_shared`) and expressions evaluate borrowed — no per-row
+//!   deep clone between storage and the result;
+//! * a residual `FILTER` that is row-local compiles into a
+//!   [`CompiledPred`] closure tree and runs against the borrowed row,
+//!   skipping the `Env` binding for rejected rows;
 //! * `FOR … [FILTER …] LIMIT o, n` pushes `o + n` into the engine's
-//!   streaming scan so the tail of the collection is never touched.
+//!   streaming scan so the tail of the collection is never touched;
+//! * `COLLECT` folds rows into per-group accumulators as they arrive —
+//!   straight out of the `FOR` when it directly follows one.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use udbms_core::{Error, Key, Result, Value};
 use udbms_engine::Txn;
@@ -20,14 +24,154 @@ use udbms_relational::Predicate;
 
 use crate::ast::*;
 use crate::compile::CompiledPred;
-use crate::eval::{aggregate_array, eval, eval_const, Env};
+use crate::eval::{distinct, eval_const, eval_ref, Accumulator, Env, Val};
+
+/// What the executor derives from a clause before running it.
+#[derive(Debug, Default)]
+pub(crate) struct ClausePlan {
+    /// The names the clause binds, interned so that a row binding is two
+    /// refcount bumps: the `FOR`/`LET` variable, or a `COLLECT`'s group
+    /// keys, then aggregates, then `INTO`.
+    names: Vec<Arc<str>>,
+    /// For a `FOR` over a collection: how the clauses after it fold
+    /// into the scan.
+    scan: Option<ScanPlan>,
+}
+
+/// How a `FOR` over a collection reads it. Void when the name turns out
+/// to be a bound variable at run time (bound variables win).
+#[derive(Debug, Default)]
+struct ScanPlan {
+    /// The `FILTER` after the `FOR` is folded into the scan.
+    fused_filter: bool,
+    /// Its conjuncts the engine evaluates, through indexes where it can.
+    pushed: Option<Predicate>,
+    /// Conjuncts pushed per outer row (`o.customer == c.id`): index
+    /// nested-loop joins for correlated filters.
+    dynamic: Vec<DynPred>,
+    /// What is left for the executor, and its compiled form if row-local.
+    residual: Option<Expr>,
+    compiled: Option<CompiledPred>,
+    /// `offset + count` of a directly following `LIMIT`: sound to cap the
+    /// walk per outer row because output concatenates per-row blocks in
+    /// order, so rows past that prefix can never surface.
+    limit: Option<usize>,
+}
+
+/// A body's plan — entry `i` for clause `i` — derived on first use.
+/// Cloning or rebinding a body starts over; equality ignores it.
+#[derive(Debug, Default)]
+pub struct PlanCell(OnceLock<Vec<ClausePlan>>);
+
+impl Clone for PlanCell {
+    fn clone(&self) -> PlanCell {
+        PlanCell::default()
+    }
+}
+
+impl PartialEq for PlanCell {
+    fn eq(&self, _: &PlanCell) -> bool {
+        true
+    }
+}
+
+impl QueryBody {
+    fn plan(&self) -> &[ClausePlan] {
+        self.plan.0.get_or_init(|| {
+            let plan =
+                |(i, clause): (usize, &Clause)| ClausePlan::new(clause, &self.clauses[i + 1..]);
+            self.clauses.iter().enumerate().map(plan).collect()
+        })
+    }
+}
+
+impl ClausePlan {
+    /// Plan `clause`, which `rest` follows.
+    fn new(clause: &Clause, rest: &[Clause]) -> ClausePlan {
+        let intern = |name: &String| Arc::<str>::from(name.as_str());
+        match clause {
+            Clause::For { var, source } => ClausePlan {
+                names: vec![intern(var)],
+                scan: matches!(source, Source::Collection(_)).then(|| ScanPlan::new(var, rest)),
+            },
+            Clause::Let { var, .. } => ClausePlan {
+                names: vec![intern(var)],
+                scan: None,
+            },
+            Clause::Collect {
+                groups,
+                aggregates,
+                into,
+            } => ClausePlan {
+                names: (groups.iter().map(|(name, _)| name))
+                    .chain(aggregates.iter().map(|(name, _, _)| name))
+                    .chain(into)
+                    .map(intern)
+                    .collect(),
+                scan: None,
+            },
+            _ => ClausePlan::default(),
+        }
+    }
+}
+
+impl ScanPlan {
+    /// Plan a `FOR var IN collection` followed by `rest`.
+    fn new(var: &str, rest: &[Clause]) -> ScanPlan {
+        let mut plan = ScanPlan::default();
+        if let Some(Clause::Filter(f)) = rest.first() {
+            let (pushed, dynamic, residual) = extract_predicates(f, var);
+            let compiled = residual
+                .as_ref()
+                .and_then(|r| CompiledPred::compile(r, var));
+            // fuse when something pushes into the engine, or when the
+            // whole filter compiles and so runs against borrowed rows
+            if pushed.is_some() || !dynamic.is_empty() || compiled.is_some() {
+                plan = ScanPlan {
+                    fused_filter: true,
+                    pushed,
+                    dynamic,
+                    residual,
+                    compiled,
+                    limit: None,
+                };
+            }
+        }
+        if plan.dynamic.is_empty() && plan.residual.is_none() {
+            if let Some(Clause::Limit { offset, count }) = rest.get(usize::from(plan.fused_filter))
+            {
+                plan.limit = offset.checked_add(*count);
+            }
+        }
+        plan
+    }
+
+    /// The engine predicate for one outer row: the static part plus the
+    /// dynamic conjuncts bound against `env`.
+    fn bind(&self, env: &Env, txn: &mut Txn) -> Result<Predicate> {
+        let mut parts: Vec<Predicate> = match &self.pushed {
+            Some(Predicate::And(ps)) => ps.clone(),
+            Some(p) => vec![p.clone()],
+            None => Vec::new(),
+        };
+        for d in &self.dynamic {
+            parts.extend(d.predicate(eval_ref(&d.rhs, env, txn)?.into_owned()));
+        }
+        Ok(if parts.len() == 1 {
+            parts.remove(0)
+        } else {
+            Predicate::And(parts)
+        })
+    }
+}
 
 /// Execute a parsed statement inside a transaction.
 pub fn execute(stmt: &Statement, txn: &mut Txn) -> Result<Vec<Value>> {
+    let env = Env::new();
     match stmt {
-        Statement::Query(body) => run_body(body, &Env::new(), txn),
+        Statement::Query(body) => run_body(body, &env, txn),
         Statement::Insert { value, collection } => {
-            let v = eval(value, &Env::new(), txn)?;
+            let v = eval_ref(value, &env, txn)?.into_owned();
             let key = txn.insert(collection, v)?;
             Ok(vec![key.into_value()])
         }
@@ -36,13 +180,13 @@ pub fn execute(stmt: &Statement, txn: &mut Txn) -> Result<Vec<Value>> {
             patch,
             collection,
         } => {
-            let k = Key::new(eval(key, &Env::new(), txn)?)?;
-            let p = eval(patch, &Env::new(), txn)?;
+            let k = Key::new(eval_ref(key, &env, txn)?.into_owned())?;
+            let p = eval_ref(patch, &env, txn)?.into_owned();
             txn.merge(collection, &k, p)?;
             Ok(vec![Value::Bool(true)])
         }
         Statement::Remove { key, collection } => {
-            let k = Key::new(eval(key, &Env::new(), txn)?)?;
+            let k = Key::new(eval_ref(key, &env, txn)?.into_owned())?;
             let existed = txn.delete(collection, &k)?;
             Ok(vec![Value::Bool(existed)])
         }
@@ -52,150 +196,72 @@ pub fn execute(stmt: &Statement, txn: &mut Txn) -> Result<Vec<Value>> {
 /// Run a query body under a base environment (used for subqueries, which
 /// inherit the outer scope).
 pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value>> {
+    let plan = body.plan();
     let mut rows: Vec<Env> = vec![base.clone()];
     let mut i = 0;
     while i < body.clauses.len() {
+        let names = &plan[i].names;
         match &body.clauses[i] {
-            Clause::For { var, source } => {
+            Clause::For { source, .. } => {
                 // `FOR x IN name` is ambiguous between a collection and a
                 // bound variable holding an array; bound variables win
                 // (binding names are uniform across rows of a stage).
-                let name_is_var = match source {
-                    Source::Collection(name) => {
-                        rows.first().is_some_and(|env| env.get(name).is_some())
-                    }
-                    _ => false,
-                };
-                // Pushdown: FOR over a collection immediately followed by
-                // FILTER — convert the filter (or its conjuncts) into an
-                // engine predicate evaluated through indexes. Conjuncts
-                // whose right side doesn't mention the loop variable are
-                // pushed *dynamically* (evaluated per outer row), giving
-                // index nested-loop joins for correlated filters like
-                // `o.customer == c.id`.
-                let mut pushed: Option<Predicate> = None;
-                let mut dynamic: Vec<DynPred> = Vec::new();
-                let mut residual: Option<Expr> = None;
-                // the residual, compiled once per FOR clause (not per
-                // row); non-row-local residuals keep the interpreter
-                let mut compiled: Option<CompiledPred> = None;
-                let mut consumed_filter = false;
-                if !name_is_var {
-                    if let Source::Collection(_) = source {
-                        if let Some(Clause::Filter(f)) = body.clauses.get(i + 1) {
-                            let (p, d, r) = extract_predicates(f, var);
-                            let cp = r.as_ref().and_then(|r| CompiledPred::compile(r, var));
-                            if p.is_some() || !d.is_empty() {
-                                pushed = p;
-                                dynamic = d;
-                                residual = r;
-                                compiled = cp;
-                                consumed_filter = true;
-                            } else if cp.is_some() {
-                                // nothing pushes into the engine, but the
-                                // whole filter compiles: fuse it anyway so
-                                // it runs against borrowed rows
-                                residual = r;
-                                compiled = cp;
-                                consumed_filter = true;
-                            }
-                        }
-                    }
-                }
-                // LIMIT directly after this FOR(+fused FILTER): cap the
-                // source walk at offset+count rows per outer binding —
-                // sound because output order concatenates per-env blocks
-                // in order, so rows past that prefix can never surface
-                let next_clause = body.clauses.get(i + 1 + usize::from(consumed_filter));
-                let push_limit: Option<usize> = match next_clause {
-                    Some(Clause::Limit { offset, count })
-                        if !name_is_var
-                            && matches!(source, Source::Collection(_))
-                            && dynamic.is_empty()
-                            && residual.is_none() =>
-                    {
-                        offset.checked_add(*count)
+                let shadowed = matches!(source, Source::Collection(name)
+                    if rows.first().is_some_and(|env| env.get(name).is_some()));
+                let scan = plan[i].scan.as_ref().filter(|_| !shadowed);
+                i += usize::from(scan.is_some_and(|s| s.fused_filter));
+                // a COLLECT right behind takes the rows as they come
+                let mut collector = match body.clauses.get(i + 1) {
+                    Some(Clause::Collect {
+                        groups,
+                        aggregates,
+                        into,
+                    }) => {
+                        i += 1;
+                        Some(Collector::new(groups, aggregates, into, &plan[i].names))
                     }
                     _ => None,
                 };
+                let compiled = scan.and_then(|s| s.compiled.as_ref());
+                let residual = scan.and_then(|s| s.residual.as_ref());
                 let mut next = Vec::new();
                 for env in &rows {
-                    let items: Vec<Arc<Value>> = if name_is_var {
-                        let Source::Collection(name) = source else {
-                            // lint:allow(unwrap): name_is_var implies a collection source
-                            unreachable!()
-                        };
-                        match env.get(name).cloned().unwrap_or(Value::Null) {
-                            Value::Array(items) => items.into_iter().map(Arc::new).collect(),
-                            Value::Null => Vec::new(),
-                            other => {
-                                return Err(Error::type_err(
-                                    "Array (FOR source)",
-                                    other.type_name(),
-                                ))
-                            }
-                        }
-                    } else {
-                        // bind dynamic conjuncts against this outer row
-                        let bound: Option<Predicate> = if dynamic.is_empty() {
-                            pushed.clone()
-                        } else {
-                            let mut parts: Vec<Predicate> = match &pushed {
-                                Some(Predicate::And(ps)) => ps.clone(),
-                                Some(p) => vec![p.clone()],
-                                None => Vec::new(),
-                            };
-                            for d in &dynamic {
-                                let rhs = eval(&d.rhs, env, txn)?;
-                                parts.push(d.bind(rhs));
-                            }
-                            Some(if parts.len() == 1 {
-                                // lint:allow(unwrap): len() == 1 was just checked
-                                parts.into_iter().next().expect("len checked")
-                            } else {
-                                Predicate::And(parts)
-                            })
-                        };
-                        source_items(source, env, txn, bound.as_ref(), push_limit)?
-                    };
-                    for item in items {
-                        if let Some(cp) = &compiled {
-                            // filter on the borrowed row; only survivors
-                            // pay for an environment frame
+                    for item in source_items(source, scan, env, txn)? {
+                        // a compiled filter runs on the borrowed row: only
+                        // survivors pay for an environment frame
+                        if let Some(cp) = compiled {
                             if !cp.matches(&item)? {
                                 continue;
                             }
-                            next.push(env.with_shared(var, item));
-                        } else {
-                            let child = env.with_shared(var, item);
-                            if let Some(res) = &residual {
-                                if !eval(res, &child, txn)?.is_truthy() {
-                                    continue;
-                                }
+                        }
+                        let child = env.bind(&names[0], item);
+                        if let (None, Some(r)) = (compiled, residual) {
+                            if !eval_ref(r, &child, txn)?.is_truthy() {
+                                continue;
                             }
-                            next.push(child);
+                        }
+                        match &mut collector {
+                            Some(c) => c.push(&child, txn)?,
+                            None => next.push(child),
                         }
                     }
                 }
-                rows = next;
-                if consumed_filter {
-                    i += 1; // the FILTER was folded into the FOR
-                }
+                rows = collector.map_or(next, |c| c.finish(base));
             }
             Clause::Filter(expr) => {
                 let mut next = Vec::with_capacity(rows.len());
                 for env in rows {
-                    if eval(expr, &env, txn)?.is_truthy() {
+                    if eval_ref(expr, &env, txn)?.is_truthy() {
                         next.push(env);
                     }
                 }
                 rows = next;
             }
-            Clause::Let { var, value } => {
+            Clause::Let { value, .. } => {
                 let mut next = Vec::with_capacity(rows.len());
                 for env in rows {
-                    let v = eval(value, &env, txn)?;
-                    next.push(env.with(var, v));
+                    let v = eval_ref(value, &env, txn)?.into_shared();
+                    next.push(env.bind(&names[0], v));
                 }
                 rows = next;
             }
@@ -204,7 +270,7 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
                 for env in rows {
                     let mut kvals = Vec::with_capacity(keys.len());
                     for (e, _) in keys {
-                        kvals.push(eval(e, &env, txn)?);
+                        kvals.push(eval_ref(e, &env, txn)?.into_owned());
                     }
                     keyed.push((kvals, env));
                 }
@@ -228,94 +294,147 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
                 aggregates,
                 into,
             } => {
-                // group key → (group values, member envs)
-                let mut grouped: BTreeMap<Vec<Value>, Vec<Env>> = BTreeMap::new();
-                for env in rows {
-                    let mut key = Vec::with_capacity(groups.len());
-                    for (_, e) in groups {
-                        key.push(eval(e, &env, txn)?);
-                    }
-                    grouped.entry(key).or_default().push(env);
+                let mut collector = Collector::new(groups, aggregates, into, names);
+                for env in &rows {
+                    collector.push(env, txn)?;
                 }
-                let mut next = Vec::with_capacity(grouped.len());
-                for (key, members) in grouped {
-                    // COLLECT starts a fresh scope
-                    let mut env = base.clone();
-                    for ((name, _), v) in groups.iter().zip(key) {
-                        env = env.with(name, v);
-                    }
-                    for (name, func, input) in aggregates {
-                        let mut inputs = Vec::with_capacity(members.len());
-                        for m in &members {
-                            inputs.push(eval(input, m, txn)?);
-                        }
-                        let fname = match func {
-                            AggFunc::Count => "COUNT",
-                            AggFunc::Sum => "SUM",
-                            AggFunc::Avg => "AVG",
-                            AggFunc::Min => "MIN",
-                            AggFunc::Max => "MAX",
-                        };
-                        env = env.with(name, aggregate_array(fname, &inputs));
-                    }
-                    if let Some(into_var) = into {
-                        let objs: Vec<Value> = members.iter().map(Env::as_object).collect();
-                        env = env.with(into_var, Value::Array(objs));
-                    }
-                    next.push(env);
-                }
-                rows = next;
+                rows = collector.finish(base);
             }
         }
         i += 1;
     }
     let mut out = Vec::with_capacity(rows.len());
-    for env in rows {
-        out.push(eval(&body.ret, &env, txn)?);
+    for env in &rows {
+        out.push(eval_ref(&body.ret, env, txn)?.into_owned());
     }
-    if body.distinct {
-        let mut seen = Vec::new();
-        out.retain(|v| {
-            if seen.contains(v) {
-                false
-            } else {
-                seen.push(v.clone());
-                true
+    Ok(if body.distinct { distinct(out) } else { out })
+}
+
+/// `COLLECT`: one set of accumulators per group, folded as rows arrive,
+/// so no group ever holds its member rows — unless `INTO` asks for
+/// them, which is one more thing to accumulate.
+struct Collector<'q> {
+    groups: &'q [(String, Expr)],
+    aggregates: &'q [(String, AggFunc, Expr)],
+    into: bool,
+    names: &'q [Arc<str>],
+    /// Group key → slot in `states`. The first row's key values stand for
+    /// the group; iteration order is the canonical output order.
+    slots: BTreeMap<Vec<Value>, usize>,
+    /// Per group: one accumulator per aggregate, and the `INTO` members.
+    states: Vec<(Vec<Accumulator>, Vec<Value>)>,
+    /// The row's key, rebuilt in place (only a new group keeps a copy).
+    key: Vec<Value>,
+}
+
+impl<'q> Collector<'q> {
+    fn new(
+        groups: &'q [(String, Expr)],
+        aggregates: &'q [(String, AggFunc, Expr)],
+        into: &Option<String>,
+        names: &'q [Arc<str>],
+    ) -> Collector<'q> {
+        Collector {
+            groups,
+            aggregates,
+            into: into.is_some(),
+            names,
+            slots: BTreeMap::new(),
+            states: Vec::new(),
+            key: Vec::with_capacity(groups.len()),
+        }
+    }
+
+    /// Fold one row in. Within a group, inputs reach each accumulator in
+    /// row order, so float sums do not depend on how rows were grouped.
+    fn push(&mut self, env: &Env, txn: &mut Txn) -> Result<()> {
+        self.key.clear();
+        for (_, e) in self.groups {
+            self.key.push(eval_ref(e, env, txn)?.into_owned());
+        }
+        let slot = match self.slots.get(self.key.as_slice()) {
+            Some(&slot) => slot,
+            None => {
+                let fresh = self.aggregates.iter().map(|(_, f, _)| Accumulator::new(*f));
+                self.states.push((fresh.collect(), Vec::new()));
+                self.slots.insert(self.key.clone(), self.states.len() - 1);
+                self.states.len() - 1
             }
-        });
+        };
+        let (accumulators, members) = &mut self.states[slot];
+        for (acc, (_, _, input)) in accumulators.iter_mut().zip(self.aggregates) {
+            let v = eval_ref(input, env, txn)?;
+            acc.push(&v);
+        }
+        if self.into {
+            members.push(env.as_object());
+        }
+        Ok(())
     }
-    Ok(out)
+
+    /// One row per group in canonical key order, in a fresh scope under
+    /// `base`.
+    fn finish(mut self, base: &Env) -> Vec<Env> {
+        let mut out = Vec::with_capacity(self.slots.len());
+        for (key, slot) in self.slots {
+            let (accumulators, members) = std::mem::take(&mut self.states[slot]);
+            let values = key
+                .into_iter()
+                .chain(accumulators.into_iter().map(Accumulator::finish))
+                .chain(self.into.then_some(Value::Array(members)));
+            out.push(
+                (self.names.iter().zip(values))
+                    .fold(base.clone(), |env, (name, v)| env.bind(name, Arc::new(v))),
+            );
+        }
+        out
+    }
 }
 
 /// Materialize the items a `FOR` iterates, as shared row handles.
-/// Collection rows come straight out of the MVCC store as `Arc` bumps;
-/// `limit` (when the caller proved a `LIMIT` adjacency) caps the walk.
+/// Collection rows come straight out of the MVCC store as `Arc` bumps,
+/// read the way `scan` planned; a `Collection` source without a plan is
+/// a bound variable of that name.
 fn source_items(
     source: &Source,
+    scan: Option<&ScanPlan>,
     env: &Env,
     txn: &mut Txn,
-    pushed: Option<&Predicate>,
-    limit: Option<usize>,
 ) -> Result<Vec<Arc<Value>>> {
-    match source {
-        Source::Collection(name) => match (pushed, limit) {
-            (Some(pred), limit) => txn.select_limited(name, pred, limit),
-            (None, Some(n)) => Ok(txn
-                .scan_limited(name, n)?
-                .into_iter()
-                .map(|(_, v)| v)
-                .collect()),
-            (None, None) => Ok(txn.scan_shared(name)?.into_iter().map(|(_, v)| v).collect()),
-        },
-        Source::Traversal {
-            min,
-            max,
-            dir,
-            start,
-            graph,
-            label,
-        } => {
-            let start_key = Key::new(eval(start, env, txn)?)?;
+    let array = match (source, scan) {
+        (Source::Collection(name), Some(scan)) => {
+            // only a correlated filter needs a predicate of its own per row
+            let bound;
+            let pred = if scan.dynamic.is_empty() {
+                scan.pushed.as_ref()
+            } else {
+                bound = scan.bind(env, txn)?;
+                Some(&bound)
+            };
+            return match (pred, scan.limit) {
+                (Some(pred), limit) => txn.select_limited(name, pred, limit),
+                (None, Some(n)) => Ok(txn
+                    .scan_limited(name, n)?
+                    .into_iter()
+                    .map(|(_, v)| v)
+                    .collect()),
+                (None, None) => Ok(txn.scan_shared(name)?.into_iter().map(|(_, v)| v).collect()),
+            };
+        }
+        (Source::Collection(name), None) => Val::Ref(env.get(name).unwrap_or(&Value::Null)),
+        (Source::Expr(e), _) => eval_ref(e, env, txn)?,
+        (
+            Source::Traversal {
+                min,
+                max,
+                dir,
+                start,
+                graph,
+                label,
+            },
+            _,
+        ) => {
+            let start_key = Key::new(eval_ref(start, env, txn)?.into_owned())?;
             // BFS layers 0..=max, then flatten layers min..=max.
             let mut layers: Vec<Vec<Key>> = vec![vec![start_key.clone()]];
             let mut seen: std::collections::HashSet<Key> = [start_key].into_iter().collect();
@@ -348,94 +467,59 @@ fn source_items(
                     out.push(Arc::new(v));
                 }
             }
-            Ok(out)
+            return Ok(out);
         }
-        Source::Expr(e) => match eval(e, env, txn)? {
-            Value::Array(items) => Ok(items.into_iter().map(Arc::new).collect()),
+    };
+    // an array-valued expression or variable: iterate it where it lies,
+    // copying one element at a time
+    match array {
+        Val::Owned(Value::Array(items)) => Ok(items.into_iter().map(Arc::new).collect()),
+        array => match &*array {
+            Value::Array(items) => Ok(items.iter().cloned().map(Arc::new).collect()),
             Value::Null => Ok(Vec::new()),
             other => Err(Error::type_err("Array (FOR source)", other.type_name())),
         },
     }
 }
 
-/// A dynamically-pushable conjunct: `var.path OP <rhs>` where `rhs` does
-/// not mention `var` (it is evaluated per outer row at execution time).
+/// A pushable conjunct: `var.path OP <rhs>` where `rhs` does not mention
+/// `var`. A constant `rhs` makes it an engine predicate at plan time;
+/// otherwise a comparison is bound per outer row at execution time.
 #[derive(Debug, Clone)]
-pub struct DynPred {
+struct DynPred {
     path: udbms_core::FieldPath,
     op: BinOp,
     rhs: Expr,
 }
 
 impl DynPred {
-    /// Build the concrete predicate once the right side has a value.
-    fn bind(&self, value: Value) -> Predicate {
+    /// The engine predicate once the right side has a value, if the
+    /// engine has one for this operator and value.
+    fn predicate(&self, value: Value) -> Option<Predicate> {
         let path = self.path.clone();
-        match self.op {
-            BinOp::Eq => Predicate::Eq(path, value),
-            BinOp::Ne => Predicate::Ne(path, value),
-            BinOp::Lt => Predicate::Lt(path, value),
-            BinOp::Le => Predicate::Le(path, value),
-            BinOp::Gt => Predicate::Gt(path, value),
-            BinOp::Ge => Predicate::Ge(path, value),
-            // lint:allow(unwrap): split_conjuncts only extracts comparison ops
-            _ => unreachable!("only comparisons are extracted dynamically"),
-        }
-    }
-}
-
-/// Split a filter expression into an engine predicate over `var` plus a
-/// residual expression. Returns `(None, Some(expr))` when nothing is
-/// convertible. (Static-only variant, kept for `explain` and tests.)
-pub fn extract_predicate(expr: &Expr, var: &str) -> (Option<Predicate>, Option<Expr>) {
-    let (p, d, r) = extract_predicates(expr, var);
-    // fold unextracted dynamic parts back into the residual
-    let mut residual: Vec<Expr> = r.into_iter().collect();
-    for dp in d {
-        residual.push(Expr::Binary {
-            op: dp.op,
-            lhs: Box::new(rebuild_member_expr(var, &dp.path)),
-            rhs: Box::new(dp.rhs),
-        });
-    }
-    let residual_expr = residual.into_iter().reduce(|a, b| Expr::Binary {
-        op: BinOp::And,
-        lhs: Box::new(a),
-        rhs: Box::new(b),
-    });
-    (p, residual_expr)
-}
-
-fn rebuild_member_expr(var: &str, path: &udbms_core::FieldPath) -> Expr {
-    use udbms_core::PathStep;
-    let steps = path
-        .steps()
-        .iter()
-        .map(|s| match s {
-            PathStep::Key(k) => MemberStep::Field(k.clone()),
-            PathStep::Index(i) => MemberStep::Index(Box::new(Expr::Literal(Value::Int(*i as i64)))),
+        Some(match (self.op, value) {
+            (BinOp::Eq, v) => Predicate::Eq(path, v),
+            (BinOp::Ne, v) => Predicate::Ne(path, v),
+            (BinOp::Lt, v) => Predicate::Lt(path, v),
+            (BinOp::Le, v) => Predicate::Le(path, v),
+            (BinOp::Gt, v) => Predicate::Gt(path, v),
+            (BinOp::Ge, v) => Predicate::Ge(path, v),
+            (BinOp::In, Value::Array(items)) => Predicate::In(path, items),
+            (BinOp::Like, Value::Str(p)) => Predicate::Like(path, p),
+            _ => return None,
         })
-        .collect();
-    Expr::Member {
-        base: Box::new(Expr::Var(var.to_string())),
-        steps,
     }
 }
 
-/// Full conjunct classification: `(static predicate, dynamic conjuncts,
+/// Conjunct classification: `(static predicate, dynamic conjuncts,
 /// residual expression)`.
-pub fn extract_predicates(
-    expr: &Expr,
-    var: &str,
-) -> (Option<Predicate>, Vec<DynPred>, Option<Expr>) {
+fn extract_predicates(expr: &Expr, var: &str) -> (Option<Predicate>, Vec<DynPred>, Option<Expr>) {
     let mut preds = Vec::new();
     let mut dynamic = Vec::new();
     let mut residual = Vec::new();
     split_conjuncts(expr, var, &mut preds, &mut dynamic, &mut residual);
     let pred = match preds.len() {
-        0 => None,
-        // lint:allow(unwrap): len() == 1 was just matched
-        1 => Some(preds.into_iter().next().expect("len checked")),
+        0 | 1 => preds.pop(),
         _ => Some(Predicate::And(preds)),
     };
     let residual_expr = residual.into_iter().reduce(|a, b| Expr::Binary {
@@ -463,118 +547,60 @@ fn split_conjuncts(
         split_conjuncts(rhs, var, preds, dynamic, residual);
         return;
     }
-    if let Some(p) = to_predicate(expr, var) {
-        preds.push(p);
-        return;
+    match pushable(expr, var) {
+        Some(d) => match eval_const(&d.rhs) {
+            Some(c) => match d.predicate(c) {
+                Some(p) => preds.push(p),
+                None => residual.push(expr.clone()),
+            },
+            // only comparisons bind per row
+            None if flip(d.op).is_some() => dynamic.push(d),
+            None => residual.push(expr.clone()),
+        },
+        None => residual.push(expr.clone()),
     }
-    if let Some(d) = to_dynamic(expr, var) {
-        dynamic.push(d);
-        return;
-    }
-    residual.push(expr.clone());
 }
 
-/// `var.path OP rhs` (or flipped) with `rhs` independent of `var`.
-fn to_dynamic(expr: &Expr, var: &str) -> Option<DynPred> {
+/// `var.path OP rhs` — or `rhs OP var.path`, flipped — with `rhs`
+/// independent of `var` and `OP` a comparison, `IN` or `LIKE`.
+fn pushable(expr: &Expr, var: &str) -> Option<DynPred> {
     let Expr::Binary { op, lhs, rhs } = expr else {
         return None;
     };
-    if !matches!(
-        op,
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-    ) {
-        return None;
-    }
-    // orient: loop-var path on the left
-    if let Some((v, path)) = lhs.as_var_path() {
-        if v == var && !path.is_root() && !expr_uses_var(rhs, var) {
-            return Some(DynPred {
-                path,
-                op: *op,
-                rhs: rhs.as_ref().clone(),
-            });
-        }
-    }
-    if let Some((v, path)) = rhs.as_var_path() {
-        if v == var && !path.is_root() && !expr_uses_var(lhs, var) {
-            return Some(DynPred {
-                path,
-                op: flip(*op)?,
-                rhs: lhs.as_ref().clone(),
-            });
-        }
-    }
-    None
-}
-
-/// Conservative: does the expression mention the variable anywhere
-/// (including inside subqueries, where it could be captured)?
-fn expr_uses_var(expr: &Expr, var: &str) -> bool {
-    match expr {
-        Expr::Var(v) => v == var,
-        Expr::Literal(_) | Expr::Param { .. } => false,
-        Expr::Member { base, steps } => {
-            expr_uses_var(base, var)
-                || steps.iter().any(|s| match s {
-                    MemberStep::Field(_) => false,
-                    MemberStep::Index(e) => expr_uses_var(e, var),
-                })
-        }
-        Expr::Array(items) => items.iter().any(|e| expr_uses_var(e, var)),
-        Expr::Object(fields) => fields.iter().any(|(_, e)| expr_uses_var(e, var)),
-        Expr::Unary { expr, .. } => expr_uses_var(expr, var),
-        Expr::Binary { lhs, rhs, .. } => expr_uses_var(lhs, var) || expr_uses_var(rhs, var),
-        Expr::Call { args, .. } => args.iter().any(|e| expr_uses_var(e, var)),
-        Expr::Subquery(body) => {
-            body.clauses.iter().any(|c| match c {
-                Clause::For { source, .. } => match source {
-                    Source::Expr(e) => expr_uses_var(e, var),
-                    Source::Traversal { start, .. } => expr_uses_var(start, var),
-                    Source::Collection(_) => false,
-                },
-                Clause::Filter(e) => expr_uses_var(e, var),
-                Clause::Let { value, .. } => expr_uses_var(value, var),
-                Clause::Sort { keys } => keys.iter().any(|(e, _)| expr_uses_var(e, var)),
-                Clause::Limit { .. } => false,
-                Clause::Collect {
-                    groups, aggregates, ..
-                } => {
-                    groups.iter().any(|(_, e)| expr_uses_var(e, var))
-                        || aggregates.iter().any(|(_, _, e)| expr_uses_var(e, var))
-                }
-            }) || expr_uses_var(&body.ret, var)
-        }
-    }
-}
-
-fn to_predicate(expr: &Expr, var: &str) -> Option<Predicate> {
-    let Expr::Binary { op, lhs, rhs } = expr else {
-        return None;
+    let own_path = |e: &Expr| {
+        e.as_var_path()
+            .filter(|(v, path)| *v == var && !path.is_root())
+            .map(|(_, path)| path)
     };
-    // orient: var path on the left, constant on the right
-    let (path, value, op) = match (lhs.as_var_path(), eval_const(rhs)) {
-        (Some((v, path)), Some(c)) if v == var && !path.is_root() => (path, c, *op),
-        _ => match (rhs.as_var_path(), eval_const(lhs)) {
-            (Some((v, path)), Some(c)) if v == var && !path.is_root() => (path, c, flip(*op)?),
-            _ => return None,
-        },
+    // does the other side mention the variable anywhere, subqueries
+    // (where it could be captured) included?
+    let independent = |e: &Expr| {
+        let mut mentioned = false;
+        crate::bind::walk_expr(e, &mut |e| {
+            mentioned |= matches!(e, Expr::Var(v) if v == var)
+        });
+        !mentioned
     };
-    Some(match op {
-        BinOp::Eq => Predicate::Eq(path, value),
-        BinOp::Ne => Predicate::Ne(path, value),
-        BinOp::Lt => Predicate::Lt(path, value),
-        BinOp::Le => Predicate::Le(path, value),
-        BinOp::Gt => Predicate::Gt(path, value),
-        BinOp::Ge => Predicate::Ge(path, value),
-        BinOp::In => match value {
-            Value::Array(items) => Predicate::In(path, items),
-            _ => return None,
-        },
-        BinOp::Like => match value {
-            Value::Str(p) => Predicate::Like(path, p),
-            _ => return None,
-        },
+    let (path, op, rhs) = match (own_path(lhs), own_path(rhs)) {
+        (Some(path), _) if independent(rhs) => (path, *op, rhs),
+        (_, Some(path)) if independent(lhs) => (path, flip(*op)?, lhs),
         _ => return None,
+    };
+    matches!(
+        op,
+        BinOp::Eq
+            | BinOp::Ne
+            | BinOp::Lt
+            | BinOp::Le
+            | BinOp::Gt
+            | BinOp::Ge
+            | BinOp::In
+            | BinOp::Like
+    )
+    .then(|| DynPred {
+        path,
+        op,
+        rhs: rhs.as_ref().clone(),
     })
 }
 
@@ -591,56 +617,41 @@ fn flip(op: BinOp) -> Option<BinOp> {
     })
 }
 
-/// Render an execution plan sketch: which FORs push predicates into
-/// selects and which scan. Static (no catalog access) — index choice is
-/// made inside the engine at run time.
+/// Render an execution plan sketch from the plan the executor itself
+/// runs on: which FORs push predicates into selects and which scan, how
+/// COLLECT aggregates. Static (no catalog access) — index choice is made
+/// inside the engine at run time.
 pub fn explain(stmt: &Statement) -> String {
     let Statement::Query(body) = stmt else {
         return format!("{stmt:?}");
     };
+    let plan = body.plan();
     let mut out = String::new();
     let mut i = 0;
     while i < body.clauses.len() {
         match &body.clauses[i] {
             Clause::For { var, source } => match source {
                 Source::Collection(name) => {
-                    let mut line = format!("for {var} in collection `{name}`");
-                    let mut fused_residual = false;
-                    let mut fused_dynamic = false;
-                    if let Some(Clause::Filter(f)) = body.clauses.get(i + 1) {
-                        let (p, d, r) = extract_predicates(f, var);
-                        let whole_compiles = r
-                            .as_ref()
-                            .is_some_and(|r| crate::compile::compilable(r, var));
-                        if p.is_some() || !d.is_empty() || (d.is_empty() && whole_compiles) {
-                            if let Some(p) = &p {
-                                line.push_str(&format!(" [pushdown: {p:?}]"));
-                            }
-                            if !d.is_empty() {
-                                line.push_str(&format!(
-                                    " [dynamic pushdown: {} conjunct(s)]",
-                                    d.len()
-                                ));
-                                fused_dynamic = true;
-                            }
-                            if r.is_some() {
-                                line.push_str(if whole_compiles {
-                                    " [compiled residual]"
-                                } else {
-                                    " [residual filter]"
-                                });
-                                fused_residual = true;
-                            }
-                            i += 1;
+                    out.push_str(&format!("for {var} in collection `{name}`"));
+                    if let Some(scan) = &plan[i].scan {
+                        if let Some(p) = &scan.pushed {
+                            out.push_str(&format!(" [pushdown: {p:?}]"));
                         }
-                    }
-                    // mirror the executor's LIMIT adjacency rule
-                    if !fused_residual && !fused_dynamic {
-                        if let Some(Clause::Limit { offset, count }) = body.clauses.get(i + 1) {
-                            line.push_str(&format!(" [limit pushdown: {}]", offset + count));
+                        if !scan.dynamic.is_empty() {
+                            let n = scan.dynamic.len();
+                            out.push_str(&format!(" [dynamic pushdown: {n} conjunct(s)]"));
                         }
+                        if scan.residual.is_some() {
+                            out.push_str(match scan.compiled {
+                                Some(_) => " [compiled residual]",
+                                None => " [residual filter]",
+                            });
+                        }
+                        if let Some(n) = scan.limit {
+                            out.push_str(&format!(" [limit pushdown: {n}]"));
+                        }
+                        i += usize::from(scan.fused_filter);
                     }
-                    out.push_str(&line);
                     out.push('\n');
                 }
                 Source::Traversal {
@@ -664,11 +675,19 @@ pub fn explain(stmt: &Statement) -> String {
                 out.push_str(&format!("limit offset={offset} count={count}\n"))
             }
             Clause::Collect {
-                groups, aggregates, ..
+                groups,
+                aggregates,
+                into,
             } => out.push_str(&format!(
-                "collect {} group key(s), {} aggregate(s)\n",
+                "collect {} group key(s), {} aggregate(s) [streaming, {} accumulator(s)]{}\n",
                 groups.len(),
-                aggregates.len()
+                aggregates.len(),
+                aggregates.len(),
+                if into.is_some() {
+                    " [into: materialized members]"
+                } else {
+                    ""
+                }
             )),
         }
         i += 1;
@@ -698,7 +717,8 @@ mod tests {
         let Clause::Filter(f) = &body.clauses[1] else {
             panic!()
         };
-        let (pred, residual) = extract_predicate(f, "c");
+        let (pred, dynamic, residual) = extract_predicates(f, "c");
+        assert!(dynamic.is_empty());
         match pred.unwrap() {
             Predicate::And(ps) => {
                 assert_eq!(ps.len(), 2);
@@ -722,16 +742,16 @@ mod tests {
         let Clause::Filter(f) = &body.clauses[1] else {
             panic!()
         };
-        let (pred, residual) = extract_predicate(f, "c");
+        let (pred, dynamic, residual) = extract_predicates(f, "c");
         assert_eq!(
             pred,
             Some(Predicate::Gt(FieldPath::key("score"), Value::Int(3)))
         );
-        assert!(residual.is_none());
+        assert!(dynamic.is_empty() && residual.is_none());
     }
 
     #[test]
-    fn foreign_variables_stay_residual() {
+    fn foreign_variables_push_dynamically() {
         let stmt =
             crate::parser::parse("FOR o IN orders FILTER o.customer == c.id RETURN o").unwrap();
         let Statement::Query(body) = stmt else {
@@ -740,9 +760,10 @@ mod tests {
         let Clause::Filter(f) = &body.clauses[1] else {
             panic!()
         };
-        let (pred, residual) = extract_predicate(f, "o");
+        let (pred, dynamic, residual) = extract_predicates(f, "o");
         assert!(pred.is_none(), "c.id is not constant");
-        assert!(residual.is_some());
+        assert_eq!(dynamic.len(), 1, "bound per outer row instead");
+        assert!(residual.is_none());
     }
 
     #[test]
@@ -757,8 +778,8 @@ mod tests {
         let Clause::Filter(f) = &body.clauses[1] else {
             panic!()
         };
-        let (pred, residual) = extract_predicate(f, "c");
-        assert!(residual.is_none());
+        let (pred, dynamic, residual) = extract_predicates(f, "c");
+        assert!(dynamic.is_empty() && residual.is_none());
         match pred.unwrap() {
             Predicate::And(ps) => {
                 assert!(matches!(&ps[0], Predicate::In(_, items) if items.len() == 2));
@@ -778,5 +799,62 @@ mod tests {
         assert!(plan.contains("pushdown"), "{plan}");
         assert!(plan.contains("collection `customers`"));
         assert!(plan.contains("limit offset=0 count=3"));
+    }
+
+    #[test]
+    fn explain_mirrors_the_collect_executor() {
+        let stmt = crate::parser::parse(
+            "FOR o IN orders FILTER o.total > 5 \
+             COLLECT c = o.customer AGGREGATE spent = SUM(o.total), n = COUNT() RETURN c",
+        )
+        .unwrap();
+        let plan = explain(&stmt);
+        assert!(
+            plan.contains("collect 1 group key(s), 2 aggregate(s) [streaming, 2 accumulator(s)]"),
+            "{plan}"
+        );
+        assert!(!plan.contains("into"), "{plan}");
+        assert!(plan.contains("[pushdown: Gt("), "{plan}");
+        assert!(!plan.contains("filter <expression>"), "fused: {plan}");
+
+        let stmt =
+            crate::parser::parse("FOR o IN orders COLLECT c = o.customer INTO g RETURN g").unwrap();
+        let plan = explain(&stmt);
+        assert!(
+            plan.contains("[streaming, 0 accumulator(s)] [into: materialized members]"),
+            "{plan}"
+        );
+    }
+
+    #[test]
+    fn explain_and_executor_read_one_plan() {
+        // the annotations come from the ScanPlan the executor runs on
+        let stmt = crate::parser::parse(
+            "FOR c IN t FILTER c.a == 1 AND c.b == x.b AND LENGTH(c.tags) > 0 LIMIT 2, 3 RETURN c",
+        )
+        .unwrap();
+        let Statement::Query(body) = &stmt else {
+            panic!()
+        };
+        let scan = body.plan()[0].scan.as_ref().unwrap();
+        assert!(scan.fused_filter && scan.pushed.is_some() && scan.compiled.is_none());
+        assert_eq!(scan.dynamic.len(), 1);
+        assert_eq!(scan.limit, None, "a residual blocks limit pushdown");
+        let plan = explain(&stmt);
+        assert!(plan.contains("[dynamic pushdown: 1 conjunct(s)]"), "{plan}");
+        assert!(plan.contains("[residual filter]"), "{plan}");
+        assert!(!plan.contains("limit pushdown"), "{plan}");
+        // planned once: the same plan object serves every later call
+        assert!(std::ptr::eq(body.plan(), body.plan()));
+        // a clone or rebind plans afresh
+        assert!(!std::ptr::eq(body.clone().plan(), body.plan()));
+
+        let stmt =
+            crate::parser::parse("FOR c IN t FILTER c.a % 2 == 1 LIMIT 2, 3 RETURN c").unwrap();
+        let plan = explain(&stmt);
+        assert!(plan.contains("[compiled residual]"), "{plan}");
+        assert!(!plan.contains("limit pushdown"), "{plan}");
+        let stmt = crate::parser::parse("FOR c IN t FILTER c.a == 1 LIMIT 2, 3 RETURN c").unwrap();
+        assert!(explain(&stmt).contains("[limit pushdown: 5]"));
     }
 }

@@ -35,11 +35,14 @@
 //! parameter draw. Binding substitutes literals before planning, so a
 //! parameterized filter uses indexes exactly like an inline constant.
 //!
-//! Read-path machinery (see DESIGN.md "Read path"): row-local filters
-//! compile once per `FOR` clause into [`CompiledPred`] closure trees
-//! evaluated against borrowed `Arc`-shared rows, `LIMIT` adjacency
-//! pushes bounds into the engine's streaming scans, [`PlanCache`] is a
-//! text-keyed LRU over parsed statements, and
+//! Read-path machinery (see DESIGN.md "Read path"): expressions
+//! evaluate borrowed (a member path never copies the document under
+//! it; [`eval`] is the owned wrapper), `COLLECT` folds rows into
+//! per-group accumulators, each body is planned once, row-local filters
+//! compile into [`CompiledPred`] closure trees evaluated against
+//! borrowed `Arc`-shared rows, `LIMIT` adjacency pushes bounds into the
+//! engine's streaming scans, [`PlanCache`] is a text-keyed LRU over
+//! parsed statements, and
 //! [`Query::is_read_only`] lets drivers route query statements through
 //! the engine's lock-free read lane.
 
@@ -55,9 +58,9 @@ mod parser;
 pub use ast::{AggFunc, BinOp, Clause, Expr, MemberStep, QueryBody, Source, Statement, UnOp};
 pub use bind::{bind_statement, check_extra_params, statement_params};
 pub use cache::{PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
-pub use compile::{compilable, CompiledPred};
+pub use compile::CompiledPred;
 pub use eval::{eval, eval_const, Env};
-pub use exec::{execute, explain, extract_predicate};
+pub use exec::{execute, explain};
 pub use lexer::{lex, Token, TokenKind};
 pub use parser::parse;
 

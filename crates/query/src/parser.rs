@@ -197,11 +197,7 @@ impl Parser {
                     self.bump();
                     let distinct = self.eat_kw("DISTINCT");
                     let ret = self.parse_expr()?;
-                    return Ok(QueryBody {
-                        clauses,
-                        distinct,
-                        ret,
-                    });
+                    return Ok(QueryBody::new(clauses, distinct, ret));
                 }
                 other => {
                     return Err(self.err(format!(
