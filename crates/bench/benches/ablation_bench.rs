@@ -24,29 +24,35 @@ fn bench_index_ablation(c: &mut Criterion) {
     g.bench_function("orders_eq_indexed", |b| {
         b.iter(|| {
             engine
-                .run(Isolation::Snapshot, |t| t.select("orders", &eq))
+                .run(Isolation::Snapshot, |t| t.rows("orders", Some(&eq), None))
                 .expect("select")
         })
     });
     g.bench_function("orders_eq_scan", |b| {
         b.iter(|| {
-            engine
-                .run(Isolation::Snapshot, |t| t.select_scan("orders", &eq))
-                .expect("scan")
+            let mut rows = engine
+                .run(Isolation::Snapshot, |t| t.scan_shared("orders"))
+                .expect("scan");
+            rows.retain(|(_, row)| eq.matches(row));
+            rows
         })
     });
     g.bench_function("products_range_indexed", |b| {
         b.iter(|| {
             engine
-                .run(Isolation::Snapshot, |t| t.select("products", &range))
+                .run(Isolation::Snapshot, |t| {
+                    t.rows("products", Some(&range), None)
+                })
                 .expect("select")
         })
     });
     g.bench_function("products_range_scan", |b| {
         b.iter(|| {
-            engine
-                .run(Isolation::Snapshot, |t| t.select_scan("products", &range))
-                .expect("scan")
+            let mut rows = engine
+                .run(Isolation::Snapshot, |t| t.scan_shared("products"))
+                .expect("scan");
+            rows.retain(|(_, row)| range.matches(row));
+            rows
         })
     });
     g.finish();

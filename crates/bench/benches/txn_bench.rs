@@ -91,7 +91,7 @@ fn bench_micro_ops(c: &mut Criterion) {
     g.bench_function("scan_10k", |b| {
         b.iter(|| {
             engine
-                .run(Isolation::Snapshot, |t| Ok(t.scan("kv")?.len()))
+                .run(Isolation::Snapshot, |t| Ok(t.scan_shared("kv")?.len()))
                 .expect("scan")
         })
     });

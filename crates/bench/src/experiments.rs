@@ -852,7 +852,7 @@ pub fn e6_crud_scaling(scale: RunScale) -> Report {
                 let pred = udbms_relational::Predicate::eq("g", Value::Int(3));
                 let stats = run_concurrent(clients, scans, |_, _| {
                     engine
-                        .run(Isolation::Snapshot, |t| t.select_scan("crud", &pred))
+                        .run(Isolation::Snapshot, |t| t.rows("crud", Some(&pred), None))
                         .map(|_| ())
                 })
                 .expect("scan phase");
@@ -943,13 +943,14 @@ pub fn e7_ablation(scale: RunScale) -> Report {
         for _ in 0..scale.reps.max(3) {
             let t0 = Instant::now();
             let a = engine
-                .run(Isolation::Snapshot, |t| t.select(coll, pred))
+                .run(Isolation::Snapshot, |t| t.rows(coll, Some(pred), None))
                 .expect("select");
             on.push(t0.elapsed().as_micros());
             let t0 = Instant::now();
-            let b = engine
-                .run(Isolation::Snapshot, |t| t.select_scan(coll, pred))
+            let mut b = engine
+                .run(Isolation::Snapshot, |t| t.scan_shared(coll))
                 .expect("scan");
+            b.retain(|(_, row)| pred.matches(row));
             off.push(t0.elapsed().as_micros());
             assert_eq!(a.len(), b.len(), "ablation arms must agree");
         }
@@ -1335,8 +1336,13 @@ pub fn e9_read_path(scale: RunScale) -> Report {
             6,
             Box::new(|_, _| {
                 let mut t = engine.begin(Isolation::Snapshot);
-                let n = t.scan("bench")?.len();
-                assert_eq!(n, rows);
+                // the owner's copy, made at the edge
+                let owned: Vec<(Key, Value)> = t
+                    .scan_shared("bench")?
+                    .into_iter()
+                    .map(|(k, v)| (k, v.as_ref().clone()))
+                    .collect();
+                assert_eq!(owned.len(), rows);
                 t.commit().map(|_| ())
             }),
         ),

@@ -68,38 +68,44 @@ fn type_rank(v: &Value) -> u8 {
     }
 }
 
-/// Compare two numbers (any mix of `Int`/`Float`) numerically, totalizing
-/// `NaN` as the greatest float (and equal to itself).
-fn cmp_numeric(a: &Value, b: &Value) -> Ordering {
-    fn key(v: &Value) -> (bool, f64, i64) {
-        // (is_nan, float_key, int_tiebreak)
-        match *v {
-            Value::Int(i) => (false, i as f64, i),
-            Value::Float(f) => {
-                if f.is_nan() {
-                    (true, 0.0, 0)
-                } else {
-                    // For floats that are exactly integral keep an i64 tiebreak
-                    // so Int(i) == Float(i as f64) compares Equal, while huge
-                    // floats beyond i64 range still order by magnitude.
-                    let t = if f >= i64::MIN as f64 && f <= i64::MAX as f64 {
-                        f as i64
-                    } else {
-                        0
-                    };
-                    (false, f, t)
-                }
-            }
-            _ => unreachable!("cmp_numeric on non-number"),
-        }
+/// `2^63`: the first float above every `i64` (`i64::MAX as f64` rounds up
+/// to it, so range checks must compare against it strictly).
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// The `i64` a float is exactly equal to, if there is one — the single
+/// definition of "this `Float` is the same number as an `Int`" that both
+/// [`cmp_numeric`] and `Hash` use.
+fn float_as_exact_int(f: f64) -> Option<i64> {
+    (f.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(&f)).then_some(f as i64)
+}
+
+/// Exact comparison of an integer with a float: no rounding of `i` to
+/// `f64`, so integers above 2^53 keep their identity. `NaN` is greatest.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f.is_nan() || f >= TWO_POW_63 {
+        Ordering::Less
+    } else if f < -TWO_POW_63 {
+        Ordering::Greater
+    } else {
+        // the integral part fits an i64 exactly; ties fall to the fraction
+        let whole = f.trunc();
+        i.cmp(&(whole as i64))
+            .then_with(|| 0.0.partial_cmp(&(f - whole)).unwrap_or(Ordering::Equal))
     }
-    let (an, af, _ai) = key(a);
-    let (bn, bf, _bi) = key(b);
-    match (an, bn) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => af.partial_cmp(&bf).unwrap_or(Ordering::Equal),
+}
+
+/// Compare two numbers (any mix of `Int`/`Float`) numerically and
+/// exactly, totalizing `NaN` as the greatest number (and equal to itself).
+fn cmp_numeric(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Int(i), Value::Float(f)) => cmp_int_float(*i, *f),
+        (Value::Float(f), Value::Int(i)) => cmp_int_float(*i, *f).reverse(),
+        // `partial_cmp` declines only when a NaN is involved
+        (Value::Float(x), Value::Float(y)) => x
+            .partial_cmp(y)
+            .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan())),
+        _ => unreachable!("cmp_numeric on non-number"),
     }
 }
 
@@ -502,9 +508,9 @@ impl Hash for Value {
                 state.write_u8(2);
                 if f.is_nan() {
                     state.write_u8(2);
-                } else if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
+                } else if let Some(i) = float_as_exact_int(*f) {
                     state.write_u8(0);
-                    (*f as i64).hash(state);
+                    i.hash(state);
                 } else {
                     state.write_u8(1);
                     // normalize -0.0
@@ -759,6 +765,7 @@ impl From<Key> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::hash_map::DefaultHasher;
 
     fn hash_of(v: &Value) -> u64 {
@@ -803,6 +810,62 @@ mod tests {
         assert!(nan > Value::Float(f64::INFINITY));
         assert!(nan < Value::Str(String::new()));
         assert_eq!(hash_of(&nan), hash_of(&Value::Float(f64::NAN)));
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_keep_their_identity() {
+        let (a, b) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        assert_ne!(a, b);
+        assert!(a < b);
+        // 2^53 + 1 is not a float; its neighbours are
+        assert_eq!(a, Value::Float(9007199254740992.0));
+        assert!(b > Value::Float(9007199254740992.0));
+        assert!(b < Value::Float(9007199254740994.0));
+        // `i64::MAX as f64` rounds up to 2^63, which no Int equals
+        assert!(Value::Int(i64::MAX) < Value::Float(i64::MAX as f64));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        assert!(Value::Int(3) > Value::Float(2.5) && Value::Int(-3) < Value::Float(-2.5));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+    }
+
+    /// An `Int` or `Float` at or next to a precision boundary: ±2^53
+    /// (where `f64` stops holding every integer) and the `i64` ends.
+    fn boundary_number() -> impl Strategy<Value = Value> {
+        (0usize..5, -3i64..4, 0u8..3).prop_map(|(anchor, delta, kind)| {
+            let anchor = [0, 1 << 53, -(1 << 53), i64::MAX, i64::MIN][anchor];
+            let float = anchor as f64;
+            match kind {
+                0 => Value::Int(anchor.saturating_add(delta)),
+                // the delta-th representable float away from the anchor
+                1 if float != 0.0 => {
+                    Value::Float(f64::from_bits(float.to_bits().wrapping_add_signed(delta)))
+                }
+                _ => Value::Float(float + delta as f64 / 2.0),
+            }
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn numeric_order_is_exact_and_agrees_with_hash(
+            a in boundary_number(),
+            b in boundary_number(),
+            c in boundary_number(),
+            i in prop_oneof![any::<i64>(), (1i64 << 53) - 4..(1i64 << 53) + 4, i64::MAX - 4..i64::MAX],
+        ) {
+            if a == b {
+                prop_assert_eq!(hash_of(&a), hash_of(&b), "{:?} == {:?}", a, b);
+            }
+            prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse(), "{:?} vs {:?}", a, b);
+            if a <= b && b <= c {
+                prop_assert!(a <= c, "{:?} <= {:?} <= {:?}", a, b, c);
+            }
+            if a >= b && b >= c {
+                prop_assert!(a >= c, "{:?} >= {:?} >= {:?}", a, b, c);
+            }
+            let exact = (i as f64) as i128 == i128::from(i);
+            prop_assert_eq!(Value::Int(i) == Value::Float(i as f64), exact, "{}", i);
+        }
     }
 
     #[test]

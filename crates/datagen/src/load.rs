@@ -190,17 +190,29 @@ mod tests {
         let (engine, data) = build_engine(&cfg).unwrap();
 
         let mut t = engine.begin(Isolation::Snapshot);
-        assert_eq!(t.scan("customers").unwrap().len(), data.customers.len());
-        assert_eq!(t.scan("orders").unwrap().len(), data.orders.len());
-        assert_eq!(t.scan("products").unwrap().len(), data.products.len());
-        assert_eq!(t.scan("feedback").unwrap().len(), data.feedback.len());
-        assert_eq!(t.scan("invoices").unwrap().len(), data.invoices.len());
         assert_eq!(
-            t.scan("social#v").unwrap().len(),
+            t.scan_shared("customers").unwrap().len(),
+            data.customers.len()
+        );
+        assert_eq!(t.scan_shared("orders").unwrap().len(), data.orders.len());
+        assert_eq!(
+            t.scan_shared("products").unwrap().len(),
+            data.products.len()
+        );
+        assert_eq!(
+            t.scan_shared("feedback").unwrap().len(),
+            data.feedback.len()
+        );
+        assert_eq!(
+            t.scan_shared("invoices").unwrap().len(),
+            data.invoices.len()
+        );
+        assert_eq!(
+            t.scan_shared("social#v").unwrap().len(),
             data.customers.len() + data.products.len()
         );
         assert_eq!(
-            t.scan("social#e").unwrap().len(),
+            t.scan_shared("social#e").unwrap().len(),
             data.knows.len() + data.bought.len()
         );
 

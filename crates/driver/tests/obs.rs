@@ -7,7 +7,7 @@
 
 use udbms_datagen::{generate, workload, GenConfig};
 use udbms_driver::{EngineSubject, Subject};
-use udbms_engine::{Durability, EngineConfig};
+use udbms_engine::{Durability, EngineConfig, Isolation};
 
 /// A tiny dataset every test can afford to load.
 fn small_dataset() -> udbms_datagen::Dataset {
@@ -146,6 +146,58 @@ fn snapshot_exports_parse_cleanly() {
     assert!(prom.contains("query_exec_us_count"));
     assert!(prom.contains("quantile=\"0.99\""));
     assert!(prom.contains("# TYPE"));
+}
+
+/// The engine's counters live once, in the obs registry: the export
+/// carries them, `EngineStats` is a view of the same numbers, and they
+/// count the same with obs recording off.
+#[test]
+fn engine_counters_are_exported_and_equal_engine_stats() {
+    let mut totals = Vec::new();
+    for obs in [true, false] {
+        let subject = EngineSubject::with_config(EngineConfig::default().with_obs(obs));
+        let data = small_dataset();
+        subject.load(&data).unwrap();
+        drive(&subject, &data, 0, 5);
+        let engine = subject.engine();
+        // one explicit abort, one write-write conflict
+        engine.begin(Isolation::Snapshot).abort();
+        let key = udbms_core::Key::str("obs-test");
+        let mut first = engine.begin(Isolation::Snapshot);
+        let mut second = engine.begin(Isolation::Snapshot);
+        first
+            .put("feedback", key.clone(), udbms_core::Value::Int(1))
+            .unwrap();
+        second
+            .put("feedback", key, udbms_core::Value::Int(2))
+            .unwrap();
+        first.commit().unwrap();
+        second.commit().unwrap_err();
+
+        let stats = engine.stats();
+        let snap = engine.obs_snapshot();
+        assert!(stats.commits > 0 && stats.read_txns >= 5, "{stats:?}");
+        assert_eq!((stats.aborts, stats.ww_conflicts), (2, 1), "{stats:?}");
+        for (name, value) in [
+            ("commits", stats.commits),
+            ("aborts", stats.aborts),
+            ("ww_conflicts", stats.ww_conflicts),
+            ("read_conflicts", stats.read_conflicts),
+            ("read_txns", stats.read_txns),
+            ("plan_cache_misses", stats.plan_misses),
+        ] {
+            assert_eq!(snap.counter(name), value, "`{name}` (obs {obs})");
+        }
+        let prom = snap.to_prometheus();
+        assert!(
+            prom.contains(&format!("commits {}", stats.commits)),
+            "{prom}"
+        );
+        assert!(prom.contains("aborts 2"), "{prom}");
+        assert!(snap.to_json().contains("\"commits\""));
+        totals.push(stats);
+    }
+    assert_eq!(totals[0], totals[1], "obs on vs off");
 }
 
 #[test]

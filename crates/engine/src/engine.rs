@@ -47,7 +47,7 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{LockRank, TrackedAtomicU64, TrackedMutex, TrackedRwLock};
@@ -61,7 +61,7 @@ use udbms_xml::{XPath, XmlDocument};
 
 use crate::catalog::Catalog;
 use crate::group::GroupLog;
-use crate::storage::{RecordId, ShardedStorage};
+use crate::storage::{RecordId, RowFilter, ShardedStorage};
 use crate::txn::{Durability, Isolation, TxnState};
 use crate::wal::fault::FaultPlan;
 use crate::wal::{Wal, WalRecord};
@@ -71,19 +71,6 @@ const MAX_RETRIES: usize = 64;
 
 /// Default storage shard count (see [`EngineConfig::shards`]).
 pub const DEFAULT_SHARDS: usize = 8;
-
-/// Minimum total directory size before a predicate scan fans out to one
-/// thread per shard; below this the thread overhead dominates.
-const PARALLEL_SCAN_MIN_KEYS: usize = 4096;
-
-/// Whether this machine can actually run shard scans in parallel: on a
-/// single-core host the per-scan thread spawns are pure overhead (and a
-/// large source of latency variance), so the fan-out is skipped.
-fn scan_parallelism_available() -> bool {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-        > 1
-}
 
 /// Construction-time engine tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,18 +140,11 @@ impl EngineConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct Stats {
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    ww_conflicts: AtomicU64,
-    read_conflicts: AtomicU64,
-    read_lane: AtomicU64,
-}
-
-/// Pre-fetched obs handles for the engine's own timing sites — grabbed
-/// once at construction so the commit hot path never touches the
-/// registry (zero allocation, no interning lock).
+/// Every engine counter and timing site, declared once: registry handles
+/// grabbed at construction so the hot paths never touch the registry
+/// (one relaxed add per count, zero allocation, no interning lock) and
+/// every count reaches the Prometheus/JSON export. Counters count whether
+/// or not obs recording is on; [`EngineStats`] is a typed view of them.
 struct Metrics {
     /// Commit validation (write-write + OCC), per writing commit.
     validate_ns: Arc<Histogram>,
@@ -172,12 +152,26 @@ struct Metrics {
     install_ns: Arc<Histogram>,
     /// Checkpoint end-to-end.
     checkpoint_ns: Arc<Histogram>,
+    commits: Arc<Counter>,
+    aborts: Arc<Counter>,
+    ww_conflicts: Arc<Counter>,
+    read_conflicts: Arc<Counter>,
+    read_txns: Arc<Counter>,
     /// Read-lane transactions served while the engine was degraded to
     /// read-only (the E12 "reads keep flowing under ENOSPC" evidence).
     degraded_reads: Arc<Counter>,
     /// Conflict retries inside [`Engine::run`] (reported separately
     /// from aborts: a retried transaction eventually commits).
     txn_retries: Arc<Counter>,
+    /// Counted by the WAL pipeline (`group.rs`).
+    wal_batches: Arc<Counter>,
+    wal_records: Arc<Counter>,
+    wal_poisoned: Arc<Counter>,
+    write_rejected: Arc<Counter>,
+    /// Counted by a plan cache attached to this engine's registry
+    /// (`PlanCache::attach_obs` in `udbms-query`).
+    plan_hits: Arc<Counter>,
+    plan_misses: Arc<Counter>,
 }
 
 impl Metrics {
@@ -186,8 +180,19 @@ impl Metrics {
             validate_ns: obs.histogram("commit_validate_ns"),
             install_ns: obs.histogram("commit_install_ns"),
             checkpoint_ns: obs.histogram("checkpoint_ns"),
+            commits: obs.counter("commits"),
+            aborts: obs.counter("aborts"),
+            ww_conflicts: obs.counter("ww_conflicts"),
+            read_conflicts: obs.counter("read_conflicts"),
+            read_txns: obs.counter("read_txns"),
             degraded_reads: obs.counter("degraded_reads"),
             txn_retries: obs.counter("txn_retries"),
+            wal_batches: obs.counter("wal_batches"),
+            wal_records: obs.counter("wal_records"),
+            wal_poisoned: obs.counter("wal_poisoned"),
+            write_rejected: obs.counter("write_rejected"),
+            plan_hits: obs.counter("plan_cache_hits"),
+            plan_misses: obs.counter("plan_cache_misses"),
         }
     }
 }
@@ -217,7 +222,6 @@ struct Inner {
     checkpoint_lock: TrackedMutex<()>,
     /// txn id → snapshot ts of every open transaction (GC watermark).
     active: TrackedMutex<HashMap<TxnId, Ts>>,
-    stats: Stats,
     /// Engine-wide observability: the metric registry, trace ring, and
     /// slow-query log shared by storage, the WAL pipeline, and (via
     /// [`Engine::obs`]) the driver's query layer.
@@ -348,7 +352,6 @@ impl Engine {
                 log: OnceLock::new(),
                 checkpoint_lock: TrackedMutex::new(LockRank::Checkpoint, ()),
                 active: TrackedMutex::new(LockRank::ActiveTxns, HashMap::new()),
-                stats: Stats::default(),
                 obs,
                 metrics,
             }),
@@ -496,7 +499,7 @@ impl Engine {
             for name in catalog.names() {
                 // lint:allow(unwrap): name came from catalog.names() under this read guard
                 let id = catalog.get(&name).expect("listed name exists").id;
-                for (key, value) in self.inner.storage.scan_merged(id, snapshot) {
+                for (key, _, value) in self.inner.storage.scan_iter(id, snapshot, None, None) {
                     writes.push((name.clone(), key, Some(value.as_ref().clone())));
                 }
             }
@@ -636,7 +639,7 @@ impl Engine {
         let snapshot = Ts(self.inner.published.load(Ordering::Acquire));
         let id = TxnId(self.inner.next_txn.fetch_add(1, Ordering::Relaxed));
         self.inner.active.lock().insert(id, snapshot);
-        self.inner.stats.read_lane.fetch_add(1, Ordering::Relaxed);
+        self.inner.metrics.read_txns.add(1);
         // degraded-mode evidence for E12: reads served while the engine
         // is read-only (one predicted-false atomic probe when healthy)
         if self
@@ -719,31 +722,26 @@ impl Engine {
     /// Current counters and storage shape.
     pub fn stats(&self) -> EngineStats {
         let (versions, chains, max_chain_len) = self.inner.storage.shape();
-        let (wal_batches, wal_records) = self
-            .inner
-            .log
-            .get()
-            .map(GroupLog::counters)
-            .unwrap_or((0, 0));
+        let m = &self.inner.metrics;
         EngineStats {
-            commits: self.inner.stats.commits.load(Ordering::Relaxed),
-            aborts: self.inner.stats.aborts.load(Ordering::Relaxed),
-            ww_conflicts: self.inner.stats.ww_conflicts.load(Ordering::Relaxed),
-            read_conflicts: self.inner.stats.read_conflicts.load(Ordering::Relaxed),
-            read_txns: self.inner.stats.read_lane.load(Ordering::Relaxed),
+            commits: m.commits.get(),
+            aborts: m.aborts.get(),
+            ww_conflicts: m.ww_conflicts.get(),
+            read_conflicts: m.read_conflicts.get(),
+            read_txns: m.read_txns.get(),
             shards: self.inner.storage.shard_count(),
             versions,
             chains,
             max_chain_len,
             active_txns: self.inner.active.lock().len(),
-            wal_batches,
-            wal_records,
-            plan_hits: self.inner.obs.counter("plan_cache_hits").get(),
-            plan_misses: self.inner.obs.counter("plan_cache_misses").get(),
-            wal_poisoned: self.inner.obs.counter("wal_poisoned").get(),
-            degraded_reads: self.inner.metrics.degraded_reads.get(),
-            write_rejected: self.inner.obs.counter("write_rejected").get(),
-            txn_retries: self.inner.metrics.txn_retries.get(),
+            wal_batches: m.wal_batches.get(),
+            wal_records: m.wal_records.get(),
+            plan_hits: m.plan_hits.get(),
+            plan_misses: m.plan_misses.get(),
+            wal_poisoned: m.wal_poisoned.get(),
+            degraded_reads: m.degraded_reads.get(),
+            write_rejected: m.write_rejected.get(),
+            txn_retries: m.txn_retries.get(),
         }
     }
 
@@ -770,6 +768,16 @@ impl Engine {
             .set(self.inner.active.lock().len() as i64);
         obs.snapshot()
     }
+}
+
+/// The access path [`Txn::rows`] takes to the committed records.
+enum Access {
+    /// Primary-key equality: one point read.
+    Point(Key),
+    /// Index probe: candidate keys, unsorted and over-approximating.
+    Candidates(Vec<Key>),
+    /// The sharded scan.
+    Scan,
 }
 
 /// A transaction handle. Obtain with [`Engine::begin`]; finish with
@@ -823,19 +831,9 @@ impl Txn {
         if let Some(buffered) = state.own_write(&rid) {
             return Ok(buffered.clone());
         }
-        let read_ts = match state.isolation {
-            Isolation::ReadCommitted => Ts::MAX,
-            _ => state.snapshot,
-        };
-        let (seen, value) = inner.storage.visible_value_with_ts(&rid, read_ts);
+        let (seen, value) = inner.storage.visible_value_with_ts(&rid, state.read_ts());
         state.note_read(rid, seen);
         Ok(value)
-    }
-
-    /// Snapshot-correct read of a record, materialized (compatibility
-    /// shape; prefer [`Txn::get_shared`] on hot read paths).
-    fn read(&mut self, rid: RecordId) -> Result<Option<Value>> {
-        Ok(self.read_shared(rid)?.map(|v| v.as_ref().clone()))
     }
 
     /// Batched snapshot-correct reads: results in input order, each shard
@@ -843,10 +841,7 @@ impl Txn {
     fn read_many(&mut self, rids: &[RecordId]) -> Result<Vec<Option<Arc<Value>>>> {
         let inner = Arc::clone(&self.inner);
         let state = self.state()?;
-        let read_ts = match state.isolation {
-            Isolation::ReadCommitted => Ts::MAX,
-            _ => state.snapshot,
-        };
+        let read_ts = state.read_ts();
         let mut out: Vec<Option<Arc<Value>>> = vec![None; rids.len()];
         // (shard, position) of every read the write buffer cannot answer
         let mut pending: Vec<(usize, usize)> = Vec::new();
@@ -874,10 +869,12 @@ impl Txn {
         Ok(out)
     }
 
-    /// Fetch a record by key.
+    /// Fetch a record by key as an owned copy (for callers that go on to
+    /// modify it; readers should prefer [`Txn::get_shared`]).
     pub fn get(&mut self, collection: &str, key: &Key) -> Result<Option<Value>> {
-        let (id, _) = self.resolve(collection)?;
-        self.read(RecordId::new(id, key.clone()))
+        Ok(self
+            .get_shared(collection, key)?
+            .map(|v| v.as_ref().clone()))
     }
 
     /// Fetch a record by key as a shared handle: the zero-copy point
@@ -1082,341 +1079,183 @@ impl Txn {
 
     /// All live `(key, value)` pairs of a collection at this transaction's
     /// read horizon, own writes applied, in key order (merged across
-    /// shards). Values are materialized copies; hot read paths should
-    /// prefer [`Txn::scan_shared`].
-    pub fn scan(&mut self, collection: &str) -> Result<Vec<(Key, Value)>> {
-        Ok(self
-            .scan_shared(collection)?
-            .into_iter()
-            .map(|(k, v)| (k, v.as_ref().clone()))
-            .collect())
-    }
-
-    /// [`Txn::scan`] handing out shared handles: the zero-copy scan —
-    /// every returned row is an `Arc` bump on the stored version, never
-    /// a value tree clone.
+    /// shards) — [`Txn::rows`] with no predicate and no limit. Every row
+    /// is an `Arc` bump on the stored version, never a value tree clone.
     pub fn scan_shared(&mut self, collection: &str) -> Result<Vec<(Key, Arc<Value>)>> {
-        let (id, _) = self.resolve(collection)?;
-        let inner = Arc::clone(&self.inner);
-        let state = self.state()?;
-        let read_ts = match state.isolation {
-            Isolation::ReadCommitted => Ts::MAX,
-            _ => state.snapshot,
-        };
-        let overlay = state.writes.keys().any(|rid| rid.collection == id);
-        if !overlay && state.isolation != Isolation::Serializable {
-            // nothing buffered to lay over it: the merge is already the
-            // answer, in key order (every read-lane scan takes this exit)
-            return Ok(inner
-                .storage
-                .scan_iter(id, read_ts, None, None)
-                .map(|(k, _, v)| (k, v))
-                .collect());
-        }
-        let mut rows: std::collections::BTreeMap<Key, Arc<Value>> =
-            if state.isolation == Isolation::Serializable {
-                // a serializable scan observes every record it returns
-                let mut rows = std::collections::BTreeMap::new();
-                for (key, seen, value) in inner.storage.scan_iter(id, read_ts, None, None) {
-                    state.note_read(RecordId::new(id, key.clone()), seen);
-                    rows.insert(key, value);
-                }
-                rows
-            } else {
-                inner
-                    .storage
-                    .scan_iter(id, read_ts, None, None)
-                    .map(|(k, _, v)| (k, v))
-                    .collect()
-            };
-        for (rid, w) in &state.writes {
-            if rid.collection != id {
-                continue;
-            }
-            match w {
-                Some(v) => {
-                    rows.insert(rid.key.clone(), Arc::clone(v));
-                }
-                None => {
-                    rows.remove(&rid.key);
-                }
-            }
-        }
-        Ok(rows.into_iter().collect())
+        self.rows(collection, None, None)
     }
 
-    /// Streaming scan with limit pushdown: the first `limit` live rows
-    /// in key order, without touching (or copying) the rest of the
-    /// collection. Falls back to a full scan when the limit cannot be
-    /// pushed safely — under `Serializable` (the scan's read set must
-    /// cover everything it examined) or when this transaction has
-    /// buffered writes on the collection (the overlay may shift which
-    /// rows are in the prefix).
-    pub fn scan_limited(
+    /// The general read: the live records of a collection that match
+    /// `pred` (all of them when `None`), in key order, at most `limit`.
+    ///
+    /// This is the one place a transaction's view of a collection is
+    /// assembled:
+    ///
+    /// * **horizon** — latest-committed under `ReadCommitted`, else the
+    ///   begin-time snapshot;
+    /// * **access** — an equality on the primary key is a point read; a
+    ///   non-`Null` equality or range on an indexed path probes the index
+    ///   (candidates are re-validated at the horizon); anything else is
+    ///   the sharded scan with the predicate pushed into it;
+    /// * **read set** — under `Serializable` every record *examined* is
+    ///   noted, not just the matches, so the scan filters here rather
+    ///   than in storage;
+    /// * **own writes** — buffered writes on the collection are laid over
+    ///   the committed rows (a matching write replaces or adds its row, a
+    ///   delete or a no-longer-matching overwrite removes it);
+    /// * **limit** — pushed into the walk only when neither of the last
+    ///   two applies (not `Serializable`, nothing buffered on the
+    ///   collection); otherwise the result is assembled in full and
+    ///   truncated, because rows past the cut could still change the
+    ///   prefix or belong in the read set.
+    ///
+    /// ```
+    /// use udbms_core::{obj, CollectionSchema, Key, Value};
+    /// use udbms_engine::{Engine, Isolation};
+    /// use udbms_relational::Predicate;
+    ///
+    /// let engine = Engine::new();
+    /// engine.create_collection(CollectionSchema::key_value("orders"))?;
+    /// let mut txn = engine.begin(Isolation::Snapshot);
+    /// for i in 0..10 {
+    ///     txn.put("orders", Key::int(i), obj! {"open" => i % 2 == 0})?;
+    /// }
+    /// let open = Predicate::eq("open", Value::Bool(true));
+    /// let first = txn.rows("orders", Some(&open), Some(2))?;
+    /// let keys: Vec<&Key> = first.iter().map(|(key, _)| key).collect();
+    /// assert_eq!(keys, [&Key::int(0), &Key::int(2)]);
+    /// assert_eq!(txn.rows("orders", None, None)?, txn.scan_shared("orders")?);
+    /// # udbms_core::Result::Ok(())
+    /// ```
+    pub fn rows(
         &mut self,
         collection: &str,
-        limit: usize,
+        pred: Option<&Predicate>,
+        limit: Option<usize>,
     ) -> Result<Vec<(Key, Arc<Value>)>> {
-        let (id, _) = self.resolve(collection)?;
-        let inner = Arc::clone(&self.inner);
-        let state = self.state()?;
-        let pushable = state.isolation != Isolation::Serializable
-            && !state.writes.keys().any(|rid| rid.collection == id);
-        if !pushable {
-            let mut rows = self.scan_shared(collection)?;
-            rows.truncate(limit);
-            return Ok(rows);
-        }
-        let read_ts = match state.isolation {
-            Isolation::ReadCommitted => Ts::MAX,
-            _ => state.snapshot,
-        };
-        Ok(inner
-            .storage
-            .scan_iter(id, read_ts, None, Some(limit))
-            .map(|(k, _, v)| (k, v))
-            .collect())
-    }
-
-    /// Records matching a predicate, using a secondary index when the
-    /// predicate pins an indexed path (candidates are re-validated against
-    /// this transaction's read horizon), else a full scan. Materialized
-    /// copies; hot read paths should prefer [`Txn::select_shared`].
-    pub fn select(&mut self, collection: &str, pred: &Predicate) -> Result<Vec<Value>> {
-        Ok(self
-            .select_shared(collection, pred)?
-            .into_iter()
-            .map(|v| v.as_ref().clone())
-            .collect())
-    }
-
-    /// [`Txn::select`] handing out shared handles instead of copies.
-    pub fn select_shared(&mut self, collection: &str, pred: &Predicate) -> Result<Vec<Arc<Value>>> {
-        self.select_limited(collection, pred, None)
-    }
-
-    /// [`Txn::select_shared`] with **limit pushdown**: at most `limit`
-    /// matches, stopping the index probe or scan as soon as they are
-    /// found. The limit falls back to select-then-truncate under
-    /// `Serializable` or when this transaction has buffered writes on
-    /// the collection (same safety rule as [`Txn::scan_limited`]).
-    pub fn select_limited(
-        &mut self,
-        collection: &str,
-        pred: &Predicate,
-        limit: Option<usize>,
-    ) -> Result<Vec<Arc<Value>>> {
-        let (id, _) = self.resolve(collection)?;
-        // a limit may only cut the walk short when nothing after the cut
-        // could change the result set or the read-set contract
-        let pushable = {
+        let (id, access) = self.plan_access(collection, pred)?;
+        let matches = |v: &Value| pred.is_none_or(|p| p.matches(v));
+        let (read_ts, serializable, overlay) = {
             let state = self.state()?;
-            state.isolation != Isolation::Serializable
-                && !state.writes.keys().any(|rid| rid.collection == id)
+            (
+                state.read_ts(),
+                state.isolation == Isolation::Serializable,
+                state.writes.keys().any(|rid| rid.collection == id),
+            )
         };
-        match limit {
-            Some(n) if !pushable => {
-                let mut out = self.select_impl(collection, pred, None)?;
-                out.truncate(n);
-                Ok(out)
+        let pushed = limit.filter(|_| !serializable && !overlay);
+        let mut rows: Vec<(Key, Arc<Value>)> = match access {
+            Access::Point(key) => {
+                // a primary-key equality admits no other key, so own
+                // writes elsewhere cannot add matches: no overlay
+                let hit = self.read_shared(RecordId::new(id, key.clone()))?;
+                let hit = hit.filter(|v| matches(v) && limit != Some(0));
+                return Ok(hit.map(|v| (key, v)).into_iter().collect());
             }
-            limit => self.select_impl(collection, pred, limit),
-        }
-    }
-
-    /// The shared select machinery; `limit` is pre-validated as safe to
-    /// push by the callers above (`None` = unbounded).
-    fn select_impl(
-        &mut self,
-        collection: &str,
-        pred: &Predicate,
-        limit: Option<usize>,
-    ) -> Result<Vec<Arc<Value>>> {
-        let (id, _) = self.resolve(collection)?;
-        // primary-key fast path: an equality on the pk field is a point get
-        let pk_probe: Option<Key> = {
-            let catalog = self.inner.catalog.read();
-            let info = catalog.get(collection)?;
-            info.schema.primary_key.as_ref().and_then(|pk| {
-                pred.equality_on(&FieldPath::key(pk.clone()))
-                    .and_then(|v| Key::new(v.clone()).ok())
-            })
-        };
-        if let Some(key) = pk_probe {
-            let mut out = Vec::new();
-            if let Some(v) = self.read_shared(RecordId::new(id, key))? {
-                if pred.matches(v.as_ref()) {
-                    out.push(v);
-                }
-            }
-            // own writes may still add matches under other keys only if the
-            // pk equality admits them — it cannot, so we are done.
-            if let Some(n) = limit {
-                out.truncate(n);
-            }
-            return Ok(out);
-        }
-        // probe indexes; Null probes must scan (nulls are never indexed,
-        // yet `Null == Null` holds in the canonical order, so an index
-        // lookup would silently drop matching records). Candidate keys
-        // are gathered from every shard's segment of the chosen index.
-        let candidates: Option<Vec<Key>> = {
-            let catalog = self.inner.catalog.read();
-            let mut found = None;
-            for path in catalog.indexed_paths(id) {
-                if let Some(v) = pred.equality_on(path) {
-                    if v.is_null() {
-                        continue;
-                    }
-                    found = Some(self.inner.storage.index_lookup_eq(id, path, v));
-                    break;
-                }
-                if let Some((lo, hi)) = pred.range_on(path) {
-                    if lo.as_ref().is_some_and(Value::is_null)
-                        || hi.as_ref().is_some_and(Value::is_null)
-                    {
-                        continue;
-                    }
-                    if let Some(keys) =
-                        self.inner
-                            .storage
-                            .index_lookup_range(id, path, lo.as_ref(), hi.as_ref())
-                    {
-                        found = Some(keys);
-                        break;
-                    }
-                }
-            }
-            found
-        };
-        match candidates {
-            Some(mut keys) => {
-                // segments concatenate in shard order; sort so indexed
-                // selects return the same key order as merged scans
+            Access::Candidates(mut keys) => {
+                // segments concatenate in shard order and over-approximate
                 keys.sort();
                 keys.dedup();
-                let rids: Vec<RecordId> =
-                    keys.iter().map(|k| RecordId::new(id, k.clone())).collect();
-                // batched validation: one lock per touched shard, not one
-                // per candidate; with a pushed limit, stop as soon as
-                // enough candidates validate (keys are sorted, so this
-                // is the key-order prefix)
-                let mut out = Vec::new();
-                for v in self.read_many(&rids)?.into_iter().flatten() {
-                    if pred.matches(v.as_ref()) {
-                        out.push(v);
-                        if limit.is_some_and(|n| out.len() >= n) {
-                            return Ok(out);
-                        }
-                    }
-                }
-                // own writes may add matches the index has not seen
-                // (limit pushdown is disabled whenever own writes touch
-                // this collection, so the early return above is safe)
-                let seen: std::collections::HashSet<Key> = keys.into_iter().collect();
+                let rids: Vec<RecordId> = keys.into_iter().map(|k| RecordId::new(id, k)).collect();
+                // batched validation: one lock per touched shard
+                let values = self.read_many(&rids)?;
+                rids.into_iter()
+                    .zip(values)
+                    .filter_map(|(rid, v)| Some((rid.key, v.filter(|v| matches(v))?)))
+                    .take(pushed.unwrap_or(usize::MAX))
+                    .collect()
+            }
+            Access::Scan => {
+                let inner = Arc::clone(&self.inner);
                 let state = self.state()?;
-                for (rid, w) in &state.writes {
-                    if rid.collection == id && !seen.contains(&rid.key) {
-                        if let Some(v) = w {
-                            if pred.matches(v.as_ref()) {
-                                out.push(Arc::clone(v));
-                            }
+                let in_storage: Option<RowFilter<'_>> = match pred {
+                    Some(_) if !serializable => Some(&matches),
+                    _ => None,
+                };
+                let scanned = inner.storage.scan_iter(id, read_ts, in_storage, pushed);
+                if serializable {
+                    let mut rows = Vec::new();
+                    for (key, seen, value) in scanned {
+                        state.note_read(RecordId::new(id, key.clone()), seen);
+                        if matches(&value) {
+                            rows.push((key, value));
                         }
                     }
+                    rows
+                } else {
+                    // nothing to note: the merge is already the answer
+                    // (every read-lane scan takes this exit)
+                    scanned.map(|(k, _, v)| (k, v)).collect()
                 }
-                Ok(out)
             }
-            // no usable index: the one shared sharded-scan implementation
-            None => self.select_scan_impl(collection, pred, limit),
-        }
-    }
-
-    /// Predicate scan without indexes, materialized (compatibility
-    /// shape; prefer [`Txn::select_scan_shared`] on hot read paths).
-    pub fn select_scan(&mut self, collection: &str, pred: &Predicate) -> Result<Vec<Value>> {
-        Ok(self
-            .select_scan_shared(collection, pred)?
-            .into_iter()
-            .map(|v| v.as_ref().clone())
-            .collect())
-    }
-
-    /// Predicate scan without indexes: the single sharded-iteration
-    /// implementation behind both [`Txn::select`]'s fallback and the
-    /// ablation arm. Each shard filters its own run (fanning out to one
-    /// thread per shard for large collections), results merge in key
-    /// order, then buffered writes overlay. Rows are shared handles.
-    pub fn select_scan_shared(
-        &mut self,
-        collection: &str,
-        pred: &Predicate,
-    ) -> Result<Vec<Arc<Value>>> {
-        self.select_scan_impl(collection, pred, None)
-    }
-
-    /// The shared predicate-scan body; `limit` is pre-validated as safe
-    /// (non-serializable, no own writes on the collection).
-    fn select_scan_impl(
-        &mut self,
-        collection: &str,
-        pred: &Predicate,
-        limit: Option<usize>,
-    ) -> Result<Vec<Arc<Value>>> {
-        let (id, _) = self.resolve(collection)?;
-        let inner = Arc::clone(&self.inner);
-        let state = self.state()?;
-        let read_ts = match state.isolation {
-            Isolation::ReadCommitted => Ts::MAX,
-            _ => state.snapshot,
         };
-        if let Some(n) = limit {
-            // streaming path: predicate + limit pushed into the k-way
-            // merge, each shard walked once under its read lock
-            let matches = |v: &Value| pred.matches(v);
-            return Ok(inner
-                .storage
-                .scan_iter(id, read_ts, Some(&matches), Some(n))
-                .map(|(_, _, v)| v)
-                .collect());
-        }
-        let mut rows: std::collections::BTreeMap<Key, Arc<Value>> = Default::default();
-        if state.isolation == Isolation::Serializable {
-            // a serializable predicate scan observes every record it
-            // *examined*, not just the matches: write skew via predicate
-            // emptiness is only caught when the non-matching record that
-            // later changes sits in the read set (same rule as `scan`)
-            for (key, seen, value) in inner.storage.scan_iter(id, read_ts, None, None) {
-                state.note_read(RecordId::new(id, key.clone()), seen);
-                if pred.matches(value.as_ref()) {
-                    rows.insert(key, value);
+        if overlay {
+            let mut merged: std::collections::BTreeMap<Key, Arc<Value>> =
+                rows.into_iter().collect();
+            for (rid, w) in &self.state()?.writes {
+                if rid.collection != id {
+                    continue;
+                }
+                match w {
+                    Some(v) if matches(v) => {
+                        merged.insert(rid.key.clone(), Arc::clone(v));
+                    }
+                    // buffered delete, or an overwrite that no longer matches
+                    _ => {
+                        merged.remove(&rid.key);
+                    }
                 }
             }
-        } else {
-            let parallel = inner.storage.shard_count() > 1
-                && scan_parallelism_available()
-                && inner.storage.directory_len(id) >= PARALLEL_SCAN_MIN_KEYS;
-            for (key, _, value) in inner
-                .storage
-                .filter_scan(id, read_ts, parallel, |v| pred.matches(v))
-            {
-                rows.insert(key, value);
+            rows = merged.into_iter().collect();
+        }
+        rows.truncate(limit.unwrap_or(usize::MAX));
+        Ok(rows)
+    }
+
+    /// How [`Txn::rows`] reaches the committed records `pred` can match.
+    fn plan_access(
+        &self,
+        collection: &str,
+        pred: Option<&Predicate>,
+    ) -> Result<(udbms_core::CollectionId, Access)> {
+        let catalog = self.inner.catalog.read();
+        let info = catalog.get(collection)?;
+        let id = info.id;
+        let Some(pred) = pred else {
+            return Ok((id, Access::Scan));
+        };
+        let pk_probe = info.schema.primary_key.as_ref().and_then(|pk| {
+            pred.equality_on(&FieldPath::key(pk.clone()))
+                .and_then(|v| Key::new(v.clone()).ok())
+        });
+        if let Some(key) = pk_probe {
+            return Ok((id, Access::Point(key)));
+        }
+        // Null probes must scan: nulls are never indexed, yet
+        // `Null == Null` holds in the canonical order, so an index lookup
+        // would silently drop matching records. Candidate keys are
+        // gathered from every shard's segment of the chosen index
+        // (catalog before shards is the documented lock order).
+        let storage = &self.inner.storage;
+        for path in catalog.indexed_paths(id) {
+            if let Some(v) = pred.equality_on(path) {
+                if v.is_null() {
+                    continue;
+                }
+                return Ok((id, Access::Candidates(storage.index_lookup_eq(id, path, v))));
+            }
+            if let Some((lo, hi)) = pred.range_on(path) {
+                if lo.as_ref().is_some_and(Value::is_null)
+                    || hi.as_ref().is_some_and(Value::is_null)
+                {
+                    continue;
+                }
+                if let Some(keys) = storage.index_lookup_range(id, path, lo.as_ref(), hi.as_ref()) {
+                    return Ok((id, Access::Candidates(keys)));
+                }
             }
         }
-        for (rid, w) in &state.writes {
-            if rid.collection != id {
-                continue;
-            }
-            match w {
-                Some(v) if pred.matches(v.as_ref()) => {
-                    rows.insert(rid.key.clone(), Arc::clone(v));
-                }
-                // buffered delete, or an overwrite that no longer matches
-                _ => {
-                    rows.remove(&rid.key);
-                }
-            }
-        }
-        Ok(rows.into_values().collect())
+        Ok((id, Access::Scan))
     }
 
     // ------------------------------------------------------------------
@@ -1434,7 +1273,7 @@ impl Txn {
             obj.insert("_label".into(), Value::from(label));
         }
         let coll = format!("{graph}#v");
-        if self.get(&coll, &key)?.is_some() {
+        if self.get_shared(&coll, &key)?.is_some() {
             return Err(Error::AlreadyExists(format!(
                 "vertex {key} in graph `{graph}`"
             )));
@@ -1456,12 +1295,13 @@ impl Txn {
         label: &str,
         props: Value,
     ) -> Result<Key> {
-        if self.vertex(graph, src)?.is_none() {
+        let vcoll = format!("{graph}#v");
+        if self.get_shared(&vcoll, src)?.is_none() {
             return Err(Error::NotFound(format!(
                 "source vertex {src} in graph `{graph}`"
             )));
         }
-        if self.vertex(graph, dst)?.is_none() {
+        if self.get_shared(&vcoll, dst)?.is_none() {
             return Err(Error::NotFound(format!(
                 "destination vertex {dst} in graph `{graph}`"
             )));
@@ -1498,7 +1338,7 @@ impl Txn {
                     Predicate::Eq(FieldPath::key("_label"), Value::from(l)),
                 ]);
             }
-            for edge in me.select_shared(&ecoll, &pred)? {
+            for (_, edge) in me.rows(&ecoll, Some(&pred), None)? {
                 out.insert(Key::new(edge.get_field(other).clone())?);
             }
             Ok(())
@@ -1555,7 +1395,7 @@ impl Txn {
 
     /// Fetch a stored XML document.
     pub fn get_xml(&mut self, collection: &str, key: &Key) -> Result<Option<XmlDocument>> {
-        match self.get(collection, key)? {
+        match self.get_shared(collection, key)? {
             None => Ok(None),
             Some(v) => Ok(Some(XmlDocument::new(udbms_xml::value_to_xml(&v)?))),
         }
@@ -1588,7 +1428,7 @@ impl Txn {
         // read-only fast path
         if state.writes.is_empty() {
             inner.active.lock().remove(&state.id);
-            inner.stats.commits.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.commits.add(1);
             return Ok(state.snapshot);
         }
 
@@ -1598,7 +1438,7 @@ impl Txn {
         if let Some(log) = inner.log.get() {
             if let Err(e) = log.check_available() {
                 inner.active.lock().remove(&state.id);
-                inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.aborts.add(1);
                 return Err(e);
             }
         }
@@ -1630,8 +1470,8 @@ impl Txn {
                 }
                 if let Some(err) = conflict {
                     inner.active.lock().remove(&state.id);
-                    inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
-                    inner.stats.ww_conflicts.fetch_add(1, Ordering::Relaxed);
+                    inner.metrics.aborts.add(1);
+                    inner.metrics.ww_conflicts.add(1);
                     return Err(err);
                 }
                 if state.isolation == Isolation::Serializable {
@@ -1660,8 +1500,8 @@ impl Txn {
                     }
                     if let Some(err) = conflict {
                         inner.active.lock().remove(&state.id);
-                        inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
-                        inner.stats.read_conflicts.fetch_add(1, Ordering::Relaxed);
+                        inner.metrics.aborts.add(1);
+                        inner.metrics.read_conflicts.add(1);
                         return Err(err);
                     }
                 }
@@ -1742,7 +1582,7 @@ impl Txn {
         // failure (rather than acking a commit that may not survive a
         // crash) is the durability contract
         durable?;
-        inner.stats.commits.fetch_add(1, Ordering::Relaxed);
+        inner.metrics.commits.add(1);
         Ok(commit_ts)
     }
 
@@ -1755,7 +1595,7 @@ impl Txn {
         if let Some(state) = self.state.take() {
             if state.open {
                 self.inner.active.lock().remove(&state.id);
-                self.inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
+                self.inner.metrics.aborts.add(1);
             }
         }
     }
@@ -1966,7 +1806,7 @@ mod tests {
     }
 
     #[test]
-    fn serializable_select_scan_prevents_predicate_write_skew() {
+    fn serializable_predicate_scan_prevents_write_skew() {
         let e = engine();
         e.run(Isolation::Snapshot, |t| {
             t.put("feedback", Key::str("o1"), obj! {"status" => "paid"})?;
@@ -1976,7 +1816,7 @@ mod tests {
         // t1 decides from the *absence* of matching rows
         let mut t1 = e.begin(Isolation::Serializable);
         let pred = Predicate::eq("status", Value::from("open"));
-        assert!(t1.select_scan("feedback", &pred).unwrap().is_empty());
+        assert!(t1.rows("feedback", Some(&pred), None).unwrap().is_empty());
         // concurrently o1 starts matching the predicate
         e.run(Isolation::Snapshot, |t| {
             t.put("feedback", Key::str("o1"), obj! {"status" => "open"})
@@ -2131,12 +1971,11 @@ mod tests {
         .unwrap();
         let mut t = e.begin(Isolation::Snapshot);
         let pred = Predicate::eq("status", Value::from("open"));
-        let mut a = t.select("orders", &pred).unwrap();
-        let mut b = t.select_scan("orders", &pred).unwrap();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 7);
+        let via_index = t.rows("orders", Some(&pred), None).unwrap();
+        let mut via_scan = t.scan_shared("orders").unwrap();
+        via_scan.retain(|(_, v)| pred.matches(v));
+        assert_eq!(via_index, via_scan);
+        assert_eq!(via_index.len(), 7);
     }
 
     #[test]
@@ -2156,13 +1995,21 @@ mod tests {
         .unwrap();
         // the old snapshot still finds the order under "open"…
         let open_old = old
-            .select("orders", &Predicate::eq("status", Value::from("open")))
+            .rows(
+                "orders",
+                Some(&Predicate::eq("status", Value::from("open"))),
+                None,
+            )
             .unwrap();
         assert_eq!(open_old.len(), 1);
         // …and a new snapshot does not, despite the stale index posting.
         let mut new = e.begin(Isolation::Snapshot);
         let open_new = new
-            .select("orders", &Predicate::eq("status", Value::from("open")))
+            .rows(
+                "orders",
+                Some(&Predicate::eq("status", Value::from("open"))),
+                None,
+            )
             .unwrap();
         assert!(open_new.is_empty());
     }
@@ -2245,10 +2092,13 @@ mod tests {
         t.put("feedback", Key::int(3), Value::Int(30)).unwrap();
         t.delete("feedback", &Key::int(1)).unwrap();
         t.put("feedback", Key::int(2), Value::Int(99)).unwrap();
-        let scan = t.scan("feedback").unwrap();
+        let scan = t.scan_shared("feedback").unwrap();
         assert_eq!(
             scan,
-            vec![(Key::int(2), Value::Int(99)), (Key::int(3), Value::Int(30))]
+            vec![
+                (Key::int(2), Arc::new(Value::Int(99))),
+                (Key::int(3), Arc::new(Value::Int(30)))
+            ]
         );
     }
 
@@ -2419,7 +2269,7 @@ mod tests {
         })
         .unwrap();
         let mut t = e.begin(Isolation::Snapshot);
-        assert_eq!(t.scan("feedback").unwrap().len(), 50);
+        assert_eq!(t.scan_shared("feedback").unwrap().len(), 50);
         assert_eq!(
             t.get("feedback", &Key::int(7)).unwrap(),
             Some(Value::Int(70))
@@ -2437,7 +2287,7 @@ mod tests {
             .unwrap();
         assert_eq!(deleted, 2);
         let mut t = e.begin(Isolation::Snapshot);
-        assert_eq!(t.scan("feedback").unwrap().len(), 48);
+        assert_eq!(t.scan_shared("feedback").unwrap().len(), 48);
     }
 
     #[test]
@@ -2501,7 +2351,10 @@ mod tests {
             matches!(err, Error::Constraint(_) | Error::Invalid(_)),
             "{err}"
         );
-        assert!(t.scan("customers").unwrap().is_empty(), "nothing buffered");
+        assert!(
+            t.scan_shared("customers").unwrap().is_empty(),
+            "nothing buffered"
+        );
     }
 
     #[test]
@@ -2526,7 +2379,7 @@ mod tests {
         })
         .unwrap();
         let mut t = e.begin(Isolation::Snapshot);
-        assert_eq!(t.scan("kv").unwrap().len(), 20);
+        assert_eq!(t.scan_shared("kv").unwrap().len(), 20);
         assert_eq!(t.get("kv", &Key::int(11)).unwrap(), Some(Value::Int(11)));
     }
 
@@ -2618,7 +2471,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_limited_returns_key_order_prefix() {
+    fn limited_scan_returns_key_order_prefix() {
         let e = engine();
         e.run(Isolation::Snapshot, |t| {
             t.put_many(
@@ -2630,18 +2483,18 @@ mod tests {
         let mut t = e.begin(Isolation::Snapshot);
         let full = t.scan_shared("feedback").unwrap();
         for limit in [0usize, 1, 7, 50, 99] {
-            let got = t.scan_limited("feedback", limit).unwrap();
+            let got = t.rows("feedback", None, Some(limit)).unwrap();
             assert_eq!(got, full[..limit.min(full.len())].to_vec(), "limit {limit}");
         }
         // own writes force the fallback path and stay correct
         t.put("feedback", Key::int(-1), Value::Int(-2)).unwrap();
-        let got = t.scan_limited("feedback", 3).unwrap();
+        let got = t.rows("feedback", None, Some(3)).unwrap();
         assert_eq!(got[0].0, Key::int(-1), "buffered row sorts first");
         assert_eq!(got.len(), 3);
     }
 
     #[test]
-    fn select_limited_matches_select_prefix() {
+    fn limited_predicate_read_matches_unlimited_prefix() {
         let e = engine();
         e.run(Isolation::Snapshot, |t| {
             t.put_many(
@@ -2654,15 +2507,15 @@ mod tests {
         .unwrap();
         let pred = Predicate::eq("g", Value::Int(1));
         let mut t = e.begin(Isolation::Snapshot);
-        let full = t.select_shared("feedback", &pred).unwrap();
+        let full = t.rows("feedback", Some(&pred), None).unwrap();
         assert_eq!(full.len(), 20);
         for limit in [0usize, 1, 5, 20, 99] {
-            let got = t.select_limited("feedback", &pred, Some(limit)).unwrap();
+            let got = t.rows("feedback", Some(&pred), Some(limit)).unwrap();
             assert_eq!(got, full[..limit.min(full.len())].to_vec(), "limit {limit}");
         }
         // serializable transactions fall back (read set must stay full)
         let mut ser = e.begin(Isolation::Serializable);
-        let got = ser.select_limited("feedback", &pred, Some(5)).unwrap();
+        let got = ser.rows("feedback", Some(&pred), Some(5)).unwrap();
         assert_eq!(got, full[..5].to_vec());
         drop(ser);
         // the primary-key fast path honours the limit too
@@ -2674,13 +2527,11 @@ mod tests {
         let pk_pred = Predicate::eq("id", Value::Int(1));
         let mut t = e.begin(Isolation::Snapshot);
         assert_eq!(
-            t.select_limited("customers", &pk_pred, Some(1))
-                .unwrap()
-                .len(),
+            t.rows("customers", Some(&pk_pred), Some(1)).unwrap().len(),
             1
         );
         assert!(t
-            .select_limited("customers", &pk_pred, Some(0))
+            .rows("customers", Some(&pk_pred), Some(0))
             .unwrap()
             .is_empty());
     }
@@ -2713,9 +2564,13 @@ mod tests {
         .unwrap();
         let mut t = e.begin(Isolation::Snapshot);
         let rush = t
-            .select(
+            .rows(
                 "orders",
-                &Predicate::Contains(FieldPath::key("tags"), Value::from("rush")),
+                Some(&Predicate::Contains(
+                    FieldPath::key("tags"),
+                    Value::from("rush"),
+                )),
+                None,
             )
             .unwrap();
         assert_eq!(rush.len(), 1);

@@ -71,6 +71,10 @@ struct PipelineMetrics {
     flush_ns: Arc<Histogram>,
     /// Records per written batch (group-commit efficiency shape).
     batch_records: Arc<Histogram>,
+    /// Batches written (group efficiency = `wal_records / wal_batches`).
+    wal_batches: Arc<Counter>,
+    /// Records written.
+    wal_records: Arc<Counter>,
     /// Times the log transitioned to a failed state (0 or 1 per run).
     wal_poisoned: Arc<Counter>,
     /// Commits rejected because the log had already failed.
@@ -84,6 +88,8 @@ impl PipelineMetrics {
             append_ns: obs.histogram("wal_append_ns"),
             flush_ns: obs.histogram("wal_flush_ns"),
             batch_records: obs.histogram("wal_batch_records"),
+            wal_batches: obs.counter("wal_batches"),
+            wal_records: obs.counter("wal_records"),
             wal_poisoned: obs.counter("wal_poisoned"),
             write_rejected: obs.counter("write_rejected"),
         }
@@ -108,10 +114,6 @@ struct LogState {
     waiters: u64,
     /// Set by `GroupLog::drop`; the writer drains the queue then exits.
     shutdown: bool,
-    /// Batches written (group efficiency = appended / batches).
-    batches: u64,
-    /// Records written.
-    appended: u64,
     /// First WAL I/O failure; once set the log is poisoned and every
     /// subsequent commit fails rather than silently losing durability.
     error: Option<String>,
@@ -239,8 +241,8 @@ impl LogShared {
         match result {
             Ok(()) => {
                 st.durable += n;
-                st.batches += 1;
-                st.appended += n;
+                self.pipe.wal_batches.add(1);
+                self.pipe.wal_records.add(n);
                 // ORDER: Release pairs with the Acquire poll in
                 // wait_durable — a follower that sees this count must
                 // also see the batch's WAL writes behind it.
@@ -404,8 +406,8 @@ impl GroupLog {
                 Ok(()) => {
                     st.enqueued += 1;
                     st.durable += 1;
-                    st.batches += 1;
-                    st.appended += 1;
+                    self.shared.pipe.wal_batches.add(1);
+                    self.shared.pipe.wal_records.add(1);
                     // ORDER: Release pairs with wait_durable's Acquire
                     // poll (same contract as retire()).
                     self.shared.durable.store(st.durable, Ordering::Release);
@@ -553,8 +555,8 @@ impl GroupLog {
                 // durable beyond any configured level
                 st.durable += drained;
                 if drained > 0 {
-                    st.batches += 1;
-                    st.appended += drained;
+                    self.shared.pipe.wal_batches.add(1);
+                    self.shared.pipe.wal_records.add(drained);
                 }
                 // ORDER: Release pairs with wait_durable's Acquire poll.
                 self.shared.durable.store(st.durable, Ordering::Release);
@@ -590,12 +592,6 @@ impl GroupLog {
             .filter(|r| r.commit_ts > snapshot)
             .collect();
         wal.finish_rewrite(prepared, &tail)
-    }
-
-    /// `(batches, records)` written so far.
-    pub fn counters(&self) -> (u64, u64) {
-        let st = self.shared.state.lock();
-        (st.batches, st.appended)
     }
 
     /// How the log has failed, if it has: `None` while healthy,
@@ -667,6 +663,12 @@ mod tests {
         }
     }
 
+    /// `(batches, records)` written so far.
+    fn counters(log: &GroupLog) -> (u64, u64) {
+        let pipe = &log.shared.pipe;
+        (pipe.wal_batches.get(), pipe.wal_records.get())
+    }
+
     #[test]
     fn grouped_commits_become_durable_in_order() {
         let path = temp_path("grouped");
@@ -680,7 +682,7 @@ mod tests {
             let seq = log.commit(rec(ts)).unwrap();
             log.wait_durable(seq).unwrap();
         }
-        let (batches, appended) = log.counters();
+        let (batches, appended) = counters(&log);
         assert_eq!(appended, 30);
         assert!((1..=30).contains(&batches));
         drop(log);
@@ -724,7 +726,7 @@ mod tests {
             let seq = log.commit(rec(ts)).unwrap();
             log.wait_durable(seq).unwrap();
         }
-        assert_eq!(log.counters(), (5, 5));
+        assert_eq!(counters(&log), (5, 5));
         drop(log);
         assert_eq!(Wal::read_all(&path).unwrap().len(), 5);
         std::fs::remove_file(&path).unwrap();
@@ -931,7 +933,7 @@ mod tests {
                 });
             }
         });
-        let (batches, appended) = log.counters();
+        let (batches, appended) = counters(&log);
         assert_eq!(appended, 100);
         assert!(batches <= 100);
         drop(log);

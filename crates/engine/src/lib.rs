@@ -12,7 +12,9 @@
 //! ## Architecture
 //!
 //! ```text
-//!   Txn API (get/insert/select/graph helpers/xpath …)
+//!   Txn API (reads: get / get_shared / scan_shared / rows;
+//!        │    writes: put/insert/update/merge/delete, *_many;
+//!        │    graph helpers and xpath over both)
 //!        │  buffered write-set + read-set
 //!        ▼
 //!   TransactionManager ── begin/commit protocol, isolation levels:
@@ -30,6 +32,16 @@
 //!   Wal ── logical redo log (JSON lines), torn-tail crash recovery,
 //!          fsync'd checkpoint rewrites
 //! ```
+//!
+//! ## Reading
+//!
+//! A transaction reads through four methods: [`Txn::get`] (an owned
+//! copy of one record), [`Txn::get_shared`] (the same record as an
+//! `Arc` handle), [`Txn::scan_shared`] (a whole collection in key
+//! order) and the general form [`Txn::rows`] — optional predicate,
+//! optional limit — which is where the read horizon, index probe vs
+//! sharded scan, serializable read-set noting, own-write overlay and
+//! limit pushdown are decided, once.
 //!
 //! ## Isolation levels
 //!
@@ -129,7 +141,7 @@ mod proptests {
             }
             // final scan agrees with the model
             let mut t = e.begin(Isolation::Snapshot);
-            let scanned = t.scan("ns").unwrap();
+            let scanned = t.scan_shared("ns").unwrap();
             prop_assert_eq!(scanned.len(), model.len());
             for (k, v) in &model {
                 prop_assert_eq!(
@@ -151,10 +163,10 @@ mod proptests {
                 }
             }
             let mut before = e.begin(Isolation::Snapshot);
-            let snap_before = before.scan("ns").unwrap();
+            let snap_before = before.scan_shared("ns").unwrap();
             e.gc();
             let mut after = e.begin(Isolation::Snapshot);
-            let snap_after = after.scan("ns").unwrap();
+            let snap_after = after.scan_shared("ns").unwrap();
             prop_assert_eq!(snap_before, snap_after);
         }
     }

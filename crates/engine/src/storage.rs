@@ -110,9 +110,9 @@ impl Storage {
             .push(Version { commit_ts, value });
     }
 
-    /// The single visibility walk behind `scan`, `scan_with_ts` and
-    /// `live_keys`: every live `(key, commit_ts, value)` of a collection
-    /// at `snapshot`, in key order, yielded lazily by reference.
+    /// The single visibility walk behind every scan: every live
+    /// `(key, commit_ts, value)` of a collection at `snapshot`, in key
+    /// order, yielded lazily by reference.
     pub fn visible_entries(
         &self,
         collection: CollectionId,
@@ -130,32 +130,11 @@ impl Storage {
             })
     }
 
-    /// Ordered keys of a collection that are live (non-tombstone) at
-    /// `snapshot`.
-    pub fn live_keys(&self, collection: CollectionId, snapshot: Ts) -> Vec<Key> {
-        self.visible_entries(collection, snapshot)
-            .map(|(k, _, _)| k.clone())
-            .collect()
-    }
-
     /// All `(key, value)` pairs of a collection live at `snapshot`, in key
     /// order. Values are shared handles, not copies.
     pub fn scan(&self, collection: CollectionId, snapshot: Ts) -> Vec<(Key, Arc<Value>)> {
         self.visible_entries(collection, snapshot)
             .map(|(k, _, v)| (k.clone(), Arc::clone(v)))
-            .collect()
-    }
-
-    /// Like [`Storage::scan`] but also reporting the commit timestamp of
-    /// each returned version (serializable scans record what they saw
-    /// without a second lookup).
-    pub fn scan_with_ts(
-        &self,
-        collection: CollectionId,
-        snapshot: Ts,
-    ) -> Vec<(Key, Ts, Arc<Value>)> {
-        self.visible_entries(collection, snapshot)
-            .map(|(k, ts, v)| (k.clone(), ts, Arc::clone(v)))
             .collect()
     }
 
@@ -436,6 +415,27 @@ fn post_value(idx: &mut Index, path: &FieldPath, key: &Key, value: &Value) {
     }
 }
 
+/// One scanned row: key, the commit timestamp of the version seen, and a
+/// shared handle on its value.
+pub type Row = (Key, Ts, Arc<Value>);
+
+/// A predicate pushed into [`ShardedStorage::scan_iter`]; `Sync` because
+/// a large scan evaluates it on one thread per shard.
+pub type RowFilter<'a> = &'a (dyn Fn(&Value) -> bool + Sync);
+
+/// Minimum total directory size before a pushed-predicate scan fans out
+/// to one thread per shard; below this the thread overhead dominates.
+const PARALLEL_SCAN_MIN_KEYS: usize = 4096;
+
+/// Whether this machine can actually run shard scans in parallel: on a
+/// single-core host the per-scan thread spawns are pure overhead (and a
+/// large source of latency variance), so the fan-out is skipped.
+fn scan_parallelism_available() -> bool {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
+        > 1
+}
+
 /// N hash-addressed, independently locked storage partitions.
 ///
 /// Lock discipline: shards are only ever locked in **ascending index
@@ -456,10 +456,8 @@ pub struct ShardedStorage {
 struct StorageObs {
     obs: Arc<Obs>,
     /// Run-building time of [`ShardedStorage::scan_iter`] (the eager,
-    /// under-lock part of every merged/limited scan).
+    /// under-lock part of every scan, inline or fanned out).
     scan_ns: Arc<Histogram>,
-    /// End-to-end [`ShardedStorage::filter_scan`] time.
-    filter_scan_ns: Arc<Histogram>,
 }
 
 impl ShardedStorage {
@@ -480,7 +478,6 @@ impl ShardedStorage {
         let _ = self.obs.set(StorageObs {
             obs: Arc::clone(obs),
             scan_ns: obs.histogram("scan_ns"),
-            filter_scan_ns: obs.histogram("filter_scan_ns"),
         });
     }
 
@@ -531,93 +528,68 @@ impl ShardedStorage {
         }
     }
 
-    /// Merged key-ordered scan across every shard: each shard's run is
-    /// already sorted (per-shard `BTreeSet` directories) and the key
-    /// spaces are disjoint, so this is a classic k-way merge.
-    pub fn scan_merged(&self, collection: CollectionId, snapshot: Ts) -> Vec<(Key, Arc<Value>)> {
-        self.scan_iter(collection, snapshot, None, None)
-            .map(|(k, _, v)| (k, v))
-            .collect()
-    }
-
-    /// Merged scan that also reports each version's commit timestamp.
-    pub fn scan_merged_with_ts(
-        &self,
-        collection: CollectionId,
-        snapshot: Ts,
-    ) -> Vec<(Key, Ts, Arc<Value>)> {
-        self.scan_iter(collection, snapshot, None, None).collect()
-    }
-
-    /// Streaming k-way-merge scan over the per-shard snapshot runs, with
-    /// **predicate and limit pushdown**.
+    /// The one multi-shard scan: a streaming k-way merge over the
+    /// per-shard snapshot runs, with **predicate and limit pushdown**.
     ///
-    /// Each shard is visited once under its read lock; the predicate is
-    /// applied to borrowed values during that single visibility walk, and
-    /// with a `limit` each shard contributes at most `limit` matches —
-    /// the global first `limit` keys are always within the union of each
-    /// shard's first `limit` (runs are key-sorted and disjoint), so the
-    /// merge is exact. Only `Arc` handles are retained; nothing is deep
-    /// cloned, and a `LIMIT n` query touches `O(shards × n)` entries
-    /// instead of the whole collection.
+    /// Each shard's run is already sorted (per-shard `BTreeSet`
+    /// directories) and the key spaces are disjoint, so the merge is
+    /// exact. Each shard is visited once under its read lock; the
+    /// predicate is applied to borrowed values during that single
+    /// visibility walk, and with a `limit` each shard contributes at most
+    /// `limit` matches — the global first `limit` keys are always within
+    /// the union of each shard's first `limit`. Only `Arc` handles are
+    /// retained; nothing is deep cloned, and a `LIMIT n` query touches
+    /// `O(shards × n)` entries instead of the whole collection.
+    ///
+    /// The runs are gathered inline, except that an unlimited scan with a
+    /// pushed predicate over a large collection filters each shard on its
+    /// own scoped thread (measured on 200k rows, 8 shards, 2 cores:
+    /// 50 ms against 83–90 ms inline).
     pub fn scan_iter(
         &self,
         collection: CollectionId,
         snapshot: Ts,
-        pred: Option<&dyn Fn(&Value) -> bool>,
+        pred: Option<RowFilter<'_>>,
         limit: Option<usize>,
     ) -> ScanIter {
-        let sobs = self.obs.get();
-        let stamp = sobs.map_or(Stamp::NONE, |o| o.obs.start());
-        let runs: Vec<Vec<(Key, Ts, Arc<Value>)>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let s = shard.read();
-                let mut run = Vec::new();
-                for (k, ts, v) in s.store.visible_entries(collection, snapshot) {
-                    if pred.is_some_and(|p| !p(v)) {
-                        continue;
-                    }
-                    run.push((k.clone(), ts, Arc::clone(v)));
-                    if limit.is_some_and(|n| run.len() >= n) {
-                        break;
-                    }
-                }
-                run
-            })
-            .collect();
-        if let Some(o) = sobs {
-            o.obs.record_ns(&o.scan_ns, stamp);
-        }
-        ScanIter::new(runs, limit)
+        let fan_out = pred.is_some()
+            && limit.is_none()
+            && self.shards.len() > 1
+            && scan_parallelism_available()
+            && self.directory_len(collection) >= PARALLEL_SCAN_MIN_KEYS;
+        ScanIter::new(
+            self.gather_runs(collection, snapshot, pred, limit, fan_out),
+            limit,
+        )
     }
 
-    /// Merged predicate scan: every shard filters its own run (in
-    /// parallel when `parallel` and more than one shard holds data),
-    /// then the matching runs merge in key order. This is the shard-local
-    /// fan-out `select`/`select_scan` share.
-    pub fn filter_scan<F>(
+    /// One key-sorted run of live, matching rows per shard — on one
+    /// scoped thread per shard when `fan_out`, else on the caller's.
+    fn gather_runs(
         &self,
         collection: CollectionId,
         snapshot: Ts,
-        parallel: bool,
-        matches: F,
-    ) -> Vec<(Key, Ts, Arc<Value>)>
-    where
-        F: Fn(&Value) -> bool + Sync,
-    {
+        pred: Option<RowFilter<'_>>,
+        limit: Option<usize>,
+        fan_out: bool,
+    ) -> Vec<Vec<Row>> {
         let sobs = self.obs.get();
         let stamp = sobs.map_or(Stamp::NONE, |o| o.obs.start());
-        let scan_one = |shard: &TrackedRwLock<Shard>| -> Vec<(Key, Ts, Arc<Value>)> {
+        let scan_one = |shard: &TrackedRwLock<Shard>| -> Vec<Row> {
             let s = shard.read();
-            s.store
-                .visible_entries(collection, snapshot)
-                .filter(|(_, _, v)| matches(v))
-                .map(|(k, ts, v)| (k.clone(), ts, Arc::clone(v)))
-                .collect()
+            let mut run = Vec::new();
+            for (k, ts, v) in s.store.visible_entries(collection, snapshot) {
+                if pred.is_some_and(|p| !p(v)) {
+                    continue;
+                }
+                run.push((k.clone(), ts, Arc::clone(v)));
+                if limit.is_some_and(|n| run.len() >= n) {
+                    break;
+                }
+            }
+            run
         };
-        let runs: Vec<Vec<(Key, Ts, Arc<Value>)>> = if parallel && self.shards.len() > 1 {
+        let runs = if fan_out {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .shards
@@ -633,11 +605,10 @@ impl ShardedStorage {
         } else {
             self.shards.iter().map(scan_one).collect()
         };
-        let merged = merge_runs(runs, |t| &t.0);
         if let Some(o) = sobs {
-            o.obs.record_ns(&o.filter_scan_ns, stamp);
+            o.obs.record_ns(&o.scan_ns, stamp);
         }
-        merged
+        runs
     }
 
     /// Candidate keys for an equality probe, concatenated across every
@@ -674,8 +645,8 @@ impl ShardedStorage {
     }
 
     /// Total keys ever written to a collection across shards (cheap scan
-    /// size estimate for the parallel fan-out heuristic).
-    pub fn directory_len(&self, collection: CollectionId) -> usize {
+    /// size estimate for the fan-out rule).
+    fn directory_len(&self, collection: CollectionId) -> usize {
         self.shards
             .iter()
             .map(|s| s.read().store.directory_len(collection))
@@ -724,14 +695,14 @@ impl ShardedStorage {
 /// probes) never pays for the tail.
 #[derive(Debug)]
 pub struct ScanIter {
-    cursors: Vec<std::vec::IntoIter<(Key, Ts, Arc<Value>)>>,
-    heads: Vec<Option<(Key, Ts, Arc<Value>)>>,
+    cursors: Vec<std::vec::IntoIter<Row>>,
+    heads: Vec<Option<Row>>,
     remaining: usize,
 }
 
 impl ScanIter {
-    fn new(runs: Vec<Vec<(Key, Ts, Arc<Value>)>>, limit: Option<usize>) -> ScanIter {
-        let mut cursors: Vec<std::vec::IntoIter<(Key, Ts, Arc<Value>)>> = runs
+    fn new(runs: Vec<Vec<Row>>, limit: Option<usize>) -> ScanIter {
+        let mut cursors: Vec<std::vec::IntoIter<Row>> = runs
             .into_iter()
             .filter(|r| !r.is_empty())
             .map(Vec::into_iter)
@@ -746,7 +717,7 @@ impl ScanIter {
 }
 
 impl Iterator for ScanIter {
-    type Item = (Key, Ts, Arc<Value>);
+    type Item = Row;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.remaining == 0 {
@@ -785,47 +756,6 @@ impl Iterator for ScanIter {
         let capped = left.min(self.remaining);
         (capped, Some(capped))
     }
-}
-
-/// Merge per-shard key-sorted runs (disjoint key sets) into one sorted
-/// vector. `key` projects the sort key out of an item.
-fn merge_runs<T, F>(mut runs: Vec<Vec<T>>, key: F) -> Vec<T>
-where
-    F: Fn(&T) -> &Key,
-{
-    runs.retain(|r| !r.is_empty());
-    match runs.len() {
-        0 => return Vec::new(),
-        // lint:allow(unwrap): len() == 1 was just matched
-        1 => return runs.pop().expect("non-empty"),
-        _ => {}
-    }
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut cursors: Vec<std::vec::IntoIter<T>> = runs.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<T>> = cursors.iter_mut().map(Iterator::next).collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut min: Option<usize> = None;
-        for (i, head) in heads.iter().enumerate() {
-            if let Some(item) = head {
-                match min {
-                    Some(m) => {
-                        // lint:allow(unwrap): m indexes a head the loop saw as Some
-                        if key(item) < key(heads[m].as_ref().expect("min head present")) {
-                            min = Some(i);
-                        }
-                    }
-                    None => min = Some(i),
-                }
-            }
-        }
-        let Some(m) = min else { break };
-        // lint:allow(unwrap): min was set only after observing heads[m].is_some()
-        let item = heads[m].take().expect("selected head present");
-        out.push(item);
-        heads[m] = cursors[m].next();
-    }
-    out
 }
 
 #[cfg(test)]
@@ -872,8 +802,8 @@ mod tests {
             s.visible(&rid(1), Ts(25)).is_some(),
             "tombstone is a version"
         );
-        assert!(s.live_keys(C, Ts(15)).contains(&Key::int(1)));
-        assert!(s.live_keys(C, Ts(25)).is_empty());
+        assert_eq!(s.scan(C, Ts(15))[0].0, Key::int(1));
+        assert!(s.scan(C, Ts(25)).is_empty());
     }
 
     #[test]
@@ -923,7 +853,7 @@ mod tests {
         let (_, dead) = s.gc(Ts(30));
         assert_eq!(dead, 1);
         assert_eq!(s.chain_count(), 0);
-        assert!(s.live_keys(C, Ts(40)).is_empty());
+        assert!(s.scan(C, Ts(40)).is_empty());
         // tombstone newer than the watermark must survive
         s.install(rid(2), Ts(50), some(Value::Int(2)));
         s.install(rid(2), Ts(60), None);
@@ -1013,9 +943,9 @@ mod tests {
                 .write()
                 .install(RecordId::new(C, key), Ts(1), some(Value::Int(k)));
         }
-        let rows = s.scan_merged(C, Ts::MAX);
+        let rows: Vec<Row> = s.scan_iter(C, Ts::MAX, None, None).collect();
         assert_eq!(rows.len(), 100);
-        for (i, (k, v)) in rows.iter().enumerate() {
+        for (i, (k, _, v)) in rows.iter().enumerate() {
             assert_eq!(k, &Key::int(i as i64), "key order after merge");
             assert_eq!(v.as_ref(), &Value::Int(i as i64));
         }
@@ -1023,46 +953,57 @@ mod tests {
         assert_eq!((versions, chains, max_chain), (100, 100, 1));
     }
 
-    #[test]
-    fn filter_scan_parallel_equals_sequential() {
-        let s = ShardedStorage::new(4);
-        for k in 0..200i64 {
+    /// `n` rows `k → k % 5` hashed over `shards` partitions.
+    fn mod5_store(shards: usize, n: i64) -> ShardedStorage {
+        let s = ShardedStorage::new(shards);
+        for k in 0..n {
             let key = Key::int(k);
             let si = s.shard_of(&key);
             s.shard(si)
                 .write()
                 .install(RecordId::new(C, key), Ts(1), some(Value::Int(k % 5)));
         }
-        let sequential = s.filter_scan(C, Ts::MAX, false, |v| v == &Value::Int(3));
-        let parallel = s.filter_scan(C, Ts::MAX, true, |v| v == &Value::Int(3));
-        assert_eq!(sequential, parallel);
-        assert_eq!(sequential.len(), 40);
+        s
+    }
+
+    #[test]
+    fn scan_iter_fan_out_equals_inline() {
+        let s = mod5_store(4, 200);
+        let matches = |v: &Value| v == &Value::Int(3);
+        // force each branch: the rule itself needs >1 core and ≥4096 keys
+        let merged = |fan_out: bool| -> Vec<Row> {
+            ScanIter::new(
+                s.gather_runs(C, Ts::MAX, Some(&matches), None, fan_out),
+                None,
+            )
+            .collect()
+        };
+        assert_eq!(merged(false), merged(true));
+        assert_eq!(merged(true).len(), 40);
+        let keys: Vec<i64> = merged(true)
+            .iter()
+            .map(|r| r.0.value().as_int().unwrap())
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "key order: {keys:?}");
     }
 
     #[test]
     fn scan_iter_pushes_down_predicate_and_limit() {
         for shards in [1usize, 3, 8] {
-            let s = ShardedStorage::new(shards);
-            for k in 0..200i64 {
-                let key = Key::int(k);
-                let si = s.shard_of(&key);
-                s.shard(si)
-                    .write()
-                    .install(RecordId::new(C, key), Ts(1), some(Value::Int(k % 5)));
-            }
-            // unfiltered, unlimited: identical to the materialized scan
-            let streamed: Vec<(Key, Ts, Arc<Value>)> =
-                s.scan_iter(C, Ts::MAX, None, None).collect();
-            assert_eq!(streamed, s.scan_merged_with_ts(C, Ts::MAX));
+            let s = mod5_store(shards, 200);
+            let row = |k: i64| (Key::int(k), Ts(1), Arc::new(Value::Int(k % 5)));
+            // unfiltered, unlimited: every row, in key order
+            let streamed: Vec<Row> = s.scan_iter(C, Ts::MAX, None, None).collect();
+            assert_eq!(streamed, (0..200).map(row).collect::<Vec<Row>>());
 
-            // predicate + limit: exactly the filtered scan's prefix
+            // predicate + limit: exactly the filtered rows' prefix
             let matches = |v: &Value| v == &Value::Int(3);
-            let full: Vec<(Key, Ts, Arc<Value>)> = s.filter_scan(C, Ts::MAX, false, matches);
+            let full: Vec<Row> = (0..200).filter(|k| k % 5 == 3).map(row).collect();
             for limit in [0usize, 1, 7, 40, 1000] {
-                let got: Vec<(Key, Ts, Arc<Value>)> = s
+                let got: Vec<Row> = s
                     .scan_iter(C, Ts::MAX, Some(&matches), Some(limit))
                     .collect();
-                let want: Vec<(Key, Ts, Arc<Value>)> = full.iter().take(limit).cloned().collect();
+                let want: Vec<Row> = full.iter().take(limit).cloned().collect();
                 assert_eq!(got, want, "shards={shards} limit={limit}");
             }
         }

@@ -146,6 +146,15 @@ impl TxnState {
         }
     }
 
+    /// The timestamp this transaction reads at: latest-committed under
+    /// `ReadCommitted`, the begin-time snapshot otherwise.
+    pub fn read_ts(&self) -> Ts {
+        match self.isolation {
+            Isolation::ReadCommitted => Ts::MAX,
+            _ => self.snapshot,
+        }
+    }
+
     /// Record a buffered write.
     pub fn buffer_write(&mut self, rid: RecordId, value: Option<Value>) {
         if !self.writes.contains_key(&rid) {

@@ -31,7 +31,7 @@ pub fn apply(engine: &Engine, op: &EvolutionOp) -> Result<MigrationStats> {
     const BATCH: usize = 512;
     let keys: Vec<udbms_core::Key> = {
         let mut t = engine.begin(Isolation::Snapshot);
-        let out = t.scan(&name)?.into_iter().map(|(k, _)| k).collect();
+        let out = t.scan_shared(&name)?.into_iter().map(|(k, _)| k).collect();
         t.abort();
         out
     };

@@ -101,9 +101,7 @@ impl PlanCache {
                 drop(shelf);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 if let Some(o) = self.obs.get() {
-                    if o.obs.is_enabled() {
-                        o.hit_counter.inc();
-                    }
+                    o.hit_counter.inc();
                 }
                 return Ok(plan);
             }
@@ -114,9 +112,7 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = self.obs.get() {
             o.obs.record_ns(&o.parse_ns, parse_stamp);
-            if o.obs.is_enabled() {
-                o.miss_counter.inc();
-            }
+            o.miss_counter.inc();
         }
         let mut shelf = self.shelf.lock();
         shelf.tick += 1;

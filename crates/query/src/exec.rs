@@ -1,12 +1,12 @@
 //! The MMQL executor: a materialized clause pipeline with predicate
-//! pushdown into the engine's index-accelerated `select`.
+//! pushdown into the engine's index-accelerated `Txn::rows`.
 //!
 //! Read-path fast lanes (see DESIGN.md "Read path"):
 //! * everything below is decided once per query body, in its
 //!   [`ClausePlan`]s, and reused by every execution and by `explain`;
-//! * collection sources iterate `Arc`-shared rows (`scan_shared` /
-//!   `select_shared`) and expressions evaluate borrowed — no per-row
-//!   deep clone between storage and the result;
+//! * collection sources iterate `Arc`-shared rows (`Txn::rows`) and
+//!   expressions evaluate borrowed — no per-row deep clone between
+//!   storage and the result;
 //! * a residual `FILTER` that is row-local compiles into a
 //!   [`CompiledPred`] closure tree and runs against the borrowed row,
 //!   skipping the `Env` binding for rejected rows;
@@ -411,15 +411,8 @@ fn source_items(
                 bound = scan.bind(env, txn)?;
                 Some(&bound)
             };
-            return match (pred, scan.limit) {
-                (Some(pred), limit) => txn.select_limited(name, pred, limit),
-                (None, Some(n)) => Ok(txn
-                    .scan_limited(name, n)?
-                    .into_iter()
-                    .map(|(_, v)| v)
-                    .collect()),
-                (None, None) => Ok(txn.scan_shared(name)?.into_iter().map(|(_, v)| v).collect()),
-            };
+            let rows = txn.rows(name, pred, scan.limit)?;
+            return Ok(rows.into_iter().map(|(_, v)| v).collect());
         }
         (Source::Collection(name), None) => Val::Ref(env.get(name).unwrap_or(&Value::Null)),
         (Source::Expr(e), _) => eval_ref(e, env, txn)?,

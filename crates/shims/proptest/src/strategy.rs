@@ -393,7 +393,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Vector strategy returned by [`vec`].
+    /// Vector strategy returned by [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

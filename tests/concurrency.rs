@@ -65,13 +65,13 @@ fn order_update_storm_preserves_cross_model_invariants() {
     engine
         .run(Isolation::Snapshot, |t| {
             // (a) stock never went negative
-            for (key, product) in t.scan("products")? {
+            for (key, product) in t.scan_shared("products")? {
                 let stock = product.get_field("stock").as_int().unwrap_or(0);
                 assert!(stock >= 0, "negative stock on {key}");
             }
             // (b) every shipped order's invoice is shipped too (the
             //     cross-model atomicity the paper's example demands)
-            for (_, order) in t.scan("orders")? {
+            for (_, order) in t.scan_shared("orders")? {
                 if order.get_field("status") == &Value::from("shipped") {
                     let oid = order.get_field("_id").as_str().unwrap();
                     let st = t.xpath(
@@ -127,9 +127,9 @@ fn concurrent_readers_see_stable_snapshots_during_storm() {
     // readers: within one snapshot txn, two scans must agree exactly
     for _ in 0..20 {
         let mut txn = engine.begin(Isolation::Snapshot);
-        let scan1 = txn.scan("orders").unwrap();
+        let scan1 = txn.scan_shared("orders").unwrap();
         std::thread::yield_now();
-        let scan2 = txn.scan("orders").unwrap();
+        let scan2 = txn.scan_shared("orders").unwrap();
         assert_eq!(scan1, scan2, "snapshot reads must be repeatable");
         txn.abort();
     }

@@ -120,11 +120,11 @@ fn replay_after_truncation_is_shard_count_independent() {
         .set_len(cut)
         .unwrap();
 
-    let mut scans: Vec<Vec<(Key, Value)>> = Vec::new();
+    let mut scans = Vec::new();
     for shards in [1usize, 3, 8] {
         let engine = Engine::with_wal_config(&path, config(shards)).expect("recover");
         let mut t = engine.begin(Isolation::Snapshot);
-        scans.push(t.scan("ns").unwrap());
+        scans.push(t.scan_shared("ns").unwrap());
     }
     assert_eq!(scans[0].len(), 10);
     assert_eq!(scans[0], scans[1], "1 vs 3 shards");
@@ -162,7 +162,7 @@ fn every_durability_level_survives_clean_restart() {
             let engine = Engine::with_wal(&path).unwrap();
             let mut t = engine.begin(Isolation::Snapshot);
             assert_eq!(
-                t.scan("ns").unwrap().len(),
+                t.scan_shared("ns").unwrap().len(),
                 50,
                 "{durability} group_commit={group_commit}"
             );
@@ -208,7 +208,7 @@ fn concurrent_group_commits_log_in_timestamp_order() {
     // and the log replays into the same 100 records
     let engine = Engine::with_wal(&path).unwrap();
     let mut t = engine.begin(Isolation::Snapshot);
-    assert_eq!(t.scan("ns").unwrap().len(), 100);
+    assert_eq!(t.scan_shared("ns").unwrap().len(), 100);
     drop(t);
     drop(engine);
     std::fs::remove_file(&path).unwrap();
@@ -246,7 +246,7 @@ fn checkpoint_under_concurrent_commits_loses_nothing() {
     let engine = Engine::with_wal(&path).unwrap();
     let mut t = engine.begin(Isolation::Snapshot);
     assert_eq!(
-        t.scan("ns").unwrap().len(),
+        t.scan_shared("ns").unwrap().len(),
         120,
         "no commit may vanish across concurrent checkpoints + recovery"
     );
@@ -306,7 +306,7 @@ proptest! {
         let engine = Engine::with_wal_config(&path, config(shards)).expect("re-open");
         let _ = engine.create_collection(CollectionSchema::key_value("ns"));
         let mut t = engine.begin(Isolation::Snapshot);
-        prop_assert_eq!(t.scan("ns").unwrap().len(), expected);
+        prop_assert_eq!(t.scan_shared("ns").unwrap().len(), expected);
         drop(t);
         drop(engine);
         std::fs::remove_file(&path).unwrap();

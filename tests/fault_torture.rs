@@ -249,7 +249,7 @@ fn engine_crash_image_recovers_a_complete_commit_prefix() {
     // whatever else survived is a contiguous prefix of the commit order
     let recovered = Engine::with_wal(&image).expect("crash image must recover");
     let mut t = recovered.begin(Isolation::Snapshot);
-    let rows = t.scan("ns").unwrap();
+    let rows = t.scan_shared("ns").unwrap();
     let n = rows.len() as i64;
     assert!(n >= acked, "acked commits lost: {n} < {acked}");
     for i in 0..n {

@@ -143,14 +143,14 @@ proptest! {
             scope.spawn(|| {
                 for _ in 0..reads {
                     let mut lane = engine.begin_read();
-                    let _ = lane.scan("ns");
+                    let _ = lane.scan_shared("ns");
                     lane.commit().unwrap();
                 }
             });
         });
         // every commit survived the interleaving
         let mut t = engine.begin(Isolation::Snapshot);
-        prop_assert_eq!(t.scan("ns").unwrap().len(), 2 * commits_per_writer);
+        prop_assert_eq!(t.scan_shared("ns").unwrap().len(), 2 * commits_per_writer);
         drop(t);
         drop(engine);
         let _ = std::fs::remove_file(&path);

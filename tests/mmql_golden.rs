@@ -147,7 +147,7 @@ fn golden_cross_model_consistency_of_feedback_keys() {
     assert_eq!(out.len(), q(&e, "FOR fb IN feedback RETURN 1").len());
     // the real invariant, via scan:
     let mut txn = e.begin(Isolation::Snapshot);
-    for (k, v) in txn.scan("feedback").unwrap() {
+    for (k, v) in txn.scan_shared("feedback").unwrap() {
         let expected = format!(
             "fb:{}:C{}",
             v.get_field("product").as_str().unwrap(),

@@ -6,14 +6,15 @@
 //! agrees with a plain group-by over the scanned rows, and Q1–Q10 agree
 //! with the polyglot oracle on three seeds.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use udbms_core::{obj, CollectionSchema, Key, Params, Value};
+use udbms_core::{obj, CollectionSchema, FieldPath, Key, Params, Value};
 use udbms_engine::{Engine, Isolation};
 use udbms_query::{eval, BinOp, CompiledPred, Env, Expr, MemberStep, Query, UnOp};
-use udbms_relational::Predicate;
+use udbms_relational::{IndexKind, Predicate};
 
 /// Build a deterministic expression tree over loop variable `r` from an
 /// opcode spec. Covers literals, member paths (present and missing),
@@ -303,46 +304,97 @@ proptest! {
         }
     }
 
-    /// `scan_limited` / `select_limited` return exactly the materialized
-    /// scan's prefix at shard counts 1, 3 and 8, for arbitrary data and
-    /// limits.
+    /// The general read `Txn::rows` returns what a model built from
+    /// independent parts returns — a full committed scan, then
+    /// `Predicate::matches`, then the buffered writes laid over it, then
+    /// `truncate` — in key order, at every isolation level, with and
+    /// without buffered writes on the collection (inserts, overwrites
+    /// that stop matching, deletes), for every access path (scan, hash
+    /// index, B-tree index, `Null` probe on an indexed path, primary-key
+    /// point read) and limit, at shard counts 1, 3 and 8.
     #[test]
-    fn limited_scans_are_materialized_prefixes(
-        rows in prop::collection::vec((0i64..96, 0i64..6, -50i64..50), 1..80),
-        probe_g in 0i64..6,
-        limit in 0usize..40,
+    fn general_read_agrees_with_the_model(
+        rows in prop::collection::vec((0i64..64, 0i64..7, -50i64..50), 1..80),
+        own in prop::collection::vec((0u8..3, 0i64..80, 0i64..7, -50i64..50), 1..12),
+        probe in (0i64..6, -50i64..50, 0i64..40, 0i64..80, any::<bool>()),
+        limit in 2usize..40,
     ) {
+        // g == 6 stands for "no g field": what a Null probe must find
+        let doc = |k: i64, g: i64, n: i64| {
+            let mut doc = obj! {"_id" => k, "n" => n, "u" => format!("s{}", n.rem_euclid(3))};
+            if g < 6 {
+                doc.as_object_mut().unwrap().insert("g".into(), Value::Int(g));
+            }
+            doc
+        };
+        let (probe_g, lo, span, pk, open_ended) = probe;
+        let preds: [(&str, Option<Predicate>); 6] = [
+            ("no predicate", None),
+            ("hash-indexed equality", Some(Predicate::eq("g", Value::Int(probe_g)))),
+            ("btree-indexed range", Some(if open_ended {
+                Predicate::lt("n", Value::Int(lo))
+            } else {
+                Predicate::between("n", Value::Int(lo), Value::Int(lo + span))
+            })),
+            ("unindexed", Some(Predicate::eq("u", Value::from(format!("s{}", lo.rem_euclid(3)))))),
+            ("Null probe on an indexed path", Some(Predicate::eq("g", Value::Null))),
+            ("primary-key equality", Some(Predicate::eq("_id", Value::Int(pk)))),
+        ];
         for shards in [1usize, 3, 8] {
             let engine = Engine::with_shards(shards);
             engine
-                .create_collection(CollectionSchema::key_value("data"))
+                .create_collection(CollectionSchema::document("data", "_id", vec![]))
                 .unwrap();
+            engine.create_index("data", FieldPath::key("g"), IndexKind::Hash).unwrap();
+            engine.create_index("data", FieldPath::key("n"), IndexKind::BTree).unwrap();
             engine
                 .run(Isolation::Snapshot, |t| {
                     for (k, g, n) in &rows {
-                        t.put("data", Key::int(*k), obj! {"g" => *g, "n" => *n})?;
+                        t.put("data", Key::int(*k), doc(*k, *g, *n))?;
                     }
                     Ok(())
                 })
                 .unwrap();
-            let mut t = engine.begin(Isolation::Snapshot);
-            let full = t.scan_shared("data").unwrap();
-            let limited = t.scan_limited("data", limit).unwrap();
-            prop_assert_eq!(
-                &limited,
-                &full[..limit.min(full.len())].to_vec(),
-                "scan prefix diverged at {} shard(s)",
-                shards
-            );
-            let pred = Predicate::eq("g", Value::Int(probe_g));
-            let matches = t.select_shared("data", &pred).unwrap();
-            let bounded = t.select_limited("data", &pred, Some(limit)).unwrap();
-            prop_assert_eq!(
-                &bounded,
-                &matches[..limit.min(matches.len())].to_vec(),
-                "select prefix diverged at {} shard(s)",
-                shards
-            );
+            let committed: BTreeMap<Key, Arc<Value>> =
+                engine.begin_read().scan_shared("data").unwrap().into_iter().collect();
+            prop_assert!(committed.len() <= rows.len());
+            for isolation in [Isolation::ReadCommitted, Isolation::Snapshot, Isolation::Serializable] {
+                for buffered in [false, true] {
+                    let mut t = engine.begin(isolation);
+                    let mut model = committed.clone();
+                    for (kind, k, g, n) in own.iter().filter(|_| buffered) {
+                        // kind 1 overwrites a committed row with one no probe matches
+                        let (k, g, n) = if *kind == 1 { (rows[*k as usize % rows.len()].0, 9, 999) } else { (*k, *g, *n) };
+                        if *kind == 2 {
+                            t.delete("data", &Key::int(k)).unwrap();
+                            model.remove(&Key::int(k));
+                        } else {
+                            t.put("data", Key::int(k), doc(k, g, n)).unwrap();
+                            model.insert(Key::int(k), Arc::new(doc(k, g, n)));
+                        }
+                    }
+                    prop_assert_eq!(
+                        t.scan_shared("data").unwrap(),
+                        model.clone().into_iter().collect::<Vec<_>>()
+                    );
+                    for (name, pred) in &preds {
+                        for limit in [None, Some(0), Some(1), Some(limit)] {
+                            let want: Vec<(Key, Arc<Value>)> = model
+                                .iter()
+                                .filter(|(_, row)| pred.as_ref().is_none_or(|p| p.matches(row)))
+                                .take(limit.unwrap_or(usize::MAX))
+                                .map(|(k, row)| (k.clone(), Arc::clone(row)))
+                                .collect();
+                            prop_assert_eq!(
+                                t.rows("data", pred.as_ref(), limit).unwrap(),
+                                want,
+                                "{}, limit {:?}, {}, own writes: {}, {} shard(s)",
+                                name, limit, isolation, buffered, shards
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -484,6 +536,79 @@ fn values_stay_shared_through_the_txn_api() {
     let again = b.scan_shared("orders").unwrap();
     for ((_, x), (_, y)) in scanned.iter().zip(&again) {
         assert!(Arc::ptr_eq(x, y), "scan must not copy stored rows");
+    }
+}
+
+/// A serializable read notes every record it *examined*, matching or
+/// not, and a limit does not shrink that set: deciding from the absence
+/// of matches aborts when a non-matching record starts to match
+/// (predicate-emptiness write skew). A primary-key equality is a point
+/// read — it examines one record, so a change elsewhere does not abort
+/// it — and under snapshot isolation the skew goes through.
+#[test]
+fn serializable_read_notes_examined_records_that_did_not_match() {
+    let open = Predicate::eq("status", Value::from("open"));
+    let decide = |isolation: Isolation, pred: &Predicate, limit: Option<usize>| {
+        let engine = social_engine();
+        engine
+            .create_collection(CollectionSchema::document("docs", "_id", vec![]))
+            .unwrap();
+        engine
+            .run(Isolation::Snapshot, |t| {
+                t.put("docs", Key::int(1), obj! {"_id" => 1, "status" => "paid"})?;
+                t.put("docs", Key::int(2), obj! {"_id" => 2, "status" => "paid"})
+            })
+            .unwrap();
+        let mut t = engine.begin(isolation);
+        let seen = t.rows("docs", Some(pred), limit).unwrap().len();
+        // concurrently, record 2 starts to match `open`
+        engine
+            .run(Isolation::Snapshot, |w| {
+                w.put("docs", Key::int(2), obj! {"_id" => 2, "status" => "open"})
+            })
+            .unwrap();
+        t.put("docs", Key::int(3), obj! {"_id" => 3, "decided" => true})
+            .unwrap();
+        (seen, t.commit())
+    };
+    for limit in [None, Some(1), Some(0)] {
+        let (seen, commit) = decide(Isolation::Serializable, &open, limit);
+        assert_eq!(seen, 0);
+        assert!(
+            commit.unwrap_err().is_retryable(),
+            "record 2 was examined, so its change must abort (limit {limit:?})"
+        );
+    }
+    let (_, commit) = decide(Isolation::Snapshot, &open, None);
+    commit.expect("snapshot isolation permits the skew");
+    let by_pk = Predicate::eq("_id", Value::Int(1));
+    let (seen, commit) = decide(Isolation::Serializable, &by_pk, None);
+    assert_eq!(seen, 1);
+    commit.expect("a point read examines record 1 only");
+}
+
+/// Integers that differ only below `f64` precision are different keys:
+/// both survive a transaction and a scan, at shard counts 1, 3 and 8.
+#[test]
+fn integer_keys_above_2_pow_53_stay_distinct() {
+    let (a, b) = (1i64 << 53, (1i64 << 53) + 1);
+    for shards in [1usize, 3, 8] {
+        let engine = Engine::with_shards(shards);
+        engine
+            .create_collection(CollectionSchema::key_value("big"))
+            .unwrap();
+        engine
+            .run(Isolation::Snapshot, |t| {
+                t.put("big", Key::int(a), Value::Int(a))?;
+                t.put("big", Key::int(b), Value::Int(b))
+            })
+            .unwrap();
+        let rows = engine.begin_read().scan_shared("big").unwrap();
+        let want = vec![
+            (Key::int(a), Arc::new(Value::Int(a))),
+            (Key::int(b), Arc::new(Value::Int(b))),
+        ];
+        assert_eq!(rows, want, "{shards} shard(s)");
     }
 }
 

@@ -5,6 +5,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use udbms_core::{obj, CollectionSchema, FieldPath, Key, Value};
@@ -81,7 +82,7 @@ fn concurrent_multi_shard_puts_are_atomic_under_scan() {
                 let mut observed = 0i64;
                 while !done.load(Ordering::SeqCst) {
                     let mut t = engine.begin(Isolation::Snapshot);
-                    let scanned = t.scan("pairs").unwrap();
+                    let scanned = t.scan_shared("pairs").unwrap();
                     assert_eq!(scanned.len(), keys.len(), "reader {reader}");
                     let rounds: Vec<i64> =
                         scanned.iter().map(|(_, v)| v.as_int().unwrap()).collect();
@@ -139,7 +140,7 @@ fn concurrent_disjoint_writers_across_shards_all_land() {
         }
     });
     let mut t = engine.begin(Isolation::Snapshot);
-    let rows = t.scan("grid").unwrap();
+    let rows = t.scan_shared("grid").unwrap();
     assert_eq!(rows.len(), (WRITERS * PER_WRITER) as usize);
     for (k, v) in rows {
         assert_eq!(v.as_int().unwrap(), k.value().as_int().unwrap() * 2);
@@ -159,7 +160,7 @@ fn wal_replay_is_shard_count_independent() {
     path.push(format!("udbms-shard-wal-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
 
-    let expected: BTreeMap<Key, Value> = {
+    let expected: BTreeMap<Key, Arc<Value>> = {
         let engine = Engine::with_wal_config(
             &path,
             udbms_engine::EngineConfig {
@@ -188,7 +189,7 @@ fn wal_replay_is_shard_count_independent() {
             })
             .unwrap();
         let mut t = engine.begin(Isolation::Snapshot);
-        t.scan("ns").unwrap().into_iter().collect()
+        t.scan_shared("ns").unwrap().into_iter().collect()
     };
     assert!(!expected.is_empty());
 
@@ -202,7 +203,8 @@ fn wal_replay_is_shard_count_independent() {
         )
         .unwrap();
         let mut t = engine.begin(Isolation::Snapshot);
-        let recovered: BTreeMap<Key, Value> = t.scan("ns").unwrap().into_iter().collect();
+        let recovered: BTreeMap<Key, Arc<Value>> =
+            t.scan_shared("ns").unwrap().into_iter().collect();
         assert_eq!(recovered, expected, "replay at {shards} shard(s) diverged");
         assert_eq!(engine.stats().shards, shards);
     }
@@ -228,21 +230,18 @@ fn wal_replay_is_shard_count_independent() {
     )
     .unwrap();
     let mut t = engine.begin(Isolation::Snapshot);
-    let recovered: BTreeMap<Key, Value> = t.scan("ns").unwrap().into_iter().collect();
+    let recovered: BTreeMap<Key, Arc<Value>> = t.scan_shared("ns").unwrap().into_iter().collect();
     assert_eq!(recovered, expected, "post-checkpoint recovery diverged");
     drop(t);
     std::fs::remove_file(&path).unwrap();
 }
 
-fn sorted(mut v: Vec<Value>) -> Vec<Value> {
-    v.sort();
-    v
-}
-
 proptest! {
     /// A sharded engine and a single-shard engine loaded with the same
-    /// random dataset answer every probe identically: indexed select,
-    /// forced full select_scan, and ordered scan.
+    /// random dataset answer every probe identically: the indexed read,
+    /// the oracle (a full scan filtered with `Predicate::matches`, which
+    /// shares nothing with the engine's predicate path), and the ordered
+    /// scan.
     #[test]
     fn sharded_select_equals_single_shard(
         rows in prop::collection::vec((0i64..64, 0i64..8, -100i64..100), 1..80),
@@ -270,10 +269,11 @@ proptest! {
         let mut results = Vec::new();
         for engine in &engines {
             let mut t = engine.begin(Isolation::Snapshot);
-            let via_index = sorted(t.select("data", &pred).unwrap());
-            let via_scan = sorted(t.select_scan("data", &pred).unwrap());
+            let via_index = t.rows("data", Some(&pred), None).unwrap();
+            let ordered = t.scan_shared("data").unwrap();
+            let mut via_scan = ordered.clone();
+            via_scan.retain(|(_, row)| pred.matches(row));
             prop_assert_eq!(&via_index, &via_scan, "index vs scan diverged");
-            let ordered = t.scan("data").unwrap();
             prop_assert!(
                 ordered.windows(2).all(|w| w[0].0 < w[1].0),
                 "scan not key-ordered"
@@ -328,6 +328,6 @@ proptest! {
         prop_assert_eq!(n_batched, n_singleton);
         let mut tb = batched.begin(Isolation::Snapshot);
         let mut ts = singleton.begin(Isolation::Snapshot);
-        prop_assert_eq!(tb.scan("kv").unwrap(), ts.scan("kv").unwrap());
+        prop_assert_eq!(tb.scan_shared("kv").unwrap(), ts.scan_shared("kv").unwrap());
     }
 }
