@@ -12,9 +12,10 @@
 //! metric is scored by its best run (best-of-N shields scheduler-noise
 //! spikes; a real regression depresses every run).
 //!
-//! Compares the gated throughput metrics (E2, E4a, E6, E8, E9, E10,
-//! E11) against the
-//! committed baseline, normalized by the median current/baseline ratio
+//! Compares the gated throughput metrics (the rows of every experiment
+//! `udbms_bench::EXPERIMENTS` gives a `Gate`: E2, E4a, E6, E8–E12)
+//! against the committed baseline, normalized by the median
+//! current/baseline ratio
 //! so machine speed cancels out (see `udbms_bench::gate`). Exits
 //! non-zero when any metric regresses more than the tolerance below
 //! that normalized expectation, or when a baseline metric disappeared

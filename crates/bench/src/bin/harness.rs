@@ -1,4 +1,5 @@
-//! The experiment harness: regenerates every table of EXPERIMENTS.md.
+//! The experiment harness: runs the experiments of
+//! [`udbms_bench::EXPERIMENTS`] and prints their tables.
 //!
 //! ```sh
 //! cargo run --release -p udbms-bench --bin harness            # everything, full profile
@@ -7,9 +8,8 @@
 //! cargo run --release -p udbms-bench --bin harness -- --clients 8 --shards 8 e6
 //! cargo run --release -p udbms-bench --bin harness -- --json out.json e2 e4a e6
 //! cargo run --release -p udbms-bench --bin harness -- --durability flush e8
-//! cargo run --release -p udbms-bench --bin harness -- --experiments e8 --json
+//! cargo run --release -p udbms-bench --bin harness -- e8 --json
 //! cargo run --release -p udbms-bench --bin harness -- --obs off e9
-//! cargo run --release -p udbms-bench --bin harness -- --obs-check
 //! ```
 //!
 //! `--clients N` sets the concurrent client threads the Subject-driven
@@ -29,31 +29,82 @@
 //! rate); `--faults SEED` seeds the E12 fault plan's deterministic
 //! draws and backoff jitter (E12 always injects; the seed only fixes
 //! the randomness); `--retries N` sets the E12 retry policy's bounded
-//! conflict-retry budget (default 8); `--obs-check` runs a standalone observability smoke test (a
-//! WAL-backed engine must produce non-zero commit-stage histograms, a
-//! captured slow query and parseable exports) and exits non-zero on
-//! failure; `--json [path]` additionally writes every produced report
-//! as machine-readable JSON, including the cross-experiment results
-//! matrix under a `"matrix"` key (an explicit path must end in `.json`
-//! — that suffix is what tells a path apart from an experiment id;
-//! default `bench-report.json`; the `BENCH_*.json` perf trajectory
-//! input and what the `bench_gate` binary compares against
-//! `bench/baseline.json`). Experiments select by bare id; the
-//! `--experiments` flag is an accepted no-op prefix for them.
+//! conflict-retry budget (default 8); `--json [path]` additionally
+//! writes every produced report as machine-readable JSON — the whole
+//! run profile as top-level keys, so a report can be reproduced from
+//! itself, and the cross-experiment results matrix under a `"matrix"`
+//! key (an explicit path must end in `.json` — that suffix is what
+//! tells a path apart from an experiment id; default
+//! `bench-report.json`; the `BENCH_*.json` perf trajectory input and
+//! what the `bench_gate` binary compares against
+//! `bench/baseline.json`). Experiments select by bare id.
 
-use udbms_bench::{attach_matrix, experiments, ModeFilter, Report, RunScale};
+use udbms_bench::{attach_matrix, select, ModeFilter, RunScale, DEFAULT_FAULT_SEED};
 use udbms_core::Value;
-use udbms_datagen::{generate, workload, GenConfig, KeyDist, ValueShape};
-use udbms_driver::{Durability, EngineConfig, EngineSubject, Subject, TxnOp};
+use udbms_datagen::{KeyDist, ValueShape};
+use udbms_driver::Durability;
 
-/// One selectable experiment: id + the function that produces its table.
-type Experiment = (&'static str, fn(RunScale) -> Report);
+/// The value of the flag at `args[*i]`: the next argument, through
+/// `parse`. A missing, flag-like or unparseable value exits 2 saying
+/// what the flag `needs`.
+fn flag_value<T>(
+    args: &[String],
+    i: &mut usize,
+    needs: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> T {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i)
+        .filter(|v| !v.starts_with("--"))
+        .and_then(|v| parse(v))
+        .unwrap_or_else(|| die(&format!("{flag} needs {needs}")))
+}
+
+/// The run profile, one `(name, value)` per setting: the banner and the
+/// `--json` header both print this list, so neither can omit a setting
+/// the other shows.
+fn profile(quick: bool, scale: &RunScale) -> Vec<(&'static str, Value)> {
+    let int = |n: usize| Value::Int(n as i64);
+    vec![
+        ("profile", Value::from(if quick { "quick" } else { "full" })),
+        ("sf", Value::Float(scale.sf)),
+        ("reps", int(scale.reps)),
+        ("trials", int(scale.trials)),
+        ("clients", int(scale.clients)),
+        ("shards", int(scale.shards)),
+        (
+            "durability",
+            Value::from(
+                scale
+                    .durability
+                    .map_or("all".to_string(), |d| d.to_string()),
+            ),
+        ),
+        ("obs", Value::from(if scale.obs { "on" } else { "off" })),
+        ("slow_query_ms", Value::Int(scale.slow_query_ms as i64)),
+        ("key_dist", Value::from(scale.key_dist.label())),
+        ("value_shape", Value::from(scale.value_shape.label())),
+        (
+            "mode",
+            Value::from(match scale.mode {
+                None => "both",
+                Some(ModeFilter::Closed) => "closed",
+                Some(ModeFilter::Open) => "open",
+            }),
+        ),
+        ("rate", scale.rate.map_or(Value::from("auto"), Value::Float)),
+        // the effective seed, as text: a u64 need not fit a JSON integer
+        (
+            "fault_seed",
+            Value::from(scale.fault_seed.unwrap_or(DEFAULT_FAULT_SEED).to_string()),
+        ),
+        ("retries", Value::Int(i64::from(scale.retries))),
+    ]
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--obs-check") {
-        obs_check();
-    }
     let quick = args.iter().any(|a| a == "--quick");
     let mut scale = if quick {
         RunScale::quick()
@@ -61,7 +112,7 @@ fn main() {
         RunScale::full()
     };
 
-    // flags with values: --clients N, --json PATH
+    let positive = |v: &str| v.parse::<usize>().ok().filter(|n| *n > 0);
     let mut wanted: Vec<&str> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut i = 0;
@@ -69,112 +120,56 @@ fn main() {
         match args[i].as_str() {
             "--quick" => {}
             "--clients" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .filter(|v| !v.starts_with("--"))
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| die("--clients needs a positive integer"));
-                scale = scale.with_clients(n);
+                scale.clients = flag_value(&args, &mut i, "a positive integer", positive)
             }
-            "--shards" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .filter(|v| !v.starts_with("--"))
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| die("--shards needs a positive integer"));
-                scale = scale.with_shards(n);
-            }
+            "--shards" => scale.shards = flag_value(&args, &mut i, "a positive integer", positive),
             "--durability" => {
-                i += 1;
-                let level = args
-                    .get(i)
-                    .filter(|v| !v.starts_with("--"))
-                    .and_then(|v| Durability::parse(v))
-                    .unwrap_or_else(|| die("--durability needs one of: buffered, flush, fsync"));
-                scale = scale.with_durability(level);
+                let needs = "one of: buffered, flush, fsync";
+                scale.durability = Some(flag_value(&args, &mut i, needs, Durability::parse));
             }
             "--obs" => {
-                i += 1;
-                let on = match args.get(i).map(String::as_str) {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => die("--obs needs `on` or `off`"),
-                };
-                scale = scale.with_obs(on);
+                scale.obs = flag_value(&args, &mut i, "`on` or `off`", |v| match v {
+                    "on" => Some(true),
+                    "off" => Some(false),
+                    _ => None,
+                });
             }
             "--slow-query-ms" => {
-                i += 1;
-                let ms = args
-                    .get(i)
-                    .filter(|v| !v.starts_with("--"))
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or_else(|| die("--slow-query-ms needs a non-negative integer"));
-                scale = scale.with_slow_query_ms(ms);
+                scale.slow_query_ms =
+                    flag_value(&args, &mut i, "a non-negative integer", |v| v.parse().ok());
             }
             "--key-dist" => {
-                i += 1;
-                let dist = args
-                    .get(i)
-                    .filter(|v| !v.starts_with("--"))
-                    .and_then(|v| KeyDist::parse(v))
-                    .unwrap_or_else(|| die("--key-dist needs uniform, zipf, or zipf:THETA"));
-                scale = scale.with_key_dist(dist);
+                let needs = "uniform, zipf, or zipf:THETA";
+                scale.key_dist = flag_value(&args, &mut i, needs, KeyDist::parse);
             }
             "--value-shape" => {
-                i += 1;
-                let shape = args
-                    .get(i)
-                    .filter(|v| !v.starts_with("--"))
-                    .and_then(|v| ValueShape::parse(v))
-                    .unwrap_or_else(|| {
-                        die("--value-shape needs flat, nested, deep, or DEPTH,FANOUT,ARRAY,STRING")
-                    });
-                scale = scale.with_value_shape(shape);
+                let needs = "flat, nested, deep, or DEPTH,FANOUT,ARRAY,STRING";
+                scale.value_shape = flag_value(&args, &mut i, needs, ValueShape::parse);
             }
             "--mode" => {
-                i += 1;
-                let mode = args
-                    .get(i)
-                    .filter(|v| !v.starts_with("--"))
-                    .and_then(|v| ModeFilter::parse(v))
-                    .unwrap_or_else(|| die("--mode needs `open` or `closed`"));
-                scale = scale.with_mode(mode);
+                scale.mode = Some(flag_value(
+                    &args,
+                    &mut i,
+                    "`open` or `closed`",
+                    ModeFilter::parse,
+                ));
             }
             "--rate" => {
-                i += 1;
-                let rate = args
-                    .get(i)
-                    .filter(|v| !v.starts_with("--"))
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|r| r.is_finite() && *r > 0.0)
-                    .unwrap_or_else(|| die("--rate needs a positive ops/sec number"));
-                scale = scale.with_rate(rate);
+                scale.rate = Some(flag_value(
+                    &args,
+                    &mut i,
+                    "a positive ops/sec number",
+                    |v| v.parse::<f64>().ok().filter(|r| r.is_finite() && *r > 0.0),
+                ));
             }
             "--faults" => {
-                i += 1;
-                let seed = args
-                    .get(i)
-                    .filter(|v| !v.starts_with("--"))
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or_else(|| die("--faults needs a u64 seed"));
-                scale = scale.with_fault_seed(seed);
+                scale.fault_seed =
+                    Some(flag_value(&args, &mut i, "a u64 seed", |v| v.parse().ok()));
             }
             "--retries" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .filter(|v| !v.starts_with("--"))
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .unwrap_or_else(|| die("--retries needs a non-negative integer"));
-                scale = scale.with_retries(n);
+                scale.retries =
+                    flag_value(&args, &mut i, "a non-negative integer", |v| v.parse().ok());
             }
-            // accepted for compatibility: experiment ids follow as plain
-            // positionals either way
-            "--experiments" => {}
             "--json" => {
                 // the path is optional, disambiguated from experiment
                 // ids by its `.json` suffix; a bare `--json` (or one
@@ -193,72 +188,24 @@ fn main() {
                 "unknown flag `{flag}` (known: --quick, --clients N, --shards N, \
                  --durability LEVEL, --obs on|off, --slow-query-ms N, --key-dist DIST, \
                  --value-shape SHAPE, --mode open|closed, --rate N, --faults SEED, \
-                 --retries N, --obs-check, --experiments, --json [PATH])"
+                 --retries N, --json [PATH])"
             )),
             id => wanted.push(id),
         }
         i += 1;
     }
+    let selected = select(&wanted).unwrap_or_else(|e| die(&e));
 
-    let menu: Vec<Experiment> = vec![
-        ("f1", experiments::f1_inventory),
-        ("e1", experiments::e1_generation),
-        ("e2", experiments::e2_queries),
-        ("e3", experiments::e3_evolution),
-        ("e4a", experiments::e4a_transactions),
-        ("e4b", experiments::e4b_acid),
-        ("e4c", experiments::e4c_eventual),
-        ("e5", experiments::e5_conversion),
-        ("e6", experiments::e6_crud_scaling),
-        ("e7", experiments::e7_ablation),
-        ("e8", experiments::e8_durability),
-        ("e9", experiments::e9_read_path),
-        ("e10", experiments::e10_obs_overhead),
-        ("e11", experiments::e11_contention_tail),
-        ("e12", experiments::e12_faults),
-    ];
-
-    let selected: Vec<&Experiment> = if wanted.is_empty() {
-        menu.iter().collect()
-    } else {
-        // every id must be known: a typo'd id (or a non-.json --json
-        // path) silently dropped would silently change what ran
-        let unknown: Vec<&&str> = wanted
-            .iter()
-            .filter(|w| !menu.iter().any(|(id, _)| id == *w))
-            .collect();
-        if !unknown.is_empty() {
-            eprintln!(
-                "unknown experiment(s) {unknown:?}; available: {}",
-                menu.iter()
-                    .map(|(id, _)| *id)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            std::process::exit(2);
-        }
-        menu.iter().filter(|(id, _)| wanted.contains(id)).collect()
-    };
-
-    println!(
-        "UDBMS-Bench harness — profile: {} (SF {}, {} reps, {} trials, {} clients, {} shards, durability {}, obs {}, key-dist {}, value-shape {})\n",
-        if quick { "quick" } else { "full" },
-        scale.sf,
-        scale.reps,
-        scale.trials,
-        scale.clients,
-        scale.shards,
-        scale
-            .durability
-            .map_or("all".to_string(), |d| d.to_string()),
-        if scale.obs { "on" } else { "off" },
-        scale.key_dist.label(),
-        scale.value_shape.label(),
-    );
+    let profile = profile(quick, &scale);
+    let settings: Vec<String> = profile
+        .iter()
+        .map(|(name, value)| format!("{name} {}", value.display_plain()))
+        .collect();
+    println!("UDBMS-Bench harness — {}\n", settings.join(", "));
     let mut json_reports: Vec<Value> = Vec::new();
-    for (id, f) in selected {
+    for (id, run, _) in selected {
         let t0 = std::time::Instant::now();
-        let report = f(scale);
+        let report = run(scale);
         println!("{}", report.render());
         println!("[{} completed in {:?}]\n", id, t0.elapsed());
         if json_path.is_some() {
@@ -275,44 +222,13 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let doc = Value::Object(
-            [
-                (
-                    "profile".to_string(),
-                    Value::from(if quick { "quick" } else { "full" }),
-                ),
-                ("sf".to_string(), Value::Float(scale.sf)),
-                ("reps".to_string(), Value::Int(scale.reps as i64)),
-                ("trials".to_string(), Value::Int(scale.trials as i64)),
-                ("clients".to_string(), Value::Int(scale.clients as i64)),
-                ("shards".to_string(), Value::Int(scale.shards as i64)),
-                (
-                    "durability".to_string(),
-                    Value::from(
-                        scale
-                            .durability
-                            .map_or("all".to_string(), |d| d.to_string()),
-                    ),
-                ),
-                (
-                    "obs".to_string(),
-                    Value::from(if scale.obs { "on" } else { "off" }),
-                ),
-                (
-                    "slow_query_ms".to_string(),
-                    Value::Int(scale.slow_query_ms as i64),
-                ),
-                ("key_dist".to_string(), Value::from(scale.key_dist.label())),
-                (
-                    "value_shape".to_string(),
-                    Value::from(scale.value_shape.label()),
-                ),
-                ("reports".to_string(), Value::Array(json_reports)),
-            ]
-            .into_iter()
-            .collect(),
+        let mut doc = Value::Object(
+            profile
+                .into_iter()
+                .chain([("reports", Value::Array(json_reports))])
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
         );
-        let mut doc = doc;
         // the (experiment, op, dist, mode, clients) results matrix rides
         // along in the same document the gate and step summary consume
         attach_matrix(&mut doc);
@@ -322,101 +238,6 @@ fn main() {
         }
         println!("machine-readable reports written to {path}");
     }
-}
-
-/// The `--obs-check` smoke test: a WAL-backed engine driven through the
-/// standard Subject surface must produce non-zero commit-stage
-/// histograms, a captured slow query, and exports that parse. Exits 0
-/// on success, 1 with a named failure otherwise — CI runs this as a
-/// cheap assertion that the observability layer is actually recording.
-fn obs_check() -> ! {
-    let mut path = std::env::temp_dir();
-    path.push(format!("udbms-obs-check-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let outcome = run_obs_check(&path);
-    let _ = std::fs::remove_file(&path);
-    match outcome {
-        Ok(summary) => {
-            println!("obs check: PASS ({summary})");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("obs check: FAIL — {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_obs_check(path: &std::path::Path) -> Result<String, String> {
-    // slow-query threshold 0: every statement is captured, so the check
-    // does not depend on machine speed
-    let subject = EngineSubject::with_wal_config(
-        path,
-        EngineConfig::default()
-            .with_durability(Durability::Flush)
-            .with_slow_query_ms(0),
-    )
-    .map_err(|e| format!("wal-backed engine: {e}"))?;
-    let data = generate(&GenConfig {
-        scale_factor: 0.01,
-        ..Default::default()
-    });
-    subject.load(&data).map_err(|e| format!("load: {e}"))?;
-
-    // queries through the plan cache + read lane
-    let q1 = workload::queries()[0];
-    let prepared = subject.prepare(&q1).map_err(|e| format!("prepare: {e}"))?;
-    let params = workload::QueryParams::draw(&data, 1).bindings();
-    for _ in 0..5 {
-        subject
-            .execute(&prepared, &params)
-            .map_err(|e| format!("execute: {e}"))?;
-    }
-    // write transactions through the full commit pipeline
-    let order = udbms_core::Key::str(
-        data.orders[0]
-            .get_field("_id")
-            .as_str()
-            .ok_or("dataset has no order id")?,
-    );
-    for _ in 0..10 {
-        subject
-            .transact(
-                &TxnOp::OrderUpdate {
-                    order: order.clone(),
-                },
-                "SI",
-            )
-            .map_err(|e| format!("transact: {e}"))?;
-    }
-
-    let snap = subject.engine().obs_snapshot();
-    let mut stage_counts = Vec::new();
-    for stage in [
-        "commit_queue_wait_ns",
-        "wal_append_ns",
-        "wal_flush_ns",
-        "commit_validate_ns",
-        "commit_install_ns",
-        "query_exec_us",
-    ] {
-        let count = snap.histogram(stage).map_or(0, |h| h.count);
-        if count == 0 {
-            return Err(format!("histogram `{stage}` recorded nothing"));
-        }
-        stage_counts.push(format!("{stage}={count}"));
-    }
-    if snap.slow_queries.is_empty() {
-        return Err("slow-query log empty at threshold 0".into());
-    }
-    if !snap.events.iter().any(|e| e.kind == "wal_batch") {
-        return Err("trace ring has no wal_batch events".into());
-    }
-    udbms_json::parse(&snap.to_json()).map_err(|e| format!("to_json not parseable: {e}"))?;
-    if !snap.to_prometheus().contains("quantile=\"0.99\"") {
-        return Err("prometheus dump lacks quantile samples".into());
-    }
-    Ok(stage_counts.join(" "))
 }
 
 fn die(msg: &str) -> ! {

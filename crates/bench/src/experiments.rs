@@ -1,27 +1,32 @@
-//! The experiment suite: one function per table/figure of EXPERIMENTS.md
-//! (F1, E1–E9). Each returns a [`Report`]; the `harness` binary prints
-//! them, the criterion benches time their hot loops.
+//! The experiment suite: one function per table/figure (F1, E1–E12),
+//! listed once in [`EXPERIMENTS`]. Each returns a [`Report`]. Every
+//! cell that times client threads goes through one path: `measure`
+//! runs it, `best_of` scores repeated cycles by rate, and
+//! [`Report::stats_row`] renders it.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use udbms_consistency::{
     atomicity_census, convergence_time, lost_update_census, pbs_curve, session_guarantees,
     staleness_distribution, write_skew_census, ConsistencyConfig, LagModel, ReadPolicy,
 };
-use udbms_core::{Key, Params, SplitMix64, Value};
+use udbms_core::{CollectionSchema, Key, Params, SplitMix64, Value};
 use udbms_datagen::{
     build_engine, generate, workload, GenConfig, InsertOrder, KeyDist, KeyProvider,
     SchemaVariation, ValueProvider, ValueShape,
 };
 use udbms_driver::{
-    registry, registry_with_config, run_concurrent, run_concurrent_mode, run_query_clients,
-    Durability, EngineConfig, EngineSubject, RunMode, TxnOp,
+    registry, registry_with_config, run_concurrent_mode, ConcurrentStats, Durability, EngineConfig,
+    RetryPolicy, RunMode, TxnOp,
 };
-use udbms_engine::Isolation;
+use udbms_engine::{Engine, FaultPlan, Isolation, Wal};
 use udbms_evolution::{analyze_workload, apply_chain, standard_chain};
 use udbms_polyglot::{load_into_polyglot, run_query, PolyglotDb};
+use udbms_query::Query;
 
-use crate::report::{latency_cells, per_sec, us, Report};
+use crate::gate::Gate;
+use crate::report::{per_sec, us, Report};
 
 /// How thoroughly to run (quick = CI-sized).
 #[derive(Debug, Clone, Copy)]
@@ -118,90 +123,15 @@ impl RunScale {
         }
     }
 
-    /// Full profile (the numbers EXPERIMENTS.md records).
+    /// Full profile (minutes; the numbers a write-up quotes).
     pub fn full() -> RunScale {
         RunScale {
             sf: 0.5,
             reps: 15,
             trials: 2000,
             clients: 4,
-            shards: udbms_driver::DEFAULT_SHARDS,
-            durability: None,
-            obs: true,
-            slow_query_ms: 100,
-            key_dist: KeyDist::Uniform,
-            value_shape: ValueShape::nested(),
-            mode: None,
-            rate: None,
-            fault_seed: None,
-            retries: 8,
+            ..RunScale::quick()
         }
-    }
-
-    /// Override the concurrent client count (builder-style).
-    pub fn with_clients(mut self, clients: usize) -> RunScale {
-        self.clients = clients.max(1);
-        self
-    }
-
-    /// Override the storage shard count (builder-style).
-    pub fn with_shards(mut self, shards: usize) -> RunScale {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Restrict the E8 sweep to one durability level (builder-style).
-    pub fn with_durability(mut self, durability: Durability) -> RunScale {
-        self.durability = Some(durability);
-        self
-    }
-
-    /// Override observability recording (builder-style).
-    pub fn with_obs(mut self, obs: bool) -> RunScale {
-        self.obs = obs;
-        self
-    }
-
-    /// Override the slow-query threshold (builder-style).
-    pub fn with_slow_query_ms(mut self, ms: u64) -> RunScale {
-        self.slow_query_ms = ms;
-        self
-    }
-
-    /// Override the key distribution (builder-style).
-    pub fn with_key_dist(mut self, dist: KeyDist) -> RunScale {
-        self.key_dist = dist;
-        self
-    }
-
-    /// Override the record shape (builder-style).
-    pub fn with_value_shape(mut self, shape: ValueShape) -> RunScale {
-        self.value_shape = shape;
-        self
-    }
-
-    /// Restrict E11 to one issue mode (builder-style).
-    pub fn with_mode(mut self, mode: ModeFilter) -> RunScale {
-        self.mode = Some(mode);
-        self
-    }
-
-    /// Pin the E11 open-loop target rate (builder-style).
-    pub fn with_rate(mut self, rate: f64) -> RunScale {
-        self.rate = Some(rate);
-        self
-    }
-
-    /// Seed the E12 fault plan (builder-style).
-    pub fn with_fault_seed(mut self, seed: u64) -> RunScale {
-        self.fault_seed = Some(seed);
-        self
-    }
-
-    /// Override the E12 conflict-retry budget (builder-style).
-    pub fn with_retries(mut self, retries: u32) -> RunScale {
-        self.retries = retries;
-        self
     }
 
     /// The durability levels E8 sweeps under this scale.
@@ -226,6 +156,113 @@ impl RunScale {
 fn median_us(mut samples: Vec<u128>) -> u128 {
     samples.sort_unstable();
     samples[samples.len() / 2]
+}
+
+/// One measured cell: the operations it is credited with (a batched
+/// phase counts rows, not batches), the run that timed them, and the
+/// conflict retries its operations consumed.
+struct Cell {
+    ops: usize,
+    stats: ConcurrentStats,
+    retries: u64,
+}
+
+/// The one measuring step: `clients` threads each run `op(client, i)`
+/// `per_client` times under `mode`. An error fails the experiment.
+fn measure(
+    clients: usize,
+    per_client: usize,
+    mode: RunMode,
+    op: impl Fn(usize, usize) -> udbms_core::Result<()> + Sync,
+) -> Cell {
+    let stats = run_concurrent_mode(clients, per_client, mode, op).expect("measured cell");
+    Cell {
+        ops: stats.total_ops,
+        stats,
+        retries: 0,
+    }
+}
+
+/// Score cells best-of-`cycles` by rate: `cycle(n)` measures every cell
+/// of one cycle, and each slot keeps its fastest measurement. A cell's
+/// first cycle runs cold (allocator warm-up, hash-map growth) and cells
+/// are milliseconds long, so a single measurement would hand the gate
+/// one scheduler stall as a regression.
+fn best_of<const N: usize>(cycles: usize, mut cycle: impl FnMut(usize) -> [Cell; N]) -> [Cell; N] {
+    let rate = |c: &Cell| c.ops as f64 / c.stats.elapsed.as_secs_f64().max(1e-9);
+    let mut best = cycle(0);
+    for n in 1..cycles {
+        for (best, cell) in best.iter_mut().zip(cycle(n)) {
+            if rate(&cell) > rate(best) {
+                *best = cell;
+            }
+        }
+    }
+    best
+}
+
+/// The cycles a best-of cell runs under `scale`.
+fn cycles(scale: RunScale) -> usize {
+    scale.reps.clamp(1, 3)
+}
+
+/// The client-count arms of a sweep: one client, then `clients`.
+fn client_arms(clients: usize) -> Vec<usize> {
+    if clients <= 1 {
+        vec![1]
+    } else {
+        vec![1, clients]
+    }
+}
+
+/// Fixture: give `engine` one key-value collection `name` holding
+/// `records`, loaded in a single transaction.
+fn kv_engine(
+    engine: Engine,
+    name: &str,
+    records: impl IntoIterator<Item = (Key, Value)>,
+) -> Engine {
+    engine
+        .create_collection(CollectionSchema::key_value(name))
+        .expect("fixture collection");
+    let mut load = engine.begin(Isolation::Snapshot);
+    load.put_many(name, records.into_iter().collect())
+        .and_then(|_| load.commit())
+        .expect("fixture load");
+    engine
+}
+
+/// Fixture: a fresh path for a WAL in the temp directory.
+fn temp_wal(tag: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("udbms-{}-{tag}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// One read-modify-write of `key` through `policy`, returning its
+/// result and the conflict retries it consumed. The snapshot is held
+/// across a scheduler yield — the application work a client does
+/// between reading and writing back, the lost-update window. Without
+/// it a single-core runner timeslices whole transactions back-to-back,
+/// no snapshot ever straddles a concurrent install, and conflict rates
+/// read as zero at any skew.
+fn read_modify_write(
+    engine: &Engine,
+    policy: &RetryPolicy,
+    seed: u64,
+    key: &Key,
+    value: impl Fn() -> Value,
+) -> (udbms_core::Result<()>, u32) {
+    policy.run(
+        || seed,
+        || {
+            let mut t = engine.begin(Isolation::Snapshot);
+            t.get("hot", key)?;
+            std::thread::yield_now();
+            t.put("hot", key.clone(), value())?;
+            t.commit().map(|_| ())
+        },
+    )
 }
 
 /// F1 — the Figure-1 data-model inventory.
@@ -370,18 +407,23 @@ pub fn e1_generation(scale: RunScale) -> Report {
     report
 }
 
+/// E2's gate spec.
+const E2: Gate = Gate {
+    identity: &["query", "subject"],
+    metric: "ops/s",
+};
+
 /// E2 — the Q1–Q10 workload, driven through `dyn Subject` over every
 /// registered backend with N concurrent clients: throughput and latency
 /// percentiles per backend, measured by the exact same loop.
 pub fn e2_queries(scale: RunScale) -> Report {
-    let mut report = Report::new(
+    let mut report = Report::gated(
         format!(
             "E2 — multi-model query workload Q1–Q10 over dyn Subject, SF {}, {} client(s) x {} ops, {} shard(s)",
             scale.sf, scale.clients, scale.reps * 10, scale.shards
         ),
-        &[
-            "query", "models", "subject", "rows", "p50", "p90", "p95", "p99", "max", "ops/s",
-        ],
+        E2,
+        &["models", "rows", "p50", "p90", "p95", "p99", "max", "ops/s"],
     );
     let cfg = GenConfig::at_scale(scale.sf);
     let data = generate(&cfg);
@@ -404,26 +446,22 @@ pub fn e2_queries(scale: RunScale) -> Report {
                 .execute(&prepared, &draws[0])
                 .expect("execute")
                 .len();
-            let stats = run_query_clients(
-                subject.as_ref(),
-                &prepared,
-                &draws,
+            // client c starts at draw c: no lock-step identical requests
+            let cell = measure(
                 scale.clients,
                 ops_per_client,
-            )
-            .expect("concurrent run");
-            let mut row = vec![
-                q.id.into(),
-                q.models.join("+"),
-                subject.name().into(),
-                rows.to_string(),
-            ];
-            row.extend(latency_cells(
-                &stats.latency_histogram(),
-                stats.percentile_us(95.0),
-            ));
-            row.push(format!("{:.0}/s", stats.throughput()));
-            report.row(row);
+                RunMode::Closed,
+                |client, i| {
+                    let params = &draws[(client + i) % draws.len()];
+                    subject.execute(&prepared, params).map(|_| ())
+                },
+            );
+            report.stats_row(
+                &[q.id.into(), subject.name().into()],
+                cell.ops,
+                &cell.stats,
+                &[("models", q.models.join("+")), ("rows", rows.to_string())],
+            );
         }
     }
     report.note("every subject is driven through the same Subject trait and measurement loop;");
@@ -492,34 +530,35 @@ pub fn e3_evolution(scale: RunScale) -> Report {
     report
 }
 
+/// E4a's gate spec.
+const E4A: Gate = Gate {
+    identity: &["subject", "iso", "clients", "theta"],
+    metric: "txn/s",
+};
+
 /// E4a — cross-model transaction throughput under contention, driven
 /// through `dyn Subject`: every backend runs the same `TxnOp` with the
 /// same concurrent-client loop, sweeping its own isolation levels.
 pub fn e4a_transactions(scale: RunScale) -> Report {
-    let mut report = Report::new(
+    let mut report = Report::gated(
         format!(
             "E4a — order_update cross-model transactions over dyn Subject, SF {}",
             scale.sf
         ),
+        E4A,
         &[
-            "subject", "iso", "clients", "theta", "txns", "elapsed", "p50", "p90", "p95", "p99",
-            "max", "txn/s", "counters",
+            "txns", "elapsed", "p50", "p90", "p95", "p99", "max", "txn/s", "counters",
         ],
     );
     // cells must run long enough that the bench gate compares signal,
     // not scheduler noise — even the quick profile measures a few
     // hundred transactions per cell
     let per_client = if scale.reps > 5 { 200 } else { 80 };
-    let client_counts: Vec<usize> = if scale.clients <= 1 {
-        vec![1]
-    } else {
-        vec![1, scale.clients]
-    };
     let cfg = GenConfig::at_scale(scale.sf);
     let data = generate(&cfg);
     let subject_isolations: Vec<Vec<&'static str>> =
         registry().iter().map(|s| s.isolations()).collect();
-    for &clients in &client_counts {
+    for clients in client_arms(scale.clients) {
         for theta in [0.0, 0.9] {
             let picker = workload::OrderPicker::new(&data, theta);
             for (si, isolations) in subject_isolations.iter().enumerate() {
@@ -527,38 +566,36 @@ pub fn e4a_transactions(scale: RunScale) -> Report {
                     // a fresh subject per isolation keeps counters per-cell
                     let subject = registry_with_config(scale.engine_config()).swap_remove(si);
                     subject.load(&data).expect("subject load");
-                    let stats = run_concurrent(clients, per_client, |client, i| {
+                    let cell = measure(clients, per_client, RunMode::Closed, |client, i| {
                         // deterministic per-op pick, stable across runs
                         let mut rng = SplitMix64::new(31 + client as u64 * 1_000_003 + i as u64);
                         let key = picker.pick(&mut rng).clone();
                         subject.transact(&TxnOp::OrderUpdate { order: key }, iso)
-                    })
-                    .expect("retried to success");
+                    });
                     let counters = subject
                         .counters()
                         .into_iter()
                         .map(|(k, v)| format!("{k}={v}"))
                         .collect::<Vec<_>>()
                         .join(" ");
-                    let mut row = vec![
-                        subject.name().into(),
-                        iso.into(),
-                        clients.to_string(),
-                        format!("{theta}"),
-                        stats.total_ops.to_string(),
-                        format!("{:?}", stats.elapsed),
-                    ];
-                    row.extend(latency_cells(
-                        &stats.latency_histogram(),
-                        stats.percentile_us(95.0),
-                    ));
-                    row.push(per_sec(stats.total_ops, stats.elapsed.as_secs_f64()));
-                    row.push(if counters.is_empty() {
-                        "-".into()
-                    } else {
-                        counters
-                    });
-                    report.row(row);
+                    report.stats_row(
+                        &[
+                            subject.name().into(),
+                            iso.into(),
+                            clients.to_string(),
+                            format!("{theta}"),
+                        ],
+                        cell.ops,
+                        &cell.stats,
+                        &[(
+                            "counters",
+                            if counters.is_empty() {
+                                "-".into()
+                            } else {
+                                counters
+                            },
+                        )],
+                    );
                 }
             }
         }
@@ -745,6 +782,12 @@ pub fn e5_conversion(scale: RunScale) -> Report {
     report
 }
 
+/// E6's gate spec.
+const E6: Gate = Gate {
+    identity: &["op", "dist", "shards", "clients"],
+    metric: "ops/s",
+};
+
 /// E6 — crud-bench-style CRUD/scan scaling sweep over clients × shards:
 /// batched creates, point reads, point updates, predicate scans and
 /// batched deletes against the unified engine, at one and at
@@ -752,149 +795,110 @@ pub fn e5_conversion(scale: RunScale) -> Report {
 /// threads. The shard axis isolates what lock striping buys on the
 /// storage hot path (the dataset and loop are identical in every cell).
 pub fn e6_crud_scaling(scale: RunScale) -> Report {
-    use udbms_core::CollectionSchema;
-    use udbms_engine::Engine;
-
-    let mut report = Report::new(
+    const BATCH: usize = 32;
+    let rows_per_client = if scale.reps > 5 { 2048 } else { 1024 };
+    let mut report = Report::gated(
         format!(
-            "E6 — CRUD/scan scaling sweep (clients x shards), {} record(s)/client, dist {}, shape {}",
-            if scale.reps > 5 { 2048 } else { 1024 },
+            "E6 — CRUD/scan scaling sweep (clients x shards), {rows_per_client} record(s)/client, dist {}, shape {}",
             scale.key_dist.label(),
             scale.value_shape.label()
         ),
+        E6,
         &[
-            "op", "dist", "shards", "clients", "ops", "elapsed", "p50", "p90", "p95", "p99",
-            "max", "ops/s",
+            "ops", "elapsed", "p50", "p90", "p95", "p99", "max", "ops/s",
         ],
     );
-    const BATCH: usize = 32;
-    let rows_per_client = if scale.reps > 5 { 2048 } else { 1024 };
     let values = ValueProvider::new(scale.value_shape, 23);
-    let dist_label = scale.key_dist.label();
     let mut shard_arms = vec![1usize];
     if scale.shards > 1 {
         shard_arms.push(scale.shards);
     }
-    let mut client_arms = vec![1usize];
-    if scale.clients > 1 {
-        client_arms.push(scale.clients);
-    }
     for &shards in &shard_arms {
-        for &clients in &client_arms {
-            let engine = Engine::with_config(scale.engine_config().with_shards(shards));
-            engine
-                .create_collection(CollectionSchema::key_value("crud"))
-                .expect("crud collection");
+        for clients in client_arms(scale.clients) {
+            let engine = kv_engine(
+                Engine::with_config(scale.engine_config().with_shards(shards)),
+                "crud",
+                [],
+            );
             let total = clients * rows_per_client;
             let key_of = |i: usize| Key::int(i as i64);
             let record = |i: usize| values.record(i);
             // the read/update phases draw keys from the configured
             // distribution over this cell's full key space
             let kp = KeyProvider::new(total, scale.key_dist, 13);
-
-            // each cell is scored best-of-`cycles`: the first CRUD cycle
-            // runs cold (allocator warmup, hash-map growth) and its
-            // single measurement was the gate's noisiest metric by far;
-            // later cycles run warm, and the GC between cycles prunes
-            // tombstones so they measure steady-state work rather than
-            // version-chain length
-            let cycles = scale.reps.clamp(1, 3);
-            let mut best: [Option<(usize, udbms_driver::ConcurrentStats)>; 5] = Default::default();
-            let mut keep = |slot: usize, ops: usize, stats: udbms_driver::ConcurrentStats| {
-                let rate = ops as f64 / stats.elapsed.as_secs_f64().max(1e-9);
-                let better = best[slot]
-                    .as_ref()
-                    .is_none_or(|(o, s)| rate > *o as f64 / s.elapsed.as_secs_f64().max(1e-9));
-                if better {
-                    best[slot] = Some((ops, stats));
-                }
+            let batches = rows_per_client / BATCH;
+            let batch = |client: usize, b: usize| {
+                let base = client * rows_per_client + b * BATCH;
+                base..base + BATCH
             };
-            for _cycle in 0..cycles {
+            let scans = scale.reps.max(3) * 4;
+            let pred = udbms_relational::Predicate::eq("g", Value::Int(3));
+
+            // one CRUD cycle per best-of round: later cycles run warm,
+            // and the GC between cycles prunes tombstones so they
+            // measure steady-state work rather than version-chain length
+            let cells = best_of(cycles(scale), |_| {
                 // create: each client inserts its own key range in batched
                 // transactions (put_many → one shard lock per shard per batch)
-                let batches = rows_per_client / BATCH;
-                let stats = run_concurrent(clients, batches, |client, b| {
-                    let base = client * rows_per_client + b * BATCH;
-                    let items: Vec<(Key, Value)> = (base..base + BATCH)
-                        .map(|i| (key_of(i), record(i)))
-                        .collect();
+                let create = measure(clients, batches, RunMode::Closed, |client, b| {
+                    let items: Vec<(Key, Value)> =
+                        batch(client, b).map(|i| (key_of(i), record(i))).collect();
                     engine.run(Isolation::Snapshot, |t| t.put_many("crud", items.clone()))
-                })
-                .expect("create phase");
-                keep(0, total, stats);
-
+                });
                 // read: every client point-reads keys drawn from the
                 // configured distribution across the whole key space
                 // (and so across every shard)
-                let stats = run_concurrent(clients, rows_per_client, |client, i| {
+                let read = measure(clients, rows_per_client, RunMode::Closed, |client, i| {
                     let mut rng = SplitMix64::new(7 + client as u64 * 65_537 + i as u64);
                     let k = key_of(kp.draw(&mut rng));
-                    engine
-                        .run(Isolation::Snapshot, |t| t.get("crud", &k))
-                        .map(|_| ())
-                })
-                .expect("read phase");
-                keep(1, total, stats);
-
+                    engine.run(Isolation::Snapshot, |t| t.get("crud", &k).map(|_| ()))
+                });
                 // update: point overwrites drawn from the same distribution
-                let stats = run_concurrent(clients, rows_per_client, |client, i| {
+                let update = measure(clients, rows_per_client, RunMode::Closed, |client, i| {
                     let mut rng = SplitMix64::new(11 + client as u64 * 65_537 + i as u64);
                     let n = kp.draw(&mut rng);
                     engine.run(Isolation::Snapshot, |t| {
                         t.put("crud", key_of(n), record(n + total))
                     })
-                })
-                .expect("update phase");
-                keep(2, total, stats);
-
+                });
                 // scan: predicate scans fanning out shard-locally
-                let scans = scale.reps.max(3) * 4;
-                let pred = udbms_relational::Predicate::eq("g", Value::Int(3));
-                let stats = run_concurrent(clients, scans, |_, _| {
-                    engine
-                        .run(Isolation::Snapshot, |t| t.rows("crud", Some(&pred), None))
-                        .map(|_| ())
-                })
-                .expect("scan phase");
-                keep(3, clients * scans, stats);
-
+                let scan = measure(clients, scans, RunMode::Closed, |_, _| {
+                    engine.run(Isolation::Snapshot, |t| {
+                        t.rows("crud", Some(&pred), None).map(|_| ())
+                    })
+                });
                 // delete: each client removes its own range in batches
-                let stats = run_concurrent(clients, batches, |client, b| {
-                    let base = client * rows_per_client + b * BATCH;
-                    let keys: Vec<Key> = (base..base + BATCH).map(key_of).collect();
-                    engine
-                        .run(Isolation::Snapshot, |t| t.delete_many("crud", &keys))
-                        .map(|_| ())
-                })
-                .expect("delete phase");
-                keep(4, total, stats);
-
+                let delete = measure(clients, batches, RunMode::Closed, |client, b| {
+                    let keys: Vec<Key> = batch(client, b).map(key_of).collect();
+                    engine.run(Isolation::Snapshot, |t| {
+                        t.delete_many("crud", &keys).map(|_| ())
+                    })
+                });
                 // flatten version chains before the next warm cycle
                 engine.gc();
-            }
-            let ops_of = [
+                // the batched phases are credited with rows, not batches
+                let rows = |cell: Cell| Cell { ops: total, ..cell };
+                [rows(create), read, update, scan, rows(delete)]
+            });
+            let ops = [
                 "create (batched)",
                 "read",
                 "update",
                 "scan (predicate)",
                 "delete (batched)",
             ];
-            for (slot, op) in ops_of.iter().enumerate() {
-                let (ops_done, stats) = best[slot].take().expect("cycle ran");
-                let mut row = vec![
-                    (*op).into(),
-                    dist_label.clone(),
-                    shards.to_string(),
-                    clients.to_string(),
-                    ops_done.to_string(),
-                    format!("{:?}", stats.elapsed),
-                ];
-                row.extend(latency_cells(
-                    &stats.latency_histogram(),
-                    stats.percentile_us(95.0),
-                ));
-                row.push(per_sec(ops_done, stats.elapsed.as_secs_f64()));
-                report.row(row);
+            for (op, cell) in ops.into_iter().zip(cells) {
+                report.stats_row(
+                    &[
+                        op.into(),
+                        scale.key_dist.label(),
+                        shards.to_string(),
+                        clients.to_string(),
+                    ],
+                    cell.ops,
+                    &cell.stats,
+                    &[],
+                );
             }
         }
     }
@@ -1038,6 +1042,12 @@ pub fn e7_ablation(scale: RunScale) -> Report {
     report
 }
 
+/// E8's gate spec.
+const E8: Gate = Gate {
+    identity: &["arm", "durability", "clients"],
+    metric: "rate",
+};
+
 /// E8 — durability: commit throughput over durability level × clients,
 /// group commit vs the historical per-commit WAL path, and recovery
 /// time vs log size (including a torn-tail crash simulation). Every
@@ -1048,18 +1058,13 @@ pub fn e7_ablation(scale: RunScale) -> Report {
 /// append path), the per-commit arm is the seed engine's
 /// write-and-flush under `commit_lock`.
 pub fn e8_durability(scale: RunScale) -> Report {
-    use udbms_core::CollectionSchema;
-    use udbms_engine::{Engine, Wal};
-
-    let mut report = Report::new(
+    let mut report = Report::gated(
         format!(
             "E8 — durability × group commit: commit throughput + recovery, {} shard(s)",
             scale.shards
         ),
+        E8,
         &[
-            "arm",
-            "durability",
-            "clients",
             "commits",
             "recs/batch",
             "elapsed",
@@ -1071,99 +1076,59 @@ pub fn e8_durability(scale: RunScale) -> Report {
             "rate",
         ],
     );
-    let tmp = |name: &str| {
-        let mut p = std::env::temp_dir();
-        p.push(format!("udbms-e8-{}-{name}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
-    };
     let per_client = if scale.reps > 5 { 400 } else { 120 };
-    let client_arms: Vec<usize> = if scale.clients <= 1 {
-        vec![1]
-    } else {
-        vec![1, scale.clients]
+    let commit = |engine: &Engine, k: usize| {
+        engine.run(Isolation::Snapshot, |t| {
+            t.put("commits", Key::int(k as i64), Value::Int(k as i64))
+        })
+    };
+    let wal_engine = |path: &std::path::Path, config: EngineConfig| {
+        let engine = Engine::with_wal_config(path, config).expect("wal-backed engine");
+        kv_engine(engine, "commits", [])
     };
 
     // --- commit throughput: durability × clients × {group, per-commit} ---
     for level in scale.durability_levels() {
-        for &clients in &client_arms {
+        for clients in client_arms(scale.clients) {
             for (arm, grouped) in [("group-commit", true), ("per-commit", false)] {
-                let path = tmp(&format!("{arm}-{}-{clients}", level.label()));
+                let path = temp_wal(&format!("e8-{arm}-{}-{clients}", level.label()));
                 let config = scale
                     .engine_config()
                     .with_durability(level)
                     .with_group_commit(grouped);
-                let subject =
-                    EngineSubject::with_wal_config(&path, config).expect("wal-backed subject");
-                let engine = subject.engine();
-                engine
-                    .create_collection(CollectionSchema::key_value("commits"))
-                    .expect("commit collection");
-                // best of up to 3 cycles (distinct key ranges on one
-                // growing log): these cells are milliseconds long, so a
-                // single scheduler stall would otherwise decide the
-                // group-vs-per-commit comparison
-                let cycles = scale.reps.clamp(1, 3);
+                let engine = wal_engine(&path, config);
                 let total = clients * per_client;
-                let mut best: Option<udbms_driver::ConcurrentStats> = None;
-                for cycle in 0..cycles {
-                    let stats = run_concurrent(clients, per_client, |client, i| {
-                        // distinct keys: the cell measures the commit
-                        // path, not conflict retries
-                        let k = (cycle * total + client * per_client + i) as i64;
-                        engine.run(Isolation::Snapshot, |t| {
-                            t.put("commits", Key::int(k), Value::Int(k))
-                        })
-                    })
-                    .expect("commit loop");
-                    if best.as_ref().is_none_or(|b| stats.elapsed < b.elapsed) {
-                        best = Some(stats);
-                    }
-                }
-                let stats = best.expect("at least one cycle");
+                // distinct keys, a fresh range per cycle on one growing
+                // log: the cell measures the commit path, not conflict
+                // retries
+                let [cell] = best_of(cycles(scale), |cycle| {
+                    [measure(
+                        clients,
+                        per_client,
+                        RunMode::Closed,
+                        |client, i| commit(&engine, cycle * total + client * per_client + i),
+                    )]
+                });
                 let es = engine.stats();
-                let mut row = vec![
-                    arm.into(),
-                    level.label().into(),
-                    clients.to_string(),
-                    total.to_string(),
-                    format!(
-                        "{:.1}",
-                        es.wal_records as f64 / es.wal_batches.max(1) as f64
-                    ),
-                    format!("{:?}", stats.elapsed),
-                ];
-                row.extend(latency_cells(
-                    &stats.latency_histogram(),
-                    stats.percentile_us(95.0),
-                ));
-                row.push(per_sec(total, stats.elapsed.as_secs_f64()));
-                report.row(row);
-                drop(subject);
+                report.stats_row(
+                    &[arm.into(), level.label().into(), clients.to_string()],
+                    cell.ops,
+                    &cell.stats,
+                    &[(
+                        "recs/batch",
+                        format!(
+                            "{:.1}",
+                            es.wal_records as f64 / es.wal_batches.max(1) as f64
+                        ),
+                    )],
+                );
+                drop(engine);
                 let _ = std::fs::remove_file(&path);
             }
         }
     }
 
     // --- recovery time vs log size (+ a torn-tail crash simulation) ---
-    let build_log = |path: &std::path::Path, commits: usize| {
-        let engine = Engine::with_wal_config(
-            path,
-            scale.engine_config().with_durability(Durability::Buffered),
-        )
-        .expect("log-builder engine");
-        engine
-            .create_collection(CollectionSchema::key_value("commits"))
-            .expect("commit collection");
-        for i in 0..commits {
-            engine
-                .run(Isolation::Snapshot, |t| {
-                    t.put("commits", Key::int(i as i64), Value::Int(i as i64))
-                })
-                .expect("log-builder commit");
-        }
-        // clean drop flushes the queue, leaving a complete log
-    };
     // distinct arm labels: the gate keys E8 rows by (arm, durability,
     // clients), so the two log sizes must not collapse into one metric.
     // logs are sized so replay takes milliseconds even in the quick
@@ -1174,8 +1139,16 @@ pub fn e8_durability(scale: RunScale) -> Report {
         ("recovery 4x-log", per_client * 32, false),
         ("recovery torn-tail", per_client * 8, true),
     ] {
-        let path = tmp(&format!("{}-{commits}", label.replace(' ', "-")));
-        build_log(&path, commits);
+        let path = temp_wal(&format!("e8-{}", label.replace(' ', "-")));
+        let builder = wal_engine(
+            &path,
+            scale.engine_config().with_durability(Durability::Buffered),
+        );
+        for k in 0..commits {
+            commit(&builder, k).expect("log-builder commit");
+        }
+        // clean drop flushes the queue, leaving a complete log
+        drop(builder);
         if tear {
             // crash simulation: a half-written record at the tail
             use std::io::Write as _;
@@ -1194,18 +1167,19 @@ pub fn e8_durability(scale: RunScale) -> Report {
             replayed, commits,
             "every complete commit must survive recovery"
         );
+        let dash = || "-".to_string();
         report.row(vec![
             label.into(),
-            "-".into(),
-            "-".into(),
+            dash(),
+            dash(),
             commits.to_string(),
-            "-".into(),
+            dash(),
             format!("{dt:?}"),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
+            dash(),
+            dash(),
+            dash(),
+            dash(),
+            dash(),
             per_sec(commits, dt.as_secs_f64()),
         ]);
         drop(engine);
@@ -1220,101 +1194,47 @@ pub fn e8_durability(scale: RunScale) -> Report {
     report
 }
 
-/// E9 — read path: every cell pair runs the identical workload on the
-/// same loaded engine, once on the seed-style path (materialized
-/// clones, interpreted filters, full transaction machinery) and once on
-/// the zero-copy path (`Arc`-shared rows, compiled predicate closures,
-/// the lock-free read lane, limit pushdown). The arms isolate, one axis
-/// at a time, what PR 5's read-path overhaul buys on point reads,
-/// full scans, predicate scans, `LIMIT` queries and aggregations.
-pub fn e9_read_path(scale: RunScale) -> Report {
-    use udbms_core::CollectionSchema;
-    use udbms_engine::Engine;
-    use udbms_query::Query;
+/// One timed operation of a cell: `(client, op index) -> result`.
+type Op<'a> = Box<dyn Fn(usize, usize) -> udbms_core::Result<()> + Sync + 'a>;
 
-    let rows = if scale.reps > 5 { 8192usize } else { 2048 };
-    let mut report = Report::new(
-        format!(
-            "E9 — read path: clone/interp/txn vs Arc/compiled/read-lane, {} row(s), {} shard(s)",
-            rows, scale.shards
-        ),
-        &[
-            "op", "arm", "clients", "ops", "elapsed", "p50", "p90", "p95", "p99", "max", "rate",
-        ],
-    );
-    let engine = Engine::with_config(scale.engine_config());
-    engine
-        .create_collection(CollectionSchema::key_value("bench"))
-        .expect("bench collection");
-    // moderately wide rows: cloning cost must be visible, like real docs
-    engine
-        .run(Isolation::Snapshot, |t| {
-            t.put_many(
-                "bench",
-                (0..rows)
-                    .map(|i| {
-                        (
-                            Key::int(i as i64),
-                            udbms_core::obj! {
-                                "g" => (i % 16) as i64,
-                                "n" => i as i64,
-                                "name" => format!("user-{i}"),
-                                "tags" => udbms_core::arr!["alpha", "beta", (i % 7) as i64],
-                                "addr" => udbms_core::obj! {
-                                    "city" => format!("city-{}", i % 97),
-                                    "zip" => (10_000 + i % 89_999) as i64,
-                                },
-                            },
-                        )
-                    })
-                    .collect(),
-            )
+/// The read-path cells `(op, arm, ops per client, operation)` over
+/// `engine`'s `bench` collection of `rows` records keyed `0..rows`:
+/// E9 runs all of them, E10 re-runs the acceptance pair.
+fn read_path_cells(
+    engine: &Engine,
+    rows: usize,
+) -> Vec<(&'static str, &'static str, usize, Op<'_>)> {
+    let point_key = move |client: usize, i: usize| {
+        let mut rng = SplitMix64::new(3 + client as u64 * 65_537 + i as u64);
+        Key::int((rng.next_u64() % rows as u64) as i64)
+    };
+    // a statement in a full transaction / on the lock-free read lane
+    let txn = |text: &str| -> Op<'_> {
+        let q = Query::parse(text).expect("parse");
+        Box::new(move |_, _| {
+            engine
+                .run(Isolation::Snapshot, |t| q.execute(t))
+                .map(|_| ())
         })
-        .expect("bench load");
-
-    let client_arms: Vec<usize> = if scale.clients <= 1 {
-        vec![1]
-    } else {
-        vec![1, scale.clients]
     };
-    let cycles = scale.reps.clamp(1, 3);
-    // the acceptance pair: identical semantics, one text compiles into a
-    // closure tree and rides the read lane, the other defeats
-    // compilation (function call) and runs the interpreter in a full txn
-    let q_compiled = Query::parse("FOR r IN bench FILTER r.g % 4 == 3 RETURN r.n").expect("parse");
-    let q_interp =
-        Query::parse("FOR r IN bench FILTER TO_NUMBER(r.g) % 4 == 3 RETURN r.n").expect("parse");
-    // LIMIT ablation: the LET between FOR and LIMIT defeats the
-    // adjacency rule, forcing the full materialized walk
-    let q_limited = Query::parse("FOR r IN bench LIMIT 10 RETURN r.n").expect("parse");
-    let q_unlimited = Query::parse("FOR r IN bench LET x = 1 LIMIT 10 RETURN r.n").expect("parse");
-    let q_agg =
-        Query::parse("FOR r IN bench COLLECT AGGREGATE s = SUM(r.n) RETURN s").expect("parse");
-
-    let run_query_txn = |q: &Query| {
-        engine
-            .run(Isolation::Snapshot, |t| q.execute(t))
-            .map(|_| ())
+    let lane = |text: &str| -> Op<'_> {
+        let q = Query::parse(text).expect("parse");
+        Box::new(move |_, _| {
+            let mut t = engine.begin_read();
+            q.execute(&mut t)?;
+            t.commit().map(|_| ())
+        })
     };
-    let run_query_lane = |q: &Query| -> udbms_core::Result<()> {
-        let mut t = engine.begin_read();
-        q.execute(&mut t)?;
-        t.commit().map(|_| ())
-    };
-
-    // (op, arm, ops per client, the operation)
-    type Op<'a> = Box<dyn Fn(usize, usize) -> udbms_core::Result<()> + Sync + 'a>;
+    const AGG: &str = "FOR r IN bench COLLECT AGGREGATE s = SUM(r.n) RETURN s";
     let point_gets = rows.min(2048);
-    let cells: Vec<(&str, &str, usize, Op)> = vec![
+    vec![
         (
             "point-get",
             "txn-clone",
             point_gets,
-            Box::new(|client, i| {
-                let mut rng = SplitMix64::new(3 + client as u64 * 65_537 + i as u64);
-                let k = Key::int((rng.next_u64() % rows as u64) as i64);
+            Box::new(move |client, i| {
                 let mut t = engine.begin(Isolation::Snapshot);
-                t.get("bench", &k)?;
+                t.get("bench", &point_key(client, i))?;
                 t.commit().map(|_| ())
             }),
         ),
@@ -1322,11 +1242,9 @@ pub fn e9_read_path(scale: RunScale) -> Report {
             "point-get",
             "lane-arc",
             point_gets,
-            Box::new(|client, i| {
-                let mut rng = SplitMix64::new(3 + client as u64 * 65_537 + i as u64);
-                let k = Key::int((rng.next_u64() % rows as u64) as i64);
+            Box::new(move |client, i| {
                 let mut t = engine.begin_read();
-                t.get_shared("bench", &k)?;
+                t.get_shared("bench", &point_key(client, i))?;
                 t.commit().map(|_| ())
             }),
         ),
@@ -1334,7 +1252,7 @@ pub fn e9_read_path(scale: RunScale) -> Report {
             "scan-full",
             "txn-clone",
             6,
-            Box::new(|_, _| {
+            Box::new(move |_, _| {
                 let mut t = engine.begin(Isolation::Snapshot);
                 // the owner's copy, made at the edge
                 let owned: Vec<(Key, Value)> = t
@@ -1350,70 +1268,103 @@ pub fn e9_read_path(scale: RunScale) -> Report {
             "scan-full",
             "lane-arc",
             6,
-            Box::new(|_, _| {
+            Box::new(move |_, _| {
                 let mut t = engine.begin_read();
                 let n = t.scan_shared("bench")?.len();
                 assert_eq!(n, rows);
                 t.commit().map(|_| ())
             }),
         ),
+        // the acceptance pair: identical semantics, one text compiles
+        // into a closure tree and rides the read lane, the other
+        // defeats compilation (function call) and runs the interpreter
+        // in a full txn
         (
             "filter-scan",
             "interp-txn",
             6,
-            Box::new(|_, _| run_query_txn(&q_interp)),
+            txn("FOR r IN bench FILTER TO_NUMBER(r.g) % 4 == 3 RETURN r.n"),
         ),
         (
             "filter-scan",
             "compiled-lane",
             6,
-            Box::new(|_, _| run_query_lane(&q_compiled)),
+            lane("FOR r IN bench FILTER r.g % 4 == 3 RETURN r.n"),
         ),
+        // LIMIT ablation: the LET between FOR and LIMIT defeats the
+        // adjacency rule, forcing the full materialized walk
         (
             "limit-10",
             "materialize",
             48,
-            Box::new(|_, _| run_query_txn(&q_unlimited)),
+            txn("FOR r IN bench LET x = 1 LIMIT 10 RETURN r.n"),
         ),
         (
             "limit-10",
             "pushdown-lane",
             48,
-            Box::new(|_, _| run_query_lane(&q_limited)),
+            lane("FOR r IN bench LIMIT 10 RETURN r.n"),
         ),
-        ("agg-sum", "txn", 6, Box::new(|_, _| run_query_txn(&q_agg))),
-        (
-            "agg-sum",
-            "read-lane",
-            6,
-            Box::new(|_, _| run_query_lane(&q_agg)),
-        ),
-    ];
+        ("agg-sum", "txn", 6, txn(AGG)),
+        ("agg-sum", "read-lane", 6, lane(AGG)),
+    ]
+}
 
-    for &clients in &client_arms {
+/// E9's gate spec.
+const E9: Gate = Gate {
+    identity: &["op", "arm", "clients"],
+    metric: "rate",
+};
+
+/// E9 — read path: every cell pair runs the identical workload on the
+/// same loaded engine, once on the seed-style path (materialized
+/// clones, interpreted filters, full transaction machinery) and once on
+/// the zero-copy path (`Arc`-shared rows, compiled predicate closures,
+/// the lock-free read lane, limit pushdown). The arms isolate, one axis
+/// at a time, what PR 5's read-path overhaul buys on point reads,
+/// full scans, predicate scans, `LIMIT` queries and aggregations.
+pub fn e9_read_path(scale: RunScale) -> Report {
+    let rows = if scale.reps > 5 { 8192usize } else { 2048 };
+    let mut report = Report::gated(
+        format!(
+            "E9 — read path: clone/interp/txn vs Arc/compiled/read-lane, {} row(s), {} shard(s)",
+            rows, scale.shards
+        ),
+        E9,
+        &["ops", "elapsed", "p50", "p90", "p95", "p99", "max", "rate"],
+    );
+    // moderately wide rows: cloning cost must be visible, like real docs
+    let engine = kv_engine(
+        Engine::with_config(scale.engine_config()),
+        "bench",
+        (0..rows).map(|i| {
+            (
+                Key::int(i as i64),
+                udbms_core::obj! {
+                    "g" => (i % 16) as i64,
+                    "n" => i as i64,
+                    "name" => format!("user-{i}"),
+                    "tags" => udbms_core::arr!["alpha", "beta", (i % 7) as i64],
+                    "addr" => udbms_core::obj! {
+                        "city" => format!("city-{}", i % 97),
+                        "zip" => (10_000 + i % 89_999) as i64,
+                    },
+                },
+            )
+        }),
+    );
+    let cells = read_path_cells(&engine, rows);
+    for clients in client_arms(scale.clients) {
         for (op, arm, per_client, body) in &cells {
-            let total = clients * per_client;
-            let mut best: Option<udbms_driver::ConcurrentStats> = None;
-            for _ in 0..cycles {
-                let stats = run_concurrent(clients, *per_client, body).expect("read-path cell");
-                if best.as_ref().is_none_or(|b| stats.elapsed < b.elapsed) {
-                    best = Some(stats);
-                }
-            }
-            let stats = best.expect("at least one cycle");
-            let mut row = vec![
-                (*op).into(),
-                (*arm).into(),
-                clients.to_string(),
-                total.to_string(),
-                format!("{:?}", stats.elapsed),
-            ];
-            row.extend(latency_cells(
-                &stats.latency_histogram(),
-                stats.percentile_us(95.0),
-            ));
-            row.push(per_sec(total, stats.elapsed.as_secs_f64()));
-            report.row(row);
+            let [cell] = best_of(cycles(scale), |_| {
+                [measure(clients, *per_client, RunMode::Closed, body)]
+            });
+            report.stats_row(
+                &[(*op).into(), (*arm).into(), clients.to_string()],
+                cell.ops,
+                &cell.stats,
+                &[],
+            );
         }
     }
     report.note("arm pairs run identical workloads on one loaded engine; the variable is the");
@@ -1423,191 +1374,99 @@ pub fn e9_read_path(scale: RunScale) -> Report {
     report
 }
 
+/// E10's gate spec.
+const E10: Gate = Gate {
+    identity: &["op", "obs", "clients"],
+    metric: "rate",
+};
+
 /// E10 — observability overhead: the E9 acceptance pair (point-get on
 /// the read lane, compiled filter-scan) runs twice on identically
 /// loaded engines, once with obs recording enabled and once disabled —
 /// the arms differ only in `EngineConfig::obs`, so the rate gap *is*
-/// the cost of the stage histograms and trace events on the hot path.
-/// A WAL-backed commit phase on the enabled engine then proves the
-/// per-stage commit-pipeline histograms (queue wait, WAL append, flush,
-/// install) actually populate, and the notes quote their p99s plus the
-/// measured on/off overhead per cell.
+/// the cost of the stage histograms and trace events on the hot path;
+/// the notes quote it per cell. (That the commit-stage histograms
+/// populate on a WAL-backed engine is `crates/driver/tests/obs.rs`'s
+/// job.)
 pub fn e10_obs_overhead(scale: RunScale) -> Report {
-    use udbms_core::CollectionSchema;
-    use udbms_engine::Engine;
-    use udbms_query::Query;
-
     let rows = if scale.reps > 5 { 8192usize } else { 2048 };
-    let mut report = Report::new(
+    let mut report = Report::gated(
         format!(
             "E10 — observability overhead: obs on vs off on the E9 hot loops, {} row(s), {} shard(s)",
             rows, scale.shards
         ),
+        E10,
         &[
-            "op", "obs", "clients", "ops", "elapsed", "p50", "p90", "p95", "p99", "max", "rate",
+            "ops", "elapsed", "p50", "p90", "p95", "p99", "max", "rate",
         ],
     );
-    let client_arms: Vec<usize> = if scale.clients <= 1 {
-        vec![1]
-    } else {
-        vec![1, scale.clients]
-    };
-    let cycles = scale.reps.clamp(1, 3);
-    let point_gets = rows.min(2048);
-    // (op, obs-arm, clients) → best rate, for the overhead notes
-    let mut rates: Vec<(&str, &str, usize, f64)> = Vec::new();
-
+    // (op, clients) → the obs-on rate, for the overhead notes
+    let mut on_rates: Vec<(&str, usize, f64)> = Vec::new();
     for (arm, enabled) in [("on", true), ("off", false)] {
-        let engine = Engine::with_config(scale.engine_config().with_obs(enabled));
-        engine
-            .create_collection(CollectionSchema::key_value("bench"))
-            .expect("bench collection");
-        engine
-            .run(Isolation::Snapshot, |t| {
-                t.put_many(
-                    "bench",
-                    (0..rows)
-                        .map(|i| {
-                            (
-                                Key::int(i as i64),
-                                udbms_core::obj! {"g" => (i % 16) as i64, "n" => i as i64},
-                            )
-                        })
-                        .collect(),
+        let engine = kv_engine(
+            Engine::with_config(scale.engine_config().with_obs(enabled)),
+            "bench",
+            (0..rows).map(|i| {
+                (
+                    Key::int(i as i64),
+                    udbms_core::obj! {"g" => (i % 16) as i64, "n" => i as i64},
                 )
-            })
-            .expect("bench load");
-        let q = Query::parse("FOR r IN bench FILTER r.g % 4 == 3 RETURN r.n").expect("parse");
-
-        type Op<'a> = Box<dyn Fn(usize, usize) -> udbms_core::Result<()> + Sync + 'a>;
-        let cells: Vec<(&str, usize, Op)> = vec![
-            (
-                "point-get",
-                point_gets,
-                Box::new(|client, i| {
-                    let mut rng = SplitMix64::new(3 + client as u64 * 65_537 + i as u64);
-                    let k = Key::int((rng.next_u64() % rows as u64) as i64);
-                    let mut t = engine.begin_read();
-                    t.get_shared("bench", &k)?;
-                    t.commit().map(|_| ())
-                }),
-            ),
-            (
-                "filter-scan",
-                6,
-                Box::new(|_, _| {
-                    let mut t = engine.begin_read();
-                    q.execute(&mut t)?;
-                    t.commit().map(|_| ())
-                }),
-            ),
-        ];
-        for &clients in &client_arms {
-            for (op, per_client, body) in &cells {
-                let total = clients * per_client;
-                let mut best: Option<udbms_driver::ConcurrentStats> = None;
-                for _ in 0..cycles {
-                    let stats = run_concurrent(clients, *per_client, body).expect("e10 cell");
-                    if best.as_ref().is_none_or(|b| stats.elapsed < b.elapsed) {
-                        best = Some(stats);
-                    }
+            }),
+        );
+        let cells = read_path_cells(&engine, rows);
+        let hot = cells.iter().filter(|(op, arm, ..)| {
+            matches!(
+                (*op, *arm),
+                ("point-get", "lane-arc") | ("filter-scan", "compiled-lane")
+            )
+        });
+        for clients in client_arms(scale.clients) {
+            for (op, _, per_client, body) in hot.clone() {
+                let [cell] = best_of(cycles(scale), |_| {
+                    [measure(clients, *per_client, RunMode::Closed, body)]
+                });
+                let rate = cell.stats.throughput();
+                if enabled {
+                    on_rates.push((op, clients, rate));
+                } else if let Some((_, _, on)) =
+                    on_rates.iter().find(|(o, c, _)| o == op && *c == clients)
+                {
+                    // the measured cost of recording, per cell
+                    let overhead = (1.0 - on / rate.max(1e-9)) * 100.0;
+                    report.note(format!(
+                        "{op} @ {clients} client(s): obs-on {on:.0}/s vs obs-off {rate:.0}/s ({overhead:+.1}% overhead)"
+                    ));
                 }
-                let stats = best.expect("at least one cycle");
-                let rate = total as f64 / stats.elapsed.as_secs_f64().max(1e-9);
-                rates.push((op, arm, clients, rate));
-                let mut row = vec![
-                    (*op).to_string(),
-                    arm.to_string(),
-                    clients.to_string(),
-                    total.to_string(),
-                    format!("{:?}", stats.elapsed),
-                ];
-                row.extend(latency_cells(
-                    &stats.latency_histogram(),
-                    stats.percentile_us(95.0),
-                ));
-                row.push(per_sec(total, stats.elapsed.as_secs_f64()));
-                report.row(row);
+                report.stats_row(
+                    &[(*op).into(), arm.into(), clients.to_string()],
+                    cell.ops,
+                    &cell.stats,
+                    &[],
+                );
             }
         }
     }
-
-    // the measured cost of recording, per cell: on-vs-off rate delta
-    for &(op, _, clients, on_rate) in rates.iter().filter(|(_, a, _, _)| *a == "on") {
-        if let Some(&(_, _, _, off_rate)) = rates
-            .iter()
-            .find(|(o, a, c, _)| *o == op && *a == "off" && *c == clients)
-        {
-            let overhead = (1.0 - on_rate / off_rate.max(1e-9)) * 100.0;
-            report.note(format!(
-                "{op} @ {clients} client(s): obs-on {:.0}/s vs obs-off {:.0}/s ({overhead:+.1}% overhead)",
-                on_rate, off_rate
-            ));
-        }
-    }
-
-    // commit-pipeline proof: a short WAL-backed run with obs on must
-    // populate every per-stage histogram the snapshot exports
-    let mut path = std::env::temp_dir();
-    path.push(format!("udbms-e10-pipeline-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let engine = Engine::with_wal_config(
-        &path,
-        scale
-            .engine_config()
-            .with_obs(true)
-            .with_durability(Durability::Flush),
-    )
-    .expect("wal-backed engine");
-    engine
-        .create_collection(CollectionSchema::key_value("commits"))
-        .expect("commit collection");
-    for i in 0..100i64 {
-        engine
-            .run(Isolation::Snapshot, |t| {
-                t.put("commits", Key::int(i), Value::Int(i))
-            })
-            .expect("pipeline commit");
-    }
-    let snap = engine.obs_snapshot();
-    for stage in [
-        "commit_queue_wait_ns",
-        "wal_append_ns",
-        "wal_flush_ns",
-        "commit_validate_ns",
-        "commit_install_ns",
-    ] {
-        let hist = snap
-            .histogram(stage)
-            .unwrap_or_else(|| panic!("obs snapshot must carry `{stage}`"));
-        assert!(hist.count > 0, "`{stage}` must populate under commits");
-        report.note(format!(
-            "commit stage {stage}: count {} p99 {}",
-            hist.count,
-            us((hist.p99() / 1000).into())
-        ));
-    }
-    drop(engine);
-    let _ = std::fs::remove_file(&path);
     report.note("on/off arms run the identical loops on identically loaded engines; the only");
     report.note("difference is EngineConfig::obs — disabled recording must cost one branch");
     report
 }
 
+/// E11's gate spec.
+const E11: Gate = Gate {
+    identity: &["op", "dist", "mode", "clients"],
+    metric: "rate",
+};
+
 /// E11 — contention and tail latency over the workload dimensions:
 /// read-modify-write updates and point reads against one loaded engine,
 /// sweeping key distribution (uniform vs Zipfian hot keys) and client
-/// count, with exact OCC abort counts per cell (the experiment runs its
-/// own begin/commit retry loop instead of [`udbms_engine::Engine::run`],
-/// which hides its retries). The open-loop arms re-run the Zipfian
-/// cells on a fixed-rate schedule — latency measured from each
-/// operation's *intended* start — so queueing delay shows up in the
-/// tail percentiles instead of vanishing to coordinated omission.
+/// count, with exact OCC abort counts per cell (each update goes
+/// through `read_modify_write`, which returns the retries
+/// [`udbms_engine::Engine::run`] would hide). The open-loop arms re-run
+/// the Zipfian cells on a fixed-rate schedule — latency measured from
+/// each operation's *intended* start — so queueing delay shows up in
+/// the tail percentiles instead of vanishing to coordinated omission.
 pub fn e11_contention_tail(scale: RunScale) -> Report {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use udbms_core::CollectionSchema;
-    use udbms_engine::Engine;
-
     let n_keys = if scale.reps > 5 { 8192usize } else { 2048 };
     let per_client = if scale.reps > 5 { 1024usize } else { 256 };
     // the Zipfian arm's skew: the configured --key-dist theta, or YCSB's
@@ -1616,189 +1475,118 @@ pub fn e11_contention_tail(scale: RunScale) -> Report {
         KeyDist::Zipfian { theta } => theta,
         KeyDist::Uniform => 0.99,
     };
-    let mut report = Report::new(
+    let mut report = Report::gated(
         format!(
             "E11 — contention & tail latency: OCC aborts under key skew + open-loop pacing, {} key(s), shape {}",
             n_keys,
             scale.value_shape.label()
         ),
+        E11,
         &[
-            "op", "dist", "mode", "clients", "ops", "target", "elapsed", "p50", "p90", "p95",
-            "p99", "max", "aborts", "abort%", "rate",
+            "ops", "target", "elapsed", "p50", "p90", "p95", "p99", "max", "aborts", "abort%",
+            "rate",
         ],
     );
-    let engine = Engine::with_config(scale.engine_config());
-    engine
-        .create_collection(CollectionSchema::key_value("hot"))
-        .expect("hot collection");
     let values = ValueProvider::new(scale.value_shape, 99);
     // load the key space in a seeded-random insert order so the
     // measured phases never benefit from insertion-order locality
     let loader = KeyProvider::new(n_keys, KeyDist::Uniform, 17);
-    engine
-        .run(Isolation::Snapshot, |t| {
-            t.put_many(
-                "hot",
-                loader
-                    .insert_order(InsertOrder::Random)
-                    .into_iter()
-                    .map(|i| (Key::int(i as i64), values.record(i)))
-                    .collect(),
-            )
-        })
-        .expect("hot load");
+    let engine = kv_engine(
+        Engine::with_config(scale.engine_config()),
+        "hot",
+        loader
+            .insert_order(InsertOrder::Random)
+            .into_iter()
+            .map(|i| (Key::int(i as i64), values.record(i))),
+    );
+    // updates are retried to success and at once — the cells measure raw
+    // contention, so nothing may pace the retries — every conflict counted
+    let to_success = RetryPolicy {
+        max_retries: u32::MAX,
+        base: std::time::Duration::ZERO,
+        cap: std::time::Duration::ZERO,
+    };
 
-    let cycles = scale.reps.clamp(1, 3);
-    // one measured cell, scored best-of-`cycles` by rate; returns the
-    // best cycle's stats plus its exact abort (conflict-retry) count
-    let run_cell = |is_update: bool, kp: &KeyProvider, mode: RunMode, clients: usize, seed: u64| {
-        let mut best: Option<(udbms_driver::ConcurrentStats, u64)> = None;
-        for cycle in 0..cycles {
-            let retries = AtomicU64::new(0);
-            let stats = run_concurrent_mode(clients, per_client, mode, |client, i| {
-                let mut rng = SplitMix64::new(
-                    seed + cycle as u64 * 1_000_003 + client as u64 * 65_537 + i as u64,
-                );
-                let idx = kp.draw(&mut rng);
+    // one measured cell, scored best-of-cycles by rate and rendered; the
+    // best cycle's rate is returned for deriving open-loop targets
+    let mut run_cell = |op: &str, dist: KeyDist, mode: RunMode, clients: usize, seed: u64| {
+        let kp = KeyProvider::new(n_keys, dist, 29);
+        let is_update = op == "update";
+        let [cell] = best_of(cycles(scale), |cycle| {
+            let aborts = AtomicU64::new(0);
+            let cell = measure(clients, per_client, mode, |client, i| {
+                let seed = seed + cycle as u64 * 1_000_003 + client as u64 * 65_537 + i as u64;
+                let idx = kp.draw(&mut SplitMix64::new(seed));
                 let k = Key::int(idx as i64);
                 if is_update {
-                    // read-modify-write under first-committer-wins:
-                    // concurrent writers of one hot key conflict at
-                    // commit, and every conflict is counted exactly
-                    loop {
-                        let mut t = engine.begin(Isolation::Snapshot);
-                        let staged = t.get("hot", &k).and_then(|_| {
-                            // hold the snapshot across a scheduler
-                            // yield: the application work a client does
-                            // between reading and writing back — the
-                            // lost-update window. Without it a
-                            // single-core runner timeslices whole
-                            // transactions back-to-back and no snapshot
-                            // ever straddles a concurrent install, so
-                            // abort rates read as zero at any skew
-                            std::thread::yield_now();
-                            t.put("hot", k.clone(), values.record(idx))
-                        });
-                        let r = staged.and_then(|_| t.commit().map(|_| ()));
-                        match r {
-                            Ok(()) => return Ok(()),
-                            Err(e) if e.is_retryable() => {
-                                retries.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
+                    // first-committer-wins: concurrent writers of one
+                    // hot key conflict at commit
+                    let (result, retries) =
+                        read_modify_write(&engine, &to_success, seed, &k, || values.record(idx));
+                    aborts.fetch_add(u64::from(retries), Ordering::Relaxed);
+                    result
                 } else {
                     engine
                         .run(Isolation::Snapshot, |t| t.get("hot", &k))
                         .map(|_| ())
                 }
-            })
-            .expect("e11 cell");
-            let aborts = retries.load(Ordering::Relaxed);
-            let rate = stats.total_ops as f64 / stats.elapsed.as_secs_f64().max(1e-9);
-            let better = best
-                .as_ref()
-                .is_none_or(|(b, _)| rate > b.total_ops as f64 / b.elapsed.as_secs_f64().max(1e-9));
-            if better {
-                best = Some((stats, aborts));
-            }
-        }
-        best.expect("at least one cycle")
-    };
-
-    let mut emit = |op: &str,
-                    dist: KeyDist,
-                    mode_label: &str,
-                    target: String,
-                    clients: usize,
-                    stats: udbms_driver::ConcurrentStats,
-                    aborts: u64| {
-        let ops = stats.total_ops;
-        let abort_pct = aborts as f64 / (ops as u64 + aborts).max(1) as f64 * 100.0;
-        let mut row = vec![
-            op.to_string(),
-            dist.label(),
-            mode_label.to_string(),
-            clients.to_string(),
-            ops.to_string(),
-            target,
-            format!("{:?}", stats.elapsed),
-        ];
-        row.extend(latency_cells(
-            &stats.latency_histogram(),
-            stats.percentile_us(95.0),
-        ));
-        row.push(aborts.to_string());
-        row.push(format!("{abort_pct:.1}%"));
-        row.push(per_sec(ops, stats.elapsed.as_secs_f64()));
-        report.row(row);
-    };
-
-    let run_closed = scale.mode != Some(ModeFilter::Open);
-    let run_open = scale.mode != Some(ModeFilter::Closed);
-    let clients_hi = scale.clients.max(1);
-    // the N-client closed rates, keyed (op, dist-label), for deriving a
-    // sustainable open-loop target on whatever machine this is
-    let mut closed_rate: std::collections::HashMap<(String, String), f64> =
-        std::collections::HashMap::new();
-    let dists = [KeyDist::Uniform, KeyDist::Zipfian { theta }];
-
-    if run_closed {
-        for dist in dists {
-            let kp = KeyProvider::new(n_keys, dist, 29);
-            let update_arms: Vec<usize> = if clients_hi <= 1 {
-                vec![1]
-            } else {
-                vec![1, clients_hi]
-            };
-            for &clients in &update_arms {
-                let (stats, aborts) = run_cell(true, &kp, RunMode::Closed, clients, 101);
-                closed_rate.insert(("update".into(), dist.label()), stats.throughput());
-                emit("update", dist, "closed", "-".into(), clients, stats, aborts);
-            }
-            let (stats, aborts) = run_cell(false, &kp, RunMode::Closed, clients_hi, 203);
-            closed_rate.insert(("read".into(), dist.label()), stats.throughput());
-            emit(
-                "read",
-                dist,
-                "closed",
-                "-".into(),
-                clients_hi,
-                stats,
-                aborts,
-            );
-        }
-    }
-
-    if run_open {
-        let dist = KeyDist::Zipfian { theta };
-        let kp = KeyProvider::new(n_keys, dist, 29);
-        for (op, is_update) in [("update", true), ("read", false)] {
-            let rate = scale.rate.unwrap_or_else(|| {
-                // half the matching closed cell's measured rate: a
-                // schedule any machine sustains, so the open-loop tail
-                // reflects service jitter rather than saturation
-                closed_rate
-                    .get(&(op.to_string(), dist.label()))
-                    .copied()
-                    .unwrap_or(500.0)
-                    * 0.5
             });
-            let (stats, aborts) = run_cell(is_update, &kp, RunMode::Open { rate }, clients_hi, 307);
-            emit(
-                op,
-                dist,
-                "open",
-                format!("{rate:.0}/s"),
-                clients_hi,
-                stats,
-                aborts,
-            );
+            [Cell {
+                retries: aborts.into_inner(),
+                ..cell
+            }]
+        });
+        let abort_pct =
+            cell.retries as f64 / (cell.ops as u64 + cell.retries).max(1) as f64 * 100.0;
+        report.stats_row(
+            &[
+                op.into(),
+                dist.label(),
+                mode.label().into(),
+                clients.to_string(),
+            ],
+            cell.ops,
+            &cell.stats,
+            &[
+                (
+                    "target",
+                    match mode {
+                        RunMode::Closed => "-".into(),
+                        RunMode::Open { rate } => format!("{rate:.0}/s"),
+                    },
+                ),
+                ("aborts", cell.retries.to_string()),
+                ("abort%", format!("{abort_pct:.1}%")),
+            ],
+        );
+        cell.stats.throughput()
+    };
+
+    let clients_hi = scale.clients.max(1);
+    let zipf = KeyDist::Zipfian { theta };
+    // the N-client closed Zipfian rates (update, read) — each slot's
+    // last write, as the Zipfian arms run last — for deriving a
+    // sustainable open-loop target on whatever machine this is
+    let mut closed_rate = [None, None];
+    if scale.mode != Some(ModeFilter::Open) {
+        for dist in [KeyDist::Uniform, zipf] {
+            for clients in client_arms(clients_hi) {
+                closed_rate[0] = Some(run_cell("update", dist, RunMode::Closed, clients, 101));
+            }
+            closed_rate[1] = Some(run_cell("read", dist, RunMode::Closed, clients_hi, 203));
+        }
+    }
+    if scale.mode != Some(ModeFilter::Closed) {
+        for (op, closed) in ["update", "read"].into_iter().zip(closed_rate) {
+            // half the matching closed cell's measured rate: a schedule
+            // any machine sustains, so the open-loop tail reflects
+            // service jitter rather than saturation
+            let rate = scale.rate.unwrap_or(closed.unwrap_or(500.0) * 0.5);
+            run_cell(op, zipf, RunMode::Open { rate }, clients_hi, 307);
         }
     }
 
-    report.note("update = read-modify-write with its own begin/commit retry loop: `aborts` are");
+    report.note("update = read-modify-write through the retry policy: `aborts` are");
     report.note("first-committer-wins conflicts, counted exactly and retried to success;");
     report.note("abort% = aborts / (ops + aborts). Each update yields the scheduler between");
     report.note("read and write-back (the lost-update window), so contention is observable");
@@ -1808,6 +1596,15 @@ pub fn e11_contention_tail(scale: RunScale) -> Report {
     report.note("queueing delay lands in the tail instead of vanishing to coordinated omission");
     report
 }
+
+/// The fault seed E12 runs with when `--faults` does not give one.
+pub const DEFAULT_FAULT_SEED: u64 = 0xFA12;
+
+/// E12's gate spec.
+const E12: Gate = Gate {
+    identity: &["phase", "op"],
+    metric: "rate",
+};
 
 /// E12 — storage faults & degraded-mode operation. Five phases on one
 /// WAL-backed engine tell the failure story end to end:
@@ -1828,168 +1625,110 @@ pub fn e11_contention_tail(scale: RunScale) -> Report {
 ///    replay, and measure **time-to-writable** (`ttw` = reopen until
 ///    the first commit succeeds), then healthy throughput again.
 pub fn e12_faults(scale: RunScale) -> Report {
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    use udbms_core::CollectionSchema;
-    use udbms_driver::RetryPolicy;
-    use udbms_engine::{Engine, FaultPlan};
 
     let per_client = if scale.reps > 5 { 400 } else { 120 };
     let clients = scale.clients.max(1);
     let policy = RetryPolicy::with_retries(scale.retries);
-    let seed = scale.fault_seed.unwrap_or(0xFA12);
+    let seed = scale.fault_seed.unwrap_or(DEFAULT_FAULT_SEED);
     let n_keys = 256usize; // hot enough that the retry policy has work
 
-    let mut report = Report::new(
+    let mut report = Report::gated(
         format!(
             "E12 — storage faults: fail-fast writes, degraded reads, recovery (retry budget {}, fault seed {seed})",
             scale.retries
         ),
+        E12,
         &[
-            "phase", "op", "clients", "ops", "ok", "errors", "retries", "ttw", "elapsed", "p50",
-            "p90", "p95", "p99", "max", "rate",
+            "clients", "ops", "ok", "errors", "retries", "ttw", "elapsed", "p50", "p90", "p95",
+            "p99", "max", "rate",
         ],
     );
 
-    let path = {
-        let mut p = std::env::temp_dir();
-        p.push(format!("udbms-e12-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
-    };
+    let path = temp_wal("e12");
     let config = scale
         .engine_config()
         .with_durability(scale.durability.unwrap_or(Durability::Flush))
         .with_group_commit(true);
     let plan = Arc::new(FaultPlan::seeded(seed));
-    let engine =
-        Engine::with_wal_faults(&path, config, Arc::clone(&plan)).expect("wal-backed engine");
-    engine
-        .create_collection(CollectionSchema::key_value("hot"))
-        .expect("hot collection");
+    let wal_engine =
+        |plan| Engine::with_wal_faults(&path, config, plan).expect("wal-backed engine");
+    let engine = kv_engine(wal_engine(Arc::clone(&plan)), "hot", []);
 
-    // one measured update phase: every client drives the same
-    // read-modify-write through the retry policy; engine errors are
-    // the measurement, so they are counted, never propagated
-    let update_phase = |engine: &Engine, phase_seed: u64| {
-        let ok = AtomicU64::new(0);
-        let errors = AtomicU64::new(0);
-        let retries = AtomicU64::new(0);
-        let stats = run_concurrent(clients, per_client, |client, i| {
-            let mut rng = SplitMix64::new(phase_seed ^ (client as u64 * 65_537 + i as u64));
+    // one measured phase, rendered: every client drives `op` (an update
+    // is the same read-modify-write through the retry policy); engine
+    // errors are the measurement, so they are counted, never
+    // propagated. Returns (ok, errors, retries).
+    let mut phase = |engine: &Engine, phase: &str, op: &str, phase_seed: u64, ttw: String| {
+        let (ok, errors, retries) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        let is_update = op == "update";
+        let cell = measure(clients, per_client, RunMode::Closed, |client, i| {
             let k = Key::int(((client * per_client + i) % n_keys) as i64);
-            let (r, tries) = policy.run(&mut rng, || {
-                let mut t = engine.begin(Isolation::Snapshot);
-                t.get("hot", &k)?;
-                // hold the snapshot across a scheduler yield — the
-                // lost-update window — so conflicts are observable
-                // even on a single-core runner (the E11 trick)
-                std::thread::yield_now();
-                t.put("hot", k.clone(), Value::Int(i as i64))?;
-                t.commit().map(|_| ())
-            });
-            retries.fetch_add(u64::from(tries), Ordering::Relaxed);
-            match r {
+            let result = if is_update {
+                let seed = phase_seed ^ (client as u64 * 65_537 + i as u64);
+                let (result, tries) =
+                    read_modify_write(engine, &policy, seed, &k, || Value::Int(i as i64));
+                retries.fetch_add(u64::from(tries), Ordering::Relaxed);
+                result
+            } else {
+                let mut t = engine.begin_read();
+                t.get("hot", &k).and_then(|_| t.commit()).map(|_| ())
+            };
+            match result {
                 Ok(()) => ok.fetch_add(1, Ordering::Relaxed),
                 Err(_) => errors.fetch_add(1, Ordering::Relaxed),
             };
             Ok(())
-        })
-        .expect("update phase");
-        (
-            stats,
-            ok.into_inner(),
-            errors.into_inner(),
-            retries.into_inner(),
-        )
+        });
+        let counts = (ok.into_inner(), errors.into_inner(), retries.into_inner());
+        report.stats_row(
+            &[phase.into(), op.into()],
+            cell.ops,
+            &cell.stats,
+            &[
+                ("clients", clients.to_string()),
+                ("ok", counts.0.to_string()),
+                ("errors", counts.1.to_string()),
+                ("retries", counts.2.to_string()),
+                ("ttw", ttw),
+            ],
+        );
+        counts
     };
-
-    let mut emit = |phase: &str,
-                    op: &str,
-                    stats: udbms_driver::ConcurrentStats,
-                    ok: u64,
-                    errors: u64,
-                    retries: u64,
-                    ttw: String| {
-        let ops = stats.total_ops;
-        let mut row = vec![
-            phase.to_string(),
-            op.to_string(),
-            clients.to_string(),
-            ops.to_string(),
-            ok.to_string(),
-            errors.to_string(),
-            retries.to_string(),
-            ttw,
-            format!("{:?}", stats.elapsed),
-        ];
-        row.extend(latency_cells(
-            &stats.latency_histogram(),
-            stats.percentile_us(95.0),
-        ));
-        row.push(per_sec(ops, stats.elapsed.as_secs_f64()));
-        report.row(row);
-    };
+    let dash = || "-".to_string();
 
     // --- phase 1: healthy baseline ---
-    let (stats, ok, errors, retries) = update_phase(&engine, seed);
+    let (_, errors, _) = phase(&engine, "baseline", "update", seed, dash());
     assert_eq!(errors, 0, "baseline phase must be fault-free");
-    emit("baseline", "update", stats, ok, errors, retries, "-".into());
 
     // --- phase 2: ENOSPC burst on the WAL append path ---
     plan.enospc("append.write");
-    let (stats, ok, errors, retries) = update_phase(&engine, seed ^ 0xB0);
+    let (_, errors, _) = phase(&engine, "burst", "update", seed ^ 0xB0, dash());
     assert!(errors > 0, "the fault burst must reject writes");
-    emit("burst", "update", stats, ok, errors, retries, "-".into());
 
     // --- phase 3: degraded reads keep serving ---
-    let (read_ok, read_err) = (AtomicU64::new(0), AtomicU64::new(0));
-    let stats = run_concurrent(clients, per_client, |client, i| {
-        let k = Key::int(((client * per_client + i) % n_keys) as i64);
-        let mut t = engine.begin_read();
-        match t.get("hot", &k).and_then(|_| t.commit()) {
-            Ok(_) => read_ok.fetch_add(1, Ordering::Relaxed),
-            Err(_) => read_err.fetch_add(1, Ordering::Relaxed),
-        };
-        Ok(())
-    })
-    .expect("degraded read phase");
-    let (ok, errors) = (read_ok.into_inner(), read_err.into_inner());
+    let (ok, errors, _) = phase(&engine, "degraded", "read", 0, dash());
     assert!(ok > 0, "degraded mode must keep serving reads");
     assert_eq!(errors, 0, "read-only mode must not reject reads");
-    emit("degraded", "read", stats, ok, errors, 0, "-".into());
 
     // --- phase 4: degraded writes fail fast ---
-    let (stats, ok, errors, retries) = update_phase(&engine, seed ^ 0xD0);
+    let (ok, _, retries) = phase(&engine, "degraded", "update", seed ^ 0xD0, dash());
     assert_eq!(ok, 0, "a read-only engine must reject every write");
     assert_eq!(retries, 0, "Unavailable must never be retried (fsyncgate)");
-    emit("degraded", "update", stats, ok, errors, retries, "-".into());
     let es = engine.stats();
-    let degraded_reads = es.degraded_reads;
-    let write_rejected = es.write_rejected;
     drop(engine);
 
     // --- phase 5: remount — reopen un-faulted, replay, write again ---
     let t0 = Instant::now();
-    let engine = Engine::with_wal_faults(&path, config, Arc::new(FaultPlan::none()))
-        .expect("recovery reopen");
+    let engine = wal_engine(Arc::new(FaultPlan::none()));
     engine
         .run(Isolation::Snapshot, |t| {
             t.put("hot", Key::int(0), Value::Int(-1))
         })
         .expect("first post-recovery commit");
-    let ttw = t0.elapsed();
-    let (stats, ok, errors, retries) = update_phase(&engine, seed ^ 0xF0);
+    let ttw = format!("{:?}", t0.elapsed());
+    let (_, errors, _) = phase(&engine, "recovered", "update", seed ^ 0xF0, ttw);
     assert_eq!(errors, 0, "a remounted engine must accept writes again");
-    emit(
-        "recovered",
-        "update",
-        stats,
-        ok,
-        errors,
-        retries,
-        format!("{ttw:?}"),
-    );
     drop(engine);
     let _ = std::fs::remove_file(&path);
 
@@ -2000,35 +1739,111 @@ pub fn e12_faults(scale: RunScale) -> Report {
     report.note("attempts/s), while the lock-free read lane keeps serving. `ttw` = remount");
     report.note("time-to-writable: reopen + replay + first committed write.");
     report.note(format!(
-        "engine counters at teardown: degraded_reads {degraded_reads}, write_rejected {write_rejected}"
+        "engine counters at teardown: degraded_reads {}, write_rejected {}",
+        es.degraded_reads, es.write_rejected
     ));
     report
 }
 
-/// Run everything (the `harness all` path).
-pub fn all_reports(scale: RunScale) -> Vec<Report> {
-    vec![
-        f1_inventory(scale),
-        e1_generation(scale),
-        e2_queries(scale),
-        e3_evolution(scale),
-        e4a_transactions(scale),
-        e4b_acid(scale),
-        e4c_eventual(scale),
-        e5_conversion(scale),
-        e6_crud_scaling(scale),
-        e7_ablation(scale),
-        e8_durability(scale),
-        e9_read_path(scale),
-        e10_obs_overhead(scale),
-        e11_contention_tail(scale),
-        e12_faults(scale),
-    ]
+/// One selectable experiment: its id, the function that produces its
+/// table, and — when its rows feed the regression gate and the results
+/// matrix — the [`Gate`] spec those read (and its header is built from).
+pub type Experiment = (&'static str, fn(RunScale) -> Report, Option<Gate>);
+
+/// Every experiment, in the order `harness` runs them: the one list the
+/// harness menu, the gate and the matrix are read from.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("f1", f1_inventory, None),
+    ("e1", e1_generation, None),
+    ("e2", e2_queries, Some(E2)),
+    ("e3", e3_evolution, None),
+    ("e4a", e4a_transactions, Some(E4A)),
+    ("e4b", e4b_acid, None),
+    ("e4c", e4c_eventual, None),
+    ("e5", e5_conversion, None),
+    ("e6", e6_crud_scaling, Some(E6)),
+    ("e7", e7_ablation, None),
+    ("e8", e8_durability, Some(E8)),
+    ("e9", e9_read_path, Some(E9)),
+    ("e10", e10_obs_overhead, Some(E10)),
+    ("e11", e11_contention_tail, Some(E11)),
+    ("e12", e12_faults, Some(E12)),
+];
+
+/// The experiments `wanted` names, in table order (all of them when
+/// `wanted` is empty); `Err` lists the ids that are not in the table —
+/// a typo'd id silently dropped would silently change what ran.
+pub fn select(wanted: &[&str]) -> Result<Vec<&'static Experiment>, String> {
+    let unknown: Vec<&str> = wanted
+        .iter()
+        .copied()
+        .filter(|w| !EXPERIMENTS.iter().any(|(id, ..)| id == w))
+        .collect();
+    if !unknown.is_empty() {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
+        return Err(format!(
+            "unknown experiment(s) {unknown:?}; available: {}",
+            known.join(", ")
+        ));
+    }
+    Ok(EXPERIMENTS
+        .iter()
+        .filter(|(id, ..)| wanted.is_empty() || wanted.contains(id))
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The shared gate-drift check: every row of gated experiment
+    /// `id`'s report must yield a distinct gate key through the same
+    /// path `bench_gate` reads — the `--json` form — i.e. every spec
+    /// identity column is in the header and the metric cell parses as
+    /// a rate.
+    fn assert_rows_are_gate_keys(id: &str, report: &Report) {
+        let gate = Gate::of(id).expect("a gated experiment");
+        for col in gate.identity.iter().chain([&gate.metric]) {
+            assert!(
+                report.headers.iter().any(|h| h == col),
+                "{id}: no `{col}` column"
+            );
+        }
+        let mut json = report.to_value();
+        let fields = json.as_object_mut().expect("report object");
+        fields.insert("id".to_string(), Value::from(id));
+        let doc = udbms_core::obj! {"reports" => Value::Array(vec![json])};
+        let mut keys: Vec<String> = crate::gate::metrics_of(&doc)
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect();
+        assert_eq!(keys.len(), report.rows.len(), "{id}: a row without a rate");
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), report.rows.len(), "{id}: two rows share a key");
+    }
+
+    #[test]
+    fn experiment_ids_are_unique_and_unknown_ids_are_rejected() {
+        let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
+        assert_eq!(ids.len(), 15);
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 15, "duplicate experiment id");
+        assert_eq!(select(&[]).unwrap().len(), 15, "no ids = everything");
+        // selection keeps table order, whatever order was asked for
+        let picked: Vec<&str> = select(&["e9", "e2"])
+            .unwrap()
+            .into_iter()
+            .map(|(id, ..)| *id)
+            .collect();
+        assert_eq!(picked, ["e2", "e9"]);
+        let err = select(&["e2", "e13", "out.txt"]).unwrap_err();
+        assert!(err.contains("e13") && err.contains("out.txt"), "{err}");
+        assert!(err.contains("available: f1, e1, e2"), "{err}");
+        assert_eq!(Gate::of("e13"), None);
+        assert_eq!(Gate::of("e5"), None, "e5 is not gated");
+    }
 
     #[test]
     fn quick_profile_runs_every_experiment() {
@@ -2041,10 +1856,12 @@ mod tests {
             durability: None,
             ..RunScale::quick()
         };
-        for report in all_reports(scale) {
+        for (id, run, gate) in EXPERIMENTS {
+            let report = run(scale);
             let rendered = report.render();
             assert!(!report.rows.is_empty(), "{} has no rows", report.title);
             assert!(rendered.contains("=="));
+            assert_eq!(report.gate, *gate, "{id}: report vs table");
         }
     }
 
@@ -2059,6 +1876,7 @@ mod tests {
             ..RunScale::quick()
         };
         let r = e12_faults(scale);
+        assert_rows_are_gate_keys("e12", &r);
         let phases: Vec<(&str, &str)> = r
             .rows
             .iter()
@@ -2101,6 +1919,7 @@ mod tests {
             ..RunScale::quick()
         };
         let r = e2_queries(scale);
+        assert_rows_are_gate_keys("e2", &r);
         let n_subjects = registry().len();
         assert_eq!(
             r.rows.len(),
@@ -2112,7 +1931,7 @@ mod tests {
                 assert!(
                     r.rows
                         .iter()
-                        .any(|row| row[0] == q.id && row[2] == subject.name()),
+                        .any(|row| row[0] == q.id && row[1] == subject.name()),
                     "missing row for {} x {}",
                     q.id,
                     subject.name()
@@ -2136,6 +1955,7 @@ mod tests {
             ..RunScale::quick()
         };
         let r = e4a_transactions(scale);
+        assert_rows_are_gate_keys("e4a", &r);
         // client counts {1, 4} x theta {0, 0.9} x (unified: RC/SI/SER + polyglot: 2PC)
         assert_eq!(r.rows.len(), 2 * 2 * 4);
         assert!(r
@@ -2167,6 +1987,7 @@ mod tests {
             ..RunScale::quick()
         };
         let r = e6_crud_scaling(scale);
+        assert_rows_are_gate_keys("e6", &r);
         // 5 ops × shard arms {1, 2} × client arms {1, 2}
         assert_eq!(r.rows.len(), 5 * 2 * 2);
         for op in [
@@ -2186,7 +2007,10 @@ mod tests {
         }
 
         // a Zipfian scale labels its rows and still sweeps every cell
-        let r = e6_crud_scaling(scale.with_key_dist(KeyDist::Zipfian { theta: 0.9 }));
+        let r = e6_crud_scaling(RunScale {
+            key_dist: KeyDist::Zipfian { theta: 0.9 },
+            ..scale
+        });
         assert_eq!(r.rows.len(), 5 * 2 * 2);
         assert!(r.rows.iter().all(|row| row[1] == "zipf(0.9)"));
     }
@@ -2203,6 +2027,7 @@ mod tests {
             ..RunScale::quick()
         };
         let r = e11_contention_tail(scale);
+        assert_rows_are_gate_keys("e11", &r);
         // closed: update × {uniform, zipf} × {1, 4} + read × {uniform, zipf} × {4}
         // open (zipf only): update × {4} + read × {4}
         assert_eq!(r.rows.len(), 8);
@@ -2240,10 +2065,17 @@ mod tests {
             .all(|row| row[5] == "-"));
 
         // the mode filter restricts arms; --rate pins the open target
-        let r = e11_contention_tail(scale.with_mode(ModeFilter::Closed));
+        let r = e11_contention_tail(RunScale {
+            mode: Some(ModeFilter::Closed),
+            ..scale
+        });
         assert!(!r.rows.is_empty());
         assert!(r.rows.iter().all(|row| row[2] == "closed"));
-        let r = e11_contention_tail(scale.with_mode(ModeFilter::Open).with_rate(2000.0));
+        let r = e11_contention_tail(RunScale {
+            mode: Some(ModeFilter::Open),
+            rate: Some(2000.0),
+            ..scale
+        });
         assert!(!r.rows.is_empty());
         assert!(r.rows.iter().all(|row| row[2] == "open"));
         assert!(r.rows.iter().all(|row| row[5] == "2000/s"));
@@ -2261,6 +2093,7 @@ mod tests {
             ..RunScale::quick()
         };
         let r = e8_durability(scale);
+        assert_rows_are_gate_keys("e8", &r);
         // 3 levels × clients {1, 2} × {group-commit, per-commit} + 3 recovery rows
         assert_eq!(r.rows.len(), 3 * 2 * 2 + 3);
         for level in ["buffered", "flush", "fsync"] {
@@ -2279,8 +2112,10 @@ mod tests {
         }
 
         // a pinned level (the CI configuration) sweeps only that level
-        let pinned = scale.with_durability(Durability::Flush);
-        let r = e8_durability(pinned);
+        let r = e8_durability(RunScale {
+            durability: Some(Durability::Flush),
+            ..scale
+        });
         assert_eq!(r.rows.len(), 2 * 2 + 3);
         assert!(r.rows.iter().all(|row| row[1] != "fsync"));
     }
@@ -2297,6 +2132,7 @@ mod tests {
             ..RunScale::quick()
         };
         let r = e9_read_path(scale);
+        assert_rows_are_gate_keys("e9", &r);
         // 5 ops × 2 arms × client arms {1, 2}
         assert_eq!(r.rows.len(), 5 * 2 * 2);
         for (op, arms) in [
@@ -2323,7 +2159,7 @@ mod tests {
     }
 
     #[test]
-    fn e10_sweeps_obs_arms_and_proves_the_pipeline() {
+    fn e10_sweeps_obs_arms_and_quotes_the_overhead() {
         let scale = RunScale {
             sf: 0.01,
             reps: 2,
@@ -2334,6 +2170,7 @@ mod tests {
             ..RunScale::quick()
         };
         let r = e10_obs_overhead(scale);
+        assert_rows_are_gate_keys("e10", &r);
         // 2 ops × obs arms {on, off} × client arms {1, 2}
         assert_eq!(r.rows.len(), 2 * 2 * 2);
         for op in ["point-get", "filter-scan"] {
@@ -2351,21 +2188,9 @@ mod tests {
         for row in &r.rows {
             assert!(row[10].ends_with("/s"), "rate cell: {row:?}");
         }
-        // the notes quote measured overhead and prove every commit
-        // stage histogram populated on the WAL-backed phase
-        assert!(r.notes.iter().any(|n| n.contains("% overhead")));
-        for stage in [
-            "commit_queue_wait_ns",
-            "wal_append_ns",
-            "wal_flush_ns",
-            "commit_validate_ns",
-            "commit_install_ns",
-        ] {
-            assert!(
-                r.notes.iter().any(|n| n.contains(stage)),
-                "missing stage note {stage}"
-            );
-        }
+        // the notes quote the measured overhead, one per (op, clients)
+        let quoted = r.notes.iter().filter(|n| n.contains("% overhead"));
+        assert_eq!(quoted.count(), 2 * 2);
     }
 
     #[test]

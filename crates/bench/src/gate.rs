@@ -19,21 +19,39 @@
 
 use udbms_core::Value;
 
-/// Gated experiments: `(report id, identity columns, throughput column)`.
-/// A metric key is the report id plus the identity cells; the metric is
-/// the throughput cell parsed from its `"123/s"` form. The matrix
-/// renderer ([`crate::report::matrix_rows`]) shares this spec so the
-/// per-commit matrix and the gate always describe the same cells.
-pub const GATED: &[(&str, &[&str], &str)] = &[
-    ("e2", &["query", "subject"], "ops/s"),
-    ("e4a", &["subject", "iso", "clients", "theta"], "txn/s"),
-    ("e6", &["op", "dist", "shards", "clients"], "ops/s"),
-    ("e8", &["arm", "durability", "clients"], "rate"),
-    ("e9", &["op", "arm", "clients"], "rate"),
-    ("e10", &["op", "obs", "clients"], "rate"),
-    ("e11", &["op", "dist", "mode", "clients"], "rate"),
-    ("e12", &["phase", "op"], "rate"),
-];
+/// What makes an experiment's rows gate metrics. A metric key is the
+/// report id plus the identity cells; the metric is the throughput
+/// cell parsed from its `"123/s"` form. Each gated experiment declares
+/// its spec once, in [`crate::experiments::EXPERIMENTS`]: its table
+/// header ([`crate::Report::gated`]), this gate and the matrix renderer
+/// ([`crate::report::matrix_rows`]) all read that one declaration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gate {
+    /// The columns whose cells identify a row across runs.
+    pub identity: &'static [&'static str],
+    /// The throughput column.
+    pub metric: &'static str,
+}
+
+impl Gate {
+    /// The spec of experiment `id`; `None` when it is unknown or not gated.
+    pub fn of(id: &str) -> Option<Gate> {
+        let (_, _, gate) = crate::experiments::EXPERIMENTS
+            .iter()
+            .find(|(eid, _, _)| *eid == id)?;
+        *gate
+    }
+
+    /// The metric key of one `--json` row of report `id`.
+    pub fn key(&self, id: &str, row: &Value) -> String {
+        let mut key = String::from(id);
+        for col in self.identity {
+            key.push(':');
+            key.push_str(&row.get_field(col).display_plain());
+        }
+        key
+    }
+}
 
 /// The fraction of the obs-off rate the obs-on filter-scan arm must
 /// keep: recording may cost at most 5% on the E10 hot-scan cells.
@@ -127,22 +145,14 @@ pub fn metrics_of(doc: &Value) -> Vec<(String, f64)> {
     for report in reports {
         let id = report.get_field("id");
         let Some(id) = id.as_str() else { continue };
-        let Some((_, identity, metric)) = GATED.iter().find(|(gid, _, _)| *gid == id) else {
-            continue;
-        };
+        let Some(gate) = Gate::of(id) else { continue };
         let Some(rows) = report.get_field("rows").as_array() else {
             continue;
         };
         for row in rows {
-            let Some(rate) = row.get_field(metric).as_str().and_then(parse_rate) else {
-                continue;
-            };
-            let mut key = String::from(id);
-            for col in *identity {
-                key.push(':');
-                key.push_str(&row.get_field(col).display_plain());
+            if let Some(rate) = row.get_field(gate.metric).as_str().and_then(parse_rate) {
+                out.push((gate.key(id, row), rate));
             }
-            out.push((key, rate));
         }
     }
     out
@@ -161,9 +171,11 @@ pub fn merged_baseline(docs: &[Value]) -> Option<Value> {
     let mut out = first.clone();
     let reports = out.as_object_mut()?.get_mut("reports")?.as_array_mut()?;
     for report in reports {
-        let id = report.get_field("id");
-        let Some(id) = id.as_str() else { continue };
-        let Some((id, identity, metric)) = GATED.iter().find(|(gid, _, _)| *gid == id) else {
+        let Some((id, gate)) = report
+            .get_field("id")
+            .as_str()
+            .and_then(|id| Some((id.to_string(), Gate::of(id)?)))
+        else {
             continue;
         };
         let Some(rows) = report
@@ -174,13 +186,9 @@ pub fn merged_baseline(docs: &[Value]) -> Option<Value> {
             continue;
         };
         for row in rows {
-            let mut key = String::from(*id);
-            for col in *identity {
-                key.push(':');
-                key.push_str(&row.get_field(col).display_plain());
-            }
+            let key = gate.key(&id, row);
             if let (Some(rate), Some(obj)) = (best.get(&key), row.as_object_mut()) {
-                obj.insert((*metric).to_string(), Value::from(format!("{rate:.0}/s")));
+                obj.insert(gate.metric.to_string(), Value::from(format!("{rate:.0}/s")));
             }
         }
     }

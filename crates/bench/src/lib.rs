@@ -2,22 +2,17 @@
 
 //! # udbms-bench
 //!
-//! The benchmark harness: the experiment suite (F1, E1–E8) mapped in
-//! DESIGN.md §4, a plain-text [`Report`] renderer, the `harness` binary
-//! that regenerates every table of EXPERIMENTS.md, the `bench_gate`
-//! binary that compares a `--json` report against `bench/baseline.json`
-//! for CI regression gating, and the criterion benches under `benches/`.
+//! The benchmark harness: the experiment suite (F1, E1–E12) mapped in
+//! DESIGN.md §7 — one [`EXPERIMENTS`] table, one cell runner — a
+//! plain-text [`Report`] renderer, the `harness` binary that runs the
+//! experiments and prints their tables, and the `bench_gate` binary
+//! that compares `--json` reports against `bench/baseline.json` for CI
+//! regression gating.
 
 pub mod experiments;
 pub mod gate;
 pub mod report;
 
-pub use experiments::{
-    all_reports, e10_obs_overhead, e11_contention_tail, e1_generation, e2_queries, e3_evolution,
-    e4a_transactions, e4b_acid, e4c_eventual, e5_conversion, e6_crud_scaling, e7_ablation,
-    e8_durability, e9_read_path, f1_inventory, ModeFilter, RunScale,
-};
-pub use gate::{compare_reports, merged_baseline, obs_overhead_failures, GateOutcome, GATED};
-pub use report::{
-    attach_matrix, latency_cells, matrix_markdown, matrix_rows, per_sec, us, MatrixRow, Report,
-};
+pub use experiments::{select, Experiment, ModeFilter, RunScale, DEFAULT_FAULT_SEED, EXPERIMENTS};
+pub use gate::{compare_reports, merged_baseline, obs_overhead_failures, Gate, GateOutcome};
+pub use report::{attach_matrix, matrix_markdown, matrix_rows, per_sec, us, MatrixRow, Report};

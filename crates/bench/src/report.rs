@@ -1,9 +1,13 @@
-//! Plain-text experiment tables (the rows EXPERIMENTS.md records), plus
-//! a machine-readable [`Value`] form for the harness's `--json` output.
+//! Plain-text experiment tables, the one row renderer every measured
+//! cell goes through ([`Report::stats_row`]), and a machine-readable
+//! [`Value`] form for the harness's `--json` output.
 
 use std::fmt::Write as _;
 
 use udbms_core::Value;
+use udbms_driver::ConcurrentStats;
+
+use crate::gate::Gate;
 
 /// One experiment's tabular output.
 #[derive(Debug, Clone)]
@@ -16,7 +20,13 @@ pub struct Report {
     pub rows: Vec<Vec<String>>,
     /// Free-text notes under the table.
     pub notes: Vec<String>,
+    /// The gate spec of a gated experiment's report: its leading
+    /// columns are the spec's identity columns.
+    pub gate: Option<Gate>,
 }
+
+/// The latency columns of a measured row, in [`latency_cells`] order.
+const LATENCY_COLS: [&str; 5] = ["p50", "p90", "p95", "p99", "max"];
 
 impl Report {
     /// Start a report.
@@ -26,7 +36,63 @@ impl Report {
             headers: headers.iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            gate: None,
         }
+    }
+
+    /// Start a gated experiment's report: the headers are the gate's
+    /// identity columns followed by `rest`, which names the metric
+    /// column — so the table cannot disagree with the spec the
+    /// regression gate and the results matrix key on.
+    pub fn gated(title: impl Into<String>, gate: Gate, rest: &[&str]) -> Report {
+        assert!(rest.contains(&gate.metric), "no `{}` column", gate.metric);
+        let headers: Vec<&str> = gate.identity.iter().chain(rest).copied().collect();
+        Report {
+            gate: Some(gate),
+            ..Report::new(title, &headers)
+        }
+    }
+
+    /// Append the row of one measured cell of a [`Report::gated`]
+    /// table. `identity` fills the gate's identity columns in spec
+    /// order and `extras` the experiment's own columns by header name;
+    /// every other column is a standard measurement cell: `elapsed`,
+    /// the latency percentiles, the operation count (`ops`, `txns` or
+    /// `commits`) and the gated rate `ops / elapsed`.
+    pub fn stats_row(
+        &mut self,
+        identity: &[String],
+        ops: usize,
+        stats: &ConcurrentStats,
+        extras: &[(&str, String)],
+    ) {
+        let gate = self.gate.expect("stats_row needs a gated report");
+        assert_eq!(identity.len(), gate.identity.len(), "{}", self.title);
+        let latency = latency_cells(&stats.latency_histogram(), stats.percentile_us(95.0));
+        let cells = self
+            .headers
+            .iter()
+            .enumerate()
+            .map(|(i, header)| {
+                let header = header.as_str();
+                if let Some(cell) = identity.get(i) {
+                    cell.clone()
+                } else if let Some((_, cell)) = extras.iter().find(|(name, _)| *name == header) {
+                    cell.clone()
+                } else if let Some(k) = LATENCY_COLS.iter().position(|c| *c == header) {
+                    latency[k].clone()
+                } else if header == gate.metric {
+                    per_sec(ops, stats.elapsed.as_secs_f64())
+                } else if header == "elapsed" {
+                    format!("{:?}", stats.elapsed)
+                } else if matches!(header, "ops" | "txns" | "commits") {
+                    ops.to_string()
+                } else {
+                    panic!("no cell for column `{header}` in {}", self.title)
+                }
+            })
+            .collect();
+        self.row(cells);
     }
 
     /// Append a row (must match the header count).
@@ -119,7 +185,7 @@ impl Report {
 /// histogram snapshot (µs units), while `p95_exact` is the exact-sample
 /// percentile passed through unchanged — the legacy column older
 /// baselines keyed on stays byte-comparable across this change.
-pub fn latency_cells(h: &udbms_obs::HistSnapshot, p95_exact: u64) -> [String; 5] {
+fn latency_cells(h: &udbms_obs::HistSnapshot, p95_exact: u64) -> [String; 5] {
     [
         us(h.p50() as u128),
         us(h.p90() as u128),
@@ -144,11 +210,9 @@ pub fn per_sec(count: usize, secs: f64) -> String {
 }
 
 /// One cell of the cross-experiment results matrix: the identity of a
-/// gated row plus its headline metrics. Built from the same [`GATED`]
+/// gated row plus its headline metrics. Built from the same [`Gate`]
 /// spec the regression gate keys on, so the matrix and the gate always
 /// agree about which rows are load-bearing.
-///
-/// [`GATED`]: crate::gate::GATED
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixRow {
     /// Gated experiment id (`e2`, `e6`, `e11`, …).
@@ -255,8 +319,7 @@ pub fn matrix_rows(doc: &Value) -> Vec<MatrixRow> {
         let Some(id) = report.get_field("id").as_str() else {
             continue;
         };
-        let Some((_, identity, metric)) = crate::gate::GATED.iter().find(|(gid, _, _)| *gid == id)
-        else {
+        let Some(Gate { identity, metric }) = Gate::of(id) else {
             continue;
         };
         let Some(rows) = report.get_field("rows").as_array() else {

@@ -32,12 +32,11 @@ mod runner;
 mod subjects;
 
 pub use runner::{
-    percentile_us, run_concurrent, run_concurrent_mode, run_query_clients, ConcurrentStats,
-    RetryPolicy, RunMode,
+    percentile_us, run_concurrent, run_concurrent_mode, run_query_clients, ConcurrentStats, RunMode,
 };
 pub use subjects::{EngineSubject, PolyglotSubject};
 
-pub use udbms_engine::{Durability, EngineConfig, DEFAULT_SHARDS};
+pub use udbms_engine::{Durability, EngineConfig, RetryPolicy, DEFAULT_SHARDS};
 
 use udbms_core::{Key, Params, Result, Value};
 use udbms_datagen::{workload::BenchQuery, Dataset};

@@ -5,93 +5,9 @@
 
 use std::time::{Duration, Instant};
 
-use udbms_core::{Params, Result, SplitMix64};
+use udbms_core::{Params, Result};
 
 use crate::{PreparedQuery, Subject};
-
-/// Bounded exponential backoff with jitter for retryable errors
-/// ([`udbms_core::Error::is_retryable`] — optimistic transaction
-/// conflicts). Non-retryable errors (including `Unavailable` from a
-/// poisoned or read-only WAL) are returned immediately: retrying a
-/// failed fsync or a full disk can only lie about durability.
-///
-/// Each attempt k sleeps `min(base << k, cap)` scaled by a random
-/// factor in [0.5, 1.0) (decorrelated-ish jitter), so colliding
-/// clients spread out instead of re-colliding in lockstep. The policy
-/// is deterministic for a given seed, matching the harness's
-/// reproducibility rules.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Maximum number of *retries* after the first attempt. 0 disables
-    /// retrying entirely (the first error is returned).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub base: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            base: Duration::from_micros(50),
-            cap: Duration::from_millis(5),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries — every error propagates on the
-    /// first attempt.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// A default-shaped policy with an explicit retry budget.
-    pub fn with_retries(max_retries: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_retries,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The jittered backoff before retry number `attempt` (0-based).
-    /// Exposed for tests; `run` is the normal entry point.
-    pub fn backoff(&self, attempt: u32, rng: &mut SplitMix64) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX));
-        let capped = exp.min(self.cap);
-        // scale by [0.5, 1.0): never a zero sleep, never above the cap
-        capped.mul_f64(0.5 + rng.f64() / 2.0)
-    }
-
-    /// Run `op` until it succeeds, fails with a non-retryable error, or
-    /// the retry budget is exhausted. Returns the operation's result
-    /// plus the number of retries consumed, so callers can report
-    /// retries separately from aborts.
-    pub fn run<T>(
-        &self,
-        rng: &mut SplitMix64,
-        mut op: impl FnMut() -> Result<T>,
-    ) -> (Result<T>, u32) {
-        let mut retries = 0;
-        loop {
-            match op() {
-                Ok(v) => return (Ok(v), retries),
-                Err(e) if e.is_retryable() && retries < self.max_retries => {
-                    std::thread::sleep(self.backoff(retries, rng));
-                    retries += 1;
-                }
-                Err(e) => return (Err(e), retries),
-            }
-        }
-    }
-}
 
 /// How the measurement loop issues operations.
 ///
@@ -370,83 +286,6 @@ mod tests {
         let stats = run_concurrent(1, 3, |_, _| Ok(())).unwrap();
         assert_eq!(stats.mode, RunMode::Closed);
         assert_eq!(stats.mode.label(), "closed");
-    }
-
-    #[test]
-    fn retry_policy_retries_conflicts_until_success() {
-        let mut rng = udbms_core::SplitMix64::new(7);
-        let policy = RetryPolicy::default();
-        let attempts = std::cell::Cell::new(0u32);
-        let (r, retries) = policy.run(&mut rng, || {
-            attempts.set(attempts.get() + 1);
-            if attempts.get() < 4 {
-                Err(udbms_core::Error::TxnConflict("ww".into()))
-            } else {
-                Ok(42)
-            }
-        });
-        assert_eq!(r.unwrap(), 42);
-        assert_eq!(retries, 3);
-        assert_eq!(attempts.get(), 4);
-    }
-
-    #[test]
-    fn retry_policy_gives_up_after_the_budget() {
-        let mut rng = udbms_core::SplitMix64::new(7);
-        let policy = RetryPolicy::with_retries(3);
-        let attempts = std::cell::Cell::new(0u32);
-        let (r, retries) = policy.run::<()>(&mut rng, || {
-            attempts.set(attempts.get() + 1);
-            Err(udbms_core::Error::TxnConflict("ww".into()))
-        });
-        assert!(matches!(r, Err(udbms_core::Error::TxnConflict(_))));
-        assert_eq!(retries, 3);
-        assert_eq!(attempts.get(), 4, "budget of 3 retries = 4 attempts");
-    }
-
-    #[test]
-    fn retry_policy_never_retries_unavailable() {
-        // fsyncgate: a poisoned WAL must fail fast, not be hammered
-        let mut rng = udbms_core::SplitMix64::new(7);
-        let policy = RetryPolicy::default();
-        let attempts = std::cell::Cell::new(0u32);
-        let (r, retries) = policy.run::<()>(&mut rng, || {
-            attempts.set(attempts.get() + 1);
-            Err(udbms_core::Error::Unavailable("wal poisoned".into()))
-        });
-        assert!(matches!(r, Err(udbms_core::Error::Unavailable(_))));
-        assert_eq!(retries, 0);
-        assert_eq!(attempts.get(), 1);
-    }
-
-    #[test]
-    fn retry_policy_none_propagates_first_conflict() {
-        let mut rng = udbms_core::SplitMix64::new(7);
-        let (r, retries) = RetryPolicy::none().run::<()>(&mut rng, || {
-            Err(udbms_core::Error::TxnConflict("ww".into()))
-        });
-        assert!(r.is_err());
-        assert_eq!(retries, 0);
-    }
-
-    #[test]
-    fn backoff_grows_then_caps_with_jitter_in_bounds() {
-        let policy = RetryPolicy::default();
-        let mut rng = udbms_core::SplitMix64::new(42);
-        let mut prev_hi = Duration::ZERO;
-        for attempt in 0..12 {
-            let d = policy.backoff(attempt, &mut rng);
-            let nominal = policy
-                .base
-                .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
-                .min(policy.cap);
-            assert!(d >= nominal.mul_f64(0.5), "attempt {attempt}: {d:?}");
-            assert!(d <= nominal, "attempt {attempt}: {d:?} > {nominal:?}");
-            assert!(d <= policy.cap);
-            prev_hi = prev_hi.max(d);
-        }
-        // the schedule actually reached the cap region
-        assert!(prev_hi > policy.cap.mul_f64(0.4));
     }
 
     #[test]

@@ -83,13 +83,19 @@ fn wal_engine_reports_per_stage_commit_histograms() {
     let mut path = std::env::temp_dir();
     path.push(format!("udbms-driver-obs-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
+    // slow-query threshold 0: every statement is captured, so the check
+    // does not depend on machine speed
     let subject = EngineSubject::with_wal_config(
         &path,
-        EngineConfig::default().with_durability(Durability::Flush),
+        EngineConfig::default()
+            .with_durability(Durability::Flush)
+            .with_slow_query_ms(0),
     )
     .unwrap();
     let data = small_dataset();
     subject.load(&data).unwrap();
+    // queries through the plan cache and the read lane of the same engine
+    drive(&subject, &data, 0, 5);
     // a handful of write transactions push commits through the full
     // group-commit pipeline: queue wait → WAL append → flush → install
     let order = udbms_core::Key::str(data.orders[0].get_field("_id").as_str().unwrap());
@@ -123,6 +129,16 @@ fn wal_engine_reports_per_stage_commit_histograms() {
         snap.events.iter().any(|e| e.kind == "wal_batch"),
         "trace ring must carry wal_batch events"
     );
+    // one WAL-backed engine end to end: statement latencies and the
+    // slow-query log record next to the commit stages, and a snapshot
+    // carrying all of them (trace events included) still exports
+    assert!(snap.histogram("query_exec_us").map_or(0, |h| h.count) > 0);
+    assert!(
+        !snap.slow_queries.is_empty(),
+        "threshold 0 captures queries"
+    );
+    udbms_json::parse(&snap.to_json()).expect("ObsSnapshot::to_json must be valid JSON");
+    assert!(snap.to_prometheus().contains("quantile=\"0.99\""));
     let _ = std::fs::remove_file(&path);
 }
 

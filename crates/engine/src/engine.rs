@@ -49,6 +49,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use parking_lot::{LockRank, TrackedAtomicU64, TrackedMutex, TrackedRwLock};
 
@@ -61,13 +62,24 @@ use udbms_xml::{XPath, XmlDocument};
 
 use crate::catalog::Catalog;
 use crate::group::GroupLog;
+use crate::retry::RetryPolicy;
 use crate::storage::{RecordId, RowFilter, ShardedStorage};
 use crate::txn::{Durability, Isolation, TxnState};
 use crate::wal::fault::FaultPlan;
 use crate::wal::{Wal, WalRecord};
 
-/// Maximum automatic retries in [`Engine::run`].
-const MAX_RETRIES: usize = 64;
+/// [`Engine::run`]'s conflict-retry budget and back-off. A client that
+/// commits one hot record back to back beats every restart of a rival
+/// (it always begins first), so the budget has to outlast the winner's
+/// burst in *time*: 64 jittered sleeps growing to the cap span ≥ 40 ms,
+/// longer than a scheduler timeslice, where 64 immediate retries were
+/// over in a few. The cap stays small next to the work a loser waits
+/// for, so backing off costs a contended workload no throughput.
+const RUN_RETRY: RetryPolicy = RetryPolicy {
+    max_retries: 64,
+    base: Duration::from_micros(20),
+    cap: Duration::from_millis(1),
+};
 
 /// Default storage shard count (see [`EngineConfig::shards`]).
 pub const DEFAULT_SHARDS: usize = 8;
@@ -657,38 +669,30 @@ impl Engine {
     }
 
     /// Run a closure in a transaction, retrying (with a fresh snapshot) on
-    /// conflicts up to an internal limit. Non-conflict errors abort and
-    /// propagate.
+    /// conflicts: the begin/body/commit instance of [`RetryPolicy::run`],
+    /// bounded and backed off by an internal policy. Non-conflict errors
+    /// abort and propagate; a conflict that outlives the budget is
+    /// returned as the [`Error::TxnConflict`] it was.
     pub fn run<T>(
         &self,
         isolation: Isolation,
         mut body: impl FnMut(&mut Txn) -> Result<T>,
     ) -> Result<T> {
-        for _ in 0..MAX_RETRIES {
-            let mut txn = self.begin(isolation);
-            match body(&mut txn) {
-                Ok(out) => match txn.commit() {
-                    Ok(_) => return Ok(out),
-                    Err(e) if e.is_retryable() => {
-                        self.inner.metrics.txn_retries.add(1);
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                },
-                Err(e) if e.is_retryable() => {
-                    self.inner.metrics.txn_retries.add(1);
-                    txn.abort();
-                    continue;
-                }
-                Err(e) => {
-                    txn.abort();
-                    return Err(e);
-                }
-            }
+        let (result, retries) = RUN_RETRY.run(
+            // a fresh txn id: unique per caller, so colliding clients
+            // never share a jitter sequence
+            || self.inner.next_txn.fetch_add(1, Ordering::Relaxed),
+            || {
+                let mut txn = self.begin(isolation);
+                // an early return drops `txn`, which aborts it
+                let out = body(&mut txn)?;
+                txn.commit().map(|_| out)
+            },
+        );
+        if retries > 0 {
+            self.inner.metrics.txn_retries.add(u64::from(retries));
         }
-        Err(Error::TxnConflict(format!(
-            "gave up after {MAX_RETRIES} retries"
-        )))
+        result
     }
 
     /// Garbage-collect versions below the oldest active snapshot and
@@ -1892,6 +1896,28 @@ mod tests {
             Some(Value::Int(100)),
             "no increment may be lost under SI with retries"
         );
+    }
+
+    #[test]
+    fn run_gives_up_with_the_conflict_after_its_budget_and_counts_every_retry() {
+        let e = engine();
+        let attempts = std::cell::Cell::new(0u64);
+        // a body that always loses: an interloper commits the key it
+        // wrote before its own commit can
+        let r = e.run(Isolation::Snapshot, |t| {
+            attempts.set(attempts.get() + 1);
+            t.put("feedback", Key::str("hot"), Value::Int(1))?;
+            let mut other = e.begin(Isolation::Snapshot);
+            other.put("feedback", Key::str("hot"), Value::Int(2))?;
+            other.commit().map(|_| ())
+        });
+        assert!(matches!(r, Err(Error::TxnConflict(_))), "{r:?}");
+        let budget = u64::from(RUN_RETRY.max_retries);
+        assert_eq!(attempts.get(), budget + 1, "one attempt plus the budget");
+        let stats = e.stats();
+        assert_eq!(stats.txn_retries, budget, "every retry counted, once");
+        // each attempt's interloper committed; each attempt itself aborted
+        assert_eq!(stats.ww_conflicts, budget + 1);
     }
 
     #[test]

@@ -57,12 +57,14 @@
 mod catalog;
 mod engine;
 mod group;
+mod retry;
 mod storage;
 mod txn;
 mod wal;
 
 pub use catalog::{Catalog, CollectionInfo};
 pub use engine::{Engine, EngineConfig, EngineStats, GcStats, Txn, DEFAULT_SHARDS};
+pub use retry::RetryPolicy;
 pub use storage::{shard_of, RecordId, Shard, ShardedStorage, Storage, Version};
 pub use txn::{Durability, Isolation};
 pub use wal::fault::{FaultPlan, SITES as FAULT_SITES};
