@@ -32,7 +32,6 @@ pub use tasks::{
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
     use udbms_core::Value;
 
     /// Values the data-centric XML mapping represents exactly: objects of
@@ -47,7 +46,7 @@ mod proptests {
         ];
         if depth == 0 {
             prop::collection::btree_map("[a-z][a-z0-9_]{0,6}", scalar, 1..5)
-                .prop_map(|m| Value::Object(m.into_iter().collect::<BTreeMap<_, _>>()))
+                .prop_map(Value::from)
                 .boxed()
         } else {
             let inner = faithful_value(depth - 1);
@@ -60,7 +59,7 @@ mod proptests {
                 ],
                 1..5,
             )
-            .prop_map(|m| Value::Object(m.into_iter().collect::<BTreeMap<_, _>>()))
+            .prop_map(Value::from)
             .boxed()
         }
     }

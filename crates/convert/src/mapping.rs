@@ -117,22 +117,24 @@ pub fn xml_to_json(el: &XmlNode) -> Value {
         }
         return infer_scalar(&text);
     }
-    // group children by element name, preserving first-seen order via BTreeMap
+    // group children by element name; names come out sorted, document
+    // order is kept within a name
     let mut grouped: BTreeMap<String, Vec<Value>> = BTreeMap::new();
     for child in elements {
         let name = child.name().expect("filtered to elements").to_string();
         grouped.entry(name).or_default().push(xml_to_json(child));
     }
-    let mut obj = BTreeMap::new();
-    for (name, mut vals) in grouped {
-        let v = if vals.len() == 1 {
-            vals.remove(0)
-        } else {
-            Value::Array(vals)
-        };
-        obj.insert(name, v);
-    }
-    Value::Object(obj)
+    grouped
+        .into_iter()
+        .map(|(name, mut vals)| {
+            let v = if vals.len() == 1 {
+                vals.remove(0)
+            } else {
+                Value::Array(vals)
+            };
+            (name, v)
+        })
+        .collect()
 }
 
 fn infer_scalar(text: &str) -> Value {

@@ -10,6 +10,21 @@
 //!   lets the engine keep *one* integrated backend behind five model
 //!   facades, which is the defining property of a multi-model database in
 //!   the CIDR'17 vision paper this project reproduces.
+//! * [`Object`] — what a [`Value::Object`] holds: a document's fields as
+//!   one key-sorted slice, with the surface of a map.
+//!
+//!   ```
+//!   use udbms_core::{obj, Object, Value};
+//!
+//!   // field order is by name, however the object was built
+//!   let mut order = obj! { "total" => 99.5, "customer" => 7 };
+//!   assert_eq!(order.to_string(), r#"{"customer":7,"total":99.5}"#);
+//!   let fields: &mut Object = order.as_object_mut().unwrap();
+//!   fields.insert("status".into(), Value::from("open"));
+//!   assert_eq!(fields.get("customer"), Some(&Value::Int(7)));
+//!   assert_eq!(fields.keys().collect::<Vec<_>>(), ["customer", "status", "total"]);
+//!   assert_eq!(order.get_field("status"), &Value::from("open"));
+//!   ```
 //! * [`Key`] — a scalar [`Value`] usable as a record key (totally ordered,
 //!   hashable).
 //! * [`FieldPath`] — dotted-path navigation (`a.b[2].c`) into nested
@@ -23,6 +38,7 @@
 
 pub mod error;
 pub mod ids;
+pub mod object;
 pub mod params;
 pub mod path;
 pub mod rng;
@@ -31,6 +47,7 @@ pub mod value;
 
 pub use error::{Error, Result};
 pub use ids::{CollectionId, Ts, TxnId};
+pub use object::Object;
 pub use params::Params;
 pub use path::{FieldPath, PathStep};
 pub use rng::{SplitMix64, Zipf};

@@ -10,10 +10,10 @@
 //! declared schema ("data first, schema later or never"); validation is
 //! strict only for the relational model.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::error::{Error, Result};
+use crate::object::Object;
 use crate::value::Value;
 
 /// The five data models of the UDBMS benchmark (paper Figure 1).
@@ -323,8 +323,8 @@ impl CollectionSchema {
     }
 
     /// Summary map used by the F1 (Figure 1) inventory report.
-    pub fn describe(&self) -> BTreeMap<String, Value> {
-        let mut m = BTreeMap::new();
+    pub fn describe(&self) -> Object {
+        let mut m = Object::new();
         m.insert("name".into(), Value::from(self.name.clone()));
         m.insert("model".into(), Value::from(self.model.label()));
         m.insert("version".into(), Value::from(i64::from(self.version)));

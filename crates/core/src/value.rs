@@ -18,6 +18,10 @@
 //!      < Bytes < Array (lexicographic) < Object (sorted key/value pairs)
 //! ```
 //!
+//! An object *is* its sorted key/value pairs: [`Object`] stores them as
+//! one key-sorted slice, so two objects built in different insertion
+//! orders are the same value, iterate alike and print alike.
+//!
 //! `Eq`/`Ord`/`Hash` are mutually consistent: `Int(2) == Float(2.0)`, they
 //! compare `Equal`, and they hash identically. `NaN` is normalized to a
 //! single value that sorts after every other float and equals itself, so
@@ -31,6 +35,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use crate::error::{Error, Result};
+use crate::object::Object;
 use crate::path::{FieldPath, PathStep};
 
 /// A dynamically-typed value in the unified multi-model data model.
@@ -52,7 +57,7 @@ pub enum Value {
     /// Ordered sequence.
     Array(Vec<Value>),
     /// Key-sorted mapping; the canonical form of documents and rows.
-    Object(BTreeMap<String, Value>),
+    Object(Object),
 }
 
 /// Rank of each type in the canonical total order.
@@ -251,7 +256,7 @@ impl Value {
     }
 
     /// Borrow as object if this is an `Object`.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_object(&self) -> Option<&Object> {
         match self {
             Value::Object(o) => Some(o),
             _ => None,
@@ -259,7 +264,7 @@ impl Value {
     }
 
     /// Mutable object access.
-    pub fn as_object_mut(&mut self) -> Option<&mut BTreeMap<String, Value>> {
+    pub fn as_object_mut(&mut self) -> Option<&mut Object> {
         match self {
             Value::Object(o) => Some(o),
             _ => None,
@@ -279,7 +284,7 @@ impl Value {
     }
 
     /// Like [`Value::as_object`] but returns an error mentioning `ctx`.
-    pub fn expect_object(&self, ctx: &str) -> Result<&BTreeMap<String, Value>> {
+    pub fn expect_object(&self, ctx: &str) -> Result<&Object> {
         self.as_object()
             .ok_or_else(|| Error::type_err(format!("Object ({ctx})"), self.type_name()))
     }
@@ -337,7 +342,7 @@ impl Value {
                 PathStep::Key(k) => {
                     if !matches!(cur, Value::Object(_)) {
                         if cur.is_null() {
-                            *cur = Value::Object(BTreeMap::new());
+                            *cur = Value::Object(Object::new());
                         } else {
                             return Err(Error::type_err("Object", cur.type_name()));
                         }
@@ -359,7 +364,7 @@ impl Value {
             (PathStep::Key(k), v) => {
                 if !matches!(v, Value::Object(_)) {
                     if v.is_null() {
-                        *v = Value::Object(BTreeMap::new());
+                        *v = Value::Object(Object::new());
                     } else {
                         return Err(Error::type_err("Object", v.type_name()));
                     }
@@ -645,9 +650,15 @@ impl From<Vec<Value>> for Value {
         Value::Array(a)
     }
 }
-impl From<BTreeMap<String, Value>> for Value {
-    fn from(o: BTreeMap<String, Value>) -> Self {
+impl From<Object> for Value {
+    fn from(o: Object) -> Self {
         Value::Object(o)
+    }
+}
+impl From<BTreeMap<String, Value>> for Value {
+    /// Convenience constructor; the map's order is already the object's.
+    fn from(o: BTreeMap<String, Value>) -> Self {
+        Value::Object(o.into_iter().collect())
     }
 }
 impl<T: Into<Value>> From<Option<T>> for Value {
@@ -673,12 +684,12 @@ impl FromIterator<Value> for Value {
 /// Build a [`Value::Object`] literal: `obj! { "a" => 1, "b" => "x" }`.
 #[macro_export]
 macro_rules! obj {
-    () => { $crate::Value::Object(::std::collections::BTreeMap::new()) };
-    ( $( $k:expr => $v:expr ),+ $(,)? ) => {{
-        let mut m = ::std::collections::BTreeMap::new();
-        $( m.insert(::std::string::String::from($k), $crate::Value::from($v)); )+
-        $crate::Value::Object(m)
-    }};
+    () => { $crate::Value::Object($crate::Object::new()) };
+    ( $( $k:expr => $v:expr ),+ $(,)? ) => {
+        $crate::Value::Object(<$crate::Object as ::std::iter::FromIterator<_>>::from_iter([
+            $( (::std::string::String::from($k), $crate::Value::from($v)) ),+
+        ]))
+    };
 }
 
 /// Build a [`Value::Array`] literal: `arr![1, "two", 3.0]`.
@@ -935,6 +946,42 @@ mod tests {
     }
 
     #[test]
+    fn paths_create_overwrite_and_delete_nested_fields_in_order() {
+        let path = |p: &str| FieldPath::parse(p).unwrap();
+        let mut v = obj! {"m" => obj!{"k" => 1}};
+        // create: before, between and after the fields that exist
+        for (p, i) in [("m.z", 2), ("m.a", 3), ("m.l", 4), ("a.b.c", 5), ("z", 6)] {
+            assert_eq!(v.set_path(&path(p), Value::Int(i)).unwrap(), None);
+        }
+        assert_eq!(
+            v.to_string(),
+            r#"{"a":{"b":{"c":5}},"m":{"a":3,"k":1,"l":4,"z":2},"z":6}"#
+        );
+        // overwrite returns what was there
+        let old = v.set_path(&path("m.k"), Value::from("one")).unwrap();
+        assert_eq!(old, Some(Value::Int(1)));
+        assert_eq!(
+            v.set_path(&path("a.b"), Value::Null).unwrap(),
+            Some(obj! {"c" => 5})
+        );
+        // delete: a leaf, a subtree, and something that is not there
+        assert_eq!(v.remove_path(&path("m.a")).unwrap(), Some(Value::Int(3)));
+        assert_eq!(
+            v.remove_path(&path("a")).unwrap(),
+            Some(obj! {"b" => Value::Null})
+        );
+        assert_eq!(v.remove_path(&path("m.nope.deeper")).unwrap(), None);
+        assert_eq!(v.to_string(), r#"{"m":{"k":"one","l":4,"z":2},"z":6}"#);
+        // merge creates, overwrites and recurses, and keeps the order
+        v.merge_from(obj! {"m" => obj!{"b" => 7, "l" => obj!{"x" => 1}}, "b" => arr![1]});
+        v.merge_from(obj! {"m" => obj!{"l" => obj!{"w" => 0}}});
+        assert_eq!(
+            v.to_string(),
+            r#"{"b":[1],"m":{"b":7,"k":"one","l":{"w":0,"x":1},"z":2},"z":6}"#
+        );
+    }
+
+    #[test]
     fn display_is_json_flavoured() {
         let v = obj! {"b" => arr![1, 2.0, "x"], "a" => Value::Null};
         assert_eq!(v.to_string(), r#"{"a":null,"b":[1,2.0,"x"]}"#);
@@ -960,11 +1007,11 @@ mod tests {
 
     #[test]
     fn object_order_independence() {
-        // BTreeMap canonicalizes insertion order.
-        let mut m1 = BTreeMap::new();
+        // an object is its sorted pairs, however they were inserted
+        let mut m1 = Object::new();
         m1.insert("z".to_string(), Value::Int(1));
         m1.insert("a".to_string(), Value::Int(2));
-        let mut m2 = BTreeMap::new();
+        let mut m2 = Object::new();
         m2.insert("a".to_string(), Value::Int(2));
         m2.insert("z".to_string(), Value::Int(1));
         assert_eq!(Value::Object(m1), Value::Object(m2));

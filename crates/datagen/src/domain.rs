@@ -7,9 +7,7 @@
 //! `O-xxxxxx`, invoice keys `inv:O-xxxxxx`, feedback keys
 //! `fb:P-xxxx:C<id>`.
 
-use std::collections::BTreeMap;
-
-use udbms_core::{obj, SplitMix64, Value, Zipf};
+use udbms_core::{obj, Object, SplitMix64, Value, Zipf};
 use udbms_xml::XmlNode;
 
 use crate::config::GenConfig;
@@ -160,7 +158,7 @@ pub fn gen_product(rng: &mut SplitMix64, i: usize, cfg: &GenConfig) -> Value {
         o.insert("tags".into(), Value::Array(tags));
     }
     if cfg.variation.extra_attr_count > 0 {
-        let mut attrs = BTreeMap::new();
+        let mut attrs = Object::new();
         let picks = rng.sample_indexes(EXTRA_ATTRS.len(), cfg.variation.extra_attr_count);
         for ix in picks {
             let (name, values) = EXTRA_ATTRS[ix];

@@ -10,7 +10,7 @@
 //! the same key stream and the same records on every machine, so two
 //! runs of an experiment compare engines, never inputs.
 
-use udbms_core::{Key, SplitMix64, Value, Zipf};
+use udbms_core::{Key, Object, SplitMix64, Value, Zipf};
 
 /// How a workload draws keys from its key space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -274,7 +274,7 @@ impl ValueProvider {
     /// index) and `g` (a 16-way group) — plus the shape-driven payload.
     pub fn record(&self, i: usize) -> Value {
         let mut rng = SplitMix64::new(self.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let mut top = std::collections::BTreeMap::new();
+        let mut top = Object::new();
         top.insert("n".to_string(), Value::Int(i as i64));
         top.insert("g".to_string(), Value::Int((i % 16) as i64));
         if self.shape.array_len > 0 {
@@ -308,7 +308,7 @@ impl ValueProvider {
     }
 
     fn nested_object(&self, rng: &mut SplitMix64, depth: usize) -> Value {
-        let mut obj = std::collections::BTreeMap::new();
+        let mut obj = Object::new();
         for f in 0..self.shape.fanout {
             let name = format!("f{f}");
             let v = if depth > 1 && f == 0 {

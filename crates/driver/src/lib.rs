@@ -31,9 +31,7 @@
 mod runner;
 mod subjects;
 
-pub use runner::{
-    percentile_us, run_concurrent, run_concurrent_mode, run_query_clients, ConcurrentStats, RunMode,
-};
+pub use runner::{percentile_us, run_concurrent, run_concurrent_mode, ConcurrentStats, RunMode};
 pub use subjects::{EngineSubject, PolyglotSubject};
 
 pub use udbms_engine::{Durability, EngineConfig, RetryPolicy, DEFAULT_SHARDS};

@@ -5,9 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use udbms_core::{Params, Result};
-
-use crate::{PreparedQuery, Subject};
+use udbms_core::Result;
 
 /// How the measurement loop issues operations.
 ///
@@ -195,23 +193,6 @@ where
     })
 }
 
-/// Convenience: N clients repeatedly executing one prepared query with
-/// parameters cycled from `draws` (client c starts at draw c to avoid
-/// lock-step identical requests).
-pub fn run_query_clients(
-    subject: &dyn Subject,
-    prepared: &PreparedQuery,
-    draws: &[Params],
-    clients: usize,
-    ops_per_client: usize,
-) -> Result<ConcurrentStats> {
-    assert!(!draws.is_empty(), "at least one parameter draw");
-    run_concurrent(clients, ops_per_client, |client, i| {
-        let params = &draws[(client + i) % draws.len()];
-        subject.execute(prepared, params).map(|_| ())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,7 +295,11 @@ mod tests {
         for subject in registry() {
             subject.load(&data).unwrap();
             let prepared = subject.prepare(&q1).unwrap();
-            let stats = run_query_clients(subject.as_ref(), &prepared, &draws, 4, 10).unwrap();
+            let stats = run_concurrent(4, 10, |client, i| {
+                let params = &draws[(client + i) % draws.len()];
+                subject.execute(&prepared, params).map(drop)
+            })
+            .unwrap();
             assert_eq!(stats.total_ops, 40, "{}", subject.name());
             assert!(stats.percentile_us(95.0) >= stats.percentile_us(50.0));
 

@@ -1,9 +1,11 @@
 //! The versioned record store at the heart of the unified backend.
 //!
-//! Every record of every model lives here as a **version chain**: a list
-//! of `(commit_ts, value-or-tombstone)` pairs in commit order. A reader
+//! Every record of every model lives here as a **version chain**: its
+//! `(commit_ts, value-or-tombstone)` pairs in commit order. A reader
 //! with snapshot `S` sees the newest version with `commit_ts <= S`.
 //! Chains are pruned by [`Storage::gc`] below the oldest active snapshot.
+//! Chains sit in a slab; a hash index finds one by record id and an
+//! ordered directory per collection walks them by key (see [`Storage`]).
 //!
 //! Since the sharding refactor the engine no longer holds one [`Storage`]
 //! behind one lock: [`ShardedStorage`] partitions the key space into N
@@ -12,7 +14,8 @@
 //! shard; batches lock each touched shard once; `scan` merges the
 //! per-shard sorted runs into one key-ordered iteration.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -55,13 +58,58 @@ pub struct Version {
     pub value: Option<Arc<Value>>,
 }
 
-/// The multi-version store.
+/// One record's version chain, as it sits in the slab: the newest
+/// version inline (a read of current data makes no hop past the slot)
+/// and whatever history GC has not pruned yet behind it.
+#[derive(Debug)]
+struct Slot {
+    newest: Version,
+    /// Older versions in commit order; empty, and unallocated, for a
+    /// record written once.
+    older: Vec<Version>,
+}
+
+impl Slot {
+    /// The newest version with `commit_ts <= snapshot`, if any.
+    fn visible(&self, snapshot: Ts) -> Option<&Version> {
+        if self.newest.commit_ts <= snapshot {
+            return Some(&self.newest);
+        }
+        self.older.iter().rev().find(|v| v.commit_ts <= snapshot)
+    }
+
+    /// Every retained version, oldest first.
+    fn versions(&self) -> impl Iterator<Item = &Version> {
+        self.older.iter().chain(std::iter::once(&self.newest))
+    }
+
+    fn len(&self) -> usize {
+        self.older.len() + 1
+    }
+}
+
+/// The multi-version store: a slab of version chains under two indexes.
+///
+/// ```text
+/// chains:      HashMap<RecordId, u32> ──┐            point reads
+///                                       ├─► slots: Vec<Slot>  (+ free list)
+/// directories: CollectionId ─► BTreeMap<Key, u32> ──┘   scans, GC, DDL
+/// ```
+///
+/// Both indexes hold the same slot numbers. A point read hashes once and
+/// lands on the chain; an ordered walk reads slot numbers off the
+/// directory it is already iterating, so it neither builds a `RecordId`
+/// nor hashes per row. A slot freed by GC or `drop_collection` goes on
+/// the free list only after both indexes have forgotten it.
 #[derive(Debug, Default)]
 pub struct Storage {
-    chains: HashMap<RecordId, Vec<Version>>,
-    /// Ordered key directory per collection (keys that have *ever* had a
+    slots: Vec<Slot>,
+    /// Slots no index refers to, for reuse by the next new record.
+    free: Vec<u32>,
+    chains: HashMap<RecordId, u32>,
+    /// Ordered key directory per collection (keys that have a retained
     /// version; liveness is decided by the chain at read time).
-    directories: HashMap<CollectionId, BTreeSet<Key>>,
+    directories: HashMap<CollectionId, BTreeMap<Key, u32>>,
 }
 
 impl Storage {
@@ -70,13 +118,27 @@ impl Storage {
         Storage::default()
     }
 
+    fn slot_of(&self, rid: &RecordId) -> Option<&Slot> {
+        self.chains.get(rid).map(|&i| &self.slots[i as usize])
+    }
+
+    /// The chains of one collection in key order.
+    fn directory(&self, collection: CollectionId) -> impl Iterator<Item = (&Key, &Slot)> {
+        self.directories
+            .get(&collection)
+            .into_iter()
+            .flatten()
+            .map(|(k, &i)| (k, &self.slots[i as usize]))
+    }
+
+    /// Every chain, in no particular order.
+    fn live_slots(&self) -> impl Iterator<Item = &Slot> {
+        self.chains.values().map(|&i| &self.slots[i as usize])
+    }
+
     /// The newest version with `commit_ts <= snapshot`, if any.
     pub fn visible(&self, rid: &RecordId, snapshot: Ts) -> Option<&Version> {
-        self.chains
-            .get(rid)?
-            .iter()
-            .rev()
-            .find(|v| v.commit_ts <= snapshot)
+        self.slot_of(rid)?.visible(snapshot)
     }
 
     /// The visible *value* (resolving tombstones to `None`).
@@ -87,27 +149,48 @@ impl Storage {
     /// The newest committed version regardless of snapshot (read-committed
     /// reads and commit-time validation).
     pub fn latest(&self, rid: &RecordId) -> Option<&Version> {
-        self.chains.get(rid).and_then(|c| c.last())
+        self.slot_of(rid).map(|slot| &slot.newest)
     }
 
     /// Install a new version (called by the commit protocol, which
     /// guarantees `commit_ts` is newer than everything in the chain).
     pub fn install(&mut self, rid: RecordId, commit_ts: Ts, value: Option<Arc<Value>>) {
-        debug_assert!(
-            self.chains
-                .get(&rid)
-                .and_then(|c| c.last())
-                .is_none_or(|last| last.commit_ts < commit_ts),
-            "commit timestamps must be monotone per chain"
-        );
-        self.directories
-            .entry(rid.collection)
-            .or_default()
-            .insert(rid.key.clone());
-        self.chains
-            .entry(rid)
-            .or_default()
-            .push(Version { commit_ts, value });
+        let version = Version { commit_ts, value };
+        match self.chains.entry(rid) {
+            Entry::Occupied(e) => {
+                let slot = &mut self.slots[*e.get() as usize];
+                debug_assert!(
+                    slot.newest.commit_ts < commit_ts,
+                    "commit timestamps must be monotone per chain"
+                );
+                slot.older
+                    .push(std::mem::replace(&mut slot.newest, version));
+            }
+            Entry::Vacant(e) => {
+                let slot = Slot {
+                    newest: version,
+                    older: Vec::new(),
+                };
+                let i = match self.free.pop() {
+                    Some(i) => {
+                        self.slots[i as usize] = slot;
+                        i
+                    }
+                    None => {
+                        // lint:allow(unwrap): 2^32 slots of 40 B exceed any memory this runs in
+                        let i = u32::try_from(self.slots.len()).expect("slot number fits u32");
+                        self.slots.push(slot);
+                        i
+                    }
+                };
+                let rid = e.key();
+                self.directories
+                    .entry(rid.collection)
+                    .or_default()
+                    .insert(rid.key.clone(), i);
+                e.insert(i);
+            }
+        }
     }
 
     /// The single visibility walk behind every scan: every live
@@ -118,16 +201,10 @@ impl Storage {
         collection: CollectionId,
         snapshot: Ts,
     ) -> impl Iterator<Item = (&Key, Ts, &Arc<Value>)> {
-        self.directories
-            .get(&collection)
-            .into_iter()
-            .flatten()
-            .filter_map(move |k| {
-                let rid = RecordId::new(collection, k.clone());
-                let v = self.visible(&rid, snapshot)?;
-                let value = v.value.as_ref()?;
-                Some((k, v.commit_ts, value))
-            })
+        self.directory(collection).filter_map(move |(k, slot)| {
+            let v = slot.visible(snapshot)?;
+            Some((k, v.commit_ts, v.value.as_ref()?))
+        })
     }
 
     /// All `(key, value)` pairs of a collection live at `snapshot`, in key
@@ -138,29 +215,22 @@ impl Storage {
             .collect()
     }
 
-    /// Number of keys ever written to a collection in this store (live or
-    /// not); used as a cheap scan-size estimate.
+    /// Number of keys of a collection with a retained version in this
+    /// store (live or not); used as a cheap scan-size estimate.
     pub fn directory_len(&self, collection: CollectionId) -> usize {
-        self.directories.get(&collection).map_or(0, BTreeSet::len)
+        self.directories.get(&collection).map_or(0, BTreeMap::len)
     }
 
     /// Every value present in any retained version of a collection
     /// (used to rebuild over-approximating secondary indexes after GC).
     pub fn all_retained(&self, collection: CollectionId) -> Vec<(Key, Vec<&Value>)> {
-        let Some(dir) = self.directories.get(&collection) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for k in dir {
-            let rid = RecordId::new(collection, k.clone());
-            if let Some(chain) = self.chains.get(&rid) {
-                let vals: Vec<&Value> = chain.iter().filter_map(|v| v.value.as_deref()).collect();
-                if !vals.is_empty() {
-                    out.push((k.clone(), vals));
-                }
-            }
-        }
-        out
+        self.directory(collection)
+            .filter_map(|(k, slot)| {
+                let vals: Vec<&Value> =
+                    slot.versions().filter_map(|v| v.value.as_deref()).collect();
+                (!vals.is_empty()).then(|| (k.clone(), vals))
+            })
+            .collect()
     }
 
     /// Prune versions no snapshot at or after `watermark` can see: for
@@ -168,37 +238,47 @@ impl Storage {
     /// `commit_ts <= watermark`; drop chains whose only remnant is a
     /// tombstone. Returns `(versions_removed, chains_removed)`.
     pub fn gc(&mut self, watermark: Ts) -> (usize, usize) {
+        let Storage {
+            slots,
+            free,
+            chains,
+            directories,
+        } = self;
         let mut versions_removed = 0usize;
         let mut chains_removed = 0usize;
-        let mut dead: Vec<RecordId> = Vec::new();
-        for (rid, chain) in &mut self.chains {
-            // index of the newest version visible at the watermark
-            let keep_from = chain
-                .iter()
-                .rposition(|v| v.commit_ts <= watermark)
-                .unwrap_or(0);
-            if keep_from > 0 {
-                versions_removed += keep_from;
-                chain.drain(..keep_from);
-            }
-            if chain.len() == 1 && chain[0].value.is_none() && chain[0].commit_ts <= watermark {
+        for (&collection, dir) in directories.iter_mut() {
+            dir.retain(|key, i| {
+                let slot = &mut slots[*i as usize];
+                if slot.newest.commit_ts > watermark {
+                    // the newest version visible at the watermark stays
+                    let keep_from = slot
+                        .older
+                        .iter()
+                        .rposition(|v| v.commit_ts <= watermark)
+                        .unwrap_or(0);
+                    versions_removed += keep_from;
+                    slot.older.drain(..keep_from);
+                    return true;
+                }
+                versions_removed += slot.older.len();
+                slot.older = Vec::new();
+                if slot.newest.value.is_some() {
+                    return true;
+                }
+                // a tombstone nobody can look under: forget the record
                 versions_removed += 1;
-                dead.push(rid.clone());
-            }
-        }
-        for rid in dead {
-            self.chains.remove(&rid);
-            if let Some(dir) = self.directories.get_mut(&rid.collection) {
-                dir.remove(&rid.key);
-            }
-            chains_removed += 1;
+                chains_removed += 1;
+                chains.remove(&RecordId::new(collection, key.clone()));
+                free.push(*i);
+                false
+            });
         }
         (versions_removed, chains_removed)
     }
 
     /// Total number of stored versions.
     pub fn version_count(&self) -> usize {
-        self.chains.values().map(Vec::len).sum()
+        self.live_slots().map(Slot::len).sum()
     }
 
     /// Number of record chains.
@@ -208,15 +288,18 @@ impl Storage {
 
     /// Length of the longest chain (E6 GC-ablation metric).
     pub fn max_chain_len(&self) -> usize {
-        self.chains.values().map(Vec::len).max().unwrap_or(0)
+        self.live_slots().map(Slot::len).max().unwrap_or(0)
     }
 
     /// Drop every record of a collection (DDL `drop`).
     pub fn drop_collection(&mut self, collection: CollectionId) {
-        if let Some(dir) = self.directories.remove(&collection) {
-            for k in dir {
-                self.chains.remove(&RecordId::new(collection, k));
-            }
+        for (key, i) in self.directories.remove(&collection).unwrap_or_default() {
+            self.chains.remove(&RecordId::new(collection, key));
+            // release the values now; the slot itself waits for reuse
+            let slot = &mut self.slots[i as usize];
+            slot.newest.value = None;
+            slot.older = Vec::new();
+            self.free.push(i);
         }
     }
 }
@@ -531,7 +614,7 @@ impl ShardedStorage {
     /// The one multi-shard scan: a streaming k-way merge over the
     /// per-shard snapshot runs, with **predicate and limit pushdown**.
     ///
-    /// Each shard's run is already sorted (per-shard `BTreeSet`
+    /// Each shard's run is already sorted (per-shard ordered
     /// directories) and the key spaces are disjoint, so the merge is
     /// exact. Each shard is visited once under its read lock; the
     /// predicate is applied to borrowed values during that single
@@ -761,6 +844,7 @@ impl Iterator for ScanIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const C: CollectionId = CollectionId(1);
 
@@ -888,6 +972,240 @@ mod tests {
         assert_eq!(s.chain_count(), 1);
         assert!(s.scan(C, Ts::MAX).is_empty());
         assert_eq!(s.scan(CollectionId(2), Ts::MAX).len(), 1);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_without_resurrection_or_aliasing() {
+        let mut s = Storage::new();
+        s.install(rid(1), Ts(10), some(Value::Int(1)));
+        s.install(rid(1), Ts(20), None);
+        assert_eq!(s.gc(Ts(30)), (2, 1), "value, tombstone; the chain");
+        assert_eq!((s.slots.len(), s.free.as_slice()), (1, &[0][..]));
+        // another key takes the slot over
+        s.install(rid(2), Ts(40), some(Value::Int(2)));
+        assert_eq!((s.slots.len(), s.free.len()), (1, 0), "slot 0 reused");
+        for ts in [Ts(15), Ts(25), Ts(40), Ts::MAX] {
+            assert!(s.visible(&rid(1), ts).is_none(), "key 1 stays gone at {ts}");
+        }
+        assert!(s.latest(&rid(1)).is_none());
+        // a snapshot older than the new tenant sees neither record
+        assert!(s.scan(C, Ts(15)).is_empty());
+        assert_eq!(seen(&s, &rid(2), Ts(39)), None);
+        assert_eq!(seen(&s, &rid(2), Ts(40)), Some(Value::Int(2)));
+        // the old key comes back as a record of its own
+        s.install(rid(1), Ts(50), some(Value::Int(11)));
+        assert_eq!(s.slots.len(), 2);
+        assert_eq!(seen(&s, &rid(1), Ts(50)), Some(Value::Int(11)));
+        assert_eq!(seen(&s, &rid(2), Ts(50)), Some(Value::Int(2)));
+        assert_eq!(seen(&s, &rid(1), Ts(45)), None, "no history inherited");
+        // dropping a collection frees its slots too
+        s.drop_collection(C);
+        assert_eq!((s.chain_count(), s.version_count()), (0, 0));
+        assert_eq!(s.free.len(), 2);
+    }
+
+    /// The store as a plain map of chains, oldest version first.
+    type Model = BTreeMap<(CollectionId, Key), Vec<Version>>;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `None` is a tombstone.
+        Install(CollectionId, Key, Option<i64>),
+        /// Watermark as a share (in eighths) of the clock so far.
+        Gc(u64),
+        Drop(CollectionId),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0usize..16, 0u32..3, 0i64..10, 0i64..100, 0u64..9).prop_map(|(kind, c, k, v, share)| {
+            let c = CollectionId(c);
+            // integer and string keys share a directory
+            let key = if k < 6 {
+                Key::int(k)
+            } else {
+                Key::str(format!("k{k}"))
+            };
+            match kind {
+                0..=7 => Op::Install(c, key, Some(v)),
+                8..=11 => Op::Install(c, key, None),
+                12..=14 => Op::Gc(share),
+                _ => Op::Drop(c),
+            }
+        })
+    }
+
+    fn model_gc(model: &mut Model, watermark: Ts) -> (usize, usize) {
+        let (mut versions, mut chains) = (0, 0);
+        model.retain(|_, chain| {
+            let keep_from = chain
+                .iter()
+                .rposition(|v| v.commit_ts <= watermark)
+                .unwrap_or(0);
+            versions += keep_from;
+            chain.drain(..keep_from);
+            let dead =
+                chain.len() == 1 && chain[0].value.is_none() && chain[0].commit_ts <= watermark;
+            if dead {
+                versions += 1;
+                chains += 1;
+            }
+            !dead
+        });
+        (versions, chains)
+    }
+
+    fn model_visible<'m>(
+        model: &'m Model,
+        c: CollectionId,
+        key: &Key,
+        ts: Ts,
+    ) -> Option<&'m Version> {
+        let chain = model.get(&(c, key.clone()))?;
+        chain.iter().rev().find(|v| v.commit_ts <= ts)
+    }
+
+    /// Live `(key, commit_ts, value)` rows of a collection at `ts`.
+    fn model_rows(model: &Model, c: CollectionId, ts: Ts) -> Vec<Row> {
+        model
+            .keys()
+            .filter(|(mc, _)| *mc == c)
+            .filter_map(|(_, key)| {
+                let v = model_visible(model, c, key, ts)?;
+                Some((key.clone(), v.commit_ts, Arc::clone(v.value.as_ref()?)))
+            })
+            .collect()
+    }
+
+    fn check_store(s: &Storage, model: &Model, clock: u64) -> TestCaseResult {
+        let snapshots = [
+            Ts::ZERO,
+            Ts(clock / 2),
+            Ts(clock.saturating_sub(1)),
+            Ts::MAX,
+        ];
+        for c in (0..4).map(CollectionId) {
+            for ts in snapshots {
+                let want: Vec<(Key, Arc<Value>)> = model_rows(model, c, ts)
+                    .into_iter()
+                    .map(|(k, _, v)| (k, v))
+                    .collect();
+                prop_assert_eq!(s.scan(c, ts), want, "scan {} at {}", c, ts);
+            }
+            let retained: Vec<(Key, Vec<&Value>)> = model
+                .iter()
+                .filter(|((mc, _), _)| *mc == c)
+                .map(|((_, k), chain)| {
+                    let values = chain.iter().filter_map(|v| v.value.as_deref());
+                    (k.clone(), values.collect::<Vec<_>>())
+                })
+                .filter(|(_, values)| !values.is_empty())
+                .collect();
+            prop_assert_eq!(s.all_retained(c), retained, "all_retained {}", c);
+            prop_assert_eq!(
+                s.directory_len(c),
+                model.keys().filter(|(mc, _)| *mc == c).count()
+            );
+            for k in 0..10 {
+                for key in [Key::int(k), Key::str(format!("k{k}"))] {
+                    let r = RecordId::new(c, key.clone());
+                    for ts in snapshots {
+                        prop_assert_eq!(
+                            s.visible(&r, ts),
+                            model_visible(model, c, &key, ts),
+                            "visible {:?} at {}",
+                            r,
+                            ts
+                        );
+                    }
+                    let latest = model.get(&(c, key)).and_then(|chain| chain.last());
+                    prop_assert_eq!(s.latest(&r), latest, "latest {:?}", r);
+                }
+            }
+        }
+        prop_assert_eq!(s.chain_count(), model.len());
+        prop_assert_eq!(
+            s.version_count(),
+            model.values().map(Vec::len).sum::<usize>()
+        );
+        prop_assert_eq!(
+            s.max_chain_len(),
+            model.values().map(Vec::len).max().unwrap_or(0)
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The slab and its two indexes against a map of chains, through
+        /// install / tombstone / GC / drop / re-install on three
+        /// collections; and the sharded scan over the same history.
+        #[test]
+        fn storage_behaves_like_a_map_of_chains(ops in prop::collection::vec(op(), 1..60)) {
+            let mut store = Storage::new();
+            let sharded: Vec<ShardedStorage> =
+                [1, 3, 8].into_iter().map(ShardedStorage::new).collect();
+            let mut model = Model::new();
+            let mut clock = 0u64;
+            for op in ops {
+                match op.clone() {
+                    Op::Install(c, key, value) => {
+                        clock += 1;
+                        let value = value.map(|v| Arc::new(Value::Int(v)));
+                        store.install(RecordId::new(c, key.clone()), Ts(clock), value.clone());
+                        for s in &sharded {
+                            let rid = RecordId::new(c, key.clone());
+                            s.shard_for(&key).write().install(rid, Ts(clock), value.clone());
+                        }
+                        model.entry((c, key)).or_default().push(Version {
+                            commit_ts: Ts(clock),
+                            value,
+                        });
+                    }
+                    Op::Gc(share) => {
+                        let watermark = Ts(clock * share / 8);
+                        let want = model_gc(&mut model, watermark);
+                        prop_assert_eq!(store.gc(watermark), want, "gc at {}", watermark);
+                        for s in &sharded {
+                            prop_assert_eq!(s.gc(watermark), want);
+                        }
+                    }
+                    Op::Drop(c) => {
+                        model.retain(|(mc, _), _| *mc != c);
+                        store.drop_collection(c);
+                        sharded.iter().for_each(|s| s.drop_collection(c));
+                    }
+                }
+                check_store(&store, &model, clock)?;
+            }
+            // the merged scan, plain and with predicate and limit pushed down
+            let even = |v: &Value| v.as_int().is_some_and(|i| i % 2 == 0);
+            for s in &sharded {
+                for c in (0..3).map(CollectionId) {
+                    for ts in [Ts(clock / 2), Ts::MAX] {
+                        let all = model_rows(&model, c, ts);
+                        let evens: Vec<Row> =
+                            all.iter().filter(|r| even(&r.2)).cloned().collect();
+                        let shards = s.shard_count();
+                        let got: Vec<Row> = s.scan_iter(c, ts, None, None).collect();
+                        prop_assert_eq!(&got, &all, "{} shards, {} at {}", shards, c, ts);
+                        let got: Vec<Row> = s.scan_iter(c, ts, Some(&even), None).collect();
+                        prop_assert_eq!(&got, &evens, "{} shards, filtered", shards);
+                        for limit in [0, 1, 3] {
+                            let got: Vec<Row> =
+                                s.scan_iter(c, ts, Some(&even), Some(limit)).collect();
+                            prop_assert_eq!(got, evens.iter().take(limit).cloned().collect::<Vec<_>>());
+                            let got: Vec<Row> = s.scan_iter(c, ts, None, Some(limit)).collect();
+                            prop_assert_eq!(got, all.iter().take(limit).cloned().collect::<Vec<_>>());
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    s.shape(),
+                    (store.version_count(), store.chain_count(), store.max_chain_len())
+                );
+            }
+        }
     }
 
     #[test]

@@ -242,7 +242,7 @@ impl EvolutionOp {
                 }
             }
             EvolutionOp::NestFields { fields, into, .. } => {
-                let mut nested = std::collections::BTreeMap::new();
+                let mut nested = udbms_core::Object::new();
                 for f in fields {
                     if let Some(v) = obj.remove(f) {
                         nested.insert(f.clone(), v);

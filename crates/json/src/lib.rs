@@ -30,7 +30,6 @@ pub use write::{to_string, to_string_pretty, to_writer, write_escaped_str};
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
     use udbms_core::Value;
 
     /// Strategy for JSON-representable values (no Bytes, finite floats).
@@ -45,8 +44,7 @@ mod proptests {
         leaf.prop_recursive(4, 64, 8, |inner| {
             prop_oneof![
                 prop::collection::vec(inner.clone(), 0..6).prop_map(Value::Array),
-                prop::collection::btree_map("[a-z]{1,6}", inner, 0..6)
-                    .prop_map(|m| Value::Object(m.into_iter().collect::<BTreeMap<_, _>>())),
+                prop::collection::btree_map("[a-z]{1,6}", inner, 0..6).prop_map(Value::from),
             ]
         })
     }

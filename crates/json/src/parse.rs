@@ -3,9 +3,7 @@
 //! Integral numbers that fit `i64` become [`Value::Int`]; everything else
 //! numeric becomes [`Value::Float`]. Errors carry 1-based line/column.
 
-use std::collections::BTreeMap;
-
-use udbms_core::{Error, Result, Value};
+use udbms_core::{Error, Object, Result, Value};
 
 /// Parser knobs.
 #[derive(Debug, Clone)]
@@ -187,12 +185,13 @@ impl<'a> Parser<'a> {
 
     fn parse_object(&mut self, depth: usize) -> Result<Value> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.bump();
-            return Ok(Value::Object(map));
+            return Ok(Value::Object(Object::new()));
         }
+        // fields are collected as written and sorted once at the `}`
+        let mut fields: Vec<(String, Value)> = Vec::new();
         loop {
             self.skip_ws();
             if self.peek() != Some(b'"') {
@@ -202,19 +201,28 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             let val = self.parse_value(depth + 1)?;
-            if map.insert(key.clone(), val).is_some() && self.opts.reject_duplicate_keys {
-                return Err(self.err(format!("duplicate key {key:?}")));
-            }
+            fields.push((key, val));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
+                Some(b'}') => return self.finish_object(fields),
                 Some(b) => {
                     return Err(self.err(format!("expected `,` or `}}`, found `{}`", b as char)))
                 }
                 None => return Err(self.err("unterminated object")),
             }
         }
+    }
+
+    /// Last value wins for a repeated key, unless the options reject it.
+    fn finish_object(&self, mut fields: Vec<(String, Value)>) -> Result<Value> {
+        if self.opts.reject_duplicate_keys {
+            fields.sort_by(|a, b| a.0.cmp(&b.0));
+            if let Some(w) = fields.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(self.err(format!("duplicate key {:?}", w[0].0)));
+            }
+        }
+        Ok(Value::Object(fields.into_iter().collect()))
     }
 
     fn parse_string(&mut self) -> Result<String> {
@@ -448,6 +456,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("duplicate"));
+    }
+
+    #[test]
+    fn unsorted_and_repeated_keys_round_trip_sorted_last_wins() {
+        let text = r#"{"z":1,"b":{"y":1,"x":2,"y":3},"a":[{"k":1,"k":2}],"z":4,"m":null}"#;
+        let v = parse(text).unwrap();
+        let printed = crate::to_string(&v);
+        assert_eq!(
+            printed,
+            r#"{"a":[{"k":2}],"b":{"x":2,"y":3},"m":null,"z":4}"#
+        );
+        assert_eq!(parse(&printed).unwrap(), v);
+        // wide enough to be looked up by binary search
+        let wide: String = (0..40)
+            .rev()
+            .map(|i| format!(r#""f{i:02}":{i},"#))
+            .collect();
+        let v = parse(&format!(r#"{{{wide}"f07":-7}}"#)).unwrap();
+        assert_eq!(v.as_object().map(|o| o.len()), Some(40));
+        assert_eq!(v.get_field("f07"), &Value::Int(-7));
+        assert_eq!(v.get_field("f39"), &Value::Int(39));
+        assert!(crate::to_string(&v).starts_with(r#"{"f00":0,"f01":1,"#));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! JSON serialization.
 //!
-//! Object keys come out in sorted order (the underlying `BTreeMap` order),
+//! Object keys come out in sorted order (an `Object` is its sorted fields),
 //! which makes the compact rendering a *canonical form*: equal values
 //! serialize to identical bytes. `Bytes` values — which JSON cannot
 //! represent natively — are emitted as `"0x…"` hex strings so that every

@@ -117,11 +117,10 @@ fn compile_node(expr: &Expr, var: &str) -> Option<Node> {
                 .map(|(k, e)| compile_node(e, var).map(|n| (k.clone(), n)))
                 .collect::<Option<_>>()?;
             Box::new(move |row| {
-                let mut m = std::collections::BTreeMap::new();
-                for (k, n) in &nodes {
-                    m.insert(k.clone(), n.eval(row)?.into_owned());
-                }
-                Ok(Val::Owned(Value::Object(m)))
+                let fields = nodes
+                    .iter()
+                    .map(|(k, n)| Ok((k.clone(), n.eval(row)?.into_owned())));
+                Ok(Val::Owned(Value::Object(fields.collect::<Result<_>>()?)))
             })
         }
         Expr::Unary { op, expr } => {

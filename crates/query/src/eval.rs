@@ -1,9 +1,8 @@
 //! Expression evaluation and the MMQL function library.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use udbms_core::{Error, Key, Result, Value};
+use udbms_core::{Error, Key, Object, Result, Value};
 use udbms_engine::Txn;
 use udbms_graph::Direction;
 use udbms_relational::like_match;
@@ -82,7 +81,7 @@ impl Env {
     /// All bindings as an object (used by `COLLECT … INTO`): innermost
     /// binding wins for shadowed names.
     pub fn as_object(&self) -> Value {
-        let mut m = BTreeMap::new();
+        let mut m = Object::new();
         let mut cur = self.head.as_ref();
         while let Some(frame) = cur {
             m.entry(frame.name.to_string())
@@ -133,11 +132,10 @@ fn eval_structural<'a>(
             Val::Owned(Value::Array(items.collect::<Result<_>>()?))
         }
         Expr::Object(fields) => {
-            let mut m = BTreeMap::new();
-            for (k, e) in fields {
-                m.insert(k.clone(), child(e)?.into_owned());
-            }
-            Val::Owned(Value::Object(m))
+            let fields = fields
+                .iter()
+                .map(|(k, e)| Ok((k.clone(), child(e)?.into_owned())));
+            Val::Owned(Value::Object(fields.collect::<Result<_>>()?))
         }
         Expr::Unary { op, expr } => {
             let v = child(expr)?;

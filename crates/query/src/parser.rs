@@ -6,10 +6,23 @@ use udbms_graph::Direction;
 use crate::ast::*;
 use crate::lexer::{lex, Token, TokenKind};
 
+/// Deepest nesting [`parse`] accepts — the JSON parser's default bound.
+/// Parentheses, array and object constructors, call arguments, index
+/// expressions, a subquery's `RETURN` and a chained unary operator each
+/// count one level, and so does a clause (a subquery nested through a
+/// `FOR` source or a `FILTER` keeps two lots of frames on the stack per
+/// level, and counts two). The parser recurses per level, and so does
+/// everything that walks the tree it returns.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one MMQL statement.
 pub fn parse(src: &str) -> Result<Statement> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.parse_statement()?;
     p.expect_eof()?;
     Ok(stmt)
@@ -18,6 +31,8 @@ pub fn parse(src: &str) -> Result<Statement> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of [`Parser::nested`] the parser is inside of.
+    depth: usize,
 }
 
 impl Parser {
@@ -141,71 +156,77 @@ impl Parser {
         let mut clauses = Vec::new();
         loop {
             match self.peek() {
-                TokenKind::Keyword("FOR") => {
-                    self.bump();
-                    let var = self.expect_ident()?;
-                    self.expect_kw("IN")?;
-                    let source = self.parse_source()?;
-                    clauses.push(Clause::For { var, source });
-                }
-                TokenKind::Keyword("FILTER") => {
-                    self.bump();
-                    clauses.push(Clause::Filter(self.parse_expr()?));
-                }
-                TokenKind::Keyword("LET") => {
-                    self.bump();
-                    let var = self.expect_ident()?;
-                    self.expect_punct("=")?;
-                    clauses.push(Clause::Let {
-                        var,
-                        value: self.parse_expr()?,
-                    });
-                }
-                TokenKind::Keyword("SORT") => {
-                    self.bump();
-                    let mut keys = Vec::new();
-                    loop {
-                        let e = self.parse_expr()?;
-                        let asc = if self.eat_kw("DESC") {
-                            false
-                        } else {
-                            let _ = self.eat_kw("ASC");
-                            true
-                        };
-                        keys.push((e, asc));
-                        if !self.eat_punct(",") {
-                            break;
-                        }
-                    }
-                    clauses.push(Clause::Sort { keys });
-                }
-                TokenKind::Keyword("LIMIT") => {
-                    self.bump();
-                    let first = self.parse_usize()?;
-                    let (offset, count) = if self.eat_punct(",") {
-                        (first, self.parse_usize()?)
-                    } else {
-                        (0, first)
-                    };
-                    clauses.push(Clause::Limit { offset, count });
-                }
-                TokenKind::Keyword("COLLECT") => {
-                    self.bump();
-                    clauses.push(self.parse_collect()?);
-                }
                 TokenKind::Keyword("RETURN") => {
                     self.bump();
                     let distinct = self.eat_kw("DISTINCT");
                     let ret = self.parse_expr()?;
                     return Ok(QueryBody::new(clauses, distinct, ret));
                 }
-                other => {
-                    return Err(self.err(format!(
-                        "expected a clause (FOR/FILTER/LET/SORT/LIMIT/COLLECT/RETURN), found {}",
-                        other.describe()
-                    )))
-                }
+                _ => clauses.push(self.nested(Parser::parse_clause)?),
             }
+        }
+    }
+
+    /// One clause other than `RETURN` (in a function of its own for the
+    /// reason `parse_call` is: a nested subquery keeps the caller's frame).
+    fn parse_clause(&mut self) -> Result<Clause> {
+        match self.peek() {
+            TokenKind::Keyword("FOR") => {
+                self.bump();
+                let var = self.expect_ident()?;
+                self.expect_kw("IN")?;
+                let source = self.parse_source()?;
+                Ok(Clause::For { var, source })
+            }
+            TokenKind::Keyword("FILTER") => {
+                self.bump();
+                Ok(Clause::Filter(self.parse_expr()?))
+            }
+            TokenKind::Keyword("LET") => {
+                self.bump();
+                let var = self.expect_ident()?;
+                self.expect_punct("=")?;
+                Ok(Clause::Let {
+                    var,
+                    value: self.parse_expr()?,
+                })
+            }
+            TokenKind::Keyword("SORT") => {
+                self.bump();
+                let mut keys = Vec::new();
+                loop {
+                    let e = self.parse_expr()?;
+                    let asc = if self.eat_kw("DESC") {
+                        false
+                    } else {
+                        let _ = self.eat_kw("ASC");
+                        true
+                    };
+                    keys.push((e, asc));
+                    if !self.eat_punct(",") {
+                        break;
+                    }
+                }
+                Ok(Clause::Sort { keys })
+            }
+            TokenKind::Keyword("LIMIT") => {
+                self.bump();
+                let first = self.parse_usize()?;
+                let (offset, count) = if self.eat_punct(",") {
+                    (first, self.parse_usize()?)
+                } else {
+                    (0, first)
+                };
+                Ok(Clause::Limit { offset, count })
+            }
+            TokenKind::Keyword("COLLECT") => {
+                self.bump();
+                self.parse_collect()
+            }
+            other => Err(self.err(format!(
+                "expected a clause (FOR/FILTER/LET/SORT/LIMIT/COLLECT/RETURN), found {}",
+                other.describe()
+            ))),
         }
     }
 
@@ -325,8 +346,20 @@ impl Parser {
 
     // --- expressions, precedence climbing ---
 
+    /// Run `parse` one nesting level down; an error past [`MAX_DEPTH`].
+    /// Every cycle in the grammar passes through here.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Parser) -> Result<T>) -> Result<T> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(format!("query nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.nested(Parser::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
@@ -357,7 +390,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Expr> {
         if self.eat_kw("NOT") || self.eat_punct("!") {
-            let expr = self.parse_not()?;
+            let expr = self.nested(Parser::parse_not)?;
             return Ok(Expr::Unary {
                 op: UnOp::Not,
                 expr: Box::new(expr),
@@ -437,7 +470,7 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat_punct("-") {
-            let expr = self.parse_unary()?;
+            let expr = self.nested(Parser::parse_unary)?;
             return Ok(Expr::Unary {
                 op: UnOp::Neg,
                 expr: Box::new(expr),
@@ -482,89 +515,105 @@ impl Parser {
             TokenKind::Keyword("NULL") => Ok(Expr::Literal(Value::Null)),
             TokenKind::Ident(name) => {
                 if self.eat_punct("(") {
-                    let mut args = Vec::new();
-                    if !self.eat_punct(")") {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if self.eat_punct(")") {
-                                break;
-                            }
-                            self.expect_punct(",")?;
-                        }
-                    }
-                    Ok(Expr::Call {
-                        name: name.to_ascii_uppercase(),
-                        args,
-                    })
+                    self.parse_call(name)
                 } else {
                     Ok(Expr::Var(name))
                 }
             }
-            TokenKind::Punct("[") => {
-                let mut items = Vec::new();
-                if !self.eat_punct("]") {
-                    loop {
-                        items.push(self.parse_expr()?);
-                        if self.eat_punct("]") {
-                            break;
-                        }
-                        self.expect_punct(",")?;
-                        if self.eat_punct("]") {
-                            break; // trailing comma
-                        }
-                    }
-                }
-                Ok(Expr::Array(items))
-            }
-            TokenKind::Punct("{") => {
-                let mut fields = Vec::new();
-                if !self.eat_punct("}") {
-                    loop {
-                        let key = match self.bump() {
-                            TokenKind::Ident(s) => s,
-                            TokenKind::Str(s) => s,
-                            TokenKind::Keyword(k) => k.to_ascii_lowercase(),
-                            other => {
-                                return Err(self.err(format!(
-                                    "expected object key, found {}",
-                                    other.describe()
-                                )))
-                            }
-                        };
-                        // {name} is shorthand for {name: name}
-                        let value = if self.eat_punct(":") {
-                            self.parse_expr()?
-                        } else {
-                            Expr::Var(key.clone())
-                        };
-                        fields.push((key, value));
-                        if self.eat_punct("}") {
-                            break;
-                        }
-                        self.expect_punct(",")?;
-                        if self.eat_punct("}") {
-                            break; // trailing comma
-                        }
-                    }
-                }
-                Ok(Expr::Object(fields))
-            }
-            TokenKind::Punct("(") => {
-                // subquery or parenthesized expression
-                if matches!(
-                    self.peek(),
-                    TokenKind::Keyword("FOR") | TokenKind::Keyword("RETURN")
-                ) {
-                    let body = self.parse_query_body()?;
-                    self.expect_punct(")")?;
-                    Ok(Expr::Subquery(Box::new(body)))
-                } else {
-                    let e = self.parse_expr()?;
-                    self.expect_punct(")")?;
-                    Ok(e)
-                }
-            }
+            TokenKind::Punct("[") => self.parse_array_literal(),
+            TokenKind::Punct("{") => self.parse_object_literal(),
+            TokenKind::Punct("(") => self.parse_parenthesized(),
             other => Err(self.err(format!("unexpected {}", other.describe()))),
+        }
+    }
+    // The constructs below are `parse_primary`'s arms, in functions of
+    // their own so that the frames a nesting level leaves on the stack
+    // stay small (an unoptimised build lays out every arm's temporaries
+    // side by side).
+
+    /// `name(` has been read: the arguments and `)`.
+    fn parse_call(&mut self, name: String) -> Result<Expr> {
+        let mut args = Vec::new();
+        if !self.eat_punct(")") {
+            loop {
+                args.push(self.parse_expr()?);
+                if self.eat_punct(")") {
+                    break;
+                }
+                self.expect_punct(",")?;
+            }
+        }
+        Ok(Expr::Call {
+            name: name.to_ascii_uppercase(),
+            args,
+        })
+    }
+
+    /// `[` has been read: the items and `]`.
+    fn parse_array_literal(&mut self) -> Result<Expr> {
+        let mut items = Vec::new();
+        if !self.eat_punct("]") {
+            loop {
+                items.push(self.parse_expr()?);
+                if self.eat_punct("]") {
+                    break;
+                }
+                self.expect_punct(",")?;
+                if self.eat_punct("]") {
+                    break; // trailing comma
+                }
+            }
+        }
+        Ok(Expr::Array(items))
+    }
+
+    /// `{` has been read: the fields and `}`.
+    fn parse_object_literal(&mut self) -> Result<Expr> {
+        let mut fields = Vec::new();
+        if !self.eat_punct("}") {
+            loop {
+                let key = match self.bump() {
+                    TokenKind::Ident(s) => s,
+                    TokenKind::Str(s) => s,
+                    TokenKind::Keyword(k) => k.to_ascii_lowercase(),
+                    other => {
+                        return Err(
+                            self.err(format!("expected object key, found {}", other.describe()))
+                        )
+                    }
+                };
+                // {name} is shorthand for {name: name}
+                let value = if self.eat_punct(":") {
+                    self.parse_expr()?
+                } else {
+                    Expr::Var(key.clone())
+                };
+                fields.push((key, value));
+                if self.eat_punct("}") {
+                    break;
+                }
+                self.expect_punct(",")?;
+                if self.eat_punct("}") {
+                    break; // trailing comma
+                }
+            }
+        }
+        Ok(Expr::Object(fields))
+    }
+
+    /// `(` has been read: a subquery or a parenthesized expression.
+    fn parse_parenthesized(&mut self) -> Result<Expr> {
+        if matches!(
+            self.peek(),
+            TokenKind::Keyword("FOR") | TokenKind::Keyword("RETURN")
+        ) {
+            let body = self.parse_query_body()?;
+            self.expect_punct(")")?;
+            Ok(Expr::Subquery(Box::new(body)))
+        } else {
+            let e = self.parse_expr()?;
+            self.expect_punct(")")?;
+            Ok(e)
         }
     }
 }
@@ -577,6 +626,54 @@ mod tests {
         match parse(src).unwrap() {
             Statement::Query(b) => b,
             other => panic!("expected query, got {other:?}"),
+        }
+    }
+
+    fn wrapped(depth: usize, open: &str, close: &str) -> String {
+        format!("RETURN {}1{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    /// A literal under `depth` levels of each shape that costs one level.
+    fn nested_shapes(depth: usize) -> [String; 5] {
+        [
+            wrapped(depth, "(", ")"),
+            wrapped(depth, "[", "]"),
+            wrapped(depth, "-", ""),
+            wrapped(depth, "NOT ", ""),
+            wrapped(depth, "(RETURN ", ")"),
+        ]
+    }
+
+    /// The same for subqueries nested through a clause: two levels each.
+    fn clause_nested_shapes(depth: usize) -> [String; 3] {
+        [
+            wrapped(depth, "(FOR v IN ", " RETURN v)"),
+            wrapped(depth, "(FOR v IN xs FILTER ", " RETURN v)"),
+            wrapped(depth, "(FOR v IN 1..2 OUTBOUND ", " GRAPH g RETURN v)"),
+        ]
+    }
+
+    fn assert_too_deep(src: &str) {
+        let err = parse(src).expect_err("too deep").to_string();
+        assert!(err.contains("nests deeper"), "{err}");
+        assert!(err.contains(" at 1:"), "located: {err}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        for src in nested_shapes(MAX_DEPTH) {
+            assert!(parse(&src).is_ok(), "depth {MAX_DEPTH}: {src:.40}…");
+        }
+        for src in clause_nested_shapes(MAX_DEPTH / 2) {
+            assert!(parse(&src).is_ok(), "depth {}: {src:.40}…", MAX_DEPTH / 2);
+        }
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            nested_shapes(depth).iter().for_each(|s| assert_too_deep(s));
+        }
+        for depth in [MAX_DEPTH / 2 + 1, 100_000] {
+            clause_nested_shapes(depth)
+                .iter()
+                .for_each(|s| assert_too_deep(s));
         }
     }
 

@@ -9,17 +9,16 @@
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 
-use udbms_core::{FieldPath, Value};
+use udbms_core::{FieldPath, Object, Value};
 
 /// Project each row onto the named fields (missing fields become `Null`).
 pub fn project(rows: &[Value], fields: &[&str]) -> Vec<Value> {
     rows.iter()
         .map(|row| {
-            let mut out = BTreeMap::new();
-            for f in fields {
-                out.insert((*f).to_string(), row.get_field(f).clone());
-            }
-            Value::Object(out)
+            fields
+                .iter()
+                .map(|f| ((*f).to_string(), row.get_field(f).clone()))
+                .collect()
         })
         .collect()
 }
@@ -87,18 +86,10 @@ pub fn hash_join(left: &[Value], right: &[Value], left_key: &str, right_key: &st
 fn merge_rows(left: &Value, right: &Value) -> Value {
     let mut m = match left {
         Value::Object(o) => o.clone(),
-        other => {
-            let mut m = BTreeMap::new();
-            m.insert("_left".to_string(), other.clone());
-            m
-        }
+        other => Object::from_iter([("_left".to_string(), other.clone())]),
     };
     match right {
-        Value::Object(o) => {
-            for (k, v) in o {
-                m.insert(k.clone(), v.clone());
-            }
-        }
+        Value::Object(o) => m.extend(o.iter().map(|(k, v)| (k.clone(), v.clone()))),
         other => {
             m.insert("_right".to_string(), other.clone());
         }
@@ -155,14 +146,11 @@ pub fn aggregate(rows: &[Value], group_by: &[FieldPath], specs: &[AggregateSpec]
     }
     let mut out = Vec::with_capacity(groups.len());
     for (key, members) in groups {
-        let mut obj = BTreeMap::new();
-        for (path, kv) in group_by.iter().zip(key) {
-            obj.insert(path.to_string(), kv);
-        }
-        for spec in specs {
-            obj.insert(spec.output.clone(), run_aggregate(spec, &members));
-        }
-        out.push(Value::Object(obj));
+        let keys = group_by.iter().map(ToString::to_string).zip(key);
+        let aggregates = specs
+            .iter()
+            .map(|spec| (spec.output.clone(), run_aggregate(spec, &members)));
+        out.push(keys.chain(aggregates).collect());
     }
     out
 }

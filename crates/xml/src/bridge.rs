@@ -17,9 +17,7 @@
 //! attributes in sorted order, which the equality used by the conversion
 //! gold standards treats as canonical.
 
-use std::collections::BTreeMap;
-
-use udbms_core::{Error, Result, Value};
+use udbms_core::{obj, Error, Object, Result, Value};
 
 use crate::node::XmlNode;
 
@@ -27,20 +25,16 @@ use crate::node::XmlNode;
 pub fn xml_to_value(node: &XmlNode) -> Value {
     match node {
         XmlNode::Text(t) => Value::Str(t.clone()),
-        XmlNode::Comment(c) => {
-            let mut m = BTreeMap::new();
-            m.insert("comment".to_string(), Value::Str(c.clone()));
-            Value::Object(m)
-        }
+        XmlNode::Comment(c) => obj! {"comment" => c.clone()},
         XmlNode::Element {
             name,
             attrs,
             children,
         } => {
-            let mut m = BTreeMap::new();
-            m.insert("tag".to_string(), Value::Str(name.clone()));
+            // inserted in name order, so each insert is a push
+            let mut m = Object::new();
             if !attrs.is_empty() {
-                let amap: BTreeMap<String, Value> = attrs
+                let amap: Object = attrs
                     .iter()
                     .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
                     .collect();
@@ -52,6 +46,7 @@ pub fn xml_to_value(node: &XmlNode) -> Value {
                     Value::Array(children.iter().map(xml_to_value).collect()),
                 );
             }
+            m.insert("tag".to_string(), Value::Str(name.clone()));
             Value::Object(m)
         }
     }

@@ -12,6 +12,11 @@ use udbms_core::{Error, Result};
 
 use crate::node::{XmlDocument, XmlNode};
 
+/// Deepest element nesting [`parse`] accepts (the root is level 1) — the
+/// JSON parser's default bound. The parser recurses per level, and so do
+/// the writer, the value bridge and XPath over what it returns.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete XML document.
 pub fn parse(input: &str) -> Result<XmlDocument> {
     let mut p = Parser::new(input);
@@ -25,7 +30,7 @@ pub fn parse(input: &str) -> Result<XmlDocument> {
             break;
         }
     }
-    let root = p.parse_element()?;
+    let root = p.parse_element(1)?;
     p.skip_ws();
     while p.starts_with("<!--") {
         p.parse_comment()?;
@@ -135,7 +140,10 @@ impl<'a> Parser<'a> {
         Ok(self.src[start..self.pos].to_string())
     }
 
-    fn parse_element(&mut self) -> Result<XmlNode> {
+    fn parse_element(&mut self, depth: usize) -> Result<XmlNode> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("elements nest deeper than {MAX_DEPTH}")));
+        }
         if !self.consume("<") {
             return Err(self.err("expected element"));
         }
@@ -217,7 +225,7 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<!") || self.starts_with("<?") {
                 return Err(self.err("DTDs and processing instructions are not supported"));
             } else if self.peek() == Some(b'<') {
-                el.push_child(self.parse_element()?);
+                el.push_child(self.parse_element(depth + 1)?);
             } else if self.at_end() {
                 return Err(self.err(format!("unexpected end of input inside `<{name}>`")));
             } else {
@@ -322,6 +330,22 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        let doc = parse(&nested(MAX_DEPTH)).expect("depth 128 parses");
+        // what recurses over a parsed tree gets through it too
+        let text = crate::to_string(&doc);
+        assert_eq!(text, nested(MAX_DEPTH));
+        let value = crate::xml_to_value(doc.root());
+        assert_eq!(&crate::value_to_xml(&value).unwrap(), doc.root());
+        for depth in [MAX_DEPTH + 1, 200_000] {
+            let err = parse(&nested(depth)).expect_err("too deep").to_string();
+            assert!(err.contains("nest deeper"), "depth {depth}: {err}");
+            assert!(err.contains(" at 1:"), "located: {err}");
+        }
+    }
 
     #[test]
     fn minimal_document() {
