@@ -19,6 +19,7 @@
 //! "Invariants & static analysis").
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicI64, Ordering};
 
 use udbms_core::{CollectionId, CollectionSchema, Error, FieldPath, Result};
 use udbms_relational::IndexKind;
@@ -31,7 +32,16 @@ pub struct CollectionInfo {
     /// Schema (model kind, fields, primary key…).
     pub schema: CollectionSchema,
     /// Next auto-assigned integer id for inserts without a key.
-    pub next_auto_id: i64,
+    next_auto_id: AtomicI64,
+}
+
+impl CollectionInfo {
+    /// Draw the next auto id — under the catalog *read* guard, so writers
+    /// never serialize on the catalog for it. Ids are only required to be
+    /// unique: one drawn by a call that then fails is not handed out again.
+    pub fn next_auto_id(&self) -> i64 {
+        self.next_auto_id.fetch_add(1, Ordering::Relaxed)
+    }
 }
 
 /// The engine catalog.
@@ -62,7 +72,7 @@ impl Catalog {
             CollectionInfo {
                 id,
                 schema,
-                next_auto_id: 1,
+                next_auto_id: AtomicI64::new(1),
             },
         );
         self.names_by_id.insert(id, name);
@@ -106,13 +116,9 @@ impl Catalog {
         names
     }
 
-    /// Allocate the next auto id for a collection (skipping is fine; ids
-    /// are only required to be unique).
-    pub fn next_auto_id(&mut self, name: &str) -> Result<i64> {
-        let info = self.get_mut(name)?;
-        let id = info.next_auto_id;
-        info.next_auto_id += 1;
-        Ok(id)
+    /// [`CollectionInfo::next_auto_id`] by collection name.
+    pub fn next_auto_id(&self, name: &str) -> Result<i64> {
+        Ok(self.get(name)?.next_auto_id())
     }
 
     /// Replace a collection's schema in place (schema evolution).

@@ -33,6 +33,17 @@
 //!          fsync'd checkpoint rewrites
 //! ```
 //!
+//! ## Modules
+//!
+//! One concern per file: `config` (tuning, the counters, the stats
+//! views), `engine` (constructors, DDL, `begin`/`begin_read`/`run`, GC),
+//! `recovery` (WAL-backed constructors, replay, checkpoint), `registry`
+//! (which transactions are open, at which snapshot), `reads`, `writes`,
+//! `commit` (validation, install, log — and the one exit every
+//! transaction leaves through) and `adapters` (graph + XML) for the
+//! [`Txn`] handle; under them `txn` (per-transaction state), `catalog`,
+//! `storage`, `group` and `wal`.
+//!
 //! ## Reading
 //!
 //! A transaction reads through four methods: [`Txn::get`] (an owned
@@ -42,6 +53,17 @@
 //! optional limit — which is where the read horizon, index probe vs
 //! sharded scan, serializable read-set noting, own-write overlay and
 //! limit pushdown are decided, once.
+//!
+//! ## Writing
+//!
+//! Every write entry point — [`Txn::put`], [`Txn::insert`],
+//! [`Txn::update`], [`Txn::merge`], [`Txn::delete`], their `_many`
+//! forms, [`Txn::add_vertex`], [`Txn::add_edge`], [`Txn::put_xml`] —
+//! takes one path: check the handle can write, resolve the collection
+//! once, assign keys (drawing an auto id only for a keyless document),
+//! check existence at the read horizon, validate every value of the
+//! call, then buffer them all. Nothing reaches storage before
+//! [`Txn::commit`].
 //!
 //! ## Isolation levels
 //!
@@ -54,16 +76,25 @@
 //!   commit (prevents write skew; record-granularity validation, so scan
 //!   phantoms remain out of scope, as documented in DESIGN.md).
 
+mod adapters;
 mod catalog;
+mod commit;
+mod config;
 mod engine;
 mod group;
+mod reads;
+mod recovery;
+mod registry;
 mod retry;
 mod storage;
 mod txn;
 mod wal;
+mod writes;
 
 pub use catalog::{Catalog, CollectionInfo};
-pub use engine::{Engine, EngineConfig, EngineStats, GcStats, Txn, DEFAULT_SHARDS};
+pub use config::{EngineConfig, EngineStats, GcStats, DEFAULT_SHARDS};
+pub use engine::Engine;
+pub use reads::Txn;
 pub use retry::RetryPolicy;
 pub use storage::{shard_of, RecordId, Shard, ShardedStorage, Storage, Version};
 pub use txn::{Durability, Isolation};

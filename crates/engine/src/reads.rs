@@ -1,0 +1,515 @@
+//! The [`Txn`] handle and its read side: point reads, batched reads and
+//! the general read [`Txn::rows`]. Writes are `writes.rs`, the ways a
+//! transaction ends `commit.rs`, the graph and XML helpers `adapters.rs`.
+//!
+//! Every public call resolves its collection name once, under one catalog
+//! guard; what runs below that takes the resolved [`CollectionId`].
+
+use std::sync::Arc;
+
+use udbms_core::{CollectionId, Error, FieldPath, Key, Result, Ts, TxnId, Value};
+use udbms_relational::Predicate;
+
+use crate::engine::Inner;
+use crate::storage::{RecordId, RowFilter};
+use crate::txn::{Isolation, TxnState};
+
+/// The access path [`Txn::rows`] takes to the committed records.
+enum Access {
+    /// Primary-key equality: one point read.
+    Point(Key),
+    /// Index probe: candidate keys, unsorted and over-approximating.
+    Candidates(Vec<Key>),
+    /// The sharded scan.
+    Scan,
+}
+
+/// A transaction handle. Obtain with [`crate::Engine::begin`]; finish with
+/// [`Txn::commit`] or [`Txn::abort`] (dropping an open handle aborts).
+pub struct Txn {
+    pub(crate) inner: Arc<Inner>,
+    /// `Some` while the transaction is open.
+    pub(crate) state: Option<TxnState>,
+}
+
+/// Snapshot-correct read of one record: the transaction's own buffered
+/// write if it has one, else the committed version at its read horizon,
+/// noted in the read set. Hands out a shared handle — no deep clone.
+pub(crate) fn read_one(inner: &Inner, state: &mut TxnState, rid: RecordId) -> Option<Arc<Value>> {
+    if let Some(buffered) = state.own_write(&rid) {
+        return buffered.clone();
+    }
+    let shard = inner.storage.shard_for(&rid.key).read();
+    let version = shard.store.visible(&rid, state.read_ts());
+    state.observe(rid, version)
+}
+
+/// [`read_one`] for a batch: results in input order, each shard
+/// read-locked at most once for the whole batch.
+pub(crate) fn read_many(
+    inner: &Inner,
+    state: &mut TxnState,
+    rids: &[RecordId],
+) -> Vec<Option<Arc<Value>>> {
+    let read_ts = state.read_ts();
+    let mut out: Vec<Option<Arc<Value>>> = vec![None; rids.len()];
+    // (shard, position) of every read the write buffer cannot answer
+    let mut pending: Vec<(usize, usize)> = Vec::new();
+    for (pos, rid) in rids.iter().enumerate() {
+        match state.own_write(rid) {
+            Some(buffered) => out[pos] = buffered.clone(),
+            None => pending.push((inner.storage.shard_of(&rid.key), pos)),
+        }
+    }
+    pending.sort_unstable();
+    let mut i = 0;
+    while i < pending.len() {
+        let si = pending[i].0;
+        let shard = inner.storage.shard(si).read();
+        while i < pending.len() && pending[i].0 == si {
+            let pos = pending[i].1;
+            let version = shard.store.visible(&rids[pos], read_ts);
+            out[pos] = state.observe(rids[pos].clone(), version);
+            i += 1;
+        }
+    }
+    out
+}
+
+impl Txn {
+    /// The engine and this transaction's state; an error once the handle
+    /// has finished.
+    pub(crate) fn parts(&mut self) -> Result<(&Inner, &mut TxnState)> {
+        match &mut self.state {
+            Some(state) => Ok((&self.inner, state)),
+            None => Err(Error::TxnClosed("transaction already finished".into())),
+        }
+    }
+
+    /// This transaction's snapshot timestamp.
+    pub fn snapshot(&self) -> Option<Ts> {
+        self.state.as_ref().map(|s| s.snapshot)
+    }
+
+    /// This transaction's id.
+    pub fn id(&self) -> Option<TxnId> {
+        self.state.as_ref().map(|s| s.id)
+    }
+
+    /// Fetch a record by key as an owned copy (for callers that go on to
+    /// modify it; readers should prefer [`Txn::get_shared`]).
+    pub fn get(&mut self, collection: &str, key: &Key) -> Result<Option<Value>> {
+        Ok(self
+            .get_shared(collection, key)?
+            .map(|v| v.as_ref().clone()))
+    }
+
+    /// Fetch a record by key as a shared handle: the zero-copy point
+    /// read (an `Arc` bump instead of a value tree clone).
+    pub fn get_shared(&mut self, collection: &str, key: &Key) -> Result<Option<Arc<Value>>> {
+        let (inner, state) = self.parts()?;
+        let id = inner.catalog.read().get(collection)?.id;
+        Ok(read_one(inner, state, RecordId::new(id, key.clone())))
+    }
+
+    /// All live `(key, value)` pairs of a collection at this transaction's
+    /// read horizon, own writes applied, in key order (merged across
+    /// shards) — [`Txn::rows`] with no predicate and no limit. Every row
+    /// is an `Arc` bump on the stored version, never a value tree clone.
+    pub fn scan_shared(&mut self, collection: &str) -> Result<Vec<(Key, Arc<Value>)>> {
+        self.rows(collection, None, None)
+    }
+
+    /// The general read: the live records of a collection that match
+    /// `pred` (all of them when `None`), in key order, at most `limit`.
+    ///
+    /// This is the one place a transaction's view of a collection is
+    /// assembled:
+    ///
+    /// * **horizon** — latest-committed under `ReadCommitted`, else the
+    ///   begin-time snapshot;
+    /// * **access** — an equality on the primary key is a point read; a
+    ///   non-`Null` equality or range on an indexed path probes the index
+    ///   (candidates are re-validated at the horizon); anything else is
+    ///   the sharded scan with the predicate pushed into it;
+    /// * **read set** — under `Serializable` every record *examined* is
+    ///   noted, not just the matches, so the scan filters here rather
+    ///   than in storage;
+    /// * **own writes** — buffered writes on the collection are laid over
+    ///   the committed rows (a matching write replaces or adds its row, a
+    ///   delete or a no-longer-matching overwrite removes it);
+    /// * **limit** — pushed into the walk only when neither of the last
+    ///   two applies (not `Serializable`, nothing buffered on the
+    ///   collection); otherwise the result is assembled in full and
+    ///   truncated, because rows past the cut could still change the
+    ///   prefix or belong in the read set.
+    ///
+    /// ```
+    /// use udbms_core::{obj, CollectionSchema, Key, Value};
+    /// use udbms_engine::{Engine, Isolation};
+    /// use udbms_relational::Predicate;
+    ///
+    /// let engine = Engine::new();
+    /// engine.create_collection(CollectionSchema::key_value("orders"))?;
+    /// let mut txn = engine.begin(Isolation::Snapshot);
+    /// for i in 0..10 {
+    ///     txn.put("orders", Key::int(i), obj! {"open" => i % 2 == 0})?;
+    /// }
+    /// let open = Predicate::eq("open", Value::Bool(true));
+    /// let first = txn.rows("orders", Some(&open), Some(2))?;
+    /// let keys: Vec<&Key> = first.iter().map(|(key, _)| key).collect();
+    /// assert_eq!(keys, [&Key::int(0), &Key::int(2)]);
+    /// assert_eq!(txn.rows("orders", None, None)?, txn.scan_shared("orders")?);
+    /// # udbms_core::Result::Ok(())
+    /// ```
+    pub fn rows(
+        &mut self,
+        collection: &str,
+        pred: Option<&Predicate>,
+        limit: Option<usize>,
+    ) -> Result<Vec<(Key, Arc<Value>)>> {
+        let (inner, state) = self.parts()?;
+        let (id, access) = plan_access(inner, collection, pred)?;
+        let matches = |v: &Value| pred.is_none_or(|p| p.matches(v));
+        let read_ts = state.read_ts();
+        let serializable = state.isolation == Isolation::Serializable;
+        let overlay = state.writes.keys().any(|rid| rid.collection == id);
+        let pushed = limit.filter(|_| !serializable && !overlay);
+        let mut rows: Vec<(Key, Arc<Value>)> = match access {
+            Access::Point(key) => {
+                // a primary-key equality admits no other key, so own
+                // writes elsewhere cannot add matches: no overlay
+                let hit = read_one(inner, state, RecordId::new(id, key.clone()));
+                let hit = hit.filter(|v| matches(v) && limit != Some(0));
+                return Ok(hit.map(|v| (key, v)).into_iter().collect());
+            }
+            Access::Candidates(mut keys) => {
+                // segments concatenate in shard order and over-approximate
+                keys.sort();
+                keys.dedup();
+                let rids: Vec<RecordId> = keys.into_iter().map(|k| RecordId::new(id, k)).collect();
+                // batched validation: one lock per touched shard
+                let values = read_many(inner, state, &rids);
+                rids.into_iter()
+                    .zip(values)
+                    .filter_map(|(rid, v)| Some((rid.key, v.filter(|v| matches(v))?)))
+                    .take(pushed.unwrap_or(usize::MAX))
+                    .collect()
+            }
+            Access::Scan => {
+                let in_storage: Option<RowFilter<'_>> = match pred {
+                    Some(_) if !serializable => Some(&matches),
+                    _ => None,
+                };
+                let scanned = inner.storage.scan_iter(id, read_ts, in_storage, pushed);
+                if serializable {
+                    let mut rows = Vec::new();
+                    for (key, seen, value) in scanned {
+                        state.note_read(RecordId::new(id, key.clone()), seen);
+                        if matches(&value) {
+                            rows.push((key, value));
+                        }
+                    }
+                    rows
+                } else {
+                    // nothing to note: the merge is already the answer
+                    // (every read-lane scan takes this exit)
+                    scanned.map(|(k, _, v)| (k, v)).collect()
+                }
+            }
+        };
+        if overlay {
+            let mut merged: std::collections::BTreeMap<Key, Arc<Value>> =
+                rows.into_iter().collect();
+            for (rid, w) in &state.writes {
+                if rid.collection != id {
+                    continue;
+                }
+                match w {
+                    Some(v) if matches(v) => {
+                        merged.insert(rid.key.clone(), Arc::clone(v));
+                    }
+                    // buffered delete, or an overwrite that no longer matches
+                    _ => {
+                        merged.remove(&rid.key);
+                    }
+                }
+            }
+            rows = merged.into_iter().collect();
+        }
+        rows.truncate(limit.unwrap_or(usize::MAX));
+        Ok(rows)
+    }
+}
+
+/// How [`Txn::rows`] reaches the committed records `pred` can match.
+fn plan_access(
+    inner: &Inner,
+    collection: &str,
+    pred: Option<&Predicate>,
+) -> Result<(CollectionId, Access)> {
+    let catalog = inner.catalog.read();
+    let info = catalog.get(collection)?;
+    let id = info.id;
+    let Some(pred) = pred else {
+        return Ok((id, Access::Scan));
+    };
+    let pk_probe = info.schema.primary_key.as_ref().and_then(|pk| {
+        pred.equality_on(&FieldPath::key(pk.clone()))
+            .and_then(|v| Key::new(v.clone()).ok())
+    });
+    if let Some(key) = pk_probe {
+        return Ok((id, Access::Point(key)));
+    }
+    // Null probes must scan: nulls are never indexed, yet
+    // `Null == Null` holds in the canonical order, so an index lookup
+    // would silently drop matching records. Candidate keys are
+    // gathered from every shard's segment of the chosen index
+    // (catalog before shards is the documented lock order).
+    let storage = &inner.storage;
+    for path in catalog.indexed_paths(id) {
+        if let Some(v) = pred.equality_on(path) {
+            if v.is_null() {
+                continue;
+            }
+            return Ok((id, Access::Candidates(storage.index_lookup_eq(id, path, v))));
+        }
+        if let Some((lo, hi)) = pred.range_on(path) {
+            if lo.as_ref().is_some_and(Value::is_null) || hi.as_ref().is_some_and(Value::is_null) {
+                continue;
+            }
+            if let Some(keys) = storage.index_lookup_range(id, path, lo.as_ref(), hi.as_ref()) {
+                return Ok((id, Access::Candidates(keys)));
+            }
+        }
+    }
+    Ok((id, Access::Scan))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::engine;
+    use udbms_core::{arr, obj};
+    use udbms_relational::IndexKind;
+
+    #[test]
+    fn read_your_writes_inside_txn() {
+        let e = engine();
+        let mut t = e.begin(Isolation::Snapshot);
+        t.put("feedback", Key::str("k"), Value::Int(1)).unwrap();
+        assert_eq!(
+            t.get("feedback", &Key::str("k")).unwrap(),
+            Some(Value::Int(1))
+        );
+        t.delete("feedback", &Key::str("k")).unwrap();
+        assert_eq!(t.get("feedback", &Key::str("k")).unwrap(), None);
+        t.abort();
+        // aborted writes never surface
+        let mut t2 = e.begin(Isolation::Snapshot);
+        assert_eq!(t2.get("feedback", &Key::str("k")).unwrap(), None);
+    }
+
+    #[test]
+    fn select_uses_indexes_and_matches_scan() {
+        let e = engine();
+        e.create_index("orders", FieldPath::key("status"), IndexKind::Hash)
+            .unwrap();
+        e.run(Isolation::Snapshot, |t| {
+            for i in 0..20 {
+                t.insert(
+                    "orders",
+                    obj! {"status" => if i % 3 == 0 { "open" } else { "paid" }, "n" => i},
+                )?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let mut t = e.begin(Isolation::Snapshot);
+        let pred = Predicate::eq("status", Value::from("open"));
+        let via_index = t.rows("orders", Some(&pred), None).unwrap();
+        let mut via_scan = t.scan_shared("orders").unwrap();
+        via_scan.retain(|(_, v)| pred.matches(v));
+        assert_eq!(via_index, via_scan);
+        assert_eq!(via_index.len(), 7);
+    }
+
+    #[test]
+    fn index_candidates_revalidate_against_snapshot() {
+        let e = engine();
+        e.create_index("orders", FieldPath::key("status"), IndexKind::Hash)
+            .unwrap();
+        e.run(Isolation::Snapshot, |t| {
+            t.put("orders", Key::int(1), obj! {"_id" => 1, "status" => "open"})
+        })
+        .unwrap();
+        let mut old = e.begin(Isolation::Snapshot);
+        // concurrent flip to paid
+        e.run(Isolation::Snapshot, |t| {
+            t.put("orders", Key::int(1), obj! {"_id" => 1, "status" => "paid"})
+        })
+        .unwrap();
+        // the old snapshot still finds the order under "open"…
+        let open_old = old
+            .rows(
+                "orders",
+                Some(&Predicate::eq("status", Value::from("open"))),
+                None,
+            )
+            .unwrap();
+        assert_eq!(open_old.len(), 1);
+        // …and a new snapshot does not, despite the stale index posting.
+        let mut new = e.begin(Isolation::Snapshot);
+        let open_new = new
+            .rows(
+                "orders",
+                Some(&Predicate::eq("status", Value::from("open"))),
+                None,
+            )
+            .unwrap();
+        assert!(open_new.is_empty());
+    }
+
+    #[test]
+    fn scan_merges_own_writes() {
+        let e = engine();
+        e.run(Isolation::Snapshot, |t| {
+            t.put("feedback", Key::int(1), Value::Int(10))?;
+            t.put("feedback", Key::int(2), Value::Int(20))
+        })
+        .unwrap();
+        let mut t = e.begin(Isolation::Snapshot);
+        t.put("feedback", Key::int(3), Value::Int(30)).unwrap();
+        t.delete("feedback", &Key::int(1)).unwrap();
+        t.put("feedback", Key::int(2), Value::Int(99)).unwrap();
+        let scan = t.scan_shared("feedback").unwrap();
+        assert_eq!(
+            scan,
+            vec![
+                (Key::int(2), Arc::new(Value::Int(99))),
+                (Key::int(3), Arc::new(Value::Int(30)))
+            ]
+        );
+    }
+
+    #[test]
+    fn limited_scan_returns_key_order_prefix() {
+        let e = engine();
+        e.run(Isolation::Snapshot, |t| {
+            t.put_many(
+                "feedback",
+                (0..50).map(|i| (Key::int(i), Value::Int(i * 2))).collect(),
+            )
+        })
+        .unwrap();
+        let mut t = e.begin(Isolation::Snapshot);
+        let full = t.scan_shared("feedback").unwrap();
+        for limit in [0usize, 1, 7, 50, 99] {
+            let got = t.rows("feedback", None, Some(limit)).unwrap();
+            assert_eq!(got, full[..limit.min(full.len())].to_vec(), "limit {limit}");
+        }
+        // own writes force the fallback path and stay correct
+        t.put("feedback", Key::int(-1), Value::Int(-2)).unwrap();
+        let got = t.rows("feedback", None, Some(3)).unwrap();
+        assert_eq!(got[0].0, Key::int(-1), "buffered row sorts first");
+        assert_eq!(got.len(), 3);
+    }
+
+    #[test]
+    fn limited_predicate_read_matches_unlimited_prefix() {
+        let e = engine();
+        e.run(Isolation::Snapshot, |t| {
+            t.put_many(
+                "feedback",
+                (0..60)
+                    .map(|i| (Key::int(i), obj! {"g" => i % 3, "n" => i}))
+                    .collect(),
+            )
+        })
+        .unwrap();
+        let pred = Predicate::eq("g", Value::Int(1));
+        let mut t = e.begin(Isolation::Snapshot);
+        let full = t.rows("feedback", Some(&pred), None).unwrap();
+        assert_eq!(full.len(), 20);
+        for limit in [0usize, 1, 5, 20, 99] {
+            let got = t.rows("feedback", Some(&pred), Some(limit)).unwrap();
+            assert_eq!(got, full[..limit.min(full.len())].to_vec(), "limit {limit}");
+        }
+        // serializable transactions fall back (read set must stay full)
+        let mut ser = e.begin(Isolation::Serializable);
+        let got = ser.rows("feedback", Some(&pred), Some(5)).unwrap();
+        assert_eq!(got, full[..5].to_vec());
+        drop(ser);
+        // the primary-key fast path honours the limit too
+        e.run(Isolation::Snapshot, |t| {
+            t.insert("customers", obj! {"id" => 1, "name" => "Ada"})
+                .map(|_| ())
+        })
+        .unwrap();
+        let pk_pred = Predicate::eq("id", Value::Int(1));
+        let mut t = e.begin(Isolation::Snapshot);
+        assert_eq!(
+            t.rows("customers", Some(&pk_pred), Some(1)).unwrap().len(),
+            1
+        );
+        assert!(t
+            .rows("customers", Some(&pk_pred), Some(0))
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn shared_reads_hand_out_the_same_allocation() {
+        let e = engine();
+        e.run(Isolation::Snapshot, |t| {
+            t.put("feedback", Key::int(1), obj! {"big" => "payload"})
+        })
+        .unwrap();
+        let mut a = e.begin_read();
+        let mut b = e.begin_read();
+        let va = a.get_shared("feedback", &Key::int(1)).unwrap().unwrap();
+        let vb = b.get_shared("feedback", &Key::int(1)).unwrap().unwrap();
+        assert!(
+            Arc::ptr_eq(&va, &vb),
+            "both readers share the stored version"
+        );
+    }
+
+    #[test]
+    fn arrays_and_contains_work_through_engine() {
+        let e = engine();
+        e.run(Isolation::Snapshot, |t| {
+            t.insert("orders", obj! {"tags" => arr!["rush", "eu"]})?;
+            t.insert("orders", obj! {"tags" => arr!["bulk"]})?;
+            Ok(())
+        })
+        .unwrap();
+        let mut t = e.begin(Isolation::Snapshot);
+        let rush = t
+            .rows(
+                "orders",
+                Some(&Predicate::Contains(
+                    FieldPath::key("tags"),
+                    Value::from("rush"),
+                )),
+                None,
+            )
+            .unwrap();
+        assert_eq!(rush.len(), 1);
+    }
+
+    #[test]
+    fn closed_txn_rejects_operations() {
+        let e = engine();
+        let t = e.begin(Isolation::Snapshot);
+        let ts = t.commit().unwrap();
+        assert!(ts >= Ts::ZERO);
+        // commit consumed the txn; a new handle that was aborted:
+        let mut t2 = e.begin(Isolation::Snapshot);
+        t2.abort_in_place();
+        assert!(matches!(
+            t2.get("feedback", &Key::int(1)),
+            Err(Error::TxnClosed(_))
+        ));
+    }
+}

@@ -599,18 +599,6 @@ impl ShardedStorage {
         buckets
     }
 
-    /// The newest version of a record visible at `snapshot` (value only,
-    /// tombstones resolved to `None`), plus the commit timestamp observed
-    /// (`Ts::ZERO` when the record was absent). The value is a shared
-    /// handle — no deep clone happens under the shard lock.
-    pub fn visible_value_with_ts(&self, rid: &RecordId, snapshot: Ts) -> (Ts, Option<Arc<Value>>) {
-        let shard = self.shard_for(&rid.key).read();
-        match shard.store.visible(rid, snapshot) {
-            Some(v) => (v.commit_ts, v.value.clone()),
-            None => (Ts::ZERO, None),
-        }
-    }
-
     /// The one multi-shard scan: a streaming k-way merge over the
     /// per-shard snapshot runs, with **predicate and limit pushdown**.
     ///

@@ -1,6 +1,6 @@
 //! Transaction state and isolation levels.
 //!
-//! The commit *protocol* lives in `engine.rs` (it needs the storage and
+//! The commit *protocol* lives in `commit.rs` (it needs the storage and
 //! catalog locks); this module defines the per-transaction bookkeeping the
 //! protocol validates. A [`TxnState`] holds no locks of its own — all
 //! lock-order obligations (see `parking_lot::LockRank` and DESIGN.md,
@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use udbms_core::{Ts, TxnId, Value};
 
-use crate::storage::RecordId;
+use crate::storage::{RecordId, Version};
 
 /// Isolation level of a transaction (see the crate docs for semantics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,16 +115,16 @@ pub struct TxnState {
     /// (`Ts::ZERO` when the record was absent). Only tracked under
     /// `Serializable`.
     pub reads: HashMap<RecordId, Ts>,
-    /// Whether the transaction is still open.
-    pub open: bool,
     /// Read-lane transactions reject writes and skip the whole commit
     /// machinery (see `Engine::begin_read`).
     pub read_only: bool,
 }
 
 impl TxnState {
-    /// Fresh state for a beginning transaction.
-    pub fn new(id: TxnId, snapshot: Ts, isolation: Isolation) -> TxnState {
+    /// Fresh state for a beginning transaction. A read-lane one
+    /// (`read_only`) reads at its snapshot, tracks no OCC read set and
+    /// has its writes rejected at the API boundary.
+    pub fn new(id: TxnId, snapshot: Ts, isolation: Isolation, read_only: bool) -> TxnState {
         TxnState {
             id,
             snapshot,
@@ -132,17 +132,7 @@ impl TxnState {
             writes: HashMap::new(),
             write_order: Vec::new(),
             reads: HashMap::new(),
-            open: true,
-            read_only: false,
-        }
-    }
-
-    /// Fresh state for a read-lane transaction: snapshot reads, no OCC
-    /// read tracking, writes rejected at the API boundary.
-    pub fn new_read_only(id: TxnId, snapshot: Ts) -> TxnState {
-        TxnState {
-            read_only: true,
-            ..TxnState::new(id, snapshot, Isolation::Snapshot)
+            read_only,
         }
     }
 
@@ -172,6 +162,14 @@ impl TxnState {
         }
     }
 
+    /// What a read of `rid` found at the read horizon: the version is
+    /// noted in the read set and its value handed out (a tombstone reads
+    /// as absent, like no version at all).
+    pub fn observe(&mut self, rid: RecordId, version: Option<&Version>) -> Option<Arc<Value>> {
+        self.note_read(rid, version.map_or(Ts::ZERO, |v| v.commit_ts));
+        version.and_then(|v| v.value.clone())
+    }
+
     /// The buffered write for a record, if any (`Some(None)` = buffered
     /// delete).
     pub fn own_write(&self, rid: &RecordId) -> Option<&Option<Arc<Value>>> {
@@ -190,7 +188,7 @@ mod tests {
 
     #[test]
     fn write_order_tracks_first_write_only() {
-        let mut s = TxnState::new(TxnId(1), Ts(5), Isolation::Snapshot);
+        let mut s = TxnState::new(TxnId(1), Ts(5), Isolation::Snapshot, false);
         s.buffer_write(rid(1), Some(Value::Int(1)));
         s.buffer_write(rid(2), Some(Value::Int(2)));
         s.buffer_write(rid(1), Some(Value::Int(10)));
@@ -201,20 +199,19 @@ mod tests {
 
     #[test]
     fn read_only_state_reads_at_snapshot() {
-        let s = TxnState::new_read_only(TxnId(9), Ts(5));
+        let s = TxnState::new(TxnId(9), Ts(5), Isolation::Snapshot, true);
         assert!(s.read_only);
-        assert!(s.open);
         assert_eq!(s.isolation, Isolation::Snapshot);
         assert_eq!(s.snapshot, Ts(5));
     }
 
     #[test]
     fn reads_only_tracked_under_serializable() {
-        let mut si = TxnState::new(TxnId(1), Ts(5), Isolation::Snapshot);
+        let mut si = TxnState::new(TxnId(1), Ts(5), Isolation::Snapshot, false);
         si.note_read(rid(1), Ts(3));
         assert!(si.reads.is_empty());
 
-        let mut ser = TxnState::new(TxnId(2), Ts(5), Isolation::Serializable);
+        let mut ser = TxnState::new(TxnId(2), Ts(5), Isolation::Serializable, false);
         ser.note_read(rid(1), Ts(3));
         ser.note_read(rid(1), Ts(4)); // later observation ignored
         assert_eq!(ser.reads[&rid(1)], Ts(3));

@@ -237,9 +237,13 @@ fn walk_expr_inner(e: &Expr, scope: &Scope, out: &mut Vec<(String, FieldPath)>) 
             .iter()
             .for_each(|(_, v)| walk_expr_inner(v, scope, out)),
         Expr::Unary { expr, .. } => walk_expr_inner(expr, scope, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            walk_expr_inner(lhs, scope, out);
-            walk_expr_inner(rhs, scope, out);
+        Expr::Binary { .. } => {
+            // an operator chain nests as deep as it is long: in a loop
+            let (first, links) = e.left_spine();
+            walk_expr_inner(first, scope, out);
+            for (_, rhs) in links.iter().rev() {
+                walk_expr_inner(rhs, scope, out);
+            }
         }
         Expr::Call { args, .. } => args.iter().for_each(|a| walk_expr_inner(a, scope, out)),
         Expr::Subquery(body) => walk_body(body, scope, out),
@@ -383,11 +387,9 @@ fn adapt_expr(e: &Expr, scope: &Scope, ops: &[EvolutionOp]) -> Expr {
             op: *op,
             expr: Box::new(adapt_expr(expr, scope, ops)),
         },
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(adapt_expr(lhs, scope, ops)),
-            rhs: Box::new(adapt_expr(rhs, scope, ops)),
-        },
+        Expr::Binary { .. } => e
+            .rebuild_chain(|e| Ok::<_, std::convert::Infallible>(adapt_expr(e, scope, ops)))
+            .unwrap_or_else(|never| match never {}),
         Expr::Call { name, args } => Expr::Call {
             name: name.clone(),
             args: args.iter().map(|a| adapt_expr(a, scope, ops)).collect(),
@@ -481,6 +483,24 @@ mod tests {
         };
         let (fate, _) = classify(&touches_status, &[drop]);
         assert_eq!(fate, QueryFate::Broken);
+    }
+
+    #[test]
+    fn long_operator_chains_cost_no_stack() {
+        let src = format!(
+            "FOR o IN orders FILTER o.total > 0{} RETURN o._id",
+            r#" OR o.status == "open""#.repeat(100_000)
+        );
+        let walk = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let (fate, adapted) = classify(&parse(&src), &[rename_op()]);
+                assert_eq!(fate, QueryFate::Adaptable);
+                let paths = accessed_paths(&adapted);
+                assert_eq!(paths.len(), 100_002);
+                assert!(!paths.contains(&("orders".into(), FieldPath::key("status"))));
+            });
+        walk.unwrap().join().unwrap();
     }
 
     #[test]

@@ -128,7 +128,7 @@ const SHARD_RANK: u8 = 3;
 
 /// Atomics allowed to use `Ordering::Relaxed`, by field name: pure
 /// counters and advisory flags whose readers never infer *other* memory
-/// from the value (txn-id allocation, the is-a-drain-in-flight probe,
+/// from the value (txn-id and auto-id allocation, the is-a-drain-in-flight probe,
 /// plan-cache hit/miss tallies; the engine's own tallies are `udbms-obs`
 /// registry counters, which this rule does not reach). The atomic
 /// analogue of [`RANKED`]: adding a name here is a reviewed decision,
@@ -136,6 +136,7 @@ const SHARD_RANK: u8 = 3;
 /// ordering (with an `// ORDER:` comment) or gets a `lint:allow`.
 const RELAXED_OK: &[&str] = &[
     "next_txn",
+    "next_auto_id",
     "writing",
     "hits",
     "misses",

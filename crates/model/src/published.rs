@@ -1,8 +1,9 @@
 //! Model of the engine's `published` snapshot watermark.
 //!
-//! Mirrors `Engine::commit` / `Engine::begin_read`
-//! (`crates/engine/src/engine.rs`): committers serialize on
-//! `commit_lock`, draw a timestamp from `clock`, *install* the version
+//! Mirrors `Txn::commit` (`crates/engine/src/commit.rs`, `try_commit`)
+//! and `Engine::begin_read` (`crates/engine/src/engine.rs`): committers
+//! serialize on `commit_lock`, draw a timestamp from `clock`, *install*
+//! the version
 //! (modeled as the `installed` high-water mark, standing in for the
 //! version-chain tips), and only then advance `published` with a
 //! `Release` store; lock-free readers `Acquire`-load `published` and
@@ -53,7 +54,7 @@ pub fn program(variant: Variant) -> impl Fn() + Send + Sync + 'static {
                 &format!("committer{i}"),
                 move || {
                     let guard = commit_lock.lock();
-                    // ORDER: AcqRel mirrors engine.rs commit — the new ts
+                    // ORDER: AcqRel mirrors commit.rs try_commit — the new ts
                     // must see every prior commit's installs.
                     let ts = clock.fetch_add(1, Ordering::AcqRel) + 1;
                     installed.store(ts, Ordering::Release);

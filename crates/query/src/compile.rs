@@ -131,7 +131,7 @@ fn compile_node(expr: &Expr, var: &str) -> Option<Node> {
                 Ok(Val::Owned(apply_unary(op, &v)?))
             })
         }
-        Expr::Binary { op, lhs, rhs } => {
+        Expr::Binary { op, lhs, rhs } if !lhs.is_long_chain() => {
             let op = *op;
             let l = compile_node(lhs, var)?;
             let r = compile_node(rhs, var)?;
@@ -145,6 +145,32 @@ fn compile_node(expr: &Expr, var: &str) -> Option<Node> {
                 }
                 let rv = r.eval(row)?;
                 Ok(Val::Owned(apply_binary(op, &lv, &rv)?))
+            })
+        }
+        Expr::Binary { .. } => {
+            // a long chain: its left spine as one flat list, not a tower
+            // of closures as deep as the chain
+            let (first, mut rights) = expr.left_spine();
+            let head = compile_node(first, var)?;
+            let (op, rhs) = rights.pop()?;
+            let rhs = compile_node(rhs, var)?;
+            let mut rest = Vec::with_capacity(rights.len());
+            while let Some((op, rhs)) = rights.pop() {
+                rest.push((op, compile_node(rhs, var)?));
+            }
+            Box::new(move |row| {
+                let step = |op, l: &Value, rhs: &Node| -> Result<Value> {
+                    Ok(match op {
+                        BinOp::And if !l.is_truthy() => Value::Bool(false),
+                        BinOp::Or if l.is_truthy() => Value::Bool(true),
+                        _ => apply_binary(op, l, &*rhs.eval(row)?)?,
+                    })
+                };
+                let mut acc = step(op, &*head.eval(row)?, &rhs)?;
+                for (op, rhs) in &rest {
+                    acc = step(*op, &acc, rhs)?;
+                }
+                Ok(Val::Owned(acc))
             })
         }
         // calls, subqueries, params, foreign vars: interpreter territory

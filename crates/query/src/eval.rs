@@ -141,7 +141,7 @@ fn eval_structural<'a>(
             let v = child(expr)?;
             Val::Owned(apply_unary(*op, &v)?)
         }
-        Expr::Binary { op, lhs, rhs } => {
+        Expr::Binary { op, lhs, rhs } if !lhs.is_long_chain() => {
             let l = child(lhs)?;
             Val::Owned(match op {
                 // short-circuit: the right side may not even evaluate
@@ -152,6 +152,26 @@ fn eval_structural<'a>(
                     apply_binary(*op, &l, &r)?
                 }
             })
+        }
+        Expr::Binary { .. } => {
+            // a long chain: the same, link by link up its left spine
+            let (first, mut links) = expr.left_spine();
+            let first = child(first)?;
+            let mut step = |op, l: &Value, rhs| -> Result<Value> {
+                Ok(match op {
+                    BinOp::And if !l.is_truthy() => Value::Bool(false),
+                    BinOp::Or if l.is_truthy() => Value::Bool(true),
+                    _ => apply_binary(op, l, &*child(rhs)?)?,
+                })
+            };
+            let Some((op, rhs)) = links.pop() else {
+                return Ok(first);
+            };
+            let mut acc = step(op, &first, rhs)?;
+            while let Some((op, rhs)) = links.pop() {
+                acc = step(op, &acc, rhs)?;
+            }
+            Val::Owned(acc)
         }
         _ => {
             return Err(Error::Invalid(

@@ -530,15 +530,18 @@ fn split_conjuncts(
     dynamic: &mut Vec<DynPred>,
     residual: &mut Vec<Expr>,
 ) {
-    if let Expr::Binary {
+    // an `AND` chain: down its left spine in a loop to the first
+    // conjunct, then the others in source order
+    let mut expr = expr;
+    let mut later = Vec::new();
+    while let Expr::Binary {
         op: BinOp::And,
         lhs,
         rhs,
     } = expr
     {
-        split_conjuncts(lhs, var, preds, dynamic, residual);
-        split_conjuncts(rhs, var, preds, dynamic, residual);
-        return;
+        later.push(&**rhs);
+        expr = lhs;
     }
     match pushable(expr, var) {
         Some(d) => match eval_const(&d.rhs) {
@@ -551,6 +554,9 @@ fn split_conjuncts(
             None => residual.push(expr.clone()),
         },
         None => residual.push(expr.clone()),
+    }
+    while let Some(rhs) = later.pop() {
+        split_conjuncts(rhs, var, preds, dynamic, residual);
     }
 }
 
@@ -615,8 +621,17 @@ fn flip(op: BinOp) -> Option<BinOp> {
 /// COLLECT aggregates. Static (no catalog access) — index choice is made
 /// inside the engine at run time.
 pub fn explain(stmt: &Statement) -> String {
-    let Statement::Query(body) = stmt else {
-        return format!("{stmt:?}");
+    let body = match stmt {
+        Statement::Query(body) => body,
+        Statement::Insert { collection, .. } => {
+            return format!("insert <expression> into collection `{collection}`\n")
+        }
+        Statement::Update { collection, .. } => {
+            return format!("update <key> with <patch> in collection `{collection}`\n")
+        }
+        Statement::Remove { collection, .. } => {
+            return format!("remove <key> in collection `{collection}`\n")
+        }
     };
     let plan = body.plan();
     let mut out = String::new();

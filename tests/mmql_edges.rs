@@ -187,3 +187,57 @@ fn sort_is_canonical_across_types() {
         ]
     );
 }
+
+/// A chain of `n` binary operators nests `n` deep to the left (`a + b + c`
+/// is `(a + b) + c`). Parsing, explaining, binding, executing and dropping
+/// one must not cost stack in proportion: on a 2 MB thread a debug build
+/// used to overflow at 1 000 operators (release at 4 000) in `execute`,
+/// and a chain of 100 000 parsed and then overflowed when it was dropped.
+#[test]
+fn flat_operator_chains_cost_no_stack() {
+    use udbms::core::Params;
+    use udbms::query::Query;
+
+    fn run_all(e: &Engine, text: &str) -> Vec<Value> {
+        let parsed = Query::parse(text).unwrap();
+        assert!(!parsed.explain().is_empty());
+        let bound = parsed.bind(&Params::new().with("one", 1)).unwrap();
+        let mut t = e.begin_read();
+        bound.execute(&mut t).unwrap()
+        // both queries dropped here
+    }
+    let walk = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+        let e = engine();
+        // 7 to 10: either side of where walkers stop recursing down a chain
+        for n in [7usize, 8, 9, 10, 1_000, 4_000, 100_000] {
+            let ret = |first: &str, link: &str| format!("RETURN {first}{}", link.repeat(n));
+            let cases = [
+                (ret("0", " + @one"), Value::Int(n as i64)),
+                (ret("1", " - 1 + 1"), Value::Int(1)),
+                (ret("true", " AND true"), Value::Bool(true)),
+                (ret("true", " AND true") + " AND false", Value::Bool(false)),
+                (ret("false", " OR false") + " OR true", Value::Bool(true)),
+                (ret("false", " OR false AND true"), Value::Bool(false)),
+                (ret("\"\"", " + \"ab\""), Value::from("ab".repeat(n))),
+            ];
+            for (text, want) in cases {
+                assert_eq!(run_all(&e, &text), vec![want], "{n}: {:.40}…", text);
+            }
+            // a filter that is one long chain: `OR`s stay a residual the
+            // executor compiles, `AND`s split into pushed conjuncts
+            let filter =
+                |link: &str| format!("FOR r IN t FILTER r.v == 2{} RETURN r.v", link.repeat(n));
+            assert_eq!(
+                run_all(&e, &filter(" OR r.v == 4 + @one")),
+                vec![Value::Int(2), Value::Int(5)],
+                "{n} ORs"
+            );
+            assert_eq!(
+                run_all(&e, &filter(" AND r.grp + @one == 1")),
+                vec![Value::Int(2)],
+                "{n} ANDs"
+            );
+        }
+    });
+    walk.unwrap().join().unwrap();
+}
