@@ -3,7 +3,7 @@
 //! registry and counts the outcome — once.
 //!
 //! ```text
-//! begin:   lock(commit) → snapshot = clock → register → unlock
+//! begin:   lock(active) → snapshot = published → register → unlock
 //! commit:  lock(commit)
 //!            group write-set by shard (stable key hash)
 //!            validate writes  (SI/SER: first-committer-wins, one shard
@@ -12,14 +12,15 @@
 //!            commit_ts = ++clock
 //!            install versions + index postings (one shard write-lock
 //!              per touched shard, ascending shard order)
+//!            published = commit_ts
 //!            enqueue WAL record on the group-commit queue
 //!          unlock(commit) → park until durable (per Durability level)
 //!          → finish
 //! ```
 //!
-//! Because `begin` reads the clock under the same lock that commits hold
-//! while installing, a snapshot can never observe a half-installed commit
-//! — per-shard locking does not weaken this: a version installed after a
+//! Because `published` advances only once a commit's versions are all
+//! installed, a snapshot can never observe a half-installed commit —
+//! per-shard locking does not weaken this: a version installed after a
 //! snapshot was taken always carries a larger `commit_ts` and is invisible
 //! to it, whichever shard it lands in. (ReadCommitted readers, which read
 //! at `Ts::MAX`, may observe a commit's writes shard by shard; that
@@ -143,10 +144,10 @@ fn try_commit(inner: &Inner, state: &TxnState) -> (Outcome, Result<Ts>) {
                 shard.install((*rid).clone(), commit_ts, value);
             }
         }
-        // every version is in place: publish the timestamp so
-        // lock-free read-lane snapshots can observe this commit
-        // ORDER: Release pairs with begin_read's Acquire load; every
-        // shard install above happens-before a snapshot that sees
+        // every version is in place: publish the timestamp so new
+        // snapshots can observe this commit
+        // ORDER: Release pairs with Registry::register's Acquire load;
+        // every shard install above happens-before a snapshot that sees
         // this watermark.
         inner.published.store(commit_ts.0, Ordering::Release);
         inner

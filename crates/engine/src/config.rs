@@ -81,11 +81,13 @@ impl EngineConfig {
     }
 }
 
-/// Every engine counter and timing site, declared once: registry handles
-/// grabbed at construction so the hot paths never touch the registry
-/// (one relaxed add per count, zero allocation, no interning lock) and
-/// every count reaches the Prometheus/JSON export. Counters count whether
-/// or not obs recording is on; [`EngineStats`] is a typed view of them.
+/// The engine's own counters and timing sites, declared once: registry
+/// handles grabbed at construction so the hot paths never touch the
+/// registry (one relaxed add per count, zero allocation, no interning
+/// lock) and every count reaches the Prometheus/JSON export. Counters
+/// count whether or not obs recording is on; [`EngineStats`] is a typed
+/// view of them and of the ones the WAL pipeline and the plan cache
+/// declare.
 pub(crate) struct Metrics {
     /// Commit validation (write-write + OCC), per writing commit.
     pub(crate) validate_ns: Arc<Histogram>,
@@ -104,15 +106,6 @@ pub(crate) struct Metrics {
     /// Conflict retries inside [`crate::Engine::run`] (reported separately
     /// from aborts: a retried transaction eventually commits).
     pub(crate) txn_retries: Arc<Counter>,
-    /// Counted by the WAL pipeline (`group.rs`).
-    pub(crate) wal_batches: Arc<Counter>,
-    pub(crate) wal_records: Arc<Counter>,
-    pub(crate) wal_poisoned: Arc<Counter>,
-    pub(crate) write_rejected: Arc<Counter>,
-    /// Counted by a plan cache attached to this engine's registry
-    /// (`PlanCache::attach_obs` in `udbms-query`).
-    pub(crate) plan_hits: Arc<Counter>,
-    pub(crate) plan_misses: Arc<Counter>,
 }
 
 impl Metrics {
@@ -128,12 +121,6 @@ impl Metrics {
             read_txns: obs.counter("read_txns"),
             degraded_reads: obs.counter("degraded_reads"),
             txn_retries: obs.counter("txn_retries"),
-            wal_batches: obs.counter("wal_batches"),
-            wal_records: obs.counter("wal_records"),
-            wal_poisoned: obs.counter("wal_poisoned"),
-            write_rejected: obs.counter("write_rejected"),
-            plan_hits: obs.counter("plan_cache_hits"),
-            plan_misses: obs.counter("plan_cache_misses"),
         }
     }
 }

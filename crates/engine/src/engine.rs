@@ -43,21 +43,20 @@ const RUN_RETRY: RetryPolicy = RetryPolicy {
 
 pub(crate) struct Inner {
     /// Commit-timestamp clock. RMW'd (`AcqRel`) under `commit_lock` by
-    /// writing commits; loaded under `commit_lock` everywhere a snapshot
-    /// is taken. Tracked so the model checker can interleave it.
+    /// writing commits; read only by replay and the checkpoint. Tracked
+    /// so the model checker can interleave it.
     pub(crate) clock: TrackedAtomicU64,
-    /// Timestamp of the newest **fully installed** commit. Stored (with
-    /// `Release`) after a commit's versions are in place but before
-    /// `commit_lock` is dropped, so a reader that loads it (`Acquire`)
-    /// can never observe a half-installed commit — which is what lets
-    /// [`Engine::begin_read`] take a snapshot without touching
-    /// `commit_lock` at all.
+    /// Timestamp of the newest **fully installed** commit, and the one
+    /// snapshot source. Stored (with `Release`) after a commit's versions
+    /// are in place but before `commit_lock` is dropped, so a reader that
+    /// loads it (`Acquire`, in `Registry::register`) can never observe a
+    /// half-installed commit and needs no `commit_lock` at all.
     pub(crate) published: TrackedAtomicU64,
     /// Hash-sharded storage; every shard carries its own lock.
     pub(crate) storage: ShardedStorage,
     pub(crate) catalog: TrackedRwLock<Catalog>,
     pub(crate) commit_lock: TrackedMutex<()>,
-    /// WAL endpoint (group-commit queue + log-writer thread), attached
+    /// WAL endpoint (the group-commit queue), attached
     /// once by [`Engine::with_wal_config`]; absent for in-memory
     /// engines. `OnceLock` keeps the per-commit read lock-free.
     pub(crate) log: OnceLock<GroupLog>,
@@ -223,42 +222,31 @@ impl Engine {
         self.inner.catalog.write().set_schema(collection, schema)
     }
 
-    /// Register a transaction reading at `snapshot`; its handle.
-    fn open(&self, snapshot: Ts, isolation: Isolation, read_only: bool) -> Txn {
-        let id = self.inner.registry.register(snapshot);
+    /// Register a transaction at the newest published commit; its handle.
+    fn open(&self, isolation: Isolation, read_only: bool) -> Txn {
+        let (id, snapshot) = self.inner.registry.register(&self.inner.published);
         Txn {
             inner: Arc::clone(&self.inner),
             state: Some(TxnState::new(id, snapshot, isolation, read_only)),
         }
     }
 
-    /// Begin a transaction at the given isolation level.
+    /// Begin a transaction at the given isolation level. Its snapshot is
+    /// the `published` watermark, read and registered in one step (no
+    /// `commit_lock`): every commit that returned before this call is
+    /// visible, and `gc` keeps what the snapshot reads.
     pub fn begin(&self, isolation: Isolation) -> Txn {
-        let snapshot = {
-            let _g = self.inner.commit_lock.lock();
-            // ORDER: Acquire under commit_lock (see checkpoint): the lock
-            // orders this load after the last commit's install.
-            Ts(self.inner.clock.load(Ordering::Acquire))
-        };
-        self.open(snapshot, isolation, false)
+        self.open(isolation, false)
     }
 
-    /// Begin a **read-lane** transaction: a snapshot read timestamp is
-    /// taken from the lock-free `published` watermark (no `commit_lock`
-    /// acquisition), no OCC read set is tracked, and the commit path is
-    /// the write-free fast exit — no validation, no WAL. Write
-    /// operations on the returned handle fail with
-    /// [`udbms_core::Error::Unsupported`].
+    /// Begin a **read-lane** transaction: [`Engine::begin`]'s snapshot,
+    /// but no OCC read set is tracked, and the commit path is the
+    /// write-free fast exit — no validation, no WAL. Write operations on
+    /// the returned handle fail with [`udbms_core::Error::Unsupported`].
     ///
     /// This is the lane the query layer routes statements through once
-    /// `explain`/`Statement::is_read_only` proves them read-only. The
-    /// snapshot is exactly as fresh as [`Engine::begin`]'s: `published`
-    /// is advanced before the installing commit releases `commit_lock`,
-    /// so every commit that returned before this call is visible.
+    /// `explain`/`Statement::is_read_only` proves them read-only.
     pub fn begin_read(&self) -> Txn {
-        // ORDER: Acquire pairs with the Release publish in commit — the
-        // snapshot must see every version install that preceded it.
-        let snapshot = Ts(self.inner.published.load(Ordering::Acquire));
         self.inner.metrics.read_txns.add(1);
         // degraded-mode evidence for E12: reads served while the engine
         // is read-only (one predicted-false atomic probe when healthy)
@@ -266,7 +254,7 @@ impl Engine {
         if log.is_some_and(|log| log.failure() == Some(true)) {
             self.inner.metrics.degraded_reads.add(1);
         }
-        self.open(snapshot, Isolation::Snapshot, true)
+        self.open(Isolation::Snapshot, true)
     }
 
     /// Run a closure in a transaction, retrying (with a fresh snapshot) on
@@ -302,11 +290,13 @@ impl Engine {
     /// rebuild each shard's over-approximating index segments from its
     /// retained versions (shard locks taken one at a time).
     pub fn gc(&self) -> GcStats {
-        // ORDER: Acquire; commit_lock below orders the gc scan itself,
-        // the watermark only needs a current-ish clock.
-        let now = || Ts(self.inner.clock.load(Ordering::Acquire));
-        let watermark = self.inner.registry.watermark().unwrap_or_else(now);
+        // under commit_lock `published` stands still, so a snapshot
+        // registered after the watermark read is at or above it
         let _commit = self.inner.commit_lock.lock();
+        // ORDER: Acquire; commit_lock already orders this after the last
+        // commit's Release publish.
+        let now = || Ts(self.inner.published.load(Ordering::Acquire));
+        let watermark = self.inner.registry.watermark().unwrap_or_else(now);
         let (versions_removed, chains_removed) = self.inner.storage.gc(watermark);
         GcStats {
             watermark,
@@ -324,6 +314,8 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         let (versions, chains, max_chain_len) = self.inner.storage.shape();
         let m = &self.inner.metrics;
+        // declared by the WAL pipeline and an attached plan cache
+        let count = |name| self.inner.obs.counter(name).get();
         EngineStats {
             commits: m.commits.get(),
             aborts: m.aborts.get(),
@@ -335,13 +327,13 @@ impl Engine {
             chains,
             max_chain_len,
             active_txns: self.inner.registry.len(),
-            wal_batches: m.wal_batches.get(),
-            wal_records: m.wal_records.get(),
-            plan_hits: m.plan_hits.get(),
-            plan_misses: m.plan_misses.get(),
-            wal_poisoned: m.wal_poisoned.get(),
+            wal_batches: count("wal_batches"),
+            wal_records: count("wal_records"),
+            plan_hits: count("plan_cache_hits"),
+            plan_misses: count("plan_cache_misses"),
+            wal_poisoned: count("wal_poisoned"),
             degraded_reads: m.degraded_reads.get(),
-            write_rejected: m.write_rejected.get(),
+            write_rejected: count("write_rejected"),
             txn_retries: m.txn_retries.get(),
         }
     }

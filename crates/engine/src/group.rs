@@ -22,11 +22,11 @@
 //! The batch is drained by whoever gets there first: a **waiting
 //! committer that finds the queue unclaimed leads the batch itself**
 //! (classic leader/follower group commit — no sleep/wake handoff on the
-//! hot path, which for cheap flushes would cost more than it saves),
-//! while the **dedicated log-writer thread** drains batches nobody is
-//! waiting on — which is every batch at `Buffered`, where commits
-//! return without waiting. Either way one flush/fsync covers the whole
-//! batch and `writing` arbitrates so exactly one drainer runs.
+//! hot path, which for cheap flushes would cost more than it saves);
+//! at `Buffered`, where commits return without waiting, a **dedicated
+//! log-writer thread** drains every batch. Either way one flush/fsync
+//! covers the whole batch and `writing` arbitrates so exactly one
+//! drainer runs.
 //!
 //! `GroupLog` also supports a **synchronous** mode (no queue, no writer
 //! thread): each commit formats, writes, and flushes its own record
@@ -303,9 +303,7 @@ fn writer_loop(shared: &LogShared) {
         if st.shutdown && st.queue.is_empty() {
             return;
         }
-        // a batch an assisting committer claimed (`writing` set) is
-        // theirs to retire; anything enqueued after it wakes us via
-        // `work`, or its own committer drains it on the `done` path
+        // the writer runs only at Buffered, whose every enqueue wakes it
         shared.work.wait(&mut st);
     }
 }
@@ -322,8 +320,8 @@ fn unavailable(read_only: bool, msg: &str) -> Error {
     }
 }
 
-/// The engine's WAL endpoint: group-commit queue + log-writer thread
-/// (or the synchronous per-commit path when `grouped` is off).
+/// The engine's WAL endpoint: group-commit queue (+ log-writer thread at
+/// `Buffered`), or the synchronous per-commit path when `grouped` is off.
 pub(crate) struct GroupLog {
     shared: Arc<LogShared>,
     writer: Option<JoinHandle<()>>,
@@ -331,9 +329,10 @@ pub(crate) struct GroupLog {
 }
 
 impl GroupLog {
-    /// Wrap an open WAL. `grouped` spawns the dedicated log writer;
-    /// otherwise commits write synchronously. Stage timings (queue
-    /// wait, append, flush) land in `obs`'s histograms.
+    /// Wrap an open WAL. `grouped` queues commits, drained by a log-writer
+    /// thread at `Buffered` and by the committers themselves otherwise;
+    /// without it commits write synchronously. Stage timings land in
+    /// `obs`'s histograms.
     pub fn start(wal: Wal, durability: Durability, grouped: bool, obs: Arc<Obs>) -> GroupLog {
         let pipe = PipelineMetrics::new(&obs);
         let shared = Arc::new(LogShared {
@@ -350,7 +349,7 @@ impl GroupLog {
             obs,
             pipe,
         });
-        let writer = grouped.then(|| {
+        let writer = (grouped && durability == Durability::Buffered).then(|| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("udbms-log-writer".into())
@@ -380,11 +379,9 @@ impl GroupLog {
             st.queue.push((rec, self.shared.obs.start()));
             st.enqueued += 1;
             let seq = st.enqueued;
-            // only Buffered commits need the dedicated writer woken: at
-            // Flush/Fsync this committer is about to park in
-            // wait_durable and will lead the batch itself if nobody
-            // else is draining (waking the thread per enqueue would
-            // cost a futex round-trip on every commit)
+            // only Buffered has a log writer to wake: at Flush/Fsync
+            // this committer is about to lead the batch itself in
+            // wait_durable if nobody else is draining
             if self.shared.durability == Durability::Buffered {
                 self.shared.work.notify_one();
             }
@@ -440,8 +437,7 @@ impl GroupLog {
     /// one flush/fsync for all of them. Followers poll the lock-free
     /// `durable` mirror between yields (never touching the contended
     /// state mutex) and only fall back to a condvar park after the spin
-    /// budget, which on a healthy log is rare. The dedicated log writer
-    /// still drains batches nobody is waiting on (Buffered commits).
+    /// budget, which on a healthy log is rare.
     pub fn wait_durable(&self, seq: u64) -> Result<()> {
         if !self.grouped || self.shared.durability == Durability::Buffered {
             return Ok(());

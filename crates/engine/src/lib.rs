@@ -26,8 +26,8 @@
 //!        ▼
 //!   Catalog ── schemas, auto-id counters, index *definitions*
 //!        │
-//!   GroupLog ── group-commit queue + dedicated log-writer thread,
-//!        │      durability levels (Buffered / Flush / Fsync)
+//!   GroupLog ── group-commit queue (committer-led; a log-writer thread
+//!        │      at Buffered), durability levels (Buffered / Flush / Fsync)
 //!        ▼
 //!   Wal ── logical redo log (JSON lines), torn-tail crash recovery,
 //!          fsync'd checkpoint rewrites

@@ -113,12 +113,12 @@ impl Engine {
                 shard.install(rid, ts, value);
             }
         }
-        // ORDER: Release — `clock` pairs with the Acquire loads under
-        // commit_lock in begin/checkpoint/gc.
+        // ORDER: Release — `clock` pairs with the Acquire load under
+        // commit_lock in checkpoint.
         self.inner.clock.store(max_ts, Ordering::Release);
         // ORDER: Release — a reader that Acquire-loads `published`
-        // (begin_read) must see every version installed by the shard
-        // writes above.
+        // (Registry::register) must see every version installed by the
+        // shard writes above.
         self.inner.published.store(max_ts, Ordering::Release);
         Ok(n)
     }
@@ -128,12 +128,12 @@ impl Engine {
     /// that snapshot. No-op (Ok) when the engine has no WAL.
     ///
     /// Commits are **not** stalled for the duration: `commit_lock` is
-    /// held only long enough to read the snapshot timestamp (the same
-    /// brief hold `begin` uses, so the snapshot can never straddle a
-    /// half-installed commit), the collection scan runs against MVCC
-    /// shard reads, and only the final swap — drain the commit queue,
-    /// filter the tail, fsync + rename — briefly closes the queue
-    /// (work proportional to the log tail, not the database).
+    /// held only long enough to read the snapshot timestamp (so every
+    /// commit at or below it is installed *and* enqueued, which
+    /// `published` alone does not promise), the collection scan runs
+    /// against MVCC shard reads, and only the final swap — drain the
+    /// commit queue, filter the tail, fsync + rename — briefly closes
+    /// the queue (work proportional to the log tail, not the database).
     pub fn checkpoint(&self) -> Result<()> {
         let Some(log) = self.inner.log.get() else {
             return Ok(());

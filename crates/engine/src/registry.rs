@@ -1,8 +1,9 @@
 //! The transaction registry: which transactions are open, and at which
-//! snapshot. Beginning a transaction registers its snapshot, every way
-//! of ending one finishes it (`commit.rs` — the only caller of
-//! [`Registry::finish`]), and garbage collection prunes below the oldest
-//! snapshot still registered ([`Registry::watermark`]).
+//! snapshot. It is the one snapshot source: [`Registry::register`] reads
+//! the snapshot under the lock it inserts it under, so no `gc` can take
+//! its [`Registry::watermark`] between a snapshot being read and being
+//! registered. Every way of ending a transaction finishes it
+//! (`commit.rs` — the only caller of [`Registry::finish`]).
 //!
 //! The map's lock (`LockRank::ActiveTxns`) is only ever taken on its own.
 
@@ -27,11 +28,17 @@ impl Registry {
         }
     }
 
-    /// Open a transaction reading at `snapshot`; its id is fresh.
-    pub(crate) fn register(&self, snapshot: Ts) -> TxnId {
+    /// Open a transaction reading at the newest commit in `published`;
+    /// its fresh id and that snapshot.
+    pub(crate) fn register(&self, published: &TrackedAtomicU64) -> (TxnId, Ts) {
         let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
-        self.active.lock().insert(id, snapshot);
-        id
+        let mut active = self.active.lock();
+        // ORDER: Acquire pairs with the Release publish in commit.rs
+        // try_commit (and recovery's replay): every version at or below
+        // the snapshot is installed.
+        let snapshot = Ts(published.load(Ordering::Acquire));
+        active.insert(id, snapshot);
+        (id, snapshot)
     }
 
     /// Close transaction `id`: its snapshot no longer holds back GC.

@@ -281,9 +281,13 @@ thread_local! {
 }
 
 /// True when the calling thread is a virtual thread of an active model
-/// session. Hooks use this to decide between model and passthrough paths.
+/// session and is not unwinding. Hooks use this to decide between model
+/// and passthrough paths: the drops a thread runs while it unwinds out of
+/// an aborted schedule (a `Txn` deregistering itself) take the real
+/// primitives, because a model op there would unwind again — a panic in a
+/// drop during unwinding aborts the process.
 pub fn in_session() -> bool {
-    TID.with(|t| t.get().is_some())
+    !std::thread::panicking() && TID.with(|t| t.get().is_some())
 }
 
 fn session() -> Arc<Sched> {
@@ -1424,6 +1428,68 @@ mod tests {
         });
         r.assert_ok();
         drop(r);
+    }
+
+    /// A thread unwinding out of an aborted schedule (here: the step cap)
+    /// runs a drop that locks — as a `Txn` deregistering itself does. The
+    /// lock passes through to the real primitive; a model op there would
+    /// panic again inside the unwind and abort the process.
+    #[test]
+    fn drops_on_an_unwinding_thread_pass_through() {
+        struct LockOnDrop(Arc<crate::TrackedMutex<u32>>);
+        impl Drop for LockOnDrop {
+            fn drop(&mut self) {
+                *self.0.lock() += 1;
+            }
+        }
+        let cfg = Config {
+            max_preemptions: 0,
+            max_steps: 50,
+            ..Config::default()
+        };
+        let dropped = Arc::new(crate::TrackedMutex::new(crate::LockRank::ActiveTxns, 0));
+        let inner = Arc::clone(&dropped);
+        let r = explore(cfg, move || {
+            let held = LockOnDrop(Arc::clone(&inner));
+            let h = spawn("spinner", move || {
+                let _held = held;
+                loop {
+                    yield_now();
+                }
+            });
+            h.join();
+        });
+        assert!(r.violation.is_none(), "{:?}", r.violation);
+        assert_eq!(r.truncated, 1, "{r:?}");
+        assert_eq!(*dropped.lock(), 1, "the drop ran once, on the real lock");
+    }
+
+    /// Waiting on a condvar whose mutex ranks *below* another held lock is
+    /// a rank inversion that used to surface only after the wake. The
+    /// tracker checks at wait entry, so under the model the inversion is a
+    /// deterministic violation on every schedule that reaches the wait.
+    #[test]
+    #[cfg(any(debug_assertions, lock_audit))]
+    fn condvar_wait_entry_inversion_is_a_model_violation() {
+        use crate::tracked::{Condvar, LockRank, TrackedMutex};
+        let r = explore(Config::default(), || {
+            let queue = Arc::new(TrackedMutex::new(LockRank::GroupQueue, ()));
+            let wal = Arc::new(TrackedMutex::new(LockRank::WalFile, ()));
+            let cv = Arc::new(Condvar::new());
+            let h = {
+                let (queue, wal, cv) = (Arc::clone(&queue), Arc::clone(&wal), Arc::clone(&cv));
+                spawn("waiter", move || {
+                    let mut g = queue.lock();
+                    let _w = wal.lock(); // GroupQueue -> WalFile: fine so far
+                    cv.wait(&mut g); // reacquiring GroupQueue under WalFile is not
+                })
+            };
+            // a notifier, so the schedule is not a trivial deadlock
+            cv.notify_all();
+            h.join();
+        });
+        let v = r.violation.expect("wait-entry audit must fire");
+        assert!(v.message.contains("lock-order violation"), "{}", v.render());
     }
 
     #[test]
