@@ -1144,20 +1144,20 @@ pub fn e8_durability(scale: RunScale) -> Report {
             &path,
             scale.engine_config().with_durability(Durability::Buffered),
         );
-        for k in 0..commits {
+        // the torn-tail log carries one more commit, whose frame is cut
+        for k in 0..commits + usize::from(tear) {
             commit(&builder, k).expect("log-builder commit");
         }
         // clean drop flushes the queue, leaving a complete log
         drop(builder);
         if tear {
-            // crash simulation: a half-written record at the tail
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
+            // crash simulation: the last frame lost its final bytes
+            let f = std::fs::OpenOptions::new()
+                .write(true)
                 .open(&path)
-                .expect("append tear");
-            f.write_all(b"{\"ts\": 999999, \"txn\": 1, \"wri")
-                .expect("torn bytes");
+                .expect("open to tear");
+            let len = f.metadata().expect("log length").len();
+            f.set_len(len - 3).expect("torn tail");
         }
         let t0 = Instant::now();
         let engine = Engine::with_wal_config(&path, scale.engine_config()).expect("recovery");
@@ -1190,7 +1190,7 @@ pub fn e8_durability(scale: RunScale) -> Report {
     report.note("durability stack (queue + leader/follower drain + mmap appends), per-commit");
     report.note("is the seed engine's write+flush under commit_lock. recovery rows time");
     report.note("Engine::with_wal over the log size; the torn-tail row recovers a log");
-    report.note("ending in a half-written record");
+    report.note("whose last frame was cut short");
     report
 }
 

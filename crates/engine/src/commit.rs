@@ -4,7 +4,10 @@
 //!
 //! ```text
 //! begin:   lock(active) → snapshot = published → register → unlock
-//! commit:  lock(commit)
+//! commit:  encode the WAL frame from the buffered values (no lock but
+//!            the catalog's read lock; a value the log cannot hold
+//!            aborts here, before anything installs)
+//!          lock(commit)
 //!            group write-set by shard (stable key hash)
 //!            validate writes  (SI/SER: first-committer-wins, one shard
 //!                              read-lock per touched shard)
@@ -13,7 +16,8 @@
 //!            install versions + index postings (one shard write-lock
 //!              per touched shard, ascending shard order)
 //!            published = commit_ts
-//!            enqueue WAL record on the group-commit queue
+//!            stamp commit_ts into the frame, enqueue it on the
+//!              group-commit queue
 //!          unlock(commit) → park until durable (per Durability level)
 //!          → finish
 //! ```
@@ -28,13 +32,13 @@
 
 use std::sync::atomic::Ordering;
 
-use udbms_core::{Error, Key, Result, Ts, TxnId, Value};
+use udbms_core::{Error, Result, Ts, TxnId};
 
 use crate::engine::Inner;
 use crate::reads::Txn;
 use crate::storage::{RecordId, ShardedStorage};
 use crate::txn::{Isolation, TxnState};
-use crate::wal::WalRecord;
+use crate::wal::codec;
 
 /// How a transaction ended, as the counters see it.
 enum Outcome {
@@ -88,6 +92,20 @@ fn first_stale<'a>(
     None
 }
 
+/// The transaction's WAL frame, all but its commit timestamp: every
+/// write in first-write order, encoded from the buffered values behind
+/// their `Arc`s — nothing is cloned.
+fn encode_frame(inner: &Inner, state: &TxnState) -> Result<Vec<u8>> {
+    let catalog = inner.catalog.read();
+    let entries = state.write_order.iter().map(|rid| {
+        let name = catalog.name_of(rid.collection).unwrap_or("<dropped>");
+        (name, &rid.key, state.writes[rid].as_deref())
+    });
+    let mut frame = Vec::with_capacity(256 * state.write_order.len());
+    codec::encode(&mut frame, state.id, entries)?;
+    Ok(frame)
+}
+
 /// Validate, install, log and wait for durability; what happened, and
 /// what `commit` returns.
 fn try_commit(inner: &Inner, state: &TxnState) -> (Outcome, Result<Ts>) {
@@ -99,9 +117,16 @@ fn try_commit(inner: &Inner, state: &TxnState) -> (Outcome, Result<Ts>) {
     // fail fast on a degraded/poisoned WAL *before* taking
     // commit_lock: a doomed write must not install versions it can
     // never log, nor serialize behind the healthy commit path
-    if let Some(Err(e)) = inner.log.get().map(|log| log.check_available()) {
+    let log = inner.log.get();
+    if let Some(Err(e)) = log.map(|log| log.check_available()) {
         return (Outcome::Aborted, Err(e));
     }
+    // the frame is encoded outside commit_lock; only the timestamp
+    // stamp and checksum happen under it
+    let frame = match log.map(|_| encode_frame(inner, state)).transpose() {
+        Ok(frame) => frame,
+        Err(e) => return (Outcome::Aborted, Err(e)),
+    };
 
     let (commit_ts, logged) = {
         let _commit = inner.commit_lock.lock();
@@ -155,26 +180,9 @@ fn try_commit(inner: &Inner, state: &TxnState) -> (Outcome, Result<Ts>) {
             .record_ns(&inner.metrics.install_ns, install_stamp);
         // enqueue while still holding commit_lock so the queue order is
         // commit-ts order; the flush/fsync wait happens after its release
-        let logged = inner.log.get().map(|log| {
-            let catalog = inner.catalog.read();
-            let writes: Vec<(String, Key, Option<Value>)> = state
-                .write_order
-                .iter()
-                .map(|rid| {
-                    let name = catalog
-                        .name_of(rid.collection)
-                        .unwrap_or("<dropped>")
-                        .to_string();
-                    let value = state.writes[rid].as_ref().map(|v| v.as_ref().clone());
-                    (name, rid.key.clone(), value)
-                })
-                .collect();
-            let ticket = log.commit(WalRecord {
-                commit_ts,
-                txn: state.id,
-                writes,
-            });
-            (log, ticket)
+        let logged = log.zip(frame).map(|(log, mut frame)| {
+            codec::seal(&mut frame, commit_ts);
+            (log, log.commit(frame))
         });
         (commit_ts, logged)
     };
@@ -228,7 +236,7 @@ impl Drop for Txn {
 mod tests {
     use super::*;
     use crate::engine::tests::engine;
-    use udbms_core::obj;
+    use udbms_core::{obj, Key, Value};
     use udbms_relational::Predicate;
 
     #[test]
@@ -452,7 +460,7 @@ mod tests {
         type Case<'a> = (&'a str, [u64; 4], &'a dyn Fn(&Engine, &FaultPlan));
         let put = |t: &mut Txn, k: &str| t.put("kv", Key::str(k), Value::Int(1)).unwrap();
         // name, [commits, aborts, ww_conflicts, read_conflicts] it adds, the exit
-        let cases: [Case; 12] = [
+        let cases: [Case; 13] = [
             ("read-only commit", [1, 0, 0, 0], &|e, _| {
                 let mut t = e.begin(Isolation::Snapshot);
                 t.get("kv", &Key::str("a")).unwrap();
@@ -499,6 +507,18 @@ mod tests {
                     Err(Error::Invalid("stop".into()))
                 });
                 assert!(matches!(r, Err(Error::Invalid(_))));
+            }),
+            ("a value too deep for the log", [1, 1, 0, 0], &|e, _| {
+                let mut deep = Value::Null;
+                for _ in 0..=codec::MAX_DEPTH {
+                    deep = Value::Array(vec![deep]);
+                }
+                let mut t = e.begin(Isolation::Snapshot);
+                t.put("kv", Key::str("deep"), deep).unwrap();
+                assert!(matches!(t.commit(), Err(Error::Invalid(_))));
+                let mut t = e.begin_read();
+                assert_eq!(t.get("kv", &Key::str("deep")).unwrap(), None);
+                t.commit().unwrap();
             }),
             ("commit on a finished handle", [0, 1, 0, 0], &|e, _| {
                 let mut t = e.begin(Isolation::Snapshot);

@@ -5,7 +5,8 @@
 //! commit-timestamp order) and, after releasing the lock, wait until a
 //! batch writer has drained the queue and made their record durable to
 //! the engine's [`Durability`] level. The per-commit serialization
-//! point shrinks from "format + write + flush" to a queue push, and
+//! point shrinks from "encode + write + flush" to a queue push (the
+//! committer encoded its frame before taking the lock), and
 //! one flush/fsync covers every commit in a batch.
 //!
 //! ```text
@@ -14,7 +15,7 @@
 //!   (commit_lock held)
 //!   seq = enqueue(record) ───────►  wait for work
 //!   (commit_lock released)          take whole queue, writing = true
-//!   wait until durable ≥ seq        format + write batch
+//!   wait until durable ≥ seq        write the batch's frames
 //!        ▲                          flush / fdatasync per Durability
 //!        └───────── notify ◄──────  durable += batch, writing = false
 //! ```
@@ -29,7 +30,7 @@
 //! drainer runs.
 //!
 //! `GroupLog` also supports a **synchronous** mode (no queue, no writer
-//! thread): each commit formats, writes, and flushes its own record
+//! thread): each commit writes and flushes its own frame
 //! while still holding `commit_lock` — the engine's historical
 //! behaviour, kept alive as the E8 comparison arm
 //! (`EngineConfig::group_commit = false`).
@@ -57,7 +58,7 @@ use udbms_obs::{Counter, Histogram, Obs, Stamp};
 use udbms_core::{Error, Result, Ts};
 
 use crate::txn::Durability;
-use crate::wal::{PreparedRewrite, Wal, WalRecord};
+use crate::wal::{PreparedRewrite, Wal};
 
 /// Pre-fetched obs handles for the commit pipeline's stage histograms —
 /// one registry lookup each at [`GroupLog::start`], then the record
@@ -65,7 +66,7 @@ use crate::wal::{PreparedRewrite, Wal, WalRecord};
 struct PipelineMetrics {
     /// Enqueue → batch-taken wait, per record.
     queue_wait_ns: Arc<Histogram>,
-    /// WAL append (format + write) per batch.
+    /// WAL append (the frames' bytes written) per batch.
     append_ns: Arc<Histogram>,
     /// Flush / fdatasync per batch (≈0 at `Buffered`).
     flush_ns: Arc<Histogram>,
@@ -98,10 +99,10 @@ impl PipelineMetrics {
 
 #[derive(Default)]
 struct LogState {
-    /// Commit records awaiting the log writer, in commit-ts order, each
-    /// carrying its enqueue stamp (empty when obs is off) so the batch
-    /// writer can attribute queue wait per record.
-    queue: Vec<(WalRecord, Stamp)>,
+    /// Sealed commit frames awaiting the log writer, in commit-ts order,
+    /// each carrying its enqueue stamp (empty when obs is off) so the
+    /// batch writer can attribute queue wait per record.
+    queue: Vec<(Vec<u8>, Stamp)>,
     /// Records ever enqueued; a committer's ticket is its value after
     /// its own push.
     enqueued: u64,
@@ -156,10 +157,10 @@ struct LogShared {
 }
 
 impl LogShared {
-    fn write_batch(&self, wal: &mut Wal, batch: &[WalRecord]) -> Result<()> {
+    fn write_batch(&self, wal: &mut Wal, batch: &[Vec<u8>]) -> Result<()> {
         let append_stamp = self.obs.start();
-        for rec in batch {
-            wal.append(rec)?;
+        for frame in batch {
+            wal.append_frame(frame)?;
         }
         self.obs.record_ns(&self.pipe.append_ns, append_stamp);
         let flush_stamp = self.obs.start();
@@ -177,18 +178,18 @@ impl LogShared {
 
     /// Take the whole queue, retiring each record's queue-wait stamp
     /// into the stage histogram.
-    fn take_batch(&self, st: &mut LogState) -> Vec<WalRecord> {
+    fn take_batch(&self, st: &mut LogState) -> Vec<Vec<u8>> {
         let taken = std::mem::take(&mut st.queue);
         if self.obs.is_enabled() && !taken.is_empty() {
             self.pipe.batch_records.record(taken.len() as u64);
         }
         taken
             .into_iter()
-            .map(|(rec, stamp)| {
+            .map(|(frame, stamp)| {
                 if let Some(ns) = stamp.elapsed_ns() {
                     self.pipe.queue_wait_ns.record(ns);
                 }
-                rec
+                frame
             })
             .collect()
     }
@@ -364,19 +365,19 @@ impl GroupLog {
         }
     }
 
-    /// Log one commit. Called with `commit_lock` held, so tickets are
-    /// issued in commit-ts order. Grouped mode enqueues and returns
-    /// immediately (durability is bought later in
+    /// Log one commit's sealed frame. Called with `commit_lock` held, so
+    /// tickets are issued in commit-ts order. Grouped mode enqueues and
+    /// returns immediately (durability is bought later in
     /// [`GroupLog::wait_durable`]); sync mode does the whole
     /// write-and-flush here.
-    pub fn commit(&self, rec: WalRecord) -> Result<u64> {
+    pub fn commit(&self, frame: Vec<u8>) -> Result<u64> {
         if self.grouped {
             let mut st = self.shared.state.lock();
             if let Some(msg) = &st.error {
                 self.shared.pipe.write_rejected.add(1);
                 return Err(unavailable(st.read_only, msg));
             }
-            st.queue.push((rec, self.shared.obs.start()));
+            st.queue.push((frame, self.shared.obs.start()));
             st.enqueued += 1;
             let seq = st.enqueued;
             // only Buffered has a log writer to wake: at Flush/Fsync
@@ -397,7 +398,7 @@ impl GroupLog {
             let result = {
                 let mut wal = self.shared.wal.lock();
                 self.shared
-                    .write_batch(&mut wal, std::slice::from_ref(&rec))
+                    .write_batch(&mut wal, std::slice::from_ref(&frame))
             };
             match result {
                 Ok(()) => {
@@ -509,16 +510,15 @@ impl GroupLog {
         }
     }
 
-    /// Install a checkpoint: replace the log with `synthetic` (the
-    /// engine state at `snapshot`) followed by every record committed
-    /// after `snapshot`. The whole-database synthetic record is
-    /// serialized, written, and fsync'd to the temp file **before**
-    /// the queue lock is taken (the collection scan that produced it
-    /// already ran outside any engine-wide lock, too); commits only
-    /// stall for the tail work — drain the queue, filter and append
-    /// the post-snapshot records, rename — which is proportional to
-    /// the log tail, not the database.
-    pub fn checkpoint(&self, synthetic: WalRecord, snapshot: Ts) -> Result<()> {
+    /// Install a checkpoint: replace the log with `synthetic` (frames
+    /// holding the engine state at `snapshot`) followed by every record
+    /// committed after `snapshot`. The whole-database synthetic frames
+    /// are written and fsync'd to the temp file **before** the queue
+    /// lock is taken (the collection scan that encoded them already ran
+    /// outside any engine-wide lock, too); commits only stall for the
+    /// tail work — drain the queue, copy the post-snapshot frames,
+    /// rename — which is proportional to the log, not the database.
+    pub fn checkpoint(&self, synthetic: &[u8], snapshot: Ts) -> Result<()> {
         // phase 1, no state lock held: the O(database) part
         let (path, faults) = {
             let wal = self.shared.wal.lock();
@@ -526,7 +526,7 @@ impl GroupLog {
         };
         // a failed prepare leaves the live log untouched: the
         // checkpoint simply didn't happen, no poisoning
-        let prepared = Wal::prepare_rewrite(&path, std::slice::from_ref(&synthetic), &faults)?;
+        let prepared = Wal::prepare_rewrite(&path, synthetic, &faults)?;
 
         // phase 2, queue closed: the O(log tail) part
         let mut st = self.shared.state.lock();
@@ -571,22 +571,19 @@ impl GroupLog {
 
     fn install_rewrite(
         wal: &mut Wal,
-        pending: Vec<WalRecord>,
+        pending: Vec<Vec<u8>>,
         prepared: PreparedRewrite,
         snapshot: Ts,
     ) -> Result<()> {
-        for rec in &pending {
-            wal.append(rec)?;
+        for frame in &pending {
+            wal.append_frame(frame)?;
         }
         wal.flush()?;
         // every commit with ts ≤ snapshot is inside the prepared
-        // synthetic record (it was fully installed before the snapshot
+        // synthetic frames (it was fully installed before the snapshot
         // was taken under commit_lock); later commits ride along as
-        // the tail
-        let tail: Vec<WalRecord> = Wal::read_all(wal.path())?
-            .into_iter()
-            .filter(|r| r.commit_ts > snapshot)
-            .collect();
+        // the tail, their frames copied as they are
+        let tail = wal.frames_after(snapshot)?;
         wal.finish_rewrite(prepared, &tail)
     }
 
@@ -635,6 +632,7 @@ impl Drop for GroupLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::codec;
     use udbms_core::{Key, TxnId, Value};
 
     fn test_obs() -> Arc<Obs> {
@@ -651,12 +649,17 @@ mod tests {
         p
     }
 
-    fn rec(ts: u64) -> WalRecord {
-        WalRecord {
-            commit_ts: Ts(ts),
-            txn: TxnId(ts),
-            writes: vec![("ns".into(), Key::int(ts as i64), Some(Value::Int(1)))],
-        }
+    /// The sealed frame of a one-write commit at `ts` writing `value`.
+    fn frame(ts: u64, value: i64) -> Vec<u8> {
+        let key = Key::int(ts as i64);
+        let write = ("ns", &key, Some(&Value::Int(value)));
+        let mut out = Vec::new();
+        codec::push_frame(&mut out, Ts(ts), TxnId(ts), [write].into_iter()).unwrap();
+        out
+    }
+
+    fn rec(ts: u64) -> Vec<u8> {
+        frame(ts, 1)
     }
 
     /// `(batches, records)` written so far.
@@ -744,12 +747,7 @@ mod tests {
         // records 7 and 8 land after the snapshot at ts 6
         log.commit(rec(7)).unwrap();
         log.commit(rec(8)).unwrap();
-        let synthetic = WalRecord {
-            commit_ts: Ts(6),
-            txn: TxnId(0),
-            writes: vec![("ns".into(), Key::int(0), Some(Value::Int(6)))],
-        };
-        log.checkpoint(synthetic, Ts(6)).unwrap();
+        log.checkpoint(&frame(6, 6), Ts(6)).unwrap();
         drop(log);
         let tss: Vec<u64> = Wal::read_all(&path)
             .unwrap()

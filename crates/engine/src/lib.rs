@@ -29,8 +29,9 @@
 //!   GroupLog ── group-commit queue (committer-led; a log-writer thread
 //!        │      at Buffered), durability levels (Buffered / Flush / Fsync)
 //!        ▼
-//!   Wal ── logical redo log (JSON lines), torn-tail crash recovery,
-//!          fsync'd checkpoint rewrites
+//!   Wal ── logical redo log in checksummed binary frames (encoded
+//!          straight from the committing transaction), torn-tail crash
+//!          recovery, fsync'd checkpoint rewrites
 //! ```
 //!
 //! ## Modules

@@ -12,7 +12,12 @@ use crate::engine::Engine;
 use crate::group::GroupLog;
 use crate::storage::RecordId;
 use crate::wal::fault::FaultPlan;
-use crate::wal::{Wal, WalRecord};
+use crate::wal::{codec, Wal, WalRecord};
+
+/// Rows per frame of a checkpoint's synthetic state: the state is logged
+/// as a run of frames at the snapshot timestamp, none of them near the
+/// 4 GiB frame limit.
+const SYNTHETIC_FRAME_ROWS: usize = 4096;
 
 impl Engine {
     /// An engine whose commits append to a WAL file. If the file already
@@ -27,8 +32,9 @@ impl Engine {
     /// [`Engine::with_wal`] with explicit tuning. The WAL records no
     /// shard placement — keys re-hash on replay — so a log written by an
     /// engine with any shard count recovers into any other. A torn
-    /// final line (crash mid-append) is truncated away and every
-    /// complete commit recovers; interior corruption still errors.
+    /// final frame (crash mid-append) is truncated away and every
+    /// complete commit recovers; interior damage, or a file that is not
+    /// this engine's log, errors and leaves the file as it was.
     pub fn with_wal_config(path: impl AsRef<Path>, config: EngineConfig) -> Result<Engine> {
         Engine::with_wal_faults(path, config, Arc::new(FaultPlan::none()))
     }
@@ -75,7 +81,7 @@ impl Engine {
 
     /// Replay a WAL file into this engine (used by [`Engine::with_wal`];
     /// public for recovery tests and tooling). Tolerates a torn final
-    /// line without modifying the file. Writes are grouped by shard
+    /// frame without modifying the file. Writes are grouped by shard
     /// across the whole log, so each shard lock is taken once.
     pub fn replay_wal(&self, path: &Path) -> Result<usize> {
         self.apply_records(Wal::scan(path)?.records)
@@ -123,7 +129,7 @@ impl Engine {
         Ok(n)
     }
 
-    /// Compact the WAL: replace its history with one synthetic record
+    /// Compact the WAL: replace its history with synthetic frames
     /// holding the live state at a snapshot, plus every commit after
     /// that snapshot. No-op (Ok) when the engine has no WAL.
     ///
@@ -149,27 +155,38 @@ impl Engine {
         };
         // every commit with ts ≤ snapshot is fully installed (it held
         // commit_lock through install + enqueue), so this scan is a
-        // consistent image of the log prefix the rewrite replaces
-        let mut writes = Vec::new();
+        // consistent image of the log prefix the rewrite replaces; its
+        // values are encoded where they live, behind their `Arc`s
+        let mut synthetic = Vec::new();
+        let mut rows_logged = 0;
         {
             let catalog = self.inner.catalog.read();
             for name in catalog.names() {
                 // lint:allow(unwrap): name came from catalog.names() under this read guard
                 let id = catalog.get(&name).expect("listed name exists").id;
-                for (key, _, value) in self.inner.storage.scan_iter(id, snapshot, None, None) {
-                    writes.push((name.clone(), key, Some(value.as_ref().clone())));
+                let rows: Vec<_> = self
+                    .inner
+                    .storage
+                    .scan_iter(id, snapshot, None, None)
+                    .collect();
+                for chunk in rows.chunks(SYNTHETIC_FRAME_ROWS) {
+                    let entries = chunk
+                        .iter()
+                        .map(|(key, _, v)| (name.as_str(), key, Some(&**v)));
+                    codec::push_frame(&mut synthetic, snapshot, TxnId(0), entries)?;
                 }
+                rows_logged += rows.len();
             }
+        }
+        if synthetic.is_empty() {
+            // an empty state still carries the snapshot's timestamp, so
+            // the clock a reopened engine resumes from never goes back
+            codec::push_frame(&mut synthetic, snapshot, TxnId(0), std::iter::empty())?;
         }
         self.inner
             .obs
-            .event("checkpoint", snapshot.0, writes.len() as u64);
-        let synthetic = WalRecord {
-            commit_ts: snapshot,
-            txn: TxnId(0),
-            writes,
-        };
-        let out = log.checkpoint(synthetic, snapshot);
+            .event("checkpoint", snapshot.0, rows_logged as u64);
+        let out = log.checkpoint(&synthetic, snapshot);
         self.inner
             .obs
             .record_ns(&self.inner.metrics.checkpoint_ns, stamp);

@@ -1,20 +1,25 @@
-//! Write-ahead log: logical redo records as JSON lines.
+//! Write-ahead log: logical redo records in checksummed binary frames.
 //!
-//! Each commit appends one line describing every write (collection name,
-//! key, new value or tombstone). Recovery replays lines in order into a
-//! fresh engine. A checkpoint rewrites the log as one synthetic commit
-//! containing the current live state, bounding replay time.
+//! The file starts with a 12-byte header (magic `UDBMSWAL`, format
+//! version); each commit then appends one frame — `[len u32][crc32
+//! u32][payload]` — listing every write (collection name, key, new value
+//! or tombstone). The layout and the value codec are `codec.rs`; the
+//! commit path encodes its frame straight from the transaction's own
+//! values. Recovery replays frames in order into a fresh engine. A
+//! checkpoint rewrites the log as the current live state at a snapshot
+//! plus every later commit, bounding replay time.
 //!
 //! ## Crash tolerance
 //!
-//! A crash mid-append leaves a *torn tail*: a final line that is
-//! truncated, not valid UTF-8, or not parseable JSON. [`Wal::scan`]
-//! tolerates exactly that — it returns every complete record of the
-//! longest valid prefix and reports how many trailing bytes it ignored.
-//! Corruption *before* the last line is a different animal (bit rot,
-//! concurrent writers, a bug) and still fails recovery. [`Wal::recover`]
-//! additionally truncates the file to the valid prefix so subsequent
-//! appends start at a record boundary.
+//! A crash mid-append leaves a *torn tail*: a final frame that is short,
+//! fails its checksum, or is the zero padding a mapped log leaves past
+//! its end. [`Wal::scan`] tolerates exactly that — it returns every
+//! record of the longest valid prefix and reports how many trailing
+//! bytes it ignored. A damaged frame with an intact frame after it is a
+//! different animal (bit rot, a bug) and fails recovery with the record
+//! index and byte offset, as does a file without the header, which is
+//! never modified. [`Wal::recover`] additionally truncates the file to
+//! the valid prefix so subsequent appends start at a frame boundary.
 //!
 //! ## Locking
 //!
@@ -25,12 +30,13 @@
 //! another engine lock.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write as _};
+use std::io::{BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use udbms_core::{obj, Error, Key, Result, Ts, TxnId, Value};
+use udbms_core::{Error, Key, Result, Ts, TxnId, Value};
 
+pub(crate) mod codec;
 pub mod fault;
 #[cfg(unix)]
 mod mapped;
@@ -51,61 +57,31 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
-    /// Serialize as a canonical JSON line.
-    pub fn to_line(&self) -> String {
-        let writes: Vec<Value> = self
-            .writes
-            .iter()
-            .map(|(coll, key, value)| {
-                obj! {
-                    "coll" => coll.clone(),
-                    "key" => key.value().clone(),
-                    "value" => value.clone(),
-                }
-            })
-            .collect();
-        let rec = obj! {
-            "ts" => self.commit_ts.0 as i64,
-            "txn" => self.txn.0 as i64,
-            "writes" => Value::Array(writes),
-        };
-        udbms_json::to_string(&rec)
+    /// Append this record's frame to `out`.
+    fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
+        let writes = self.writes.iter();
+        let entries = writes.map(|(c, k, v)| (c.as_str(), k, v.as_ref()));
+        codec::push_frame(out, self.commit_ts, self.txn, entries)
     }
+}
 
-    /// Parse a JSON line back into a record.
-    pub fn from_line(line: &str) -> Result<WalRecord> {
-        let v = udbms_json::parse(line)?;
-        let ts = v.get_field("ts").expect_int("wal ts")? as u64;
-        let txn = v.get_field("txn").expect_int("wal txn")? as u64;
-        let writes_v = v
-            .get_field("writes")
-            .as_array()
-            .ok_or_else(|| Error::Invalid("wal record lacks writes array".into()))?;
-        let mut writes = Vec::with_capacity(writes_v.len());
-        for w in writes_v {
-            let coll = w.get_field("coll").expect_str("wal coll")?.to_string();
-            let key = Key::new(w.get_field("key").clone())?;
-            let value = match w.get_field("value") {
-                Value::Null => None,
-                other => Some(other.clone()),
-            };
-            writes.push((coll, key, value));
-        }
-        Ok(WalRecord {
-            commit_ts: Ts(ts),
-            txn: TxnId(txn),
-            writes,
-        })
+/// Every record's frame, in order.
+fn encode_all(records: &[WalRecord]) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    for rec in records {
+        rec.encode(&mut out)?;
     }
+    Ok(out)
 }
 
 /// What a tolerant WAL read found: the complete records plus the shape
 /// of the file they came from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalRecovery {
-    /// Every complete, newline-terminated record, in log order.
+    /// Every intact record, in log order.
     pub records: Vec<WalRecord>,
-    /// Length in bytes of the valid prefix holding those records.
+    /// Length in bytes of the valid prefix holding those records (and
+    /// the file header).
     pub valid_bytes: u64,
     /// Torn-tail bytes past the valid prefix (0 = the log ended cleanly).
     pub truncated_bytes: u64,
@@ -119,7 +95,7 @@ impl WalRecovery {
 }
 
 /// A checkpoint rewrite's temp file between [`Wal::prepare_rewrite`]
-/// (bulk records written + fsync'd, no lock held) and
+/// (header and bulk frames written + fsync'd, no lock held) and
 /// [`Wal::finish_rewrite`] (tail appended, atomically installed).
 #[derive(Debug)]
 pub struct PreparedRewrite {
@@ -147,6 +123,8 @@ pub struct Wal {
     backend: Backend,
     records_written: usize,
     faults: Arc<FaultPlan>,
+    /// Reused by [`Wal::append`] to encode one record.
+    scratch: Vec<u8>,
 }
 
 impl Wal {
@@ -162,13 +140,12 @@ impl Wal {
     pub fn open_with_faults(path: impl AsRef<Path>, faults: Arc<FaultPlan>) -> Result<Wal> {
         let path = path.as_ref().to_path_buf();
         Wal::clean_orphan_tmp(&path)?;
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Wal {
+        let (file, _) = Wal::with_header(&path)?;
+        Ok(Wal::new(
             path,
-            backend: Backend::Buffered(BufWriter::new(file)),
-            records_written: 0,
+            Backend::Buffered(BufWriter::new(file)),
             faults,
-        })
+        ))
     }
 
     /// Open a WAL whose appends go through a memory-mapped region: one
@@ -189,23 +166,50 @@ impl Wal {
         {
             let path = path.as_ref().to_path_buf();
             Wal::clean_orphan_tmp(&path)?;
-            let existing = match std::fs::metadata(&path) {
-                Ok(m) => m.len(),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
-                Err(e) => return Err(e.into()),
-            };
+            let (_, existing) = Wal::with_header(&path)?;
             let appender = MmapAppender::open(&path, existing)?;
-            Ok(Wal {
-                path,
-                backend: Backend::Mapped(appender),
-                records_written: 0,
-                faults,
-            })
+            Ok(Wal::new(path, Backend::Mapped(appender), faults))
         }
         #[cfg(not(unix))]
         {
             Wal::open_with_faults(path, faults)
         }
+    }
+
+    fn new(path: PathBuf, backend: Backend, faults: Arc<FaultPlan>) -> Wal {
+        Wal {
+            path,
+            backend,
+            records_written: 0,
+            faults,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Make sure the file at `path` starts with the header, writing it
+    /// into an empty or missing file; returns the file, open for
+    /// appending, and its length. A file holding anything else is
+    /// refused: recovery, which runs first, either truncated a torn
+    /// header away or rejected the file.
+    fn with_header(path: &Path) -> Result<(File, u64)> {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)?;
+        let len = file.metadata()?.len();
+        if len == 0 {
+            file.write_all(&codec::HEADER)?;
+            return Ok((file, codec::HEADER.len() as u64));
+        }
+        let mut head = [0; codec::HEADER.len()];
+        if file.read_exact(&mut head).is_err() || head != codec::HEADER {
+            return Err(Error::Invalid(format!(
+                "{} does not start with a write-ahead log header; recover it first",
+                path.display()
+            )));
+        }
+        Ok((file, len))
     }
 
     /// Remove a stale `<log>.tmp` sibling left by a rewrite that died
@@ -246,15 +250,24 @@ impl Wal {
     /// call [`Wal::flush`] (and [`Wal::sync_data`]) per batch — the
     /// group-commit log writer does exactly that.
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
-        let mut line = rec.to_line();
-        line.push('\n');
-        match self.faults.on_write("append.write", line.len()) {
+        let mut frame = std::mem::take(&mut self.scratch);
+        frame.clear();
+        let appended = rec
+            .encode(&mut frame)
+            .and_then(|()| self.append_frame(&frame));
+        self.scratch = frame;
+        appended
+    }
+
+    /// Append one sealed frame (the commit path encodes its own).
+    pub(crate) fn append_frame(&mut self, frame: &[u8]) -> Result<()> {
+        match self.faults.on_write("append.write", frame.len()) {
             Action::Proceed => {}
             Action::Short(keep) => {
                 // a torn write: exactly `keep` bytes reach the log (and
                 // are made OS-visible, so recovery tests see the tear),
                 // then the device "fails"
-                let torn = &line.as_bytes()[..keep];
+                let torn = &frame[..keep];
                 match &mut self.backend {
                     Backend::Buffered(w) => {
                         w.write_all(torn)?;
@@ -272,14 +285,14 @@ impl Wal {
         // remap is where a full disk actually bites on this backend
         #[cfg(unix)]
         if let Backend::Mapped(m) = &self.backend {
-            if m.would_grow(line.len()) {
+            if m.would_grow(frame.len()) {
                 self.gate("mapped.remap")?;
             }
         }
         match &mut self.backend {
-            Backend::Buffered(w) => w.write_all(line.as_bytes())?,
+            Backend::Buffered(w) => w.write_all(frame)?,
             #[cfg(unix)]
-            Backend::Mapped(m) => m.append(line.as_bytes())?,
+            Backend::Mapped(m) => m.append(frame)?,
         }
         self.records_written += 1;
         Ok(())
@@ -311,86 +324,34 @@ impl Wal {
     }
 
     /// Read every record of a WAL file in order, tolerating a torn tail
-    /// (see [`Wal::scan`] for the full recovery shape). Corruption
-    /// before the final line still errors.
+    /// (see [`Wal::scan`] for the full recovery shape). Interior damage
+    /// still errors.
     pub fn read_all(path: impl AsRef<Path>) -> Result<Vec<WalRecord>> {
         Ok(Wal::scan(path)?.records)
     }
 
-    /// Tolerant read of a WAL file: returns every complete record of the
-    /// longest valid prefix. A partial, corrupt, or unterminated **final**
-    /// line is the signature of a crash mid-append and is reported as
-    /// truncated bytes rather than an error; a corrupt line with real
-    /// data after it is interior corruption and fails. Does not modify
-    /// the file — [`Wal::recover`] does.
-    pub fn scan(path: impl AsRef<Path>) -> Result<WalRecovery> {
-        let bytes = match std::fs::read(path.as_ref()) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(WalRecovery {
-                    records: Vec::new(),
-                    valid_bytes: 0,
-                    truncated_bytes: 0,
-                })
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let mut records = Vec::new();
-        let mut valid = 0usize;
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            let newline = bytes[pos..].iter().position(|b| *b == b'\n');
-            let (line_end, next) = match newline {
-                Some(i) => (pos + i, pos + i + 1),
-                None => (bytes.len(), bytes.len()),
-            };
-            let terminated = newline.is_some();
-            let parsed = std::str::from_utf8(&bytes[pos..line_end])
-                .ok()
-                .map(str::trim)
-                .map(|text| {
-                    if text.is_empty() {
-                        Ok(None)
-                    } else {
-                        WalRecord::from_line(text).map(Some)
-                    }
-                });
-            match parsed {
-                // a complete, terminated line (record or blank) extends
-                // the valid prefix
-                Some(Ok(rec)) if terminated => {
-                    records.extend(rec);
-                    valid = next;
-                }
-                // anything else — bad UTF-8, bad JSON, or a missing
-                // final newline — is tolerable only as the very last
-                // thing in the file (NULs cover the zero padding a
-                // crashed mmap-backed log leaves behind), with one
-                // exception: a failing segment that itself contains
-                // NULs is a page-writeback hole — power loss persisted
-                // a later page of the mapped log but not this one.
-                // Everything at or past the hole was never covered by
-                // an fdatasync (a completed sync flushes every page up
-                // to it), so no acknowledged commit is lost by treating
-                // the rest as torn; refusing to open would turn
-                // unacked-data loss into a manual-repair outage.
-                _ => {
-                    let segment_is_gap = bytes[pos..line_end].contains(&0);
-                    let tail_is_noise = bytes[next..]
-                        .iter()
-                        .all(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n' | 0));
-                    if !tail_is_noise && !segment_is_gap {
-                        return Err(Error::Invalid(format!(
-                            "wal corruption before the final line (record index {}, byte \
-                             offset {pos}): records after the corrupt line would be lost",
-                            records.len(),
-                        )));
-                    }
-                    break;
-                }
-            }
-            pos = next;
+    /// The log's bytes; a missing file reads as empty.
+    fn bytes(path: &Path) -> Result<Vec<u8>> {
+        match std::fs::read(path) {
+            Ok(b) => Ok(b),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+            Err(e) => Err(e.into()),
         }
+    }
+
+    /// Tolerant read of a WAL file: returns every record of the longest
+    /// valid prefix. A short, zero or checksum-failing **final** frame is
+    /// the signature of a crash mid-append and is reported as truncated
+    /// bytes rather than an error; a damaged frame with an intact frame
+    /// after it, a malformed payload, or a file without the header is
+    /// an error. Does not modify the file — [`Wal::recover`] does.
+    pub fn scan(path: impl AsRef<Path>) -> Result<WalRecovery> {
+        let bytes = Wal::bytes(path.as_ref())?;
+        let mut records = Vec::new();
+        let valid = codec::walk(&bytes, |frame| {
+            records.push(codec::decode(frame)?);
+            Ok(())
+        })?;
         Ok(WalRecovery {
             records,
             valid_bytes: valid as u64,
@@ -400,7 +361,7 @@ impl Wal {
 
     /// Crash recovery: [`Wal::scan`], then truncate the file to the
     /// valid prefix when a torn tail was found, so the next append
-    /// starts at a record boundary instead of splicing into garbage.
+    /// starts at a frame boundary instead of splicing into garbage.
     pub fn recover(path: impl AsRef<Path>) -> Result<WalRecovery> {
         let recovery = Wal::scan(path.as_ref())?;
         if recovery.was_torn() {
@@ -411,35 +372,47 @@ impl Wal {
         Ok(recovery)
     }
 
+    /// The raw frames of this log whose commit timestamp is past
+    /// `snapshot`, concatenated — checksummed and copied, not decoded.
+    pub(crate) fn frames_after(&self, snapshot: Ts) -> Result<Vec<u8>> {
+        let bytes = Wal::bytes(&self.path)?;
+        let mut tail = Vec::new();
+        codec::walk(&bytes, |frame| {
+            if codec::frame_ts(frame)? > snapshot {
+                tail.extend_from_slice(frame);
+            }
+            Ok(())
+        })?;
+        Ok(tail)
+    }
+
     /// Replace the log's contents with the given records (checkpointing).
     /// Writes to a sibling temp file, fsyncs it, renames it over the
     /// original, then fsyncs the parent directory — without the syncs a
     /// crash just after the rename could surface an empty or missing log
     /// even though `rewrite` returned Ok.
     pub fn rewrite(&mut self, records: &[WalRecord]) -> Result<()> {
-        let prepared = Wal::prepare_rewrite(&self.path, records, &self.faults)?;
+        let prepared = Wal::prepare_rewrite(&self.path, &encode_all(records)?, &self.faults)?;
         self.finish_rewrite(prepared, &[])
     }
 
-    /// First phase of a two-phase rewrite: write `records` to a sibling
-    /// temp file and fsync them. Takes no engine lock and does not
-    /// touch the live log — the engine's checkpoint serializes the
-    /// whole-database synthetic record here, *outside* the group-commit
-    /// queue lock, so commits only stall for [`Wal::finish_rewrite`]'s
-    /// tail work.
+    /// First phase of a two-phase rewrite: write the header and `frames`
+    /// (encoded records) to a sibling temp file and fsync them. Takes no
+    /// engine lock and does not touch the live log — the engine's
+    /// checkpoint writes the whole-database synthetic frames here,
+    /// *outside* the group-commit queue lock, so commits only stall for
+    /// [`Wal::finish_rewrite`]'s tail work.
     pub fn prepare_rewrite(
         path: &Path,
-        records: &[WalRecord],
+        frames: &[u8],
         faults: &FaultPlan,
     ) -> Result<PreparedRewrite> {
         let tmp = path.with_extension("tmp");
         gate_at(faults, path, "rewrite.prepare.create")?;
         let mut writer = BufWriter::new(File::create(&tmp)?);
         gate_at(faults, path, "rewrite.prepare.write")?;
-        for rec in records {
-            writer.write_all(rec.to_line().as_bytes())?;
-            writer.write_all(b"\n")?;
-        }
+        writer.write_all(&codec::HEADER)?;
+        writer.write_all(frames)?;
         writer.flush()?;
         gate_at(faults, path, "rewrite.prepare.sync")?;
         // the bulk of the data syncs here; finish_rewrite's second sync
@@ -448,16 +421,13 @@ impl Wal {
         Ok(PreparedRewrite { tmp, writer })
     }
 
-    /// Second phase: append `tail` to the prepared temp file, fsync,
-    /// and atomically install it over the log (rename + parent-dir
-    /// fsync), reopening the same backend kind.
-    pub fn finish_rewrite(&mut self, prepared: PreparedRewrite, tail: &[WalRecord]) -> Result<()> {
+    /// Second phase: append `tail` (encoded records) to the prepared
+    /// temp file, fsync, and atomically install it over the log (rename
+    /// + parent-dir fsync), reopening the same backend kind.
+    pub fn finish_rewrite(&mut self, prepared: PreparedRewrite, tail: &[u8]) -> Result<()> {
         let PreparedRewrite { tmp, mut writer } = prepared;
         self.gate("rewrite.finish.write")?;
-        for rec in tail {
-            writer.write_all(rec.to_line().as_bytes())?;
-            writer.write_all(b"\n")?;
-        }
+        writer.write_all(tail)?;
         writer.flush()?;
         self.gate("rewrite.finish.sync")?;
         // data must be on disk before the rename makes it reachable
@@ -522,6 +492,7 @@ fn gate_at(faults: &FaultPlan, path: &Path, site: &str) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use udbms_core::obj;
 
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -541,20 +512,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn record_line_roundtrip() {
-        let rec = sample(42);
-        let line = rec.to_line();
-        assert!(!line.contains('\n'));
-        assert_eq!(WalRecord::from_line(&line).unwrap(), rec);
+    /// `sample(ts)`'s frame.
+    fn frame(ts: u64) -> Vec<u8> {
+        encode_all(&[sample(ts)]).unwrap()
+    }
+
+    /// A log file holding the header and then `body`.
+    fn write_log(path: &Path, body: &[u8]) {
+        std::fs::write(path, [&codec::HEADER[..], body].concat()).unwrap();
     }
 
     #[test]
-    fn tombstones_encode_as_null() {
-        let rec = sample(1);
-        let line = rec.to_line();
-        let back = WalRecord::from_line(&line).unwrap();
+    fn record_frame_roundtrip() {
+        let rec = sample(42);
+        let bytes = frame(42);
+        assert_eq!(codec::decode(&bytes).unwrap(), rec);
+        assert_eq!(codec::frame_ts(&bytes).unwrap(), Ts(42));
+    }
+
+    #[test]
+    fn tombstones_and_null_values_stay_distinct() {
+        let mut rec = sample(1);
+        rec.writes
+            .push(("feedback".into(), Key::int(8), Some(Value::Null)));
+        let mut bytes = Vec::new();
+        rec.encode(&mut bytes).unwrap();
+        let back = codec::decode(&bytes).unwrap();
         assert_eq!(back.writes[1].2, None);
+        assert_eq!(back.writes[2].2, Some(Value::Null));
     }
 
     #[test]
@@ -582,27 +567,34 @@ mod tests {
     #[test]
     fn interior_corruption_errors() {
         let path = temp_path("interior");
-        let good = sample(1).to_line();
-        std::fs::write(&path, format!("not json\n{good}\n")).unwrap();
+        let mut body = frame(1);
+        body[12] ^= 0x40; // inside the first frame's payload
+        body.extend(frame(2));
+        write_log(&path, &body);
         assert!(Wal::read_all(&path).is_err());
         assert!(Wal::scan(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn torn_final_line_is_tolerated() {
+    fn torn_final_frame_is_tolerated() {
         let path = temp_path("torn");
-        let good = sample(1).to_line();
+        let good = frame(1);
+        let next = frame(2);
+        let mut flipped = next.clone();
+        flipped[20] ^= 1;
         for tail in [
-            "not json\n",                             // corrupt but terminated
-            "{\"ts\": 2, \"txn",                      // cut mid-line
-            &good[..good.len() / 2],                  // cut mid-record
-            "{\"ts\": 2, \"txn\": 2, \"writes\": [}", // unterminated bad JSON
+            &next[..5],              // a short frame header
+            &next[..next.len() / 2], // cut mid-payload
+            &next[..next.len() - 1], // one byte short
+            &flipped[..],            // complete, but fails its checksum
+            &[0u8; 300][..],         // mapped padding
         ] {
-            std::fs::write(&path, format!("{good}\n{tail}")).unwrap();
+            write_log(&path, &[&good[..], tail].concat());
             let recovery = Wal::scan(&path).unwrap();
             assert_eq!(recovery.records.len(), 1, "tail {tail:?}");
-            assert_eq!(recovery.valid_bytes, good.len() as u64 + 1);
+            let valid = (codec::HEADER.len() + good.len()) as u64;
+            assert_eq!(recovery.valid_bytes, valid);
             assert!(recovery.was_torn());
             assert_eq!(recovery.truncated_bytes, tail.len() as u64);
         }
@@ -613,36 +605,34 @@ mod tests {
     fn writeback_hole_truncates_instead_of_failing() {
         // power-loss shape on a mapped log: an unflushed page (zeros)
         // followed by a later page that did reach the disk — only
-        // unacked data is involved, so recovery truncates at the hole
+        // unacked data is involved, so recovery truncates at the hole,
+        // whether it starts at a frame boundary or inside a frame
         let path = temp_path("hole");
-        let good = sample(1).to_line();
-        let after_gap = sample(9).to_line();
-        let mut bytes = good.clone().into_bytes();
-        bytes.push(b'\n');
-        bytes.extend(std::iter::repeat_n(0u8, 4096));
-        bytes.extend_from_slice(after_gap.as_bytes());
-        bytes.push(b'\n');
-        std::fs::write(&path, &bytes).unwrap();
-        let recovery = Wal::recover(&path).unwrap();
-        assert_eq!(recovery.records.len(), 1);
-        assert_eq!(recovery.records[0].commit_ts, Ts(1));
-        assert!(recovery.was_torn());
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            good.len() as u64 + 1,
-            "truncated at the hole"
-        );
+        let good = frame(1);
+        let valid = (codec::HEADER.len() + good.len()) as u64;
+        let at_boundary = [&good[..], &[0; 4096], &frame(9)].concat();
+        let mut mid_frame = [&good[..], &vec![7; 3 * 4096], &frame(9)].concat();
+        // zero the second page of the file, inside the second "frame"
+        mid_frame[4096 - codec::HEADER.len()..8192 - codec::HEADER.len()].fill(0);
+        for body in [at_boundary, mid_frame] {
+            write_log(&path, &body);
+            let recovery = Wal::recover(&path).unwrap();
+            assert_eq!(recovery.records.len(), 1);
+            assert_eq!(recovery.records[0].commit_ts, Ts(1));
+            assert!(recovery.was_torn());
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                valid,
+                "truncated at the hole"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_tail_with_invalid_utf8_is_tolerated() {
         let path = temp_path("torn-utf8");
-        let good = sample(1).to_line();
-        let mut bytes = good.clone().into_bytes();
-        bytes.push(b'\n');
-        bytes.extend_from_slice(&[0xFF, 0xFE, 0x80]); // not UTF-8
-        std::fs::write(&path, &bytes).unwrap();
+        write_log(&path, &[&frame(1)[..], &[0xFF, 0xFE, 0x80]].concat());
         let recovery = Wal::scan(&path).unwrap();
         assert_eq!(recovery.records.len(), 1);
         assert_eq!(recovery.truncated_bytes, 3);
@@ -652,8 +642,8 @@ mod tests {
     #[test]
     fn recover_truncates_torn_tail_for_clean_appends() {
         let path = temp_path("recover");
-        let good = sample(1).to_line();
-        std::fs::write(&path, format!("{good}\n{{\"ts\": 9, \"tx")).unwrap();
+        let torn = frame(9);
+        write_log(&path, &[&frame(1)[..], &torn[..torn.len() - 4]].concat());
         let recovery = Wal::recover(&path).unwrap();
         assert!(recovery.was_torn());
         assert_eq!(
@@ -661,7 +651,7 @@ mod tests {
             recovery.valid_bytes,
             "file cut back to the last complete record"
         );
-        // appending after recovery lands on a record boundary
+        // appending after recovery lands on a frame boundary
         let mut wal = Wal::open(&path).unwrap();
         wal.append(&sample(2)).unwrap();
         wal.flush().unwrap();
@@ -678,17 +668,34 @@ mod tests {
 
     #[test]
     fn unterminated_final_record_is_dropped_not_replayed() {
-        // a complete JSON line missing its newline could parse, but
-        // replaying it while leaving it un-truncated would splice the
-        // next append into it — recovery must drop it entirely
+        // a final frame missing only its last byte holds every write but
+        // one byte of the last value; replaying it — or leaving it for
+        // the next append to splice into — would both be wrong
         let path = temp_path("unterminated");
-        let a = sample(1).to_line();
-        let b = sample(2).to_line();
-        std::fs::write(&path, format!("{a}\n{b}")).unwrap();
+        let b = frame(2);
+        write_log(&path, &[&frame(1)[..], &b[..b.len() - 1]].concat());
         let recovery = Wal::recover(&path).unwrap();
         assert_eq!(recovery.records.len(), 1);
         assert_eq!(recovery.records[0].commit_ts, Ts(1));
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), a.len() as u64 + 1);
+        let valid = (codec::HEADER.len() + frame(1).len()) as u64;
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), valid);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn foreign_files_are_refused_untouched() {
+        let path = temp_path("foreign");
+        let line = r#"{"ts": 1, "txn": 1, "writes": []}"#;
+        for content in [format!("{line}\n"), "UDBMSWAL\x02\0\0\0".into()] {
+            std::fs::write(&path, &content).unwrap();
+            assert!(Wal::recover(&path).is_err(), "{content:?}");
+            assert!(Wal::open(&path).is_err(), "{content:?}");
+            assert_eq!(std::fs::read(&path).unwrap(), content.as_bytes());
+        }
+        // a torn header holds nothing yet: it recovers empty
+        std::fs::write(&path, &codec::HEADER[..5]).unwrap();
+        let recovery = Wal::recover(&path).unwrap();
+        assert!(recovery.records.is_empty() && recovery.truncated_bytes == 5);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -705,6 +712,7 @@ mod tests {
         let recs = Wal::read_all(&path).unwrap();
         let tss: Vec<u64> = recs.iter().map(|r| r.commit_ts.0).collect();
         assert_eq!(tss, vec![9, 10]);
+        assert_eq!(wal.frames_after(Ts(9)).unwrap(), frame(10));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -715,7 +723,7 @@ mod tests {
         for mapped in [false, true] {
             let path = temp_path(if mapped { "orphan-m" } else { "orphan-b" });
             let tmp = path.with_extension("tmp");
-            std::fs::write(&path, format!("{}\n", sample(1).to_line())).unwrap();
+            write_log(&path, &frame(1));
             std::fs::write(&tmp, "half-written checkpoint").unwrap();
             let wal = if mapped {
                 Wal::open_mapped(&path).unwrap()
@@ -790,15 +798,16 @@ mod tests {
     #[test]
     fn interior_corruption_error_names_offset_and_index() {
         let path = temp_path("interior-diag");
-        let a = sample(1).to_line();
-        let b = sample(2).to_line();
-        std::fs::write(&path, format!("{a}\nnot json\n{b}\n")).unwrap();
+        let a = frame(1);
+        let mut b = frame(2);
+        // a length flipped longer than the file: a truncation if it
+        // were the last frame, an error with an intact frame after it
+        b[2] ^= 0x10;
+        write_log(&path, &[&a[..], &b, &frame(3)].concat());
         let err = Wal::scan(&path).unwrap_err().to_string();
         assert!(err.contains("record index 1"), "{err}");
-        assert!(
-            err.contains(&format!("byte offset {}", a.len() + 1)),
-            "{err}"
-        );
+        let offset = codec::HEADER.len() + a.len();
+        assert!(err.contains(&format!("byte offset {offset}")), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -11,7 +11,8 @@
 //!
 //! The mapped file is padded with zeros up to the mapped capacity; a
 //! clean shutdown truncates the padding away, and after a crash the
-//! recovery scan treats a trailing NUL run like any other torn tail.
+//! recovery scan reads the first all-zero frame header as the end of
+//! the log, like any other torn tail.
 //!
 //! Every `unsafe` block below carries a `// SAFETY:` comment (enforced
 //! workspace-wide by `udbms-lint` rule L2); the exclusive-access

@@ -1,7 +1,9 @@
 //! Crash-safety of WAL recovery, end to end through the public engine
 //! API: a log cut at *any* byte offset (a simulated crash mid-append)
 //! must recover every fully-logged commit and nothing after the cut,
-//! at any storage shard count, and leave the log appendable.
+//! at any storage shard count, and leave the log appendable; a log with
+//! *any* byte flipped recovers a prefix that ends before the damage or
+//! fails with the damage located — it never replays a wrong record.
 
 use std::path::PathBuf;
 
@@ -26,35 +28,48 @@ fn config(shards: usize) -> EngineConfig {
 /// Write `commits` single-put commits (key i → i) and return the byte
 /// offset at which each commit's record ends in the log file.
 fn build_log(path: &PathBuf, commits: usize) -> Vec<u64> {
-    {
-        let engine = Engine::with_wal(path).expect("fresh wal engine");
-        engine
-            .create_collection(CollectionSchema::key_value("ns"))
-            .unwrap();
-        for i in 0..commits {
+    let engine = Engine::with_wal(path).expect("fresh wal engine");
+    engine
+        .create_collection(CollectionSchema::key_value("ns"))
+        .unwrap();
+    // at the default Flush durability a commit's frame is in the file
+    // when `run` returns, so the valid prefix then ends with it
+    let ends: Vec<u64> = (0..commits)
+        .map(|i| {
             engine
                 .run(Isolation::Snapshot, |t| {
                     t.put("ns", Key::int(i as i64), Value::Int(i as i64))
                 })
                 .unwrap();
-        }
-    }
-    // commits are one line each, in order: record i ends at the i-th newline
-    let bytes = std::fs::read(path).unwrap();
-    let ends: Vec<u64> = bytes
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| **b == b'\n')
-        .map(|(i, _)| i as u64 + 1)
+            Wal::scan(path).unwrap().valid_bytes
+        })
         .collect();
-    assert_eq!(ends.len(), commits, "one log line per commit");
+    drop(engine);
+    let len = std::fs::metadata(path).unwrap().len();
+    assert_eq!(
+        ends.last(),
+        Some(&len),
+        "a clean close leaves just the frames"
+    );
     ends
 }
 
-/// How many commits survive a cut at `offset` (records fully inside
-/// the prefix).
-fn expected_commits(ends: &[u64], offset: u64) -> usize {
-    ends.iter().filter(|e| **e <= offset).count()
+/// Open an engine on `path`, or say why it would not open.
+fn recovered(path: &PathBuf, shards: usize) -> Result<Engine, String> {
+    Engine::with_wal_config(path, config(shards)).map_err(|e| e.to_string())
+}
+
+/// How many commits survive a cut at `offset`: the records fully inside
+/// the prefix — and, when the file is zero-padded past the cut
+/// (`log` given), also a record whose cut-off bytes were all zeros,
+/// since the padding restores it exactly.
+fn expected_commits(ends: &[u64], offset: u64, log: Option<&[u8]>) -> usize {
+    let restored = |end: u64| {
+        log.is_some_and(|log| log[offset as usize..end as usize].iter().all(|b| *b == 0))
+    };
+    ends.iter()
+        .take_while(|end| **end <= offset || restored(**end))
+        .count()
 }
 
 #[test]
@@ -104,6 +119,54 @@ fn interior_corruption_still_fails_recovery() {
         Engine::with_wal(&path).is_err(),
         "interior corruption is not a torn tail and must surface"
     );
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn flipped_length_with_frames_after_it_is_an_error_not_a_truncation() {
+    let path = temp_wal("flipped-len");
+    let ends = build_log(&path, 5);
+    let pristine = std::fs::read(&path).unwrap();
+    // record 2's length field starts where record 1 ends
+    let len_at = ends[1] as usize;
+    for (byte, bit) in [(0, 0), (0, 5), (1, 3), (3, 7)] {
+        let mut bytes = pristine.clone();
+        bytes[len_at + byte] ^= 1 << bit;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = recovered(&path, 4)
+            .err()
+            .expect("a damaged interior length must fail");
+        assert!(
+            err.contains("record index 2") && err.contains(&format!("byte offset {len_at}")),
+            "{err}"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "refused, not truncated"
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_json_lines_log_is_refused_and_left_unmodified() {
+    let path = temp_wal("json-lines");
+    // what the engine logged before the binary format: one JSON line
+    // per commit
+    let lines = concat!(
+        r#"{"ts":1,"txn":1,"writes":[{"coll":"ns","key":0,"value":0}]}"#,
+        "\n",
+        r#"{"ts":2,"txn":2,"writes":[{"coll":"ns","key":1,"value":null}]}"#,
+        "\n",
+    );
+    std::fs::write(&path, lines).unwrap();
+    let err = recovered(&path, 4)
+        .err()
+        .expect("a foreign log must not open");
+    assert!(err.contains("UDBMSWAL"), "{err}");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), lines);
+    assert!(!path.with_extension("tmp").exists());
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -269,7 +332,8 @@ proptest! {
     ) {
         let path = temp_wal(&format!("prop-{commits}-{cut_permille}-{shards}-{zero_pad}"));
         let ends = build_log(&path, commits);
-        let len = std::fs::metadata(&path).unwrap().len();
+        let log = std::fs::read(&path).unwrap();
+        let len = log.len() as u64;
         let cut = (len as u128 * cut_permille as u128 / 1000) as u64;
         let file = std::fs::OpenOptions::new()
             .write(true)
@@ -284,7 +348,7 @@ proptest! {
             file.set_len(cut + 4096).unwrap();
         }
         drop(file);
-        let expected = expected_commits(&ends, cut);
+        let expected = expected_commits(&ends, cut, zero_pad.then_some(&log[..]));
 
         let engine = Engine::with_wal_config(&path, config(shards)).expect("recover");
         // a cut before the first commit leaves nothing to auto-register
@@ -310,5 +374,61 @@ proptest! {
         drop(t);
         drop(engine);
         std::fs::remove_file(&path).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Flip any bit of any byte of a multi-frame log: `Wal::scan` returns
+    /// a strict prefix of the records that ends before the damaged frame,
+    /// or an error that names where the damage is — never a wrong record
+    /// — and an engine opened on it holds exactly that prefix or refuses
+    /// to open.
+    #[test]
+    fn any_flipped_byte_yields_a_prefix_or_a_located_error(
+        commits in 2usize..9,
+        at_permille in 0u32..1000,
+        bit in 0u32..8,
+        shards in 1usize..9,
+    ) {
+        let path = temp_wal(&format!("flip-{commits}-{at_permille}-{bit}-{shards}"));
+        let ends = build_log(&path, commits);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() * at_permille as usize / 1000;
+        bytes[at] ^= 1 << bit;
+        std::fs::write(&path, &bytes).unwrap();
+        // the frame holding the flipped byte (the header is "frame 0")
+        let damaged = ends.iter().filter(|end| **end <= at as u64).count();
+
+        match Wal::scan(&path) {
+            Ok(recovery) => {
+                prop_assert!(
+                    recovery.records.len() <= damaged && damaged < commits,
+                    "{} records survive a flip in frame {}", recovery.records.len(), damaged
+                );
+                for (i, rec) in recovery.records.iter().enumerate() {
+                    let want = vec![("ns".to_string(), Key::int(i as i64), Some(Value::Int(i as i64)))];
+                    prop_assert_eq!(&rec.writes, &want, "record {} changed", i);
+                }
+                let n = recovery.records.len();
+                let engine = recovered(&path, shards).expect("a prefix recovers");
+                let _ = engine.create_collection(CollectionSchema::key_value("ns"));
+                let mut t = engine.begin(Isolation::Snapshot);
+                for i in 0..commits {
+                    let want = (i < n).then_some(Value::Int(i as i64));
+                    prop_assert_eq!(t.get("ns", &Key::int(i as i64)).unwrap(), want);
+                }
+            }
+            Err(e) => {
+                let e = e.to_string();
+                // past the header, damage is located by record and offset
+                let located = e.contains("record index") && e.contains("byte offset");
+                prop_assert!(at < 12 || located, "unlocated error: {}", e);
+                prop_assert!(recovered(&path, shards).is_err());
+                prop_assert_eq!(std::fs::read(&path).unwrap(), bytes, "refused, not touched");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

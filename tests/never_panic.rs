@@ -3,18 +3,22 @@
 //! XML and XPath — starting from the texts the workload itself uses: the
 //! paper's Q1–Q10 and the DML statements, generated customer and order
 //! documents, generated invoices, and the XPath expressions the queries
-//! and `order_update` evaluate.
+//! and `order_update` evaluate; and over the WAL's frame decoder,
+//! starting from a real log of that workload.
 //!
-//! Mutations: byte flips, truncation, duplication of a token, a token
-//! repeated tens of thousands of times (long), and an opening token
-//! repeated that often around or in front of the text (deep). Everything
-//! derives from one `SplitMix64` seed and runs on a 2 MB thread, so a
-//! decoder whose recursion follows its input aborts the test; any other
-//! outcome — `Ok` or `Err` — passes.
+//! Text mutations: byte flips, truncation, duplication of a token, a
+//! token repeated tens of thousands of times (long), and an opening token
+//! repeated that often around or in front of the text (deep). Log
+//! mutations: byte flips, truncation, a duplicated frame, a length field
+//! near 4 GiB, and a frame with a valid checksum whose value nests
+//! 100 000 deep or claims 2^40 elements. Everything derives from one
+//! `SplitMix64` seed and runs on a 2 MB thread, so a decoder whose
+//! recursion follows its input aborts the test; any other outcome — `Ok`
+//! or `Err` — passes.
 
-use udbms::core::{Params, SplitMix64};
-use udbms::datagen::{build_engine, workload, GenConfig};
-use udbms::engine::{Engine, Isolation};
+use udbms::core::{Key, Params, SplitMix64};
+use udbms::datagen::{build_engine, create_collections, load_into_engine, workload, GenConfig};
+use udbms::engine::{Engine, Isolation, Wal};
 use udbms::query::Query;
 use udbms::xml::XPath;
 
@@ -102,6 +106,88 @@ fn mmql(engine: &Engine, params: &Params, text: &str) {
         let mut txn = engine.begin(Isolation::Snapshot);
         let _ = bound.execute(&mut txn);
     }
+}
+
+/// CRC-32 (IEEE), bit by bit: the WAL frame checksum.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for b in bytes {
+        c ^= u32::from(*b);
+        for _ in 0..8 {
+            c = if c & 1 == 1 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+/// Where each frame of a well-formed log starts. The layout (DESIGN.md
+/// §3): a 12-byte header, then frames of `[len u32][crc32 u32]` and
+/// `len` payload bytes, the checksum covering the length and payload.
+fn frame_starts(log: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut pos = 12;
+    while pos + 8 <= log.len() {
+        starts.push(pos);
+        pos += 8 + u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
+    }
+    starts
+}
+
+/// A frame with a valid checksum around one write whose value is
+/// `value` (encoded bytes): collection `ns`, key `Int(0)`.
+fn frame_around(value: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.extend(u64::MAX.to_le_bytes()); // commit ts
+    payload.extend(0u64.to_le_bytes()); // txn
+    payload.push(1); // one write
+    payload.extend(b"\x02ns"); // collection
+    payload.push(3); // key: INT ...
+    payload.extend(0i64.to_le_bytes());
+    payload.push(1); // ... written, not deleted
+    payload.extend(value);
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(&[&len[..], &payload].concat());
+    [&len[..], &crc.to_le_bytes(), &payload].concat()
+}
+
+/// One mutation of `log`, chosen and placed by `rng`.
+fn mutate_log(rng: &mut SplitMix64, log: &[u8], starts: &[usize]) -> Vec<u8> {
+    let mut b = log.to_vec();
+    let frame = rng.index(starts.len());
+    let (start, end) = (starts[frame], *starts.get(frame + 1).unwrap_or(&log.len()));
+    match rng.below(6) {
+        0 | 1 => {
+            for _ in 0..1 + rng.below(3) {
+                let i = rng.index(b.len());
+                b[i] ^= 1 << rng.below(8);
+            }
+        }
+        2 => b.truncate(rng.index(b.len())),
+        3 => b = [&log[..end], &log[start..]].concat(),
+        4 => {
+            let len = u32::MAX - rng.below(16) as u32;
+            b[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        }
+        _ => {
+            let value = if rng.chance(0.5) {
+                // ARRAY of one, MANY times over, around a NULL
+                let mut v = [7u8, 1].repeat(MANY);
+                v.push(0);
+                v
+            } else {
+                // an ARRAY or STR that claims 2^40 elements
+                let mut v = vec![if rng.chance(0.5) { 7 } else { 5 }];
+                v.extend([0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
+                v
+            };
+            b = [&log[..end], &frame_around(&value), &log[end..]].concat();
+        }
+    }
+    b
 }
 
 #[test]
@@ -225,6 +311,42 @@ fn mutated_inputs_never_panic() {
         for path in paths {
             assert!(XPath::parse(path).is_ok(), "{path}");
         }
+
+        // --- WAL: the log of a load and a few order updates ---
+        let wal =
+            std::env::temp_dir().join(format!("udbms-never-panic-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&wal);
+        {
+            let logged = Engine::with_wal(&wal).unwrap();
+            create_collections(&logged).unwrap();
+            load_into_engine(&logged, &data).unwrap();
+            for order in data.orders.iter().take(8) {
+                let key = Key::str(order.get_field("_id").as_str().unwrap());
+                logged
+                    .run(Isolation::Snapshot, |t| workload::order_update(t, &key))
+                    .unwrap();
+            }
+        }
+        let log = std::fs::read(&wal).unwrap();
+        let starts = frame_starts(&log);
+        assert_eq!(Wal::scan(&wal).unwrap().records.len(), starts.len());
+        // the checksum is right, so the decoder itself must refuse these
+        for value in [
+            [7u8, 1].repeat(MANY),
+            vec![5, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20],
+        ] {
+            std::fs::write(&wal, [&log[..], &frame_around(&value)].concat()).unwrap();
+            assert!(
+                Wal::scan(&wal).is_err(),
+                "a malformed frame behind a valid checksum"
+            );
+        }
+        let mut rng = root.substream("wal");
+        for _ in 0..200 {
+            std::fs::write(&wal, mutate_log(&mut rng, &log, &starts)).unwrap();
+            let _ = Wal::scan(&wal);
+        }
+        std::fs::remove_file(&wal).unwrap();
     };
     let walk = std::thread::Builder::new().stack_size(2 << 20).spawn(run);
     walk.unwrap()
