@@ -1053,10 +1053,11 @@ const E8: Gate = Gate {
 /// time vs log size (including a torn-tail crash simulation). Every
 /// throughput cell runs the identical distinct-key commit loop against
 /// a WAL-backed engine; the variables are the durability level, the
-/// client count, and which commit subsystem is on — the group-commit
-/// arm is the full new stack (queue + leader/follower drain + mmap
-/// append path), the per-commit arm is the seed engine's
-/// write-and-flush under `commit_lock`.
+/// client count, and which commit subsystem is on. Both arms append
+/// through the same buffered log; they differ only in the queue — the
+/// group-commit arm enqueues under `commit_lock` and a leader (or the
+/// log writer) drains batches, the per-commit arm writes and flushes
+/// its own frame under `commit_lock`.
 pub fn e8_durability(scale: RunScale) -> Report {
     let mut report = Report::gated(
         format!(
@@ -1186,9 +1187,9 @@ pub fn e8_durability(scale: RunScale) -> Report {
         let _ = std::fs::remove_file(&path);
     }
 
-    report.note("commit arms run the identical distinct-key loop: group-commit is the new");
-    report.note("durability stack (queue + leader/follower drain + mmap appends), per-commit");
-    report.note("is the seed engine's write+flush under commit_lock. recovery rows time");
+    report.note("commit arms run the identical distinct-key loop on the same buffered log and");
+    report.note("differ only in the queue: group-commit batches behind a leader/follower drain,");
+    report.note("per-commit writes+flushes each frame under commit_lock. recovery rows time");
     report.note("Engine::with_wal over the log size; the torn-tail row recovers a log");
     report.note("whose last frame was cut short");
     report

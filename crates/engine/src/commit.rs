@@ -12,7 +12,7 @@
 //!            validate writes  (SI/SER: first-committer-wins, one shard
 //!                              read-lock per touched shard)
 //!            validate reads   (SER: OCC — observed versions unchanged)
-//!            commit_ts = ++clock
+//!            commit_ts = published + 1
 //!            install versions + index postings (one shard write-lock
 //!              per touched shard, ascending shard order)
 //!            published = commit_ts
@@ -155,10 +155,9 @@ fn try_commit(inner: &Inner, state: &TxnState) -> (Outcome, Result<Ts>) {
         // buffered values are Arc-shared, so each install is a refcount
         // bump, not a value tree copy
         let install_stamp = inner.obs.start();
-        // ORDER: AcqRel — the new ts must come after every install
-        // the previous holder of commit_lock released (Acquire), and
-        // the snapshot loads above must not sink below it (Release).
-        let commit_ts = Ts(inner.clock.fetch_add(1, Ordering::AcqRel) + 1);
+        // ORDER: Acquire; only commit_lock holders publish, so the lock
+        // already orders this after the previous commit's store.
+        let commit_ts = Ts(inner.published.load(Ordering::Acquire) + 1);
         for (si, group) in write_groups.iter().enumerate() {
             if group.is_empty() {
                 continue;
@@ -450,7 +449,7 @@ mod tests {
 
     /// Every way a transaction ends leaves the registry empty, counts
     /// what it should and nothing else, and lets `gc` advance to the
-    /// clock — at one shard and at eight.
+    /// newest commit — at one shard and at eight.
     #[test]
     fn no_exit_leaks_a_registration() {
         use crate::{Engine, EngineConfig, FaultPlan};
@@ -578,9 +577,9 @@ mod tests {
                     after.read_conflicts - before.read_conflicts,
                 ];
                 assert_eq!(counted, *adds, "{name}");
-                // ORDER: test-only read of the clock, nothing concurrent.
-                let clock = Ts(e.inner.clock.load(Ordering::Acquire));
-                assert_eq!(e.gc().watermark, clock, "{name}");
+                // ORDER: test-only read, nothing concurrent.
+                let published = Ts(e.inner.published.load(Ordering::Acquire));
+                assert_eq!(e.gc().watermark, published, "{name}");
             }
             drop(e);
             let _ = std::fs::remove_file(&path);

@@ -42,15 +42,13 @@ const RUN_RETRY: RetryPolicy = RetryPolicy {
 };
 
 pub(crate) struct Inner {
-    /// Commit-timestamp clock. RMW'd (`AcqRel`) under `commit_lock` by
-    /// writing commits; read only by replay and the checkpoint. Tracked
-    /// so the model checker can interleave it.
-    pub(crate) clock: TrackedAtomicU64,
-    /// Timestamp of the newest **fully installed** commit, and the one
-    /// snapshot source. Stored (with `Release`) after a commit's versions
-    /// are in place but before `commit_lock` is dropped, so a reader that
-    /// loads it (`Acquire`, in `Registry::register`) can never observe a
-    /// half-installed commit and needs no `commit_lock` at all.
+    /// Timestamp of the newest **fully installed** commit, the one
+    /// snapshot source, and the commit clock: a committer draws
+    /// `published + 1` under `commit_lock`. Stored (with `Release`) after
+    /// a commit's versions are in place but before `commit_lock` is
+    /// dropped, so a reader that loads it (`Acquire`, in
+    /// `Registry::register`) can never observe a half-installed commit
+    /// and needs no `commit_lock` at all.
     pub(crate) published: TrackedAtomicU64,
     /// Hash-sharded storage; every shard carries its own lock.
     pub(crate) storage: ShardedStorage,
@@ -129,7 +127,6 @@ impl Engine {
         storage.attach_obs(&obs);
         Engine {
             inner: Arc::new(Inner {
-                clock: TrackedAtomicU64::named("engine.clock", 0),
                 published: TrackedAtomicU64::named("engine.published", 0),
                 storage,
                 catalog: TrackedRwLock::new(LockRank::Catalog, Catalog::new()),

@@ -26,8 +26,9 @@
 //! hot path, which for cheap flushes would cost more than it saves);
 //! at `Buffered`, where commits return without waiting, a **dedicated
 //! log-writer thread** drains every batch. Either way one flush/fsync
-//! covers the whole batch and `writing` arbitrates so exactly one
-//! drainer runs.
+//! covers the whole batch, `writing` arbitrates so exactly one drainer
+//! runs, and the drainer writes with the queue lock released, so the
+//! next batch forms behind it.
 //!
 //! `GroupLog` also supports a **synchronous** mode (no queue, no writer
 //! thread): each commit writes and flushes its own frame
@@ -195,42 +196,26 @@ impl LogShared {
     }
 
     /// Take the queued batch, write + flush/fsync it, retire it. The
-    /// caller verified `!writing` and a non-empty queue. Two regimes:
-    ///
-    /// * **Fsync** — the batch write blocks on the disk for
-    ///   milliseconds, so the queue is released during the I/O
-    ///   (`writing` handshake): committers keep enqueueing the next
-    ///   batch while this one syncs.
-    /// * **Buffered / Flush** — the batch write is a memcpy into the
-    ///   mmap'd log (no syscall), so the state lock is simply held
-    ///   through it: one lock session instead of two plus a handshake.
-    ///
-    /// Returns the (re-)acquired state lock.
+    /// caller verified `!writing` and a non-empty queue. The state lock
+    /// is released during the I/O — `writing` marks the batch in flight
+    /// — so committers keep enqueueing the next batch meanwhile. Returns
+    /// the re-acquired state lock.
     fn drain<'a>(
         &'a self,
         mut st: TrackedMutexGuard<'a, LogState>,
     ) -> TrackedMutexGuard<'a, LogState> {
-        if self.durability == Durability::Fsync {
-            st.writing = true;
-            self.writing.store(true, Ordering::Relaxed);
-            let batch = self.take_batch(&mut st);
-            drop(st);
-            let result = {
-                let mut wal = self.wal.lock();
-                self.write_batch(&mut wal, &batch)
-            };
-            st = self.state.lock();
-            st.writing = false;
-            self.writing.store(false, Ordering::Relaxed);
-            self.retire(&mut st, batch.len() as u64, result);
-        } else {
-            let batch = self.take_batch(&mut st);
-            let result = {
-                let mut wal = self.wal.lock();
-                self.write_batch(&mut wal, &batch)
-            };
-            self.retire(&mut st, batch.len() as u64, result);
-        }
+        st.writing = true;
+        self.writing.store(true, Ordering::Relaxed);
+        let batch = self.take_batch(&mut st);
+        drop(st);
+        let result = {
+            let mut wal = self.wal.lock();
+            self.write_batch(&mut wal, &batch)
+        };
+        let mut st = self.state.lock();
+        st.writing = false;
+        self.writing.store(false, Ordering::Relaxed);
+        self.retire(&mut st, batch.len() as u64, result);
         if st.waiters > 0 {
             self.done.notify_all();
         }
@@ -450,8 +435,8 @@ impl GroupLog {
         // at Fsync a batch costs a disk round-trip, so a would-be
         // leader yields once first, letting concurrently running
         // committers pile into the batch (one fdatasync then covers all
-        // of them); at Flush the drain is a memcpy and batching buys
-        // nothing, so lead immediately
+        // of them); at Flush the drain is one write() and the yield
+        // would cost more than it batches, so lead immediately
         let lead_after = u32::from(self.shared.durability == Durability::Fsync);
         let mut yields = 0u32;
         loop {
@@ -814,43 +799,31 @@ mod tests {
     }
 
     #[test]
-    fn failed_fsync_poisons_the_log_on_both_backends() {
-        // fsyncgate rule, pinned on both backends: one failed fsync and
-        // the log never acks durability again — every later commit gets
+    fn failed_fsync_poisons_the_log() {
+        // fsyncgate rule: one failed fsync and the log never acks
+        // durability again — every later commit gets
         // Error::Unavailable, not a silent retry
-        for mapped in [false, true] {
-            let path = temp_path(if mapped { "poison-m" } else { "poison-b" });
-            let wal = if mapped {
-                Wal::open_mapped(&path).unwrap()
-            } else {
-                Wal::open(&path).unwrap()
-            };
-            wal.faults().fail_once("sync");
-            let log = GroupLog::start(wal, Durability::Fsync, true, test_obs());
-            let seq = log.commit(rec(1)).unwrap();
-            let err = log.wait_durable(seq).unwrap_err();
-            assert!(
-                matches!(err, Error::Unavailable(_)),
-                "mapped={mapped}: {err}"
-            );
-            assert!(err.to_string().contains("wal poisoned"), "{err}");
-            // the sync fault was one-shot, but the poison is sticky:
-            // retrying the fsync is exactly what must never happen
-            for _ in 0..3 {
-                let err = log.commit(rec(2)).unwrap_err();
-                assert!(
-                    matches!(err, Error::Unavailable(_)),
-                    "mapped={mapped}: {err}"
-                );
-                assert!(!err.is_retryable());
-            }
-            assert!(
-                matches!(log.failure(), Some(false)),
-                "poisoned, not read-only"
-            );
-            drop(log);
-            std::fs::remove_file(&path).unwrap();
+        let path = temp_path("poison");
+        let wal = Wal::open(&path).unwrap();
+        wal.faults().fail_once("sync");
+        let log = GroupLog::start(wal, Durability::Fsync, true, test_obs());
+        let seq = log.commit(rec(1)).unwrap();
+        let err = log.wait_durable(seq).unwrap_err();
+        assert!(matches!(err, Error::Unavailable(_)), "{err}");
+        assert!(err.to_string().contains("wal poisoned"), "{err}");
+        // the sync fault was one-shot, but the poison is sticky:
+        // retrying the fsync is exactly what must never happen
+        for _ in 0..3 {
+            let err = log.commit(rec(2)).unwrap_err();
+            assert!(matches!(err, Error::Unavailable(_)), "{err}");
+            assert!(!err.is_retryable());
         }
+        assert!(
+            matches!(log.failure(), Some(false)),
+            "poisoned, not read-only"
+        );
+        drop(log);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -913,15 +886,20 @@ mod tests {
             true,
             test_obs(),
         ));
-        let next_ts = std::sync::atomic::AtomicU64::new(1);
+        // stands in for commit_lock: timestamps are drawn and enqueued
+        // in one step, so queue order is timestamp order
+        let last_ts = std::sync::Mutex::new(0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let log = std::sync::Arc::clone(&log);
-                let next_ts = &next_ts;
+                let last_ts = &last_ts;
                 scope.spawn(move || {
                     for _ in 0..25 {
-                        let ts = next_ts.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        let seq = log.commit(rec(ts)).unwrap();
+                        let seq = {
+                            let mut ts = last_ts.lock().unwrap();
+                            *ts += 1;
+                            log.commit(rec(*ts)).unwrap()
+                        };
                         log.wait_durable(seq).unwrap();
                     }
                 });

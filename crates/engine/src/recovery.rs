@@ -58,16 +58,8 @@ impl Engine {
             .inner
             .obs
             .event("recovery", replayed as u64, recovery.truncated_bytes);
-        // group commit appends through the mmap'd fast path (no syscall
-        // per record); the per-commit comparison arm keeps the seed
-        // engine's buffered-write path
-        let wal = if config.group_commit {
-            Wal::open_mapped_with_faults(path, faults)?
-        } else {
-            Wal::open_with_faults(path, faults)?
-        };
         let log = GroupLog::start(
-            wal,
+            Wal::open_with_faults(path, faults)?,
             config.durability,
             config.group_commit,
             Arc::clone(&engine.inner.obs),
@@ -92,10 +84,9 @@ impl Engine {
         type ReplayBucket = Vec<(RecordId, Ts, Option<Arc<Value>>)>;
         let n = records.len();
         let mut catalog = self.inner.catalog.write();
-        // ORDER: Acquire pairs with the commit path's AcqRel fetch_add;
-        // replay runs before concurrent commits but must still observe
-        // any clock value a prior engine incarnation published.
-        let mut max_ts = self.inner.clock.load(Ordering::Acquire);
+        // ORDER: Acquire pairs with the commit path's Release publish;
+        // replay resumes from the newest commit already installed.
+        let mut max_ts = self.inner.published.load(Ordering::Acquire);
         // resolve collections and bucket installs per shard, preserving
         // log order inside each bucket (per-key order is per-shard order)
         let mut buckets: Vec<ReplayBucket> = vec![Vec::new(); self.inner.storage.shard_count()];
@@ -119,9 +110,6 @@ impl Engine {
                 shard.install(rid, ts, value);
             }
         }
-        // ORDER: Release — `clock` pairs with the Acquire load under
-        // commit_lock in checkpoint.
-        self.inner.clock.store(max_ts, Ordering::Release);
         // ORDER: Release — a reader that Acquire-loads `published`
         // (Registry::register) must see every version installed by the
         // shard writes above.
@@ -134,9 +122,9 @@ impl Engine {
     /// that snapshot. No-op (Ok) when the engine has no WAL.
     ///
     /// Commits are **not** stalled for the duration: `commit_lock` is
-    /// held only long enough to read the snapshot timestamp (so every
-    /// commit at or below it is installed *and* enqueued, which
-    /// `published` alone does not promise), the collection scan runs
+    /// held only long enough to read `published` (under the lock every
+    /// commit at or below it is installed *and* enqueued, which a
+    /// lock-free read does not promise), the collection scan runs
     /// against MVCC shard reads, and only the final swap — drain the
     /// commit queue, filter the tail, fsync + rename — briefly closes
     /// the queue (work proportional to the log tail, not the database).
@@ -149,9 +137,8 @@ impl Engine {
         let snapshot = {
             let _commit = self.inner.commit_lock.lock();
             // ORDER: Acquire under commit_lock; the lock already orders
-            // this after the last commit's AcqRel fetch_add, Acquire (not
-            // SeqCst) states the actual requirement.
-            Ts(self.inner.clock.load(Ordering::Acquire))
+            // this after the last commit's publish and enqueue.
+            Ts(self.inner.published.load(Ordering::Acquire))
         };
         // every commit with ts ≤ snapshot is fully installed (it held
         // commit_lock through install + enqueue), so this scan is a
@@ -180,7 +167,7 @@ impl Engine {
         }
         if synthetic.is_empty() {
             // an empty state still carries the snapshot's timestamp, so
-            // the clock a reopened engine resumes from never goes back
+            // the timestamp a reopened engine resumes from never goes back
             codec::push_frame(&mut synthetic, snapshot, TxnId(0), std::iter::empty())?;
         }
         self.inner

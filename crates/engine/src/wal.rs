@@ -12,14 +12,18 @@
 //! ## Crash tolerance
 //!
 //! A crash mid-append leaves a *torn tail*: a final frame that is short,
-//! fails its checksum, or is the zero padding a mapped log leaves past
-//! its end. [`Wal::scan`] tolerates exactly that — it returns every
-//! record of the longest valid prefix and reports how many trailing
-//! bytes it ignored. A damaged frame with an intact frame after it is a
-//! different animal (bit rot, a bug) and fails recovery with the record
-//! index and byte offset, as does a file without the header, which is
-//! never modified. [`Wal::recover`] additionally truncates the file to
-//! the valid prefix so subsequent appends start at a frame boundary.
+//! fails its checksum, or is zeros. [`Wal::scan`] tolerates exactly
+//! that — it returns every record of the longest valid prefix and
+//! reports how many trailing bytes it ignored. A damaged frame with an
+//! intact frame after it is a different animal (bit rot, a bug) and
+//! fails recovery with the record index and byte offset, as does an
+//! intact frame whose commit timestamp does not follow its
+//! predecessor's, and a file without the header, which is never
+//! modified. [`Wal::recover`] additionally truncates the file to the
+//! valid prefix so subsequent appends start at a frame boundary.
+//!
+//! Appends go through one `BufWriter`: [`Wal::flush`] is one `write()`
+//! syscall per batch, [`Wal::sync_data`] an `fdatasync`.
 //!
 //! ## Locking
 //!
@@ -38,12 +42,8 @@ use udbms_core::{Error, Key, Result, Ts, TxnId, Value};
 
 pub(crate) mod codec;
 pub mod fault;
-#[cfg(unix)]
-mod mapped;
 
 use fault::{Action, FaultPlan};
-#[cfg(unix)]
-use mapped::MmapAppender;
 
 /// One logged commit.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,24 +103,11 @@ pub struct PreparedRewrite {
     writer: BufWriter<File>,
 }
 
-/// How a [`Wal`] writes its bytes.
-#[derive(Debug)]
-enum Backend {
-    /// Historical path: `BufWriter` + explicit flush (one `write`
-    /// syscall per flush).
-    Buffered(BufWriter<File>),
-    /// Group-commit path: appends memcpy into an `mmap`'d region — the
-    /// page cache directly, no syscall — with identical process-crash
-    /// durability to a flushed write.
-    #[cfg(unix)]
-    Mapped(MmapAppender),
-}
-
 /// An append-only write-ahead log backed by a file.
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
-    backend: Backend,
+    writer: BufWriter<File>,
     records_written: usize,
     faults: Arc<FaultPlan>,
     /// Reused by [`Wal::append`] to encode one record.
@@ -128,8 +115,7 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Open (creating or appending to) a WAL file on the buffered
-    /// backend (`BufWriter` + per-flush `write` syscall).
+    /// Open (creating or appending to) a WAL file.
     pub fn open(path: impl AsRef<Path>) -> Result<Wal> {
         Wal::open_with_faults(path, Arc::new(FaultPlan::none()))
     }
@@ -140,67 +126,30 @@ impl Wal {
     pub fn open_with_faults(path: impl AsRef<Path>, faults: Arc<FaultPlan>) -> Result<Wal> {
         let path = path.as_ref().to_path_buf();
         Wal::clean_orphan_tmp(&path)?;
-        let (file, _) = Wal::with_header(&path)?;
-        Ok(Wal::new(
+        let writer = BufWriter::new(Wal::with_header(&path)?);
+        Ok(Wal {
             path,
-            Backend::Buffered(BufWriter::new(file)),
-            faults,
-        ))
-    }
-
-    /// Open a WAL whose appends go through a memory-mapped region: one
-    /// memcpy into the page cache per record, no syscall, same
-    /// process-crash durability as a flushed write ([`Wal::flush`] is a
-    /// no-op; [`Wal::sync_data`] still reaches the disk). While an
-    /// append mapping is live the file is zero-padded to the mapped
-    /// capacity — recovery treats the padding as a torn tail and clean
-    /// shutdown trims it. Falls back to [`Wal::open`] off unix.
-    pub fn open_mapped(path: impl AsRef<Path>) -> Result<Wal> {
-        Wal::open_mapped_with_faults(path, Arc::new(FaultPlan::none()))
-    }
-
-    /// [`Wal::open_mapped`] with a fault-injection plan (see
-    /// [`Wal::open_with_faults`]).
-    pub fn open_mapped_with_faults(path: impl AsRef<Path>, faults: Arc<FaultPlan>) -> Result<Wal> {
-        #[cfg(unix)]
-        {
-            let path = path.as_ref().to_path_buf();
-            Wal::clean_orphan_tmp(&path)?;
-            let (_, existing) = Wal::with_header(&path)?;
-            let appender = MmapAppender::open(&path, existing)?;
-            Ok(Wal::new(path, Backend::Mapped(appender), faults))
-        }
-        #[cfg(not(unix))]
-        {
-            Wal::open_with_faults(path, faults)
-        }
-    }
-
-    fn new(path: PathBuf, backend: Backend, faults: Arc<FaultPlan>) -> Wal {
-        Wal {
-            path,
-            backend,
+            writer,
             records_written: 0,
             faults,
             scratch: Vec::new(),
-        }
+        })
     }
 
     /// Make sure the file at `path` starts with the header, writing it
     /// into an empty or missing file; returns the file, open for
-    /// appending, and its length. A file holding anything else is
-    /// refused: recovery, which runs first, either truncated a torn
-    /// header away or rejected the file.
-    fn with_header(path: &Path) -> Result<(File, u64)> {
+    /// appending. A file holding anything else is refused: recovery,
+    /// which runs first, either truncated a torn header away or rejected
+    /// the file.
+    fn with_header(path: &Path) -> Result<File> {
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
             .open(path)?;
-        let len = file.metadata()?.len();
-        if len == 0 {
+        if file.metadata()?.len() == 0 {
             file.write_all(&codec::HEADER)?;
-            return Ok((file, codec::HEADER.len() as u64));
+            return Ok(file);
         }
         let mut head = [0; codec::HEADER.len()];
         if file.read_exact(&mut head).is_err() || head != codec::HEADER {
@@ -209,7 +158,7 @@ impl Wal {
                 path.display()
             )));
         }
-        Ok((file, len))
+        Ok(file)
     }
 
     /// Remove a stale `<log>.tmp` sibling left by a rewrite that died
@@ -267,47 +216,23 @@ impl Wal {
                 // a torn write: exactly `keep` bytes reach the log (and
                 // are made OS-visible, so recovery tests see the tear),
                 // then the device "fails"
-                let torn = &frame[..keep];
-                match &mut self.backend {
-                    Backend::Buffered(w) => {
-                        w.write_all(torn)?;
-                        w.flush()?;
-                    }
-                    #[cfg(unix)]
-                    Backend::Mapped(m) => m.append(torn)?,
-                }
+                self.writer.write_all(&frame[..keep])?;
+                self.writer.flush()?;
                 return Err(injected("append.write", "short write"));
             }
             Action::Crash => return self.crash("append.write"),
             Action::Fail(e) => return Err(e),
         }
-        // mapped capacity growth is its own site: the zero-extension in
-        // remap is where a full disk actually bites on this backend
-        #[cfg(unix)]
-        if let Backend::Mapped(m) = &self.backend {
-            if m.would_grow(frame.len()) {
-                self.gate("mapped.remap")?;
-            }
-        }
-        match &mut self.backend {
-            Backend::Buffered(w) => w.write_all(frame)?,
-            #[cfg(unix)]
-            Backend::Mapped(m) => m.append(frame)?,
-        }
+        self.writer.write_all(frame)?;
         self.records_written += 1;
         Ok(())
     }
 
-    /// Make appended records OS-owned (survives process crash): a
-    /// `write` syscall on the buffered backend, a no-op on the mapped
-    /// backend (the memcpy already landed in the page cache).
+    /// Make appended records OS-owned (survives process crash): one
+    /// `write` syscall for everything appended since the last flush.
     pub fn flush(&mut self) -> Result<()> {
         self.gate("flush")?;
-        match &mut self.backend {
-            Backend::Buffered(w) => w.flush()?,
-            #[cfg(unix)]
-            Backend::Mapped(_) => {}
-        }
+        self.writer.flush()?;
         Ok(())
     }
 
@@ -315,11 +240,7 @@ impl Wal {
     /// [`Wal::flush`] — only flushed bytes can be synced.
     pub fn sync_data(&mut self) -> Result<()> {
         self.gate("sync")?;
-        match &mut self.backend {
-            Backend::Buffered(w) => w.get_ref().sync_data()?,
-            #[cfg(unix)]
-            Backend::Mapped(m) => m.sync_data()?,
-        }
+        self.writer.get_ref().sync_data()?;
         Ok(())
     }
 
@@ -343,12 +264,13 @@ impl Wal {
     /// valid prefix. A short, zero or checksum-failing **final** frame is
     /// the signature of a crash mid-append and is reported as truncated
     /// bytes rather than an error; a damaged frame with an intact frame
-    /// after it, a malformed payload, or a file without the header is
-    /// an error. Does not modify the file — [`Wal::recover`] does.
+    /// after it, a malformed payload, a commit timestamp that does not
+    /// follow the one before it, or a file without the header is an
+    /// error. Does not modify the file — [`Wal::recover`] does.
     pub fn scan(path: impl AsRef<Path>) -> Result<WalRecovery> {
         let bytes = Wal::bytes(path.as_ref())?;
         let mut records = Vec::new();
-        let valid = codec::walk(&bytes, |frame| {
+        let valid = codec::walk(&bytes, |frame, _| {
             records.push(codec::decode(frame)?);
             Ok(())
         })?;
@@ -377,8 +299,8 @@ impl Wal {
     pub(crate) fn frames_after(&self, snapshot: Ts) -> Result<Vec<u8>> {
         let bytes = Wal::bytes(&self.path)?;
         let mut tail = Vec::new();
-        codec::walk(&bytes, |frame| {
-            if codec::frame_ts(frame)? > snapshot {
+        codec::walk(&bytes, |frame, commit_ts| {
+            if commit_ts > snapshot {
                 tail.extend_from_slice(frame);
             }
             Ok(())
@@ -423,7 +345,7 @@ impl Wal {
 
     /// Second phase: append `tail` (encoded records) to the prepared
     /// temp file, fsync, and atomically install it over the log (rename
-    /// + parent-dir fsync), reopening the same backend kind.
+    /// + parent-dir fsync), then reopen it for appending.
     pub fn finish_rewrite(&mut self, prepared: PreparedRewrite, tail: &[u8]) -> Result<()> {
         let PreparedRewrite { tmp, mut writer } = prepared;
         self.gate("rewrite.finish.write")?;
@@ -446,18 +368,8 @@ impl Wal {
             File::open(dir)?.sync_all()?;
         }
         self.gate("rewrite.reopen")?;
-        // reopen the same backend kind over the new file (the old
-        // handle pointed at the now-orphaned inode)
-        self.backend = match &self.backend {
-            Backend::Buffered(_) => Backend::Buffered(BufWriter::new(
-                OpenOptions::new().append(true).open(&self.path)?,
-            )),
-            #[cfg(unix)]
-            Backend::Mapped(_) => {
-                let size = std::fs::metadata(&self.path)?.len();
-                Backend::Mapped(MmapAppender::open(&self.path, size)?)
-            }
-        };
+        // the old handle points at the now-orphaned inode
+        self.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
         Ok(())
     }
 
@@ -527,7 +439,37 @@ mod tests {
         let rec = sample(42);
         let bytes = frame(42);
         assert_eq!(codec::decode(&bytes).unwrap(), rec);
-        assert_eq!(codec::frame_ts(&bytes).unwrap(), Ts(42));
+        assert_eq!(codec::frame_stamp(&bytes).unwrap(), (Ts(42), TxnId(420)));
+    }
+
+    #[test]
+    fn commit_timestamps_must_advance() {
+        let path = temp_path("order");
+        let synthetic = |ts: u64| {
+            let mut rec = sample(ts);
+            rec.txn = TxnId(0);
+            encode_all(&[rec]).unwrap()
+        };
+        // a checkpoint's synthetic run shares one timestamp; the tail
+        // after it moves on
+        let ok = [synthetic(5), synthetic(5), frame(6), frame(7)].concat();
+        write_log(&path, &ok);
+        assert_eq!(Wal::scan(&path).unwrap().records.len(), 4);
+        // each pair goes wrong at its second frame
+        let located = format!("record index 1, byte offset {}", 12 + frame(5).len());
+        for body in [
+            [frame(5), frame(5)].concat(),
+            [frame(6), frame(5)].concat(),
+            [synthetic(5), frame(5)].concat(),
+            [frame(5), synthetic(5)].concat(),
+        ] {
+            write_log(&path, &body);
+            let err = Wal::recover(&path).unwrap_err().to_string();
+            assert!(err.contains(&located), "{err}");
+            let on_disk = std::fs::read(&path).unwrap();
+            assert_eq!(on_disk, [&codec::HEADER[..], &body].concat());
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -588,7 +530,7 @@ mod tests {
             &next[..next.len() / 2], // cut mid-payload
             &next[..next.len() - 1], // one byte short
             &flipped[..],            // complete, but fails its checksum
-            &[0u8; 300][..],         // mapped padding
+            &[0u8; 300][..],         // zeros: the size reached the disk, the data did not
         ] {
             write_log(&path, &[&good[..], tail].concat());
             let recovery = Wal::scan(&path).unwrap();
@@ -603,7 +545,7 @@ mod tests {
 
     #[test]
     fn writeback_hole_truncates_instead_of_failing() {
-        // power-loss shape on a mapped log: an unflushed page (zeros)
+        // power-loss shape: an unflushed page (zeros)
         // followed by a later page that did reach the disk — only
         // unacked data is involved, so recovery truncates at the hole,
         // whether it starts at a frame boundary or inside a frame
@@ -720,47 +662,32 @@ mod tests {
     fn open_cleans_orphaned_rewrite_tmp() {
         // a rewrite that died between prepare and rename leaves a .tmp
         // sibling that was never part of the log; open must remove it
-        for mapped in [false, true] {
-            let path = temp_path(if mapped { "orphan-m" } else { "orphan-b" });
-            let tmp = path.with_extension("tmp");
-            write_log(&path, &frame(1));
-            std::fs::write(&tmp, "half-written checkpoint").unwrap();
-            let wal = if mapped {
-                Wal::open_mapped(&path).unwrap()
-            } else {
-                Wal::open(&path).unwrap()
-            };
-            assert!(
-                !tmp.exists(),
-                "orphan tmp removed on open (mapped={mapped})"
-            );
-            drop(wal);
-            // the log itself is untouched
-            assert_eq!(Wal::read_all(&path).unwrap().len(), 1);
-            std::fs::remove_file(&path).unwrap();
-        }
+        let path = temp_path("orphan");
+        let tmp = path.with_extension("tmp");
+        write_log(&path, &frame(1));
+        std::fs::write(&tmp, "half-written checkpoint").unwrap();
+        let wal = Wal::open(&path).unwrap();
+        assert!(!tmp.exists(), "orphan tmp removed on open");
+        drop(wal);
+        // the log itself is untouched
+        assert_eq!(Wal::read_all(&path).unwrap().len(), 1);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn short_write_fault_leaves_recoverable_torn_prefix() {
-        for mapped in [false, true] {
-            let path = temp_path(if mapped { "short-m" } else { "short-b" });
-            let mut wal = if mapped {
-                Wal::open_mapped(&path).unwrap()
-            } else {
-                Wal::open(&path).unwrap()
-            };
-            wal.append(&sample(1)).unwrap();
-            wal.flush().unwrap();
-            wal.faults().short_write("append.write", 7);
-            assert!(wal.append(&sample(2)).is_err(), "mapped={mapped}");
-            drop(wal); // mapped Drop trims padding but keeps the tear
-            let recovery = Wal::recover(&path).unwrap();
-            assert_eq!(recovery.records.len(), 1, "mapped={mapped}");
-            assert_eq!(recovery.records[0].commit_ts, Ts(1));
-            assert!(recovery.was_torn(), "mapped={mapped}");
-            std::fs::remove_file(&path).unwrap();
-        }
+        let path = temp_path("short");
+        let mut wal = Wal::open(&path).unwrap();
+        wal.append(&sample(1)).unwrap();
+        wal.flush().unwrap();
+        wal.faults().short_write("append.write", 7);
+        assert!(wal.append(&sample(2)).is_err());
+        drop(wal);
+        let recovery = Wal::recover(&path).unwrap();
+        assert_eq!(recovery.records.len(), 1);
+        assert_eq!(recovery.records[0].commit_ts, Ts(1));
+        assert!(recovery.was_torn());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -341,14 +341,14 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The commit timestamp of a checksummed frame, read at its fixed
-/// offset without decoding the rest.
-pub(crate) fn frame_ts(frame: &[u8]) -> Result<Ts> {
+/// The commit timestamp and transaction of a checksummed frame, read at
+/// their fixed offsets without decoding the rest.
+pub(crate) fn frame_stamp(frame: &[u8]) -> Result<(Ts, TxnId)> {
     let mut r = Reader {
         bytes: frame,
         pos: FRAME_HEADER,
     };
-    r.u64().map(Ts)
+    Ok((Ts(r.u64()?), TxnId(r.u64()?)))
 }
 
 /// Decode a checksummed frame back into the record it was encoded from.
@@ -408,24 +408,29 @@ fn zero_page_in(bytes: &[u8], from: usize, to: usize) -> bool {
 }
 
 /// Walk a log's bytes frame by frame, handing each intact frame (header
-/// included) to `each` in order; returns the length of the valid prefix.
+/// included) and its commit timestamp to `each` in order; returns the
+/// length of the valid prefix.
 ///
 /// * **Header.** A prefix of [`HEADER`] followed by nothing or by zeros
-///   (a header torn mid-write, a file of mmap padding, a first page
-///   never written back) is a log that holds nothing yet: the valid
-///   prefix is empty. Anything else without the magic, or with another
-///   version, is an error.
+///   (a header torn mid-write, a first page never written back) is a
+///   log that holds nothing yet: the valid prefix is empty. Anything
+///   else without the magic, or with another version, is an error.
 /// * **Torn tail.** The walk stops, without error, at fewer than eight
-///   bytes, at a zero length with a zero checksum (where an mmap'd log's
-///   padding starts), and at a frame that is short or fails its checksum
-///   when no intact frame follows it.
+///   bytes, at a zero length with a zero checksum (a file size that
+///   reached the disk before its data), and at a frame that is short or
+///   fails its checksum when no intact frame follows it.
 /// * **Interior damage.** A frame that is short or fails its checksum
 ///   with an intact frame somewhere after it is an error naming its
 ///   record index and byte offset — unless an aligned zero page lies
 ///   between the two: a page-writeback hole, past which nothing was ever
 ///   covered by a completed sync, so the walk stops there instead.
+/// * **Commit order.** Each intact frame's commit timestamp must exceed
+///   its predecessor's; only a checkpoint's synthetic run (transaction
+///   0 on both sides) repeats one. A frame that goes back or repeats is
+///   an error with the same location: replaying it would install
+///   versions out of order.
 /// * Errors from `each` come back with the same location.
-pub(crate) fn walk(bytes: &[u8], mut each: impl FnMut(&[u8]) -> Result<()>) -> Result<usize> {
+pub(crate) fn walk(bytes: &[u8], mut each: impl FnMut(&[u8], Ts) -> Result<()>) -> Result<usize> {
     let head = &bytes[..bytes.len().min(HEADER.len())];
     let matched = head.iter().zip(&HEADER).take_while(|(a, b)| a == b).count();
     if matched < HEADER.len() {
@@ -450,9 +455,21 @@ pub(crate) fn walk(bytes: &[u8], mut each: impl FnMut(&[u8]) -> Result<()>) -> R
     };
     let mut pos = HEADER.len();
     let mut index = 0;
+    let mut prev: Option<(Ts, TxnId)> = None;
     while pos < bytes.len() {
         if let Some(end) = frame_end(bytes, pos) {
-            each(&bytes[pos..end]).map_err(|e| located(index, pos, e.to_string()))?;
+            let frame = &bytes[pos..end];
+            let at = |e: Error| located(index, pos, e.to_string());
+            let (ts, txn) = frame_stamp(frame).map_err(at)?;
+            if let Some((prev_ts, prev_txn)) = prev {
+                let synthetic_run = ts == prev_ts && txn == TxnId(0) && prev_txn == TxnId(0);
+                if ts <= prev_ts && !synthetic_run {
+                    let what = format!("commit timestamp {ts} does not follow {prev_ts}");
+                    return Err(located(index, pos, what));
+                }
+            }
+            prev = Some((ts, txn));
+            each(frame, ts).map_err(at)?;
             pos = end;
             index += 1;
             continue;
@@ -526,8 +543,8 @@ mod tests {
         )
         .unwrap();
         let mut frames = Vec::new();
-        let valid = walk(&log, |f| {
-            frames.push((frame_ts(f).unwrap(), decode(f).unwrap()));
+        let valid = walk(&log, |f, ts| {
+            frames.push((ts, decode(f).unwrap()));
             Ok(())
         })
         .unwrap();

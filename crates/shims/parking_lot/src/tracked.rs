@@ -602,8 +602,8 @@ impl<T: ?Sized> Drop for TrackedRwLockWriteGuard<'_, T> {
 /// excluded by coherence or happens-before, so an under-synchronized
 /// ordering shows up as an observably stale read.
 ///
-/// The engine's sync-carrying atomics (`clock`, `published`, the
-/// group-commit state) live on these wrappers; pure counters stay on the
+/// The engine's sync-carrying atomics (`published`, the group-commit
+/// state) live on these wrappers; pure counters stay on the
 /// raw std types and are policed by lint rule L6 instead.
 pub struct TrackedAtomicU64 {
     inner: std::sync::atomic::AtomicU64,

@@ -149,6 +149,96 @@ fn flipped_length_with_frames_after_it_is_an_error_not_a_truncation() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// Write `bytes` as the log at `path` and expect the engine to refuse
+/// it, naming record `index` at byte `offset`, without touching it.
+fn refused_at(path: &PathBuf, bytes: &[u8], index: usize, offset: u64) {
+    std::fs::write(path, bytes).unwrap();
+    let err = recovered(path, 4)
+        .err()
+        .expect("a log out of commit order must not open");
+    assert!(
+        err.contains(&format!("record index {index}"))
+            && err.contains(&format!("byte offset {offset}"))
+            && err.contains("does not follow"),
+        "{err}"
+    );
+    assert_eq!(
+        std::fs::read(path).unwrap(),
+        bytes,
+        "refused, not truncated"
+    );
+}
+
+#[test]
+fn a_duplicated_final_frame_is_refused_and_left_unmodified() {
+    let path = temp_wal("dup-frame");
+    let ends = build_log(&path, 5);
+    let log = std::fs::read(&path).unwrap();
+    let last = &log[ends[3] as usize..];
+    refused_at(&path, &[&log[..], last].concat(), 5, ends[4]);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn swapped_frames_are_refused_and_left_unmodified() {
+    let path = temp_wal("swapped");
+    let ends = build_log(&path, 5);
+    let log = std::fs::read(&path).unwrap();
+    let frame = |i: usize| &log[ends[i - 1] as usize..ends[i] as usize];
+    // frames 2 and 3 trade places: the walk meets commit 4, then 3
+    let swapped = [
+        &log[..ends[1] as usize],
+        frame(3),
+        frame(2),
+        &log[ends[3] as usize..],
+    ]
+    .concat();
+    refused_at(&path, &swapped, 3, ends[1] + frame(3).len() as u64);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_checkpointed_log_reopens_with_its_synthetic_run_and_tail() {
+    let path = temp_wal("checkpointed");
+    let put_both = |engine: &Engine, i: i64| {
+        engine
+            .run(Isolation::Snapshot, |t| {
+                t.put("a", Key::int(i), Value::Int(i))?;
+                t.put("b", Key::int(i), Value::Int(i))
+            })
+            .unwrap();
+    };
+    {
+        let engine = Engine::with_wal(&path).unwrap();
+        for name in ["a", "b"] {
+            engine
+                .create_collection(CollectionSchema::key_value(name))
+                .unwrap();
+        }
+        (0..10).for_each(|i| put_both(&engine, i));
+        engine.checkpoint().unwrap();
+        (10..15).for_each(|i| put_both(&engine, i));
+    }
+    // one synthetic frame per collection, both at the snapshot, then
+    // the commits after it
+    let records = Wal::read_all(&path).unwrap();
+    let stamps: Vec<(u64, u64)> = records.iter().map(|r| (r.commit_ts.0, r.txn.0)).collect();
+    assert_eq!(&stamps[..2], &[(10, 0), (10, 0)]);
+    let tail: Vec<u64> = stamps[2..].iter().map(|(ts, _)| *ts).collect();
+    assert_eq!(tail, (11..=15).collect::<Vec<_>>());
+    for round in 0..2 {
+        let engine = Engine::with_wal(&path).expect("a checkpointed log reopens");
+        let mut t = engine.begin(Isolation::Snapshot);
+        for name in ["a", "b"] {
+            assert_eq!(t.scan_shared(name).unwrap().len(), 15 + round, "{name}");
+        }
+        drop(t);
+        // and takes new commits after its tail
+        put_both(&engine, 100 + round as i64);
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn a_json_lines_log_is_refused_and_left_unmodified() {
     let path = temp_wal("json-lines");
@@ -341,10 +431,10 @@ proptest! {
             .unwrap();
         file.set_len(cut).unwrap();
         if zero_pad {
-            // the mmap appender's crash signature: the file is
-            // zero-extended to the mapped chunk capacity, so the torn
-            // tail is NUL padding after the valid prefix rather than a
-            // clean end-of-file (set_len past the cut zero-fills)
+            // power loss after the file size reached the disk but the
+            // data did not: the torn tail is NUL bytes after the valid
+            // prefix rather than a clean end-of-file (set_len past the
+            // cut zero-fills)
             file.set_len(cut + 4096).unwrap();
         }
         drop(file);

@@ -1,6 +1,6 @@
 //! CrashMonkey/ALICE-style storage-fault torture: a seeded fault plan
-//! fires a crash point at every phase-tagged I/O site of both WAL
-//! backends, snapshots the on-disk state the "dead process" left
+//! fires a crash point at every phase-tagged I/O site of the WAL,
+//! snapshots the on-disk state the "dead process" left
 //! behind, and recovery of that image must yield an **exact prefix of
 //! the complete commits** — never a reordering, never a hole, never a
 //! refusal to open. Checkpoint-rewrite crash points additionally pin
@@ -32,25 +32,12 @@ fn rec(i: usize) -> WalRecord {
     }
 }
 
-fn open_wal(path: &PathBuf, mapped: bool, plan: Arc<FaultPlan>) -> Wal {
-    if mapped {
-        Wal::open_mapped_with_faults(path, plan).expect("open mapped wal")
-    } else {
-        Wal::open_with_faults(path, plan).expect("open buffered wal")
-    }
+fn open_wal(path: &PathBuf, plan: Arc<FaultPlan>) -> Wal {
+    Wal::open_with_faults(path, plan).expect("open wal")
 }
 
-/// The sites a plain append+flush+sync cycle drives, per backend.
-/// `mapped.remap` only exists on the mapped backend and only fires
-/// while the append mapping has to (re)grow — so it gets no warmup
-/// (the first post-arm append maps lazily and must grow).
-fn append_sites(mapped: bool) -> Vec<&'static str> {
-    let mut v = vec!["append.write", "flush", "sync"];
-    if mapped {
-        v.push("mapped.remap");
-    }
-    v
-}
+/// The sites a plain append+flush+sync cycle drives.
+const APPEND_SITES: &[&str] = &["append.write", "flush", "sync"];
 
 const REWRITE_SITES: &[&str] = &[
     "rewrite.prepare.create",
@@ -66,11 +53,11 @@ const REWRITE_SITES: &[&str] = &[
 /// Crash one append-phase `site`, recover the crash image, and assert
 /// the exact-complete-prefix property: recovered records are a prefix
 /// of the appended sequence and include at least every acked record.
-fn torture_append_site(site: &str, mapped: bool, warmup: usize, label: &str) {
+fn torture_append_site(site: &str, warmup: usize, label: &str) {
     let path = temp(&format!("a-{label}.wal"));
     let image = temp(&format!("a-{label}.img"));
     let plan = Arc::new(FaultPlan::seeded(0xC4A5));
-    let mut wal = open_wal(&path, mapped, Arc::clone(&plan));
+    let mut wal = open_wal(&path, Arc::clone(&plan));
 
     let mut appended: Vec<WalRecord> = Vec::new();
     let mut acked = 0usize;
@@ -129,11 +116,11 @@ fn torture_append_site(site: &str, mapped: bool, warmup: usize, label: &str) {
 /// Crash one rewrite-phase `site` mid-checkpoint and assert rename
 /// atomicity: the image recovers to exactly the pre-rewrite log or
 /// exactly the rewritten one.
-fn torture_rewrite_site(site: &str, mapped: bool, label: &str) {
+fn torture_rewrite_site(site: &str, label: &str) {
     let path = temp(&format!("r-{label}.wal"));
     let image = temp(&format!("r-{label}.img"));
     let plan = Arc::new(FaultPlan::seeded(0xC4A6));
-    let mut wal = open_wal(&path, mapped, Arc::clone(&plan));
+    let mut wal = open_wal(&path, Arc::clone(&plan));
 
     let before: Vec<WalRecord> = (0..6).map(rec).collect();
     for r in &before {
@@ -160,7 +147,7 @@ fn torture_rewrite_site(site: &str, mapped: bool, label: &str) {
 
     // an orphaned `.tmp` sibling next to the image (prepare/rename-side
     // crashes) must be swept on the next open, never replayed
-    let opened = open_wal(&image, mapped, Arc::new(FaultPlan::none()));
+    let opened = open_wal(&image, Arc::new(FaultPlan::none()));
     assert!(
         !image.with_extension("tmp").exists(),
         "{label}: open must clean the orphaned rewrite temp file"
@@ -173,29 +160,19 @@ fn torture_rewrite_site(site: &str, mapped: bool, label: &str) {
     let _ = std::fs::remove_file(image.with_extension("tmp"));
 }
 
-/// Every listed fault site fires on some backend and recovers to an
-/// exact prefix — the exhaustive sweep the torture harness promises.
+/// Every listed fault site fires and recovers to an exact prefix — the
+/// exhaustive sweep the torture harness promises.
 #[test]
 fn every_fault_site_crashes_and_recovers_exactly() {
-    let mut covered: Vec<&str> = Vec::new();
-    for mapped in [false, cfg!(unix)] {
-        let backend = if mapped { "mapped" } else { "buffered" };
-        for site in append_sites(mapped) {
-            let warmup = if site == "mapped.remap" { 0 } else { 4 };
-            torture_append_site(site, mapped, warmup, &format!("{backend}-{site}"));
-            covered.push(site);
-        }
-        for site in REWRITE_SITES {
-            torture_rewrite_site(site, mapped, &format!("{backend}-{site}"));
-            covered.push(site);
-        }
-        if !cfg!(unix) {
-            break; // no mapped backend to sweep
-        }
+    for site in APPEND_SITES {
+        torture_append_site(site, 4, site);
+    }
+    for site in REWRITE_SITES {
+        torture_rewrite_site(site, site);
     }
     for site in FAULT_SITES {
         assert!(
-            covered.contains(site) || (*site == "mapped.remap" && !cfg!(unix)),
+            APPEND_SITES.contains(site) || REWRITE_SITES.contains(site),
             "fault site `{site}` is not exercised by the torture sweep"
         );
     }
@@ -269,29 +246,21 @@ fn engine_crash_image_recovers_a_complete_commit_prefix() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The randomized sweep: any crash site, either backend, any
-    /// warmup depth — recovery of the image is always an exact prefix
-    /// (append sites) or an atomic old/new switch (rewrite sites).
+    /// The randomized sweep: any crash site, any warmup depth —
+    /// recovery of the image is always an exact prefix (append sites)
+    /// or an atomic old/new switch (rewrite sites).
     #[test]
     fn any_crash_point_recovers_an_exact_prefix(
-        site_ix in 0usize..12,
-        mapped in any::<bool>(),
+        site_ix in 0..FAULT_SITES.len(),
         warmup in 0usize..6,
         seed in 0u64..1000,
     ) {
-        let mapped = mapped && cfg!(unix);
-        let site = FAULT_SITES[site_ix % FAULT_SITES.len()];
-        if site == "mapped.remap" && !mapped {
-            return Ok(()); // buffered backend has no mapping to grow
-        }
-        let label = format!("prop-{site_ix}-{mapped}-{warmup}-{seed}");
+        let site = FAULT_SITES[site_ix];
+        let label = format!("prop-{site_ix}-{warmup}-{seed}");
         if REWRITE_SITES.contains(&site) {
-            torture_rewrite_site(site, mapped, &label);
+            torture_rewrite_site(site, &label);
         } else {
-            // mapped.remap only fires while the mapping must grow:
-            // records are tiny, so it needs the lazy first-append map
-            let warmup = if site == "mapped.remap" { 0 } else { warmup };
-            torture_append_site(site, mapped, warmup, &label);
+            torture_append_site(site, warmup, &label);
         }
     }
 }

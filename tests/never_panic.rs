@@ -341,10 +341,14 @@ fn mutated_inputs_never_panic() {
                 "a malformed frame behind a valid checksum"
             );
         }
+        // each mutant is scanned, then opened by an engine, which
+        // replays it (and may truncate it — the next mutant is written
+        // afresh)
         let mut rng = root.substream("wal");
         for _ in 0..200 {
             std::fs::write(&wal, mutate_log(&mut rng, &log, &starts)).unwrap();
             let _ = Wal::scan(&wal);
+            let _ = Engine::with_wal(&wal);
         }
         std::fs::remove_file(&wal).unwrap();
     };
