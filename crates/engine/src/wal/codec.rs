@@ -428,7 +428,8 @@ fn zero_page_in(bytes: &[u8], from: usize, to: usize) -> bool {
 ///   its predecessor's; only a checkpoint's synthetic run (transaction
 ///   0 on both sides) repeats one. A frame that goes back or repeats is
 ///   an error with the same location: replaying it would install
-///   versions out of order.
+///   versions out of order. So is a commit timestamp of `u64::MAX`,
+///   after which the next commit's timestamp would overflow.
 /// * Errors from `each` come back with the same location.
 pub(crate) fn walk(bytes: &[u8], mut each: impl FnMut(&[u8], Ts) -> Result<()>) -> Result<usize> {
     let head = &bytes[..bytes.len().min(HEADER.len())];
@@ -461,6 +462,10 @@ pub(crate) fn walk(bytes: &[u8], mut each: impl FnMut(&[u8], Ts) -> Result<()>) 
             let frame = &bytes[pos..end];
             let at = |e: Error| located(index, pos, e.to_string());
             let (ts, txn) = frame_stamp(frame).map_err(at)?;
+            if ts == Ts(u64::MAX) {
+                let what = format!("commit timestamp {ts} leaves no room for another commit");
+                return Err(located(index, pos, what));
+            }
             if let Some((prev_ts, prev_txn)) = prev {
                 let synthetic_run = ts == prev_ts && txn == TxnId(0) && prev_txn == TxnId(0);
                 if ts <= prev_ts && !synthetic_run {

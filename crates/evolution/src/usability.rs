@@ -150,17 +150,17 @@ fn walk_body(body: &QueryBody, outer: &Scope, out: &mut Vec<(String, FieldPath)>
                     scope.insert(var.clone(), name.clone());
                 }
                 Source::Traversal { start, graph, .. } => {
-                    walk_expr_scoped(start, &scope, out);
+                    walk_expr(start, &scope, out);
                     scope.insert(var.clone(), format!("{graph}#v"));
                 }
                 Source::Expr(e) => {
-                    walk_expr_scoped(e, &scope, out);
+                    walk_expr(e, &scope, out);
                     scope.remove(var.as_str());
                 }
             },
-            Clause::Filter(e) => walk_expr_scoped(e, &scope, out),
+            Clause::Filter(e) => walk_expr(e, &scope, out),
             Clause::Let { var, value } => {
-                walk_expr_scoped(value, &scope, out);
+                walk_expr(value, &scope, out);
                 // LET x = DOCUMENT("coll", …) binds x to that collection
                 if let Expr::Call { name, args } = value {
                     if name == "DOCUMENT" {
@@ -174,7 +174,7 @@ fn walk_body(body: &QueryBody, outer: &Scope, out: &mut Vec<(String, FieldPath)>
             }
             Clause::Sort { keys } => {
                 for (e, _) in keys {
-                    walk_expr_scoped(e, &scope, out);
+                    walk_expr(e, &scope, out);
                 }
             }
             Clause::Limit { .. } => {}
@@ -184,10 +184,10 @@ fn walk_body(body: &QueryBody, outer: &Scope, out: &mut Vec<(String, FieldPath)>
                 into,
             } => {
                 for (_, e) in groups {
-                    walk_expr_scoped(e, &scope, out);
+                    walk_expr(e, &scope, out);
                 }
                 for (_, _, e) in aggregates {
-                    walk_expr_scoped(e, &scope, out);
+                    walk_expr(e, &scope, out);
                 }
                 // COLLECT resets the scope
                 scope.clear();
@@ -200,18 +200,10 @@ fn walk_body(body: &QueryBody, outer: &Scope, out: &mut Vec<(String, FieldPath)>
             }
         }
     }
-    walk_expr_scoped(&body.ret, &scope, out);
-}
-
-fn walk_expr_scoped(e: &Expr, scope: &Scope, out: &mut Vec<(String, FieldPath)>) {
-    walk_expr_inner(e, scope, out);
+    walk_expr(&body.ret, &scope, out);
 }
 
 fn walk_expr(e: &Expr, scope: &Scope, out: &mut Vec<(String, FieldPath)>) {
-    walk_expr_inner(e, scope, out);
-}
-
-fn walk_expr_inner(e: &Expr, scope: &Scope, out: &mut Vec<(String, FieldPath)>) {
     match e {
         Expr::Member { .. } => {
             if let Some((var, path)) = e.as_var_path() {
@@ -224,28 +216,26 @@ fn walk_expr_inner(e: &Expr, scope: &Scope, out: &mut Vec<(String, FieldPath)>) 
             }
             // dynamic member chain: recurse into parts
             if let Expr::Member { base, steps } = e {
-                walk_expr_inner(base, scope, out);
+                walk_expr(base, scope, out);
                 for s in steps {
                     if let MemberStep::Index(ix) = s {
-                        walk_expr_inner(ix, scope, out);
+                        walk_expr(ix, scope, out);
                     }
                 }
             }
         }
-        Expr::Array(items) => items.iter().for_each(|i| walk_expr_inner(i, scope, out)),
-        Expr::Object(fields) => fields
-            .iter()
-            .for_each(|(_, v)| walk_expr_inner(v, scope, out)),
-        Expr::Unary { expr, .. } => walk_expr_inner(expr, scope, out),
-        Expr::Binary { .. } => {
-            // an operator chain nests as deep as it is long: in a loop
-            let (first, links) = e.left_spine();
-            walk_expr_inner(first, scope, out);
-            for (_, rhs) in links.iter().rev() {
-                walk_expr_inner(rhs, scope, out);
-            }
+        Expr::Array(items) => items.iter().for_each(|i| walk_expr(i, scope, out)),
+        Expr::Object(fields) => fields.iter().for_each(|(_, v)| walk_expr(v, scope, out)),
+        Expr::Unary { expr, .. } => walk_expr(expr, scope, out),
+        Expr::Binary { lhs, rhs, .. } => {
+            walk_expr(lhs, scope, out);
+            walk_expr(rhs, scope, out);
         }
-        Expr::Call { args, .. } => args.iter().for_each(|a| walk_expr_inner(a, scope, out)),
+        Expr::Chain { first, links } => {
+            walk_expr(first, scope, out);
+            links.iter().for_each(|(_, e)| walk_expr(e, scope, out));
+        }
+        Expr::Call { args, .. } => args.iter().for_each(|a| walk_expr(a, scope, out)),
         Expr::Subquery(body) => walk_body(body, scope, out),
         Expr::Literal(_) | Expr::Var(_) | Expr::Param { .. } => {}
     }
@@ -387,9 +377,18 @@ fn adapt_expr(e: &Expr, scope: &Scope, ops: &[EvolutionOp]) -> Expr {
             op: *op,
             expr: Box::new(adapt_expr(expr, scope, ops)),
         },
-        Expr::Binary { .. } => e
-            .rebuild_chain(|e| Ok::<_, std::convert::Infallible>(adapt_expr(e, scope, ops)))
-            .unwrap_or_else(|never| match never {}),
+        Expr::Binary { op, lhs, rhs } => Expr::Binary {
+            op: *op,
+            lhs: Box::new(adapt_expr(lhs, scope, ops)),
+            rhs: Box::new(adapt_expr(rhs, scope, ops)),
+        },
+        Expr::Chain { first, links } => Expr::Chain {
+            first: Box::new(adapt_expr(first, scope, ops)),
+            links: links
+                .iter()
+                .map(|(op, e)| (*op, adapt_expr(e, scope, ops)))
+                .collect(),
+        },
         Expr::Call { name, args } => Expr::Call {
             name: name.clone(),
             args: args.iter().map(|a| adapt_expr(a, scope, ops)).collect(),

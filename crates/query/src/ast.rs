@@ -1,7 +1,5 @@
 //! MMQL abstract syntax.
 
-use std::convert::Infallible;
-
 use udbms_core::Value;
 use udbms_graph::Direction;
 
@@ -212,17 +210,13 @@ pub enum UnOp {
 
 /// An MMQL expression.
 ///
-/// `a + b + c` parses to `(a + b) + c`: a chain of operators nests to the
-/// left once per operator, as deep as the chain is long, and the parser
-/// bounds every other kind of nesting but not this one. Whatever walks an
-/// expression on the way from text to result therefore follows `lhs` in
-/// a loop (`Expr::left_spine`, `Expr::rebuild_chain`): `Clone` and `Drop`
-/// here, binding, planning and the evolution rewrites in their modules.
-/// Only the two per-row evaluators (`eval.rs`, `compile.rs`) also keep a
-/// recursive arm, for chains short enough that recursion is both safe
-/// and measurably faster (`Expr::is_long_chain`). The derived `PartialEq`
-/// and `Debug` recurse; nothing outside tests calls them on parsed input.
-#[derive(Debug, PartialEq)]
+/// The left-associative operator levels are flat: `a + b - c` is one
+/// [`Expr::Chain`] holding `a` and the links `(+, b)`, `(-, c)`, and
+/// `a AND b AND c` is one chain too, however long. Every other kind of
+/// nesting counts against the parser's depth bound, so an expression is
+/// never deeper than that bound allows and whatever walks one — the
+/// derived `Clone`, `PartialEq`, `Debug` and drop included — recurses.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Literal value.
     Literal(Value),
@@ -257,7 +251,7 @@ pub enum Expr {
         /// Operand.
         expr: Box<Expr>,
     },
-    /// Binary operation.
+    /// An operator that does not chain: a comparison, `IN` or `LIKE`.
     Binary {
         /// Operator.
         op: BinOp,
@@ -265,6 +259,21 @@ pub enum Expr {
         lhs: Box<Expr>,
         /// Right operand.
         rhs: Box<Expr>,
+    },
+    /// A left-associative chain `first op₁ x₁ op₂ x₂ …`, evaluated left
+    /// to right as `((first op₁ x₁) op₂ x₂) …`: what the parser makes of
+    /// an `OR`, `AND`, additive or multiplicative level with at least one
+    /// operator. Every link of an `AND` or `OR` chain carries that
+    /// operator (the evaluators read a chain's kind from its first
+    /// link): `AND` stops at the first falsy operand, `OR` at the first
+    /// truthy one, and both yield a `Bool`. An arithmetic chain mixes
+    /// the operators of its level.
+    Chain {
+        /// The leftmost operand.
+        first: Box<Expr>,
+        /// Every further operator with its right operand, in source
+        /// order.
+        links: Vec<(BinOp, Expr)>,
     },
     /// Function call.
     Call {
@@ -277,108 +286,17 @@ pub enum Expr {
     Subquery(Box<QueryBody>),
 }
 
-impl Clone for Expr {
-    fn clone(&self) -> Expr {
-        match self {
-            Expr::Literal(v) => Expr::Literal(v.clone()),
-            Expr::Param { name, line, col } => Expr::Param {
-                name: name.clone(),
-                line: *line,
-                col: *col,
-            },
-            Expr::Var(name) => Expr::Var(name.clone()),
-            Expr::Member { base, steps } => Expr::Member {
-                base: base.clone(),
-                steps: steps.clone(),
-            },
-            Expr::Array(items) => Expr::Array(items.clone()),
-            Expr::Object(fields) => Expr::Object(fields.clone()),
-            Expr::Unary { op, expr } => Expr::Unary {
-                op: *op,
-                expr: expr.clone(),
-            },
-            Expr::Binary { .. } => self
-                .rebuild_chain(|e| Ok::<_, Infallible>(e.clone()))
-                .unwrap_or_else(|never| match never {}),
-            Expr::Call { name, args } => Expr::Call {
-                name: name.clone(),
-                args: args.clone(),
-            },
-            Expr::Subquery(body) => Expr::Subquery(body.clone()),
-        }
-    }
-}
-
-impl Drop for Expr {
-    fn drop(&mut self) {
-        // unlink the left spine first: each node then drops with a leaf
-        // where its chain was
-        let mut next = self.take_lhs();
-        while let Some(mut node) = next {
-            next = node.take_lhs();
-        }
-    }
-}
-
-/// How many binary nodes may hang off one another's `lhs` before the
-/// per-row evaluators stop recursing down them: recursion is what the
-/// compiler makes fastest and every predicate of the workload is this
-/// short (a compiled `a >= x AND a <= y` runs at 55 ns a row recursively,
-/// 160 ns as an unrolled chain); the unrolled walk costs no stack.
-const SHORT_CHAIN: usize = 8;
-
 impl Expr {
-    /// Whether more than [`SHORT_CHAIN`] binary nodes are chained through
-    /// `lhs` from here down.
-    pub(crate) fn is_long_chain(&self) -> bool {
-        let mut node = self;
-        for _ in 0..SHORT_CHAIN {
-            match node {
-                Expr::Binary { lhs, .. } => node = lhs,
-                _ => return false,
+    /// `first` and `links` as one [`Expr::Chain`], or `first` alone when
+    /// there are no links.
+    pub(crate) fn chain(first: Expr, links: Vec<(BinOp, Expr)>) -> Expr {
+        if links.is_empty() {
+            first
+        } else {
+            Expr::Chain {
+                first: Box::new(first),
+                links,
             }
-        }
-        matches!(node, Expr::Binary { .. })
-    }
-
-    /// The left spine, unrolled: the operand it bottoms out in and, from
-    /// `self` down, the operator and right operand of every binary node
-    /// on the way — `a + b - c` gives `(a, [(-, c), (+, b)])`, so popping
-    /// the links replays the chain in evaluation order.
-    pub fn left_spine(&self) -> (&Expr, Vec<(BinOp, &Expr)>) {
-        let mut links = Vec::new();
-        let mut first = self;
-        while let Expr::Binary { op, lhs, rhs } = first {
-            links.push((*op, &**rhs));
-            first = lhs;
-        }
-        (first, links)
-    }
-
-    /// A binary node rebuilt with `f` applied to every operand of its
-    /// left spine, innermost first — what `Clone` and every rewrite of
-    /// an expression do with a chain, in a loop.
-    pub fn rebuild_chain<E>(&self, mut f: impl FnMut(&Expr) -> Result<Expr, E>) -> Result<Expr, E> {
-        let (first, mut links) = self.left_spine();
-        let mut out = f(first)?;
-        while let Some((op, rhs)) = links.pop() {
-            out = Expr::Binary {
-                op,
-                lhs: Box::new(out),
-                rhs: Box::new(f(rhs)?),
-            };
-        }
-        Ok(out)
-    }
-
-    /// The left operand of a binary node, a `Null` literal left in its
-    /// place.
-    fn take_lhs(&mut self) -> Option<Expr> {
-        match self {
-            Expr::Binary { lhs, .. } => {
-                Some(std::mem::replace(&mut **lhs, Expr::Literal(Value::Null)))
-            }
-            _ => None,
         }
     }
 
@@ -422,18 +340,15 @@ impl Expr {
     /// True when the expression contains no variables or calls (safe to
     /// fold at plan time).
     pub fn is_const(&self) -> bool {
-        let mut first = self;
-        while let Expr::Binary { lhs, rhs, .. } = first {
-            if !rhs.is_const() {
-                return false;
-            }
-            first = lhs;
-        }
-        match first {
+        match self {
             Expr::Literal(_) => true,
             Expr::Array(items) => items.iter().all(Expr::is_const),
             Expr::Object(fields) => fields.iter().all(|(_, e)| e.is_const()),
             Expr::Unary { expr, .. } => expr.is_const(),
+            Expr::Binary { lhs, rhs, .. } => lhs.is_const() && rhs.is_const(),
+            Expr::Chain { first, links } => {
+                first.is_const() && links.iter().all(|(_, e)| e.is_const())
+            }
             _ => false,
         }
     }
@@ -478,13 +393,11 @@ mod tests {
     #[test]
     fn const_detection() {
         assert!(Expr::int(1).is_const());
-        let sum = Expr::Binary {
-            op: BinOp::Add,
-            lhs: Box::new(Expr::int(1)),
-            rhs: Box::new(Expr::int(2)),
-        };
+        let sum = Expr::chain(Expr::int(1), vec![(BinOp::Add, Expr::int(2))]);
         assert!(sum.is_const());
         assert!(!Expr::Var("x".into()).is_const());
+        let sum = Expr::chain(Expr::int(1), vec![(BinOp::Add, Expr::Var("x".into()))]);
+        assert!(!sum.is_const());
     }
 
     #[test]

@@ -188,7 +188,18 @@ fn bind_expr(expr: &Expr, params: &Params) -> Result<Expr> {
             op: *op,
             expr: Box::new(bind_expr(expr, params)?),
         },
-        Expr::Binary { .. } => expr.rebuild_chain(|e| bind_expr(e, params))?,
+        Expr::Binary { op, lhs, rhs } => Expr::Binary {
+            op: *op,
+            lhs: Box::new(bind_expr(lhs, params)?),
+            rhs: Box::new(bind_expr(rhs, params)?),
+        },
+        Expr::Chain { first, links } => Expr::Chain {
+            first: Box::new(bind_expr(first, params)?),
+            links: links
+                .iter()
+                .map(|(op, e)| Ok((*op, bind_expr(e, params)?)))
+                .collect::<Result<Vec<_>>>()?,
+        },
         Expr::Call { name, args } => Expr::Call {
             name: name.clone(),
             args: args
@@ -237,18 +248,9 @@ fn walk_body(body: &QueryBody, f: &mut impl FnMut(&Expr)) {
 }
 
 pub(crate) fn walk_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
-    // a chain of binary operators: down its left spine in a loop, then
-    // the right operands in source order
-    let mut first = expr;
-    let mut rights = Vec::new();
-    f(first);
-    while let Expr::Binary { lhs, rhs, .. } = first {
-        rights.push(&**rhs);
-        first = lhs;
-        f(first);
-    }
-    match first {
-        Expr::Literal(_) | Expr::Var(_) | Expr::Param { .. } | Expr::Binary { .. } => {}
+    f(expr);
+    match expr {
+        Expr::Literal(_) | Expr::Var(_) | Expr::Param { .. } => {}
         Expr::Member { base, steps } => {
             walk_expr(base, f);
             for s in steps {
@@ -260,11 +262,16 @@ pub(crate) fn walk_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
         Expr::Array(items) => items.iter().for_each(|e| walk_expr(e, f)),
         Expr::Object(fields) => fields.iter().for_each(|(_, e)| walk_expr(e, f)),
         Expr::Unary { expr, .. } => walk_expr(expr, f),
+        Expr::Binary { lhs, rhs, .. } => {
+            walk_expr(lhs, f);
+            walk_expr(rhs, f);
+        }
+        Expr::Chain { first, links } => {
+            walk_expr(first, f);
+            links.iter().for_each(|(_, e)| walk_expr(e, f));
+        }
         Expr::Call { args, .. } => args.iter().for_each(|e| walk_expr(e, f)),
         Expr::Subquery(body) => walk_body(body, f),
-    }
-    while let Some(rhs) = rights.pop() {
-        walk_expr(rhs, f);
     }
 }
 

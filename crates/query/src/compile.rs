@@ -131,47 +131,52 @@ fn compile_node(expr: &Expr, var: &str) -> Option<Node> {
                 Ok(Val::Owned(apply_unary(op, &v)?))
             })
         }
-        Expr::Binary { op, lhs, rhs } if !lhs.is_long_chain() => {
+        Expr::Binary { op, lhs, rhs } => {
             let op = *op;
             let l = compile_node(lhs, var)?;
             let r = compile_node(rhs, var)?;
             Box::new(move |row| {
                 let lv = l.eval(row)?;
-                // mirror the interpreter's short-circuit exactly
-                match op {
-                    BinOp::And if !lv.is_truthy() => return Ok(Val::Owned(Value::Bool(false))),
-                    BinOp::Or if lv.is_truthy() => return Ok(Val::Owned(Value::Bool(true))),
-                    _ => {}
-                }
                 let rv = r.eval(row)?;
                 Ok(Val::Owned(apply_binary(op, &lv, &rv)?))
             })
         }
-        Expr::Binary { .. } => {
-            // a long chain: its left spine as one flat list, not a tower
-            // of closures as deep as the chain
-            let (first, mut rights) = expr.left_spine();
-            let head = compile_node(first, var)?;
-            let (op, rhs) = rights.pop()?;
-            let rhs = compile_node(rhs, var)?;
-            let mut rest = Vec::with_capacity(rights.len());
-            while let Some((op, rhs)) = rights.pop() {
-                rest.push((op, compile_node(rhs, var)?));
+        Expr::Chain { first, links } => {
+            let first = compile_node(first, var)?;
+            let mut links = links
+                .iter()
+                .map(|(op, e)| Some((*op, compile_node(e, var)?)));
+            let (op, second) = links.next()??;
+            let rest = links.collect::<Option<Vec<_>>>()?;
+            if let BinOp::And | BinOp::Or = op {
+                // `AND` stops at the first falsy operand, `OR` at the
+                // first truthy one
+                let stop = op == BinOp::Or;
+                let operands: Vec<Node> = [first, second]
+                    .into_iter()
+                    .chain(rest.into_iter().map(|(_, n)| n))
+                    .collect();
+                Box::new(move |row| {
+                    for operand in &operands {
+                        if operand.eval(row)?.is_truthy() == stop {
+                            return Ok(Val::Owned(Value::Bool(stop)));
+                        }
+                    }
+                    Ok(Val::Owned(Value::Bool(!stop)))
+                })
+            } else {
+                // the first link peeled, so that the running value is owned
+                Box::new(move |row| {
+                    let l = first.eval(row)?;
+                    let r = second.eval(row)?;
+                    let mut acc = apply_binary(op, &l, &r)?;
+                    for (op, operand) in &rest {
+                        let r = operand.eval(row)?;
+                        acc = apply_binary(*op, &acc, &r)?;
+                    }
+                    Ok(Val::Owned(acc))
+                })
             }
-            Box::new(move |row| {
-                let step = |op, l: &Value, rhs: &Node| -> Result<Value> {
-                    Ok(match op {
-                        BinOp::And if !l.is_truthy() => Value::Bool(false),
-                        BinOp::Or if l.is_truthy() => Value::Bool(true),
-                        _ => apply_binary(op, l, &*rhs.eval(row)?)?,
-                    })
-                };
-                let mut acc = step(op, &*head.eval(row)?, &rhs)?;
-                for (op, rhs) in &rest {
-                    acc = step(*op, &acc, rhs)?;
-                }
-                Ok(Val::Owned(acc))
-            })
         }
         // calls, subqueries, params, foreign vars: interpreter territory
         // (a literal is a constant subtree, folded above)

@@ -141,38 +141,38 @@ fn eval_structural<'a>(
             let v = child(expr)?;
             Val::Owned(apply_unary(*op, &v)?)
         }
-        Expr::Binary { op, lhs, rhs } if !lhs.is_long_chain() => {
+        Expr::Binary { op, lhs, rhs } => {
             let l = child(lhs)?;
-            Val::Owned(match op {
-                // short-circuit: the right side may not even evaluate
-                BinOp::And if !l.is_truthy() => Value::Bool(false),
-                BinOp::Or if l.is_truthy() => Value::Bool(true),
-                _ => {
-                    let r = child(rhs)?;
-                    apply_binary(*op, &l, &r)?
+            let r = child(rhs)?;
+            Val::Owned(apply_binary(*op, &l, &r)?)
+        }
+        Expr::Chain { first, links } => match links.first() {
+            Some((op @ (BinOp::And | BinOp::Or), _)) => {
+                // `AND` stops at the first falsy operand, `OR` at the
+                // first truthy one
+                let stop = *op == BinOp::Or;
+                let operands = std::iter::once(&**first).chain(links.iter().map(|(_, e)| e));
+                for operand in operands {
+                    if child(operand)?.is_truthy() == stop {
+                        return Ok(Val::Owned(Value::Bool(stop)));
+                    }
                 }
-            })
-        }
-        Expr::Binary { .. } => {
-            // a long chain: the same, link by link up its left spine
-            let (first, mut links) = expr.left_spine();
-            let first = child(first)?;
-            let mut step = |op, l: &Value, rhs| -> Result<Value> {
-                Ok(match op {
-                    BinOp::And if !l.is_truthy() => Value::Bool(false),
-                    BinOp::Or if l.is_truthy() => Value::Bool(true),
-                    _ => apply_binary(op, l, &*child(rhs)?)?,
-                })
-            };
-            let Some((op, rhs)) = links.pop() else {
-                return Ok(first);
-            };
-            let mut acc = step(op, &first, rhs)?;
-            while let Some((op, rhs)) = links.pop() {
-                acc = step(op, &acc, rhs)?;
+                Val::Owned(Value::Bool(!stop))
             }
-            Val::Owned(acc)
-        }
+            _ => {
+                let Some(((op, second), rest)) = links.split_first() else {
+                    return child(first);
+                };
+                let l = child(first)?;
+                let r = child(second)?;
+                let mut acc = apply_binary(*op, &l, &r)?;
+                for (op, operand) in rest {
+                    let r = child(operand)?;
+                    acc = apply_binary(*op, &acc, &r)?;
+                }
+                Val::Owned(acc)
+            }
+        },
         _ => {
             return Err(Error::Invalid(
                 "non-constant expression in constant context".into(),

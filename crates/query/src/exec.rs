@@ -515,11 +515,10 @@ fn extract_predicates(expr: &Expr, var: &str) -> (Option<Predicate>, Vec<DynPred
         0 | 1 => preds.pop(),
         _ => Some(Predicate::And(preds)),
     };
-    let residual_expr = residual.into_iter().reduce(|a, b| Expr::Binary {
-        op: BinOp::And,
-        lhs: Box::new(a),
-        rhs: Box::new(b),
-    });
+    let mut residual = residual.into_iter();
+    let residual_expr = residual
+        .next()
+        .map(|first| Expr::chain(first, residual.map(|e| (BinOp::And, e)).collect()));
     (pred, dynamic, residual_expr)
 }
 
@@ -530,18 +529,15 @@ fn split_conjuncts(
     dynamic: &mut Vec<DynPred>,
     residual: &mut Vec<Expr>,
 ) {
-    // an `AND` chain: down its left spine in a loop to the first
-    // conjunct, then the others in source order
-    let mut expr = expr;
-    let mut later = Vec::new();
-    while let Expr::Binary {
-        op: BinOp::And,
-        lhs,
-        rhs,
-    } = expr
-    {
-        later.push(&**rhs);
-        expr = lhs;
+    // an `AND` chain's operands are its conjuncts
+    if let Expr::Chain { first, links } = expr {
+        if let Some((BinOp::And, _)) = links.first() {
+            split_conjuncts(first, var, preds, dynamic, residual);
+            for (_, e) in links {
+                split_conjuncts(e, var, preds, dynamic, residual);
+            }
+            return;
+        }
     }
     match pushable(expr, var) {
         Some(d) => match eval_const(&d.rhs) {
@@ -554,9 +550,6 @@ fn split_conjuncts(
             None => residual.push(expr.clone()),
         },
         None => residual.push(expr.clone()),
-    }
-    while let Some(rhs) = later.pop() {
-        split_conjuncts(rhs, var, preds, dynamic, residual);
     }
 }
 

@@ -11,7 +11,8 @@ use crate::lexer::{lex, Token, TokenKind};
 /// expressions, a subquery's `RETURN` and a chained unary operator each
 /// count one level, and so does a clause (a subquery nested through a
 /// `FOR` source or a `FILTER` keeps two lots of frames on the stack per
-/// level, and counts two). The parser recurses per level, and so does
+/// level, and counts two); an operator chain is one node however long
+/// and costs none. The parser recurses per level, and so does
 /// everything that walks the tree it returns.
 const MAX_DEPTH: usize = 128;
 
@@ -86,6 +87,12 @@ impl Parser {
         } else {
             false
         }
+    }
+
+    /// The operator of `ops` whose punctuation comes next, consumed.
+    fn eat_op(&mut self, ops: &[(&str, BinOp)]) -> Option<BinOp> {
+        let (_, op) = ops.iter().find(|(p, _)| self.eat_punct(p))?;
+        Some(*op)
     }
 
     fn expect_punct(&mut self, p: &str) -> Result<()> {
@@ -363,29 +370,21 @@ impl Parser {
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_and()?;
+        let first = self.parse_and()?;
+        let mut links = Vec::new();
         while self.eat_kw("OR") || self.eat_punct("||") {
-            let rhs = self.parse_and()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            links.push((BinOp::Or, self.parse_and()?));
         }
-        Ok(lhs)
+        Ok(Expr::chain(first, links))
     }
 
     fn parse_and(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_not()?;
+        let first = self.parse_not()?;
+        let mut links = Vec::new();
         while self.eat_kw("AND") || self.eat_punct("&&") {
-            let rhs = self.parse_not()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            links.push((BinOp::And, self.parse_not()?));
         }
-        Ok(lhs)
+        Ok(Expr::chain(first, links))
     }
 
     fn parse_not(&mut self) -> Result<Expr> {
@@ -429,43 +428,22 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = if self.eat_punct("+") {
-                BinOp::Add
-            } else if self.eat_punct("-") {
-                BinOp::Sub
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.parse_multiplicative()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+        let first = self.parse_multiplicative()?;
+        let mut links = Vec::new();
+        while let Some(op) = self.eat_op(&[("+", BinOp::Add), ("-", BinOp::Sub)]) {
+            links.push((op, self.parse_multiplicative()?));
         }
+        Ok(Expr::chain(first, links))
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = if self.eat_punct("*") {
-                BinOp::Mul
-            } else if self.eat_punct("/") {
-                BinOp::Div
-            } else if self.eat_punct("%") {
-                BinOp::Mod
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+        let first = self.parse_unary()?;
+        let mut links = Vec::new();
+        let ops = [("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Mod)];
+        while let Some(op) = self.eat_op(&ops) {
+            links.push((op, self.parse_unary()?));
         }
+        Ok(Expr::chain(first, links))
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
@@ -823,16 +801,42 @@ mod tests {
         // 1 + 2 * 3 == 7 AND NOT false
         let body = q("RETURN 1 + 2 * 3 == 7 AND NOT FALSE");
         match &body.ret {
-            Expr::Binary {
-                op: BinOp::And,
-                lhs,
-                rhs,
-            } => {
-                assert!(matches!(lhs.as_ref(), Expr::Binary { op: BinOp::Eq, .. }));
-                assert!(matches!(rhs.as_ref(), Expr::Unary { op: UnOp::Not, .. }));
+            Expr::Chain { first, links } => {
+                assert!(matches!(first.as_ref(), Expr::Binary { op: BinOp::Eq, .. }));
+                assert!(matches!(
+                    &links[..],
+                    [(BinOp::And, Expr::Unary { op: UnOp::Not, .. })]
+                ));
             }
             other => panic!("{other:?}"),
         }
+        // one flat node per level, its links in source order
+        let a = || Box::new(Expr::Var("a".into()));
+        assert_eq!(
+            q("RETURN a - 1 + a * 2 OR a AND a").ret,
+            Expr::Chain {
+                first: Box::new(Expr::Chain {
+                    first: a(),
+                    links: vec![
+                        (BinOp::Sub, Expr::int(1)),
+                        (
+                            BinOp::Add,
+                            Expr::Chain {
+                                first: a(),
+                                links: vec![(BinOp::Mul, Expr::int(2))],
+                            }
+                        ),
+                    ],
+                }),
+                links: vec![(
+                    BinOp::Or,
+                    Expr::Chain {
+                        first: a(),
+                        links: vec![(BinOp::And, *a())],
+                    }
+                )],
+            }
+        );
     }
 
     #[test]
@@ -907,12 +911,12 @@ mod tests {
     fn calls_and_membership() {
         let body = q("RETURN LENGTH(items) + COUNT(a, b)");
         match &body.ret {
-            Expr::Binary { lhs, rhs, .. } => {
+            Expr::Chain { first, links } => {
                 assert!(
-                    matches!(lhs.as_ref(), Expr::Call { name, args } if name == "LENGTH" && args.len() == 1)
+                    matches!(first.as_ref(), Expr::Call { name, args } if name == "LENGTH" && args.len() == 1)
                 );
                 assert!(
-                    matches!(rhs.as_ref(), Expr::Call { name, args } if name == "COUNT" && args.len() == 2)
+                    matches!(&links[..], [(BinOp::Add, Expr::Call { name, args })] if name == "COUNT" && args.len() == 2)
                 );
             }
             other => panic!("{other:?}"),

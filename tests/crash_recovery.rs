@@ -8,8 +8,8 @@
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use udbms::core::{CollectionSchema, Key, Value};
-use udbms::engine::{Durability, Engine, EngineConfig, Isolation, Wal};
+use udbms::core::{CollectionSchema, Key, Ts, TxnId, Value};
+use udbms::engine::{Durability, Engine, EngineConfig, Isolation, Wal, WalRecord};
 
 fn temp_wal(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -150,16 +150,15 @@ fn flipped_length_with_frames_after_it_is_an_error_not_a_truncation() {
 }
 
 /// Write `bytes` as the log at `path` and expect the engine to refuse
-/// it, naming record `index` at byte `offset`, without touching it.
-fn refused_at(path: &PathBuf, bytes: &[u8], index: usize, offset: u64) {
+/// it, naming record `index` at byte `offset` and saying `why`, without
+/// touching it.
+fn refused_at(path: &PathBuf, bytes: &[u8], index: usize, offset: u64, why: &str) {
     std::fs::write(path, bytes).unwrap();
-    let err = recovered(path, 4)
-        .err()
-        .expect("a log out of commit order must not open");
+    let err = recovered(path, 4).err().expect("the log must not open");
     assert!(
         err.contains(&format!("record index {index}"))
             && err.contains(&format!("byte offset {offset}"))
-            && err.contains("does not follow"),
+            && err.contains(why),
         "{err}"
     );
     assert_eq!(
@@ -175,7 +174,13 @@ fn a_duplicated_final_frame_is_refused_and_left_unmodified() {
     let ends = build_log(&path, 5);
     let log = std::fs::read(&path).unwrap();
     let last = &log[ends[3] as usize..];
-    refused_at(&path, &[&log[..], last].concat(), 5, ends[4]);
+    refused_at(
+        &path,
+        &[&log[..], last].concat(),
+        5,
+        ends[4],
+        "does not follow",
+    );
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -193,7 +198,32 @@ fn swapped_frames_are_refused_and_left_unmodified() {
         &log[ends[3] as usize..],
     ]
     .concat();
-    refused_at(&path, &swapped, 3, ends[1] + frame(3).len() as u64);
+    refused_at(
+        &path,
+        &swapped,
+        3,
+        ends[1] + frame(3).len() as u64,
+        "does not follow",
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_frame_at_the_last_commit_timestamp_is_refused_and_left_unmodified() {
+    let path = temp_wal("max-ts");
+    let ends = build_log(&path, 5);
+    // intact and checksummed, but no commit could ever follow it
+    let mut wal = Wal::open(&path).unwrap();
+    wal.append(&WalRecord {
+        commit_ts: Ts(u64::MAX),
+        txn: TxnId(6),
+        writes: vec![("ns".into(), Key::int(5), Some(Value::Int(5)))],
+    })
+    .unwrap();
+    wal.flush().unwrap();
+    drop(wal);
+    let log = std::fs::read(&path).unwrap();
+    refused_at(&path, &log, 5, ends[4], "leaves no room");
     std::fs::remove_file(&path).unwrap();
 }
 

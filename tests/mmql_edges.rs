@@ -188,11 +188,12 @@ fn sort_is_canonical_across_types() {
     );
 }
 
-/// A chain of `n` binary operators nests `n` deep to the left (`a + b + c`
-/// is `(a + b) + c`). Parsing, explaining, binding, executing and dropping
-/// one must not cost stack in proportion: on a 2 MB thread a debug build
-/// used to overflow at 1 000 operators (release at 4 000) in `execute`,
-/// and a chain of 100 000 parsed and then overflowed when it was dropped.
+/// A chain of `n` operators (`a + b + c`, `a AND b AND c`) is one flat
+/// node evaluated left to right. Parsing, cloning, comparing, printing,
+/// explaining, binding, executing and dropping one must not cost stack
+/// in proportion: on a 2 MB thread a debug build of the nested form
+/// overflowed at 1 000 operators (release at 4 000) in `execute`, and
+/// its derived `==` and `Debug` at a few thousand.
 #[test]
 fn flat_operator_chains_cost_no_stack() {
     use udbms::core::Params;
@@ -200,15 +201,33 @@ fn flat_operator_chains_cost_no_stack() {
 
     fn run_all(e: &Engine, text: &str) -> Vec<Value> {
         let parsed = Query::parse(text).unwrap();
+        let copy = parsed.clone();
+        assert!(copy == parsed);
+        assert!(!format!("{copy:?}").is_empty());
         assert!(!parsed.explain().is_empty());
         let bound = parsed.bind(&Params::new().with("one", 1)).unwrap();
         let mut t = e.begin_read();
         bound.execute(&mut t).unwrap()
-        // both queries dropped here
+        // the queries are dropped here
     }
     let walk = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
         let e = engine();
-        // 7 to 10: either side of where walkers stop recursing down a chain
+        // left associative, with short-circuit across the levels
+        for (text, want) in [
+            ("100 - 10 - 1", Value::Int(89)),
+            ("64 / 4 / 2", Value::Float(8.0)),
+            ("7 % 4 * 3", Value::Int(9)),
+            ("false AND (1/0 == 1) OR true", Value::Bool(true)),
+        ] {
+            assert_eq!(run_all(&e, &format!("RETURN {text}")), vec![want], "{text}");
+        }
+        // the deepest nesting the parser takes, a chain on every level
+        let mut nested = String::from("@one");
+        for _ in 0..127 {
+            nested = format!("({nested}){}", " + @one".repeat(9));
+        }
+        let text = format!("RETURN {nested}");
+        assert_eq!(run_all(&e, &text), vec![Value::Int(1 + 127 * 9)]);
         for n in [7usize, 8, 9, 10, 1_000, 4_000, 100_000] {
             let ret = |first: &str, link: &str| format!("RETURN {first}{}", link.repeat(n));
             let cases = [

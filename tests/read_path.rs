@@ -13,68 +13,61 @@ use proptest::prelude::*;
 
 use udbms_core::{obj, CollectionSchema, FieldPath, Key, Params, Value};
 use udbms_engine::{Engine, Isolation};
-use udbms_query::{eval, BinOp, CompiledPred, Env, Expr, MemberStep, Query, UnOp};
+use udbms_query::{eval, CompiledPred, Env, Expr, Query, Statement};
 use udbms_relational::{IndexKind, Predicate};
 
-/// Build a deterministic expression tree over loop variable `r` from an
-/// opcode spec. Covers literals, member paths (present and missing),
-/// whole-row references, unary and every binary operator — including
-/// shapes that produce type errors, which both evaluators must agree
-/// on.
-fn build_expr(spec: &[(u8, i64)], pos: &mut usize, depth: usize) -> Expr {
+/// Build a deterministic MMQL expression over loop variable `r` from an
+/// opcode spec, as text. Covers literals, member paths (present and
+/// missing), whole-row references, unary operators, every comparison,
+/// `IN` and `LIKE`, and flat chains of 1–12 operands at each
+/// left-associative level (`AND`, `OR`, `+`/`-`, `*`/`/`/`%`, operators
+/// mixed within a level) — including shapes that produce type errors,
+/// which both evaluators must agree on.
+fn build_expr(spec: &[(u8, i64)], pos: &mut usize, depth: usize) -> String {
     let (op, a) = spec.get(*pos).copied().unwrap_or((0, 1));
     *pos += 1;
-    let leaf = |op: u8, a: i64| -> Expr {
-        match op % 7 {
-            6 => Expr::Literal(Value::Float(a as f64 + 0.5)),
-            0 => Expr::Literal(Value::Int(a)),
-            1 => Expr::Literal(Value::from(format!("s{}", a.rem_euclid(4)))),
-            2 => Expr::Literal(Value::Bool(a % 2 == 0)),
-            3 => Expr::Var("r".into()),
+    if depth >= 3 || op % 16 < 6 {
+        return match op % 7 {
+            6 => format!("({})", a as f64 + 0.5),
+            0 => format!("({a})"),
+            1 => format!("\"s{}\"", a.rem_euclid(4)),
+            2 => (a % 2 == 0).to_string(),
+            3 => "r".into(),
             _ => {
                 let fields = ["g", "n", "name", "missing", "nest"];
-                let f = fields[(a.rem_euclid(fields.len() as i64)) as usize];
-                Expr::Member {
-                    base: Box::new(Expr::Var("r".into())),
-                    steps: vec![MemberStep::Field(f.into())],
-                }
+                format!("r.{}", fields[a.rem_euclid(fields.len() as i64) as usize])
             }
-        }
-    };
-    if depth >= 3 || op % 16 < 6 {
-        return leaf(op, a);
-    }
-    if op % 16 < 8 {
-        let inner = build_expr(spec, pos, depth + 1);
-        return Expr::Unary {
-            op: if op % 2 == 0 { UnOp::Not } else { UnOp::Neg },
-            expr: Box::new(inner),
         };
     }
-    let ops = [
-        BinOp::Eq,
-        BinOp::Ne,
-        BinOp::Lt,
-        BinOp::Le,
-        BinOp::Gt,
-        BinOp::Ge,
-        BinOp::And,
-        BinOp::Or,
-        BinOp::Add,
-        BinOp::Sub,
-        BinOp::Mul,
-        BinOp::Div,
-        BinOp::Mod,
-        BinOp::In,
-        BinOp::Like,
-    ];
-    let bin = ops[(a.rem_euclid(ops.len() as i64)) as usize];
-    let lhs = build_expr(spec, pos, depth + 1);
-    let rhs = build_expr(spec, pos, depth + 1);
-    Expr::Binary {
-        op: bin,
-        lhs: Box::new(lhs),
-        rhs: Box::new(rhs),
+    let mut operand = || format!("({})", build_expr(spec, pos, depth + 1));
+    if op % 16 < 8 {
+        let unary = if op % 2 == 0 { "NOT " } else { "-" };
+        return format!("{unary}{}", operand());
+    }
+    if op % 16 < 10 {
+        let ops = ["==", "!=", "<", "<=", ">", ">=", "IN", "LIKE"];
+        let bin = ops[a.rem_euclid(ops.len() as i64) as usize];
+        return format!("{} {bin} {}", operand(), operand());
+    }
+    let level: &[&str] = match op % 4 {
+        0 => &["AND"],
+        1 => &["OR"],
+        2 => &["+", "-"],
+        _ => &["*", "/", "%"],
+    };
+    let mut chain = operand();
+    for i in 0..a.rem_euclid(12) as usize {
+        let pick = (usize::from(op / 16) + i) % level.len();
+        chain = format!("{chain} {} {}", level[pick], operand());
+    }
+    chain
+}
+
+/// The expression an MMQL text parses to.
+fn parse_expr(text: &str) -> Expr {
+    match udbms_query::parse(&format!("RETURN {text}")).unwrap() {
+        Statement::Query(body) => body.ret,
+        other => panic!("{other:?}"),
     }
 }
 
@@ -89,7 +82,7 @@ proptest! {
         n in -100i64..100,
         tag in 0i64..4,
     ) {
-        let expr = build_expr(&spec, &mut 0, 0);
+        let expr = parse_expr(&build_expr(&spec, &mut 0, 0));
         let row = obj! {
             "g" => g,
             "n" => n,
@@ -127,28 +120,10 @@ proptest! {
         if let Ok(v) = &fast {
             prop_assert_eq!(compiled.matches(&row).unwrap(), v.is_truthy());
         }
-        // the two type errors by name: both paths report them, alike
-        for (bad, want) in [
-            (Expr::Unary { op: UnOp::Neg, expr: Box::new(Expr::str("x")) }, "unary -"),
-            (
-                Expr::Binary {
-                    op: BinOp::Mod,
-                    lhs: Box::new(Expr::int(1)),
-                    rhs: Box::new(Expr::Literal(Value::Float(2.0))),
-                },
-                "Int % Float",
-            ),
-        ] {
-            // under a row-local operand so neither side folds it away
-            let bad = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(Expr::Binary {
-                    op: BinOp::Ne,
-                    lhs: Box::new(Expr::Var("r".into())),
-                    rhs: Box::new(Expr::Var("r".into())),
-                }),
-                rhs: Box::new(bad),
-            };
+        // the two type errors by name: both paths report them, alike —
+        // under a row-local operand so neither side folds them away
+        for (bad, want) in [("-\"x\"", "unary -"), ("1 % 2.0", "Int % Float")] {
+            let bad = parse_expr(&format!("r != r OR {bad}"));
             let slow = eval(&bad, &env, &mut txn).unwrap_err().to_string();
             let fast = CompiledPred::compile(&bad, "r").unwrap().eval(&row).unwrap_err();
             prop_assert!(slow.contains(want), "{}", slow);
