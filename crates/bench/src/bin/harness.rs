@@ -18,8 +18,7 @@
 //! sweep); `--durability LEVEL` (buffered/flush/fsync) restricts the E8
 //! durability sweep to one level (default: all three); `--obs on|off`
 //! turns engine observability recording on/off for every constructed
-//! engine (E10 sweeps both arms regardless); `--slow-query-ms N` sets
-//! the slow-query log threshold those engines use; `--key-dist
+//! engine (E10 sweeps both arms regardless); `--key-dist
 //! uniform|zipf[:THETA]` sets the key distribution the E6 read/update
 //! draws use (and the Zipfian theta E11 sweeps); `--value-shape
 //! flat|nested|deep|D,F,A,S` sets the generated record shape those
@@ -30,16 +29,17 @@
 //! draws and backoff jitter (E12 always injects; the seed only fixes
 //! the randomness); `--retries N` sets the E12 retry policy's bounded
 //! conflict-retry budget (default 8); `--json [path]` additionally
-//! writes every produced report as machine-readable JSON — the whole
-//! run profile as top-level keys, so a report can be reproduced from
-//! itself, and the cross-experiment results matrix under a `"matrix"`
-//! key (an explicit path must end in `.json` — that suffix is what
-//! tells a path apart from an experiment id; default
-//! `bench-report.json`; the `BENCH_*.json` perf trajectory input and
-//! what the `bench_gate` binary compares against
-//! `bench/baseline.json`). Experiments select by bare id.
+//! writes every produced report as machine-readable JSON under a
+//! `"reports"` key, next to the whole run profile as top-level keys, so
+//! a report can be reproduced from itself (an explicit path must end in
+//! `.json` — that suffix is what tells a path apart from an experiment
+//! id; default `bench-report.json`). Experiments select by bare id.
+//!
+//! The experiments check their own results as they run (E8's exact
+//! recovery prefix, E12's fault story); a failed check panics the run,
+//! so a zero exit status means every selected experiment held.
 
-use udbms_bench::{attach_matrix, select, ModeFilter, RunScale, DEFAULT_FAULT_SEED};
+use udbms_bench::{select, ModeFilter, RunScale, DEFAULT_FAULT_SEED};
 use udbms_core::Value;
 use udbms_datagen::{KeyDist, ValueShape};
 use udbms_driver::Durability;
@@ -82,7 +82,6 @@ fn profile(quick: bool, scale: &RunScale) -> Vec<(&'static str, Value)> {
             ),
         ),
         ("obs", Value::from(if scale.obs { "on" } else { "off" })),
-        ("slow_query_ms", Value::Int(scale.slow_query_ms as i64)),
         ("key_dist", Value::from(scale.key_dist.label())),
         ("value_shape", Value::from(scale.value_shape.label())),
         (
@@ -134,10 +133,6 @@ fn main() {
                     _ => None,
                 });
             }
-            "--slow-query-ms" => {
-                scale.slow_query_ms =
-                    flag_value(&args, &mut i, "a non-negative integer", |v| v.parse().ok());
-            }
             "--key-dist" => {
                 let needs = "uniform, zipf, or zipf:THETA";
                 scale.key_dist = flag_value(&args, &mut i, needs, KeyDist::parse);
@@ -186,7 +181,7 @@ fn main() {
             }
             flag if flag.starts_with("--") => die(&format!(
                 "unknown flag `{flag}` (known: --quick, --clients N, --shards N, \
-                 --durability LEVEL, --obs on|off, --slow-query-ms N, --key-dist DIST, \
+                 --durability LEVEL, --obs on|off, --key-dist DIST, \
                  --value-shape SHAPE, --mode open|closed, --rate N, --faults SEED, \
                  --retries N, --json [PATH])"
             )),
@@ -203,7 +198,7 @@ fn main() {
         .collect();
     println!("UDBMS-Bench harness — {}\n", settings.join(", "));
     let mut json_reports: Vec<Value> = Vec::new();
-    for (id, run, _) in selected {
+    for (id, run) in selected {
         let t0 = std::time::Instant::now();
         let report = run(scale);
         println!("{}", report.render());
@@ -222,16 +217,13 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let mut doc = Value::Object(
+        let doc = Value::Object(
             profile
                 .into_iter()
                 .chain([("reports", Value::Array(json_reports))])
                 .map(|(name, value)| (name.to_string(), value))
                 .collect(),
         );
-        // the (experiment, op, dist, mode, clients) results matrix rides
-        // along in the same document the gate and step summary consume
-        attach_matrix(&mut doc);
         if let Err(e) = std::fs::write(&path, udbms_json::to_string_pretty(&doc)) {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);

@@ -19,7 +19,7 @@ fn unknown_ids_and_removed_flags_exit_2() {
     assert!(err.contains("available: f1, e1, e2"), "{err}");
     assert!(out.stdout.is_empty(), "nothing may run before the id check");
 
-    for flag in ["--obs-check", "--experiments"] {
+    for flag in ["--obs-check", "--experiments", "--slow-query-ms"] {
         let out = harness(&["--quick", flag, "f1"]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -78,4 +78,6 @@ fn json_header_records_the_whole_profile() {
     let reports = doc.get_field("reports").as_array().expect("reports");
     assert_eq!(reports.len(), 1);
     assert_eq!(reports[0].get_field("id").display_plain(), "f1");
+    // the profile and the reports are the whole document
+    assert_eq!(doc.get_field("matrix"), &udbms_core::Value::Null);
 }

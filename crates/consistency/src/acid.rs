@@ -12,9 +12,6 @@
 //! * **write-skew census** — the classic two-record constraint; counts
 //!   constraint violations per isolation level.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use udbms_core::{obj, CollectionSchema, Key, Result, SplitMix64, Value};
 use udbms_engine::{Engine, Isolation};
 
@@ -161,74 +158,6 @@ pub fn lost_update_census(isolation: Isolation, pairs: usize) -> Result<LostUpda
     })
 }
 
-/// Threaded stress variant of the lost-update experiment: `threads ×
-/// rounds` read-modify-write increments on one hot counter with retry
-/// loops. Used by the E4a throughput bench; note that real thread timing
-/// decides how much overlap (and thus RC loss) actually occurs.
-pub fn concurrent_increment_stress(
-    isolation: Isolation,
-    threads: usize,
-    rounds: usize,
-) -> Result<LostUpdateReport> {
-    let engine = Engine::new();
-    engine.create_collection(CollectionSchema::key_value("ctr"))?;
-    engine.run(Isolation::Snapshot, |t| {
-        t.put("ctr", Key::str("n"), Value::Int(0))
-    })?;
-
-    let committed = Arc::new(AtomicU64::new(0));
-    let retries = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..threads)
-        .map(|_| {
-            let engine = engine.clone();
-            let committed = Arc::clone(&committed);
-            let retries = Arc::clone(&retries);
-            std::thread::spawn(move || {
-                for _ in 0..rounds {
-                    // manual retry loop so we can count conflicts
-                    loop {
-                        let mut txn = engine.begin(isolation);
-                        let v = txn
-                            .get("ctr", &Key::str("n"))
-                            .expect("collection exists")
-                            .and_then(|v| v.as_int())
-                            .expect("counter is an int");
-                        txn.put("ctr", Key::str("n"), Value::Int(v + 1))
-                            .expect("buffered");
-                        match txn.commit() {
-                            Ok(_) => {
-                                committed.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(e) if e.is_retryable() => {
-                                retries.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => panic!("unexpected error: {e}"),
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-
-    let final_value = engine.run(Isolation::Snapshot, |t| {
-        Ok(t.get("ctr", &Key::str("n"))?
-            .and_then(|v| v.as_int())
-            .expect("counter"))
-    })?;
-    let committed = committed.load(Ordering::Relaxed);
-    Ok(LostUpdateReport {
-        isolation,
-        committed,
-        final_value,
-        lost: committed as i64 - final_value,
-        conflict_retries: retries.load(Ordering::Relaxed),
-    })
-}
-
 /// Result of the write-skew census.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteSkewReport {
@@ -325,6 +254,75 @@ mod tests {
         assert_eq!(si.conflict_retries, 50, "SI detects every overlap");
         assert_eq!(si.final_value, 100);
         assert_eq!(ser.lost, 0, "SER preserves every increment: {ser:?}");
+    }
+
+    /// Threaded lost-update stress: `threads × rounds` read-modify-write
+    /// increments on one hot counter, each retried until it commits.
+    /// Real thread timing decides how much overlap (and RC loss) occurs.
+    fn concurrent_increment_stress(
+        isolation: Isolation,
+        threads: usize,
+        rounds: usize,
+    ) -> Result<LostUpdateReport> {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        let engine = Engine::new();
+        engine.create_collection(CollectionSchema::key_value("ctr"))?;
+        engine.run(Isolation::Snapshot, |t| {
+            t.put("ctr", Key::str("n"), Value::Int(0))
+        })?;
+
+        let committed = Arc::new(AtomicU64::new(0));
+        let retries = Arc::new(AtomicU64::new(0));
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let engine = engine.clone();
+                let committed = Arc::clone(&committed);
+                let retries = Arc::clone(&retries);
+                std::thread::spawn(move || {
+                    for _ in 0..rounds {
+                        loop {
+                            let mut txn = engine.begin(isolation);
+                            let v = txn
+                                .get("ctr", &Key::str("n"))
+                                .expect("collection exists")
+                                .and_then(|v| v.as_int())
+                                .expect("counter is an int");
+                            txn.put("ctr", Key::str("n"), Value::Int(v + 1))
+                                .expect("buffered");
+                            match txn.commit() {
+                                Ok(_) => {
+                                    committed.fetch_add(1, Ordering::Relaxed);
+                                    break;
+                                }
+                                Err(e) if e.is_retryable() => {
+                                    retries.fetch_add(1, Ordering::Relaxed);
+                                }
+                                Err(e) => panic!("unexpected error: {e}"),
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("worker panicked");
+        }
+
+        let final_value = engine.run(Isolation::Snapshot, |t| {
+            Ok(t.get("ctr", &Key::str("n"))?
+                .and_then(|v| v.as_int())
+                .expect("counter"))
+        })?;
+        let committed = committed.load(Ordering::Relaxed);
+        Ok(LostUpdateReport {
+            isolation,
+            committed,
+            final_value,
+            lost: committed as i64 - final_value,
+            conflict_retries: retries.load(Ordering::Relaxed),
+        })
     }
 
     #[test]

@@ -23,8 +23,8 @@ mod metrics;
 mod sim;
 
 pub use acid::{
-    atomicity_census, concurrent_increment_stress, lost_update_census, write_skew_census,
-    AtomicityReport, LostUpdateReport, WriteSkewReport,
+    atomicity_census, lost_update_census, write_skew_census, AtomicityReport, LostUpdateReport,
+    WriteSkewReport,
 };
 pub use metrics::{
     convergence_time, pbs_curve, session_guarantees, staleness_distribution, ConsistencyConfig,

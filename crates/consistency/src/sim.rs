@@ -106,11 +106,6 @@ impl ReplicatedSim {
         }
     }
 
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> u64 {
         self.now

@@ -30,11 +30,6 @@ impl FieldPath {
         FieldPath { steps: Vec::new() }
     }
 
-    /// Build from explicit steps.
-    pub fn from_steps(steps: Vec<PathStep>) -> FieldPath {
-        FieldPath { steps }
-    }
-
     /// A single-key path.
     pub fn key(k: impl Into<String>) -> FieldPath {
         FieldPath {

@@ -48,11 +48,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next 32-bit output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, bound)`. Uses Lemire's unbiased multiply-shift
     /// rejection method. `bound` must be nonzero.
     pub fn below(&mut self, bound: u64) -> u64 {

@@ -10,7 +10,7 @@
 //! the same key stream and the same records on every machine, so two
 //! runs of an experiment compare engines, never inputs.
 
-use udbms_core::{Key, Object, SplitMix64, Value, Zipf};
+use udbms_core::{Object, SplitMix64, Value, Zipf};
 
 /// How a workload draws keys from its key space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,11 +122,6 @@ impl KeyProvider {
             (Some(z), Some(perm)) => perm[z.sample(rng)],
             _ => rng.index(self.n),
         }
-    }
-
-    /// Draw a [`Key`] directly.
-    pub fn draw_key(&self, rng: &mut SplitMix64) -> Key {
-        Key::int(self.draw(rng) as i64)
     }
 
     /// The expected share of draws landing on key index `key` (exact

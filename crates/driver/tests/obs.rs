@@ -29,8 +29,9 @@ fn drive(subject: &EngineSubject, data: &udbms_datagen::Dataset, q_idx: usize, n
 
 #[test]
 fn slow_query_log_captures_statement_and_stage_timings() {
-    // threshold 0 ms: every execution is "slow", so one run seeds the log
-    let subject = EngineSubject::with_config(EngineConfig::default().with_slow_query_ms(0));
+    // threshold 0: every execution is "slow", so one run seeds the log
+    let subject = EngineSubject::with_config(EngineConfig::default());
+    subject.engine().obs().slow().set_threshold_us(0);
     let data = small_dataset();
     subject.load(&data).unwrap();
     drive(&subject, &data, 0, 3);
@@ -87,11 +88,10 @@ fn wal_engine_reports_per_stage_commit_histograms() {
     // does not depend on machine speed
     let subject = EngineSubject::with_wal_config(
         &path,
-        EngineConfig::default()
-            .with_durability(Durability::Flush)
-            .with_slow_query_ms(0),
+        EngineConfig::default().with_durability(Durability::Flush),
     )
     .unwrap();
+    subject.engine().obs().slow().set_threshold_us(0);
     let data = small_dataset();
     subject.load(&data).unwrap();
     // queries through the plan cache and the read lane of the same engine
@@ -237,11 +237,8 @@ fn plan_cache_counters_surface_in_engine_stats() {
 
 #[test]
 fn disabled_obs_keeps_the_subject_silent() {
-    let subject = EngineSubject::with_config(
-        EngineConfig::default()
-            .with_obs(false)
-            .with_slow_query_ms(0),
-    );
+    let subject = EngineSubject::with_config(EngineConfig::default().with_obs(false));
+    subject.engine().obs().slow().set_threshold_us(0);
     let data = small_dataset();
     subject.load(&data).unwrap();
     drive(&subject, &data, 0, 3);

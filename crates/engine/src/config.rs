@@ -32,9 +32,6 @@ pub struct EngineConfig {
     /// slow-query log) is on. Disabled, every timing site reduces to one
     /// branch — the E10 experiment measures the difference.
     pub obs: bool,
-    /// Slow-query threshold in milliseconds: executions at or over it
-    /// are captured in the slow-query log (when `obs` is on).
-    pub slow_query_ms: u64,
 }
 
 impl Default for EngineConfig {
@@ -44,7 +41,6 @@ impl Default for EngineConfig {
             durability: Durability::default(),
             group_commit: true,
             obs: true,
-            slow_query_ms: 100,
         }
     }
 }
@@ -71,12 +67,6 @@ impl EngineConfig {
     /// Enable/disable observability recording (builder-style).
     pub fn with_obs(mut self, obs: bool) -> EngineConfig {
         self.obs = obs;
-        self
-    }
-
-    /// Override the slow-query threshold (builder-style).
-    pub fn with_slow_query_ms(mut self, ms: u64) -> EngineConfig {
-        self.slow_query_ms = ms;
         self
     }
 }

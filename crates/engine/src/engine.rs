@@ -41,6 +41,11 @@ const RUN_RETRY: RetryPolicy = RetryPolicy {
     cap: Duration::from_millis(1),
 };
 
+/// Slow-query threshold in milliseconds: executions at or over it are
+/// captured in the slow-query log (when obs is on). Tests lower it through
+/// `engine.obs().slow().set_threshold_us`.
+const SLOW_QUERY_MS: u64 = 100;
+
 pub(crate) struct Inner {
     /// Timestamp of the newest **fully installed** commit, the one
     /// snapshot source, and the commit clock: a committer draws
@@ -120,8 +125,7 @@ impl Engine {
     /// A fresh in-memory engine with explicit tuning.
     pub fn with_config(config: EngineConfig) -> Engine {
         let obs = Arc::new(Obs::new(config.obs));
-        obs.slow()
-            .set_threshold_us(config.slow_query_ms.saturating_mul(1000));
+        obs.slow().set_threshold_us(SLOW_QUERY_MS * 1000);
         let metrics = Metrics::new(&obs);
         let storage = ShardedStorage::new(config.shards);
         storage.attach_obs(&obs);

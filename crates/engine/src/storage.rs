@@ -502,22 +502,8 @@ fn post_value(idx: &mut Index, path: &FieldPath, key: &Key, value: &Value) {
 /// shared handle on its value.
 pub type Row = (Key, Ts, Arc<Value>);
 
-/// A predicate pushed into [`ShardedStorage::scan_iter`]; `Sync` because
-/// a large scan evaluates it on one thread per shard.
-pub type RowFilter<'a> = &'a (dyn Fn(&Value) -> bool + Sync);
-
-/// Minimum total directory size before a pushed-predicate scan fans out
-/// to one thread per shard; below this the thread overhead dominates.
-const PARALLEL_SCAN_MIN_KEYS: usize = 4096;
-
-/// Whether this machine can actually run shard scans in parallel: on a
-/// single-core host the per-scan thread spawns are pure overhead (and a
-/// large source of latency variance), so the fan-out is skipped.
-fn scan_parallelism_available() -> bool {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-        > 1
-}
+/// A predicate pushed into [`ShardedStorage::scan_iter`].
+pub type RowFilter<'a> = &'a dyn Fn(&Value) -> bool;
 
 /// N hash-addressed, independently locked storage partitions.
 ///
@@ -539,7 +525,7 @@ pub struct ShardedStorage {
 struct StorageObs {
     obs: Arc<Obs>,
     /// Run-building time of [`ShardedStorage::scan_iter`] (the eager,
-    /// under-lock part of every scan, inline or fanned out).
+    /// under-lock part of every scan).
     scan_ns: Arc<Histogram>,
 }
 
@@ -611,11 +597,6 @@ impl ShardedStorage {
     /// the union of each shard's first `limit`. Only `Arc` handles are
     /// retained; nothing is deep cloned, and a `LIMIT n` query touches
     /// `O(shards × n)` entries instead of the whole collection.
-    ///
-    /// The runs are gathered inline, except that an unlimited scan with a
-    /// pushed predicate over a large collection filters each shard on its
-    /// own scoped thread (measured on 200k rows, 8 shards, 2 cores:
-    /// 50 ms against 83–90 ms inline).
     pub fn scan_iter(
         &self,
         collection: CollectionId,
@@ -623,26 +604,16 @@ impl ShardedStorage {
         pred: Option<RowFilter<'_>>,
         limit: Option<usize>,
     ) -> ScanIter {
-        let fan_out = pred.is_some()
-            && limit.is_none()
-            && self.shards.len() > 1
-            && scan_parallelism_available()
-            && self.directory_len(collection) >= PARALLEL_SCAN_MIN_KEYS;
-        ScanIter::new(
-            self.gather_runs(collection, snapshot, pred, limit, fan_out),
-            limit,
-        )
+        ScanIter::new(self.gather_runs(collection, snapshot, pred, limit), limit)
     }
 
-    /// One key-sorted run of live, matching rows per shard — on one
-    /// scoped thread per shard when `fan_out`, else on the caller's.
+    /// One key-sorted run of live, matching rows per shard.
     fn gather_runs(
         &self,
         collection: CollectionId,
         snapshot: Ts,
         pred: Option<RowFilter<'_>>,
         limit: Option<usize>,
-        fan_out: bool,
     ) -> Vec<Vec<Row>> {
         let sobs = self.obs.get();
         let stamp = sobs.map_or(Stamp::NONE, |o| o.obs.start());
@@ -660,22 +631,7 @@ impl ShardedStorage {
             }
             run
         };
-        let runs = if fan_out {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(|| scan_one(shard)))
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint:allow(unwrap): a panicked scan thread must propagate, not vanish
-                    .map(|h| h.join().expect("shard scan panicked"))
-                    .collect()
-            })
-        } else {
-            self.shards.iter().map(scan_one).collect()
-        };
+        let runs = self.shards.iter().map(scan_one).collect();
         if let Some(o) = sobs {
             o.obs.record_ns(&o.scan_ns, stamp);
         }
@@ -713,15 +669,6 @@ impl ShardedStorage {
             out.extend(idx.lookup_range(lo, hi)?);
         }
         Some(out)
-    }
-
-    /// Total keys ever written to a collection across shards (cheap scan
-    /// size estimate for the fan-out rule).
-    fn directory_len(&self, collection: CollectionId) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().store.directory_len(collection))
-            .sum()
     }
 
     /// Run GC + index-segment rebuild on every shard; returns the summed
@@ -1270,27 +1217,6 @@ mod tests {
                 .install(RecordId::new(C, key), Ts(1), some(Value::Int(k % 5)));
         }
         s
-    }
-
-    #[test]
-    fn scan_iter_fan_out_equals_inline() {
-        let s = mod5_store(4, 200);
-        let matches = |v: &Value| v == &Value::Int(3);
-        // force each branch: the rule itself needs >1 core and ≥4096 keys
-        let merged = |fan_out: bool| -> Vec<Row> {
-            ScanIter::new(
-                s.gather_runs(C, Ts::MAX, Some(&matches), None, fan_out),
-                None,
-            )
-            .collect()
-        };
-        assert_eq!(merged(false), merged(true));
-        assert_eq!(merged(true).len(), 40);
-        let keys: Vec<i64> = merged(true)
-            .iter()
-            .map(|r| r.0.value().as_int().unwrap())
-            .collect();
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "key order: {keys:?}");
     }
 
     #[test]

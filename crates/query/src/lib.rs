@@ -171,18 +171,6 @@ pub fn run(engine: &Engine, isolation: Isolation, text: &str) -> Result<Vec<Valu
     engine.run(isolation, |txn| query.execute(txn))
 }
 
-/// One-shot with bind parameters: parse, bind `params` and execute in a
-/// fresh transaction with automatic conflict retry.
-pub fn run_with(
-    engine: &Engine,
-    isolation: Isolation,
-    text: &str,
-    params: &Params,
-) -> Result<Vec<Value>> {
-    let query = Query::parse(text)?.bind(params)?;
-    engine.run(isolation, |txn| query.execute(txn))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

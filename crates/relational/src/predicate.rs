@@ -150,16 +150,6 @@ impl Predicate {
             _ => None,
         }
     }
-
-    /// Whether the range bound from [`Predicate::range_on`] is exclusive on
-    /// the respective side for this node. (Used only to post-filter; the
-    /// index scan itself may over-approximate.)
-    pub fn is_exact_for_index(&self) -> bool {
-        matches!(
-            self,
-            Predicate::Eq(..) | Predicate::Between(..) | Predicate::Le(..) | Predicate::Ge(..)
-        )
-    }
 }
 
 /// SQL LIKE matcher: `%` matches any run (including empty), `_` any single

@@ -105,14 +105,6 @@ impl XmlNode {
         }
     }
 
-    /// Mutable children (None for non-elements).
-    pub fn children_mut(&mut self) -> Option<&mut Vec<XmlNode>> {
-        match self {
-            XmlNode::Element { children, .. } => Some(children),
-            _ => None,
-        }
-    }
-
     /// Append a child. No-op on non-elements.
     pub fn push_child(&mut self, child: XmlNode) {
         if let XmlNode::Element { children, .. } = self {
@@ -236,11 +228,6 @@ impl XmlDocument {
     /// The root element.
     pub fn root(&self) -> &XmlNode {
         &self.root
-    }
-
-    /// Mutable root.
-    pub fn root_mut(&mut self) -> &mut XmlNode {
-        &mut self.root
     }
 
     /// Consume into the root element.

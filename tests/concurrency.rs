@@ -5,9 +5,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use udbms::core::{Key, SplitMix64, Value};
+use udbms::core::{CollectionSchema, Key, SplitMix64, Value};
 use udbms::datagen::{build_engine, workload, GenConfig};
-use udbms::engine::Isolation;
+use udbms::engine::{Engine, Isolation};
 
 #[test]
 fn order_update_storm_preserves_cross_model_invariants() {
@@ -229,5 +229,43 @@ fn isolation_levels_order_by_strictness_under_contention() {
             attempts < 5,
             "hot keys under SI must conflict within {attempts} contended mixes"
         );
+    }
+
+    // SI and SER keep every increment of one hot counter that four
+    // threads read-modify-write, retrying each conflict to success
+    for iso in [Isolation::Snapshot, Isolation::Serializable] {
+        let engine = Engine::new();
+        engine
+            .create_collection(CollectionSchema::key_value("ctr"))
+            .unwrap();
+        let n = Key::str("n");
+        engine
+            .run(iso, |t| t.put("ctr", n.clone(), Value::Int(0)))
+            .unwrap();
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let (engine, n) = (engine.clone(), n.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..50 {
+                        loop {
+                            let mut t = engine.begin(iso);
+                            let v = t.get("ctr", &n).unwrap().unwrap().as_int().unwrap();
+                            t.put("ctr", n.clone(), Value::Int(v + 1)).unwrap();
+                            match t.commit() {
+                                Ok(_) => break,
+                                Err(e) => assert!(e.is_retryable(), "{iso}: {e}"),
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let total = engine
+            .run(iso, |t| Ok(t.get("ctr", &n)?.unwrap().as_int().unwrap()))
+            .unwrap();
+        assert_eq!(total, 200, "{iso} lost an increment");
     }
 }
