@@ -5,35 +5,29 @@
 //! cargo run --release -p udbms-bench --bin harness            # everything, full profile
 //! cargo run --release -p udbms-bench --bin harness -- --quick # CI-sized
 //! cargo run --release -p udbms-bench --bin harness -- e2 e4a  # selected experiments
-//! cargo run --release -p udbms-bench --bin harness -- --clients 8 --shards 8 e6
-//! cargo run --release -p udbms-bench --bin harness -- --json out.json e2 e4a e6
+//! cargo run --release -p udbms-bench --bin harness -- --clients 8 --shards 8 e2
+//! cargo run --release -p udbms-bench --bin harness -- --json out.json e2 e4a
 //! cargo run --release -p udbms-bench --bin harness -- --durability flush e8
 //! cargo run --release -p udbms-bench --bin harness -- e8 --json
-//! cargo run --release -p udbms-bench --bin harness -- --obs off e9
 //! ```
 //!
-//! `--clients N` sets the concurrent client threads the Subject-driven
-//! experiments (E2, E4a, E6, E8, E11) use; `--shards N` sets the unified
-//! engine's storage shard count (and the upper arm of the E6 shard
-//! sweep); `--durability LEVEL` (buffered/flush/fsync) restricts the E8
-//! durability sweep to one level (default: all three); `--obs on|off`
-//! turns engine observability recording on/off for every constructed
-//! engine (E10 sweeps both arms regardless); `--key-dist
-//! uniform|zipf[:THETA]` sets the key distribution the E6 read/update
-//! draws use (and the Zipfian theta E11 sweeps); `--value-shape
-//! flat|nested|deep|D,F,A,S` sets the generated record shape those
-//! experiments write; `--mode open|closed` restricts E11 to one issue
-//! mode (default: both arms); `--rate N` pins the E11 open-loop target
-//! to N ops/sec (default: half the matching closed cell's measured
-//! rate); `--faults SEED` seeds the E12 fault plan's deterministic
-//! draws and backoff jitter (E12 always injects; the seed only fixes
-//! the randomness); `--retries N` sets the E12 retry policy's bounded
-//! conflict-retry budget (default 8); `--json [path]` additionally
-//! writes every produced report as machine-readable JSON under a
-//! `"reports"` key, next to the whole run profile as top-level keys, so
-//! a report can be reproduced from itself (an explicit path must end in
-//! `.json` — that suffix is what tells a path apart from an experiment
-//! id; default `bench-report.json`). Experiments select by bare id.
+//! `--clients N` sets the concurrent client threads the client-driven
+//! experiments (E2, E4a, E8, E10, E11, E12) use; `--shards N` sets the
+//! storage shard count of every engine they construct; `--durability
+//! LEVEL` (buffered/flush/fsync) restricts the E8 durability sweep to
+//! one level (default: all three); `--mode open|closed` restricts E11
+//! to one issue mode (default: both arms); `--rate N` pins the E11
+//! open-loop target to N ops/sec (default: half the matching closed
+//! cell's measured rate); `--faults SEED` seeds the E12 fault plan's
+//! deterministic draws and backoff jitter (E12 always injects; the seed
+//! only fixes the randomness); `--retries N` sets the E12 retry
+//! policy's bounded conflict-retry budget (default 8); `--json [path]`
+//! additionally writes every produced report as machine-readable JSON
+//! under a `"reports"` key, next to the whole run profile as top-level
+//! keys, so a report can be reproduced from itself (an explicit path
+//! must end in `.json` — that suffix is what tells a path apart from an
+//! experiment id; default `bench-report.json`). Experiments select by
+//! bare id.
 //!
 //! The experiments check their own results as they run (E8's exact
 //! recovery prefix, E12's fault story); a failed check panics the run,
@@ -41,7 +35,6 @@
 
 use udbms_bench::{select, ModeFilter, RunScale, DEFAULT_FAULT_SEED};
 use udbms_core::Value;
-use udbms_datagen::{KeyDist, ValueShape};
 use udbms_driver::Durability;
 
 /// The value of the flag at `args[*i]`: the next argument, through
@@ -81,9 +74,6 @@ fn profile(quick: bool, scale: &RunScale) -> Vec<(&'static str, Value)> {
                     .map_or("all".to_string(), |d| d.to_string()),
             ),
         ),
-        ("obs", Value::from(if scale.obs { "on" } else { "off" })),
-        ("key_dist", Value::from(scale.key_dist.label())),
-        ("value_shape", Value::from(scale.value_shape.label())),
         (
             "mode",
             Value::from(match scale.mode {
@@ -126,21 +116,6 @@ fn main() {
                 let needs = "one of: buffered, flush, fsync";
                 scale.durability = Some(flag_value(&args, &mut i, needs, Durability::parse));
             }
-            "--obs" => {
-                scale.obs = flag_value(&args, &mut i, "`on` or `off`", |v| match v {
-                    "on" => Some(true),
-                    "off" => Some(false),
-                    _ => None,
-                });
-            }
-            "--key-dist" => {
-                let needs = "uniform, zipf, or zipf:THETA";
-                scale.key_dist = flag_value(&args, &mut i, needs, KeyDist::parse);
-            }
-            "--value-shape" => {
-                let needs = "flat, nested, deep, or DEPTH,FANOUT,ARRAY,STRING";
-                scale.value_shape = flag_value(&args, &mut i, needs, ValueShape::parse);
-            }
             "--mode" => {
                 scale.mode = Some(flag_value(
                     &args,
@@ -181,8 +156,7 @@ fn main() {
             }
             flag if flag.starts_with("--") => die(&format!(
                 "unknown flag `{flag}` (known: --quick, --clients N, --shards N, \
-                 --durability LEVEL, --obs on|off, --key-dist DIST, \
-                 --value-shape SHAPE, --mode open|closed, --rate N, --faults SEED, \
+                 --durability LEVEL, --mode open|closed, --rate N, --faults SEED, \
                  --retries N, --json [PATH])"
             )),
             id => wanted.push(id),

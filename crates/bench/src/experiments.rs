@@ -1,7 +1,7 @@
-//! The experiment suite: one function per table/figure (F1, E1–E12),
-//! listed once in [`EXPERIMENTS`]. Each returns a [`Report`]. Every
-//! cell that times client threads goes through one path: `measure`
-//! runs it, `best_of` scores repeated cycles by rate, and
+//! The experiment suite: one function per table/figure (F1, E1–E5, E8,
+//! E10–E12), listed once in [`EXPERIMENTS`]. Each returns a [`Report`].
+//! Every cell that times client threads goes through one path:
+//! `measure` runs it, `best_of` scores repeated cycles by rate, and
 //! [`Report::stats_row`] renders it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,7 +22,6 @@ use udbms_driver::{
 };
 use udbms_engine::{Engine, FaultPlan, Isolation, Wal};
 use udbms_evolution::{analyze_workload, apply_chain, standard_chain};
-use udbms_polyglot::{load_into_polyglot, run_query, PolyglotDb};
 use udbms_query::Query;
 
 use crate::report::{per_sec, us, Report};
@@ -36,30 +35,18 @@ pub struct RunScale {
     pub reps: usize,
     /// Simulator trials.
     pub trials: usize,
-    /// Concurrent client threads for the Subject-driven experiments
-    /// (E2, E4a, E6); the harness `--clients N` flag overrides it.
+    /// Concurrent client threads for the client-driven experiments
+    /// (E2, E4a, E8, E10, E11, E12); the harness `--clients N` flag
+    /// overrides it.
     pub clients: usize,
-    /// Storage shard count for the unified engine subject (E2, E4a) and
-    /// the upper arm of the E6 shard sweep; the harness `--shards N`
-    /// flag overrides it.
+    /// Storage shard count of every engine the experiments construct;
+    /// the harness `--shards N` flag overrides it.
     pub shards: usize,
     /// Restrict the E8 durability sweep to one level (`None` = sweep
     /// all of Buffered/Flush/Fsync); the harness `--durability LEVEL`
     /// flag sets it (CI pins `flush` to keep per-commit fsyncs out of
     /// its harness run).
     pub durability: Option<Durability>,
-    /// Whether the engines the experiments construct record
-    /// observability (stage histograms, trace events, slow-query log);
-    /// the harness `--obs on|off` flag overrides it. E10 sweeps both
-    /// arms regardless of this setting.
-    pub obs: bool,
-    /// Key distribution for the workload-dimension experiments (the E6
-    /// read/update draws and the E11 contention sweep's Zipfian theta);
-    /// the harness `--key-dist uniform|zipf[:THETA]` flag overrides it.
-    pub key_dist: KeyDist,
-    /// Record shape those experiments generate documents with; the
-    /// harness `--value-shape flat|nested|deep|D,F,A,S` flag sets it.
-    pub value_shape: ValueShape,
     /// Restrict E11 to one issue mode (`None` = run both the
     /// closed-loop and open-loop arms); the harness `--mode open|closed`
     /// flag sets it.
@@ -108,9 +95,6 @@ impl RunScale {
             clients: 2,
             shards: udbms_driver::DEFAULT_SHARDS,
             durability: None,
-            obs: true,
-            key_dist: KeyDist::Uniform,
-            value_shape: ValueShape::nested(),
             mode: None,
             rate: None,
             fault_seed: None,
@@ -138,25 +122,16 @@ impl RunScale {
     }
 
     /// The [`EngineConfig`] experiments construct engines with: the
-    /// scale's shard count plus its obs setting (durability and group
-    /// commit stay per-experiment decisions).
+    /// scale's shard count (durability, group commit and E10's obs arm
+    /// stay per-experiment decisions).
     pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig::default()
-            .with_shards(self.shards)
-            .with_obs(self.obs)
+        EngineConfig::default().with_shards(self.shards)
     }
 }
 
-fn median_us(mut samples: Vec<u128>) -> u128 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// One measured cell: the operations it is credited with (a batched
-/// phase counts rows, not batches), the run that timed them, and the
-/// conflict retries its operations consumed.
+/// One measured cell: the run that timed it and the conflict retries
+/// its operations consumed.
 struct Cell {
-    ops: usize,
     stats: ConcurrentStats,
     retries: u64,
 }
@@ -170,11 +145,7 @@ fn measure(
     op: impl Fn(usize, usize) -> udbms_core::Result<()> + Sync,
 ) -> Cell {
     let stats = run_concurrent_mode(clients, per_client, mode, op).expect("measured cell");
-    Cell {
-        ops: stats.total_ops,
-        stats,
-        retries: 0,
-    }
+    Cell { stats, retries: 0 }
 }
 
 /// Score cells best-of-`cycles` by rate: `cycle(n)` measures every cell
@@ -183,11 +154,10 @@ fn measure(
 /// are milliseconds long, so a single measurement would report one
 /// scheduler stall as the cell's speed.
 fn best_of<const N: usize>(cycles: usize, mut cycle: impl FnMut(usize) -> [Cell; N]) -> [Cell; N] {
-    let rate = |c: &Cell| c.ops as f64 / c.stats.elapsed.as_secs_f64().max(1e-9);
     let mut best = cycle(0);
     for n in 1..cycles {
         for (best, cell) in best.iter_mut().zip(cycle(n)) {
-            if rate(&cell) > rate(best) {
+            if cell.stats.throughput() > best.stats.throughput() {
                 *best = cell;
             }
         }
@@ -226,9 +196,13 @@ fn kv_engine(
     engine
 }
 
-/// Fixture: a fresh path for a WAL in the temp directory.
+/// Fixture: a fresh path for a WAL in the temp directory, unique per
+/// call — experiments running concurrently in one process (the test
+/// harness runs E8 and E12 from several tests at once) never share a log.
 fn temp_wal(tag: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("udbms-{}-{tag}.wal", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("udbms-{}-{n}-{tag}.wal", std::process::id()));
     let _ = std::fs::remove_file(&path);
     path
 }
@@ -447,7 +421,6 @@ pub fn e2_queries(scale: RunScale) -> Report {
             );
             report.stats_row(
                 &[q.id.into(), subject.name().into()],
-                cell.ops,
                 &cell.stats,
                 &[("models", q.models.join("+")), ("rows", rows.to_string())],
             );
@@ -568,7 +541,6 @@ pub fn e4a_transactions(scale: RunScale) -> Report {
                             clients.to_string(),
                             format!("{theta}"),
                         ],
-                        cell.ops,
                         &cell.stats,
                         &[(
                             "counters",
@@ -765,260 +737,6 @@ pub fn e5_conversion(scale: RunScale) -> Report {
     report
 }
 
-/// E6 — crud-bench-style CRUD/scan scaling sweep over clients × shards:
-/// batched creates, point reads, point updates, predicate scans and
-/// batched deletes against the unified engine, at one and at
-/// `scale.shards` storage shards, with one and `scale.clients` client
-/// threads. The shard axis isolates what lock striping buys on the
-/// storage hot path (the dataset and loop are identical in every cell).
-pub fn e6_crud_scaling(scale: RunScale) -> Report {
-    const BATCH: usize = 32;
-    let rows_per_client = if scale.reps > 5 { 2048 } else { 1024 };
-    let mut report = Report::new(
-        format!(
-            "E6 — CRUD/scan scaling sweep (clients x shards), {rows_per_client} record(s)/client, dist {}, shape {}",
-            scale.key_dist.label(),
-            scale.value_shape.label()
-        ),
-        &[
-            "op", "dist", "shards", "clients", "ops", "elapsed", "p50", "p90", "p95", "p99", "max",
-            "ops/s",
-        ],
-    );
-    let values = ValueProvider::new(scale.value_shape, 23);
-    let mut shard_arms = vec![1usize];
-    if scale.shards > 1 {
-        shard_arms.push(scale.shards);
-    }
-    for &shards in &shard_arms {
-        for clients in client_arms(scale.clients) {
-            let engine = kv_engine(
-                Engine::with_config(scale.engine_config().with_shards(shards)),
-                "crud",
-                [],
-            );
-            let total = clients * rows_per_client;
-            let key_of = |i: usize| Key::int(i as i64);
-            let record = |i: usize| values.record(i);
-            // the read/update phases draw keys from the configured
-            // distribution over this cell's full key space
-            let kp = KeyProvider::new(total, scale.key_dist, 13);
-            let batches = rows_per_client / BATCH;
-            let batch = |client: usize, b: usize| {
-                let base = client * rows_per_client + b * BATCH;
-                base..base + BATCH
-            };
-            let scans = scale.reps.max(3) * 4;
-            let pred = udbms_relational::Predicate::eq("g", Value::Int(3));
-
-            // one CRUD cycle per best-of round: later cycles run warm,
-            // and the GC between cycles prunes tombstones so they
-            // measure steady-state work rather than version-chain length
-            let cells = best_of(cycles(scale), |_| {
-                // create: each client inserts its own key range in batched
-                // transactions (put_many → one shard lock per shard per batch)
-                let create = measure(clients, batches, RunMode::Closed, |client, b| {
-                    let items: Vec<(Key, Value)> =
-                        batch(client, b).map(|i| (key_of(i), record(i))).collect();
-                    engine.run(Isolation::Snapshot, |t| t.put_many("crud", items.clone()))
-                });
-                // read: every client point-reads keys drawn from the
-                // configured distribution across the whole key space
-                // (and so across every shard)
-                let read = measure(clients, rows_per_client, RunMode::Closed, |client, i| {
-                    let mut rng = SplitMix64::new(7 + client as u64 * 65_537 + i as u64);
-                    let k = key_of(kp.draw(&mut rng));
-                    engine.run(Isolation::Snapshot, |t| t.get("crud", &k).map(|_| ()))
-                });
-                // update: point overwrites drawn from the same distribution
-                let update = measure(clients, rows_per_client, RunMode::Closed, |client, i| {
-                    let mut rng = SplitMix64::new(11 + client as u64 * 65_537 + i as u64);
-                    let n = kp.draw(&mut rng);
-                    engine.run(Isolation::Snapshot, |t| {
-                        t.put("crud", key_of(n), record(n + total))
-                    })
-                });
-                // scan: predicate scans fanning out shard-locally
-                let scan = measure(clients, scans, RunMode::Closed, |_, _| {
-                    engine.run(Isolation::Snapshot, |t| {
-                        t.rows("crud", Some(&pred), None).map(|_| ())
-                    })
-                });
-                // delete: each client removes its own range in batches
-                let delete = measure(clients, batches, RunMode::Closed, |client, b| {
-                    let keys: Vec<Key> = batch(client, b).map(key_of).collect();
-                    engine.run(Isolation::Snapshot, |t| {
-                        t.delete_many("crud", &keys).map(|_| ())
-                    })
-                });
-                // flatten version chains before the next warm cycle
-                engine.gc();
-                // the batched phases are credited with rows, not batches
-                let rows = |cell: Cell| Cell { ops: total, ..cell };
-                [rows(create), read, update, scan, rows(delete)]
-            });
-            let ops = [
-                "create (batched)",
-                "read",
-                "update",
-                "scan (predicate)",
-                "delete (batched)",
-            ];
-            for (op, cell) in ops.into_iter().zip(cells) {
-                report.stats_row(
-                    &[
-                        op.into(),
-                        scale.key_dist.label(),
-                        shards.to_string(),
-                        clients.to_string(),
-                    ],
-                    cell.ops,
-                    &cell.stats,
-                    &[],
-                );
-            }
-        }
-    }
-    report.note("every cell runs the identical loop; shard count is the only storage variable");
-    report.note("read/update keys come from --key-dist, records from --value-shape");
-    report.note(
-        "create/delete are batched (put_many/delete_many): one shard lock per shard per batch",
-    );
-    report.note("cells score the best of up to 3 warm CRUD cycles (GC between cycles)");
-    report
-}
-
-/// E7 — ablations: secondary indexes, version-chain GC, wire codec.
-pub fn e7_ablation(scale: RunScale) -> Report {
-    let mut report = Report::new(
-        format!("E7 — design-choice ablations, SF {}", scale.sf),
-        &["ablation", "arm", "metric", "value"],
-    );
-    let cfg = GenConfig::at_scale(scale.sf);
-    let (engine, data) = build_engine(&cfg).expect("engine load");
-    let params = workload::QueryParams::draw(&data, 1);
-
-    // (i) index on/off for the two index-friendly access patterns
-    let probes: Vec<(&str, udbms_relational::Predicate)> = vec![
-        (
-            "point lookup (orders.customer)",
-            udbms_relational::Predicate::eq("customer", Value::Int(params.customer)),
-        ),
-        (
-            "range scan (products.price)",
-            udbms_relational::Predicate::between(
-                "price",
-                Value::Float(params.price_lo),
-                Value::Float(params.price_hi),
-            ),
-        ),
-    ];
-    for (name, pred) in &probes {
-        let coll = if name.contains("orders") {
-            "orders"
-        } else {
-            "products"
-        };
-        let mut on = Vec::new();
-        let mut off = Vec::new();
-        for _ in 0..scale.reps.max(3) {
-            let t0 = Instant::now();
-            let a = engine
-                .run(Isolation::Snapshot, |t| t.rows(coll, Some(pred), None))
-                .expect("select");
-            on.push(t0.elapsed().as_micros());
-            let t0 = Instant::now();
-            let mut b = engine
-                .run(Isolation::Snapshot, |t| t.scan_shared(coll))
-                .expect("scan");
-            b.retain(|(_, row)| pred.matches(row));
-            off.push(t0.elapsed().as_micros());
-            assert_eq!(a.len(), b.len(), "ablation arms must agree");
-        }
-        report.row(vec![
-            "secondary index".into(),
-            "on".into(),
-            (*name).into(),
-            us(median_us(on)),
-        ]);
-        report.row(vec![
-            "secondary index".into(),
-            "off (full scan)".into(),
-            (*name).into(),
-            us(median_us(off)),
-        ]);
-    }
-
-    // (ii) GC on/off under sustained updates of one hot record
-    let hot = Key::str(data.orders[0].get_field("_id").as_str().expect("order id"));
-    let rounds = if scale.reps > 5 { 400 } else { 100 };
-    let run_churn = |gc_each: Option<usize>| -> (usize, u128) {
-        let (engine, _) = build_engine(&cfg).expect("fresh engine");
-        for i in 0..rounds {
-            engine
-                .run(Isolation::Snapshot, |t| {
-                    t.merge("orders", &hot, udbms_core::obj! {"round" => i as i64})
-                })
-                .expect("churn");
-            if let Some(every) = gc_each {
-                if i % every == every - 1 {
-                    engine.gc();
-                }
-            }
-        }
-        let chain = engine.stats().max_chain_len;
-        let t0 = Instant::now();
-        for _ in 0..50 {
-            engine
-                .run(Isolation::Snapshot, |t| t.get("orders", &hot))
-                .expect("read");
-        }
-        (chain, t0.elapsed().as_micros() / 50)
-    };
-    let (chain_off, read_off) = run_churn(None);
-    let (chain_on, read_on) = run_churn(Some(50));
-    report.row(vec![
-        "version-chain GC".into(),
-        "off".into(),
-        format!("max chain after {rounds} updates"),
-        chain_off.to_string(),
-    ]);
-    report.row(vec![
-        "version-chain GC".into(),
-        "every 50 commits".into(),
-        format!("max chain after {rounds} updates"),
-        chain_on.to_string(),
-    ]);
-    report.row(vec![
-        "version-chain GC".into(),
-        "off".into(),
-        "hot-record read".into(),
-        us(read_off),
-    ]);
-    report.row(vec![
-        "version-chain GC".into(),
-        "every 50 commits".into(),
-        "hot-record read".into(),
-        us(read_on),
-    ]);
-
-    // (iii) wire-codec cost of the polyglot baseline
-    let polyglot = PolyglotDb::new();
-    load_into_polyglot(&polyglot, &data).expect("polyglot load");
-    let mut total_bytes = 0usize;
-    for q in workload::queries() {
-        let out = run_query(&polyglot, q.id, &params).expect("query");
-        total_bytes += udbms_polyglot::result_wire_bytes(&out);
-    }
-    report.row(vec![
-        "polyglot wire codec".into(),
-        "Q1–Q10 results".into(),
-        "serialized bytes crossing store boundaries".into(),
-        total_bytes.to_string(),
-    ]);
-    report
-}
-
 /// E8 — durability: commit throughput over durability level × clients,
 /// group commit vs the historical per-commit WAL path, and recovery
 /// time vs log size (including a torn-tail crash simulation). Every
@@ -1086,7 +804,6 @@ pub fn e8_durability(scale: RunScale) -> Report {
                 let es = engine.stats();
                 report.stats_row(
                     &[arm.into(), level.label().into(), clients.to_string()],
-                    cell.ops,
                     &cell.stats,
                     &[(
                         "recs/batch",
@@ -1166,200 +883,26 @@ pub fn e8_durability(scale: RunScale) -> Report {
     report
 }
 
-/// One timed operation of a cell: `(client, op index) -> result`.
-type Op<'a> = Box<dyn Fn(usize, usize) -> udbms_core::Result<()> + Sync + 'a>;
-
-/// The read-path cells `(op, arm, ops per client, operation)` over
-/// `engine`'s `bench` collection of `rows` records keyed `0..rows`:
-/// E9 runs all of them, E10 re-runs the acceptance pair.
-fn read_path_cells(
-    engine: &Engine,
-    rows: usize,
-) -> Vec<(&'static str, &'static str, usize, Op<'_>)> {
-    let point_key = move |client: usize, i: usize| {
-        let mut rng = SplitMix64::new(3 + client as u64 * 65_537 + i as u64);
-        Key::int((rng.next_u64() % rows as u64) as i64)
-    };
-    // a statement in a full transaction / on the lock-free read lane
-    let txn = |text: &str| -> Op<'_> {
-        let q = Query::parse(text).expect("parse");
-        Box::new(move |_, _| {
-            engine
-                .run(Isolation::Snapshot, |t| q.execute(t))
-                .map(|_| ())
-        })
-    };
-    let lane = |text: &str| -> Op<'_> {
-        let q = Query::parse(text).expect("parse");
-        Box::new(move |_, _| {
-            let mut t = engine.begin_read();
-            q.execute(&mut t)?;
-            t.commit().map(|_| ())
-        })
-    };
-    const AGG: &str = "FOR r IN bench COLLECT AGGREGATE s = SUM(r.n) RETURN s";
-    let point_gets = rows.min(2048);
-    vec![
-        (
-            "point-get",
-            "txn-clone",
-            point_gets,
-            Box::new(move |client, i| {
-                let mut t = engine.begin(Isolation::Snapshot);
-                t.get("bench", &point_key(client, i))?;
-                t.commit().map(|_| ())
-            }),
-        ),
-        (
-            "point-get",
-            "lane-arc",
-            point_gets,
-            Box::new(move |client, i| {
-                let mut t = engine.begin_read();
-                t.get_shared("bench", &point_key(client, i))?;
-                t.commit().map(|_| ())
-            }),
-        ),
-        (
-            "scan-full",
-            "txn-clone",
-            6,
-            Box::new(move |_, _| {
-                let mut t = engine.begin(Isolation::Snapshot);
-                // the owner's copy, made at the edge
-                let owned: Vec<(Key, Value)> = t
-                    .scan_shared("bench")?
-                    .into_iter()
-                    .map(|(k, v)| (k, v.as_ref().clone()))
-                    .collect();
-                assert_eq!(owned.len(), rows);
-                t.commit().map(|_| ())
-            }),
-        ),
-        (
-            "scan-full",
-            "lane-arc",
-            6,
-            Box::new(move |_, _| {
-                let mut t = engine.begin_read();
-                let n = t.scan_shared("bench")?.len();
-                assert_eq!(n, rows);
-                t.commit().map(|_| ())
-            }),
-        ),
-        // the acceptance pair: identical semantics, one text compiles
-        // into a closure tree and rides the read lane, the other
-        // defeats compilation (function call) and runs the interpreter
-        // in a full txn
-        (
-            "filter-scan",
-            "interp-txn",
-            6,
-            txn("FOR r IN bench FILTER TO_NUMBER(r.g) % 4 == 3 RETURN r.n"),
-        ),
-        (
-            "filter-scan",
-            "compiled-lane",
-            6,
-            lane("FOR r IN bench FILTER r.g % 4 == 3 RETURN r.n"),
-        ),
-        // LIMIT ablation: the LET between FOR and LIMIT defeats the
-        // adjacency rule, forcing the full materialized walk
-        (
-            "limit-10",
-            "materialize",
-            48,
-            txn("FOR r IN bench LET x = 1 LIMIT 10 RETURN r.n"),
-        ),
-        (
-            "limit-10",
-            "pushdown-lane",
-            48,
-            lane("FOR r IN bench LIMIT 10 RETURN r.n"),
-        ),
-        ("agg-sum", "txn", 6, txn(AGG)),
-        ("agg-sum", "read-lane", 6, lane(AGG)),
-    ]
-}
-
-/// E9 — read path: every cell pair runs the identical workload on the
-/// same loaded engine, once on the seed-style path (materialized
-/// clones, interpreted filters, full transaction machinery) and once on
-/// the zero-copy path (`Arc`-shared rows, compiled predicate closures,
-/// the lock-free read lane, limit pushdown). The arms isolate, one axis
-/// at a time, what PR 5's read-path overhaul buys on point reads,
-/// full scans, predicate scans, `LIMIT` queries and aggregations.
-pub fn e9_read_path(scale: RunScale) -> Report {
-    let rows = if scale.reps > 5 { 8192usize } else { 2048 };
-    let mut report = Report::new(
-        format!(
-            "E9 — read path: clone/interp/txn vs Arc/compiled/read-lane, {} row(s), {} shard(s)",
-            rows, scale.shards
-        ),
-        &[
-            "op", "arm", "clients", "ops", "elapsed", "p50", "p90", "p95", "p99", "max", "rate",
-        ],
-    );
-    // moderately wide rows: cloning cost must be visible, like real docs
-    let engine = kv_engine(
-        Engine::with_config(scale.engine_config()),
-        "bench",
-        (0..rows).map(|i| {
-            (
-                Key::int(i as i64),
-                udbms_core::obj! {
-                    "g" => (i % 16) as i64,
-                    "n" => i as i64,
-                    "name" => format!("user-{i}"),
-                    "tags" => udbms_core::arr!["alpha", "beta", (i % 7) as i64],
-                    "addr" => udbms_core::obj! {
-                        "city" => format!("city-{}", i % 97),
-                        "zip" => (10_000 + i % 89_999) as i64,
-                    },
-                },
-            )
-        }),
-    );
-    let cells = read_path_cells(&engine, rows);
-    for clients in client_arms(scale.clients) {
-        for (op, arm, per_client, body) in &cells {
-            let [cell] = best_of(cycles(scale), |_| {
-                [measure(clients, *per_client, RunMode::Closed, body)]
-            });
-            report.stats_row(
-                &[(*op).into(), (*arm).into(), clients.to_string()],
-                cell.ops,
-                &cell.stats,
-                &[],
-            );
-        }
-    }
-    report.note("arm pairs run identical workloads on one loaded engine; the variable is the");
-    report.note("read path: txn-clone/interp = seed behaviour (materialized Value clones,");
-    report.note("interpreted filters, commit-lock snapshot), lane/arc/compiled = Arc-shared");
-    report.note("rows, closure-tree predicates, limit pushdown and the lock-free read lane");
-    report
-}
-
-/// E10 — observability overhead: the E9 acceptance pair (point-get on
-/// the read lane, compiled filter-scan) runs twice on identically
-/// loaded engines, once with obs recording enabled and once disabled —
-/// the arms differ only in `EngineConfig::obs`, so the rate gap *is*
-/// the cost of the stage histograms and trace events on the hot path;
-/// the notes quote it per cell. (That the commit-stage histograms
-/// populate on a WAL-backed engine is `crates/driver/tests/obs.rs`'s
-/// job.)
+/// E10 — observability overhead: two read-lane hot loops — a point-get
+/// through `get_shared` and the compiled filter-scan — run twice on
+/// identically loaded engines, once with obs recording enabled and once
+/// disabled. The arms differ only in `EngineConfig::obs`, so the rate
+/// gap *is* the cost of the stage histograms and trace events on the
+/// hot path; the notes quote it per cell. (That the commit-stage
+/// histograms populate on a WAL-backed engine is
+/// `crates/driver/tests/obs.rs`'s job.)
 pub fn e10_obs_overhead(scale: RunScale) -> Report {
     let rows = if scale.reps > 5 { 8192usize } else { 2048 };
     let mut report = Report::new(
         format!(
-            "E10 — observability overhead: obs on vs off on the E9 hot loops, {} row(s), {} shard(s)",
+            "E10 — observability overhead: obs on vs off on the read-lane hot loops, {} row(s), {} shard(s)",
             rows, scale.shards
         ),
         &[
             "op", "obs", "clients", "ops", "elapsed", "p50", "p90", "p95", "p99", "max", "rate",
         ],
     );
+    let filter = Query::parse("FOR r IN bench FILTER r.g % 4 == 3 RETURN r.n").expect("parse");
     // (op, clients) → the obs-on rate, for the overhead notes
     let mut on_rates: Vec<(&str, usize, f64)> = Vec::new();
     for (arm, enabled) in [("on", true), ("off", false)] {
@@ -1373,23 +916,31 @@ pub fn e10_obs_overhead(scale: RunScale) -> Report {
                 )
             }),
         );
-        let cells = read_path_cells(&engine, rows);
-        let hot = cells.iter().filter(|(op, arm, ..)| {
-            matches!(
-                (*op, *arm),
-                ("point-get", "lane-arc") | ("filter-scan", "compiled-lane")
-            )
-        });
+        let point_get = |client: usize, i: usize| {
+            let mut rng = SplitMix64::new(3 + client as u64 * 65_537 + i as u64);
+            let key = Key::int((rng.next_u64() % rows as u64) as i64);
+            let mut t = engine.begin_read();
+            t.get_shared("bench", &key)?;
+            t.commit().map(|_| ())
+        };
+        let filter_scan = |_: usize, _: usize| {
+            let mut t = engine.begin_read();
+            filter.execute(&mut t)?;
+            t.commit().map(|_| ())
+        };
         for clients in client_arms(scale.clients) {
-            for (op, _, per_client, body) in hot.clone() {
-                let [cell] = best_of(cycles(scale), |_| {
-                    [measure(clients, *per_client, RunMode::Closed, body)]
-                });
+            let cells = best_of(cycles(scale), |_| {
+                [
+                    measure(clients, 2048, RunMode::Closed, point_get),
+                    measure(clients, 6, RunMode::Closed, filter_scan),
+                ]
+            });
+            for (op, cell) in ["point-get", "filter-scan"].into_iter().zip(cells) {
                 let rate = cell.stats.throughput();
                 if enabled {
                     on_rates.push((op, clients, rate));
                 } else if let Some((_, _, on)) =
-                    on_rates.iter().find(|(o, c, _)| o == op && *c == clients)
+                    on_rates.iter().find(|(o, c, _)| *o == op && *c == clients)
                 {
                     // the measured cost of recording, per cell
                     let overhead = (1.0 - on / rate.max(1e-9)) * 100.0;
@@ -1398,8 +949,7 @@ pub fn e10_obs_overhead(scale: RunScale) -> Report {
                     ));
                 }
                 report.stats_row(
-                    &[(*op).into(), arm.into(), clients.to_string()],
-                    cell.ops,
+                    &[op.into(), arm.into(), clients.to_string()],
                     &cell.stats,
                     &[],
                 );
@@ -1423,24 +973,16 @@ pub fn e10_obs_overhead(scale: RunScale) -> Report {
 pub fn e11_contention_tail(scale: RunScale) -> Report {
     let n_keys = if scale.reps > 5 { 8192usize } else { 2048 };
     let per_client = if scale.reps > 5 { 1024usize } else { 256 };
-    // the Zipfian arm's skew: the configured --key-dist theta, or YCSB's
-    // classic 0.99 when the run is otherwise uniform
-    let theta = match scale.key_dist {
-        KeyDist::Zipfian { theta } => theta,
-        KeyDist::Uniform => 0.99,
-    };
     let mut report = Report::new(
         format!(
-            "E11 — contention & tail latency: OCC aborts under key skew + open-loop pacing, {} key(s), shape {}",
-            n_keys,
-            scale.value_shape.label()
+            "E11 — contention & tail latency: OCC aborts under key skew + open-loop pacing, {n_keys} key(s), nested records"
         ),
         &[
             "op", "dist", "mode", "clients", "ops", "target", "elapsed", "p50", "p90", "p95", "p99",
             "max", "aborts", "abort%", "rate",
         ],
     );
-    let values = ValueProvider::new(scale.value_shape, 99);
+    let values = ValueProvider::new(ValueShape::nested(), 99);
     // load the key space in a seeded-random insert order so the
     // measured phases never benefit from insertion-order locality
     let loader = KeyProvider::new(n_keys, KeyDist::Uniform, 17);
@@ -1489,8 +1031,9 @@ pub fn e11_contention_tail(scale: RunScale) -> Report {
                 ..cell
             }]
         });
-        let abort_pct =
-            cell.retries as f64 / (cell.ops as u64 + cell.retries).max(1) as f64 * 100.0;
+        let abort_pct = cell.retries as f64
+            / (cell.stats.total_ops as u64 + cell.retries).max(1) as f64
+            * 100.0;
         report.stats_row(
             &[
                 op.into(),
@@ -1498,7 +1041,6 @@ pub fn e11_contention_tail(scale: RunScale) -> Report {
                 mode.label().into(),
                 clients.to_string(),
             ],
-            cell.ops,
             &cell.stats,
             &[
                 (
@@ -1516,7 +1058,8 @@ pub fn e11_contention_tail(scale: RunScale) -> Report {
     };
 
     let clients_hi = scale.clients.max(1);
-    let zipf = KeyDist::Zipfian { theta };
+    // YCSB's classic contention skew
+    let zipf = KeyDist::Zipfian { theta: 0.99 };
     // the N-client closed Zipfian rates (update, read) — each slot's
     // last write, as the Zipfian arms run last — for deriving a
     // sustainable open-loop target on whatever machine this is
@@ -1629,7 +1172,6 @@ pub fn e12_faults(scale: RunScale) -> Report {
         let counts = (ok.into_inner(), errors.into_inner(), retries.into_inner());
         report.stats_row(
             &[phase.into(), op.into()],
-            cell.ops,
             &cell.stats,
             &[
                 ("clients", clients.to_string()),
@@ -1706,10 +1248,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("e4b", e4b_acid),
     ("e4c", e4c_eventual),
     ("e5", e5_conversion),
-    ("e6", e6_crud_scaling),
-    ("e7", e7_ablation),
     ("e8", e8_durability),
-    ("e9", e9_read_path),
     ("e10", e10_obs_overhead),
     ("e11", e11_contention_tail),
     ("e12", e12_faults),
@@ -1744,18 +1283,18 @@ mod tests {
     #[test]
     fn experiment_ids_are_unique_and_unknown_ids_are_rejected() {
         let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
-        assert_eq!(ids.len(), 15);
+        assert_eq!(ids.len(), 12);
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 15, "duplicate experiment id");
-        assert_eq!(select(&[]).unwrap().len(), 15, "no ids = everything");
+        assert_eq!(ids.len(), 12, "duplicate experiment id");
+        assert_eq!(select(&[]).unwrap().len(), 12, "no ids = everything");
         // selection keeps table order, whatever order was asked for
-        let picked: Vec<&str> = select(&["e9", "e2"])
+        let picked: Vec<&str> = select(&["e10", "e2"])
             .unwrap()
             .into_iter()
             .map(|(id, ..)| *id)
             .collect();
-        assert_eq!(picked, ["e2", "e9"]);
+        assert_eq!(picked, ["e2", "e10"]);
         let err = select(&["e2", "e13", "out.txt"]).unwrap_err();
         assert!(err.contains("e13") && err.contains("out.txt"), "{err}");
         assert!(err.contains("available: f1, e1, e2"), "{err}");
@@ -1888,45 +1427,6 @@ mod tests {
     }
 
     #[test]
-    fn e6_sweeps_clients_by_shards() {
-        let scale = RunScale {
-            sf: 0.01,
-            reps: 2,
-            trials: 10,
-            clients: 2,
-            shards: 2,
-            durability: None,
-            ..RunScale::quick()
-        };
-        let r = e6_crud_scaling(scale);
-        // 5 ops × shard arms {1, 2} × client arms {1, 2}
-        assert_eq!(r.rows.len(), 5 * 2 * 2);
-        for op in [
-            "create (batched)",
-            "read",
-            "update",
-            "scan (predicate)",
-            "delete (batched)",
-        ] {
-            assert!(r.rows.iter().any(|row| row[0] == op), "missing op row {op}");
-        }
-        assert!(r.rows.iter().any(|row| row[2] == "1" && row[3] == "2"));
-        assert!(r.rows.iter().any(|row| row[2] == "2" && row[3] == "2"));
-        for row in &r.rows {
-            assert_eq!(row[1], "uniform", "dist cell: {row:?}");
-            assert!(row[11].ends_with("/s"), "throughput cell: {row:?}");
-        }
-
-        // a Zipfian scale labels its rows and still sweeps every cell
-        let r = e6_crud_scaling(RunScale {
-            key_dist: KeyDist::Zipfian { theta: 0.9 },
-            ..scale
-        });
-        assert_eq!(r.rows.len(), 5 * 2 * 2);
-        assert!(r.rows.iter().all(|row| row[1] == "zipf(0.9)"));
-    }
-
-    #[test]
     fn e11_measures_contention_and_open_loop_tail() {
         let scale = RunScale {
             sf: 0.01,
@@ -2030,43 +1530,6 @@ mod tests {
     }
 
     #[test]
-    fn e9_pairs_every_op_across_arms_and_clients() {
-        let scale = RunScale {
-            sf: 0.01,
-            reps: 2,
-            trials: 10,
-            clients: 2,
-            shards: 4,
-            durability: None,
-            ..RunScale::quick()
-        };
-        let r = e9_read_path(scale);
-        // 5 ops × 2 arms × client arms {1, 2}
-        assert_eq!(r.rows.len(), 5 * 2 * 2);
-        for (op, arms) in [
-            ("point-get", ["txn-clone", "lane-arc"]),
-            ("scan-full", ["txn-clone", "lane-arc"]),
-            ("filter-scan", ["interp-txn", "compiled-lane"]),
-            ("limit-10", ["materialize", "pushdown-lane"]),
-            ("agg-sum", ["txn", "read-lane"]),
-        ] {
-            for arm in arms {
-                for clients in ["1", "2"] {
-                    assert!(
-                        r.rows
-                            .iter()
-                            .any(|row| row[0] == op && row[1] == arm && row[2] == clients),
-                        "missing row {op} × {arm} × {clients}"
-                    );
-                }
-            }
-        }
-        for row in &r.rows {
-            assert!(row[10].ends_with("/s"), "rate cell: {row:?}");
-        }
-    }
-
-    #[test]
     fn e10_sweeps_obs_arms_and_quotes_the_overhead() {
         let scale = RunScale {
             sf: 0.01,
@@ -2101,25 +1564,8 @@ mod tests {
     }
 
     #[test]
-    fn e7_gc_arm_bounds_chains() {
-        let scale = RunScale {
-            sf: 0.01,
-            reps: 2,
-            trials: 10,
-            clients: 2,
-            shards: 4,
-            durability: None,
-            ..RunScale::quick()
-        };
-        let r = e7_ablation(scale);
-        let chain_rows: Vec<&Vec<String>> = r
-            .rows
-            .iter()
-            .filter(|row| row[2].starts_with("max chain"))
-            .collect();
-        assert_eq!(chain_rows.len(), 2);
-        let off: usize = chain_rows[0][3].parse().unwrap();
-        let on: usize = chain_rows[1][3].parse().unwrap();
-        assert!(on < off, "GC must bound chains: on={on} off={off}");
+    fn temp_wal_paths_are_unique_per_call() {
+        let (a, b) = (temp_wal("same"), temp_wal("same"));
+        assert_ne!(a, b, "two logs with one tag must not share a file");
     }
 }

@@ -46,10 +46,10 @@ impl Report {
     pub fn stats_row(
         &mut self,
         identity: &[String],
-        ops: usize,
         stats: &ConcurrentStats,
         extras: &[(&str, String)],
     ) {
+        let ops = stats.total_ops;
         let latency = latency_cells(&stats.latency_histogram(), stats.percentile_us(95.0));
         let cells = self
             .headers
@@ -260,7 +260,6 @@ mod tests {
             let mut r = Report::new("demo", &headers);
             r.stats_row(
                 &["read".into(), "4".into()],
-                500,
                 &stats,
                 &[("note", "hot".into())],
             );
@@ -275,7 +274,7 @@ mod tests {
     #[should_panic(expected = "no cell for column `bogus` in demo")]
     fn stats_row_panics_naming_an_unfillable_column() {
         let mut r = Report::new("demo", &["op", "bogus", "ops/s"]);
-        r.stats_row(&["read".into()], 1, &two_second_run(1), &[]);
+        r.stats_row(&["read".into()], &two_second_run(1), &[]);
     }
 
     #[test]

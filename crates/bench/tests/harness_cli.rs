@@ -19,7 +19,25 @@ fn unknown_ids_and_removed_flags_exit_2() {
     assert!(err.contains("available: f1, e1, e2"), "{err}");
     assert!(out.stdout.is_empty(), "nothing may run before the id check");
 
-    for flag in ["--obs-check", "--experiments", "--slow-query-ms"] {
+    // the experiments mmbench's per-layer table answers are gone
+    for id in ["e6", "e7", "e9"] {
+        let out = harness(&["--quick", id]);
+        assert_eq!(out.status.code(), Some(2), "{id}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("available: f1, e1, e2, e3, e4a, e4b, e4c, e5, e8, e10, e11, e12"),
+            "{err}"
+        );
+    }
+
+    for flag in [
+        "--obs-check",
+        "--experiments",
+        "--slow-query-ms",
+        "--obs",
+        "--key-dist",
+        "--value-shape",
+    ] {
         let out = harness(&["--quick", flag, "f1"]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -60,8 +78,6 @@ fn json_header_records_the_whole_profile() {
         ("profile", "quick"),
         ("clients", "3"),
         ("durability", "all"),
-        ("obs", "on"),
-        ("key_dist", "uniform"),
         ("mode", "open"),
         ("rate", "1500.0"),
         ("fault_seed", "9"),
@@ -79,5 +95,7 @@ fn json_header_records_the_whole_profile() {
     assert_eq!(reports.len(), 1);
     assert_eq!(reports[0].get_field("id").display_plain(), "f1");
     // the profile and the reports are the whole document
-    assert_eq!(doc.get_field("matrix"), &udbms_core::Value::Null);
+    for gone in ["matrix", "obs", "key_dist", "value_shape"] {
+        assert_eq!(doc.get_field(gone), &udbms_core::Value::Null, "`{gone}`");
+    }
 }

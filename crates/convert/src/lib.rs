@@ -46,7 +46,7 @@ mod proptests {
         ];
         if depth == 0 {
             prop::collection::btree_map("[a-z][a-z0-9_]{0,6}", scalar, 1..5)
-                .prop_map(Value::from)
+                .prop_map(|m| Value::Object(m.into_iter().collect()))
                 .boxed()
         } else {
             let inner = faithful_value(depth - 1);
@@ -59,7 +59,7 @@ mod proptests {
                 ],
                 1..5,
             )
-            .prop_map(Value::from)
+            .prop_map(|m| Value::Object(m.into_iter().collect()))
             .boxed()
         }
     }

@@ -30,7 +30,6 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -653,12 +652,6 @@ impl From<Vec<Value>> for Value {
 impl From<Object> for Value {
     fn from(o: Object) -> Self {
         Value::Object(o)
-    }
-}
-impl From<BTreeMap<String, Value>> for Value {
-    /// Convenience constructor; the map's order is already the object's.
-    fn from(o: BTreeMap<String, Value>) -> Self {
-        Value::Object(o.into_iter().collect())
     }
 }
 impl<T: Into<Value>> From<Option<T>> for Value {

@@ -26,24 +26,7 @@ pub enum KeyDist {
 }
 
 impl KeyDist {
-    /// Parse a harness flag value: `uniform`, `zipf` (θ = 0.99), or
-    /// `zipf:THETA`.
-    pub fn parse(s: &str) -> Option<KeyDist> {
-        match s {
-            "uniform" => Some(KeyDist::Uniform),
-            "zipf" | "zipfian" => Some(KeyDist::Zipfian { theta: 0.99 }),
-            other => {
-                let theta = other
-                    .strip_prefix("zipf:")
-                    .or_else(|| other.strip_prefix("zipfian:"))?
-                    .parse::<f64>()
-                    .ok()?;
-                (theta >= 0.0).then_some(KeyDist::Zipfian { theta })
-            }
-        }
-    }
-
-    /// Stable label for report rows and gate keys.
+    /// Stable label for report rows.
     pub fn label(&self) -> String {
         match self {
             KeyDist::Uniform => "uniform".into(),
@@ -167,17 +150,7 @@ pub struct ValueShape {
 }
 
 impl ValueShape {
-    /// Flat rows: no nesting, short strings (key-value-store shaped).
-    pub fn flat() -> ValueShape {
-        ValueShape {
-            depth: 0,
-            fanout: 4,
-            array_len: 0,
-            string_len: 16,
-        }
-    }
-
-    /// Moderately nested documents (the default; order-document shaped).
+    /// Moderately nested documents (order-document shaped).
     pub fn nested() -> ValueShape {
         ValueShape {
             depth: 2,
@@ -185,62 +158,6 @@ impl ValueShape {
             array_len: 4,
             string_len: 32,
         }
-    }
-
-    /// Deep, wide documents that make clone/serialize costs visible.
-    pub fn deep() -> ValueShape {
-        ValueShape {
-            depth: 4,
-            fanout: 3,
-            array_len: 8,
-            string_len: 64,
-        }
-    }
-
-    /// Parse a harness flag value: `flat`, `nested`, `deep`, or an
-    /// explicit `DEPTH,FANOUT,ARRAY,STRING` quadruple (e.g. `2,4,8,32`).
-    pub fn parse(s: &str) -> Option<ValueShape> {
-        match s {
-            "flat" => return Some(ValueShape::flat()),
-            "nested" => return Some(ValueShape::nested()),
-            "deep" => return Some(ValueShape::deep()),
-            _ => {}
-        }
-        let parts: Vec<usize> = s
-            .split(',')
-            .map(|p| p.trim().parse().ok())
-            .collect::<Option<Vec<usize>>>()?;
-        if parts.len() != 4 {
-            return None;
-        }
-        Some(ValueShape {
-            depth: parts[0],
-            fanout: parts[1].max(1),
-            array_len: parts[2],
-            string_len: parts[3],
-        })
-    }
-
-    /// Stable label for report titles.
-    pub fn label(&self) -> String {
-        if *self == ValueShape::flat() {
-            "flat".into()
-        } else if *self == ValueShape::nested() {
-            "nested".into()
-        } else if *self == ValueShape::deep() {
-            "deep".into()
-        } else {
-            format!(
-                "{},{},{},{}",
-                self.depth, self.fanout, self.array_len, self.string_len
-            )
-        }
-    }
-}
-
-impl Default for ValueShape {
-    fn default() -> Self {
-        ValueShape::nested()
     }
 }
 
@@ -259,14 +176,9 @@ impl ValueProvider {
         ValueProvider { shape, seed }
     }
 
-    /// The configured shape.
-    pub fn shape(&self) -> ValueShape {
-        self.shape
-    }
-
-    /// The record for key index `i`. Every record carries the scan
-    /// probe fields the CRUD experiments predicate on — `n` (the key
-    /// index) and `g` (a 16-way group) — plus the shape-driven payload.
+    /// The record for key index `i`. Every record carries two scan
+    /// probe fields a predicate can filter on — `n` (the key index) and
+    /// `g` (a 16-way group) — plus the shape-driven payload.
     pub fn record(&self, i: usize) -> Value {
         let mut rng = SplitMix64::new(self.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let mut top = Object::new();
@@ -325,43 +237,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn key_dist_parses_flag_forms() {
-        assert_eq!(KeyDist::parse("uniform"), Some(KeyDist::Uniform));
-        assert_eq!(
-            KeyDist::parse("zipf"),
-            Some(KeyDist::Zipfian { theta: 0.99 })
-        );
-        assert_eq!(
-            KeyDist::parse("zipf:0.5"),
-            Some(KeyDist::Zipfian { theta: 0.5 })
-        );
-        assert_eq!(
-            KeyDist::parse("zipfian:1.2"),
-            Some(KeyDist::Zipfian { theta: 1.2 })
-        );
-        assert_eq!(KeyDist::parse("zipf:-1"), None);
-        assert_eq!(KeyDist::parse("nope"), None);
-        assert_eq!(KeyDist::Uniform.label(), "uniform");
-        assert_eq!(KeyDist::Zipfian { theta: 0.9 }.label(), "zipf(0.9)");
-    }
-
-    #[test]
-    fn value_shape_parses_presets_and_quadruples() {
-        assert_eq!(ValueShape::parse("flat"), Some(ValueShape::flat()));
-        assert_eq!(ValueShape::parse("nested"), Some(ValueShape::nested()));
-        assert_eq!(ValueShape::parse("deep"), Some(ValueShape::deep()));
-        let custom = ValueShape::parse("3, 5, 2, 48").expect("quadruple");
-        assert_eq!(custom.depth, 3);
-        assert_eq!(custom.fanout, 5);
-        assert_eq!(custom.array_len, 2);
-        assert_eq!(custom.string_len, 48);
-        assert_eq!(custom.label(), "3,5,2,48");
-        assert_eq!(ValueShape::parse("1,2,3"), None);
-        assert_eq!(ValueShape::parse("a,b,c,d"), None);
-        assert_eq!(ValueShape::nested().label(), "nested");
-    }
-
-    #[test]
     fn uniform_draws_cover_the_space() {
         let p = KeyProvider::new(16, KeyDist::Uniform, 7);
         let mut rng = SplitMix64::new(1);
@@ -373,6 +248,7 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         assert!((p.expected_share(3) - 1.0 / 16.0).abs() < 1e-12);
+        assert_eq!(KeyDist::Uniform.label(), "uniform");
     }
 
     #[test]
@@ -400,6 +276,7 @@ mod tests {
         // shares over the whole space sum to 1
         let total: f64 = (0..100).map(|k| p.expected_share(k)).sum();
         assert!((total - 1.0).abs() < 1e-9);
+        assert_eq!(KeyDist::Zipfian { theta: 0.9 }.label(), "zipf(0.9)");
     }
 
     #[test]
@@ -455,15 +332,24 @@ mod tests {
         assert!(level1.get_field("f0").as_object().is_none());
 
         // flat records carry a pad string instead of nesting
-        let flat = ValueProvider::new(ValueShape::flat(), 42).record(3);
+        let flat_shape = ValueShape {
+            depth: 0,
+            fanout: 4,
+            array_len: 0,
+            string_len: 16,
+        };
+        let flat = ValueProvider::new(flat_shape, 42).record(3);
         assert!(flat.get_field("payload").as_object().is_none());
-        assert_eq!(
-            flat.get_field("pad").as_str().map(str::len),
-            Some(ValueShape::flat().string_len)
-        );
+        assert_eq!(flat.get_field("pad").as_str().map(str::len), Some(16));
 
         // deeper shapes produce strictly bigger documents
-        let deep = ValueProvider::new(ValueShape::deep(), 42).record(3);
+        let deep_shape = ValueShape {
+            depth: 4,
+            fanout: 3,
+            array_len: 8,
+            string_len: 64,
+        };
+        let deep = ValueProvider::new(deep_shape, 42).record(3);
         let size = |v: &Value| udbms_json::to_string(v).len();
         assert!(size(&deep) > size(&rec) && size(&rec) > size(&flat));
     }

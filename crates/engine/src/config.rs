@@ -115,7 +115,7 @@ impl Metrics {
     }
 }
 
-/// Counters and storage shape, for reports and the E6 ablations.
+/// Counters and storage shape, for reports and mmbench's `count.*`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineStats {
     /// Committed transactions.

@@ -286,7 +286,7 @@ impl Storage {
         self.chains.len()
     }
 
-    /// Length of the longest chain (E6 GC-ablation metric).
+    /// Length of the longest chain (mmbench's `count.max_chain_len`).
     pub fn max_chain_len(&self) -> usize {
         self.live_slots().map(Slot::len).max().unwrap_or(0)
     }

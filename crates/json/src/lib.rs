@@ -44,7 +44,8 @@ mod proptests {
         leaf.prop_recursive(4, 64, 8, |inner| {
             prop_oneof![
                 prop::collection::vec(inner.clone(), 0..6).prop_map(Value::Array),
-                prop::collection::btree_map("[a-z]{1,6}", inner, 0..6).prop_map(Value::from),
+                prop::collection::btree_map("[a-z]{1,6}", inner, 0..6)
+                    .prop_map(|m| Value::Object(m.into_iter().collect())),
             ]
         })
     }

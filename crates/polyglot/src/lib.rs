@@ -20,9 +20,9 @@ mod stores;
 mod wire;
 
 pub use load::{build_polyglot, load_into_polyglot};
-pub use queries::{order_update_polyglot, result_wire_bytes, run_query};
+pub use queries::{order_update_polyglot, run_query};
 pub use stores::{AllStores, PolyglotDb, XmlStore};
-pub use wire::{json_hop, wire_bytes, xml_hop};
+pub use wire::{json_hop, xml_hop};
 
 #[cfg(test)]
 mod equivalence {

@@ -396,11 +396,6 @@ pub fn order_update_polyglot(db: &PolyglotDb, order_key: &Key) -> Result<()> {
     })
 }
 
-/// Total wire bytes a value set would cost (E6 ablation helper).
-pub fn result_wire_bytes(rows: &[Value]) -> usize {
-    rows.iter().map(crate::wire::wire_bytes).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,11 +22,6 @@ pub fn xml_hop(node: &XmlNode) -> Result<XmlNode> {
     Ok(udbms_xml::parse(&text)?.into_root())
 }
 
-/// Bytes a value occupies on the wire (for the E6 wire-cost ablation).
-pub fn wire_bytes(v: &Value) -> usize {
-    udbms_json::to_string(v).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,11 +46,5 @@ mod tests {
             .with_attr("id", "i1")
             .with_child(XmlNode::leaf("Total", "25.00"));
         assert_eq!(xml_hop(&node).unwrap(), node);
-    }
-
-    #[test]
-    fn wire_bytes_counts_serialized_size() {
-        assert_eq!(wire_bytes(&Value::Int(7)), 1);
-        assert!(wire_bytes(&obj! {"k" => "value"}) > 10);
     }
 }

@@ -48,8 +48,7 @@ mod proptests {
 
     proptest! {
         /// An index-accelerated equality scan returns exactly what a full
-        /// scan returns — the core index-correctness invariant (ablated in
-        /// experiment E6).
+        /// scan returns — the core index-correctness invariant.
         #[test]
         fn index_scan_equals_full_scan(vals in prop::collection::vec(0i64..50, 1..80)) {
             let mut t = table_with_index();

@@ -227,8 +227,8 @@ impl Table {
         )
     }
 
-    /// Like [`Table::select`] but forces a full scan (the E6 index
-    /// ablation's "off" arm).
+    /// Like [`Table::select`] but forces a full scan (the reference an
+    /// indexed select must agree with).
     pub fn select_scan<'a>(&'a self, pred: &'a Predicate) -> impl Iterator<Item = Value> + 'a {
         self.rows
             .values()
