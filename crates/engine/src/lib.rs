@@ -13,7 +13,7 @@
 //! ## Architecture
 //!
 //! ```text
-//!   Txn API (reads: get / get_shared / scan_shared / rows;
+//!   Txn API (reads: get / get_shared / scan_shared / rows / for_each_row;
 //!        │    writes: put/insert/update/merge/delete, *_many;
 //!        │    graph helpers and xpath over both)
 //!        │  buffered write-set + read-set
@@ -23,7 +23,7 @@
 //!        ▼
 //!   ShardedStorage ── key → shard (stable hash) → independently locked
 //!        │             Shard: (CollectionId, Key) → version chain (MVCC)
-//!        │             + per-shard index segments, GC, merged iteration
+//!        │             + per-shard index segments, GC, one key-ordered walk
 //!        ▼
 //!   Catalog ── schemas, auto-id counters, index *definitions*
 //!        │
@@ -48,13 +48,17 @@
 //!
 //! ## Reading
 //!
-//! A transaction reads through four methods: [`Txn::get`] (an owned
+//! A transaction reads through five methods: [`Txn::get`] (an owned
 //! copy of one record), [`Txn::get_shared`] (the same record as an
 //! `Arc` handle), [`Txn::scan_shared`] (a whole collection in key
-//! order) and the general form [`Txn::rows`] — optional predicate,
+//! order), the general form [`Txn::rows`] — optional predicate,
 //! optional limit — which is where the read horizon, index probe vs
 //! sharded scan, serializable read-set noting, own-write overlay and
-//! limit pushdown are decided, once.
+//! limit pushdown are decided, once, and [`Txn::for_each_row`], which
+//! visits what `rows` returns and, on a plain scan, runs its visitor
+//! inside the storage walk on the stored values. Every scan is that
+//! one walk: all shard read guards held, their key-ordered directories
+//! merged over borrowed keys.
 //!
 //! ## Writing
 //!

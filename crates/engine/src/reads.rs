@@ -5,13 +5,14 @@
 //! Every public call resolves its collection name once, under one catalog
 //! guard; what runs below that takes the resolved [`CollectionId`].
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use udbms_core::{CollectionId, Error, FieldPath, Key, Result, Ts, TxnId, Value};
 use udbms_relational::Predicate;
 
 use crate::engine::Inner;
-use crate::storage::{RecordId, RowFilter};
+use crate::storage::RecordId;
 use crate::txn::{Isolation, TxnState};
 
 /// The access path [`Txn::rows`] takes to the committed records.
@@ -20,7 +21,7 @@ enum Access {
     Point(Key),
     /// Index probe: candidate keys, unsorted and over-approximating.
     Candidates(Vec<Key>),
-    /// The sharded scan.
+    /// The key-ordered walk over every shard.
     Scan,
 }
 
@@ -131,10 +132,11 @@ impl Txn {
     /// * **access** — an equality on the primary key is a point read; a
     ///   non-`Null` equality or range on an indexed path probes the index
     ///   (candidates are re-validated at the horizon); anything else is
-    ///   the sharded scan with the predicate pushed into it;
+    ///   the key-ordered walk over every shard, which tests the
+    ///   predicate on the stored values and clones only the rows it
+    ///   returns;
     /// * **read set** — under `Serializable` every record *examined* is
-    ///   noted, not just the matches, so the scan filters here rather
-    ///   than in storage;
+    ///   noted, not just the matches;
     /// * **own writes** — buffered writes on the collection are laid over
     ///   the committed rows (a matching write replaces or adds its row, a
     ///   delete or a no-longer-matching overwrite removes it);
@@ -170,76 +172,121 @@ impl Txn {
     ) -> Result<Vec<(Key, Arc<Value>)>> {
         let (inner, state) = self.parts()?;
         let (id, access) = plan_access(inner, collection, pred)?;
-        let matches = |v: &Value| pred.is_none_or(|p| p.matches(v));
-        let read_ts = state.read_ts();
-        let serializable = state.isolation == Isolation::Serializable;
-        let overlay = state.writes.keys().any(|rid| rid.collection == id);
-        let pushed = limit.filter(|_| !serializable && !overlay);
-        let mut rows: Vec<(Key, Arc<Value>)> = match access {
-            Access::Point(key) => {
-                // a primary-key equality admits no other key, so own
-                // writes elsewhere cannot add matches: no overlay
-                let hit = read_one(inner, state, RecordId::new(id, key.clone()));
-                let hit = hit.filter(|v| matches(v) && limit != Some(0));
-                return Ok(hit.map(|v| (key, v)).into_iter().collect());
-            }
-            Access::Candidates(mut keys) => {
-                // segments concatenate in shard order and over-approximate
-                keys.sort();
-                keys.dedup();
-                let rids: Vec<RecordId> = keys.into_iter().map(|k| RecordId::new(id, k)).collect();
-                // batched validation: one lock per touched shard
-                let values = read_many(inner, state, &rids);
-                rids.into_iter()
-                    .zip(values)
-                    .filter_map(|(rid, v)| Some((rid.key, v.filter(|v| matches(v))?)))
-                    .take(pushed.unwrap_or(usize::MAX))
-                    .collect()
-            }
-            Access::Scan => {
-                let in_storage: Option<RowFilter<'_>> = match pred {
-                    Some(_) if !serializable => Some(&matches),
-                    _ => None,
-                };
-                let scanned = inner.storage.scan_iter(id, read_ts, in_storage, pushed);
-                if serializable {
-                    let mut rows = Vec::new();
-                    for (key, seen, value) in scanned {
-                        state.note_read(RecordId::new(id, key.clone()), seen);
-                        if matches(&value) {
-                            rows.push((key, value));
-                        }
-                    }
-                    rows
-                } else {
-                    // nothing to note: the merge is already the answer
-                    // (every read-lane scan takes this exit)
-                    scanned.map(|(k, _, v)| (k, v)).collect()
-                }
-            }
-        };
-        if overlay {
-            let mut merged: std::collections::BTreeMap<Key, Arc<Value>> =
-                rows.into_iter().collect();
-            for (rid, w) in &state.writes {
-                if rid.collection != id {
-                    continue;
-                }
-                match w {
-                    Some(v) if matches(v) => {
-                        merged.insert(rid.key.clone(), Arc::clone(v));
-                    }
-                    // buffered delete, or an overwrite that no longer matches
-                    _ => {
-                        merged.remove(&rid.key);
-                    }
-                }
-            }
-            rows = merged.into_iter().collect();
-        }
-        rows.truncate(limit.unwrap_or(usize::MAX));
-        Ok(rows)
+        Ok(assemble(inner, state, id, access, pred, limit))
     }
+
+    /// [`Txn::rows`] without a limit, as a visit: `f` sees each matching
+    /// row in key order until it breaks, and what it breaks with is
+    /// returned.
+    ///
+    /// When `rows` would walk the shards with nothing to note and nothing
+    /// to overlay (not `Serializable`, no buffered writes on the
+    /// collection), `f` runs inside that walk on the stored value: no key
+    /// is cloned, no refcount written, no row collected. The walk holds
+    /// every shard's read guard, so `f` must not reach the engine through
+    /// another handle (borrowing this `Txn` keeps it off this one). Any
+    /// other read is assembled by `rows` first and then visited.
+    pub fn for_each_row<B>(
+        &mut self,
+        collection: &str,
+        pred: Option<&Predicate>,
+        mut f: impl FnMut(&Arc<Value>) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B>> {
+        let (inner, state) = self.parts()?;
+        let (id, access) = plan_access(inner, collection, pred)?;
+        let overlay = state.writes.keys().any(|rid| rid.collection == id);
+        if matches!(access, Access::Scan) && state.isolation != Isolation::Serializable && !overlay
+        {
+            return Ok(inner.storage.walk(id, state.read_ts(), |_, _, v| {
+                match pred.is_none_or(|p| p.matches(v)) {
+                    true => f(v),
+                    false => ControlFlow::Continue(()),
+                }
+            }));
+        }
+        for (_, v) in assemble(inner, state, id, access, pred, None) {
+            if let ControlFlow::Break(b) = f(&v) {
+                return Ok(ControlFlow::Break(b));
+            }
+        }
+        Ok(ControlFlow::Continue(()))
+    }
+}
+
+/// The body of [`Txn::rows`], once the access path is chosen.
+fn assemble(
+    inner: &Inner,
+    state: &mut TxnState,
+    id: CollectionId,
+    access: Access,
+    pred: Option<&Predicate>,
+    limit: Option<usize>,
+) -> Vec<(Key, Arc<Value>)> {
+    let matches = |v: &Value| pred.is_none_or(|p| p.matches(v));
+    let serializable = state.isolation == Isolation::Serializable;
+    let overlay = state.writes.keys().any(|rid| rid.collection == id);
+    let pushed = limit.filter(|_| !serializable && !overlay);
+    let mut rows: Vec<(Key, Arc<Value>)> = match access {
+        Access::Point(key) => {
+            // a primary-key equality admits no other key, so own
+            // writes elsewhere cannot add matches: no overlay
+            let hit = read_one(inner, state, RecordId::new(id, key.clone()));
+            let hit = hit.filter(|v| matches(v) && limit != Some(0));
+            return hit.map(|v| (key, v)).into_iter().collect();
+        }
+        Access::Candidates(mut keys) => {
+            // segments concatenate in shard order and over-approximate
+            keys.sort();
+            keys.dedup();
+            let rids: Vec<RecordId> = keys.into_iter().map(|k| RecordId::new(id, k)).collect();
+            // batched validation: one lock per touched shard
+            let values = read_many(inner, state, &rids);
+            rids.into_iter()
+                .zip(values)
+                .filter_map(|(rid, v)| Some((rid.key, v.filter(|v| matches(v))?)))
+                .take(pushed.unwrap_or(usize::MAX))
+                .collect()
+        }
+        Access::Scan => {
+            // only the rows returned are cloned out of the walk; with
+            // nothing to note, it stops at the pushed limit
+            let cap = pushed.unwrap_or(usize::MAX);
+            let mut rows = Vec::new();
+            let _ = inner.storage.walk(id, state.read_ts(), |key, seen, value| {
+                if serializable {
+                    state.note_read(RecordId::new(id, key.clone()), seen);
+                }
+                if matches(value) {
+                    rows.push((key.clone(), Arc::clone(value)));
+                    if rows.len() >= cap {
+                        return ControlFlow::Break(());
+                    }
+                }
+                ControlFlow::Continue(())
+            });
+            rows
+        }
+    };
+    if overlay {
+        let mut merged: std::collections::BTreeMap<Key, Arc<Value>> = rows.into_iter().collect();
+        for (rid, w) in &state.writes {
+            if rid.collection != id {
+                continue;
+            }
+            match w {
+                Some(v) if matches(v) => {
+                    merged.insert(rid.key.clone(), Arc::clone(v));
+                }
+                // buffered delete, or an overwrite that no longer matches
+                _ => {
+                    merged.remove(&rid.key);
+                }
+            }
+        }
+        rows = merged.into_iter().collect();
+    }
+    rows.truncate(limit.unwrap_or(usize::MAX));
+    rows
 }
 
 /// How [`Txn::rows`] reaches the committed records `pred` can match.
@@ -456,6 +503,81 @@ mod tests {
             .rows("customers", Some(&pk_pred), Some(0))
             .unwrap()
             .is_empty());
+    }
+
+    /// `n` rows `k → {g: k % 5}` hashed over `shards` partitions.
+    fn mod5_engine(shards: usize, n: i64) -> crate::Engine {
+        let e = crate::Engine::with_shards(shards);
+        e.create_collection(udbms_core::CollectionSchema::key_value("kv"))
+            .unwrap();
+        e.run(Isolation::Snapshot, |t| {
+            t.put_many(
+                "kv",
+                (0..n).map(|k| (Key::int(k), obj! {"g" => k % 5})).collect(),
+            )
+        })
+        .unwrap();
+        e
+    }
+
+    #[test]
+    fn rows_and_visits_push_down_predicate_and_limit() {
+        for shards in [1usize, 3, 8] {
+            let e = mod5_engine(shards, 200);
+            let mut t = e.begin_read();
+            let row = |k: i64| (Key::int(k), Arc::new(obj! {"g" => k % 5}));
+            // unfiltered, unlimited: every row, in key order
+            let all = t.rows("kv", None, None).unwrap();
+            assert_eq!(all, (0..200).map(row).collect::<Vec<_>>());
+
+            // predicate + limit: exactly the filtered rows' prefix, and a
+            // visit that stops there sees no row past it
+            let three = Predicate::eq("g", Value::Int(3));
+            let full: Vec<_> = (0..200).filter(|k| k % 5 == 3).map(row).collect();
+            for limit in [0usize, 1, 7, 40, 1000] {
+                let want: Vec<_> = full.iter().take(limit).cloned().collect();
+                let got = t.rows("kv", Some(&three), Some(limit)).unwrap();
+                assert_eq!(got, want, "shards={shards} limit={limit}");
+                let mut seen = Vec::new();
+                let flow = t
+                    .for_each_row("kv", Some(&three), |v| {
+                        if seen.len() == limit {
+                            return ControlFlow::Break(());
+                        }
+                        seen.push(v.as_ref().clone());
+                        ControlFlow::Continue(())
+                    })
+                    .unwrap();
+                let values: Vec<Value> = want.iter().map(|(_, v)| v.as_ref().clone()).collect();
+                assert_eq!(seen, values, "shards={shards} limit={limit}");
+                assert_eq!(flow.is_break(), limit < full.len());
+            }
+        }
+    }
+
+    #[test]
+    fn visited_values_are_shared_not_copied() {
+        let e = mod5_engine(4, 8);
+        let visit = |t: &mut Txn| {
+            let mut out = Vec::new();
+            let _ = t
+                .for_each_row("kv", None, |v| {
+                    out.push(Arc::clone(v));
+                    ControlFlow::<()>::Continue(())
+                })
+                .unwrap();
+            out
+        };
+        let (mut a, mut b) = (e.begin_read(), e.begin(Isolation::Snapshot));
+        let (first, second) = (visit(&mut a), visit(&mut b));
+        let rows = a.rows("kv", None, None).unwrap();
+        assert_eq!(first.len(), 8);
+        for ((x, y), (_, z)) in first.iter().zip(&second).zip(&rows) {
+            assert!(
+                Arc::ptr_eq(x, y) && Arc::ptr_eq(x, z),
+                "every read must hand out the stored allocation"
+            );
+        }
     }
 
     #[test]

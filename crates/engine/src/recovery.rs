@@ -1,6 +1,7 @@
 //! Recovery and checkpoint: engines that log to a WAL, replay of a log
 //! into the record store, and compaction of the log to a snapshot.
 
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -151,15 +152,15 @@ impl Engine {
             for name in catalog.names() {
                 // lint:allow(unwrap): name came from catalog.names() under this read guard
                 let id = catalog.get(&name).expect("listed name exists").id;
-                let rows: Vec<_> = self
-                    .inner
-                    .storage
-                    .scan_iter(id, snapshot, None, None)
-                    .collect();
+                let mut rows = Vec::new();
+                let _ = self.inner.storage.walk(id, snapshot, |key, _, v| {
+                    rows.push((key.clone(), Arc::clone(v)));
+                    ControlFlow::<()>::Continue(())
+                });
                 for chunk in rows.chunks(SYNTHETIC_FRAME_ROWS) {
                     let entries = chunk
                         .iter()
-                        .map(|(key, _, v)| (name.as_str(), key, Some(&**v)));
+                        .map(|(key, v)| (name.as_str(), key, Some(&**v)));
                     codec::push_frame(&mut synthetic, snapshot, TxnId(0), entries)?;
                 }
                 rows_logged += rows.len();

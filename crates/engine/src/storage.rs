@@ -11,12 +11,15 @@
 //! behind one lock: [`ShardedStorage`] partitions the key space into N
 //! hash-addressed [`Shard`]s, each an independently locked `Storage` plus
 //! the **index segments** for the keys it owns. Point operations lock one
-//! shard; batches lock each touched shard once; `scan` merges the
-//! per-shard sorted runs into one key-ordered iteration.
+//! shard; batches lock each touched shard once; [`ShardedStorage::walk`]
+//! holds every shard's read guard and merges their key-ordered
+//! directories over borrowed keys into one key-ordered visit.
 
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use parking_lot::{LockRank, TrackedRwLock};
@@ -498,12 +501,16 @@ fn post_value(idx: &mut Index, path: &FieldPath, key: &Key, value: &Value) {
     }
 }
 
-/// One scanned row: key, the commit timestamp of the version seen, and a
-/// shared handle on its value.
-pub type Row = (Key, Ts, Arc<Value>);
-
-/// A predicate pushed into [`ShardedStorage::scan_iter`].
-pub type RowFilter<'a> = &'a dyn Fn(&Value) -> bool;
+/// The canonical key order, with the same-type cases every merge step
+/// meets compared inline: through `canonical_cmp` the 8-shard walk of
+/// 3 000 `Str` keys took ~470 µs, inline ~165 µs.
+fn key_cmp(a: &Key, b: &Key) -> Ordering {
+    match (a.value(), b.value()) {
+        (Value::Str(x), Value::Str(y)) => x.cmp(y),
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        _ => a.cmp(b),
+    }
+}
 
 /// N hash-addressed, independently locked storage partitions.
 ///
@@ -524,8 +531,8 @@ pub struct ShardedStorage {
 #[derive(Debug)]
 struct StorageObs {
     obs: Arc<Obs>,
-    /// Run-building time of [`ShardedStorage::scan_iter`] (the eager,
-    /// under-lock part of every scan).
+    /// Time of every [`ShardedStorage::walk`], guards held, visitor
+    /// included.
     scan_ns: Arc<Histogram>,
 }
 
@@ -585,57 +592,64 @@ impl ShardedStorage {
         buckets
     }
 
-    /// The one multi-shard scan: a streaming k-way merge over the
-    /// per-shard snapshot runs, with **predicate and limit pushdown**.
+    /// The one multi-shard scan: every live `(key, commit_ts, value)` of
+    /// a collection at `snapshot`, in key order, handed to `f` by
+    /// reference until it breaks.
     ///
-    /// Each shard's run is already sorted (per-shard ordered
-    /// directories) and the key spaces are disjoint, so the merge is
-    /// exact. Each shard is visited once under its read lock; the
-    /// predicate is applied to borrowed values during that single
-    /// visibility walk, and with a `limit` each shard contributes at most
-    /// `limit` matches — the global first `limit` keys are always within
-    /// the union of each shard's first `limit`. Only `Arc` handles are
-    /// retained; nothing is deep cloned, and a `LIMIT n` query touches
-    /// `O(shards × n)` entries instead of the whole collection.
-    pub fn scan_iter(
+    /// Every shard's read guard is taken in ascending index order (the
+    /// rank rule for multi-shard walks) and held for the whole walk, so
+    /// the k-way merge compares keys borrowed from the shards'
+    /// directories: nothing is cloned, refcounted or collected per row,
+    /// and a visitor that stops early never pays for the tail. Each
+    /// shard's directory is key-sorted and the key spaces are disjoint,
+    /// so the merge is exact. `f` runs under every guard: it must not
+    /// call back into the engine (a commit waiting on a shard it holds
+    /// would never return).
+    pub fn walk<B>(
         &self,
         collection: CollectionId,
         snapshot: Ts,
-        pred: Option<RowFilter<'_>>,
-        limit: Option<usize>,
-    ) -> ScanIter {
-        ScanIter::new(self.gather_runs(collection, snapshot, pred, limit), limit)
-    }
-
-    /// One key-sorted run of live, matching rows per shard.
-    fn gather_runs(
-        &self,
-        collection: CollectionId,
-        snapshot: Ts,
-        pred: Option<RowFilter<'_>>,
-        limit: Option<usize>,
-    ) -> Vec<Vec<Row>> {
+        mut f: impl FnMut(&Key, Ts, &Arc<Value>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
         let sobs = self.obs.get();
         let stamp = sobs.map_or(Stamp::NONE, |o| o.obs.start());
-        let scan_one = |shard: &TrackedRwLock<Shard>| -> Vec<Row> {
-            let s = shard.read();
-            let mut run = Vec::new();
-            for (k, ts, v) in s.store.visible_entries(collection, snapshot) {
-                if pred.is_some_and(|p| !p(v)) {
-                    continue;
-                }
-                run.push((k.clone(), ts, Arc::clone(v)));
-                if limit.is_some_and(|n| run.len() >= n) {
-                    break;
+        let guards: Vec<_> = self.shards.iter().map(TrackedRwLock::read).collect();
+        // (head, rest of its run) per shard that still has rows
+        let mut heads: Vec<_> = guards
+            .iter()
+            .filter_map(|g| {
+                let mut run = g.store.visible_entries(collection, snapshot);
+                Some((run.next()?, run))
+            })
+            .collect();
+        let flow = loop {
+            // a linear min over the heads; the smallest key is unique
+            let mut m = 0;
+            for i in 1..heads.len() {
+                if key_cmp(heads[i].0 .0, heads[m].0 .0).is_lt() {
+                    m = i;
                 }
             }
-            run
+            let Some((head, run)) = heads.get_mut(m) else {
+                break ControlFlow::Continue(());
+            };
+            let (key, ts, value) = *head;
+            if let ControlFlow::Break(b) = f(key, ts, value) {
+                break ControlFlow::Break(b);
+            }
+            match run.next() {
+                Some(next) => *head = next,
+                None => {
+                    let _ = heads.swap_remove(m);
+                }
+            }
         };
-        let runs = self.shards.iter().map(scan_one).collect();
+        drop(heads);
+        drop(guards);
         if let Some(o) = sobs {
             o.obs.record_ns(&o.scan_ns, stamp);
         }
-        runs
+        flow
     }
 
     /// Candidate keys for an equality probe, concatenated across every
@@ -706,82 +720,29 @@ impl ShardedStorage {
     }
 }
 
-/// Lazily merged, key-ordered iterator over per-shard snapshot runs —
-/// the return type of [`ShardedStorage::scan_iter`]. Holds only `Arc`
-/// handles gathered under one read lock per shard; the merge itself is
-/// item-at-a-time, so a consumer that stops early (`LIMIT`, first-match
-/// probes) never pays for the tail.
-#[derive(Debug)]
-pub struct ScanIter {
-    cursors: Vec<std::vec::IntoIter<Row>>,
-    heads: Vec<Option<Row>>,
-    remaining: usize,
-}
-
-impl ScanIter {
-    fn new(runs: Vec<Vec<Row>>, limit: Option<usize>) -> ScanIter {
-        let mut cursors: Vec<std::vec::IntoIter<Row>> = runs
-            .into_iter()
-            .filter(|r| !r.is_empty())
-            .map(Vec::into_iter)
-            .collect();
-        let heads = cursors.iter_mut().map(Iterator::next).collect();
-        ScanIter {
-            cursors,
-            heads,
-            remaining: limit.unwrap_or(usize::MAX),
-        }
-    }
-}
-
-impl Iterator for ScanIter {
-    type Item = Row;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        // shard key spaces are disjoint, so the smallest head is unique
-        let mut min: Option<usize> = None;
-        for (i, head) in self.heads.iter().enumerate() {
-            if let Some((k, _, _)) = head {
-                match min {
-                    Some(m) => {
-                        // lint:allow(unwrap): m indexes a head the loop saw as Some
-                        if *k < self.heads[m].as_ref().expect("min head present").0 {
-                            min = Some(i);
-                        }
-                    }
-                    None => min = Some(i),
-                }
-            }
-        }
-        let m = min?;
-        // lint:allow(unwrap): min was set only after observing heads[m].is_some()
-        let item = self.heads[m].take().expect("selected head present");
-        self.heads[m] = self.cursors[m].next();
-        self.remaining -= 1;
-        Some(item)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left: usize = self.heads.iter().flatten().count()
-            + self
-                .cursors
-                .iter()
-                .map(|c| c.as_slice().len())
-                .sum::<usize>();
-        let capped = left.min(self.remaining);
-        (capped, Some(capped))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
     const C: CollectionId = CollectionId(1);
+
+    /// One walked row: key, the commit timestamp of the version seen,
+    /// and a shared handle on its value.
+    type Row = (Key, Ts, Arc<Value>);
+
+    /// The first `limit` rows of a walk, owned.
+    fn walked(s: &ShardedStorage, c: CollectionId, ts: Ts, limit: usize) -> Vec<Row> {
+        let mut rows = Vec::new();
+        let _ = s.walk(c, ts, |k, ts, v| {
+            if rows.len() == limit {
+                return ControlFlow::Break(());
+            }
+            rows.push((k.clone(), ts, Arc::clone(v)));
+            ControlFlow::Continue(())
+        });
+        rows
+    }
 
     fn rid(k: i64) -> RecordId {
         RecordId::new(C, Key::int(k))
@@ -1113,24 +1074,16 @@ mod tests {
                 }
                 check_store(&store, &model, clock)?;
             }
-            // the merged scan, plain and with predicate and limit pushed down
-            let even = |v: &Value| v.as_int().is_some_and(|i| i % 2 == 0);
+            // the merged walk, to the end and stopped early
             for s in &sharded {
                 for c in (0..3).map(CollectionId) {
                     for ts in [Ts(clock / 2), Ts::MAX] {
                         let all = model_rows(&model, c, ts);
-                        let evens: Vec<Row> =
-                            all.iter().filter(|r| even(&r.2)).cloned().collect();
                         let shards = s.shard_count();
-                        let got: Vec<Row> = s.scan_iter(c, ts, None, None).collect();
+                        let got = walked(s, c, ts, usize::MAX);
                         prop_assert_eq!(&got, &all, "{} shards, {} at {}", shards, c, ts);
-                        let got: Vec<Row> = s.scan_iter(c, ts, Some(&even), None).collect();
-                        prop_assert_eq!(&got, &evens, "{} shards, filtered", shards);
                         for limit in [0, 1, 3] {
-                            let got: Vec<Row> =
-                                s.scan_iter(c, ts, Some(&even), Some(limit)).collect();
-                            prop_assert_eq!(got, evens.iter().take(limit).cloned().collect::<Vec<_>>());
-                            let got: Vec<Row> = s.scan_iter(c, ts, None, Some(limit)).collect();
+                            let got = walked(s, c, ts, limit);
                             prop_assert_eq!(got, all.iter().take(limit).cloned().collect::<Vec<_>>());
                         }
                     }
@@ -1196,7 +1149,7 @@ mod tests {
                 .write()
                 .install(RecordId::new(C, key), Ts(1), some(Value::Int(k)));
         }
-        let rows: Vec<Row> = s.scan_iter(C, Ts::MAX, None, None).collect();
+        let rows = walked(&s, C, Ts::MAX, usize::MAX);
         assert_eq!(rows.len(), 100);
         for (i, (k, _, v)) in rows.iter().enumerate() {
             assert_eq!(k, &Key::int(i as i64), "key order after merge");
@@ -1204,57 +1157,6 @@ mod tests {
         }
         let (versions, chains, max_chain) = s.shape();
         assert_eq!((versions, chains, max_chain), (100, 100, 1));
-    }
-
-    /// `n` rows `k → k % 5` hashed over `shards` partitions.
-    fn mod5_store(shards: usize, n: i64) -> ShardedStorage {
-        let s = ShardedStorage::new(shards);
-        for k in 0..n {
-            let key = Key::int(k);
-            let si = s.shard_of(&key);
-            s.shard(si)
-                .write()
-                .install(RecordId::new(C, key), Ts(1), some(Value::Int(k % 5)));
-        }
-        s
-    }
-
-    #[test]
-    fn scan_iter_pushes_down_predicate_and_limit() {
-        for shards in [1usize, 3, 8] {
-            let s = mod5_store(shards, 200);
-            let row = |k: i64| (Key::int(k), Ts(1), Arc::new(Value::Int(k % 5)));
-            // unfiltered, unlimited: every row, in key order
-            let streamed: Vec<Row> = s.scan_iter(C, Ts::MAX, None, None).collect();
-            assert_eq!(streamed, (0..200).map(row).collect::<Vec<Row>>());
-
-            // predicate + limit: exactly the filtered rows' prefix
-            let matches = |v: &Value| v == &Value::Int(3);
-            let full: Vec<Row> = (0..200).filter(|k| k % 5 == 3).map(row).collect();
-            for limit in [0usize, 1, 7, 40, 1000] {
-                let got: Vec<Row> = s
-                    .scan_iter(C, Ts::MAX, Some(&matches), Some(limit))
-                    .collect();
-                let want: Vec<Row> = full.iter().take(limit).cloned().collect();
-                assert_eq!(got, want, "shards={shards} limit={limit}");
-            }
-        }
-    }
-
-    #[test]
-    fn scan_iter_values_are_shared_not_copied() {
-        let s = ShardedStorage::new(4);
-        let key = Key::int(7);
-        let si = s.shard_of(&key);
-        s.shard(si)
-            .write()
-            .install(RecordId::new(C, key), Ts(1), some(Value::Int(7)));
-        let first: Vec<_> = s.scan_iter(C, Ts::MAX, None, None).collect();
-        let second: Vec<_> = s.scan_iter(C, Ts::MAX, None, None).collect();
-        assert!(
-            Arc::ptr_eq(&first[0].2, &second[0].2),
-            "both scans must hand out the same allocation"
-        );
     }
 
     #[test]

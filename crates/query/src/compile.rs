@@ -67,7 +67,13 @@ impl CompiledPred {
     /// the interpreter evaluating the source expression with the row
     /// bound to the loop variable.
     pub fn eval(&self, row: &Value) -> Result<Value> {
-        self.root.eval(row).map(Val::into_owned)
+        self.eval_ref(row).map(Val::into_owned)
+    }
+
+    /// [`CompiledPred::eval`], borrowing from the row where the result
+    /// is a path into it.
+    pub(crate) fn eval_ref<'r>(&'r self, row: &'r Value) -> Result<Val<'r>> {
+        self.root.eval(row)
     }
 
     /// Truthiness of [`CompiledPred::eval`] — the filter entry point.

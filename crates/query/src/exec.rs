@@ -4,18 +4,23 @@
 //! Read-path fast lanes (see DESIGN.md "Read path"):
 //! * everything below is decided once per query body, in its
 //!   [`ClausePlan`]s, and reused by every execution and by `explain`;
-//! * collection sources iterate `Arc`-shared rows (`Txn::rows`) and
-//!   expressions evaluate borrowed — no per-row deep clone between
+//! * collection sources iterate `Arc`-shared rows (`Txn::for_each_row`)
+//!   and expressions evaluate borrowed — no per-row deep clone between
 //!   storage and the result;
 //! * a residual `FILTER` that is row-local compiles into a
 //!   [`CompiledPred`] closure tree and runs against the borrowed row,
 //!   skipping the `Env` binding for rejected rows;
-//! * `FOR … [FILTER …] LIMIT o, n` pushes `o + n` into the engine's
-//!   streaming scan so the tail of the collection is never touched;
-//! * `COLLECT` folds rows into per-group accumulators as they arrive —
-//!   straight out of the `FOR` when it directly follows one.
+//! * `FOR … [FILTER …] LIMIT o, n` stops the engine's walk after `o + n`
+//!   rows so the tail of the collection is never touched;
+//! * `COLLECT` folds rows into per-group accumulators as they arrive,
+//!   grouping through a hash map and sorting the groups once at the end;
+//! * when it directly follows a collection `FOR` whose filter is pushed
+//!   or compiled, and its group keys and aggregate inputs compile too,
+//!   the fold runs inside the engine's key-ordered walk on the stored
+//!   rows — no `Env`, no row vector, no key clone per row.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 use udbms_core::{Error, Key, Result, Value};
@@ -56,6 +61,36 @@ struct ScanPlan {
     /// walk per outer row because output concatenates per-row blocks in
     /// order, so rows past that prefix can never surface.
     limit: Option<usize>,
+    /// A directly following `COLLECT` without `INTO`, compiled to run on
+    /// the stored rows: set only when nothing in the filter needs an
+    /// `Env` (no dynamic conjunct, no interpreted residual).
+    fold: Option<Fold>,
+}
+
+/// A `COLLECT`'s group keys and aggregate inputs, in clause order,
+/// compiled against the `FOR` variable.
+#[derive(Debug)]
+struct Fold {
+    keys: Vec<CompiledPred>,
+    inputs: Vec<CompiledPred>,
+}
+
+impl Fold {
+    /// `None` unless every expression compiles.
+    fn compile(
+        groups: &[(String, Expr)],
+        aggregates: &[(String, AggFunc, Expr)],
+        var: &str,
+    ) -> Option<Fold> {
+        let compile = |e: &Expr| CompiledPred::compile(e, var);
+        Some(Fold {
+            keys: groups
+                .iter()
+                .map(|(_, e)| compile(e))
+                .collect::<Option<_>>()?,
+            inputs: (aggregates.iter().map(|(_, _, e)| compile(e))).collect::<Option<_>>()?,
+        })
+    }
 }
 
 /// A body's plan — entry `i` for clause `i` — derived on first use.
@@ -134,14 +169,25 @@ impl ScanPlan {
                     residual,
                     compiled,
                     limit: None,
+                    fold: None,
                 };
             }
         }
-        if plan.dynamic.is_empty() && plan.residual.is_none() {
-            if let Some(Clause::Limit { offset, count }) = rest.get(usize::from(plan.fused_filter))
-            {
+        if !plan.dynamic.is_empty() {
+            return plan;
+        }
+        match rest.get(usize::from(plan.fused_filter)) {
+            Some(Clause::Limit { offset, count }) if plan.residual.is_none() => {
                 plan.limit = offset.checked_add(*count);
             }
+            Some(Clause::Collect {
+                groups,
+                aggregates,
+                into: None,
+            }) if plan.residual.is_none() || plan.compiled.is_some() => {
+                plan.fold = Fold::compile(groups, aggregates, var);
+            }
+            _ => {}
         }
         plan
     }
@@ -226,6 +272,14 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
                 let residual = scan.and_then(|s| s.residual.as_ref());
                 let mut next = Vec::new();
                 for env in &rows {
+                    if let (Source::Collection(name), Some(scan), Some(c)) =
+                        (source, scan, &mut collector)
+                    {
+                        if let Some(fold) = &scan.fold {
+                            c.fold_scan(name, scan, fold, txn)?;
+                            continue;
+                        }
+                    }
                     for item in source_items(source, scan, env, txn)? {
                         // a compiled filter runs on the borrowed row: only
                         // survivors pay for an environment frame
@@ -313,14 +367,21 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
 /// `COLLECT`: one set of accumulators per group, folded as rows arrive,
 /// so no group ever holds its member rows — unless `INTO` asks for
 /// them, which is one more thing to accumulate.
+///
+/// One grouping and accumulation core with two front ends for the
+/// clause's expressions: [`Collector::push`] interprets them on an
+/// [`Env`], [`Collector::push_row`] runs their compiled forms on a
+/// borrowed row. Either way a group's accumulators take their inputs in
+/// row order — the collection's key order for a scan — so a float sum
+/// is the same left-to-right sum whatever the shard count.
 struct Collector<'q> {
     groups: &'q [(String, Expr)],
     aggregates: &'q [(String, AggFunc, Expr)],
     into: bool,
     names: &'q [Arc<str>],
     /// Group key → slot in `states`. The first row's key values stand for
-    /// the group; iteration order is the canonical output order.
-    slots: BTreeMap<Vec<Value>, usize>,
+    /// the group.
+    slots: HashMap<Vec<Value>, usize>,
     /// Per group: one accumulator per aggregate, and the `INTO` members.
     states: Vec<(Vec<Accumulator>, Vec<Value>)>,
     /// The row's key, rebuilt in place (only a new group keeps a copy).
@@ -339,19 +400,15 @@ impl<'q> Collector<'q> {
             aggregates,
             into: into.is_some(),
             names,
-            slots: BTreeMap::new(),
+            slots: HashMap::new(),
             states: Vec::new(),
             key: Vec::with_capacity(groups.len()),
         }
     }
 
-    /// Fold one row in. Within a group, inputs reach each accumulator in
-    /// row order, so float sums do not depend on how rows were grouped.
-    fn push(&mut self, env: &Env, txn: &mut Txn) -> Result<()> {
-        self.key.clear();
-        for (_, e) in self.groups {
-            self.key.push(eval_ref(e, env, txn)?.into_owned());
-        }
+    /// The accumulators and members of the group `self.key` names,
+    /// opened on its first row.
+    fn group(&mut self) -> &mut (Vec<Accumulator>, Vec<Value>) {
         let slot = match self.slots.get(self.key.as_slice()) {
             Some(&slot) => slot,
             None => {
@@ -361,22 +418,70 @@ impl<'q> Collector<'q> {
                 self.states.len() - 1
             }
         };
-        let (accumulators, members) = &mut self.states[slot];
-        for (acc, (_, _, input)) in accumulators.iter_mut().zip(self.aggregates) {
-            let v = eval_ref(input, env, txn)?;
-            acc.push(&v);
+        &mut self.states[slot]
+    }
+
+    /// Fold in one row bound in `env`, interpreting the expressions.
+    fn push(&mut self, env: &Env, txn: &mut Txn) -> Result<()> {
+        self.key.clear();
+        for (_, e) in self.groups {
+            self.key.push(eval_ref(e, env, txn)?.into_owned());
         }
-        if self.into {
+        let (aggregates, into) = (self.aggregates, self.into);
+        let (accumulators, members) = self.group();
+        for (acc, (_, _, input)) in accumulators.iter_mut().zip(aggregates) {
+            acc.push(&*eval_ref(input, env, txn)?);
+        }
+        if into {
             members.push(env.as_object());
         }
         Ok(())
     }
 
+    /// Fold in one stored row through the compiled expressions.
+    fn push_row(&mut self, fold: &Fold, row: &Value) -> Result<()> {
+        self.key.clear();
+        for key in &fold.keys {
+            self.key.push(key.eval(row)?);
+        }
+        let (accumulators, _) = self.group();
+        for (acc, input) in accumulators.iter_mut().zip(&fold.inputs) {
+            acc.push(&*input.eval_ref(row)?);
+        }
+        Ok(())
+    }
+
+    /// The fused `FOR … [FILTER …] COLLECT`: the engine's walk hands each
+    /// stored row over where it lies, and it is filtered and folded in
+    /// there.
+    fn fold_scan(&mut self, name: &str, scan: &ScanPlan, fold: &Fold, txn: &mut Txn) -> Result<()> {
+        let mut fold_in = |row: &Value| -> Result<()> {
+            if scan
+                .compiled
+                .as_ref()
+                .map_or(Ok(true), |cp| cp.matches(row))?
+            {
+                self.push_row(fold, row)?;
+            }
+            Ok(())
+        };
+        let flow = txn.for_each_row(name, scan.pushed.as_ref(), |row| match fold_in(row) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(e) => ControlFlow::Break(e),
+        })?;
+        match flow {
+            ControlFlow::Break(e) => Err(e),
+            ControlFlow::Continue(()) => Ok(()),
+        }
+    }
+
     /// One row per group in canonical key order, in a fresh scope under
     /// `base`.
     fn finish(mut self, base: &Env) -> Vec<Env> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for (key, slot) in self.slots {
+        let mut groups: Vec<(Vec<Value>, usize)> = self.slots.into_iter().collect();
+        groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        let mut out = Vec::with_capacity(groups.len());
+        for (key, slot) in groups {
             let (accumulators, members) = std::mem::take(&mut self.states[slot]);
             let values = key
                 .into_iter()
@@ -411,8 +516,17 @@ fn source_items(
                 bound = scan.bind(env, txn)?;
                 Some(&bound)
             };
-            let rows = txn.rows(name, pred, scan.limit)?;
-            return Ok(rows.into_iter().map(|(_, v)| v).collect());
+            // a handle on each visited row, up to the pushed limit
+            let limit = scan.limit.unwrap_or(usize::MAX);
+            let mut items = Vec::new();
+            let _ = txn.for_each_row(name, pred, |row| {
+                if items.len() == limit {
+                    return ControlFlow::Break(());
+                }
+                items.push(Arc::clone(row));
+                ControlFlow::Continue(())
+            })?;
+            return Ok(items);
         }
         (Source::Collection(name), None) => Val::Ref(env.get(name).unwrap_or(&Value::Null)),
         (Source::Expr(e), _) => eval_ref(e, env, txn)?,
@@ -628,6 +742,8 @@ pub fn explain(stmt: &Statement) -> String {
     };
     let plan = body.plan();
     let mut out = String::new();
+    // whether the COLLECT up next folds inside the scan before it
+    let mut folded = false;
     let mut i = 0;
     while i < body.clauses.len() {
         match &body.clauses[i] {
@@ -651,6 +767,7 @@ pub fn explain(stmt: &Statement) -> String {
                         if let Some(n) = scan.limit {
                             out.push_str(&format!(" [limit pushdown: {n}]"));
                         }
+                        folded = scan.fold.is_some();
                         i += usize::from(scan.fused_filter);
                     }
                     out.push('\n');
@@ -680,12 +797,18 @@ pub fn explain(stmt: &Statement) -> String {
                 aggregates,
                 into,
             } => out.push_str(&format!(
-                "collect {} group key(s), {} aggregate(s) [streaming, {} accumulator(s)]{}\n",
+                "collect {} group key(s), {} aggregate(s) [streaming, {} accumulator(s)]{} \
+                 [hash grouping]{}\n",
                 groups.len(),
                 aggregates.len(),
                 aggregates.len(),
                 if into.is_some() {
                     " [into: materialized members]"
+                } else {
+                    ""
+                },
+                if std::mem::take(&mut folded) {
+                    " [folded into the scan]"
                 } else {
                     ""
                 }
@@ -814,9 +937,13 @@ mod tests {
             plan.contains("collect 1 group key(s), 2 aggregate(s) [streaming, 2 accumulator(s)]"),
             "{plan}"
         );
-        assert!(!plan.contains("into"), "{plan}");
+        assert!(!plan.contains("[into:"), "{plan}");
         assert!(plan.contains("[pushdown: Gt("), "{plan}");
         assert!(!plan.contains("filter <expression>"), "fused: {plan}");
+        assert!(
+            plan.contains("[hash grouping] [folded into the scan]"),
+            "{plan}"
+        );
 
         let stmt =
             crate::parser::parse("FOR o IN orders COLLECT c = o.customer INTO g RETURN g").unwrap();
@@ -825,6 +952,40 @@ mod tests {
             plan.contains("[streaming, 0 accumulator(s)] [into: materialized members]"),
             "{plan}"
         );
+        assert!(
+            plan.contains("[hash grouping]\n"),
+            "INTO is not folded: {plan}"
+        );
+
+        // a key or an input the compiler declines keeps the interpreted
+        // front end: same grouping, rows bound in an Env
+        for text in [
+            "FOR o IN orders COLLECT c = COALESCE(o.customer) AGGREGATE s = SUM(o.total) RETURN c",
+            "FOR o IN orders COLLECT c = o.customer AGGREGATE s = SUM(COALESCE(o.total)) RETURN c",
+            "FOR o IN orders FILTER TO_NUMBER(o.total) > 5 COLLECT c = o.customer RETURN c",
+        ] {
+            let stmt = crate::parser::parse(text).unwrap();
+            let Statement::Query(body) = &stmt else {
+                panic!()
+            };
+            assert!(
+                body.plan()[0].scan.as_ref().unwrap().fold.is_none(),
+                "{text}"
+            );
+            let plan = explain(&stmt);
+            assert!(plan.contains("[hash grouping]\n"), "{plan}");
+            assert!(!plan.contains("folded"), "{plan}");
+        }
+        let stmt = crate::parser::parse(
+            "FOR o IN orders COLLECT c = o.customer AGGREGATE s = SUM(o.total) RETURN c",
+        )
+        .unwrap();
+        let Statement::Query(body) = &stmt else {
+            panic!()
+        };
+        let fold = body.plan()[0].scan.as_ref().unwrap().fold.as_ref().unwrap();
+        assert_eq!((fold.keys.len(), fold.inputs.len()), (1, 1));
+        assert!(explain(&stmt).contains("[hash grouping] [folded into the scan]\n"));
     }
 
     #[test]

@@ -1,25 +1,26 @@
 //! The interleaving model checker, run over the real engine.
 //!
 //! Each program drives [`Engine`] and its `Txn` handles through the
-//! public API — one shard, obs off — from virtual threads of
-//! `parking_lot::model`, so every tracked lock, condvar and atomic
-//! operation inside the engine is a choice point. `explore` enumerates
-//! the schedules up to two preemptions, and every program must pass
-//! exhaustively. Which engine bug each program catches is the mutation
-//! table in DESIGN.md §10.
+//! public API — one shard unless the program needs two, obs off — from
+//! virtual threads of `parking_lot::model`, so every tracked lock,
+//! condvar and atomic operation inside the engine is a choice point.
+//! `explore` enumerates the schedules up to two preemptions, and every
+//! program must pass exhaustively. Which engine bug each program
+//! catches is the mutation table in DESIGN.md §10.
 //!
 //! Needs the shim hooks: build with `RUSTFLAGS='--cfg model_check'` (and
 //! a separate `CARGO_TARGET_DIR`). Without the cfg this file compiles to
 //! nothing, so tier-1 `cargo test` is unaffected.
 #![cfg(model_check)]
 
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::model::{explore, spawn, Config};
 use udbms::core::{CollectionSchema, Error, Key, Ts, Value};
-use udbms::engine::{Durability, Engine, EngineConfig, FaultPlan, Isolation, Txn, Wal};
+use udbms::engine::{shard_of, Durability, Engine, EngineConfig, FaultPlan, Isolation, Txn, Wal};
 
 /// Preemption bound 2, with caps every program stays well inside.
 fn suite_config() -> Config {
@@ -282,5 +283,43 @@ fn gc_keeps_what_snapshots_read() {
         for thread in threads {
             thread.join();
         }
+    });
+}
+
+/// A reader walks the collection through `for_each_row` — every shard's
+/// guard held at once — while a writer commits two keys that live on
+/// different shards of two, taking one shard's guard at a time. Every
+/// schedule finishes, and the walk holds both keys or neither.
+#[test]
+fn scan_vs_commit() {
+    // key 0 and the first key on the other shard
+    let first = shard_of(&Key::int(0), 2);
+    let other = (1..)
+        .find(|&k| shard_of(&Key::int(k), 2) != first)
+        .expect("both shards own a key");
+    let keys = [0, other];
+    check(move || {
+        let engine = with_kv(Engine::with_config(
+            config(Durability::default()).with_shards(2),
+        ));
+        let writer = {
+            let engine = engine.clone();
+            spawn("writer", move || {
+                let mut txn = engine.begin(Isolation::Snapshot);
+                for key in keys {
+                    txn.put("kv", Key::int(key), Value::Int(1)).expect("put");
+                }
+                txn.commit().expect("no rival writer");
+            })
+        };
+        let mut lane = engine.begin_read();
+        let mut seen = 0;
+        let walked = lane.for_each_row("kv", None, |_| {
+            seen += 1;
+            ControlFlow::<()>::Continue(())
+        });
+        assert!(walked.is_ok(), "walk failed: {walked:?}");
+        assert!(seen != 1, "the walk holds half of a commit");
+        writer.join();
     });
 }

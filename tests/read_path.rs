@@ -135,12 +135,16 @@ proptest! {
     /// group-by over the scanned rows returns — values, their types and
     /// the group order — for arbitrary documents (missing fields, nulls,
     /// Int and Float spellings of one key, nested paths) and clause
-    /// shapes, at shard counts 1, 3 and 8.
+    /// shapes, at shard counts 1, 3 and 8. A group key or an aggregate
+    /// input spelled through `COALESCE(…)` does not compile, so the
+    /// interpreted front end of the one collector meets the same model
+    /// as the compiled one folded into the scan.
     #[test]
     fn collect_agrees_with_a_plain_group_by(
         docs in prop::collection::vec((0i64..48, 0u8..8, 0u8..6, -20i64..20), 1..60),
         shape in (0u8..4, 0u8..3, 0u8..2, 0u8..3, 0u8..4),
         lo in -10i64..10,
+        spelling in 0u8..4,
     ) {
         let (filter, keys, into, sort, limit) = shape;
         // one group-key value in several spellings, or absent
@@ -170,12 +174,22 @@ proptest! {
             2 => n.rem_euclid(2) == 0,
             _ => n >= lo,
         };
-        let key_text = ["k1 = r.g", "k1 = r.nest.k", "k1 = r.g, k2 = r.nest.k"][keys as usize];
+        // bit 0: the first key through COALESCE; bit 1: the SUM input
+        let coalesce = |e: &str, bit: u8| match spelling & bit {
+            0 => e.to_string(),
+            _ => format!("COALESCE({e})"),
+        };
+        let k1 = coalesce(["r.g", "r.nest.k", "r.g"][keys as usize], 1);
+        let key_text = match keys {
+            2 => format!("k1 = {k1}, k2 = r.nest.k"),
+            _ => format!("k1 = {k1}"),
+        };
         let key_names = if keys == 2 { "k1, k2" } else { "k1" };
         let text = format!(
             "FOR r IN data {filter_text} COLLECT {key_text} \
-             AGGREGATE c = COUNT(), s = SUM(r.v), a = AVG(r.v), lo = MIN(r.v), hi = MAX(r.v) \
+             AGGREGATE c = COUNT(), s = SUM({}), a = AVG(r.v), lo = MIN(r.v), hi = MAX(r.v) \
              {} {} {} RETURN [{key_names}, c, s, a, lo, hi, {}]",
+            coalesce("r.v", 2),
             if into == 1 { "INTO members" } else { "" },
             ["", "SORT c DESC", "SORT s, c"][sort as usize],
             ["", "LIMIT 3", "LIMIT 1, 2", "LIMIT 0"][limit as usize],
