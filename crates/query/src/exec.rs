@@ -12,13 +12,16 @@
 //!   skipping the `Env` binding for rejected rows;
 //! * `FOR … [FILTER …] LIMIT o, n` stops the engine's walk after `o + n`
 //!   rows so the tail of the collection is never touched;
-//! * `COLLECT` folds rows into per-group accumulators as they arrive,
-//!   grouping through a hash map and sorting the groups once at the end;
+//! * `COLLECT` folds rows into per-group accumulators (one flat slab) as
+//!   they arrive, grouping through a hash map; it runs a `SORT` on its
+//!   names right behind it and a `LIMIT` after that, binding kept groups;
+//! * a `SORT` keeps the window of a `LIMIT` right behind it by selection;
 //! * when it directly follows a collection `FOR` whose filter is pushed
 //!   or compiled, and its group keys and aggregate inputs compile too,
 //!   the fold runs inside the engine's key-ordered walk on the stored
 //!   rows — no `Env`, no row vector, no key clone per row.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
@@ -41,6 +44,11 @@ pub(crate) struct ClausePlan {
     /// For a `FOR` over a collection: how the clauses after it fold
     /// into the scan.
     scan: Option<ScanPlan>,
+    /// For a `COLLECT` that runs the `SORT` behind it, on names it binds:
+    /// each key's column in `names` (a repeated name's last) and `ASC`.
+    group_sort: Option<Vec<(usize, bool)>>,
+    /// The `LIMIT` right behind a `SORT` this clause is or runs, if any.
+    window: Option<(usize, usize)>,
 }
 
 /// How a `FOR` over a collection reads it. Void when the name turns out
@@ -124,30 +132,88 @@ impl ClausePlan {
     /// Plan `clause`, which `rest` follows.
     fn new(clause: &Clause, rest: &[Clause]) -> ClausePlan {
         let intern = |name: &String| Arc::<str>::from(name.as_str());
+        let window = |at: usize| match rest.get(at) {
+            Some(Clause::Limit { offset, count }) => Some((*offset, *count)),
+            _ => None,
+        };
         match clause {
             Clause::For { var, source } => ClausePlan {
                 names: vec![intern(var)],
                 scan: matches!(source, Source::Collection(_)).then(|| ScanPlan::new(var, rest)),
+                ..ClausePlan::default()
             },
             Clause::Let { var, .. } => ClausePlan {
                 names: vec![intern(var)],
-                scan: None,
+                ..ClausePlan::default()
             },
             Clause::Collect {
                 groups,
                 aggregates,
                 into,
-            } => ClausePlan {
-                names: (groups.iter().map(|(name, _)| name))
+            } => {
+                let names: Vec<Arc<str>> = (groups.iter().map(|(name, _)| name))
                     .chain(aggregates.iter().map(|(name, _, _)| name))
                     .chain(into)
                     .map(intern)
-                    .collect(),
-                scan: None,
+                    .collect();
+                let column = |(key, asc): &(Expr, bool)| match key {
+                    Expr::Var(v) => names.iter().rposition(|n| **n == **v).map(|c| (c, *asc)),
+                    _ => None,
+                };
+                let group_sort: Option<Vec<_>> = match rest.first() {
+                    Some(Clause::Sort { keys }) => keys.iter().map(column).collect(),
+                    _ => None,
+                };
+                ClausePlan {
+                    window: group_sort.as_ref().and(window(1)),
+                    group_sort,
+                    names,
+                    scan: None,
+                }
+            }
+            Clause::Sort { .. } => ClausePlan {
+                window: window(0),
+                ..ClausePlan::default()
             },
             _ => ClausePlan::default(),
         }
     }
+
+    /// How many of the clauses after this one it runs itself.
+    fn consumed(&self) -> usize {
+        usize::from(self.group_sort.is_some()) + usize::from(self.window.is_some())
+    }
+}
+
+/// Rows `0..rows` ordered by `columns` (each compared by `cmp(a, b, c)`,
+/// ascending or not), then by `tie`, and cut to `window`: only the first
+/// `offset + count` are selected and sorted. `tie` holds no two rows
+/// equal, so the unstable sorts give the one answer.
+fn order_window(
+    rows: usize,
+    columns: impl Iterator<Item = (usize, bool)> + Clone,
+    window: Option<(usize, usize)>,
+    cmp: impl Fn(usize, usize, usize) -> Ordering,
+    tie: impl Fn(usize, usize) -> Ordering,
+) -> Vec<usize> {
+    let by = |&a: &usize, &b: &usize| {
+        let mut ords = columns.clone().map(|(c, asc)| (cmp(a, b, c), asc));
+        match ords.find(|(ord, _)| ord.is_ne()) {
+            Some((ord, true)) => ord,
+            Some((ord, false)) => ord.reverse(),
+            None => tie(a, b),
+        }
+    };
+    let (offset, count) = window.unwrap_or((0, usize::MAX));
+    let end = offset.saturating_add(count);
+    let mut order: Vec<usize> = (0..rows).collect();
+    if end < rows {
+        order.select_nth_unstable_by(end.saturating_sub(1), by);
+        order.truncate(end);
+    }
+    order.sort_unstable_by(by);
+    order.drain(..offset.min(order.len()));
+    order
 }
 
 impl ScanPlan {
@@ -264,7 +330,7 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
                         into,
                     }) => {
                         i += 1;
-                        Some(Collector::new(groups, aggregates, into, &plan[i].names))
+                        Some(Collector::new(groups, aggregates, into, &plan[i]))
                     }
                     _ => None,
                 };
@@ -320,25 +386,22 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
                 rows = next;
             }
             Clause::Sort { keys } => {
-                let mut keyed: Vec<(Vec<Value>, Env)> = Vec::with_capacity(rows.len());
-                for env in rows {
-                    let mut kvals = Vec::with_capacity(keys.len());
+                // row `r`'s keys sit at `r * width..`; ties keep input order
+                let width = keys.len();
+                let mut kvals = Vec::with_capacity(rows.len() * width);
+                for env in &rows {
                     for (e, _) in keys {
-                        kvals.push(eval_ref(e, &env, txn)?.into_owned());
+                        kvals.push(eval_ref(e, env, txn)?);
                     }
-                    keyed.push((kvals, env));
                 }
-                keyed.sort_by(|(a, _), (b, _)| {
-                    for (idx, (_, asc)) in keys.iter().enumerate() {
-                        let ord = a[idx].canonical_cmp(&b[idx]);
-                        let ord = if *asc { ord } else { ord.reverse() };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                rows = keyed.into_iter().map(|(_, env)| env).collect();
+                let order = order_window(
+                    rows.len(),
+                    keys.iter().map(|(_, asc)| *asc).enumerate(),
+                    plan[i].window,
+                    |a, b, k| kvals[a * width + k].canonical_cmp(&kvals[b * width + k]),
+                    |a, b| a.cmp(&b),
+                );
+                rows = (order.into_iter().map(|r| std::mem::take(&mut rows[r]))).collect();
             }
             Clause::Limit { offset, count } => {
                 rows = rows.into_iter().skip(*offset).take(*count).collect();
@@ -348,14 +411,14 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
                 aggregates,
                 into,
             } => {
-                let mut collector = Collector::new(groups, aggregates, into, names);
+                let mut collector = Collector::new(groups, aggregates, into, &plan[i]);
                 for env in &rows {
                     collector.push(env, txn)?;
                 }
                 rows = collector.finish(base);
             }
         }
-        i += 1;
+        i += 1 + plan[i].consumed();
     }
     let mut out = Vec::with_capacity(rows.len());
     for env in &rows {
@@ -378,12 +441,15 @@ struct Collector<'q> {
     groups: &'q [(String, Expr)],
     aggregates: &'q [(String, AggFunc, Expr)],
     into: bool,
-    names: &'q [Arc<str>],
-    /// Group key → slot in `states`. The first row's key values stand for
-    /// the group.
+    /// The clause's plan: its names, and the `SORT`/`LIMIT` it took.
+    plan: &'q ClausePlan,
+    /// Group key → group number, in order of first appearance. The first
+    /// row's key values stand for the group.
     slots: HashMap<Vec<Value>, usize>,
-    /// Per group: one accumulator per aggregate, and the `INTO` members.
-    states: Vec<(Vec<Accumulator>, Vec<Value>)>,
+    /// Group `slot`'s accumulators at `slot * aggregates.len()..`.
+    accumulators: Vec<Accumulator>,
+    /// Per group under `INTO`: the member rows.
+    members: Vec<Vec<Value>>,
     /// The row's key, rebuilt in place (only a new group keeps a copy).
     key: Vec<Value>,
 }
@@ -393,32 +459,36 @@ impl<'q> Collector<'q> {
         groups: &'q [(String, Expr)],
         aggregates: &'q [(String, AggFunc, Expr)],
         into: &Option<String>,
-        names: &'q [Arc<str>],
+        plan: &'q ClausePlan,
     ) -> Collector<'q> {
         Collector {
             groups,
             aggregates,
             into: into.is_some(),
-            names,
+            plan,
             slots: HashMap::new(),
-            states: Vec::new(),
+            accumulators: Vec::new(),
+            members: Vec::new(),
             key: Vec::with_capacity(groups.len()),
         }
     }
 
-    /// The accumulators and members of the group `self.key` names,
-    /// opened on its first row.
-    fn group(&mut self) -> &mut (Vec<Accumulator>, Vec<Value>) {
+    /// The accumulators of the group `self.key` names, opened on its
+    /// first row, and its number.
+    fn group(&mut self) -> (&mut [Accumulator], usize) {
         let slot = match self.slots.get(self.key.as_slice()) {
             Some(&slot) => slot,
             None => {
+                let slot = self.slots.len();
                 let fresh = self.aggregates.iter().map(|(_, f, _)| Accumulator::new(*f));
-                self.states.push((fresh.collect(), Vec::new()));
-                self.slots.insert(self.key.clone(), self.states.len() - 1);
-                self.states.len() - 1
+                self.accumulators.extend(fresh);
+                self.members.extend(self.into.then(Vec::new));
+                self.slots.insert(self.key.clone(), slot);
+                slot
             }
         };
-        &mut self.states[slot]
+        let stride = self.aggregates.len();
+        (&mut self.accumulators[slot * stride..][..stride], slot)
     }
 
     /// Fold in one row bound in `env`, interpreting the expressions.
@@ -427,12 +497,12 @@ impl<'q> Collector<'q> {
         for (_, e) in self.groups {
             self.key.push(eval_ref(e, env, txn)?.into_owned());
         }
-        let (aggregates, into) = (self.aggregates, self.into);
-        let (accumulators, members) = self.group();
+        let aggregates = self.aggregates;
+        let (accumulators, slot) = self.group();
         for (acc, (_, _, input)) in accumulators.iter_mut().zip(aggregates) {
             acc.push(&*eval_ref(input, env, txn)?);
         }
-        if into {
+        if let Some(members) = self.members.get_mut(slot) {
             members.push(env.as_object());
         }
         Ok(())
@@ -475,24 +545,38 @@ impl<'q> Collector<'q> {
         }
     }
 
-    /// One row per group in canonical key order, in a fresh scope under
-    /// `base`.
-    fn finish(mut self, base: &Env) -> Vec<Env> {
-        let mut groups: Vec<(Vec<Value>, usize)> = self.slots.into_iter().collect();
-        groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        let mut out = Vec::with_capacity(groups.len());
-        for (key, slot) in groups {
-            let (accumulators, members) = std::mem::take(&mut self.states[slot]);
-            let values = key
-                .into_iter()
-                .chain(accumulators.into_iter().map(Accumulator::finish))
-                .chain(self.into.then_some(Value::Array(members)));
-            out.push(
-                (self.names.iter().zip(values))
-                    .fold(base.clone(), |env, (name, v)| env.bind(name, Arc::new(v))),
-            );
+    /// One row per group, in a fresh scope under `base`, ordered from a
+    /// table of the groups' values: by key, or by the `SORT` the clause
+    /// runs and then by key (a stable `SORT` of the key order), cut to
+    /// its `LIMIT`. Only the groups kept are bound.
+    fn finish(self, base: &Env) -> Vec<Env> {
+        let (groups, width) = (self.slots.len(), self.plan.names.len());
+        let (keys, stride) = (self.groups.len(), self.aggregates.len());
+        let mut table = vec![Value::Null; groups * width];
+        for (mut key, slot) in self.slots {
+            table[slot * width..][..keys].swap_with_slice(&mut key);
         }
-        out
+        for (at, acc) in self.accumulators.into_iter().enumerate() {
+            table[at / stride * width + keys + at % stride] = acc.finish();
+        }
+        for (slot, members) in self.members.into_iter().enumerate() {
+            table[slot * width + width - 1] = Value::Array(members);
+        }
+        let row = |slot: usize| &table[slot * width..][..width];
+        let order = order_window(
+            groups,
+            self.plan.group_sort.iter().flatten().copied(),
+            self.plan.window,
+            |a, b, c| row(a)[c].cmp(&row(b)[c]),
+            |a, b| row(a)[..keys].cmp(&row(b)[..keys]),
+        );
+        (order.into_iter())
+            .map(|slot| {
+                let values = (table[slot * width..][..width].iter_mut()).map(std::mem::take);
+                (self.plan.names.iter().zip(values))
+                    .fold(base.clone(), |env, (name, v)| env.bind(name, Arc::new(v)))
+            })
+            .collect()
     }
 }
 
@@ -744,8 +828,24 @@ pub fn explain(stmt: &Statement) -> String {
     let mut out = String::new();
     // whether the COLLECT up next folds inside the scan before it
     let mut folded = false;
+    // the clause that runs the next `n` clauses, and `n`
+    let mut runner = ("", 0);
     let mut i = 0;
     while i < body.clauses.len() {
+        // which clause runs this one, or what this one runs of the next
+        let p = &plan[i];
+        let tag = match (runner, &p.group_sort, p.window) {
+            ((by, 1..), _, _) => format!(" [folded into the {by}]"),
+            (_, Some(_), Some((_, n))) => format!(" [top {n} of the groups]"),
+            (_, Some(_), None) => " [sorted with the groups]".to_string(),
+            (_, None, Some((_, n))) => format!(" [top {n} by selection]"),
+            _ => String::new(),
+        };
+        runner = match runner {
+            (by, n @ 1..) => (by, n - 1),
+            _ if p.group_sort.is_some() => ("collect", p.consumed()),
+            _ => ("sort", p.consumed()),
+        };
         match &body.clauses[i] {
             Clause::For { var, source } => match source {
                 Source::Collection(name) => {
@@ -788,9 +888,9 @@ pub fn explain(stmt: &Statement) -> String {
             },
             Clause::Filter(_) => out.push_str("filter <expression>\n"),
             Clause::Let { var, .. } => out.push_str(&format!("let {var} = <expression>\n")),
-            Clause::Sort { keys } => out.push_str(&format!("sort by {} key(s)\n", keys.len())),
+            Clause::Sort { keys } => out.push_str(&format!("sort by {} key(s){tag}\n", keys.len())),
             Clause::Limit { offset, count } => {
-                out.push_str(&format!("limit offset={offset} count={count}\n"))
+                out.push_str(&format!("limit offset={offset} count={count}{tag}\n"))
             }
             Clause::Collect {
                 groups,
@@ -798,7 +898,7 @@ pub fn explain(stmt: &Statement) -> String {
                 into,
             } => out.push_str(&format!(
                 "collect {} group key(s), {} aggregate(s) [streaming, {} accumulator(s)]{} \
-                 [hash grouping]{}\n",
+                 [hash grouping]{}{tag}\n",
                 groups.len(),
                 aggregates.len(),
                 aggregates.len(),
@@ -986,6 +1086,80 @@ mod tests {
         let fold = body.plan()[0].scan.as_ref().unwrap().fold.as_ref().unwrap();
         assert_eq!((fold.keys.len(), fold.inputs.len()), (1, 1));
         assert!(explain(&stmt).contains("[hash grouping] [folded into the scan]\n"));
+
+        // Q6: the group table orders itself by the aggregate and binds
+        // only the ten groups kept; the SORT and LIMIT run inside it
+        let stmt = crate::parser::parse(
+            "FOR o IN orders COLLECT customer = o.customer AGGREGATE spent = SUM(o.total) \
+             SORT spent DESC LIMIT 10 LET c = DOCUMENT(\"customers\", customer) \
+             RETURN { customer, name: c.name, spent }",
+        )
+        .unwrap();
+        let Statement::Query(body) = &stmt else {
+            panic!()
+        };
+        let collect = &body.plan()[1];
+        assert_eq!(collect.group_sort, Some(vec![(1, false)]));
+        assert_eq!((collect.window, collect.consumed()), (Some((0, 10)), 2));
+        let plan = explain(&stmt);
+        assert!(
+            plan.contains(
+                "[folded into the scan] [top 10 of the groups]\n\
+                 sort by 1 key(s) [folded into the collect]\n\
+                 limit offset=0 count=10 [folded into the collect]\n\
+                 let c = <expression>\n"
+            ),
+            "{plan}"
+        );
+        // without a LIMIT the groups are sorted once, by the SORT's keys
+        let stmt = crate::parser::parse(
+            "FOR o IN orders COLLECT c = o.customer INTO g SORT g, c DESC RETURN c",
+        )
+        .unwrap();
+        let Statement::Query(body) = &stmt else {
+            panic!()
+        };
+        assert_eq!(body.plan()[1].group_sort, Some(vec![(1, true), (0, false)]));
+        let plan = explain(&stmt);
+        assert!(
+            plan.contains(
+                "[into: materialized members] [hash grouping] [sorted with the groups]\n"
+            ),
+            "{plan}"
+        );
+        // a SORT key that is not a bare name the COLLECT binds runs on
+        // the bound groups, keeping its window by selection
+        for (text, keys) in [
+            (
+                "FOR o IN orders COLLECT c = o.customer AGGREGATE s = SUM(o.total) \
+                 SORT s * 2 DESC LIMIT 3 RETURN c",
+                1,
+            ),
+            (
+                "FOR o IN orders COLLECT c = o.customer INTO g SORT LENGTH(g) LIMIT 3 RETURN c",
+                1,
+            ),
+            (
+                "FOR o IN orders COLLECT c = o.customer SORT c, o.total LIMIT 3 RETURN c",
+                2,
+            ),
+        ] {
+            let stmt = crate::parser::parse(text).unwrap();
+            let Statement::Query(body) = &stmt else {
+                panic!()
+            };
+            assert_eq!(body.plan()[1].group_sort, None, "{text}");
+            assert_eq!(body.plan()[2].window, Some((0, 3)), "{text}");
+            let plan = explain(&stmt);
+            assert!(!plan.contains("of the groups"), "{plan}");
+            assert!(
+                plan.contains(&format!(
+                    "sort by {keys} key(s) [top 3 by selection]\n\
+                     limit offset=0 count=3 [folded into the sort]\n"
+                )),
+                "{plan}"
+            );
+        }
     }
 
     #[test]

@@ -188,6 +188,66 @@ fn sort_is_canonical_across_types() {
     );
 }
 
+/// A `LIMIT` offset or count at `usize::MAX` neither panics nor sizes an
+/// allocation, wherever the window is kept: by the scan, by the plain
+/// `SORT`, by a `COLLECT` that took a `SORT` on its names, and by the
+/// `SORT` on an expression after a `COLLECT`. The text cannot spell
+/// such a count — the lexer refuses an integer past `i64` — so the
+/// clause is built.
+#[test]
+fn huge_limits_neither_panic_nor_reserve() {
+    use udbms::query::{execute, parse, Clause, QueryBody, Statement};
+    let e = engine();
+    let err = parse("FOR x IN t SORT x.v LIMIT 18446744073709551615 RETURN x").unwrap_err();
+    assert!(err.to_string().contains("integer overflow"), "{err}");
+    let run = |text: &str, offset: usize, count: usize| {
+        let Statement::Query(body) = parse(text).unwrap() else {
+            panic!("{text}")
+        };
+        let mut clauses = body.clauses;
+        let last = clauses.last_mut().unwrap();
+        assert!(matches!(last, Clause::Limit { .. }), "{text}");
+        *last = Clause::Limit { offset, count };
+        let stmt = Statement::Query(QueryBody::new(clauses, body.distinct, body.ret));
+        execute(&stmt, &mut e.begin_read()).unwrap()
+    };
+    let ints = |xs: &[i64]| xs.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>();
+    let max = usize::MAX;
+    for (text, all) in [
+        ("FOR x IN t LIMIT 1 RETURN x.v", ints(&[1, 2, 3, 4, 5, 6])),
+        (
+            "FOR x IN t SORT x.v DESC LIMIT 1 RETURN x.v",
+            ints(&[6, 5, 4, 3, 2, 1]),
+        ),
+        (
+            "FOR x IN t COLLECT g = x.grp AGGREGATE s = SUM(x.v) SORT s DESC LIMIT 1 RETURN s",
+            ints(&[12, 9]),
+        ),
+        (
+            "FOR x IN t COLLECT g = x.grp AGGREGATE s = SUM(x.v) SORT s * 1 DESC LIMIT 1 RETURN s",
+            ints(&[12, 9]),
+        ),
+    ] {
+        assert_eq!(run(text, 0, max), all, "{text}");
+        assert_eq!(run(text, 1, max), all[1..], "{text}");
+        assert_eq!(run(text, max, 1), [], "{text}");
+        assert_eq!(run(text, max, max), [], "{text}");
+    }
+}
+
+/// A `SORT` that a `COLLECT` runs on its own names reads what the name
+/// is bound to afterwards: of a name bound twice, the later binding.
+#[test]
+fn collect_sort_reads_the_innermost_binding() {
+    let e = engine();
+    for sort in ["a", "a + 0"] {
+        let text = format!(
+            "FOR x IN t COLLECT a = x.grp AGGREGATE a = SUM(x.v) SORT {sort} LIMIT 1 RETURN a"
+        );
+        assert_eq!(q(&e, &text), vec![Value::Int(9)], "{text}");
+    }
+}
+
 /// A chain of `n` operators (`a + b + c`, `a AND b AND c`) is one flat
 /// node evaluated left to right. Parsing, cloning, comparing, printing,
 /// explaining, binding, executing and dropping one must not cost stack

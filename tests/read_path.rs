@@ -142,7 +142,7 @@ proptest! {
     #[test]
     fn collect_agrees_with_a_plain_group_by(
         docs in prop::collection::vec((0i64..48, 0u8..8, 0u8..6, -20i64..20), 1..60),
-        shape in (0u8..4, 0u8..3, 0u8..2, 0u8..3, 0u8..4),
+        shape in (0u8..4, 0u8..3, 0u8..2, 0u8..6, 0u8..5),
         lo in -10i64..10,
         spelling in 0u8..4,
     ) {
@@ -191,8 +191,17 @@ proptest! {
              {} {} {} RETURN [{key_names}, c, s, a, lo, hi, {}]",
             coalesce("r.v", 2),
             if into == 1 { "INTO members" } else { "" },
-            ["", "SORT c DESC", "SORT s, c"][sort as usize],
-            ["", "LIMIT 3", "LIMIT 1, 2", "LIMIT 0"][limit as usize],
+            // by names the COLLECT binds (the group table orders them), and
+            // by an expression (every group is bound, then sorted)
+            [
+                "",
+                "SORT c DESC",
+                "SORT s, c",
+                "SORT k1 DESC",
+                "SORT s DESC, k1",
+                "SORT c + 0 DESC",
+            ][sort as usize],
+            ["", "LIMIT 3", "LIMIT 1, 2", "LIMIT 0", "LIMIT 50, 3"][limit as usize],
             if into == 1 { "(FOR m IN members RETURN m.r.n)" } else { "NULL" },
         );
         let query = Query::parse(&text).unwrap().bind(&Params::new().with("lo", lo)).unwrap();
@@ -276,11 +285,13 @@ proptest! {
             let field = |row: &Value, at: usize| row.as_array().unwrap()[at].clone();
             let width = if keys == 2 { 2 } else { 1 };
             match sort {
-                1 => want.sort_by_key(|row| std::cmp::Reverse(field(row, width))),
+                1 | 5 => want.sort_by_key(|row| std::cmp::Reverse(field(row, width))),
                 2 => want.sort_by_key(|row| (field(row, width + 1), field(row, width))),
+                3 => want.sort_by_key(|row| std::cmp::Reverse(field(row, 0))),
+                4 => want.sort_by_key(|row| (std::cmp::Reverse(field(row, width + 1)), field(row, 0))),
                 _ => {}
             }
-            let (skip, take) = [(0, usize::MAX), (0, 3), (1, 2), (0, 0)][limit as usize];
+            let (skip, take) = [(0, usize::MAX), (0, 3), (1, 2), (0, 0), (50, 3)][limit as usize];
             let want: Vec<Value> = want.into_iter().skip(skip).take(take).collect();
             // Debug, not ==: Int(1) and Float(1.0) are equal but not the same
             prop_assert_eq!(
@@ -290,6 +301,84 @@ proptest! {
                 shards,
                 text
             );
+        }
+    }
+
+    /// `SORT` over plain rows is a stable sort on its keys, and a `LIMIT`
+    /// right behind it is `skip(o).take(n)` of that order, though the
+    /// executor keeps the window by selection: keys with many ties and a
+    /// mix of `Int`, `Float`, `Null`, `Str` and absent values, one or two
+    /// keys in either direction, windows that are empty or start past
+    /// the end, at shard counts 1, 3 and 8.
+    #[test]
+    fn sort_limit_is_a_stable_sort_and_a_window(
+        docs in prop::collection::vec((0u8..6, 0u8..6, -3i64..3), 1..40),
+        sort in (any::<bool>(), any::<bool>(), any::<bool>()),
+        filter in any::<bool>(),
+        limit in 0u8..7,
+    ) {
+        let (two_keys, asc_a, asc_b) = sort;
+        let spelled = |v: u8, n: i64| match v {
+            0 => Some(Value::Int(n)),
+            1 => Some(Value::Float(n as f64)),
+            2 => Some(Value::Float(n as f64 + 0.5)),
+            3 => Some(Value::Null),
+            4 => Some(Value::from(format!("s{}", n.rem_euclid(2)))),
+            _ => None,
+        };
+        let dir = |asc: bool| if asc { "" } else { " DESC" };
+        let keys_text = match two_keys {
+            true => format!("r.a{}, r.b{}", dir(asc_a), dir(asc_b)),
+            false => format!("r.a{}", dir(asc_a)),
+        };
+        let windows = [None, Some((0, 0)), Some((0, 3)), Some((2, 4)), Some((100, 2)), Some((5, 100)), Some((0, 1))];
+        let window = windows[limit as usize];
+        let text = format!(
+            "FOR r IN data {} SORT {keys_text} {} RETURN r.n",
+            if filter { "FILTER r.x >= 0" } else { "" },
+            window.map_or(String::new(), |(o, n)| format!("LIMIT {o}, {n}")),
+        );
+        let query = Query::parse(&text).unwrap();
+        // the model: rows in key order, filtered, stably sorted, windowed
+        let mut want: Vec<(Value, Value, i64)> = Vec::new();
+        for (n, (a, b, x)) in docs.iter().enumerate() {
+            if filter && *x < 0 {
+                continue;
+            }
+            let field = |v: u8| spelled(v, *x).unwrap_or(Value::Null);
+            want.push((field(*a), field(*b), n as i64));
+        }
+        let directed = |ord: std::cmp::Ordering, asc: bool| if asc { ord } else { ord.reverse() };
+        want.sort_by(|p, q| {
+            let first = directed(p.0.canonical_cmp(&q.0), asc_a);
+            match two_keys {
+                true => first.then(directed(p.1.canonical_cmp(&q.1), asc_b)),
+                false => first,
+            }
+        });
+        let (skip, take) = window.unwrap_or((0, usize::MAX));
+        let want: Vec<Value> = want.into_iter().skip(skip).take(take).map(|(_, _, n)| Value::Int(n)).collect();
+        for shards in [1usize, 3, 8] {
+            let engine = Engine::with_shards(shards);
+            engine.create_collection(CollectionSchema::key_value("data")).unwrap();
+            engine
+                .run(Isolation::Snapshot, |t| {
+                    for (n, (a, b, x)) in docs.iter().enumerate() {
+                        let mut doc = obj! {"n" => n as i64, "x" => *x};
+                        let fields = doc.as_object_mut().unwrap();
+                        if let Some(a) = spelled(*a, *x) {
+                            fields.insert("a".into(), a);
+                        }
+                        if let Some(b) = spelled(*b, *x) {
+                            fields.insert("b".into(), b);
+                        }
+                        t.put("data", Key::int(n as i64), doc)?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            let got = query.execute(&mut engine.begin_read()).unwrap();
+            prop_assert_eq!(&got, &want, "{} shard(s): {}", shards, text);
         }
     }
 
