@@ -1,6 +1,8 @@
 //! How a transaction ends: [`Txn::commit`], [`Txn::abort`], drop. Every
 //! way out goes through `finish`, which takes the transaction out of the
-//! registry and counts the outcome — once.
+//! registry and counts the outcome — once — and, after a commit that
+//! installed versions, prunes the chains the transaction read and
+//! rewrote while they are still in cache.
 //!
 //! ```text
 //! begin:   lock(active) → snapshot = published → register → unlock
@@ -19,7 +21,10 @@
 //!            stamp commit_ts into the frame, enqueue it on the
 //!              group-commit queue
 //!          unlock(commit) → park until durable (per Durability level)
-//!          → finish
+//!          → finish: lock(active) → deregister, read the horizon
+//!            prune the chains read and rewritten (a blind write's old
+//!              value is cold: left to `gc`) below the horizon, one
+//!              shard write-lock per touched shard; drop the cut
 //! ```
 //!
 //! Because `published` advances only once a commit's versions are all
@@ -32,7 +37,7 @@
 
 use std::sync::atomic::Ordering;
 
-use udbms_core::{Error, Result, Ts, TxnId};
+use udbms_core::{Error, Result, Ts};
 
 use crate::engine::Inner;
 use crate::reads::Txn;
@@ -52,9 +57,17 @@ enum Outcome {
     Unlogged,
 }
 
-/// The one exit: deregister `id` and count how it ended.
-fn finish(inner: &Inner, id: TxnId, outcome: Outcome) {
-    inner.registry.finish(id);
+/// The one exit: deregister the transaction and count how it ended; if
+/// it installed versions, prune the chains it read and rewrote.
+fn finish(inner: &Inner, state: &TxnState, outcome: Outcome) {
+    let installed = matches!(outcome, Outcome::Committed | Outcome::Unlogged);
+    let rewritten: Vec<&RecordId> = (state.write_order.iter())
+        .filter(|rid| installed && state.reads.contains_key(*rid))
+        .collect();
+    let horizon = inner.registry.finish(state.id, &inner.published);
+    if !rewritten.is_empty() {
+        inner.storage.prune(&rewritten, horizon);
+    }
     let m = &inner.metrics;
     match outcome {
         Outcome::Committed => m.commits.add(1),
@@ -209,7 +222,7 @@ impl Txn {
             return Err(Error::TxnClosed("transaction already finished".into()));
         };
         let (outcome, result) = try_commit(&self.inner, &state);
-        finish(&self.inner, state.id, outcome);
+        finish(&self.inner, &state, outcome);
         result
     }
 
@@ -220,7 +233,7 @@ impl Txn {
 
     pub(crate) fn abort_in_place(&mut self) {
         if let Some(state) = self.state.take() {
-            finish(&self.inner, state.id, Outcome::Aborted);
+            finish(&self.inner, &state, Outcome::Aborted);
         }
     }
 }

@@ -9,13 +9,12 @@
 //! inversion, and `udbms-lint` (rule L1) checks the same order over the
 //! source.
 
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::{LockRank, TrackedAtomicU64, TrackedMutex, TrackedRwLock};
 
-use udbms_core::{CollectionId, CollectionSchema, FieldPath, Result, Ts};
+use udbms_core::{CollectionId, CollectionSchema, FieldPath, Result};
 use udbms_obs::{Obs, ObsSnapshot};
 use udbms_relational::IndexKind;
 
@@ -287,17 +286,14 @@ impl Engine {
         result
     }
 
-    /// Garbage-collect versions below the oldest active snapshot and
-    /// rebuild each shard's over-approximating index segments from its
-    /// retained versions (shard locks taken one at a time).
+    /// Garbage-collect what commits did not prune — chains written
+    /// blind, chains an old snapshot pinned, tombstones — below the
+    /// oldest open snapshot, patching each shard's index postings (shard
+    /// locks taken one at a time, no `commit_lock`). The watermark is
+    /// read under the registry lock, as a snapshot is: one registered
+    /// after it reads `published` at or above it.
     pub fn gc(&self) -> GcStats {
-        // under commit_lock `published` stands still, so a snapshot
-        // registered after the watermark read is at or above it
-        let _commit = self.inner.commit_lock.lock();
-        // ORDER: Acquire; commit_lock already orders this after the last
-        // commit's Release publish.
-        let now = || Ts(self.inner.published.load(Ordering::Acquire));
-        let watermark = self.inner.registry.watermark().unwrap_or_else(now);
+        let watermark = self.inner.registry.watermark(&self.inner.published);
         let (versions_removed, chains_removed) = self.inner.storage.gc(watermark);
         GcStats {
             watermark,

@@ -135,8 +135,8 @@ impl Txn {
     ///   the key-ordered walk over every shard, which tests the
     ///   predicate on the stored values and clones only the rows it
     ///   returns;
-    /// * **read set** — under `Serializable` every record *examined* is
-    ///   noted, not just the matches;
+    /// * **read set** — what a point or index read finds is noted; a walk
+    ///   notes every record *examined*, not just matches, under `Serializable`;
     /// * **own writes** — buffered writes on the collection are laid over
     ///   the committed rows (a matching write replaces or adds its row, a
     ///   delete or a no-longer-matching overwrite removes it);

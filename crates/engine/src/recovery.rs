@@ -123,54 +123,26 @@ impl Engine {
     /// that snapshot. No-op (Ok) when the engine has no WAL.
     ///
     /// Commits are **not** stalled for the duration: `commit_lock` is
-    /// held only long enough to read `published` (under the lock every
-    /// commit at or below it is installed *and* enqueued, which a
-    /// lock-free read does not promise), the collection scan runs
-    /// against MVCC shard reads, and only the final swap — drain the
-    /// commit queue, filter the tail, fsync + rename — briefly closes
-    /// the queue (work proportional to the log tail, not the database).
+    /// held only long enough to register the snapshot (under the lock
+    /// every commit at or below `published` is installed *and* enqueued,
+    /// which a lock-free read does not promise), the collection walk
+    /// runs against MVCC shard reads at that registered snapshot, which
+    /// no pruning goes below, and only the final swap — drain the commit
+    /// queue, filter the tail, fsync + rename — briefly closes the queue
+    /// (work proportional to the log tail, not the database).
     pub fn checkpoint(&self) -> Result<()> {
         let Some(log) = self.inner.log.get() else {
             return Ok(());
         };
         let stamp = self.inner.obs.start();
         let _ckpt = self.inner.checkpoint_lock.lock();
-        let snapshot = {
+        let (id, snapshot) = {
             let _commit = self.inner.commit_lock.lock();
-            // ORDER: Acquire under commit_lock; the lock already orders
-            // this after the last commit's publish and enqueue.
-            Ts(self.inner.published.load(Ordering::Acquire))
+            self.inner.registry.register(&self.inner.published)
         };
-        // every commit with ts ≤ snapshot is fully installed (it held
-        // commit_lock through install + enqueue), so this scan is a
-        // consistent image of the log prefix the rewrite replaces; its
-        // values are encoded where they live, behind their `Arc`s
-        let mut synthetic = Vec::new();
-        let mut rows_logged = 0;
-        {
-            let catalog = self.inner.catalog.read();
-            for name in catalog.names() {
-                // lint:allow(unwrap): name came from catalog.names() under this read guard
-                let id = catalog.get(&name).expect("listed name exists").id;
-                let mut rows = Vec::new();
-                let _ = self.inner.storage.walk(id, snapshot, |key, _, v| {
-                    rows.push((key.clone(), Arc::clone(v)));
-                    ControlFlow::<()>::Continue(())
-                });
-                for chunk in rows.chunks(SYNTHETIC_FRAME_ROWS) {
-                    let entries = chunk
-                        .iter()
-                        .map(|(key, v)| (name.as_str(), key, Some(&**v)));
-                    codec::push_frame(&mut synthetic, snapshot, TxnId(0), entries)?;
-                }
-                rows_logged += rows.len();
-            }
-        }
-        if synthetic.is_empty() {
-            // an empty state still carries the snapshot's timestamp, so
-            // the timestamp a reopened engine resumes from never goes back
-            codec::push_frame(&mut synthetic, snapshot, TxnId(0), std::iter::empty())?;
-        }
+        let state = self.state_frames(snapshot);
+        self.inner.registry.finish(id, &self.inner.published);
+        let (synthetic, rows_logged) = state?;
         self.inner
             .obs
             .event("checkpoint", snapshot.0, rows_logged as u64);
@@ -179,5 +151,38 @@ impl Engine {
             .obs
             .record_ns(&self.inner.metrics.checkpoint_ns, stamp);
         out
+    }
+
+    /// The live state at `snapshot` as synthetic frames, and its row
+    /// count. Every commit with ts ≤ snapshot is fully installed (it held
+    /// commit_lock through install + enqueue), so the walk is a
+    /// consistent image of the log prefix the rewrite replaces; its
+    /// values are encoded where they live, behind their `Arc`s.
+    fn state_frames(&self, snapshot: Ts) -> Result<(Vec<u8>, usize)> {
+        let mut synthetic = Vec::new();
+        let mut rows_logged = 0;
+        let catalog = self.inner.catalog.read();
+        for name in catalog.names() {
+            // lint:allow(unwrap): name came from catalog.names() under this read guard
+            let id = catalog.get(&name).expect("listed name exists").id;
+            let mut rows = Vec::new();
+            let _ = self.inner.storage.walk(id, snapshot, |key, _, v| {
+                rows.push((key.clone(), Arc::clone(v)));
+                ControlFlow::<()>::Continue(())
+            });
+            for chunk in rows.chunks(SYNTHETIC_FRAME_ROWS) {
+                let entries = chunk
+                    .iter()
+                    .map(|(key, v)| (name.as_str(), key, Some(&**v)));
+                codec::push_frame(&mut synthetic, snapshot, TxnId(0), entries)?;
+            }
+            rows_logged += rows.len();
+        }
+        if synthetic.is_empty() {
+            // an empty state still carries the snapshot's timestamp, so
+            // the timestamp a reopened engine resumes from never goes back
+            codec::push_frame(&mut synthetic, snapshot, TxnId(0), std::iter::empty())?;
+        }
+        Ok((synthetic, rows_logged))
     }
 }

@@ -1,9 +1,12 @@
 //! The transaction registry: which transactions are open, and at which
 //! snapshot. It is the one snapshot source: [`Registry::register`] reads
-//! the snapshot under the lock it inserts it under, so no `gc` can take
-//! its [`Registry::watermark`] between a snapshot being read and being
-//! registered. Every way of ending a transaction finishes it
-//! (`commit.rs` — the only caller of [`Registry::finish`]).
+//! the snapshot under the lock it inserts it under, so no pruning can
+//! take its horizon between a snapshot being read and being registered.
+//! The pruning horizon, `min(open snapshots, published)`, is read under
+//! the same lock ([`Registry::watermark`], [`Registry::finish`]), so a
+//! snapshot registered after it reads a `published` at or above it.
+//! Every way of ending a transaction finishes it (`commit.rs`); so does
+//! the checkpoint, which registers the snapshot it walks.
 //!
 //! The map's lock (`LockRank::ActiveTxns`) is only ever taken on its own.
 
@@ -41,18 +44,28 @@ impl Registry {
         (id, snapshot)
     }
 
-    /// Close transaction `id`: its snapshot no longer holds back GC.
-    pub(crate) fn finish(&self, id: TxnId) {
-        self.active.lock().remove(&id);
+    /// Close transaction `id` — its snapshot no longer holds back
+    /// pruning — and read the horizon in the same critical section.
+    pub(crate) fn finish(&self, id: TxnId, published: &TrackedAtomicU64) -> Ts {
+        let mut active = self.active.lock();
+        active.remove(&id);
+        horizon(&active, published)
     }
 
-    /// The oldest snapshot an open transaction reads at, if any is open.
-    pub(crate) fn watermark(&self) -> Option<Ts> {
-        self.active.lock().values().copied().min()
+    /// The horizon `gc` prunes below.
+    pub(crate) fn watermark(&self, published: &TrackedAtomicU64) -> Ts {
+        horizon(&self.active.lock(), published)
     }
 
     /// Open transactions.
     pub(crate) fn len(&self) -> usize {
         self.active.lock().len()
     }
+}
+
+/// `min(open snapshots, published)`, read under the `active` lock.
+fn horizon(active: &HashMap<TxnId, Ts>, published: &TrackedAtomicU64) -> Ts {
+    // ORDER: Acquire pairs with try_commit's Release publish, as in `register`.
+    let now = Ts(published.load(Ordering::Acquire));
+    active.values().copied().fold(now, Ts::min)
 }

@@ -3,7 +3,9 @@
 //! Every record of every model lives here as a **version chain**: its
 //! `(commit_ts, value-or-tombstone)` pairs in commit order. A reader
 //! with snapshot `S` sees the newest version with `commit_ts <= S`.
-//! Chains are pruned by [`Storage::gc`] below the oldest active snapshot.
+//! Chains are pruned below the oldest open snapshot: a commit cuts the
+//! chains it read and rewrote ([`Shard::prune`]), [`Storage::gc`] sweeps
+//! the rest.
 //! Chains sit in a slab; a hash index finds one by record id and an
 //! ordered directory per collection walks them by key (see [`Storage`]).
 //!
@@ -17,7 +19,7 @@
 
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -82,8 +84,31 @@ impl Slot {
     }
 
     /// Every retained version, oldest first.
-    fn versions(&self) -> impl Iterator<Item = &Version> {
+    fn versions(&self) -> impl Iterator<Item = &Version> + Clone {
         self.older.iter().chain(std::iter::once(&self.newest))
+    }
+
+    /// The values of the retained versions (a tombstone has none).
+    fn values(&self) -> impl Iterator<Item = &Value> + Clone {
+        self.versions().filter_map(|v| v.value.as_deref())
+    }
+
+    /// Cut the history below the version visible at `horizon`, which
+    /// stays with everything newer: the versions cut, oldest first, in a
+    /// history emptied whole taking its buffer along (a buffer kept for
+    /// the next rewrite slowed `point_rw`'s blind puts by a third).
+    fn cut(&mut self, horizon: Ts) -> Vec<Version> {
+        // the history at or below the horizon; the newest of it stays
+        // unless `newest` is at or below the horizon too
+        let n = self.older.partition_point(|v| v.commit_ts <= horizon);
+        let keep_from = n - usize::from(n > 0 && self.newest.commit_ts > horizon);
+        match keep_from {
+            0 => Vec::new(),
+            _ => {
+                let kept = self.older.split_off(keep_from);
+                std::mem::replace(&mut self.older, kept)
+            }
+        }
     }
 
     fn len(&self) -> usize {
@@ -123,6 +148,10 @@ impl Storage {
 
     fn slot_of(&self, rid: &RecordId) -> Option<&Slot> {
         self.chains.get(rid).map(|&i| &self.slots[i as usize])
+    }
+
+    fn slot_mut(&mut self, rid: &RecordId) -> Option<&mut Slot> {
+        self.chains.get(rid).map(|&i| &mut self.slots[i as usize])
     }
 
     /// The chains of one collection in key order.
@@ -224,8 +253,8 @@ impl Storage {
         self.directories.get(&collection).map_or(0, BTreeMap::len)
     }
 
-    /// Every value present in any retained version of a collection
-    /// (used to rebuild over-approximating secondary indexes after GC).
+    /// Every value present in any retained version of a collection (a
+    /// new index segment's backfill).
     pub fn all_retained(&self, collection: CollectionId) -> Vec<(Key, Vec<&Value>)> {
         self.directory(collection)
             .filter_map(|(k, slot)| {
@@ -241,6 +270,17 @@ impl Storage {
     /// `commit_ts <= watermark`; drop chains whose only remnant is a
     /// tombstone. Returns `(versions_removed, chains_removed)`.
     pub fn gc(&mut self, watermark: Ts) -> (usize, usize) {
+        self.sweep(watermark, |_, _, _, _| {})
+    }
+
+    /// [`Storage::gc`], handing each chain it cuts to `cut`: the record,
+    /// what the chain keeps (`None` for a record forgotten whole) and the
+    /// versions cut from it.
+    fn sweep(
+        &mut self,
+        watermark: Ts,
+        mut cut: impl FnMut(CollectionId, &Key, Option<&Slot>, &[Version]),
+    ) -> (usize, usize) {
         let Storage {
             slots,
             free,
@@ -252,28 +292,22 @@ impl Storage {
         for (&collection, dir) in directories.iter_mut() {
             dir.retain(|key, i| {
                 let slot = &mut slots[*i as usize];
-                if slot.newest.commit_ts > watermark {
-                    // the newest version visible at the watermark stays
-                    let keep_from = slot
-                        .older
-                        .iter()
-                        .rposition(|v| v.commit_ts <= watermark)
-                        .unwrap_or(0);
-                    versions_removed += keep_from;
-                    slot.older.drain(..keep_from);
-                    return true;
-                }
-                versions_removed += slot.older.len();
-                slot.older = Vec::new();
-                if slot.newest.value.is_some() {
-                    return true;
-                }
                 // a tombstone nobody can look under: forget the record
-                versions_removed += 1;
-                chains_removed += 1;
-                chains.remove(&RecordId::new(collection, key.clone()));
-                free.push(*i);
-                false
+                let dead = slot.newest.value.is_none() && slot.newest.commit_ts <= watermark;
+                if slot.older.is_empty() && !dead {
+                    return true;
+                }
+                let gone = slot.cut(watermark);
+                versions_removed += gone.len() + usize::from(dead);
+                if dead {
+                    chains_removed += 1;
+                    chains.remove(&RecordId::new(collection, key.clone()));
+                    free.push(*i);
+                }
+                if !gone.is_empty() {
+                    cut(collection, key, (!dead).then_some(&*slot), &gone);
+                }
+                !dead
             });
         }
         (versions_removed, chains_removed)
@@ -387,6 +421,11 @@ pub fn shard_of(key: &Key, shards: usize) -> usize {
 /// keys. Guarded by a single lock inside [`ShardedStorage`], so a commit
 /// installs versions *and* index postings for a shard under one
 /// acquisition.
+///
+/// A segment's postings are exactly `{(v, k) : some retained version of
+/// k carries v at the path}`: [`Shard::install`] posts only what is not
+/// posted for the record yet, and [`Shard::prune`] and [`Shard::gc`]
+/// take out only what no version they keep carries.
 #[derive(Debug, Default)]
 pub struct Shard {
     /// The shard-local version-chain store.
@@ -401,22 +440,41 @@ impl Shard {
         Shard::default()
     }
 
-    /// Install a version and (for non-tombstones) its index postings.
+    /// Install a version and (for non-tombstones) the postings the
+    /// record does not have yet.
     pub fn install(&mut self, rid: RecordId, commit_ts: Ts, value: Option<Arc<Value>>) {
-        if let Some(v) = &value {
-            self.index_new_value(rid.collection, &rid.key, v.as_ref());
+        if let Some(new) = value.as_deref() {
+            for ((cid, path), idx) in &mut self.segments {
+                if *cid == rid.collection {
+                    let newest = self.store.latest(&rid).and_then(|v| v.value.as_deref());
+                    post(idx, path, &rid.key, new, newest);
+                }
+            }
         }
         self.store.install(rid, commit_ts, value);
     }
 
+    /// Cut `rid`'s chain below the version visible at `horizon` and take
+    /// out the postings no version it keeps carries; the versions cut,
+    /// for the caller to drop once it has released the shard.
+    pub fn prune(&mut self, rid: &RecordId, horizon: Ts) -> Vec<Version> {
+        let Shard { store, segments } = self;
+        let Some(slot) = store.slot_mut(rid) else {
+            return Vec::new();
+        };
+        let cut = slot.cut(horizon);
+        unpost(segments, rid.collection, &rid.key, Some(slot), &cut);
+        cut
+    }
+
     /// Create this shard's segment of a new index and backfill it from
-    /// every retained version the shard holds (over-approximating, like
-    /// the pre-shard design).
+    /// every retained version the shard holds, each value posted once
+    /// per key.
     pub fn create_index_segment(&mut self, id: CollectionId, path: &FieldPath, kind: IndexKind) {
         let mut idx = Index::new(kind);
         for (key, values) in self.store.all_retained(id) {
             for value in values {
-                post_value(&mut idx, path, &key, value);
+                post(&mut idx, path, &key, value, None);
             }
         }
         self.segments.insert((id, path.clone()), idx);
@@ -432,72 +490,65 @@ impl Shard {
         self.segments.get(&(id, path.clone()))
     }
 
-    /// Add postings for a newly committed value (arrays index per
-    /// element), to every segment of the owning collection.
-    pub fn index_new_value(&mut self, id: CollectionId, key: &Key, value: &Value) {
-        for ((cid, path), idx) in &mut self.segments {
-            if *cid == id {
-                post_value(idx, path, key, value);
-            }
-        }
-    }
-
     /// Drop a collection's chains and index segments.
     pub fn drop_collection(&mut self, id: CollectionId) {
         self.store.drop_collection(id);
         self.segments.retain(|(cid, _), _| *cid != id);
     }
 
-    /// Prune version chains below `watermark`, then rebuild this shard's
-    /// index segments from the retained versions (the shard-local half of
-    /// the old catalog-wide rebuild).
-    pub fn gc_and_rebuild(&mut self, watermark: Ts) -> (usize, usize) {
-        let removed = self.store.gc(watermark);
-        let touched: BTreeSet<CollectionId> = self.segments.keys().map(|(id, _)| *id).collect();
-        for id in touched {
-            let retained = self.store.all_retained(id);
-            for ((cid, path), idx) in &mut self.segments {
-                if *cid != id {
-                    continue;
-                }
-                let mut fresh = Index::new(idx.kind());
-                for (key, values) in &retained {
-                    let mut seen: Vec<&Value> = Vec::new();
-                    for value in values {
-                        match value.get_path(path) {
-                            Value::Array(items) => {
-                                for item in items {
-                                    if !seen.contains(&item) {
-                                        seen.push(item);
-                                        fresh.insert(item.clone(), key.clone());
-                                    }
-                                }
-                            }
-                            v => {
-                                if !seen.contains(&v) {
-                                    seen.push(v);
-                                    fresh.insert(v.clone(), key.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-                *idx = fresh;
-            }
-        }
-        removed
+    /// Prune version chains below `watermark` (see [`Storage::gc`]),
+    /// taking out the postings of what is cut.
+    pub fn gc(&mut self, watermark: Ts) -> (usize, usize) {
+        let Shard { store, segments } = self;
+        store.sweep(watermark, |collection, key, kept, cut| {
+            unpost(segments, collection, key, kept, cut);
+        })
     }
 }
 
-/// Index one value under `path` (arrays post per element).
-fn post_value(idx: &mut Index, path: &FieldPath, key: &Key, value: &Value) {
+/// What `value` posts under `path`: an array's elements, else the value
+/// there (`Null`, which no index holds, when there is none).
+fn posted<'v>(value: &'v Value, path: &FieldPath) -> &'v [Value] {
     match value.get_path(path) {
-        Value::Array(items) => {
-            for item in items {
-                idx.insert(item.clone(), key.clone());
+        Value::Array(items) => items,
+        v => std::slice::from_ref(v),
+    }
+}
+
+/// Post `key` under each value `value` carries at `path` that is not
+/// posted for it yet: by the postings invariant, one no retained version
+/// of the record carries already. What the record's `newest` value
+/// carries is known to be posted, without asking the index.
+fn post(idx: &mut Index, path: &FieldPath, key: &Key, value: &Value, newest: Option<&Value>) {
+    for v in posted(value, path) {
+        let held = newest.is_some_and(|n| posted(n, path).contains(v));
+        if !held && !idx.contains(v, key) {
+            idx.insert(v.clone(), key.clone());
+        }
+    }
+}
+
+/// Take `key`'s postings of its `cut` versions out of the collection's
+/// segments, except those a version it keeps still carries.
+fn unpost(
+    segments: &mut HashMap<(CollectionId, FieldPath), Index>,
+    collection: CollectionId,
+    key: &Key,
+    kept: Option<&Slot>,
+    cut: &[Version],
+) {
+    for ((cid, path), idx) in segments.iter_mut() {
+        if *cid != collection {
+            continue;
+        }
+        for value in cut.iter().filter_map(|v| v.value.as_deref()) {
+            for v in posted(value, path) {
+                let mut kept_values = kept.into_iter().flat_map(Slot::values);
+                if !kept_values.any(|k| posted(k, path).contains(v)) {
+                    idx.remove(v, key);
+                }
             }
         }
-        v => idx.insert(v.clone(), key.clone()),
     }
 }
 
@@ -685,13 +736,29 @@ impl ShardedStorage {
         Some(out)
     }
 
-    /// Run GC + index-segment rebuild on every shard; returns the summed
-    /// `(versions_removed, chains_removed)`.
+    /// Cut each record's chain below the version visible at `horizon`
+    /// ([`Shard::prune`]), each touched shard write-locked once, in
+    /// ascending order.
+    pub fn prune(&self, rids: &[&RecordId], horizon: Ts) {
+        let mut garbage = Vec::new();
+        for (si, group) in self.group_by_shard(rids.iter().copied()).iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            let mut shard = self.shards[si].write();
+            garbage.extend(group.iter().map(|rid| shard.prune(rid, horizon)));
+        }
+        // the values are freed here, with no shard held
+        drop(garbage);
+    }
+
+    /// Run GC on every shard, one shard's write lock at a time; returns
+    /// the summed `(versions_removed, chains_removed)`.
     pub fn gc(&self, watermark: Ts) -> (usize, usize) {
         let mut versions = 0;
         let mut chains = 0;
         for shard in &self.shards {
-            let (v, c) = shard.write().gc_and_rebuild(watermark);
+            let (v, c) = shard.write().gc(watermark);
             versions += v;
             chains += c;
         }
@@ -724,6 +791,7 @@ impl ShardedStorage {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     const C: CollectionId = CollectionId(1);
 
@@ -1096,6 +1164,196 @@ mod tests {
         }
     }
 
+    #[derive(Debug, Clone)]
+    enum PostOp {
+        /// A value `{"s": scalar, "tags": [elements]}`, or a tombstone.
+        Install(CollectionId, Key, Option<(Option<i64>, Vec<i64>)>),
+        /// A commit's prune of one chain; horizon in eighths of the clock.
+        Prune(CollectionId, Key, u64),
+        Gc(u64),
+        Drop(CollectionId),
+        /// Drop and re-create the collection's segments (the backfill).
+        Reindex(CollectionId),
+    }
+
+    fn post_op() -> impl Strategy<Value = PostOp> {
+        let value = (0i64..5, prop::collection::vec(0i64..4, 0..4));
+        (0usize..20, 0u32..2, 0i64..6, value, 0u64..9).prop_map(|(kind, c, k, (s, tags), share)| {
+            let (c, key) = (CollectionId(c), Key::int(k));
+            match kind {
+                // s = 4 leaves the scalar path absent
+                0..=8 => PostOp::Install(c, key, Some(((s < 4).then_some(s), tags))),
+                9..=10 => PostOp::Install(c, key, None),
+                11..=14 => PostOp::Prune(c, key, share),
+                15..=16 => PostOp::Gc(share),
+                17 => PostOp::Drop(c),
+                _ => PostOp::Reindex(c),
+            }
+        })
+    }
+
+    /// The two indexed paths: a scalar in a B-tree, an array in a hash.
+    fn indexed() -> [(FieldPath, IndexKind); 2] {
+        [
+            (FieldPath::key("s"), IndexKind::BTree),
+            (FieldPath::key("tags"), IndexKind::Hash),
+        ]
+    }
+
+    fn create_segments(s: &ShardedStorage, c: CollectionId) {
+        for si in 0..s.shard_count() {
+            for (path, kind) in indexed() {
+                s.shard(si).write().create_index_segment(c, &path, kind);
+            }
+        }
+    }
+
+    /// Every `(value, key)` posting of a collection's segment on `path`,
+    /// across shards, checking each bucket is non-empty and strictly
+    /// key-sorted (so free of duplicates).
+    fn postings(
+        s: &ShardedStorage,
+        c: CollectionId,
+        path: &FieldPath,
+    ) -> Result<Vec<(Value, Key)>, TestCaseError> {
+        let mut out = Vec::new();
+        for si in 0..s.shard_count() {
+            let shard = s.shard(si).read();
+            let buckets: Vec<(&Value, &Vec<Key>)> = match shard.index_segment(c, path) {
+                Some(Index::Hash(m)) => m.iter().collect(),
+                Some(Index::BTree(m)) => m.iter().collect(),
+                None => Vec::new(),
+            };
+            for (v, keys) in buckets {
+                prop_assert!(!keys.is_empty(), "empty bucket {} at {}", v, path);
+                prop_assert!(
+                    keys.windows(2).all(|w| w[0] < w[1]),
+                    "bucket {} at {} not strictly key-sorted: {:?}",
+                    v,
+                    path,
+                    keys
+                );
+                out.extend(keys.iter().map(|k| (v.clone(), k.clone())));
+            }
+        }
+        out.sort();
+        Ok(out)
+    }
+
+    /// The model's postings: `{(v, k) : some retained version of k
+    /// carries v at path}`, `Null` excluded.
+    fn model_postings(model: &Model, c: CollectionId, path: &FieldPath) -> Vec<(Value, Key)> {
+        let mut out = BTreeSet::new();
+        for ((_, key), chain) in model
+            .range((c, Key::int(i64::MIN))..)
+            .take_while(|((mc, _), _)| *mc == c)
+        {
+            for value in chain.iter().filter_map(|v| v.value.as_deref()) {
+                let items = match value.get_path(path) {
+                    Value::Array(items) => items.clone(),
+                    v => vec![v.clone()],
+                };
+                out.extend(
+                    items
+                        .into_iter()
+                        .filter(|v| !v.is_null())
+                        .map(|v| (v, key.clone())),
+                );
+            }
+        }
+        out.into_iter().collect()
+    }
+
+    /// Cut a model chain below its version visible at `horizon`.
+    fn model_cut(chain: &mut Vec<Version>, horizon: Ts) {
+        let keep_from = chain
+            .iter()
+            .rposition(|v| v.commit_ts <= horizon)
+            .unwrap_or(0);
+        chain.drain(..keep_from);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Installs, tombstones, commit-time prunes, `gc`, drops and
+        /// backfills at 1, 3 and 8 shards: after every step each segment
+        /// holds exactly the postings of the retained versions, once.
+        #[test]
+        fn postings_are_exactly_the_retained_versions(ops in prop::collection::vec(post_op(), 1..80)) {
+            let sharded: Vec<ShardedStorage> = [1, 3, 8].into_iter().map(ShardedStorage::new).collect();
+            for s in &sharded {
+                (0..2).for_each(|c| create_segments(s, CollectionId(c)));
+            }
+            let mut model = Model::new();
+            let mut clock = 0u64;
+            for op in ops {
+                match op.clone() {
+                    PostOp::Install(c, key, value) => {
+                        clock += 1;
+                        let value = value.map(|(scalar, tags)| {
+                            let mut v = udbms_core::obj! {"tags" => Value::Array(tags.into_iter().map(Value::Int).collect())};
+                            if let (Some(x), Value::Object(m)) = (scalar, &mut v) {
+                                m.insert("s".into(), Value::Int(x));
+                            }
+                            Arc::new(v)
+                        });
+                        for s in &sharded {
+                            let rid = RecordId::new(c, key.clone());
+                            s.shard_for(&key).write().install(rid, Ts(clock), value.clone());
+                        }
+                        model.entry((c, key)).or_default().push(Version { commit_ts: Ts(clock), value });
+                    }
+                    PostOp::Prune(c, key, share) => {
+                        let horizon = Ts(clock * share / 8);
+                        let rid = RecordId::new(c, key.clone());
+                        sharded.iter().for_each(|s| s.prune(&[&rid], horizon));
+                        if let Some(chain) = model.get_mut(&(c, key)) {
+                            model_cut(chain, horizon);
+                        }
+                    }
+                    PostOp::Gc(share) => {
+                        let watermark = Ts(clock * share / 8);
+                        let want = model_gc(&mut model, watermark);
+                        for s in &sharded {
+                            prop_assert_eq!(s.gc(watermark), want, "gc at {}", watermark);
+                        }
+                    }
+                    PostOp::Drop(c) => {
+                        model.retain(|(mc, _), _| *mc != c);
+                        for s in &sharded {
+                            s.drop_collection(c);
+                            create_segments(s, c);
+                        }
+                    }
+                    PostOp::Reindex(c) => {
+                        for s in &sharded {
+                            for si in 0..s.shard_count() {
+                                for (path, _) in indexed() {
+                                    s.shard(si).write().drop_index_segment(c, &path);
+                                }
+                            }
+                            create_segments(s, c);
+                        }
+                    }
+                }
+                let versions: usize = model.values().map(Vec::len).sum();
+                for s in &sharded {
+                    prop_assert_eq!(s.shape().0, versions, "after {:?}", op);
+                    for c in (0..2).map(CollectionId) {
+                        for (path, _) in indexed() {
+                            let want = model_postings(&model, c, &path);
+                            prop_assert_eq!(
+                                postings(s, c, &path)?, want,
+                                "{} shard(s), {} at {} after {:?}", s.shard_count(), c, path, op
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn shard_of_is_stable_and_in_range() {
         for n in [1usize, 2, 7, 8, 64] {
@@ -1181,11 +1439,11 @@ mod tests {
             some(obj! {"status" => "paid"}),
         );
         let idx = shard.index_segment(C, &path).unwrap();
-        // over-approximating: key 1 posted under both values
+        // both retained versions of key 1 are posted
         assert_eq!(idx.lookup_eq(&Value::from("open")).len(), 2);
         assert_eq!(idx.lookup_eq(&Value::from("paid")), vec![Key::int(1)]);
-        // GC below ts 12 prunes key 1's "open" version; rebuild drops it
-        let (removed, _) = shard.gc_and_rebuild(Ts(12));
+        // GC below ts 12 prunes key 1's "open" version and its posting
+        let (removed, _) = shard.gc(Ts(12));
         assert!(removed >= 1);
         let idx = shard.index_segment(C, &path).unwrap();
         assert_eq!(idx.lookup_eq(&Value::from("open")), vec![Key::int(2)]);

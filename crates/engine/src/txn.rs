@@ -112,8 +112,9 @@ pub struct TxnState {
     /// and index maintenance in a stable order).
     pub write_order: Vec<RecordId>,
     /// Versions read: record → the commit_ts of the version observed
-    /// (`Ts::ZERO` when the record was absent). Only tracked under
-    /// `Serializable`.
+    /// (`Ts::ZERO` when the record was absent; see `note_read`). A record
+    /// read and then rewritten is pruned at commit; only `Serializable`
+    /// validates the set.
     pub reads: HashMap<RecordId, Ts>,
     /// Read-lane transactions reject writes and skip the whole commit
     /// machinery (see `Engine::begin_read`).
@@ -122,8 +123,8 @@ pub struct TxnState {
 
 impl TxnState {
     /// Fresh state for a beginning transaction. A read-lane one
-    /// (`read_only`) reads at its snapshot, tracks no OCC read set and
-    /// has its writes rejected at the API boundary.
+    /// (`read_only`) reads at its snapshot, notes no reads and has its
+    /// writes rejected at the API boundary.
     pub fn new(id: TxnId, snapshot: Ts, isolation: Isolation, read_only: bool) -> TxnState {
         TxnState {
             id,
@@ -153,11 +154,13 @@ impl TxnState {
         self.writes.insert(rid, value.map(Arc::new));
     }
 
-    /// Record a read observation (serializable only; no-op otherwise).
-    /// The *first* observation wins — OCC validates against what the
-    /// transaction actually based its logic on.
+    /// Record a read observation (a no-op on the read lane, and for an
+    /// absent record, which has no version to prune, below
+    /// `Serializable`). The *first* observation wins — OCC validates
+    /// against what the transaction actually based its logic on.
     pub fn note_read(&mut self, rid: RecordId, seen: Ts) {
-        if self.isolation == Isolation::Serializable {
+        let noted = seen != Ts::ZERO || self.isolation == Isolation::Serializable;
+        if noted && !self.read_only {
             self.reads.entry(rid).or_insert(seen);
         }
     }
@@ -206,15 +209,29 @@ mod tests {
     }
 
     #[test]
-    fn reads_only_tracked_under_serializable() {
-        let mut si = TxnState::new(TxnId(1), Ts(5), Isolation::Snapshot, false);
-        si.note_read(rid(1), Ts(3));
-        assert!(si.reads.is_empty());
-
-        let mut ser = TxnState::new(TxnId(2), Ts(5), Isolation::Serializable, false);
-        ser.note_read(rid(1), Ts(3));
-        ser.note_read(rid(1), Ts(4)); // later observation ignored
-        assert_eq!(ser.reads[&rid(1)], Ts(3));
+    fn writing_txns_note_reads_at_every_level_the_read_lane_never() {
+        for isolation in [
+            Isolation::ReadCommitted,
+            Isolation::Snapshot,
+            Isolation::Serializable,
+        ] {
+            let mut s = TxnState::new(TxnId(1), Ts(5), isolation, false);
+            s.note_read(rid(1), Ts(3));
+            s.note_read(rid(1), Ts(4)); // later observation ignored
+            assert_eq!(s.reads[&rid(1)], Ts(3), "{isolation}");
+            // an absent record matters to OCC alone
+            s.note_read(rid(2), Ts::ZERO);
+            let serializable = isolation == Isolation::Serializable;
+            assert_eq!(s.reads.contains_key(&rid(2)), serializable, "{isolation}");
+        }
+        let mut lane = TxnState::new(TxnId(2), Ts(5), Isolation::Snapshot, true);
+        lane.note_read(rid(1), Ts(3));
+        let seen = Version {
+            commit_ts: Ts(3),
+            value: Some(Arc::new(Value::Int(1))),
+        };
+        assert_eq!(lane.observe(rid(2), Some(&seen)), seen.value);
+        assert!(lane.reads.is_empty());
     }
 
     #[test]

@@ -194,7 +194,7 @@ pub(crate) fn store(
                 schema.apply_defaults(value);
                 schema.validate(value)?;
             }
-            ModelKind::Xml => drop(udbms_xml::value_to_xml(value)?),
+            ModelKind::Xml => udbms_xml::check_xml_value(value)?,
             ModelKind::KeyValue | ModelKind::Graph => {}
         }
     }

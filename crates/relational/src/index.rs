@@ -1,8 +1,10 @@
 //! Secondary indexes: hash (equality) and B-tree (equality + range).
 //!
 //! An index maps an indexed value to the set of primary keys whose rows
-//! carry that value. Multi-valued entries use a `Vec<Key>` (duplicates are
-//! allowed in the indexed column, not in the keys).
+//! carry that value. Multi-valued entries use a key-sorted `Vec<Key>`
+//! (duplicates are allowed in the indexed column, not in the keys), so a
+//! posting is added or removed by binary search, not by scanning its
+//! bucket.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -44,19 +46,33 @@ impl Index {
         }
     }
 
-    /// Register `key` under `value`. `Null` values are not indexed (SQL
-    /// semantics: NULL never matches an equality probe).
+    /// Register `key` under `value`, at its place in the key-sorted
+    /// bucket (the caller keeps a key from being registered twice under
+    /// one value). `Null` values are not indexed (SQL semantics: NULL
+    /// never matches an equality probe).
     pub fn insert(&mut self, value: Value, key: Key) {
         if value.is_null() {
             return;
         }
-        match self {
-            Index::Hash(m) => m.entry(value).or_default().push(key),
-            Index::BTree(m) => m.entry(value).or_default().push(key),
-        }
+        let keys = match self {
+            Index::Hash(m) => m.entry(value).or_default(),
+            Index::BTree(m) => m.entry(value).or_default(),
+        };
+        let at = keys.partition_point(|k| *k <= key);
+        keys.insert(at, key);
     }
 
-    /// Remove `key` from under `value`.
+    /// Whether `key` is registered under `value` (binary search in the
+    /// bucket).
+    pub fn contains(&self, value: &Value, key: &Key) -> bool {
+        let bucket = match self {
+            Index::Hash(m) => m.get(value),
+            Index::BTree(m) => m.get(value),
+        };
+        bucket.is_some_and(|keys| keys.binary_search(key).is_ok())
+    }
+
+    /// Remove `key` from under `value`, by binary search in the bucket.
     pub fn remove(&mut self, value: &Value, key: &Key) {
         if value.is_null() {
             return;
@@ -66,7 +82,11 @@ impl Index {
             Index::BTree(m) => m.get_mut(value),
         };
         if let Some(keys) = bucket {
-            keys.retain(|k| k != key);
+            let (from, to) = (
+                keys.partition_point(|k| k < key),
+                keys.partition_point(|k| k <= key),
+            );
+            keys.drain(from..to);
             if keys.is_empty() {
                 match self {
                     Index::Hash(m) => {
@@ -80,7 +100,7 @@ impl Index {
         }
     }
 
-    /// Keys whose indexed value equals `value`.
+    /// Keys whose indexed value equals `value`, in key order.
     pub fn lookup_eq(&self, value: &Value) -> Vec<Key> {
         match self {
             Index::Hash(m) => m.get(value).cloned().unwrap_or_default(),
@@ -188,6 +208,24 @@ mod tests {
             // removing a non-existent posting is a no-op
             idx.remove(&Value::from("FI"), &Key::int(99));
             assert_eq!(idx.len(), 2);
+        }
+    }
+
+    #[test]
+    fn buckets_stay_key_sorted_whatever_the_insert_order() {
+        for kind in [IndexKind::Hash, IndexKind::BTree] {
+            let mut idx = Index::new(kind);
+            for k in [5, 1, 9, 3, 7] {
+                idx.insert(Value::from("v"), Key::int(k));
+            }
+            let keys = |idx: &Index| idx.lookup_eq(&Value::from("v"));
+            assert_eq!(keys(&idx), [1, 3, 5, 7, 9].map(Key::int));
+            idx.remove(&Value::from("v"), &Key::int(5));
+            idx.remove(&Value::from("v"), &Key::int(4)); // absent: no-op
+            assert_eq!(keys(&idx), [1, 3, 7, 9].map(Key::int));
+            assert!(idx.contains(&Value::from("v"), &Key::int(7)));
+            assert!(!idx.contains(&Value::from("v"), &Key::int(5)));
+            assert!(!idx.contains(&Value::from("w"), &Key::int(7)));
         }
     }
 

@@ -20,7 +20,7 @@ mod parse;
 mod write;
 mod xpath;
 
-pub use bridge::{value_to_xml, xml_to_value};
+pub use bridge::{check_xml_value, value_to_xml, xml_to_value};
 pub use node::{XmlDocument, XmlNode};
 pub use parse::parse;
 pub use write::{to_string, to_string_pretty};

@@ -92,18 +92,25 @@ fn gc_keeps_queries_correct_under_churn() {
     let (_, q2) = workload::bound_queries(&params).unwrap().swap_remove(1);
     let before = engine.run(Isolation::Snapshot, |t| q2.execute(t)).unwrap();
 
-    // churn: rewrite every order several times, then GC
-    for round in 0..3 {
-        engine
-            .run(Isolation::Snapshot, |t| {
-                for o in &data.orders {
-                    let key = Key::str(o.get_field("_id").as_str().unwrap());
-                    t.merge("orders", &key, udbms::core::obj! {"churn" => round})?;
-                }
-                Ok(())
-            })
-            .unwrap();
-    }
+    // churn: rewrite every order several times (read-modify-write merges)
+    let churn = |engine: &udbms::engine::Engine| {
+        for round in 0..3 {
+            engine
+                .run(Isolation::Snapshot, |t| {
+                    for o in &data.orders {
+                        let key = Key::str(o.get_field("_id").as_str().unwrap());
+                        t.merge("orders", &key, udbms::core::obj! {"churn" => round})?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+        }
+    };
+    // a snapshot held across the churn keeps every commit from pruning
+    // what it superseded, so the history is left for GC
+    let held = engine.begin_read();
+    churn(&engine);
+    drop(held);
     let stats_before = engine.stats();
     let gc = engine.gc();
     let stats_after = engine.stats();
@@ -113,6 +120,17 @@ fn gc_keeps_queries_correct_under_churn() {
     let after = engine.run(Isolation::Snapshot, |t| q2.execute(t)).unwrap();
     // Q2 projects name/order/total/status — untouched by churn fields
     assert_eq!(before, after, "GC must not change query results");
+
+    // with no snapshot held, each commit prunes the chains it rewrote
+    let (engine, _) = build_engine(&small_cfg()).unwrap();
+    churn(&engine);
+    let stats = engine.stats();
+    assert_eq!(stats.versions, stats.chains, "commits left history behind");
+    let after = engine.run(Isolation::Snapshot, |t| q2.execute(t)).unwrap();
+    assert_eq!(
+        before, after,
+        "pruning at commit must not change query results"
+    );
 }
 
 #[test]

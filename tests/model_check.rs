@@ -19,8 +19,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::model::{explore, spawn, Config};
-use udbms::core::{CollectionSchema, Error, Key, Ts, Value};
-use udbms::engine::{shard_of, Durability, Engine, EngineConfig, FaultPlan, Isolation, Txn, Wal};
+use udbms::core::{CollectionSchema, Error, Key, Ts, TxnId, Value};
+use udbms::engine::{
+    shard_of, Durability, Engine, EngineConfig, FaultPlan, Isolation, Txn, Wal, WalRecord,
+};
 
 /// Preemption bound 2, with caps every program stays well inside.
 fn suite_config() -> Config {
@@ -72,6 +74,15 @@ fn get(txn: &mut Txn, key: i64) -> Option<Value> {
     txn.get("kv", &Key::int(key)).expect("read kv")
 }
 
+/// Read `key`, then commit `key = value`: a read-modify-write, so the
+/// commit prunes the version it read.
+fn rewrite(engine: &Engine, key: i64, value: i64) -> udbms::Result<Ts> {
+    let mut txn = engine.begin(Isolation::Snapshot);
+    get(&mut txn, key);
+    txn.put("kv", Key::int(key), Value::Int(value))?;
+    txn.commit()
+}
+
 /// A WAL file of one schedule's own, removed when the schedule ends —
 /// also when it unwinds, perhaps with a checkpoint's `<log>.tmp` beside it.
 struct TempWal(PathBuf);
@@ -94,6 +105,12 @@ impl TempWal {
     fn records(&self) -> Vec<Ts> {
         let records = Wal::read_all(&self.0).expect("read the wal");
         records.iter().map(|r| r.commit_ts).collect()
+    }
+
+    /// A checkpoint's synthetic frames (transaction 0), in file order.
+    fn synthetic_frames(&self) -> Vec<WalRecord> {
+        let records = Wal::read_all(&self.0).expect("read the wal");
+        records.into_iter().filter(|r| r.txn == TxnId(0)).collect()
     }
 }
 
@@ -221,6 +238,52 @@ fn checkpoint_vs_commit() {
     });
 }
 
+/// A checkpointer races a writer that reads key 0 and rewrites it twice,
+/// each commit pruning what it read. Key 0 holds `ts` from commit `ts`
+/// on, and the synthetic frames hold it at the value live at their
+/// snapshot: the walk read at a snapshot no commit pruned below.
+#[test]
+fn checkpoint_keeps_its_snapshot() {
+    check(|| {
+        let wal = TempWal::new();
+        let engine = with_kv(wal.open(Durability::Flush, Arc::new(FaultPlan::none())));
+        assert_eq!(put(&engine, 0, 1).expect("seed"), Ts(1));
+        let writer = {
+            let engine = engine.clone();
+            spawn("writer", move || {
+                for value in [2, 3] {
+                    let ts = rewrite(&engine, 0, value).expect("no rival writer");
+                    assert_eq!(ts, Ts(value as u64));
+                }
+            })
+        };
+        let checkpointer = {
+            let engine = engine.clone();
+            spawn("checkpointer", move || {
+                engine.checkpoint().expect("checkpoint")
+            })
+        };
+        writer.join();
+        checkpointer.join();
+        let frames = wal.synthetic_frames();
+        let snapshot = frames
+            .first()
+            .expect("the checkpoint wrote its state")
+            .commit_ts;
+        let rows: Vec<_> = frames.iter().flat_map(|r| &r.writes).collect();
+        let want = (
+            "kv".to_string(),
+            Key::int(0),
+            Some(Value::Int(snapshot.0 as i64)),
+        );
+        assert_eq!(
+            rows,
+            [&want],
+            "the checkpoint at {snapshot:?} lost key 0's version"
+        );
+    });
+}
+
 /// Every fsync fails: both committers get `Error::Unavailable` — no
 /// durability ack, no hang — whichever of them leads the failed drain.
 #[test]
@@ -248,9 +311,10 @@ fn poison_reaches_every_committer() {
     });
 }
 
-/// One writer supersedes a version while `gc` runs and two readers open —
-/// one through `begin_read`, one through `begin`. Each reader still finds
-/// the version its snapshot needs.
+/// One writer reads a version and supersedes it — its commit prunes what
+/// it read — while `gc` runs and two readers open, one through
+/// `begin_read`, one through `begin`. Each reader still finds the
+/// version its snapshot needs.
 #[test]
 fn gc_keeps_what_snapshots_read() {
     check(|| {
@@ -259,7 +323,7 @@ fn gc_keeps_what_snapshots_read() {
         let mut threads = Vec::new();
         let writer = engine.clone();
         threads.push(spawn("writer", move || {
-            put(&writer, 0, 2).expect("no rival writer");
+            rewrite(&writer, 0, 2).expect("no rival writer");
         }));
         let gc = engine.clone();
         threads.push(spawn("gc", move || {
@@ -280,6 +344,38 @@ fn gc_keeps_what_snapshots_read() {
                 );
             }));
         }
+        for thread in threads {
+            thread.join();
+        }
+    });
+}
+
+/// Two writers each read key 0 and rewrite it — one after the other, or
+/// racing, when one of them loses the conflict — while a `begin_read`
+/// reader opens: however a commit's prune interleaves with the other
+/// commit and the reader's registration, the reader finds key 0.
+#[test]
+fn prunes_keep_what_snapshots_read() {
+    check(|| {
+        let engine = memory_engine();
+        put(&engine, 0, 1).expect("seed");
+        let mut threads: Vec<_> = (0..2)
+            .map(|w| {
+                let engine = engine.clone();
+                spawn(&format!("writer{w}"), move || {
+                    if let Err(e) = rewrite(&engine, 0, 2 + w) {
+                        assert!(e.is_retryable(), "rewrite failed: {e}");
+                    }
+                })
+            })
+            .collect();
+        threads.push(spawn("reader", move || {
+            let mut lane = engine.begin_read();
+            assert!(
+                get(&mut lane, 0).is_some(),
+                "snapshot lost its version to a prune"
+            );
+        }));
         for thread in threads {
             thread.join();
         }
