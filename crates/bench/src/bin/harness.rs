@@ -16,24 +16,21 @@
 //! storage shard count of every engine they construct; `--durability
 //! LEVEL` (buffered/flush/fsync) restricts the E8 durability sweep to
 //! one level (default: all three); `--mode open|closed` restricts E11
-//! to one issue mode (default: both arms); `--rate N` pins the E11
-//! open-loop target to N ops/sec (default: half the matching closed
-//! cell's measured rate); `--faults SEED` seeds the E12 fault plan's
-//! deterministic draws and backoff jitter (E12 always injects; the seed
-//! only fixes the randomness); `--retries N` sets the E12 retry
-//! policy's bounded conflict-retry budget (default 8); `--json [path]`
+//! to one issue mode (default: both arms); `--json [path]`
 //! additionally writes every produced report as machine-readable JSON
 //! under a `"reports"` key, next to the whole run profile as top-level
 //! keys, so a report can be reproduced from itself (an explicit path
 //! must end in `.json` — that suffix is what tells a path apart from an
 //! experiment id; default `bench-report.json`). Experiments select by
-//! bare id.
+//! bare id. E11's open-loop target (half the matching closed cell's
+//! measured rate) and E12's fault seed and retry budget are fixed; E12's
+//! title prints the last two.
 //!
 //! The experiments check their own results as they run (E8's exact
 //! recovery prefix, E12's fault story); a failed check panics the run,
 //! so a zero exit status means every selected experiment held.
 
-use udbms_bench::{select, ModeFilter, RunScale, DEFAULT_FAULT_SEED};
+use udbms_bench::{select, ModeFilter, RunScale};
 use udbms_core::Value;
 use udbms_driver::Durability;
 
@@ -82,13 +79,6 @@ fn profile(quick: bool, scale: &RunScale) -> Vec<(&'static str, Value)> {
                 Some(ModeFilter::Open) => "open",
             }),
         ),
-        ("rate", scale.rate.map_or(Value::from("auto"), Value::Float)),
-        // the effective seed, as text: a u64 need not fit a JSON integer
-        (
-            "fault_seed",
-            Value::from(scale.fault_seed.unwrap_or(DEFAULT_FAULT_SEED).to_string()),
-        ),
-        ("retries", Value::Int(i64::from(scale.retries))),
     ]
 }
 
@@ -124,22 +114,6 @@ fn main() {
                     ModeFilter::parse,
                 ));
             }
-            "--rate" => {
-                scale.rate = Some(flag_value(
-                    &args,
-                    &mut i,
-                    "a positive ops/sec number",
-                    |v| v.parse::<f64>().ok().filter(|r| r.is_finite() && *r > 0.0),
-                ));
-            }
-            "--faults" => {
-                scale.fault_seed =
-                    Some(flag_value(&args, &mut i, "a u64 seed", |v| v.parse().ok()));
-            }
-            "--retries" => {
-                scale.retries =
-                    flag_value(&args, &mut i, "a non-negative integer", |v| v.parse().ok());
-            }
             "--json" => {
                 // the path is optional, disambiguated from experiment
                 // ids by its `.json` suffix; a bare `--json` (or one
@@ -156,8 +130,7 @@ fn main() {
             }
             flag if flag.starts_with("--") => die(&format!(
                 "unknown flag `{flag}` (known: --quick, --clients N, --shards N, \
-                 --durability LEVEL, --mode open|closed, --rate N, --faults SEED, \
-                 --retries N, --json [PATH])"
+                 --durability LEVEL, --mode open|closed, --json [PATH])"
             )),
             id => wanted.push(id),
         }

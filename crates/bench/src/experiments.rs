@@ -51,18 +51,6 @@ pub struct RunScale {
     /// closed-loop and open-loop arms); the harness `--mode open|closed`
     /// flag sets it.
     pub mode: Option<ModeFilter>,
-    /// Open-loop target rate (total ops/sec across clients) for the E11
-    /// open arms; `None` auto-derives half the matching closed cell's
-    /// measured rate. The harness `--rate N` flag sets it.
-    pub rate: Option<f64>,
-    /// Seed for the E12 fault plan (E12 always injects; the seed only
-    /// fixes its deterministic draws and backoff jitter); the harness
-    /// `--faults SEED` flag sets it.
-    pub fault_seed: Option<u64>,
-    /// Conflict-retry budget for the E12 retry policy (bounded
-    /// exponential backoff; retries are reported separately from
-    /// aborts); the harness `--retries N` flag overrides it.
-    pub retries: u32,
 }
 
 /// Which E11 issue-mode arms to run (the harness `--mode` flag).
@@ -96,9 +84,6 @@ impl RunScale {
             shards: udbms_driver::DEFAULT_SHARDS,
             durability: None,
             mode: None,
-            rate: None,
-            fault_seed: None,
-            retries: 8,
         }
     }
 
@@ -1077,7 +1062,7 @@ pub fn e11_contention_tail(scale: RunScale) -> Report {
             // half the matching closed cell's measured rate: a schedule
             // any machine sustains, so the open-loop tail reflects
             // service jitter rather than saturation
-            let rate = scale.rate.unwrap_or(closed.unwrap_or(500.0) * 0.5);
+            let rate = closed.unwrap_or(500.0) * 0.5;
             run_cell(op, zipf, RunMode::Open { rate }, clients_hi, 307);
         }
     }
@@ -1087,14 +1072,19 @@ pub fn e11_contention_tail(scale: RunScale) -> Report {
     report.note("abort% = aborts / (ops + aborts). Each update yields the scheduler between");
     report.note("read and write-back (the lost-update window), so contention is observable");
     report.note("even when client threads timeslice a single core");
-    report.note("open cells schedule intended starts at `target` (--rate, or half the matching");
-    report.note("closed cell's measured rate) and measure latency from the intended start, so");
+    report.note("open cells schedule intended starts at `target` (half the matching closed");
+    report.note("cell's measured rate) and measure latency from the intended start, so");
     report.note("queueing delay lands in the tail instead of vanishing to coordinated omission");
     report
 }
 
-/// The fault seed E12 runs with when `--faults` does not give one.
-pub const DEFAULT_FAULT_SEED: u64 = 0xFA12;
+/// The seed of E12's fault plan: it fixes the plan's deterministic draws
+/// and the backoff jitter (E12 always injects).
+const FAULT_SEED: u64 = 0xFA12;
+
+/// E12's conflict-retry budget (bounded exponential backoff; retries
+/// are reported separately from aborts).
+const RETRIES: u32 = 8;
 
 /// E12 — storage faults & degraded-mode operation. Five phases on one
 /// WAL-backed engine tell the failure story end to end:
@@ -1119,14 +1109,12 @@ pub fn e12_faults(scale: RunScale) -> Report {
 
     let per_client = if scale.reps > 5 { 400 } else { 120 };
     let clients = scale.clients.max(1);
-    let policy = RetryPolicy::with_retries(scale.retries);
-    let seed = scale.fault_seed.unwrap_or(DEFAULT_FAULT_SEED);
+    let policy = RetryPolicy::with_retries(RETRIES);
     let n_keys = 256usize; // hot enough that the retry policy has work
 
     let mut report = Report::new(
         format!(
-            "E12 — storage faults: fail-fast writes, degraded reads, recovery (retry budget {}, fault seed {seed})",
-            scale.retries
+            "E12 — storage faults: fail-fast writes, degraded reads, recovery (retry budget {RETRIES}, fault seed {FAULT_SEED})"
         ),
         &[
             "phase", "op", "clients", "ops", "ok", "errors", "retries", "ttw", "elapsed", "p50",
@@ -1139,7 +1127,7 @@ pub fn e12_faults(scale: RunScale) -> Report {
         .engine_config()
         .with_durability(scale.durability.unwrap_or(Durability::Flush))
         .with_group_commit(true);
-    let plan = Arc::new(FaultPlan::seeded(seed));
+    let plan = Arc::new(FaultPlan::seeded(FAULT_SEED));
     let wal_engine =
         |plan| Engine::with_wal_faults(&path, config, plan).expect("wal-backed engine");
     let engine = kv_engine(wal_engine(Arc::clone(&plan)), "hot", []);
@@ -1186,12 +1174,12 @@ pub fn e12_faults(scale: RunScale) -> Report {
     let dash = || "-".to_string();
 
     // --- phase 1: healthy baseline ---
-    let (_, errors, _) = phase(&engine, "baseline", "update", seed, dash());
+    let (_, errors, _) = phase(&engine, "baseline", "update", FAULT_SEED, dash());
     assert_eq!(errors, 0, "baseline phase must be fault-free");
 
     // --- phase 2: ENOSPC burst on the WAL append path ---
     plan.enospc("append.write");
-    let (_, errors, _) = phase(&engine, "burst", "update", seed ^ 0xB0, dash());
+    let (_, errors, _) = phase(&engine, "burst", "update", FAULT_SEED ^ 0xB0, dash());
     assert!(errors > 0, "the fault burst must reject writes");
 
     // --- phase 3: degraded reads keep serving ---
@@ -1200,7 +1188,7 @@ pub fn e12_faults(scale: RunScale) -> Report {
     assert_eq!(errors, 0, "read-only mode must not reject reads");
 
     // --- phase 4: degraded writes fail fast ---
-    let (ok, _, retries) = phase(&engine, "degraded", "update", seed ^ 0xD0, dash());
+    let (ok, _, retries) = phase(&engine, "degraded", "update", FAULT_SEED ^ 0xD0, dash());
     assert_eq!(ok, 0, "a read-only engine must reject every write");
     assert_eq!(retries, 0, "Unavailable must never be retried (fsyncgate)");
     let es = engine.stats();
@@ -1215,7 +1203,7 @@ pub fn e12_faults(scale: RunScale) -> Report {
         })
         .expect("first post-recovery commit");
     let ttw = format!("{:?}", t0.elapsed());
-    let (_, errors, _) = phase(&engine, "recovered", "update", seed ^ 0xF0, ttw);
+    let (_, errors, _) = phase(&engine, "recovered", "update", FAULT_SEED ^ 0xF0, ttw);
     assert_eq!(errors, 0, "a remounted engine must accept writes again");
     drop(engine);
     let _ = std::fs::remove_file(&path);
@@ -1474,7 +1462,8 @@ mod tests {
             .filter(|row| row[2] == "closed")
             .all(|row| row[5] == "-"));
 
-        // the mode filter restricts arms; --rate pins the open target
+        // the mode filter restricts arms; with no closed cell to halve,
+        // the open target falls back to half of 500 ops/s
         let r = e11_contention_tail(RunScale {
             mode: Some(ModeFilter::Closed),
             ..scale
@@ -1483,12 +1472,11 @@ mod tests {
         assert!(r.rows.iter().all(|row| row[2] == "closed"));
         let r = e11_contention_tail(RunScale {
             mode: Some(ModeFilter::Open),
-            rate: Some(2000.0),
             ..scale
         });
         assert!(!r.rows.is_empty());
         assert!(r.rows.iter().all(|row| row[2] == "open"));
-        assert!(r.rows.iter().all(|row| row[5] == "2000/s"));
+        assert!(r.rows.iter().all(|row| row[5] == "250/s"));
     }
 
     #[test]

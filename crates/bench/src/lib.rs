@@ -11,5 +11,5 @@
 pub mod experiments;
 pub mod report;
 
-pub use experiments::{select, Experiment, ModeFilter, RunScale, DEFAULT_FAULT_SEED, EXPERIMENTS};
+pub use experiments::{select, Experiment, ModeFilter, RunScale, EXPERIMENTS};
 pub use report::{per_sec, us, Report};

@@ -37,6 +37,9 @@ fn unknown_ids_and_removed_flags_exit_2() {
         "--obs",
         "--key-dist",
         "--value-shape",
+        "--rate",
+        "--faults",
+        "--retries",
     ] {
         let out = harness(&["--quick", flag, "f1"]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
@@ -59,12 +62,6 @@ fn json_header_records_the_whole_profile() {
         "3",
         "--mode",
         "open",
-        "--rate",
-        "1500",
-        "--faults",
-        "9",
-        "--retries",
-        "3",
         "--json",
         path_arg,
         "f1",
@@ -79,23 +76,28 @@ fn json_header_records_the_whole_profile() {
         ("clients", "3"),
         ("durability", "all"),
         ("mode", "open"),
-        ("rate", "1500.0"),
-        ("fault_seed", "9"),
-        ("retries", "3"),
     ] {
         assert_eq!(field(name), value, "`{name}`");
     }
     // the banner prints the same list
     let banner = String::from_utf8_lossy(&out.stdout);
     assert!(
-        banner.contains("mode open, rate 1500.0, fault_seed 9, retries 3"),
+        banner.contains("clients 3, shards 8, durability all, mode open\n"),
         "{banner}"
     );
     let reports = doc.get_field("reports").as_array().expect("reports");
     assert_eq!(reports.len(), 1);
     assert_eq!(reports[0].get_field("id").display_plain(), "f1");
     // the profile and the reports are the whole document
-    for gone in ["matrix", "obs", "key_dist", "value_shape"] {
+    for gone in [
+        "matrix",
+        "obs",
+        "key_dist",
+        "value_shape",
+        "rate",
+        "fault_seed",
+        "retries",
+    ] {
         assert_eq!(doc.get_field(gone), &udbms_core::Value::Null, "`{gone}`");
     }
 }

@@ -125,14 +125,6 @@ impl SplitMix64 {
         chosen
     }
 
-    /// Normal-ish sample via the sum of three uniforms (Irwin–Hall with
-    /// n=3 scaled): cheap, deterministic, adequate for synthetic data.
-    pub fn gaussian_approx(&mut self, mean: f64, stddev: f64) -> f64 {
-        let s = self.f64() + self.f64() + self.f64();
-        // Irwin-Hall(3): mean 1.5, variance 3/12 = 0.25 => stddev 0.5
-        mean + stddev * (s - 1.5) / 0.5
-    }
-
     /// A lowercase ASCII identifier-like string of length `len`.
     pub fn ident(&mut self, len: usize) -> String {
         const ALPHA: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
@@ -350,18 +342,6 @@ mod tests {
         for r in 0..10 {
             assert!((u.share(r) - 0.1).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn gaussian_approx_centers_on_mean() {
-        let mut rng = SplitMix64::new(23);
-        let mut sum = 0.0;
-        const N: usize = 50_000;
-        for _ in 0..N {
-            sum += rng.gaussian_approx(10.0, 2.0);
-        }
-        let mean = sum / N as f64;
-        assert!((mean - 10.0).abs() < 0.1);
     }
 
     #[test]

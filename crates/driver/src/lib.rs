@@ -144,17 +144,7 @@ pub trait Subject: Send + Sync {
 /// and unloaded. Experiments call [`Subject::load`] with their dataset,
 /// then drive all subjects identically.
 pub fn registry() -> Vec<Box<dyn Subject>> {
-    registry_with_shards(DEFAULT_SHARDS)
-}
-
-/// [`registry`] with an explicit storage shard count for the unified
-/// engine subject (the polyglot baseline has no shard knob and is
-/// unaffected).
-pub fn registry_with_shards(shards: usize) -> Vec<Box<dyn Subject>> {
-    registry_with_config(EngineConfig {
-        shards,
-        ..EngineConfig::default()
-    })
+    registry_with_config(EngineConfig::default())
 }
 
 /// [`registry`] with full [`EngineConfig`] tuning for the unified

@@ -105,34 +105,6 @@ impl Txn {
         Ok(out.into_iter().collect())
     }
 
-    /// Vertices at exactly `k` hops from `start` (BFS frontier).
-    pub fn k_hop(
-        &mut self,
-        graph: &str,
-        start: &Key,
-        k: usize,
-        dir: Direction,
-        label: Option<&str>,
-    ) -> Result<Vec<Key>> {
-        let mut frontier = vec![start.clone()];
-        let mut seen: std::collections::HashSet<Key> = [start.clone()].into_iter().collect();
-        for _ in 0..k {
-            let mut next = Vec::new();
-            for v in &frontier {
-                for n in self.neighbors(graph, v, dir, label)? {
-                    if seen.insert(n.clone()) {
-                        next.push(n);
-                    }
-                }
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        Ok(frontier)
-    }
-
     /// Parse XML text and store it under `key` (bridge-encoded).
     pub fn put_xml(&mut self, collection: &str, key: Key, xml_text: &str) -> Result<()> {
         self.write_parts()?;
@@ -190,16 +162,6 @@ mod tests {
             t.neighbors("social", &Key::int(2), Direction::Both, Some("knows"))
                 .unwrap(),
             vec![Key::int(1), Key::int(3)]
-        );
-        assert_eq!(
-            t.k_hop("social", &Key::int(1), 2, Direction::Out, Some("knows"))
-                .unwrap(),
-            vec![Key::int(3)]
-        );
-        assert_eq!(
-            t.k_hop("social", &Key::int(1), 3, Direction::Out, None)
-                .unwrap(),
-            vec![Key::int(4)]
         );
         assert!(
             t.add_edge("social", &Key::int(1), &Key::int(99), "knows", Value::Null)

@@ -1,6 +1,5 @@
 //! The property-graph store.
 
-use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeMap, HashMap};
 
 use udbms_core::{Error, Key, Result, Value};
@@ -95,33 +94,9 @@ impl PropertyGraph {
         self.vertices.get(key)
     }
 
-    /// Mutably fetch a vertex (for property updates).
-    pub fn vertex_mut(&mut self, key: &Key) -> Option<&mut Vertex> {
-        self.vertices.get_mut(key)
-    }
-
     /// Iterate vertices in key order.
     pub fn vertices(&self) -> impl Iterator<Item = (&Key, &Vertex)> {
         self.vertices.iter()
-    }
-
-    /// Remove a vertex and every incident edge. Returns the vertex.
-    pub fn remove_vertex(&mut self, key: &Key) -> Result<Vertex> {
-        let v = self
-            .vertices
-            .remove(key)
-            .ok_or_else(|| Error::NotFound(format!("vertex {key}")))?;
-        let mut doomed: Vec<EdgeId> = Vec::new();
-        doomed.extend(self.out_adj.get(key).into_iter().flatten().copied());
-        doomed.extend(self.in_adj.get(key).into_iter().flatten().copied());
-        doomed.sort_unstable();
-        doomed.dedup();
-        for eid in doomed {
-            let _ = self.remove_edge(eid);
-        }
-        self.out_adj.remove(key);
-        self.in_adj.remove(key);
-        Ok(v)
     }
 
     /// Add an edge between existing vertices. Returns its id.
@@ -162,27 +137,6 @@ impl PropertyGraph {
     /// Iterate edges in id order.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, &Edge)> {
         self.edges.iter().map(|(id, e)| (*id, e))
-    }
-
-    /// Remove an edge. Returns it.
-    pub fn remove_edge(&mut self, id: EdgeId) -> Result<Edge> {
-        let e = self
-            .edges
-            .remove(&id)
-            .ok_or_else(|| Error::NotFound(format!("edge {id}")))?;
-        if let MapEntry::Occupied(mut adj) = self.out_adj.entry(e.src.clone()) {
-            adj.get_mut().retain(|x| *x != id);
-            if adj.get().is_empty() {
-                adj.remove();
-            }
-        }
-        if let MapEntry::Occupied(mut adj) = self.in_adj.entry(e.dst.clone()) {
-            adj.get_mut().retain(|x| *x != id);
-            if adj.get().is_empty() {
-                adj.remove();
-            }
-        }
-        Ok(e)
     }
 
     /// Incident edges of `key` in `dir`, optionally filtered by label.
@@ -236,23 +190,6 @@ impl PropertyGraph {
         }
         out
     }
-
-    /// Vertices carrying a given label, in key order.
-    pub fn vertices_with_label<'a>(
-        &'a self,
-        label: &'a str,
-    ) -> impl Iterator<Item = (&'a Key, &'a Vertex)> + 'a {
-        self.vertices.iter().filter(move |(_, v)| v.label == label)
-    }
-
-    /// Edges between two specific vertices (any direction), optionally by
-    /// label.
-    pub fn edges_between(&self, a: &Key, b: &Key, label: Option<&str>) -> Vec<(EdgeId, &Edge)> {
-        self.incident(a, Direction::Both, label)
-            .into_iter()
-            .filter(|(_, e)| (&e.src == a && &e.dst == b) || (&e.src == b && &e.dst == a))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -294,11 +231,6 @@ mod tests {
                 .is_err(),
             "dangling src"
         );
-        let e0 = g.edges().next().unwrap().0;
-        let e = g.remove_edge(e0).unwrap();
-        assert_eq!(e.label, "knows");
-        assert!(g.remove_edge(e0).is_err());
-        assert_eq!(g.edge_count(), 2);
     }
 
     #[test]
@@ -318,47 +250,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_vertex_cascades() {
-        let mut g = triangle();
-        let v = g.remove_vertex(&Key::str("a")).unwrap();
-        assert_eq!(v.props.get_field("name"), &Value::from("Ada"));
-        assert_eq!(g.vertex_count(), 2);
-        assert_eq!(g.edge_count(), 0, "all three edges touched a");
-        assert!(g.remove_vertex(&Key::str("a")).is_err());
-        // b and p survive with clean adjacency
-        assert!(g
-            .neighbors(&Key::str("b"), Direction::Both, None)
-            .is_empty());
-    }
-
-    #[test]
-    fn label_scan_and_edges_between() {
-        let g = triangle();
-        let customers: Vec<&Key> = g.vertices_with_label("customer").map(|(k, _)| k).collect();
-        assert_eq!(customers, vec![&Key::str("a"), &Key::str("b")]);
-        assert_eq!(
-            g.edges_between(&Key::str("a"), &Key::str("b"), None).len(),
-            2
-        );
-        assert_eq!(
-            g.edges_between(&Key::str("a"), &Key::str("b"), Some("knows"))
-                .len(),
-            2
-        );
-        assert_eq!(
-            g.edges_between(&Key::str("a"), &Key::str("p"), Some("knows"))
-                .len(),
-            0
-        );
-    }
-
-    #[test]
     fn parallel_edges_are_allowed() {
         let mut g = triangle();
         g.add_edge(Key::str("a"), Key::str("p"), "bought", obj! {"qty" => 1})
             .unwrap();
         assert_eq!(
-            g.edges_between(&Key::str("a"), &Key::str("p"), Some("bought"))
+            g.incident(&Key::str("a"), Direction::Out, Some("bought"))
                 .len(),
             2
         );
@@ -367,19 +264,6 @@ mod tests {
             g.neighbors(&Key::str("a"), Direction::Out, Some("bought"))
                 .len(),
             1
-        );
-    }
-
-    #[test]
-    fn vertex_property_updates() {
-        let mut g = triangle();
-        g.vertex_mut(&Key::str("a"))
-            .unwrap()
-            .props
-            .merge_from(obj! {"vip" => true});
-        assert_eq!(
-            g.vertex(&Key::str("a")).unwrap().props.get_field("vip"),
-            &Value::Bool(true)
         );
     }
 }

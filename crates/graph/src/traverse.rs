@@ -1,6 +1,6 @@
-//! Traversals: BFS layers, k-hop frontiers and shortest paths.
+//! Traversals: BFS layers and k-hop frontiers.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 
 use udbms_core::Key;
 
@@ -8,7 +8,7 @@ use crate::graph::{Direction, PropertyGraph};
 
 /// Breadth-first layers from `start` up to `max_depth` hops (layer 0 is
 /// `start` itself). Optionally restricted to one edge label.
-pub fn bfs_layers(
+fn bfs_layers(
     g: &PropertyGraph,
     start: &Key,
     max_depth: usize,
@@ -49,114 +49,6 @@ pub fn k_hop_neighbors(
         .into_iter()
         .nth(k)
         .unwrap_or_default()
-}
-
-/// Unweighted shortest path from `src` to `dst` (BFS). Returns the vertex
-/// sequence including both endpoints, or `None` when unreachable.
-pub fn shortest_path(
-    g: &PropertyGraph,
-    src: &Key,
-    dst: &Key,
-    label: Option<&str>,
-) -> Option<Vec<Key>> {
-    if g.vertex(src).is_none() || g.vertex(dst).is_none() {
-        return None;
-    }
-    if src == dst {
-        return Some(vec![src.clone()]);
-    }
-    let mut prev: HashMap<Key, Key> = HashMap::new();
-    let mut queue = VecDeque::from([src.clone()]);
-    let mut seen: HashSet<Key> = HashSet::from([src.clone()]);
-    while let Some(v) = queue.pop_front() {
-        for n in g.neighbors(&v, Direction::Out, label) {
-            if seen.insert(n.clone()) {
-                prev.insert(n.clone(), v.clone());
-                if &n == dst {
-                    return Some(reconstruct(&prev, src, dst));
-                }
-                queue.push_back(n);
-            }
-        }
-    }
-    None
-}
-
-/// Dijkstra shortest path where each edge's weight is the numeric property
-/// `weight_prop` (edges lacking it count as weight 1). Returns the vertex
-/// path and its total cost.
-pub fn shortest_path_weighted(
-    g: &PropertyGraph,
-    src: &Key,
-    dst: &Key,
-    label: Option<&str>,
-    weight_prop: &str,
-) -> Option<(Vec<Key>, f64)> {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    if g.vertex(src).is_none() || g.vertex(dst).is_none() {
-        return None;
-    }
-
-    /// Max-heap entry inverted into a min-heap by reversing the compare.
-    struct HeapItem(f64, Key);
-    impl PartialEq for HeapItem {
-        fn eq(&self, other: &Self) -> bool {
-            self.0 == other.0
-        }
-    }
-    impl Eq for HeapItem {}
-    impl PartialOrd for HeapItem {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for HeapItem {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // reversed: smallest cost pops first
-            other.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal)
-        }
-    }
-
-    let mut dist: HashMap<Key, f64> = HashMap::from([(src.clone(), 0.0)]);
-    let mut prev: HashMap<Key, Key> = HashMap::new();
-    let mut heap = BinaryHeap::from([HeapItem(0.0, src.clone())]);
-    while let Some(HeapItem(d, v)) = heap.pop() {
-        if &v == dst {
-            return Some((reconstruct(&prev, src, dst), d));
-        }
-        if d > dist.get(&v).copied().unwrap_or(f64::INFINITY) {
-            continue; // stale heap entry
-        }
-        for (_, e) in g.incident(&v, Direction::Out, label) {
-            let w = e.props.get_field(weight_prop).as_float().unwrap_or(1.0);
-            if w < 0.0 {
-                continue; // negative weights are out of Dijkstra's contract
-            }
-            let nd = d + w;
-            let entry = dist.entry(e.dst.clone()).or_insert(f64::INFINITY);
-            if nd < *entry {
-                *entry = nd;
-                prev.insert(e.dst.clone(), v.clone());
-                heap.push(HeapItem(nd, e.dst.clone()));
-            }
-        }
-    }
-    None
-}
-
-fn reconstruct(prev: &HashMap<Key, Key>, src: &Key, dst: &Key) -> Vec<Key> {
-    let mut path = vec![dst.clone()];
-    let mut cur = dst;
-    while cur != src {
-        cur = prev
-            .get(cur)
-            .expect("reconstruct called with complete prev chain");
-        path.push(cur.clone());
-    }
-    path.reverse();
-    path
 }
 
 #[cfg(test)]
@@ -227,51 +119,5 @@ mod tests {
             k_hop_neighbors(&g, &Key::str("a"), 0, Direction::Out, None),
             vec![Key::str("a")]
         );
-    }
-
-    #[test]
-    fn unweighted_shortest_path_prefers_fewer_hops() {
-        let g = sample();
-        let p = shortest_path(&g, &Key::str("a"), &Key::str("d"), Some("road")).unwrap();
-        assert_eq!(
-            p,
-            vec![Key::str("a"), Key::str("d")],
-            "direct shortcut wins by hop count"
-        );
-        let p = shortest_path(&g, &Key::str("a"), &Key::str("c"), None).unwrap();
-        assert_eq!(p.len(), 3);
-        assert!(shortest_path(&g, &Key::str("a"), &Key::str("island"), None).is_none());
-        assert!(
-            shortest_path(&g, &Key::str("d"), &Key::str("a"), None).is_none(),
-            "directed"
-        );
-        assert_eq!(
-            shortest_path(&g, &Key::str("a"), &Key::str("a"), None).unwrap(),
-            vec![Key::str("a")]
-        );
-    }
-
-    #[test]
-    fn weighted_shortest_path_prefers_cheap_route() {
-        let g = sample();
-        let (p, cost) =
-            shortest_path_weighted(&g, &Key::str("a"), &Key::str("d"), Some("road"), "w").unwrap();
-        assert_eq!(
-            p,
-            vec![Key::str("a"), Key::str("b"), Key::str("c"), Key::str("d")],
-            "3 hops of weight 1 beat the weight-10 shortcut"
-        );
-        assert_eq!(cost, 3.0);
-        assert!(
-            shortest_path_weighted(&g, &Key::str("a"), &Key::str("island"), None, "w").is_none()
-        );
-    }
-
-    #[test]
-    fn missing_weight_defaults_to_one() {
-        let g = sample();
-        let (_, cost) =
-            shortest_path_weighted(&g, &Key::str("a"), &Key::str("e"), Some("knows"), "w").unwrap();
-        assert_eq!(cost, 1.0);
     }
 }

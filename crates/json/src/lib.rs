@@ -11,19 +11,16 @@
 //! needs canonical renderings — so the codec is owned rather than
 //! delegated to a third-party crate.
 //!
-//! * [`parse`] / [`parse_many`] — strict RFC 8259 parsing with precise
-//!   line/column errors and a configurable depth limit.
+//! * [`parse`] — strict RFC 8259 parsing with precise line/column errors
+//!   and a fixed nesting-depth limit.
 //! * [`to_string`] / [`to_string_pretty`] — serialization; object keys are
 //!   always emitted in sorted order (the canonical form), so
 //!   `parse(to_string(v)) == v` and equal values serialize identically.
-//! * [`Pointer`] — RFC 6901 JSON Pointer resolution.
 
 mod parse;
-mod pointer;
 mod write;
 
-pub use parse::{parse, parse_many, parse_with, ParseOptions};
-pub use pointer::Pointer;
+pub use parse::parse;
 pub use write::{to_string, to_string_pretty, to_writer, write_escaped_str};
 
 #[cfg(test)]

@@ -5,53 +5,13 @@
 
 use udbms_core::{Error, Object, Result, Value};
 
-/// Parser knobs.
-#[derive(Debug, Clone)]
-pub struct ParseOptions {
-    /// Maximum nesting depth of arrays/objects (guards stack overflow on
-    /// adversarial inputs).
-    pub max_depth: usize,
-    /// Reject duplicate object keys instead of keeping the last one.
-    pub reject_duplicate_keys: bool,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions {
-            max_depth: 128,
-            reject_duplicate_keys: false,
-        }
-    }
-}
+/// Maximum nesting depth of arrays/objects (guards stack overflow on
+/// adversarial inputs).
+const MAX_DEPTH: usize = 128;
 
 /// Parse a single JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value> {
-    let mut p = Parser::new(input, ParseOptions::default());
-    let v = p.parse_value(0)?;
-    p.skip_ws();
-    if !p.at_end() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-/// Parse a stream of whitespace-separated JSON documents (NDJSON and
-/// concatenated forms both work).
-pub fn parse_many(input: &str) -> Result<Vec<Value>> {
-    let mut p = Parser::new(input, ParseOptions::default());
-    let mut out = Vec::new();
-    loop {
-        p.skip_ws();
-        if p.at_end() {
-            return Ok(out);
-        }
-        out.push(p.parse_value(0)?);
-    }
-}
-
-/// Parse with explicit [`ParseOptions`].
-pub fn parse_with(input: &str, opts: ParseOptions) -> Result<Value> {
-    let mut p = Parser::new(input, opts);
+    let mut p = Parser::new(input);
     let v = p.parse_value(0)?;
     p.skip_ws();
     if !p.at_end() {
@@ -65,17 +25,15 @@ struct Parser<'a> {
     pos: usize,
     line: usize,
     col: usize,
-    opts: ParseOptions,
 }
 
 impl<'a> Parser<'a> {
-    fn new(input: &'a str, opts: ParseOptions) -> Self {
+    fn new(input: &'a str) -> Self {
         Parser {
             bytes: input.as_bytes(),
             pos: 0,
             line: 1,
             col: 1,
-            opts,
         }
     }
 
@@ -135,8 +93,8 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_value(&mut self, depth: usize) -> Result<Value> {
-        if depth > self.opts.max_depth {
-            return Err(self.err(format!("nesting exceeds max depth {}", self.opts.max_depth)));
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("nesting exceeds max depth {MAX_DEPTH}")));
         }
         self.skip_ws();
         match self.peek() {
@@ -190,7 +148,8 @@ impl<'a> Parser<'a> {
             self.bump();
             return Ok(Value::Object(Object::new()));
         }
-        // fields are collected as written and sorted once at the `}`
+        // fields are collected as written and sorted once at the `}`;
+        // the last value wins for a repeated key
         let mut fields: Vec<(String, Value)> = Vec::new();
         loop {
             self.skip_ws();
@@ -205,24 +164,13 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return self.finish_object(fields),
+                Some(b'}') => return Ok(Value::Object(fields.into_iter().collect())),
                 Some(b) => {
                     return Err(self.err(format!("expected `,` or `}}`, found `{}`", b as char)))
                 }
                 None => return Err(self.err("unterminated object")),
             }
         }
-    }
-
-    /// Last value wins for a repeated key, unless the options reject it.
-    fn finish_object(&self, mut fields: Vec<(String, Value)>) -> Result<Value> {
-        if self.opts.reject_duplicate_keys {
-            fields.sort_by(|a, b| a.0.cmp(&b.0));
-            if let Some(w) = fields.windows(2).find(|w| w[0].0 == w[1].0) {
-                return Err(self.err(format!("duplicate key {:?}", w[0].0)));
-            }
-        }
-        Ok(Value::Object(fields.into_iter().collect()))
     }
 
     fn parse_string(&mut self) -> Result<String> {
@@ -447,15 +395,6 @@ mod tests {
     fn duplicate_keys_last_wins_by_default() {
         let v = parse(r#"{"a":1,"a":2}"#).unwrap();
         assert_eq!(v.get_field("a"), &Value::Int(2));
-        let err = parse_with(
-            r#"{"a":1,"a":2}"#,
-            ParseOptions {
-                reject_duplicate_keys: true,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("duplicate"));
     }
 
     #[test]
@@ -486,15 +425,6 @@ mod tests {
         assert!(parse(&deep).is_err());
         let ok = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&ok).is_ok());
-    }
-
-    #[test]
-    fn parse_many_handles_ndjson() {
-        let docs = parse_many("{\"a\":1}\n{\"a\":2}\n  {\"a\":3}").unwrap();
-        assert_eq!(docs.len(), 3);
-        assert_eq!(docs[2].get_field("a"), &Value::Int(3));
-        assert!(parse_many("").unwrap().is_empty());
-        assert!(parse_many("{\"a\":1} garbage").is_err());
     }
 
     #[test]

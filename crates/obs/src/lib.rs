@@ -33,7 +33,6 @@ pub use ring::{Event, SpanRing};
 pub use slow::{SlowLog, SlowQuery};
 pub use snapshot::ObsSnapshot;
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,7 +70,7 @@ impl Stamp {
 /// slow-query log, shareable via `Arc` across every subsystem.
 #[derive(Debug)]
 pub struct Obs {
-    enabled: AtomicBool,
+    enabled: bool,
     registry: Registry,
     ring: SpanRing,
     slow: SlowLog,
@@ -87,7 +86,7 @@ impl Obs {
     /// A fresh obs handle with default ring/slow-log capacities.
     pub fn new(enabled: bool) -> Obs {
         Obs {
-            enabled: AtomicBool::new(enabled),
+            enabled,
             registry: Registry::new(),
             ring: SpanRing::new(DEFAULT_RING_CAPACITY),
             slow: SlowLog::new(DEFAULT_SLOW_CAPACITY, u64::MAX),
@@ -101,13 +100,7 @@ impl Obs {
 
     /// Whether recording is on.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn recording on or off at runtime. Metric handles stay valid;
-    /// timing sites simply stop taking stamps.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// The metric registry (fetch handles once, at construction).
@@ -224,13 +217,5 @@ mod tests {
         assert!(again.events.is_empty());
         assert!(again.slow_queries.is_empty());
         assert_eq!(again.counter("hits"), 1, "metrics persist across snapshots");
-    }
-
-    #[test]
-    fn toggling_at_runtime() {
-        let obs = Obs::new(true);
-        assert!(obs.start().elapsed_ns().is_some());
-        obs.set_enabled(false);
-        assert!(obs.start().elapsed_ns().is_none());
     }
 }

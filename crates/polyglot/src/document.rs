@@ -1,4 +1,10 @@
-//! Document collections and the document store.
+//! The JSON document store: schemaless collections with automatic ids,
+//! path indexes, predicate queries (the shared
+//! [`udbms_relational::Predicate`] language over dotted paths) and
+//! merge updates.
+//!
+//! In the benchmark's domain this store holds *Orders* and *Products*
+//! ("JSON files (Orders, Product)" in the paper's transaction example).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -6,7 +12,7 @@ use udbms_core::{Error, FieldPath, Key, Result, Value};
 use udbms_relational::{Index, IndexKind, Predicate};
 
 /// The reserved id field of every document.
-pub const ID_FIELD: &str = "_id";
+const ID_FIELD: &str = "_id";
 
 /// A schemaless collection of JSON documents keyed by `_id`.
 #[derive(Debug, Clone)]
@@ -26,11 +32,6 @@ impl DocCollection {
             indexes: HashMap::new(),
             next_auto_id: 1,
         }
-    }
-
-    /// Collection name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Number of documents.
@@ -122,49 +123,9 @@ impl DocCollection {
         self.replace(key, doc)
     }
 
-    /// Set a single path inside the document.
-    pub fn set_path(&mut self, key: &Key, path: &FieldPath, value: Value) -> Result<()> {
-        let mut doc = self
-            .docs
-            .get(key)
-            .ok_or_else(|| Error::NotFound(format!("document {key} in `{}`", self.name)))?
-            .clone();
-        doc.set_path(path, value)?;
-        self.replace(key, doc)
-    }
-
-    /// Remove a single path inside the document.
-    pub fn unset_path(&mut self, key: &Key, path: &FieldPath) -> Result<Option<Value>> {
-        let mut doc = self
-            .docs
-            .get(key)
-            .ok_or_else(|| Error::NotFound(format!("document {key} in `{}`", self.name)))?
-            .clone();
-        let removed = doc.remove_path(path)?;
-        self.replace(key, doc)?;
-        Ok(removed)
-    }
-
-    /// Delete a document, returning it.
-    pub fn delete(&mut self, key: &Key) -> Result<Value> {
-        let doc = self
-            .docs
-            .remove(key)
-            .ok_or_else(|| Error::NotFound(format!("document {key} in `{}`", self.name)))?;
-        for (path, idx) in &mut self.indexes {
-            unindex_doc(idx, path, &doc, key);
-        }
-        Ok(doc)
-    }
-
     /// Iterate all documents in id order.
     pub fn scan(&self) -> impl Iterator<Item = &Value> {
         self.docs.values()
-    }
-
-    /// Iterate `(key, doc)` pairs.
-    pub fn scan_entries(&self) -> impl Iterator<Item = (&Key, &Value)> {
-        self.docs.iter()
     }
 
     /// Create a path index and backfill it. Array values index every
@@ -179,19 +140,6 @@ impl DocCollection {
         }
         self.indexes.insert(path, idx);
         Ok(())
-    }
-
-    /// Drop a path index.
-    pub fn drop_index(&mut self, path: &FieldPath) -> Result<()> {
-        self.indexes
-            .remove(path)
-            .map(|_| ())
-            .ok_or_else(|| Error::NotFound(format!("index on `{path}`")))
-    }
-
-    /// Indexed paths.
-    pub fn indexed_paths(&self) -> Vec<&FieldPath> {
-        self.indexes.keys().collect()
     }
 
     /// Find documents matching a predicate, using a path index when the
@@ -236,31 +184,6 @@ impl DocCollection {
             .cloned()
             .collect()
     }
-
-    /// Count matching documents.
-    pub fn count(&self, pred: &Predicate) -> usize {
-        self.docs.values().filter(|d| pred.matches(d)).count()
-    }
-
-    /// Import NDJSON / concatenated JSON text as documents.
-    pub fn import_json(&mut self, text: &str) -> Result<usize> {
-        let docs = udbms_json::parse_many(text)?;
-        let n = docs.len();
-        for d in docs {
-            self.insert(d)?;
-        }
-        Ok(n)
-    }
-
-    /// Export all documents as NDJSON (canonical form, one per line).
-    pub fn export_json(&self) -> String {
-        let mut out = String::new();
-        for doc in self.docs.values() {
-            out.push_str(&udbms_json::to_string(doc));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Index every value reachable at `path` (multikey: arrays index each
@@ -295,11 +218,6 @@ pub struct DocumentStore {
 }
 
 impl DocumentStore {
-    /// Empty store.
-    pub fn new() -> DocumentStore {
-        DocumentStore::default()
-    }
-
     /// Get or create a collection.
     pub fn collection(&mut self, name: &str) -> &mut DocCollection {
         self.collections
@@ -314,11 +232,6 @@ impl DocumentStore {
             .ok_or_else(|| Error::NotFound(format!("collection `{name}`")))
     }
 
-    /// Collection names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.collections.keys().map(String::as_str).collect()
-    }
-
     /// Total documents across collections.
     pub fn total_docs(&self) -> usize {
         self.collections.values().map(DocCollection::len).sum()
@@ -328,6 +241,7 @@ impl DocumentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use udbms_core::{arr, obj};
 
     fn orders() -> DocCollection {
@@ -389,7 +303,6 @@ mod tests {
             Value::from("p1"),
         ));
         assert_eq!(nested.len(), 2);
-        assert_eq!(c.count(&Predicate::True), 3);
     }
 
     #[test]
@@ -408,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn replace_merge_set_unset() {
+    fn replace_and_merge() {
         let mut c = orders();
         c.replace(&Key::str("o2"), obj! {"_id" => "o2", "total" => 6.0})
             .unwrap();
@@ -427,43 +340,11 @@ mod tests {
             "merge keeps other fields"
         );
 
-        c.set_path(
-            &Key::str("o1"),
-            &FieldPath::parse("meta.flag").unwrap(),
-            Value::Bool(true),
-        )
-        .unwrap();
-        assert_eq!(
-            c.get(&Key::str("o1"))
-                .unwrap()
-                .get_dotted("meta.flag")
-                .unwrap(),
-            &Value::Bool(true)
-        );
-        let removed = c
-            .unset_path(&Key::str("o1"), &FieldPath::parse("meta.flag").unwrap())
-            .unwrap();
-        assert_eq!(removed, Some(Value::Bool(true)));
-
         assert!(
             c.replace(&Key::str("o1"), obj! {"_id" => "other"}).is_err(),
             "id change"
         );
         assert!(c.replace(&Key::str("missing"), obj! {}).is_err());
-    }
-
-    #[test]
-    fn delete_maintains_indexes() {
-        let mut c = orders();
-        c.create_index(FieldPath::key("status"), IndexKind::Hash)
-            .unwrap();
-        c.delete(&Key::str("o2")).unwrap();
-        assert_eq!(
-            c.find(&Predicate::eq("status", Value::from("open"))).len(),
-            1
-        );
-        assert!(c.delete(&Key::str("o2")).is_err());
-        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -509,36 +390,53 @@ mod tests {
     }
 
     #[test]
-    fn json_import_export_roundtrip() {
-        let c = orders();
-        let text = c.export_json();
-        assert_eq!(text.lines().count(), 3);
-        let mut c2 = DocCollection::new("copy");
-        assert_eq!(c2.import_json(&text).unwrap(), 3);
-        assert_eq!(c2.len(), 3);
-        assert_eq!(c2.get(&Key::str("o1")), c.get(&Key::str("o1")));
-        assert!(c2.import_json("not json").is_err());
-    }
-
-    #[test]
     fn store_collections() {
-        let mut s = DocumentStore::new();
+        let mut s = DocumentStore::default();
         s.collection("orders").insert(obj! {"x" => 1}).unwrap();
         s.collection("products").insert(obj! {"y" => 2}).unwrap();
-        assert_eq!(s.names(), vec!["orders", "products"]);
         assert_eq!(s.total_docs(), 2);
         assert!(s.get_collection("orders").is_ok());
         assert!(s.get_collection("missing").is_err());
     }
 
     #[test]
-    fn duplicate_and_missing_index_errors() {
+    fn duplicate_index_errors() {
         let mut c = orders();
         let p = FieldPath::key("status");
         c.create_index(p.clone(), IndexKind::Hash).unwrap();
-        assert!(c.create_index(p.clone(), IndexKind::Hash).is_err());
-        assert_eq!(c.indexed_paths(), vec![&p]);
-        c.drop_index(&p).unwrap();
-        assert!(c.drop_index(&p).is_err());
+        assert!(c.create_index(p, IndexKind::Hash).is_err());
+    }
+
+    proptest! {
+        /// Path-index-accelerated find equals full-scan find.
+        #[test]
+        fn index_find_equals_scan_find(vals in prop::collection::vec((0i64..30, 0i64..10), 1..60)) {
+            let mut coll = DocCollection::new("orders");
+            coll.create_index(FieldPath::parse("meta.rank").unwrap(), IndexKind::BTree).unwrap();
+            for (v, r) in &vals {
+                coll.insert(obj! {"v" => *v, "meta" => obj!{"rank" => *r}}).unwrap();
+            }
+            for probe in 0i64..10 {
+                let pred = Predicate::Eq(FieldPath::parse("meta.rank").unwrap(), Value::Int(probe));
+                let mut via_index = coll.find(&pred);
+                let mut via_scan: Vec<Value> =
+                    coll.scan().filter(|d| pred.matches(d)).cloned().collect();
+                via_index.sort();
+                via_scan.sort();
+                prop_assert_eq!(via_index, via_scan);
+            }
+        }
+
+        /// Auto-assigned ids are unique and dense.
+        #[test]
+        fn auto_ids_unique(n in 1usize..100) {
+            let mut coll = DocCollection::new("c");
+            let mut ids = std::collections::HashSet::new();
+            for _ in 0..n {
+                let key = coll.insert(obj! {"x" => 1}).unwrap();
+                prop_assert!(ids.insert(key));
+            }
+            prop_assert_eq!(coll.len(), n);
+        }
     }
 }

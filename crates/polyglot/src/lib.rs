@@ -14,11 +14,15 @@
 //! tests below pin the two subjects to identical query semantics, so the
 //! benches measure architecture, not answer drift.
 
+mod document;
+mod kv;
 mod load;
 mod queries;
 mod stores;
 mod wire;
 
+pub use document::{DocCollection, DocumentStore};
+pub use kv::{KvNamespace, KvStore};
 pub use load::{build_polyglot, load_into_polyglot};
 pub use queries::{order_update_polyglot, run_query};
 pub use stores::{AllStores, PolyglotDb, XmlStore};

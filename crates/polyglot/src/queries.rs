@@ -122,8 +122,8 @@ pub fn q4(db: &PolyglotDb, p: &QueryParams) -> Result<Vec<Value>> {
     let ns = kv.get_namespace("feedback")?;
     let prefix = format!("fb:{}:", p.product);
     let mut out = Vec::new();
-    for (_, entry) in ns.scan_prefix(&prefix) {
-        let v = json_hop(&entry.value);
+    for (_, value) in ns.scan_prefix(&prefix) {
+        let v = json_hop(value);
         out.push(obj! {
             "title" => title.clone(),
             "rating" => v.get_field("rating").clone(),
@@ -265,8 +265,8 @@ pub fn q8(db: &PolyglotDb, p: &QueryParams) -> Result<Vec<Value>> {
             for item in items {
                 let pid = item.get_field("product").expect_str("item product")?;
                 let key = Key::str(udbms_datagen::feedback_key(pid, customer_id));
-                if let Some(e) = ns.get(&key) {
-                    ratings.push(json_hop(&e.value).get_field("rating").clone());
+                if let Some(v) = ns.get(&key) {
+                    ratings.push(json_hop(v).get_field("rating").clone());
                 }
             }
         }

@@ -15,11 +15,12 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard};
 
 use udbms_core::{Key, Result};
-use udbms_document::DocumentStore;
 use udbms_graph::PropertyGraph;
-use udbms_kv::KvStore;
 use udbms_relational::RelationalDb;
 use udbms_xml::XmlNode;
+
+use crate::document::DocumentStore;
+use crate::kv::KvStore;
 
 /// A simple XML document store (key → tree), standing in for an XML
 /// database in the polyglot deployment.
@@ -94,7 +95,7 @@ mod tests {
             .namespace("fb")
             .put(Key::str("k"), Value::Int(1));
         assert_eq!(
-            db.kv.lock().namespace("fb").get_value(&Key::str("k")),
+            db.kv.lock().namespace("fb").get(&Key::str("k")),
             Some(&Value::Int(1))
         );
     }
@@ -138,7 +139,7 @@ mod tests {
         });
         assert!(result.is_err());
         assert_eq!(
-            db.kv.lock().namespace("fb").get_value(&Key::str("written")),
+            db.kv.lock().namespace("fb").get(&Key::str("written")),
             Some(&Value::Int(1)),
             "the write before the failure persists — unlike the unified engine"
         );

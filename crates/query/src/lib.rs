@@ -325,6 +325,19 @@ mod tests {
         // unlabelled traversal crosses both edge kinds
         let out = q(&e, r#"FOR v IN 1..1 OUTBOUND 1 GRAPH social RETURN v.cid"#);
         assert_eq!(out, vec![Value::Int(2), Value::Int(4)]);
+        // an exact-depth frontier three hops out, across edge labels
+        e.run(Isolation::Snapshot, |t| {
+            t.add_vertex("social", Key::int(5), "customer", obj! {"cid" => 5})?;
+            t.add_edge("social", &Key::int(3), &Key::int(5), "follows", Value::Null)
+        })
+        .unwrap();
+        let out = q(&e, r#"FOR v IN 3..3 OUTBOUND 1 GRAPH social RETURN v.cid"#);
+        assert_eq!(out, vec![Value::Int(5)]);
+        let out = q(
+            &e,
+            r#"FOR v IN 3..3 OUTBOUND 1 GRAPH social LABEL "knows" RETURN v.cid"#,
+        );
+        assert!(out.is_empty(), "the third hop is a `follows` edge");
     }
 
     #[test]

@@ -30,14 +30,6 @@ impl RelationalDb {
         Ok(())
     }
 
-    /// Drop a table.
-    pub fn drop_table(&mut self, name: &str) -> Result<()> {
-        self.tables
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| Error::NotFound(format!("table `{name}`")))
-    }
-
     /// Borrow a table.
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables
@@ -50,11 +42,6 @@ impl RelationalDb {
         self.tables
             .get_mut(name)
             .ok_or_else(|| Error::NotFound(format!("table `{name}`")))
-    }
-
-    /// Table names in sorted order.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
     }
 
     /// Insert into a named table.
@@ -102,7 +89,6 @@ mod tests {
     #[test]
     fn create_insert_get() {
         let db = db();
-        assert_eq!(db.table_names(), vec!["customers"]);
         let row = db.get("customers", &Key::int(1)).unwrap().unwrap();
         assert_eq!(row.get_field("name"), &Value::from("Ada"));
         assert!(db.get("customers", &Key::int(2)).unwrap().is_none());
@@ -114,7 +100,6 @@ mod tests {
         let mut db = db();
         assert!(db.get("nope", &Key::int(1)).is_err());
         assert!(db.insert("nope", obj! {"id" => 1}).is_err());
-        assert!(db.drop_table("nope").is_err());
         assert!(db.select("nope", &Predicate::True).is_err());
     }
 
@@ -124,8 +109,6 @@ mod tests {
         assert!(db
             .create_table(CollectionSchema::relational("customers", "id", vec![]))
             .is_err());
-        db.drop_table("customers").unwrap();
-        assert!(db.table("customers").is_err());
     }
 
     #[test]

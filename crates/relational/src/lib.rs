@@ -3,26 +3,21 @@
 //! # udbms-relational
 //!
 //! The relational substrate: schema-first typed tables with primary keys,
-//! secondary indexes (hash and B-tree), a predicate language, and a small
-//! relational-algebra toolkit (select / project / join / aggregate / sort).
+//! secondary indexes (hash and B-tree) and a predicate language.
 //!
 //! Used directly by the polyglot-persistence baseline (as its standalone
-//! relational store) and by the conversion tasks; the unified engine reuses
-//! the same [`Predicate`] and aggregation semantics over its own MVCC
-//! storage, so both subjects of the benchmark share one meaning of every
-//! query.
+//! relational store); the unified engine, MMQL and the data generator
+//! reuse the same [`Predicate`], [`Index`]/[`IndexKind`] and
+//! [`like_match`] over its own MVCC storage, so both subjects of the
+//! benchmark share one meaning of every query.
 
 mod database;
 mod index;
-mod ops;
 mod predicate;
 mod table;
 
 pub use database::RelationalDb;
 pub use index::{Index, IndexKind};
-pub use ops::{
-    aggregate, hash_join, nested_loop_join, project, sort_rows, Aggregate, AggregateSpec,
-};
 pub use predicate::{like_match, Predicate};
 pub use table::Table;
 

@@ -176,11 +176,6 @@ impl Table {
             .ok_or_else(|| Error::NotFound(format!("index on `{field}`")))
     }
 
-    /// Names of indexed columns.
-    pub fn indexed_fields(&self) -> Vec<&str> {
-        self.indexes.keys().map(String::as_str).collect()
-    }
-
     /// Select rows matching a predicate, using an index when one covers an
     /// equality or range conjunct; falls back to a full scan otherwise.
     /// Every candidate is re-checked against the full predicate.
@@ -356,7 +351,6 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
-        assert_eq!(t.indexed_fields(), vec!["country"]);
     }
 
     #[test]

@@ -23,13 +23,11 @@ pub use udbms_consistency as consistency;
 pub use udbms_convert as convert;
 pub use udbms_core as core;
 pub use udbms_datagen as datagen;
-pub use udbms_document as document;
 pub use udbms_driver as driver;
 pub use udbms_engine as engine;
 pub use udbms_evolution as evolution;
 pub use udbms_graph as graph;
 pub use udbms_json as json;
-pub use udbms_kv as kv;
 pub use udbms_polyglot as polyglot;
 pub use udbms_query as query;
 pub use udbms_relational as relational;
