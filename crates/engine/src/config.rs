@@ -23,10 +23,11 @@ pub struct EngineConfig {
     /// How durable a commit is when it returns, for WAL-backed engines
     /// (see [`Durability`]). Default: [`Durability::Flush`].
     pub durability: Durability,
-    /// Whether commits go through the group-commit log writer (default)
-    /// or write + flush the WAL synchronously under `commit_lock` — the
-    /// engine's historical per-commit path, kept as the E8 comparison
-    /// arm.
+    /// Whether commits at `Flush`/`Fsync` queue for a group-commit drain
+    /// led by a waiting committer (default) or each write + flush its own
+    /// record under `commit_lock` — the engine's historical per-commit
+    /// path, kept as the E8 comparison arm. At `Buffered` commits always
+    /// drain in place, so the flag changes nothing there.
     pub group_commit: bool,
     /// Whether observability recording (stage histograms, trace events,
     /// slow-query log) is on. Disabled, every timing site reduces to one

@@ -10,10 +10,10 @@
 //! one flush/fsync covers every commit in a batch.
 //!
 //! ```text
-//!   committer                       batch writer (leader or thread)
+//!   committer                       batch writer (a waiting committer)
 //!   ─────────                       ──────────
 //!   (commit_lock held)
-//!   seq = enqueue(record) ───────►  wait for work
+//!   seq = enqueue(record) ───────►  find the queue unclaimed
 //!   (commit_lock released)          take whole queue, writing = true
 //!   wait until durable ≥ seq        write the batch's frames
 //!        ▲                          flush / fdatasync per Durability
@@ -23,20 +23,19 @@
 //! The batch is drained by whoever gets there first: a **waiting
 //! committer that finds the queue unclaimed leads the batch itself**
 //! (classic leader/follower group commit — no sleep/wake handoff on the
-//! hot path, which for cheap flushes would cost more than it saves);
-//! at `Buffered`, where commits return without waiting, a **dedicated
-//! log-writer thread** drains every batch. Either way one flush/fsync
-//! covers the whole batch, `writing` arbitrates so exactly one drainer
-//! runs, and the drainer writes with the queue lock released, so the
-//! next batch forms behind it.
+//! hot path, which for cheap flushes would cost more than it saves).
+//! One flush/fsync covers the whole batch, `writing` arbitrates so
+//! exactly one drainer runs, and the drainer writes with the queue lock
+//! released, so the next batch forms behind it.
 //!
-//! `GroupLog` also supports a **synchronous** mode (no queue, no writer
-//! thread): each commit writes and flushes its own frame
-//! while still holding `commit_lock` — the engine's historical
-//! behaviour, kept alive as the E8 comparison arm
-//! (`EngineConfig::group_commit = false`).
+//! Where nothing waits for the log — at `Buffered`, and with
+//! `EngineConfig::group_commit = false` (the engine's historical
+//! per-commit path, kept alive as the E8 comparison arm) — a commit
+//! drains its own record **in place**: it enqueues and at once runs the
+//! same drain, still holding `commit_lock`. The mode decides only who
+//! drains, never how, and the log runs no thread of its own.
 //!
-//! Lock order: `state → wal`. The writer never holds both (it takes the
+//! Lock order: `state → wal`. A drainer never holds both (it takes the
 //! batch under `state`, releases, then writes under `wal`); checkpoint
 //! holds both, which is exactly what makes its rewrite atomic against
 //! concurrent enqueues. Neither lock is ever taken while waiting for
@@ -48,7 +47,6 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::{
     Condvar, LockRank, TrackedAtomicBool, TrackedAtomicU64, TrackedMutex, TrackedMutexGuard,
@@ -100,22 +98,20 @@ impl PipelineMetrics {
 
 #[derive(Default)]
 struct LogState {
-    /// Sealed commit frames awaiting the log writer, in commit-ts order,
-    /// each carrying its enqueue stamp (empty when obs is off) so the
-    /// batch writer can attribute queue wait per record.
+    /// Sealed commit frames awaiting a drain, in commit-ts order, each
+    /// carrying its enqueue stamp (empty when obs is off) so the drainer
+    /// can attribute queue wait per record.
     queue: Vec<(Vec<u8>, Stamp)>,
     /// Records ever enqueued; a committer's ticket is its value after
     /// its own push.
     enqueued: u64,
     /// Records made durable (to the configured level) so far.
     durable: u64,
-    /// Whether the writer holds a taken batch it has not yet retired.
+    /// Whether a drainer holds a taken batch it has not yet retired.
     writing: bool,
     /// Committers currently parked on `done` (skip the notify syscall
     /// when nobody is waiting — the common single-leader case).
     waiters: u64,
-    /// Set by `GroupLog::drop`; the writer drains the queue then exits.
-    shutdown: bool,
     /// First WAL I/O failure; once set the log is poisoned and every
     /// subsequent commit fails rather than silently losing durability.
     error: Option<String>,
@@ -145,8 +141,6 @@ struct LogShared {
     /// `poisoned` is set): lets the engine's read lane classify the
     /// failure without touching the state mutex.
     read_only: TrackedAtomicBool,
-    /// Writer waits here for queue items or shutdown.
-    work: Condvar,
     /// Committers wait here for `durable` to reach their ticket.
     done: Condvar,
     /// Checkpoint waits here for `writing` to clear.
@@ -256,12 +250,11 @@ impl LogShared {
         // ahead of the failed write it reports.
         self.poisoned.store(true, Ordering::Release);
         // broadcast the failure to every parked thread — followers on
-        // `done`, a checkpoint on `idle`, the writer on `work` — so a
-        // leader's failed drain reaches the whole batch immediately: no
-        // hang, and no waiter left to infer a false durability ack
+        // `done`, a checkpoint on `idle` — so a leader's failed drain
+        // reaches the whole batch immediately: no hang, and no waiter
+        // left to infer a false durability ack
         self.done.notify_all();
         self.idle.notify_all();
-        self.work.notify_all();
     }
 }
 
@@ -279,21 +272,6 @@ fn is_enospc(e: &Error) -> bool {
     }
 }
 
-fn writer_loop(shared: &LogShared) {
-    let mut st = shared.state.lock();
-    loop {
-        if !st.writing && !st.queue.is_empty() {
-            st = shared.drain(st);
-            continue;
-        }
-        if st.shutdown && st.queue.is_empty() {
-            return;
-        }
-        // the writer runs only at Buffered, whose every enqueue wakes it
-        shared.work.wait(&mut st);
-    }
-}
-
 /// The typed error a failed log surfaces on every subsequent write:
 /// sticky, non-retryable, with the flavor in the message. Read-only
 /// (ENOSPC) keeps the read lane alive; a poisoned log means durability
@@ -306,114 +284,73 @@ fn unavailable(read_only: bool, msg: &str) -> Error {
     }
 }
 
-/// The engine's WAL endpoint: group-commit queue (+ log-writer thread at
-/// `Buffered`), or the synchronous per-commit path when `grouped` is off.
+/// The engine's WAL endpoint: a group-commit queue, drained by a waiting
+/// committer, or by each commit itself when `in_place` is set.
 pub(crate) struct GroupLog {
-    shared: Arc<LogShared>,
-    writer: Option<JoinHandle<()>>,
-    grouped: bool,
+    shared: LogShared,
+    /// Nothing waits for the log (`Buffered`, or group commit off): each
+    /// commit drains its own record before it returns. At `Buffered` the
+    /// record may stay in the `Wal`'s write buffer, which flushes when
+    /// the log drops, so a clean shutdown keeps every commit.
+    in_place: bool,
 }
 
 impl GroupLog {
-    /// Wrap an open WAL. `grouped` queues commits, drained by a log-writer
-    /// thread at `Buffered` and by the committers themselves otherwise;
-    /// without it commits write synchronously. Stage timings land in
-    /// `obs`'s histograms.
+    /// Wrap an open WAL. With `grouped` at `Flush`/`Fsync`, commits queue
+    /// and a waiting committer drains each batch; otherwise every commit
+    /// drains its own record in place. Stage timings land in `obs`'s
+    /// histograms.
     pub fn start(wal: Wal, durability: Durability, grouped: bool, obs: Arc<Obs>) -> GroupLog {
         let pipe = PipelineMetrics::new(&obs);
-        let shared = Arc::new(LogShared {
+        let shared = LogShared {
             state: TrackedMutex::new(LockRank::GroupQueue, LogState::default()),
             durable: TrackedAtomicU64::named("log.durable", 0),
             writing: TrackedAtomicBool::named("log.writing", false),
             poisoned: TrackedAtomicBool::named("log.poisoned", false),
             read_only: TrackedAtomicBool::named("log.read_only", false),
-            work: Condvar::new(),
             done: Condvar::new(),
             idle: Condvar::new(),
             wal: TrackedMutex::new(LockRank::WalFile, wal),
             durability,
             obs,
             pipe,
-        });
-        let writer = (grouped && durability == Durability::Buffered).then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("udbms-log-writer".into())
-                .spawn(move || writer_loop(&shared))
-                // lint:allow(unwrap): thread-spawn failure at startup is unrecoverable
-                .expect("spawn log-writer thread")
-        });
+        };
         GroupLog {
             shared,
-            writer,
-            grouped,
+            in_place: !grouped || durability == Durability::Buffered,
         }
     }
 
     /// Log one commit's sealed frame. Called with `commit_lock` held, so
-    /// tickets are issued in commit-ts order. Grouped mode enqueues and
-    /// returns immediately (durability is bought later in
-    /// [`GroupLog::wait_durable`]); sync mode does the whole
-    /// write-and-flush here.
+    /// tickets are issued in commit-ts order. The record is enqueued, and
+    /// durability is bought later in [`GroupLog::wait_durable`] — unless
+    /// the log drains in place, when the commit drains its own record
+    /// here, and a failed write fails this commit.
     pub fn commit(&self, frame: Vec<u8>) -> Result<u64> {
-        if self.grouped {
-            let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.lock();
+        if let Some(msg) = &st.error {
+            self.shared.pipe.write_rejected.add(1);
+            return Err(unavailable(st.read_only, msg));
+        }
+        st.queue.push((frame, self.shared.obs.start()));
+        st.enqueued += 1;
+        let seq = st.enqueued;
+        if self.in_place {
+            // commit_lock serializes in-place drains and no waiter leads
+            // a batch on this log, so none is in flight and the queue
+            // holds only this record
+            let st = self.shared.drain(st);
             if let Some(msg) = &st.error {
-                self.shared.pipe.write_rejected.add(1);
                 return Err(unavailable(st.read_only, msg));
-            }
-            st.queue.push((frame, self.shared.obs.start()));
-            st.enqueued += 1;
-            let seq = st.enqueued;
-            // only Buffered has a log writer to wake: at Flush/Fsync
-            // this committer is about to lead the batch itself in
-            // wait_durable if nobody else is draining
-            if self.shared.durability == Durability::Buffered {
-                self.shared.work.notify_one();
-            }
-            Ok(seq)
-        } else {
-            // sync mode still takes state before wal (the engine-wide
-            // lock order) and counts the record as its own batch
-            let mut st = self.shared.state.lock();
-            if let Some(msg) = &st.error {
-                self.shared.pipe.write_rejected.add(1);
-                return Err(unavailable(st.read_only, msg));
-            }
-            let result = {
-                let mut wal = self.shared.wal.lock();
-                self.shared
-                    .write_batch(&mut wal, std::slice::from_ref(&frame))
-            };
-            match result {
-                Ok(()) => {
-                    st.enqueued += 1;
-                    st.durable += 1;
-                    self.shared.pipe.wal_batches.add(1);
-                    self.shared.pipe.wal_records.add(1);
-                    // ORDER: Release pairs with wait_durable's Acquire
-                    // poll (same contract as retire()).
-                    self.shared.durable.store(st.durable, Ordering::Release);
-                    if self.shared.obs.is_enabled() {
-                        self.shared.pipe.batch_records.record(1);
-                    }
-                    self.shared.obs.event("wal_batch", 1, st.durable);
-                    Ok(st.enqueued)
-                }
-                Err(e) => {
-                    // the failing committer gets the same typed error
-                    // later commits will: its record's durability is
-                    // unattested either way
-                    self.shared.poison(&mut st, &e);
-                    Err(unavailable(st.read_only, &e.to_string()))
-                }
             }
         }
+        Ok(seq)
     }
 
     /// Wait until ticket `seq` is durable to the configured level.
-    /// `Buffered` returns immediately — the contract is exactly that
-    /// the commit does not wait for the write.
+    /// Returns at once when the log drains in place: `commit` already
+    /// wrote the record (at `Buffered`, into the write buffer — the
+    /// contract is exactly that the commit does not wait for the file).
     ///
     /// **Committer-assisted drain**: a waiter that finds the queue
     /// unclaimed (no batch in flight) becomes the batch writer itself
@@ -425,7 +362,7 @@ impl GroupLog {
     /// state mutex) and only fall back to a condvar park after the spin
     /// budget, which on a healthy log is rare.
     pub fn wait_durable(&self, seq: u64) -> Result<()> {
-        if !self.grouped || self.shared.durability == Durability::Buffered {
+        if self.in_place {
             return Ok(());
         }
         // spin budget before any futex sleep: an in-flight leader's
@@ -441,7 +378,7 @@ impl GroupLog {
         let mut yields = 0u32;
         loop {
             // ORDER: Acquire pairs with the publishing Release in
-            // retire/commit/checkpoint — seeing the count implies seeing
+            // retire/checkpoint — seeing the count implies seeing
             // the durable bytes.
             if self.shared.durable.load(Ordering::Acquire) >= seq {
                 return Ok(());
@@ -602,18 +539,6 @@ impl GroupLog {
     }
 }
 
-impl Drop for GroupLog {
-    fn drop(&mut self) {
-        if let Some(handle) = self.writer.take() {
-            self.shared.state.lock().shutdown = true;
-            self.shared.work.notify_all();
-            let _ = handle.join();
-        }
-        // the Wal's BufWriter flushes on drop, so a clean shutdown
-        // persists Buffered-level commits too
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,7 +617,9 @@ mod tests {
             let seq = log.commit(rec(ts)).unwrap();
             log.wait_durable(seq).unwrap(); // no-op for Buffered
         }
-        drop(log); // shutdown drains the queue and the BufWriter flushes
+        // each commit drained its own record in place
+        assert_eq!(counters(&log), (10, 10));
+        drop(log); // the BufWriter flushes on drop
         assert_eq!(Wal::read_all(&path).unwrap().len(), 10);
         std::fs::remove_file(&path).unwrap();
     }
@@ -828,20 +755,24 @@ mod tests {
 
     #[test]
     fn enospc_degrades_to_read_only_flavor() {
-        let path = temp_path("enospc");
-        let wal = Wal::open(&path).unwrap();
-        wal.faults().enospc("append.write");
-        let log = GroupLog::start(wal, Durability::Flush, false, test_obs());
-        let err = log.commit(rec(1)).unwrap_err();
-        assert!(matches!(err, Error::Unavailable(_)), "{err}");
-        assert!(err.to_string().contains("read-only"), "{err}");
-        assert!(
-            matches!(log.failure(), Some(true)),
-            "ENOSPC classifies as read-only degraded mode"
-        );
-        assert!(log.check_available().is_err());
-        drop(log);
-        std::fs::remove_file(&path).unwrap();
+        // both in-place modes: the commit whose append failed is itself
+        // refused, not acknowledged
+        for (durability, grouped) in [(Durability::Flush, false), (Durability::Buffered, true)] {
+            let path = temp_path("enospc");
+            let wal = Wal::open(&path).unwrap();
+            wal.faults().enospc("append.write");
+            let log = GroupLog::start(wal, durability, grouped, test_obs());
+            let err = log.commit(rec(1)).unwrap_err();
+            assert!(matches!(err, Error::Unavailable(_)), "{err}");
+            assert!(err.to_string().contains("read-only"), "{err}");
+            assert!(
+                matches!(log.failure(), Some(true)),
+                "ENOSPC classifies as read-only degraded mode"
+            );
+            assert!(log.check_available().is_err());
+            drop(log);
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

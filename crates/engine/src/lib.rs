@@ -27,8 +27,8 @@
 //!        ▼
 //!   Catalog ── schemas, auto-id counters, index *definitions*
 //!        │
-//!   GroupLog ── group-commit queue (committer-led; a log-writer thread
-//!        │      at Buffered), durability levels (Buffered / Flush / Fsync)
+//!   GroupLog ── group-commit queue (committer-led; drained in place at
+//!        │      Buffered), durability levels (Buffered / Flush / Fsync)
 //!        ▼
 //!   Wal ── logical redo log in checksummed binary frames (encoded
 //!          straight from the committing transaction), torn-tail crash

@@ -50,9 +50,9 @@ impl std::fmt::Display for Isolation {
 /// commit: what it may observe, and what survives a crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Durability {
-    /// The record is enqueued for the log writer; commit returns without
-    /// waiting. A crash may lose recently acknowledged commits (a clean
-    /// shutdown still flushes everything).
+    /// The record is appended to the log's write buffer, no flush; commit
+    /// returns without waiting for the file. A crash may lose recently
+    /// acknowledged commits (a clean shutdown still flushes everything).
     Buffered,
     /// Commit waits until its record is written and flushed to the OS
     /// (survives process crash, not power loss). The default — matches

@@ -197,7 +197,7 @@ impl Wal {
 
     /// Append one commit record. Durability is the caller's business:
     /// call [`Wal::flush`] (and [`Wal::sync_data`]) per batch — the
-    /// group-commit log writer does exactly that.
+    /// group-commit drain does exactly that.
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
         let mut frame = std::mem::take(&mut self.scratch);
         frame.clear();

@@ -4,8 +4,8 @@
 //!
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the *subset* of the `parking_lot` API it actually uses —
-//! [`Mutex`], [`RwLock`], [`Condvar`] and their guards — as thin
-//! wrappers over `std::sync`. Semantics match `parking_lot` where they
+//! [`Mutex`] with its guard, and [`Condvar`] — as thin wrappers over
+//! `std::sync`. Semantics match `parking_lot` where they
 //! differ from std: locking never returns a poison error (a panic while
 //! holding a lock simply releases it for the next owner).
 //!
@@ -13,22 +13,21 @@
 //! [`TrackedMutex`]/[`TrackedRwLock`] wrappers that audit the engine's
 //! documented lock order under `debug_assertions` or
 //! `RUSTFLAGS=--cfg lock_audit` (see DESIGN.md, "Invariants & static
-//! analysis"), plus `TrackedAtomic{U64,Bool,Usize}` wrappers for the
+//! analysis"), plus `TrackedAtomic{U64,Bool}` wrappers for the
 //! engine's sync-carrying atomics. The [`model`] module is a
 //! deterministic interleaving model checker: under
 //! `RUSTFLAGS=--cfg model_check` every tracked primitive routes through
 //! its cooperative scheduler so the engine's lock-free protocols can be
 //! exhaustively explored and failing schedules replayed.
 
-use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 pub mod model;
 pub mod tracked;
 
 pub use tracked::{
-    Condvar, LockRank, TrackedAtomicBool, TrackedAtomicU64, TrackedAtomicUsize, TrackedMutex,
-    TrackedMutexGuard, TrackedRwLock, TrackedRwLockReadGuard, TrackedRwLockWriteGuard,
+    Condvar, LockRank, TrackedAtomicBool, TrackedAtomicU64, TrackedMutex, TrackedMutexGuard,
+    TrackedRwLock, TrackedRwLockReadGuard, TrackedRwLockWriteGuard,
 };
 
 /// A mutual-exclusion lock with `parking_lot`'s panic-free API.
@@ -49,13 +48,6 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    /// Consume the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -67,33 +59,6 @@ impl<T: ?Sized> Mutex<T> {
                 .inner
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner),
-        }
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: g }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: p.into_inner(),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.write_str("Mutex { <locked> }"),
         }
     }
 }
@@ -111,93 +76,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock with `parking_lot`'s panic-free API.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-/// RAII guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-/// RAII guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    /// Create a new reader-writer lock protecting `value`.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire shared read access, ignoring poisoning.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self
-                .inner
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        }
-    }
-
-    /// Acquire exclusive write access, ignoring poisoning.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self
-                .inner
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("RwLock { .. }")
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,16 +85,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
-        assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_basics() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 
     #[test]

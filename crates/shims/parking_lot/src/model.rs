@@ -693,32 +693,17 @@ pub fn condvar_wait(cv: &ModelSlot, mutex: &ModelSlot, name: &str) {
     st.locks.get_mut(&m_id).expect("lock registered").writer = Some(me);
 }
 
-/// Model notify: `all = false` wakes one waiter (which waiter is a choice
-/// point), `all = true` wakes every waiter. Waiters move to lock-blocked
-/// on their mutex (or Runnable when it is free).
-pub fn condvar_notify(cv: &ModelSlot, all: bool) {
+/// Model notify-all: every waiter moves to lock-blocked on its mutex (or
+/// Runnable when it is free).
+pub fn condvar_notify(cv: &ModelSlot) {
     let sched = session();
     let me = my_tid();
-    let mut st = sched.op_point(
-        me,
-        if all {
-            "cv.notify_all"
-        } else {
-            "cv.notify_one"
-        },
-    );
+    let mut st = sched.op_point(me, "cv.notify_all");
     let cv_id = slot_id(&mut st, cv);
-    let n_waiters = st.condvars.get(&cv_id).map_or(0, |c| c.waiters.len());
-    let waiters: Vec<(usize, u64)> = if n_waiters == 0 {
-        Vec::new()
-    } else if all {
-        let c = st.condvars.get_mut(&cv_id).expect("condvar registered");
-        std::mem::take(&mut c.waiters)
-    } else {
-        let pick = sched.decide(&mut st, n_waiters);
-        let c = st.condvars.get_mut(&cv_id).expect("condvar registered");
-        vec![c.waiters.remove(pick)]
-    };
+    let waiters = st
+        .condvars
+        .get_mut(&cv_id)
+        .map_or_else(Vec::new, |c| std::mem::take(&mut c.waiters));
     st.threads[me].clock.tick(me);
     for (tid, m_id) in waiters {
         let free = {

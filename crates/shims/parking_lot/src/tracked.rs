@@ -240,13 +240,6 @@ impl<T> TrackedMutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    /// Consume the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> TrackedMutex<T> {
@@ -275,11 +268,6 @@ impl<T: ?Sized> TrackedMutex<T> {
             in_model,
             inner: Some(inner),
         }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -400,21 +388,11 @@ impl Condvar {
         }
     }
 
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        #[cfg(model_check)]
-        if crate::model::in_session() {
-            crate::model::condvar_notify(&self.model, false);
-            return;
-        }
-        self.inner.notify_one();
-    }
-
     /// Wake all waiters.
     pub fn notify_all(&self) {
         #[cfg(model_check)]
         if crate::model::in_session() {
-            crate::model::condvar_notify(&self.model, true);
+            crate::model::condvar_notify(&self.model);
             return;
         }
         self.inner.notify_all();
@@ -427,7 +405,7 @@ impl fmt::Debug for Condvar {
     }
 }
 
-/// A [`RwLock`](crate::RwLock) that participates in lock-order
+/// A [`std::sync::RwLock`] that participates in lock-order
 /// auditing. Shard locks are built with [`TrackedRwLock::with_index`]
 /// so same-rank acquisitions can be checked for ascending index order.
 pub struct TrackedRwLock<T: ?Sized> {
@@ -479,13 +457,6 @@ impl<T> TrackedRwLock<T> {
             inner: std::sync::RwLock::new(value),
         }
     }
-
-    /// Consume the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> TrackedRwLock<T> {
@@ -533,11 +504,6 @@ impl<T: ?Sized> TrackedRwLock<T> {
             in_model,
             inner,
         }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -685,30 +651,6 @@ impl TrackedAtomicU64 {
         }
         self.inner.fetch_add(val, order)
     }
-
-    /// Atomic maximum; returns the previous value.
-    pub fn fetch_max(&self, val: u64, order: std::sync::atomic::Ordering) -> u64 {
-        #[cfg(model_check)]
-        if crate::model::in_session() {
-            let old = crate::model::atomic_rmw(
-                &self.model,
-                crate::model::MemOrd::from_std(order),
-                self.name,
-                self.init,
-                |x| x.max(val),
-            );
-            self.inner
-                .store(old.max(val), std::sync::atomic::Ordering::SeqCst);
-            return old;
-        }
-        self.inner.fetch_max(val, order)
-    }
-
-    /// Mutable access without synchronization (requires exclusive
-    /// ownership).
-    pub fn get_mut(&mut self) -> &mut u64 {
-        self.inner.get_mut()
-    }
 }
 
 impl fmt::Debug for TrackedAtomicU64 {
@@ -783,28 +725,6 @@ impl TrackedAtomicBool {
         }
         self.inner.store(val, order);
     }
-
-    /// Atomic swap; returns the previous value.
-    pub fn swap(&self, val: bool, order: std::sync::atomic::Ordering) -> bool {
-        #[cfg(model_check)]
-        if crate::model::in_session() {
-            let old = crate::model::atomic_rmw(
-                &self.model,
-                crate::model::MemOrd::from_std(order),
-                self.name,
-                u64::from(self.init),
-                |_| u64::from(val),
-            );
-            self.inner.store(val, std::sync::atomic::Ordering::SeqCst);
-            return old != 0;
-        }
-        self.inner.swap(val, order)
-    }
-
-    /// Mutable access without synchronization.
-    pub fn get_mut(&mut self) -> &mut bool {
-        self.inner.get_mut()
-    }
 }
 
 impl fmt::Debug for TrackedAtomicBool {
@@ -817,111 +737,16 @@ impl fmt::Debug for TrackedAtomicBool {
     }
 }
 
-/// Usize sibling of [`TrackedAtomicU64`].
-pub struct TrackedAtomicUsize {
-    inner: std::sync::atomic::AtomicUsize,
-    #[cfg(model_check)]
-    model: crate::model::ModelSlot,
-    #[cfg(model_check)]
-    name: &'static str,
-    #[cfg(model_check)]
-    init: usize,
-}
-
-impl TrackedAtomicUsize {
-    /// Create a new tracked atomic usize.
-    pub const fn new(v: usize) -> TrackedAtomicUsize {
-        TrackedAtomicUsize::named("usize", v)
-    }
-
-    /// Like [`new`](TrackedAtomicUsize::new) with a model-trace name.
-    #[cfg_attr(not(model_check), allow(unused_variables))]
-    pub const fn named(name: &'static str, v: usize) -> TrackedAtomicUsize {
-        TrackedAtomicUsize {
-            inner: std::sync::atomic::AtomicUsize::new(v),
-            #[cfg(model_check)]
-            model: crate::model::ModelSlot::new(),
-            #[cfg(model_check)]
-            name,
-            #[cfg(model_check)]
-            init: v,
-        }
-    }
-
-    /// Atomic load with an explicit ordering.
-    pub fn load(&self, order: std::sync::atomic::Ordering) -> usize {
-        #[cfg(model_check)]
-        if crate::model::in_session() {
-            return crate::model::atomic_load(
-                &self.model,
-                crate::model::MemOrd::from_std(order),
-                self.name,
-                self.init as u64,
-            ) as usize;
-        }
-        self.inner.load(order)
-    }
-
-    /// Atomic store with an explicit ordering.
-    pub fn store(&self, val: usize, order: std::sync::atomic::Ordering) {
-        #[cfg(model_check)]
-        if crate::model::in_session() {
-            crate::model::atomic_store(
-                &self.model,
-                val as u64,
-                crate::model::MemOrd::from_std(order),
-                self.name,
-                self.init as u64,
-            );
-            self.inner.store(val, std::sync::atomic::Ordering::SeqCst);
-            return;
-        }
-        self.inner.store(val, order);
-    }
-
-    /// Atomic add; returns the previous value.
-    pub fn fetch_add(&self, val: usize, order: std::sync::atomic::Ordering) -> usize {
-        #[cfg(model_check)]
-        if crate::model::in_session() {
-            let old = crate::model::atomic_rmw(
-                &self.model,
-                crate::model::MemOrd::from_std(order),
-                self.name,
-                self.init as u64,
-                |x| x.wrapping_add(val as u64),
-            ) as usize;
-            self.inner
-                .store(old.wrapping_add(val), std::sync::atomic::Ordering::SeqCst);
-            return old;
-        }
-        self.inner.fetch_add(val, order)
-    }
-
-    /// Mutable access without synchronization.
-    pub fn get_mut(&mut self) -> &mut usize {
-        self.inner.get_mut()
-    }
-}
-
-impl fmt::Debug for TrackedAtomicUsize {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "TrackedAtomicUsize({})",
-            self.inner.load(std::sync::atomic::Ordering::Relaxed)
-        )
-    }
-}
-
 // Zero-cost claim, checked at compile time: without auditing compiled
-// in, tracked locks are layout-identical to the untracked shim types.
+// in, tracked locks are layout-identical to the untracked std types.
 #[cfg(not(any(debug_assertions, lock_audit, model_check)))]
 const _: () = {
     use std::mem::{align_of, size_of};
-    assert!(size_of::<TrackedMutex<u64>>() == size_of::<crate::Mutex<u64>>());
-    assert!(align_of::<TrackedMutex<u64>>() == align_of::<crate::Mutex<u64>>());
-    assert!(size_of::<TrackedRwLock<Vec<u8>>>() == size_of::<crate::RwLock<Vec<u8>>>());
-    assert!(align_of::<TrackedRwLock<Vec<u8>>>() == align_of::<crate::RwLock<Vec<u8>>>());
+    use std::sync::{Mutex, RwLock};
+    assert!(size_of::<TrackedMutex<u64>>() == size_of::<Mutex<u64>>());
+    assert!(align_of::<TrackedMutex<u64>>() == align_of::<Mutex<u64>>());
+    assert!(size_of::<TrackedRwLock<Vec<u8>>>() == size_of::<RwLock<Vec<u8>>>());
+    assert!(align_of::<TrackedRwLock<Vec<u8>>>() == align_of::<RwLock<Vec<u8>>>());
 };
 
 // The atomic wrappers carry no audit state, so they are layout-identical
@@ -929,11 +754,10 @@ const _: () = {
 #[cfg(not(model_check))]
 const _: () = {
     use std::mem::{align_of, size_of};
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+    use std::sync::atomic::{AtomicBool, AtomicU64};
     assert!(size_of::<TrackedAtomicU64>() == size_of::<AtomicU64>());
     assert!(align_of::<TrackedAtomicU64>() == align_of::<AtomicU64>());
     assert!(size_of::<TrackedAtomicBool>() == size_of::<AtomicBool>());
-    assert!(size_of::<TrackedAtomicUsize>() == size_of::<AtomicUsize>());
 };
 
 #[cfg(test)]
@@ -1082,15 +906,10 @@ mod tests {
         assert_eq!(a.load(Ordering::Acquire), 7);
         a.store(9, Ordering::Release);
         assert_eq!(a.fetch_add(1, Ordering::AcqRel), 9);
-        assert_eq!(a.fetch_max(100, Ordering::AcqRel), 10);
-        assert_eq!(a.load(Ordering::Acquire), 100);
+        assert_eq!(a.load(Ordering::Acquire), 10);
         let b = TrackedAtomicBool::new(false);
         b.store(true, Ordering::Release);
         assert!(b.load(Ordering::Acquire));
-        assert!(b.swap(false, Ordering::AcqRel));
-        let u = TrackedAtomicUsize::new(1);
-        assert_eq!(u.fetch_add(2, Ordering::AcqRel), 1);
-        assert_eq!(u.load(Ordering::Acquire), 3);
     }
 
     #[test]
@@ -1099,11 +918,11 @@ mod tests {
         use std::mem::size_of;
         assert_eq!(
             size_of::<TrackedMutex<[u8; 24]>>(),
-            size_of::<crate::Mutex<[u8; 24]>>()
+            size_of::<std::sync::Mutex<[u8; 24]>>()
         );
         assert_eq!(
             size_of::<TrackedRwLock<[u8; 24]>>(),
-            size_of::<crate::RwLock<[u8; 24]>>()
+            size_of::<std::sync::RwLock<[u8; 24]>>()
         );
     }
 }

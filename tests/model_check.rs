@@ -206,6 +206,35 @@ fn group_commit_at_fsync() {
     group_commit(Durability::Fsync);
 }
 
+/// Two committers at `Buffered`, each draining its own record in place:
+/// once both have returned and the engine has dropped (flushing the
+/// write buffer), the file holds exactly both records, in `commit_ts`
+/// order.
+#[test]
+fn group_commit_at_buffered() {
+    check(|| {
+        let wal = TempWal::new();
+        let engine = with_kv(wal.open(Durability::Buffered, Arc::new(FaultPlan::none())));
+        let committers: Vec<_> = (0..2)
+            .map(|i| {
+                let engine = engine.clone();
+                spawn(&format!("committer{i}"), move || {
+                    put(&engine, i, 1).expect("commit");
+                })
+            })
+            .collect();
+        for committer in committers {
+            committer.join();
+        }
+        drop(engine);
+        let records = wal.records();
+        assert!(
+            records.len() == 2 && records[0] < records[1],
+            "log out of commit order: {records:?}"
+        );
+    });
+}
+
 /// A checkpoint racing a commit at Fsync: reopened afterwards, the log
 /// still holds the commit.
 #[test]
