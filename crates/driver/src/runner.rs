@@ -173,11 +173,13 @@ where
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            // lint:allow(unwrap): a panicked client thread must fail the run loudly
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
+        #[expect(
+            clippy::expect_used,
+            reason = "a panicked client thread must fail the run loudly"
+        )]
+        let join =
+            |h: std::thread::ScopedJoinHandle<'_, _>| h.join().expect("client thread panicked");
+        handles.into_iter().map(join).collect()
     });
     let elapsed = t0.elapsed();
     let mut latencies_us = Vec::with_capacity(clients * ops_per_client);

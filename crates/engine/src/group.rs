@@ -784,21 +784,20 @@ mod tests {
         let wal = Wal::open(&path).unwrap();
         wal.faults().fail_sticky("flush");
         let log = std::sync::Arc::new(GroupLog::start(wal, Durability::Flush, true, test_obs()));
-        let outcomes = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for ts in 1..=8u64 {
-                let log = std::sync::Arc::clone(&log);
-                let outcomes = &outcomes;
-                scope.spawn(move || {
-                    // enqueue may already see the poison from an earlier
-                    // thread's drain; either way the outcome is a typed
-                    // error, never a hang or an Ok
-                    let res = log.commit(rec(ts)).and_then(|seq| log.wait_durable(seq));
-                    outcomes.lock().unwrap().push(res);
-                });
-            }
+        let outcomes: Vec<Result<()>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..=8u64)
+                .map(|ts| {
+                    let log = std::sync::Arc::clone(&log);
+                    scope.spawn(move || {
+                        // enqueue may already see the poison from an earlier
+                        // thread's drain; either way the outcome is a typed
+                        // error, never a hang or an Ok
+                        log.commit(rec(ts)).and_then(|seq| log.wait_durable(seq))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let outcomes = outcomes.into_inner().unwrap();
         assert_eq!(outcomes.len(), 8, "every follower returned");
         for res in &outcomes {
             let err = res.as_ref().unwrap_err();
@@ -819,7 +818,7 @@ mod tests {
         ));
         // stands in for commit_lock: timestamps are drawn and enqueued
         // in one step, so queue order is timestamp order
-        let last_ts = std::sync::Mutex::new(0);
+        let last_ts = TrackedMutex::new(LockRank::Commit, 0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let log = std::sync::Arc::clone(&log);
@@ -827,7 +826,7 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..25 {
                         let seq = {
-                            let mut ts = last_ts.lock().unwrap();
+                            let mut ts = last_ts.lock();
                             *ts += 1;
                             log.commit(rec(*ts)).unwrap()
                         };

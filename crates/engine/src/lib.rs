@@ -1,5 +1,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 //! # udbms-engine
 //!

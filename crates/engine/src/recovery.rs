@@ -66,8 +66,13 @@ impl Engine {
             Arc::clone(&engine.inner.obs),
         );
         if engine.inner.log.set(log).is_err() {
-            // lint:allow(unwrap): the engine was constructed two lines up
-            unreachable!("fresh engine cannot already have a log");
+            #[expect(
+                clippy::unreachable,
+                reason = "the engine was constructed two lines up"
+            )]
+            {
+                unreachable!("fresh engine cannot already have a log");
+            }
         }
         Ok(engine)
     }
@@ -163,7 +168,10 @@ impl Engine {
         let mut rows_logged = 0;
         let catalog = self.inner.catalog.read();
         for name in catalog.names() {
-            // lint:allow(unwrap): name came from catalog.names() under this read guard
+            #[expect(
+                clippy::expect_used,
+                reason = "name came from catalog.names() under this read guard"
+            )]
             let id = catalog.get(&name).expect("listed name exists").id;
             let mut rows = Vec::new();
             let _ = self.inner.storage.walk(id, snapshot, |key, _, v| {

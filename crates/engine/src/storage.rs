@@ -209,7 +209,10 @@ impl Storage {
                         i
                     }
                     None => {
-                        // lint:allow(unwrap): 2^32 slots of 40 B exceed any memory this runs in
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "2^32 slots of 40 B exceed any memory this runs in"
+                        )]
                         let i = u32::try_from(self.slots.len()).expect("slot number fits u32");
                         self.slots.push(slot);
                         i

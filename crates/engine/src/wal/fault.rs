@@ -131,10 +131,13 @@ impl FaultPlan {
     }
 
     fn site(&self, name: &str) -> &Site {
+        #[expect(
+            clippy::panic,
+            reason = "arming an unknown site is a test-author bug, not a runtime state"
+        )]
         let idx = SITES
             .iter()
             .position(|s| *s == name)
-            // lint:allow(unwrap): arming an unknown site is a test-author bug, not a runtime state
             .unwrap_or_else(|| panic!("unknown fault site `{name}` (see fault::SITES)"));
         &self.sites[idx]
     }

@@ -1,41 +1,44 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 //! Project-specific static analysis for the UDBMS workspace.
 //!
 //! `udbms-lint` is a std-only (no crates.io) lexer/walker enforcing the
-//! six concurrency/performance rules documented in DESIGN.md,
-//! "Invariants & static analysis":
+//! three project rules no compiler lint expresses, documented in
+//! DESIGN.md, "Invariants & static analysis":
 //!
 //! * **L1 `lock-order`** — ranked-lock acquisitions within a function
 //!   must be non-decreasing in rank (shards strictly ascending).
-//! * **L2 `safety`** — every `unsafe` needs a `// SAFETY:` comment.
-//! * **L3 `unwrap`** — no `unwrap`/`expect`/`panic!`-family in non-test
-//!   engine/query/driver (and lint) code.
-//! * **L4 `raw-lock`** — no untracked `Mutex`/`RwLock` in
-//!   `crates/engine`.
-//! * **L5 `hot-clock`** — no raw `Instant::now()`/`SystemTime::now()`
-//!   in non-test `crates/engine` code; engine hot paths time
-//!   themselves through the `udbms-obs` helpers, which cost one
-//!   branch when observability is disabled.
+//! * **L2 `safety`** — every `unsafe` needs a `// SAFETY:` comment, in
+//!   every `.rs` file of the tree, crate root or not.
 //! * **L6 `atomic-order`** — explicit-ordering discipline for atomics
 //!   in `crates/engine`/`crates/query`: `Relaxed` only on registered
 //!   pure counters, synchronizing orderings only with an adjacent
 //!   `// ORDER:` comment naming the pairing.
 //!
+//! The other three rules are compiler lints that `cargo clippy -- -D
+//! warnings` type-checks: L3 (no `unwrap`/`expect`/`panic!`-family in
+//! non-test engine/query/driver/lint code) is a
+//! `cfg_attr(not(test), deny(clippy::unwrap_used, …))` at those crate
+//! roots, and L4 (no untracked locks in the engine) and L5 (no raw
+//! clock reads in the engine) are `crates/engine/clippy.toml`'s
+//! `disallowed-types` and `disallowed-methods`.
+//!
 //! Findings are suppressed by an inline
 //! `// lint:allow(<rule>): reason` on the offending (or preceding)
-//! line, or by an entry in the repo-root `lint-allow.txt`:
-//!
-//! ```text
-//! # rule       path (repo-relative)            [function]
-//! lock-order   crates/engine/src/foo.rs        rebalance
-//! unwrap       crates/query/src/lexer.rs
-//! ```
-//!
-//! Suppressions are themselves audited: an inline marker that no longer
-//! matches any finding, or a `lint-allow.txt` entry nothing needed, is
-//! reported as `unused-suppression` so the exception budget can only
-//! shrink, never silently grow.
+//! line. Suppressions are themselves audited: an inline marker that no
+//! longer matches any finding is reported as `unused-suppression`, so
+//! the exception budget can only shrink, never silently grow.
 //!
 //! The same rules run over this crate and the shims — the linter lints
 //! itself.
@@ -48,87 +51,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 pub use rules::{lint_file, lint_source, AllowMarker, FileLint, Finding, Rule};
-
-/// Parsed `lint-allow.txt`: audited, reviewable exceptions.
-#[derive(Debug, Default)]
-pub struct Allowlist {
-    entries: Vec<AllowEntry>,
-}
-
-#[derive(Debug)]
-struct AllowEntry {
-    rule: String,
-    path: String,
-    function: Option<String>,
-    /// 1-based line in `lint-allow.txt`, for stale-entry reports.
-    line: u32,
-}
-
-impl AllowEntry {
-    fn matches(&self, finding: &Finding) -> bool {
-        self.rule == finding.rule.name()
-            && (finding.file == self.path || finding.file.ends_with(&self.path))
-            && self
-                .function
-                .as_ref()
-                .is_none_or(|f| finding.function.as_deref() == Some(f.as_str()))
-    }
-}
-
-impl Allowlist {
-    /// Parse allowlist text: one `rule path [function]` entry per line,
-    /// `#` comments and blank lines ignored.
-    pub fn parse(text: &str) -> Allowlist {
-        let entries = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i as u32 + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
-            .filter_map(|(line, l)| {
-                let mut parts = l.split_whitespace();
-                let rule = parts.next()?.to_string();
-                let path = parts.next()?.to_string();
-                let function = parts.next().map(str::to_string);
-                Some(AllowEntry {
-                    rule,
-                    path,
-                    function,
-                    line,
-                })
-            })
-            .collect();
-        Allowlist { entries }
-    }
-
-    /// Load from a file; a missing file is an empty allowlist.
-    pub fn load(path: &Path) -> Allowlist {
-        match fs::read_to_string(path) {
-            Ok(text) => Allowlist::parse(&text),
-            Err(_) => Allowlist::default(),
-        }
-    }
-
-    /// Whether `finding` is covered by an entry.
-    pub fn allows(&self, finding: &Finding) -> bool {
-        self.match_index(finding).is_some()
-    }
-
-    /// Index of the first entry covering `finding`, for usage tracking.
-    fn match_index(&self, finding: &Finding) -> Option<usize> {
-        self.entries.iter().position(|e| e.matches(finding))
-    }
-
-    /// Number of entries (reported by the CLI so the exception budget
-    /// stays visible).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the allowlist has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
 
 /// Directories never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github"];
@@ -160,23 +82,14 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// Rule names an inline marker can legitimately name; anything else in
 /// a `lint:allow(...)`-shaped comment (docs, prose, placeholders like
 /// `<rule>`) is ignored rather than reported stale.
-const KNOWN_RULES: &[&str] = &[
-    "lock-order",
-    "safety",
-    "unwrap",
-    "raw-lock",
-    "hot-clock",
-    "atomic-order",
-    "unused-suppression",
-];
+const KNOWN_RULES: &[&str] = &["lock-order", "safety", "atomic-order", "unused-suppression"];
 
-/// Lint the whole workspace rooted at `root`, applying `allow`.
-/// Returns the surviving findings — including `unused-suppression`
-/// reports for inline markers and allowlist entries that no longer
-/// suppress anything — sorted by file then line.
-pub fn lint_workspace(root: &Path, allow: &Allowlist) -> io::Result<Vec<Finding>> {
+/// Lint the whole workspace rooted at `root`. Returns the findings no
+/// inline marker suppresses — including `unused-suppression` reports
+/// for markers that no longer suppress anything — sorted by file then
+/// line.
+pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
-    let mut entry_used = vec![false; allow.entries.len()];
     for path in workspace_files(root)? {
         let rel = path
             .strip_prefix(root)
@@ -186,12 +99,8 @@ pub fn lint_workspace(root: &Path, allow: &Allowlist) -> io::Result<Vec<Finding>
         let src = fs::read_to_string(&path)?;
         let file = lint_file(&rel, &src);
         for f in &file.findings {
-            if file.markers.iter().any(|m| FileLint::covers(m, f)) {
-                continue; // inline suppression wins; marker is "used"
-            }
-            match allow.match_index(f) {
-                Some(i) => entry_used[i] = true,
-                None => findings.push(f.clone()),
+            if !file.markers.iter().any(|m| FileLint::covers(m, f)) {
+                findings.push(f.clone());
             }
         }
         // Stale inline markers: a real rule name, outside the test
@@ -210,30 +119,12 @@ pub fn lint_workspace(root: &Path, allow: &Allowlist) -> io::Result<Vec<Finding>
                     line: m.line,
                     function: None,
                     message: format!(
-                        "stale `lint:allow({})` — no {} finding on this or the next                          line; remove the marker",
+                        "stale `lint:allow({})` — no {} finding on this or the next \
+                         line; remove the marker",
                         m.rule, m.rule
                     ),
                 });
             }
-        }
-    }
-    for (e, used) in allow.entries.iter().zip(&entry_used) {
-        if !used {
-            findings.push(Finding {
-                rule: Rule::UnusedSuppression,
-                file: "lint-allow.txt".to_string(),
-                line: e.line,
-                function: None,
-                message: format!(
-                    "stale allowlist entry `{} {}{}` — it suppresses nothing; remove it",
-                    e.rule,
-                    e.path,
-                    e.function
-                        .as_deref()
-                        .map(|f| format!(" {f}"))
-                        .unwrap_or_default()
-                ),
-            });
         }
     }
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
@@ -343,68 +234,11 @@ fn ok(&self) {
     }
 
     #[test]
-    fn unwrap_is_flagged_only_in_scope_and_outside_tests() {
-        let src = "fn f() { x.unwrap(); }\n";
-        assert_eq!(lint_source("crates/engine/src/x.rs", src).len(), 1);
-        assert!(lint_source("crates/core/src/x.rs", src).is_empty());
-
-        let tested = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { x.unwrap(); }\n}\n";
-        assert!(lint_source("crates/engine/src/x.rs", tested).is_empty());
-    }
-
-    #[test]
     fn inline_allow_markers_suppress() {
-        let src = "fn f() {\n    // lint:allow(unwrap): invariant — len checked above\n    x.unwrap();\n}\n";
+        let bad = "fn f(&self) {\n    let wal = self.wal.lock();\n    let commit = self.commit_lock.lock();\n}\n";
+        assert_eq!(lint_source("crates/engine/src/x.rs", bad).len(), 1);
+        let src = "fn f(&self) {\n    let wal = self.wal.lock();\n    // lint:allow(lock-order): reviewed — wal is released before commit blocks\n    let commit = self.commit_lock.lock();\n}\n";
         assert!(lint_source("crates/engine/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn raw_locks_in_engine_are_flagged() {
-        let src = "use std::sync::Mutex;\nfn f() { let m: std::sync::Mutex<u8>; }\n";
-        let findings = lint_source("crates/engine/src/x.rs", src);
-        assert!(findings.iter().all(|f| f.rule == Rule::RawLock));
-        assert!(!findings.is_empty());
-        // tracked types are fine
-        let ok = "use parking_lot::{LockRank, TrackedMutex};\n";
-        assert!(lint_source("crates/engine/src/x.rs", ok).is_empty());
-        // and raw locks outside crates/engine are fine
-        assert!(lint_source("crates/shims/parking_lot/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn raw_clock_reads_in_engine_are_flagged() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        let findings = lint_source("crates/engine/src/x.rs", src);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, Rule::HotClock);
-        assert!(findings[0].message.contains("Obs::start"));
-
-        let sys = "fn f() { let t = SystemTime::now(); }\n";
-        let findings = lint_source("crates/engine/src/x.rs", sys);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, Rule::HotClock);
-    }
-
-    #[test]
-    fn hot_clock_is_scoped_and_relaxes_in_tests() {
-        let src = "fn f() { let t = Instant::now(); }\n";
-        // outside crates/engine the rule does not apply (obs owns its
-        // own Instant::now calls)
-        assert!(lint_source("crates/obs/src/lib.rs", src).is_empty());
-        assert!(lint_source("crates/bench/src/report.rs", src).is_empty());
-
-        let tested =
-            "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { let t = Instant::now(); }\n}\n";
-        assert!(lint_source("crates/engine/src/x.rs", tested).is_empty());
-    }
-
-    #[test]
-    fn hot_clock_inline_allow_suppresses() {
-        let src = "fn f() {\n    // lint:allow(hot-clock): startup-only, not a hot path\n    let t = Instant::now();\n}\n";
-        assert!(lint_source("crates/engine/src/x.rs", src).is_empty());
-        // a bare `Instant` type mention without `::now` is fine
-        let ty = "fn f(deadline: Instant) -> Instant { deadline }\n";
-        assert!(lint_source("crates/engine/src/x.rs", ty).is_empty());
     }
 
     #[test]
@@ -458,18 +292,14 @@ fn ok(&self) {
         fs::create_dir_all(&sub).unwrap();
         fs::write(
             sub.join("x.rs"),
-            "fn f() {\n    // lint:allow(unwrap): stale — nothing here unwraps\n    let _y = 1;\n}\n",
+            "fn f() {\n    // lint:allow(atomic-order): stale — nothing here orders\n    let _y = 1;\n}\n",
         )
         .unwrap();
-        let allow = Allowlist::parse("unwrap crates/engine/src/x.rs\n");
-        let findings = lint_workspace(&dir, &allow).unwrap();
+        let findings = lint_workspace(&dir).unwrap();
         fs::remove_dir_all(&dir).ok();
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings.iter().all(|f| f.rule == Rule::UnusedSuppression));
-        assert!(findings.iter().any(|f| f.file == "lint-allow.txt"));
-        assert!(findings
-            .iter()
-            .any(|f| f.file.ends_with("x.rs") && f.line == 2));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, Rule::UnusedSuppression);
+        assert!(findings[0].file.ends_with("x.rs") && findings[0].line == 2);
     }
 
     #[test]
@@ -479,11 +309,10 @@ fn ok(&self) {
         fs::create_dir_all(&sub).unwrap();
         fs::write(
             sub.join("x.rs"),
-            "fn f(x: Option<u8>) {\n    // lint:allow(unwrap): checked by caller\n    x.unwrap();\n}\nfn g(y: Option<u8>) {\n    y.unwrap();\n}\n",
+            "fn f(&self) {\n    // lint:allow(atomic-order): transient flag, no data published\n    self.ready.store(true, Ordering::Relaxed);\n}\n",
         )
         .unwrap();
-        let allow = Allowlist::parse("unwrap crates/engine/src/x.rs\n");
-        let findings = lint_workspace(&dir, &allow).unwrap();
+        let findings = lint_workspace(&dir).unwrap();
         fs::remove_dir_all(&dir).ok();
         assert!(findings.is_empty(), "{findings:?}");
     }
@@ -495,38 +324,80 @@ fn ok(&self) {
         fs::create_dir_all(&sub).unwrap();
         fs::write(
             sub.join("x.rs"),
-            "fn f() {}\n#[cfg(test)]\nmod tests {\n    // lint:allow(unwrap): demo marker inside a test\n    fn g() {}\n}\n",
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    // lint:allow(atomic-order): demo marker inside a test\n    fn g() {}\n}\n",
         )
         .unwrap();
-        let findings = lint_workspace(&dir, &Allowlist::default()).unwrap();
+        let findings = lint_workspace(&dir).unwrap();
         fs::remove_dir_all(&dir).ok();
         assert!(findings.is_empty(), "{findings:?}");
     }
 
+    /// L3-L5 are compiler lints now, and tier 1 does not run clippy:
+    /// this pins that every crate root L3 covers still denies the six
+    /// panicking lints outside tests, and that the engine's
+    /// `clippy.toml` still names the locks and clocks L4/L5 forbid.
     #[test]
-    fn allowlist_matches_rule_path_and_function() {
-        let allow = Allowlist::parse(
-            "# comment\n\nlock-order crates/engine/src/x.rs special\nunwrap crates/query/src/lexer.rs\n",
-        );
-        assert_eq!(allow.len(), 2);
-        let mk = |rule, file: &str, function: Option<&str>| Finding {
-            rule,
-            file: file.to_string(),
-            line: 1,
-            function: function.map(str::to_string),
-            message: String::new(),
+    fn compiler_enforced_rules_are_configured() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read =
+            |rel: &str| fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+        for rel in [
+            "crates/engine/src/lib.rs",
+            "crates/query/src/lib.rs",
+            "crates/driver/src/lib.rs",
+            "crates/lint/src/lib.rs",
+            "crates/lint/src/main.rs",
+        ] {
+            let flat: String = read(rel).split_whitespace().collect();
+            let at = flat
+                .find("#![cfg_attr(not(test),deny(")
+                .unwrap_or_else(|| panic!("{rel}: no `cfg_attr(not(test), deny(..))`"));
+            let deny = &flat[at..at + flat[at..].find(")]").unwrap_or(0)];
+            for lint in [
+                "unwrap_used",
+                "expect_used",
+                "panic",
+                "unreachable",
+                "todo",
+                "unimplemented",
+            ] {
+                assert!(
+                    deny.split([',', '(', ')'])
+                        .any(|l| l == format!("clippy::{lint}")),
+                    "{rel}: `clippy::{lint}` missing from {deny}"
+                );
+            }
+        }
+        let engine: String = read("crates/engine/src/lib.rs")
+            .split_whitespace()
+            .collect();
+        assert!(engine.contains("#![cfg_attr(test,allow(clippy::disallowed_methods))]"));
+
+        let toml = read("crates/engine/clippy.toml");
+        let list = |key: &str| {
+            let at = toml
+                .find(key)
+                .unwrap_or_else(|| panic!("clippy.toml: no {key}"));
+            let open = at + toml[at..].find('[').unwrap_or(0);
+            toml[open..open + toml[open..].find(']').unwrap_or(0)].to_string()
         };
-        assert!(allow.allows(&mk(
-            Rule::LockOrder,
-            "crates/engine/src/x.rs",
-            Some("special")
-        )));
-        assert!(!allow.allows(&mk(
-            Rule::LockOrder,
-            "crates/engine/src/x.rs",
-            Some("other")
-        )));
-        assert!(allow.allows(&mk(Rule::Unwrap, "crates/query/src/lexer.rs", None)));
-        assert!(!allow.allows(&mk(Rule::Safety, "crates/query/src/lexer.rs", None)));
+        let types = list("disallowed-types");
+        for ty in [
+            "std::sync::Mutex",
+            "std::sync::RwLock",
+            "parking_lot::Mutex",
+        ] {
+            assert!(
+                types.contains(&format!("\"{ty}\"")),
+                "disallowed-types lacks {ty}"
+            );
+        }
+        let methods = list("disallowed-methods");
+        for m in ["std::time::Instant::now", "std::time::SystemTime::now"] {
+            assert!(
+                methods.contains(&format!("\"{m}\"")),
+                "disallowed-methods lacks {m}"
+            );
+        }
     }
 }

@@ -1,3 +1,15 @@
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 //! `udbms-lint` CLI: lint the workspace tree.
 //!
 //! ```text
@@ -5,13 +17,11 @@
 //! cargo run -p udbms-lint -- --deny     # exit 1 on any finding (CI)
 //! cargo run -p udbms-lint -- --root DIR # lint another tree
 //! ```
-//!
-//! The allowlist is read from `<root>/lint-allow.txt` when present.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use udbms_lint::{lint_workspace, Allowlist};
+use udbms_lint::lint_workspace;
 
 fn main() -> ExitCode {
     let mut deny = false;
@@ -41,8 +51,7 @@ fn main() -> ExitCode {
     // When invoked via `cargo run` the cwd is the workspace root; fall
     // back from an explicit root that has no Cargo.toml with a hint
     // rather than silently linting nothing.
-    let allow = Allowlist::load(&root.join("lint-allow.txt"));
-    let findings = match lint_workspace(&root, &allow) {
+    let findings = match lint_workspace(&root) {
         Ok(findings) => findings,
         Err(e) => {
             eprintln!("udbms-lint: failed to walk `{}`: {e}", root.display());
@@ -53,16 +62,11 @@ fn main() -> ExitCode {
     for f in &findings {
         println!("{f}");
     }
-    let suffix = if allow.is_empty() {
-        String::new()
-    } else {
-        format!(" ({} allowlisted exception(s) applied)", allow.len())
-    };
     if findings.is_empty() {
-        eprintln!("udbms-lint: clean{suffix}");
+        eprintln!("udbms-lint: clean");
         ExitCode::SUCCESS
     } else {
-        eprintln!("udbms-lint: {} finding(s){suffix}", findings.len());
+        eprintln!("udbms-lint: {} finding(s)", findings.len());
         if deny {
             ExitCode::FAILURE
         } else {

@@ -1,4 +1,4 @@
-//! The six project rules, evaluated over the token stream.
+//! The three project rules, evaluated over the token stream.
 //!
 //! * **L1 `lock-order`** — within one function body, acquisitions of
 //!   ranked locks must be non-decreasing in rank (shards strictly
@@ -8,17 +8,6 @@
 //! * **L2 `safety`** — every `unsafe` token must be preceded by a
 //!   `// SAFETY:` comment (same line or the contiguous comment block
 //!   above the statement).
-//! * **L3 `unwrap`** — no `.unwrap()` / `.expect(` / `panic!` /
-//!   `unreachable!` / `todo!` / `unimplemented!` in non-test code of
-//!   the scoped crates (engine, query, driver, lint).
-//! * **L4 `raw-lock`** — `crates/engine` must not use
-//!   `std::sync::Mutex`/`RwLock` or the untracked shim `Mutex`/`RwLock`
-//!   directly; all long-lived engine locks go through the tracked
-//!   types.
-//! * **L5 `hot-clock`** — no raw `Instant::now()` / `SystemTime::now()`
-//!   in non-test `crates/engine` code; hot-path timing goes through
-//!   the branch-on-disabled `udbms-obs` helpers (`Obs::start()` /
-//!   `Stamp`) so a disabled registry costs one branch, not a syscall.
 //! * **L6 `atomic-order`** — in non-test `crates/engine` and
 //!   `crates/query` code, `Ordering::Relaxed` is legal only on the
 //!   registered pure counters (see [`RELAXED_OK`], the atomic analogue
@@ -28,9 +17,11 @@
 //!   model checker (`--cfg model_check`) explores what these orderings
 //!   allow; the comment is the human-readable half of that contract.
 //!
+//! L3-L5 (unwrap/panic, raw locks, raw clock reads) are compiler lints
+//! (see the crate docs), so they have no implementation here.
+//!
 //! Suppression: an inline `// lint:allow(<rule>): reason` comment on
-//! the offending line or the line above, or an entry in the repo-root
-//! `lint-allow.txt` (see [`crate::Allowlist`]).
+//! the offending line or the line above.
 
 use std::fmt;
 
@@ -43,31 +34,21 @@ pub enum Rule {
     LockOrder,
     /// L2: `unsafe` without a `// SAFETY:` comment.
     Safety,
-    /// L3: `unwrap`/`expect`/`panic!`-family in non-test scoped code.
-    Unwrap,
-    /// L4: raw (untracked) `Mutex`/`RwLock` in `crates/engine`.
-    RawLock,
-    /// L5: raw `Instant::now()`/`SystemTime::now()` in non-test
-    /// `crates/engine` code.
-    HotClock,
     /// L6: undisciplined atomic memory orderings in `crates/engine` /
     /// `crates/query` (unregistered `Relaxed`, or a synchronizing
     /// ordering without an `// ORDER:` pairing comment).
     AtomicOrder,
-    /// A `lint:allow` marker or `lint-allow.txt` entry that no longer
-    /// suppresses anything (reported by [`crate::lint_workspace`]).
+    /// A `lint:allow` marker that no longer suppresses anything
+    /// (reported by [`crate::lint_workspace`]).
     UnusedSuppression,
 }
 
 impl Rule {
-    /// The name used in `lint:allow(...)` markers and the allowlist.
+    /// The name used in `lint:allow(...)` markers.
     pub fn name(self) -> &'static str {
         match self {
             Rule::LockOrder => "lock-order",
             Rule::Safety => "safety",
-            Rule::Unwrap => "unwrap",
-            Rule::RawLock => "raw-lock",
-            Rule::HotClock => "hot-clock",
             Rule::AtomicOrder => "atomic-order",
             Rule::UnusedSuppression => "unused-suppression",
         }
@@ -166,30 +147,6 @@ fn rank_name(rank: u8) -> &'static str {
     }
 }
 
-/// Whether L3 (unwrap/panic) applies to this repo-relative path.
-pub fn unwrap_scoped(path: &str) -> bool {
-    [
-        "crates/engine/src/",
-        "crates/query/src/",
-        "crates/driver/src/",
-        "crates/lint/src/",
-    ]
-    .iter()
-    .any(|p| path.starts_with(p))
-}
-
-/// Whether L4 (raw locks) applies to this repo-relative path.
-pub fn raw_lock_scoped(path: &str) -> bool {
-    path.starts_with("crates/engine/src/")
-}
-
-/// Whether L5 (raw clock reads) applies to this repo-relative path.
-/// Engine hot paths must time themselves through `udbms-obs` (which
-/// owns the only `Instant::now()` calls and skips them when disabled).
-pub fn hot_clock_scoped(path: &str) -> bool {
-    path.starts_with("crates/engine/src/")
-}
-
 /// Whether L6 (atomic orderings) applies to this repo-relative path:
 /// the crates whose lock-free paths the model checker covers.
 pub fn atomic_order_scoped(path: &str) -> bool {
@@ -211,7 +168,7 @@ pub struct AllowMarker {
 /// notice the stale ones.
 #[derive(Debug, Default)]
 pub struct FileLint {
-    /// All findings, before any inline/allowlist suppression.
+    /// All findings, before any inline suppression.
     pub findings: Vec<Finding>,
     /// Every `lint:allow(...)` marker in the file.
     pub markers: Vec<AllowMarker>,
@@ -230,8 +187,7 @@ impl FileLint {
 
 /// Lint one file's source, returning raw findings plus the suppression
 /// inventory. `path` is repo-relative with forward slashes; it selects
-/// which rules apply (L1/L2 run everywhere, L3-L6 on their scoped
-/// crates).
+/// which rules apply (L1/L2 run everywhere, L6 on its scoped crates).
 pub fn lint_file(path: &str, src: &str) -> FileLint {
     let lexed = lex(src);
     let mut findings = Vec::new();
@@ -240,15 +196,6 @@ pub fn lint_file(path: &str, src: &str) -> FileLint {
 
     check_lock_order(path, &lexed, &in_test, &mut findings);
     check_safety(path, &lexed, &mut findings);
-    if unwrap_scoped(path) {
-        check_unwrap(path, &lexed, &in_test, &mut findings);
-    }
-    if raw_lock_scoped(path) {
-        check_raw_lock(path, &lexed, &mut findings);
-    }
-    if hot_clock_scoped(path) {
-        check_hot_clock(path, &lexed, &in_test, &mut findings);
-    }
     if atomic_order_scoped(path) {
         check_atomic_order(path, &lexed, &in_test, &mut findings);
     }
@@ -259,8 +206,7 @@ pub fn lint_file(path: &str, src: &str) -> FileLint {
     }
 }
 
-/// Lint one file's source with inline `lint:allow` markers applied
-/// (the allowlist is the caller's concern).
+/// Lint one file's source with inline `lint:allow` markers applied.
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     let file = lint_file(path, src);
     file.findings
@@ -560,152 +506,13 @@ fn check_safety(path: &str, lexed: &Lexed, findings: &mut Vec<Finding>) {
         .iter()
         .filter(|t| t.kind == TokenKind::Ident && t.text == "unsafe")
     {
-        if !has_safety_comment(lexed, t.line) {
+        if !has_tag_comment(lexed, t.line, "SAFETY:") {
             findings.push(Finding {
                 rule: Rule::Safety,
                 file: path.to_string(),
                 line: t.line,
                 function: None,
                 message: "`unsafe` without a `// SAFETY:` comment immediately above".into(),
-            });
-        }
-    }
-}
-
-fn has_safety_comment(lexed: &Lexed, unsafe_line: u32) -> bool {
-    if lexed
-        .comment_on(unsafe_line)
-        .is_some_and(|c| c.contains("SAFETY:"))
-    {
-        return true;
-    }
-    let mut l = unsafe_line.saturating_sub(1);
-    while l > 0 {
-        match lexed.comment_on(l) {
-            Some(c) if !lexed.has_code(l) => {
-                if c.contains("SAFETY:") {
-                    return true;
-                }
-            }
-            _ => return false,
-        }
-        l -= 1;
-    }
-    false
-}
-
-/// L3: panic-prone calls in non-test scoped code.
-fn check_unwrap(
-    path: &str,
-    lexed: &Lexed,
-    in_test: &dyn Fn(usize) -> bool,
-    findings: &mut Vec<Finding>,
-) {
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || in_test(i) {
-            continue;
-        }
-        let offense = match t.text.as_str() {
-            "unwrap" | "expect"
-                if toks.get(i.wrapping_sub(1)).is_some_and(|p| p.text == ".")
-                    && toks.get(i + 1).is_some_and(|n| n.text == "(") =>
-            {
-                Some(format!("`.{}()`", t.text))
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented"
-                if toks.get(i + 1).is_some_and(|n| n.text == "!") =>
-            {
-                Some(format!("`{}!`", t.text))
-            }
-            _ => None,
-        };
-        if let Some(what) = offense {
-            findings.push(Finding {
-                rule: Rule::Unwrap,
-                file: path.to_string(),
-                line: t.line,
-                function: None,
-                message: format!(
-                    "{what} in non-test engine/query/driver code — return an error, or \
-                     justify with `// lint:allow(unwrap): <reason>`"
-                ),
-            });
-        }
-    }
-}
-
-/// L4: raw `Mutex`/`RwLock` (std or untracked shim) in `crates/engine`.
-fn check_raw_lock(path: &str, lexed: &Lexed, findings: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || (t.text != "Mutex" && t.text != "RwLock") {
-            continue;
-        }
-        // `std :: sync :: Mutex` path usage anywhere in the file
-        let std_path = i >= 4
-            && toks[i - 1].text == ":"
-            && toks[i - 2].text == ":"
-            && toks[i - 3].text == "sync"
-            && toks[i - 4].text == "std";
-        // untracked shim import: a `use parking_lot::…{Mutex,…}` stmt
-        let shim_import = statement_start(toks, i)
-            .is_some_and(|s| toks[s].text == "use" && stmt_contains(toks, s, "parking_lot"));
-        let std_import = statement_start(toks, i)
-            .is_some_and(|s| toks[s].text == "use" && stmt_contains_seq(toks, s, &["std", "sync"]));
-        if std_path || shim_import || std_import {
-            findings.push(Finding {
-                rule: Rule::RawLock,
-                file: path.to_string(),
-                line: t.line,
-                function: None,
-                message: format!(
-                    "raw `{}` in crates/engine — use the rank-tracked \
-                     `Tracked{}` from the parking_lot shim (or \
-                     `// lint:allow(raw-lock): <reason>`)",
-                    t.text, t.text
-                ),
-            });
-        }
-    }
-}
-
-/// L5: raw clock reads in non-test `crates/engine` code. The engine's
-/// only time source is the obs layer — `Obs::start()` returns a
-/// [`Stamp`] that is `None` when observability is off, so the hot path
-/// pays a branch instead of a `clock_gettime` syscall. A direct
-/// `Instant::now()` (or `SystemTime::now()`) defeats that and is
-/// invisible to the E10 overhead gate.
-fn check_hot_clock(
-    path: &str,
-    lexed: &Lexed,
-    in_test: &dyn Fn(usize) -> bool,
-    findings: &mut Vec<Finding>,
-) {
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || (t.text != "Instant" && t.text != "SystemTime") {
-            continue;
-        }
-        if in_test(i) {
-            continue;
-        }
-        // `Instant :: now` / `SystemTime :: now` in the token stream
-        let calls_now = toks.get(i + 1).is_some_and(|a| a.text == ":")
-            && toks.get(i + 2).is_some_and(|b| b.text == ":")
-            && toks.get(i + 3).is_some_and(|n| n.text == "now");
-        if calls_now {
-            findings.push(Finding {
-                rule: Rule::HotClock,
-                file: path.to_string(),
-                line: t.line,
-                function: None,
-                message: format!(
-                    "raw `{}::now()` in crates/engine — time hot paths through the \
-                     obs layer (`Obs::start()` / `Stamp`, free when disabled) or \
-                     justify with `// lint:allow(hot-clock): <reason>`",
-                    t.text
-                ),
             });
         }
     }
@@ -742,7 +549,7 @@ fn check_atomic_order(
             continue;
         }
         if t.text == "Relaxed" {
-            let start = statement_start(toks, i).unwrap_or(0);
+            let start = statement_start(toks, i);
             let registered = toks
                 .iter()
                 .skip(start)
@@ -761,7 +568,7 @@ fn check_atomic_order(
                         .into(),
                 });
             }
-        } else if !has_order_comment(lexed, t.line) {
+        } else if !has_tag_comment(lexed, t.line, "ORDER:") {
             findings.push(Finding {
                 rule: Rule::AtomicOrder,
                 file: path.to_string(),
@@ -778,23 +585,20 @@ fn check_atomic_order(
     }
 }
 
-/// `// ORDER:` on the ordering's line or in the contiguous comment-only
-/// block immediately above the statement (same shape as `SAFETY:`).
-fn has_order_comment(lexed: &Lexed, line: u32) -> bool {
-    if lexed.comment_on(line).is_some_and(|c| c.contains("ORDER:")) {
+/// `tag` (`SAFETY:`, `ORDER:`) in the comment on `line` or in the
+/// contiguous comment-only block immediately above it.
+fn has_tag_comment(lexed: &Lexed, line: u32, tag: &str) -> bool {
+    if lexed.comment_on(line).is_some_and(|c| c.contains(tag)) {
         return true;
     }
     let mut l = line.saturating_sub(1);
     while l > 0 {
         match lexed.comment_on(l) {
             Some(c) if !lexed.has_code(l) => {
-                if c.contains("ORDER:") {
+                if c.contains(tag) {
                     return true;
                 }
             }
-            // a code line above may be the same multi-line statement;
-            // keep scanning while it still has a comment attached? No —
-            // the contract is comment-block-adjacent, same as SAFETY.
             _ => return false,
         }
         l -= 1;
@@ -802,43 +606,11 @@ fn has_order_comment(lexed: &Lexed, line: u32) -> bool {
     false
 }
 
-/// Index of the token starting the statement containing `i` (scans
-/// back to the nearest `;`, `{` or `}`).
-fn statement_start(toks: &[Token], i: usize) -> Option<usize> {
-    let mut j = i;
-    while j > 0 {
-        let prev = &toks[j - 1];
-        if matches!(prev.text.as_str(), ";" | "{" | "}") && prev.kind == TokenKind::Punct {
-            // `use a::{b, c};` — the brace belongs to the use stmt, so
-            // keep scanning back to the real start when inside one
-            if prev.text == "{" {
-                if let Some(s) = statement_start(toks, j - 1) {
-                    if toks[s].text == "use" {
-                        return Some(s);
-                    }
-                }
-            }
-            return Some(j);
-        }
-        j -= 1;
-    }
-    Some(0)
-}
-
-fn stmt_contains(toks: &[Token], start: usize, word: &str) -> bool {
-    toks.iter()
-        .skip(start)
-        .take_while(|t| t.text != ";")
-        .any(|t| t.text == word)
-}
-
-fn stmt_contains_seq(toks: &[Token], start: usize, words: &[&str]) -> bool {
-    let span: Vec<&str> = toks
+/// Index of the token starting the statement containing `i` (just past
+/// the nearest `;`, `{` or `}` before it).
+fn statement_start(toks: &[Token], i: usize) -> usize {
+    toks[..i]
         .iter()
-        .skip(start)
-        .take_while(|t| t.text != ";")
-        .map(|t| t.text.as_str())
-        .collect();
-    span.windows(words.len()).any(|w| w == words)
-        || (words.len() == 2 && span.contains(&words[0]) && span.contains(&words[1]))
+        .rposition(|t| t.kind == TokenKind::Punct && matches!(t.text.as_str(), ";" | "{" | "}"))
+        .map_or(0, |p| p + 1)
 }

@@ -631,7 +631,7 @@ fn source_items(
             let mut seen: std::collections::HashSet<Key> = [start_key].into_iter().collect();
             for _ in 0..*max {
                 let mut next = Vec::new();
-                // lint:allow(unwrap): layers starts non-empty and only grows
+                #[expect(clippy::expect_used, reason = "layers starts non-empty and only grows")]
                 for v in layers.last().expect("layer 0 exists") {
                     for n in txn.neighbors(graph, v, *dir, label.as_deref())? {
                         if seen.insert(n.clone()) {

@@ -214,7 +214,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                     col += 1;
                 }
             }
-            // lint:allow(unwrap): the scanned range is ascii digits by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "the scanned range is ascii digits by construction"
+            )]
             let text = std::str::from_utf8(&bytes[start..i]).expect("ascii digits");
             let kind = if is_float {
                 TokenKind::Float(
@@ -246,7 +249,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
             if start == i {
                 return Err(err(tline, tcol, "expected parameter name after `@`".into()));
             }
-            // lint:allow(unwrap): the scanned range is ascii alnum/underscore by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "the scanned range is ascii alnum/underscore by construction"
+            )]
             let name = std::str::from_utf8(&bytes[start..i]).expect("ascii param name");
             tokens.push(Token {
                 kind: TokenKind::Param(name.to_string()),
@@ -262,7 +268,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                 i += 1;
                 col += 1;
             }
-            // lint:allow(unwrap): the scanned range is ascii alnum/underscore by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "the scanned range is ascii alnum/underscore by construction"
+            )]
             let text = std::str::from_utf8(&bytes[start..i]).expect("ascii ident");
             let upper = text.to_ascii_uppercase();
             let kind = match KEYWORDS.iter().find(|k| **k == upper) {
