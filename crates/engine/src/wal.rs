@@ -108,7 +108,6 @@ pub struct PreparedRewrite {
 pub struct Wal {
     path: PathBuf,
     writer: BufWriter<File>,
-    records_written: usize,
     faults: Arc<FaultPlan>,
     /// Reused by [`Wal::append`] to encode one record.
     scratch: Vec<u8>,
@@ -130,7 +129,6 @@ impl Wal {
         Ok(Wal {
             path,
             writer,
-            records_written: 0,
             faults,
             scratch: Vec::new(),
         })
@@ -190,11 +188,6 @@ impl Wal {
         gate_at(&self.faults, &self.path, site)
     }
 
-    /// Records appended through this handle.
-    pub fn records_written(&self) -> usize {
-        self.records_written
-    }
-
     /// Append one commit record. Durability is the caller's business:
     /// call [`Wal::flush`] (and [`Wal::sync_data`]) per batch — the
     /// group-commit drain does exactly that.
@@ -224,7 +217,6 @@ impl Wal {
             Action::Fail(e) => return Err(e),
         }
         self.writer.write_all(frame)?;
-        self.records_written += 1;
         Ok(())
     }
 
@@ -492,7 +484,6 @@ mod tests {
             wal.append(&sample(1)).unwrap();
             wal.append(&sample(2)).unwrap();
             wal.flush().unwrap();
-            assert_eq!(wal.records_written(), 2);
         }
         let recs = Wal::read_all(&path).unwrap();
         assert_eq!(recs.len(), 2);

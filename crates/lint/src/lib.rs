@@ -14,21 +14,25 @@
 //! Project-specific static analysis for the UDBMS workspace.
 //!
 //! `udbms-lint` is a std-only (no crates.io) lexer/walker enforcing the
-//! three project rules no compiler lint expresses, documented in
+//! two project rules no compiler lint expresses, documented in
 //! DESIGN.md, "Invariants & static analysis":
 //!
 //! * **L1 `lock-order`** — ranked-lock acquisitions within a function
 //!   must be non-decreasing in rank (shards strictly ascending).
-//! * **L2 `safety`** — every `unsafe` needs a `// SAFETY:` comment, in
-//!   every `.rs` file of the tree, crate root or not.
 //! * **L6 `atomic-order`** — explicit-ordering discipline for atomics
 //!   in `crates/engine`/`crates/query`: `Relaxed` only on registered
 //!   pure counters, synchronizing orderings only with an adjacent
 //!   `// ORDER:` comment naming the pairing.
 //!
-//! The other three rules are compiler lints that `cargo clippy -- -D
-//! warnings` type-checks: L3 (no `unwrap`/`expect`/`panic!`-family in
-//! non-test engine/query/driver/lint code) is a
+//! There is no binary: this crate's `workspace_is_lint_clean` test
+//! lints the repository it sits in, so `cargo test` enforces both
+//! rules and the marker audit below.
+//!
+//! The other rules are compiler lints. L2 (no `unsafe`) is
+//! `unsafe_code = "forbid"` in `[workspace.lints.rust]`, which every
+//! member inherits. `cargo clippy -- -D warnings` type-checks the
+//! rest: L3 (no `unwrap`/`expect`/`panic!`-family in non-test
+//! engine/query/driver/lint code) is a
 //! `cfg_attr(not(test), deny(clippy::unwrap_used, …))` at those crate
 //! roots, and L4 (no untracked locks in the engine) and L5 (no raw
 //! clock reads in the engine) are `crates/engine/clippy.toml`'s
@@ -55,8 +59,8 @@ pub use rules::{lint_file, lint_source, AllowMarker, FileLint, Finding, Rule};
 /// Directories never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github"];
 
-/// Collect every `.rs` file under `root` (sorted, repo-relative,
-/// forward slashes).
+/// Collect every `.rs` file under `root`, sorted; each path is `root`
+/// joined with the file's place in the tree.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -79,10 +83,19 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
+/// `path` relative to `root`, with forward slashes: the form the rules
+/// scope by (`crates/engine/src/…`).
+fn relative(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
 /// Rule names an inline marker can legitimately name; anything else in
 /// a `lint:allow(...)`-shaped comment (docs, prose, placeholders like
 /// `<rule>`) is ignored rather than reported stale.
-const KNOWN_RULES: &[&str] = &["lock-order", "safety", "atomic-order", "unused-suppression"];
+const KNOWN_RULES: &[&str] = &["lock-order", "atomic-order", "unused-suppression"];
 
 /// Lint the whole workspace rooted at `root`. Returns the findings no
 /// inline marker suppresses — including `unused-suppression` reports
@@ -91,11 +104,7 @@ const KNOWN_RULES: &[&str] = &["lock-order", "safety", "atomic-order", "unused-s
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     for path in workspace_files(root)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
+        let rel = relative(root, &path);
         let src = fs::read_to_string(&path)?;
         let file = lint_file(&rel, &src);
         for f in &file.findings {
@@ -223,17 +232,6 @@ fn ok(&self) {
     }
 
     #[test]
-    fn safety_comments_gate_unsafe() {
-        let bad = "fn f() { unsafe { work() } }\n";
-        let findings = lint_source("crates/core/src/x.rs", bad);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, Rule::Safety);
-
-        let good = "fn f() {\n    // SAFETY: justified\n    unsafe { work() }\n}\n";
-        assert!(lint_source("crates/core/src/x.rs", good).is_empty());
-    }
-
-    #[test]
     fn inline_allow_markers_suppress() {
         let bad = "fn f(&self) {\n    let wal = self.wal.lock();\n    let commit = self.commit_lock.lock();\n}\n";
         assert_eq!(lint_source("crates/engine/src/x.rs", bad).len(), 1);
@@ -332,27 +330,78 @@ fn ok(&self) {
         assert!(findings.is_empty(), "{findings:?}");
     }
 
-    /// L3-L5 are compiler lints now, and tier 1 does not run clippy:
-    /// this pins that every crate root L3 covers still denies the six
-    /// panicking lints outside tests, and that the engine's
+    /// The repository this crate sits in: `CARGO_MANIFEST_DIR/../..`.
+    fn repo_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// L1, L6 and the marker audit over the whole tree. The walk must
+    /// reach the engine's nested modules and the query crate with the
+    /// paths L6 scopes by, so the test cannot pass by linting nothing.
+    #[test]
+    fn workspace_is_lint_clean() {
+        let root = repo_root();
+        let files: Vec<String> = workspace_files(&root)
+            .unwrap()
+            .iter()
+            .map(|p| relative(&root, p))
+            .collect();
+        for dir in ["crates/engine/src/wal/", "crates/query/src/"] {
+            assert!(
+                files.iter().any(|f| f.starts_with(dir)),
+                "the walk from {} reached nothing under {dir}",
+                root.display()
+            );
+        }
+        let findings = lint_workspace(&root).unwrap();
+        let report: Vec<String> = findings.iter().map(Finding::to_string).collect();
+        assert!(findings.is_empty(), "{}", report.join("\n"));
+    }
+
+    /// L2-L5 are compiler lints, and tier 1 does not run clippy: this
+    /// pins that the workspace forbids `unsafe` and every member
+    /// inherits it, that every crate root L3 covers still denies the
+    /// six panicking lints outside tests, and that the engine's
     /// `clippy.toml` still names the locks and clocks L4/L5 forbid.
     #[test]
     fn compiler_enforced_rules_are_configured() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let root = repo_root();
         let read =
             |rel: &str| fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+        let flat = |text: &str| -> String { text.split_whitespace().collect() };
+
+        let manifest = read("Cargo.toml");
+        let lints = &manifest[manifest.find("[workspace.lints.rust]").unwrap_or(0)..];
+        let lints = flat(&lints[..lints.find("\n[").unwrap_or(lints.len())]);
+        assert!(
+            lints.starts_with("[workspace.lints.rust]") && lints.contains("unsafe_code=\"forbid\""),
+            "Cargo.toml: [workspace.lints.rust] lacks unsafe_code = \"forbid\""
+        );
+        let members = &manifest[manifest.find("\nmembers = [").unwrap_or(0)..];
+        let members: Vec<&str> = members[..members.find(']').unwrap_or(0)]
+            .split('"')
+            .skip(1)
+            .step_by(2)
+            .collect();
+        assert!(members.contains(&"crates/engine"), "members: {members:?}");
+        for dir in members.iter().chain([&"."]) {
+            assert!(
+                flat(&read(&format!("{dir}/Cargo.toml"))).contains("[lints]workspace=true"),
+                "{dir}/Cargo.toml: no `[lints] workspace = true`"
+            );
+        }
+
         for rel in [
             "crates/engine/src/lib.rs",
             "crates/query/src/lib.rs",
             "crates/driver/src/lib.rs",
             "crates/lint/src/lib.rs",
-            "crates/lint/src/main.rs",
         ] {
-            let flat: String = read(rel).split_whitespace().collect();
-            let at = flat
+            let src = flat(&read(rel));
+            let at = src
                 .find("#![cfg_attr(not(test),deny(")
                 .unwrap_or_else(|| panic!("{rel}: no `cfg_attr(not(test), deny(..))`"));
-            let deny = &flat[at..at + flat[at..].find(")]").unwrap_or(0)];
+            let deny = &src[at..at + src[at..].find(")]").unwrap_or(0)];
             for lint in [
                 "unwrap_used",
                 "expect_used",
@@ -368,9 +417,7 @@ fn ok(&self) {
                 );
             }
         }
-        let engine: String = read("crates/engine/src/lib.rs")
-            .split_whitespace()
-            .collect();
+        let engine = flat(&read("crates/engine/src/lib.rs"));
         assert!(engine.contains("#![cfg_attr(test,allow(clippy::disallowed_methods))]"));
 
         let toml = read("crates/engine/clippy.toml");

@@ -1,13 +1,10 @@
-//! The three project rules, evaluated over the token stream.
+//! The two project rules, evaluated over the token stream.
 //!
 //! * **L1 `lock-order`** — within one function body, acquisitions of
 //!   ranked locks must be non-decreasing in rank (shards strictly
 //!   ascending by index where the index is a literal). Ranks are
 //!   assigned by *receiver name* (`commit_lock`, `catalog`, `shard`…),
 //!   mirroring `parking_lot::LockRank`.
-//! * **L2 `safety`** — every `unsafe` token must be preceded by a
-//!   `// SAFETY:` comment (same line or the contiguous comment block
-//!   above the statement).
 //! * **L6 `atomic-order`** — in non-test `crates/engine` and
 //!   `crates/query` code, `Ordering::Relaxed` is legal only on the
 //!   registered pure counters (see [`RELAXED_OK`], the atomic analogue
@@ -17,8 +14,9 @@
 //!   model checker (`--cfg model_check`) explores what these orderings
 //!   allow; the comment is the human-readable half of that contract.
 //!
-//! L3-L5 (unwrap/panic, raw locks, raw clock reads) are compiler lints
-//! (see the crate docs), so they have no implementation here.
+//! L2-L5 (unsafe code, unwrap/panic, raw locks, raw clock reads) are
+//! compiler lints (see the crate docs), so they have no implementation
+//! here.
 //!
 //! Suppression: an inline `// lint:allow(<rule>): reason` comment on
 //! the offending line or the line above.
@@ -32,8 +30,6 @@ use crate::lexer::{lex, Lexed, Token, TokenKind};
 pub enum Rule {
     /// L1: ranked-lock acquisition order within a function.
     LockOrder,
-    /// L2: `unsafe` without a `// SAFETY:` comment.
-    Safety,
     /// L6: undisciplined atomic memory orderings in `crates/engine` /
     /// `crates/query` (unregistered `Relaxed`, or a synchronizing
     /// ordering without an `// ORDER:` pairing comment).
@@ -48,7 +44,6 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::LockOrder => "lock-order",
-            Rule::Safety => "safety",
             Rule::AtomicOrder => "atomic-order",
             Rule::UnusedSuppression => "unused-suppression",
         }
@@ -187,7 +182,7 @@ impl FileLint {
 
 /// Lint one file's source, returning raw findings plus the suppression
 /// inventory. `path` is repo-relative with forward slashes; it selects
-/// which rules apply (L1/L2 run everywhere, L6 on its scoped crates).
+/// which rules apply (L1 runs everywhere, L6 on its scoped crates).
 pub fn lint_file(path: &str, src: &str) -> FileLint {
     let lexed = lex(src);
     let mut findings = Vec::new();
@@ -195,7 +190,6 @@ pub fn lint_file(path: &str, src: &str) -> FileLint {
     let in_test = |i: usize| test_from.is_some_and(|from| i >= from);
 
     check_lock_order(path, &lexed, &in_test, &mut findings);
-    check_safety(path, &lexed, &mut findings);
     if atomic_order_scoped(path) {
         check_atomic_order(path, &lexed, &in_test, &mut findings);
     }
@@ -498,26 +492,6 @@ fn matching_open(toks: &[Token], close: usize) -> Option<usize> {
     None
 }
 
-/// L2: each `unsafe` must carry a `SAFETY:` comment on its line or in
-/// the contiguous comment-only block immediately above it.
-fn check_safety(path: &str, lexed: &Lexed, findings: &mut Vec<Finding>) {
-    for t in lexed
-        .tokens
-        .iter()
-        .filter(|t| t.kind == TokenKind::Ident && t.text == "unsafe")
-    {
-        if !has_tag_comment(lexed, t.line, "SAFETY:") {
-            findings.push(Finding {
-                rule: Rule::Safety,
-                file: path.to_string(),
-                line: t.line,
-                function: None,
-                message: "`unsafe` without a `// SAFETY:` comment immediately above".into(),
-            });
-        }
-    }
-}
-
 /// L6: atomic-ordering discipline in the model-checked crates. Every
 /// `Ordering::<memory ordering>` token is classified: `Relaxed` must sit
 /// in a statement touching a [`RELAXED_OK`]-registered counter/flag;
@@ -568,7 +542,7 @@ fn check_atomic_order(
                         .into(),
                 });
             }
-        } else if !has_tag_comment(lexed, t.line, "ORDER:") {
+        } else if !has_order_comment(lexed, t.line) {
             findings.push(Finding {
                 rule: Rule::AtomicOrder,
                 file: path.to_string(),
@@ -585,17 +559,18 @@ fn check_atomic_order(
     }
 }
 
-/// `tag` (`SAFETY:`, `ORDER:`) in the comment on `line` or in the
-/// contiguous comment-only block immediately above it.
-fn has_tag_comment(lexed: &Lexed, line: u32, tag: &str) -> bool {
-    if lexed.comment_on(line).is_some_and(|c| c.contains(tag)) {
+/// An `// ORDER:` comment on `line` or in the contiguous comment-only
+/// block immediately above it.
+fn has_order_comment(lexed: &Lexed, line: u32) -> bool {
+    let tagged = |c: &str| c.contains("ORDER:");
+    if lexed.comment_on(line).is_some_and(tagged) {
         return true;
     }
     let mut l = line.saturating_sub(1);
     while l > 0 {
         match lexed.comment_on(l) {
             Some(c) if !lexed.has_code(l) => {
-                if c.contains(tag) {
+                if tagged(c) {
                     return true;
                 }
             }

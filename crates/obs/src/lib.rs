@@ -18,7 +18,6 @@
 //!   merge losslessly; percentiles over the merged histogram land in
 //!   the same log2 bucket a sorted-vector oracle would pick.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod metrics;

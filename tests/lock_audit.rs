@@ -1,9 +1,11 @@
-//! End-to-end tests for the PR 6 concurrency-correctness tooling: the
-//! same seeded rank inversion is caught *statically* by the `udbms-lint`
-//! lock-order rule (L1) and *dynamically* by the tracked-lock runtime
-//! audit, and a property test drives randomized concurrent
-//! commit/checkpoint/read-lane interleavings through the real engine to
-//! show the tracker raises no false positives on legitimate schedules.
+//! End-to-end tests for the dynamic half of the lock-order invariant:
+//! a seeded rank inversion (a WAL-file lock held while the commit lock
+//! is taken) panics under the tracked-lock runtime audit, and a
+//! property test drives randomized concurrent commit/checkpoint/
+//! read-lane interleavings through the real engine to show the tracker
+//! raises no false positives on legitimate schedules. The static half,
+//! `udbms-lint`'s L1, is tested on the same inversion in its own crate
+//! (`seeded_rank_inversion_is_caught_statically`).
 
 #[cfg(any(debug_assertions, lock_audit))]
 use parking_lot::TrackedMutex;
@@ -24,36 +26,8 @@ fn temp_wal(name: &str) -> PathBuf {
     p
 }
 
-/// The seeded inversion: a function that takes the WAL-file lock and
-/// then the commit lock — backwards relative to the rank table. The
-/// static linter must flag it without running anything.
-#[test]
-fn seeded_rank_inversion_is_caught_statically() {
-    let src = r#"
-impl Inner {
-    fn seeded_inversion(&self) {
-        let wal = self.wal.lock();
-        let commit = self.commit_lock.lock();
-        drop(commit);
-        drop(wal);
-    }
-}
-"#;
-    let findings = udbms_lint::lint_source("crates/engine/src/seeded.rs", src);
-    let lock_order: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == udbms_lint::Rule::LockOrder)
-        .collect();
-    assert_eq!(
-        lock_order.len(),
-        1,
-        "exactly the seeded inversion must fire: {findings:?}"
-    );
-    assert_eq!(lock_order[0].function.as_deref(), Some("seeded_inversion"));
-}
-
-/// The same inversion at runtime: acquiring a Commit-ranked lock while a
-/// WalFile-ranked lock is held must panic under the tracker (on in
+/// The seeded inversion at runtime: acquiring a Commit-ranked lock while
+/// a WalFile-ranked lock is held must panic under the tracker (on in
 /// debug builds and in release builds compiled with `--cfg lock_audit`).
 #[test]
 #[cfg(any(debug_assertions, lock_audit))]
