@@ -642,4 +642,57 @@ pub(crate) mod tests {
             Some(Value::Int(1))
         );
     }
+
+    /// DDL on a live collection: dropping an index leaves its reads to
+    /// the scan, with the same rows and no segment left in any shard;
+    /// dropping the collection leaves its name unknown until it is
+    /// created again, empty.
+    #[test]
+    fn drop_index_then_drop_collection() {
+        use udbms_core::obj;
+        use udbms_relational::Predicate;
+
+        let e = Engine::with_shards(4);
+        let schema = || CollectionSchema::document("docs", "_id", vec![]);
+        e.create_collection(schema()).unwrap();
+        let path = FieldPath::key("tag");
+        e.create_index("docs", path.clone(), IndexKind::Hash)
+            .unwrap();
+        e.run(Isolation::Snapshot, |t| {
+            (0..20).try_for_each(|i| t.put("docs", Key::int(i), obj! {"tag" => i % 3}))
+        })
+        .unwrap();
+        let id = e.inner.catalog.read().get("docs").unwrap().id;
+        let pred = Predicate::eq("tag", Value::Int(1));
+        let read = || e.begin_read().rows("docs", Some(&pred), None).unwrap();
+        let probed = || (e.inner.storage).index_lookup_eq(id, &path, &Value::Int(1));
+        let by_index = read();
+        assert_eq!(by_index.len(), 7);
+        assert_eq!(probed().len(), 7);
+
+        e.drop_index("docs", &path).unwrap();
+        assert_eq!(read(), by_index, "the scan finds what the index did");
+        assert!(e.inner.catalog.read().indexed_paths(id).is_empty());
+        assert!(probed().is_empty(), "every shard's segment is gone");
+        assert!(matches!(
+            e.drop_index("docs", &path),
+            Err(Error::NotFound(_))
+        ));
+
+        e.drop_collection("docs").unwrap();
+        let mut r = e.begin_read();
+        assert!(matches!(
+            r.rows("docs", None, None),
+            Err(Error::NotFound(_))
+        ));
+        assert!(matches!(
+            r.get("docs", &Key::int(1)),
+            Err(Error::NotFound(_))
+        ));
+        assert!(matches!(e.drop_collection("docs"), Err(Error::NotFound(_))));
+        e.create_collection(schema()).unwrap();
+        assert!(e.begin_read().rows("docs", None, None).unwrap().is_empty());
+        let id = e.inner.catalog.read().get("docs").unwrap().id;
+        assert!(e.inner.catalog.read().indexed_paths(id).is_empty());
+    }
 }

@@ -433,9 +433,13 @@ pub fn shard_of(key: &Key, shards: usize) -> usize {
 pub struct Shard {
     /// The shard-local version-chain store.
     pub store: Storage,
-    /// Per-shard index segments, keyed like the catalog's definitions.
-    segments: HashMap<(CollectionId, FieldPath), Index>,
+    /// Per-shard index segments: each collection's, by path.
+    segments: Segments,
 }
+
+/// A shard's index segments, found by collection without allocating: a
+/// collection has a handful of indexes, so its paths are a short list.
+type Segments = HashMap<CollectionId, Vec<(FieldPath, Index)>>;
 
 impl Shard {
     /// Empty shard.
@@ -446,15 +450,14 @@ impl Shard {
     /// Install a version and (for non-tombstones) the postings the
     /// record does not have yet.
     pub fn install(&mut self, rid: RecordId, commit_ts: Ts, value: Option<Arc<Value>>) {
-        if let Some(new) = value.as_deref() {
-            for ((cid, path), idx) in &mut self.segments {
-                if *cid == rid.collection {
-                    let newest = self.store.latest(&rid).and_then(|v| v.value.as_deref());
-                    post(idx, path, &rid.key, new, newest);
-                }
+        let Shard { store, segments } = self;
+        if let (Some(new), Some(segs)) = (value.as_deref(), segments.get_mut(&rid.collection)) {
+            let newest = store.latest(&rid).and_then(|v| v.value.as_deref());
+            for (path, idx) in segs {
+                post(idx, path, &rid.key, new, newest);
             }
         }
-        self.store.install(rid, commit_ts, value);
+        store.install(rid, commit_ts, value);
     }
 
     /// Cut `rid`'s chain below the version visible at `horizon` and take
@@ -480,23 +483,31 @@ impl Shard {
                 post(&mut idx, path, &key, value, None);
             }
         }
-        self.segments.insert((id, path.clone()), idx);
+        let segs = self.segments.entry(id).or_default();
+        segs.retain(|(p, _)| p != path);
+        segs.push((path.clone(), idx));
     }
 
     /// Drop this shard's segment of an index.
     pub fn drop_index_segment(&mut self, id: CollectionId, path: &FieldPath) {
-        self.segments.remove(&(id, path.clone()));
+        if let Some(segs) = self.segments.get_mut(&id) {
+            segs.retain(|(p, _)| p != path);
+            if segs.is_empty() {
+                self.segments.remove(&id);
+            }
+        }
     }
 
     /// Borrow this shard's segment of an index.
     pub fn index_segment(&self, id: CollectionId, path: &FieldPath) -> Option<&Index> {
-        self.segments.get(&(id, path.clone()))
+        let segs = self.segments.get(&id)?;
+        segs.iter().find(|(p, _)| p == path).map(|(_, idx)| idx)
     }
 
     /// Drop a collection's chains and index segments.
     pub fn drop_collection(&mut self, id: CollectionId) {
         self.store.drop_collection(id);
-        self.segments.retain(|(cid, _), _| *cid != id);
+        self.segments.remove(&id);
     }
 
     /// Prune version chains below `watermark` (see [`Storage::gc`]),
@@ -534,16 +545,16 @@ fn post(idx: &mut Index, path: &FieldPath, key: &Key, value: &Value, newest: Opt
 /// Take `key`'s postings of its `cut` versions out of the collection's
 /// segments, except those a version it keeps still carries.
 fn unpost(
-    segments: &mut HashMap<(CollectionId, FieldPath), Index>,
+    segments: &mut Segments,
     collection: CollectionId,
     key: &Key,
     kept: Option<&Slot>,
     cut: &[Version],
 ) {
-    for ((cid, path), idx) in segments.iter_mut() {
-        if *cid != collection {
-            continue;
-        }
+    let Some(segs) = segments.get_mut(&collection) else {
+        return;
+    };
+    for (path, idx) in segs {
         for value in cut.iter().filter_map(|v| v.value.as_deref()) {
             for v in posted(value, path) {
                 let mut kept_values = kept.into_iter().flat_map(Slot::values);

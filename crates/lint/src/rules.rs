@@ -7,7 +7,7 @@
 //!   mirroring `parking_lot::LockRank`.
 //! * **L6 `atomic-order`** — in non-test `crates/engine` and
 //!   `crates/query` code, `Ordering::Relaxed` is legal only on the
-//!   registered pure counters (see [`RELAXED_OK`], the atomic analogue
+//!   registered pure counters (see `RELAXED_OK`, the atomic analogue
 //!   of the `RANKED` lock table), and every *synchronizing* ordering
 //!   (`Acquire`/`Release`/`AcqRel`/`SeqCst`) must carry an adjacent
 //!   `// ORDER:` comment naming the store/load it pairs with. The

@@ -13,8 +13,10 @@
 //! * `FOR … [FILTER …] LIMIT o, n` stops the engine's walk after `o + n`
 //!   rows so the tail of the collection is never touched;
 //! * `COLLECT` folds rows into per-group accumulators (one flat slab) as
-//!   they arrive, grouping through a hash map; it runs a `SORT` on its
-//!   names right behind it and a `LIMIT` after that, binding kept groups;
+//!   they arrive, grouping through a flat table: keys in one slab, one
+//!   keyed folded-multiply hash and one probe per row, nothing cloned
+//!   (`crate::group`); it runs a `SORT` on its names right behind it and
+//!   a `LIMIT` after that, binding kept groups;
 //! * a `SORT` keeps the window of a `LIMIT` right behind it by selection;
 //! * when it directly follows a collection `FOR` whose filter is pushed
 //!   or compiled, and its group keys and aggregate inputs compile too,
@@ -22,7 +24,6 @@
 //!   rows — no `Env`, no row vector, no key clone per row.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
@@ -33,6 +34,7 @@ use udbms_relational::Predicate;
 use crate::ast::*;
 use crate::compile::CompiledPred;
 use crate::eval::{distinct, eval_const, eval_ref, Accumulator, Env, Val};
+use crate::group::GroupTable;
 
 /// What the executor derives from a clause before running it.
 #[derive(Debug, Default)]
@@ -445,12 +447,12 @@ struct Collector<'q> {
     plan: &'q ClausePlan,
     /// Group key → group number, in order of first appearance. The first
     /// row's key values stand for the group.
-    slots: HashMap<Vec<Value>, usize>,
+    table: GroupTable,
     /// Group `slot`'s accumulators at `slot * aggregates.len()..`.
     accumulators: Vec<Accumulator>,
     /// Per group under `INTO`: the member rows.
     members: Vec<Vec<Value>>,
-    /// The row's key, rebuilt in place (only a new group keeps a copy).
+    /// The row's key, rebuilt in place (a new group takes its values).
     key: Vec<Value>,
 }
 
@@ -466,7 +468,7 @@ impl<'q> Collector<'q> {
             aggregates,
             into: into.is_some(),
             plan,
-            slots: HashMap::new(),
+            table: GroupTable::new(groups.len()),
             accumulators: Vec::new(),
             members: Vec::new(),
             key: Vec::with_capacity(groups.len()),
@@ -475,20 +477,15 @@ impl<'q> Collector<'q> {
 
     /// The accumulators of the group `self.key` names, opened on its
     /// first row, and its number.
-    fn group(&mut self) -> (&mut [Accumulator], usize) {
-        let slot = match self.slots.get(self.key.as_slice()) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.slots.len();
-                let fresh = self.aggregates.iter().map(|(_, f, _)| Accumulator::new(*f));
-                self.accumulators.extend(fresh);
-                self.members.extend(self.into.then(Vec::new));
-                self.slots.insert(self.key.clone(), slot);
-                slot
-            }
-        };
+    fn group(&mut self) -> Result<(&mut [Accumulator], usize)> {
+        let (slot, new) = self.table.group(&mut self.key)?;
+        if new {
+            let fresh = self.aggregates.iter().map(|(_, f, _)| Accumulator::new(*f));
+            self.accumulators.extend(fresh);
+            self.members.extend(self.into.then(Vec::new));
+        }
         let stride = self.aggregates.len();
-        (&mut self.accumulators[slot * stride..][..stride], slot)
+        Ok((&mut self.accumulators[slot * stride..][..stride], slot))
     }
 
     /// Fold in one row bound in `env`, interpreting the expressions.
@@ -498,7 +495,7 @@ impl<'q> Collector<'q> {
             self.key.push(eval_ref(e, env, txn)?.into_owned());
         }
         let aggregates = self.aggregates;
-        let (accumulators, slot) = self.group();
+        let (accumulators, slot) = self.group()?;
         for (acc, (_, _, input)) in accumulators.iter_mut().zip(aggregates) {
             acc.push(&*eval_ref(input, env, txn)?);
         }
@@ -514,7 +511,7 @@ impl<'q> Collector<'q> {
         for key in &fold.keys {
             self.key.push(key.eval(row)?);
         }
-        let (accumulators, _) = self.group();
+        let (accumulators, _) = self.group()?;
         for (acc, input) in accumulators.iter_mut().zip(&fold.inputs) {
             acc.push(&*input.eval_ref(row)?);
         }
@@ -550,11 +547,11 @@ impl<'q> Collector<'q> {
     /// runs and then by key (a stable `SORT` of the key order), cut to
     /// its `LIMIT`. Only the groups kept are bound.
     fn finish(self, base: &Env) -> Vec<Env> {
-        let (groups, width) = (self.slots.len(), self.plan.names.len());
+        let (groups, width) = (self.table.len(), self.plan.names.len());
         let (keys, stride) = (self.groups.len(), self.aggregates.len());
         let mut table = vec![Value::Null; groups * width];
-        for (mut key, slot) in self.slots {
-            table[slot * width..][..keys].swap_with_slice(&mut key);
+        for (at, key) in self.table.into_keys().into_iter().enumerate() {
+            table[at / keys * width + at % keys] = key;
         }
         for (at, acc) in self.accumulators.into_iter().enumerate() {
             table[at / stride * width + keys + at % stride] = acc.finish();

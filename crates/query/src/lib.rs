@@ -63,6 +63,7 @@ mod cache;
 mod compile;
 mod eval;
 mod exec;
+mod group;
 mod lexer;
 mod parser;
 

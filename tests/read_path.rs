@@ -134,26 +134,30 @@ proptest! {
     /// `COLLECT` over per-group accumulators returns what a plain
     /// group-by over the scanned rows returns — values, their types and
     /// the group order — for arbitrary documents (missing fields, nulls,
-    /// Int and Float spellings of one key, nested paths) and clause
-    /// shapes, at shard counts 1, 3 and 8. A group key or an aggregate
+    /// Int and Float spellings of one key, nested paths, keys distinct
+    /// per document that differ only above bit 40) and clause shapes,
+    /// at shard counts 1, 3 and 8. A group key or an aggregate
     /// input spelled through `COALESCE(…)` does not compile, so the
     /// interpreted front end of the one collector meets the same model
     /// as the compiled one folded into the scan.
     #[test]
     fn collect_agrees_with_a_plain_group_by(
-        docs in prop::collection::vec((0i64..48, 0u8..8, 0u8..6, -20i64..20), 1..60),
+        docs in prop::collection::vec((0i64..48, 0u8..9, 0u8..6, -20i64..20), 1..60),
         shape in (0u8..4, 0u8..3, 0u8..2, 0u8..6, 0u8..5),
         lo in -10i64..10,
         spelling in 0u8..4,
     ) {
         let (filter, keys, into, sort, limit) = shape;
-        // one group-key value in several spellings, or absent
-        let key_value = |kind: u8, n: i64| match kind {
+        // one group-key value in several spellings, or absent; or one
+        // per document that differs from the others only above bit 40,
+        // which an unkeyed multiply hash would put in one bucket
+        let key_value = |kind: u8, n: i64, k: i64| match kind {
             0 | 1 => Some(Value::Int(n.rem_euclid(3))),
             2 => Some(Value::Float(n.rem_euclid(3) as f64)),
             3 => Some(Value::Null),
             4 => Some(Value::from(format!("s{}", n.rem_euclid(2)))),
             5 => Some(Value::Float(n.rem_euclid(3) as f64 + 0.5)),
+            8 => Some(Value::Int(k << 40)),
             _ => None,
         };
         let agg_value = |kind: u8, n: i64| match kind {
@@ -213,13 +217,13 @@ proptest! {
                     for (k, gkind, vkind, n) in &docs {
                         let mut doc = obj! {"n" => *n};
                         let fields = doc.as_object_mut().unwrap();
-                        if let Some(g) = key_value(*gkind, *n) {
+                        if let Some(g) = key_value(*gkind, *n, *k) {
                             fields.insert("g".into(), g);
                         }
                         if let Some(v) = agg_value(*vkind, *n) {
                             fields.insert("v".into(), v);
                         }
-                        if let Some(k2) = key_value(gkind.wrapping_add(3) % 8, *k) {
+                        if let Some(k2) = key_value((gkind + 3) % 9, *k, *k) {
                             fields.insert("nest".into(), obj! {"k" => k2});
                         }
                         t.put("data", Key::int(*k), doc)?;
