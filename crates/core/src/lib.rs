@@ -35,21 +35,33 @@
 //!   types) used for generation, validation and evolution.
 //! * [`rng`] — deterministic pseudo-randomness (SplitMix64, Zipf) so every
 //!   benchmark run is exactly reproducible from a seed.
+//! * The query vocabulary both benchmark subjects share, so each gives a
+//!   query one meaning: the [`Predicate`] filter language with
+//!   [`like_match`], secondary [`Index`]es of an [`IndexKind`] — with the
+//!   one rule for what an index posts ([`Index::post`]) and the one rule
+//!   for what it may answer ([`Predicate::probe`]) — and the traversal
+//!   [`Direction`].
 
+pub mod direction;
 pub mod error;
 pub mod ids;
+pub mod index;
 pub mod object;
 pub mod params;
 pub mod path;
+pub mod predicate;
 pub mod rng;
 pub mod schema;
 pub mod value;
 
+pub use direction::Direction;
 pub use error::{Error, Result};
 pub use ids::{CollectionId, Ts, TxnId};
+pub use index::{Index, IndexKind};
 pub use object::Object;
 pub use params::Params;
 pub use path::{FieldPath, PathStep};
+pub use predicate::{like_match, Predicate, Probe};
 pub use rng::{SplitMix64, Zipf};
 pub use schema::{CollectionSchema, FieldDef, FieldType, ModelKind};
 pub use value::{Key, Value};

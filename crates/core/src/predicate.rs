@@ -1,18 +1,16 @@
-//! Row predicates: the boolean filter language shared by the relational
-//! table scans, the document store (over paths) and the MMQL planner's
-//! pushdown analysis.
+//! Row predicates: the boolean filter language shared by the engine's
+//! general read, MMQL's pushdown and the polyglot baseline's stores —
+//! one meaning of every filter for both benchmark subjects.
 //!
 //! Comparisons use the unified canonical order, so cross-type filters are
 //! well-defined (`Int(2) < Str("a")` is simply the type order, never an
 //! error) — the behaviour schemaless scans need.
 
-use udbms_core::{FieldPath, Value};
+use crate::{FieldPath, Value};
 
 /// A boolean predicate over a row/document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
-    /// Always true (scan everything).
-    True,
     /// `path == value`
     Eq(FieldPath, Value),
     /// `path != value`
@@ -29,18 +27,22 @@ pub enum Predicate {
     Between(FieldPath, Value, Value),
     /// `path ∈ {values}`
     In(FieldPath, Vec<Value>),
-    /// `path` is `Null` / absent
-    IsNull(FieldPath),
     /// SQL LIKE with `%` (any run) and `_` (any char) against strings.
     Like(FieldPath, String),
-    /// The value at `path` is an array containing `value` (document model).
-    Contains(FieldPath, Value),
     /// Conjunction.
     And(Vec<Predicate>),
-    /// Disjunction.
-    Or(Vec<Predicate>),
-    /// Negation.
-    Not(Box<Predicate>),
+}
+
+/// What an index on one path may answer of a predicate, found by
+/// [`Predicate::probe`]. An index answers it with candidate keys that
+/// over-approximate the matches; callers re-check every candidate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Probe<'a> {
+    /// The rows whose value at the path equals this one (any index).
+    Eq(&'a Value),
+    /// The rows whose value at the path lies between a lower bound and,
+    /// when given, an upper bound, both inclusive (a B-tree only).
+    Range(&'a Value, Option<&'a Value>),
 }
 
 impl Predicate {
@@ -72,7 +74,6 @@ impl Predicate {
     /// Evaluate against a row (an object value).
     pub fn matches(&self, row: &Value) -> bool {
         match self {
-            Predicate::True => true,
             Predicate::Eq(p, v) => row.get_path(p) == v,
             Predicate::Ne(p, v) => row.get_path(p) != v,
             Predicate::Lt(p, v) => row.get_path(p) < v,
@@ -84,24 +85,37 @@ impl Predicate {
                 x >= lo && x <= hi
             }
             Predicate::In(p, vals) => vals.contains(row.get_path(p)),
-            Predicate::IsNull(p) => row.get_path(p).is_null(),
             Predicate::Like(p, pattern) => match row.get_path(p).as_str() {
                 Some(s) => like_match(pattern, s),
                 None => false,
             },
-            Predicate::Contains(p, v) => match row.get_path(p).as_array() {
-                Some(items) => items.contains(v),
-                None => false,
-            },
             Predicate::And(ps) => ps.iter().all(|p| p.matches(row)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.matches(row)),
-            Predicate::Not(p) => !p.matches(row),
         }
     }
 
-    /// If this predicate (or a conjunct of it) pins `path` to one equality
-    /// value, return that value — the planner's hash-index hook.
-    pub fn equality_on(&self, path: &FieldPath) -> Option<&Value> {
+    /// The probe an index on `path` may answer for this predicate — the
+    /// one rule every index user follows: an equality conjunct on `path`
+    /// if there is one, else the intersection of its range conjuncts.
+    ///
+    /// An index holds no posting for `Null` (a missing field reads as
+    /// `Null`), and `Null` sorts below every other value. So an equality
+    /// with `Null`, a `Null` bound and a range with no lower bound
+    /// (`path < 5` matches the rows without `path`) give `None`: the
+    /// caller scans.
+    pub fn probe(&self, path: &FieldPath) -> Option<Probe<'_>> {
+        if let Some(v) = self.equality_on(path) {
+            return (!v.is_null()).then_some(Probe::Eq(v));
+        }
+        let (lo, hi) = self.range_on(path)?;
+        let lo = lo.filter(|v| !v.is_null())?;
+        match hi {
+            Some(hi) if hi.is_null() => None,
+            _ => Some(Probe::Range(lo, hi)),
+        }
+    }
+
+    /// The value an equality conjunct pins `path` to.
+    fn equality_on(&self, path: &FieldPath) -> Option<&Value> {
         match self {
             Predicate::Eq(p, v) if p == path => Some(v),
             Predicate::And(ps) => ps.iter().find_map(|p| p.equality_on(path)),
@@ -109,43 +123,23 @@ impl Predicate {
         }
     }
 
-    /// If this predicate (or a conjunct) constrains `path` to a range,
-    /// return `(lo, hi)` inclusive bounds (either side optional) — the
-    /// planner's B-tree-index hook.
-    pub fn range_on(&self, path: &FieldPath) -> Option<(Option<Value>, Option<Value>)> {
+    /// The inclusive bounds the range conjuncts on `path` intersect to
+    /// (either side open), if there are any.
+    fn range_on(&self, path: &FieldPath) -> Option<(Option<&Value>, Option<&Value>)> {
         match self {
-            Predicate::Eq(p, v) if p == path => Some((Some(v.clone()), Some(v.clone()))),
-            Predicate::Between(p, lo, hi) if p == path => {
-                Some((Some(lo.clone()), Some(hi.clone())))
-            }
-            Predicate::Lt(p, v) | Predicate::Le(p, v) if p == path => Some((None, Some(v.clone()))),
-            Predicate::Gt(p, v) | Predicate::Ge(p, v) if p == path => Some((Some(v.clone()), None)),
+            Predicate::Between(p, lo, hi) if p == path => Some((Some(lo), Some(hi))),
+            Predicate::Lt(p, v) | Predicate::Le(p, v) if p == path => Some((None, Some(v))),
+            Predicate::Gt(p, v) | Predicate::Ge(p, v) if p == path => Some((Some(v), None)),
             Predicate::And(ps) => {
-                let mut lo: Option<Value> = None;
-                let mut hi: Option<Value> = None;
-                let mut any = false;
-                for p in ps {
-                    if let Some((l, h)) = p.range_on(path) {
-                        any = true;
-                        if let Some(l) = l {
-                            lo = Some(match lo {
-                                Some(cur) if cur >= l => cur,
-                                _ => l,
-                            });
-                        }
-                        if let Some(h) = h {
-                            hi = Some(match hi {
-                                Some(cur) if cur <= h => cur,
-                                _ => h,
-                            });
-                        }
-                    }
-                }
-                if any {
-                    Some((lo, hi))
-                } else {
-                    None
-                }
+                ps.iter()
+                    .filter_map(|p| p.range_on(path))
+                    .reduce(|(lo, hi), (l, h)| {
+                        let hi = match (hi, h) {
+                            (Some(a), Some(b)) => Some(a.min(b)),
+                            (a, b) => a.or(b),
+                        };
+                        (lo.max(l), hi)
+                    })
             }
             _ => None,
         }
@@ -185,7 +179,7 @@ pub fn like_match(pattern: &str, s: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udbms_core::{arr, obj};
+    use crate::{arr, obj};
 
     fn row() -> Value {
         obj! {
@@ -219,9 +213,11 @@ mod tests {
             Value::from("Helsinki")
         )
         .matches(&r));
-        assert!(Predicate::IsNull(FieldPath::key("deleted")).matches(&r));
-        assert!(Predicate::IsNull(FieldPath::key("missing")).matches(&r));
-        assert!(!Predicate::IsNull(FieldPath::key("id")).matches(&r));
+        assert!(Predicate::eq("deleted", Value::Null).matches(&r));
+        assert!(Predicate::eq("missing", Value::Null).matches(&r));
+        assert!(!Predicate::eq("id", Value::Null).matches(&r));
+        // a missing field sorts below every value
+        assert!(Predicate::lt("missing", Value::Int(i64::MIN)).matches(&r));
     }
 
     #[test]
@@ -232,24 +228,16 @@ mod tests {
             vec![Value::from("FI"), Value::from("SE")]
         )
         .matches(&r));
-        assert!(Predicate::Contains(FieldPath::key("tags"), Value::from("vip")).matches(&r));
-        assert!(!Predicate::Contains(FieldPath::key("tags"), Value::from("na")).matches(&r));
-        assert!(
-            !Predicate::Contains(FieldPath::key("id"), Value::Int(7)).matches(&r),
-            "non-array"
-        );
+        // an array compares whole
+        assert!(Predicate::eq("tags", arr!["vip", "eu"]).matches(&r));
+        assert!(!Predicate::eq("tags", Value::from("vip")).matches(&r));
         let both = Predicate::and([
             Predicate::eq("country", Value::from("FI")),
             Predicate::gt("score", Value::Int(4)),
         ]);
         assert!(both.matches(&r));
-        assert!(Predicate::Not(Box::new(Predicate::eq("id", Value::Int(9)))).matches(&r));
-        assert!(Predicate::Or(vec![
-            Predicate::eq("id", Value::Int(9)),
-            Predicate::eq("id", Value::Int(7)),
-        ])
-        .matches(&r));
-        assert!(Predicate::True.matches(&r));
+        assert!(!Predicate::and([both, Predicate::eq("id", Value::Int(9))]).matches(&r));
+        assert!(Predicate::and([]).matches(&r), "the empty conjunction");
     }
 
     #[test]
@@ -280,33 +268,52 @@ mod tests {
             Predicate::eq("country", Value::from("FI")),
             Predicate::gt("score", Value::Int(4)),
         ]);
-        let path = FieldPath::key("country");
-        assert_eq!(p.equality_on(&path), Some(&Value::from("FI")));
-        assert_eq!(p.equality_on(&FieldPath::key("score")), None);
+        let fi = Value::from("FI");
+        assert_eq!(p.probe(&FieldPath::key("country")), Some(Probe::Eq(&fi)));
+        assert_eq!(p.probe(&FieldPath::key("id")), None);
+        // a Null equality scans, and so does a path it pins to Null
+        // even when a range conjunct bounds it too
+        let null = Predicate::and([
+            Predicate::eq("country", Value::Null),
+            Predicate::gt("country", Value::from("A")),
+        ]);
+        assert_eq!(null.probe(&FieldPath::key("country")), None);
     }
 
     #[test]
     fn planner_hooks_range_intersection() {
         let path = FieldPath::key("score");
+        let (two, five, nine) = (Value::Int(2), Value::Int(5), Value::Int(9));
         let p = Predicate::and([
             Predicate::gt("score", Value::Int(2)),
             Predicate::lt("score", Value::Int(9)),
             Predicate::eq("country", Value::from("FI")),
         ]);
-        let (lo, hi) = p.range_on(&path).unwrap();
-        assert_eq!(lo, Some(Value::Int(2)));
-        assert_eq!(hi, Some(Value::Int(9)));
+        assert_eq!(p.probe(&path), Some(Probe::Range(&two, Some(&nine))));
 
         let tighter = Predicate::and([
             Predicate::gt("score", Value::Int(2)),
             Predicate::gt("score", Value::Int(5)),
+            Predicate::lt("score", Value::Int(12)),
+            Predicate::lt("score", Value::Int(9)),
         ]);
-        let (lo, _) = tighter.range_on(&path).unwrap();
         assert_eq!(
-            lo,
-            Some(Value::Int(5)),
-            "intersection keeps the tighter bound"
+            tighter.probe(&path),
+            Some(Probe::Range(&five, Some(&nine))),
+            "intersection keeps the tighter bounds"
         );
-        assert_eq!(Predicate::True.range_on(&path), None);
+        let open_above = Predicate::Ge(path.clone(), Value::Int(2));
+        assert_eq!(open_above.probe(&path), Some(Probe::Range(&two, None)));
+        // no lower bound, or a Null bound: the rows without the path
+        // match and no index holds them
+        for scans in [
+            Predicate::lt("score", Value::Int(5)),
+            Predicate::Le(path.clone(), Value::from("a")),
+            Predicate::Ge(path.clone(), Value::Null),
+            Predicate::between("score", Value::Int(1), Value::Null),
+            Predicate::Like(path.clone(), "%".into()),
+        ] {
+            assert_eq!(scans.probe(&path), None, "{scans:?}");
+        }
     }
 }

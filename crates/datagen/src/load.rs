@@ -1,9 +1,10 @@
 //! Loading a generated [`Dataset`] into the unified engine, and the
 //! canonical collection schemas shared by every benchmark subject.
 
-use udbms_core::{obj, CollectionSchema, FieldDef, FieldPath, FieldType, Key, Result, Value};
+use udbms_core::{
+    obj, CollectionSchema, FieldDef, FieldPath, FieldType, IndexKind, Key, Result, Value,
+};
 use udbms_engine::{Engine, Isolation};
-use udbms_relational::IndexKind;
 
 use crate::dataset::Dataset;
 
@@ -179,7 +180,7 @@ pub fn build_engine(cfg: &crate::GenConfig) -> Result<(Engine, Dataset)> {
 mod tests {
     use super::*;
     use crate::GenConfig;
-    use udbms_graph::Direction;
+    use udbms_core::Direction;
 
     #[test]
     fn load_roundtrips_every_model() {

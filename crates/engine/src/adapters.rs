@@ -3,9 +3,7 @@
 //! two collections (`{name}#v`, `{name}#e`), an XML document a bridge-
 //! encoded value. The write helpers take the write path of `writes.rs`.
 
-use udbms_core::{Error, FieldPath, Key, Result, Value};
-use udbms_graph::Direction;
-use udbms_relational::Predicate;
+use udbms_core::{Direction, Error, FieldPath, Key, Predicate, Result, Value};
 use udbms_xml::{XPath, XmlDocument};
 
 use crate::reads::{read_one, Txn};

@@ -21,8 +21,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 
-use udbms_core::{CollectionId, CollectionSchema, Error, FieldPath, Result};
-use udbms_relational::IndexKind;
+use udbms_core::{CollectionId, CollectionSchema, Error, FieldPath, IndexKind, Result};
 
 /// Metadata of one collection.
 #[derive(Debug)]

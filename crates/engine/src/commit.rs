@@ -248,8 +248,7 @@ impl Drop for Txn {
 mod tests {
     use super::*;
     use crate::engine::tests::engine;
-    use udbms_core::{obj, Key, Value};
-    use udbms_relational::Predicate;
+    use udbms_core::{obj, Key, Predicate, Value};
 
     #[test]
     fn cross_model_transaction_commits_atomically() {

@@ -14,9 +14,8 @@ use std::time::Duration;
 
 use parking_lot::{LockRank, TrackedAtomicU64, TrackedMutex, TrackedRwLock};
 
-use udbms_core::{CollectionId, CollectionSchema, FieldPath, Result};
+use udbms_core::{CollectionId, CollectionSchema, FieldPath, IndexKind, Result};
 use udbms_obs::{Obs, ObsSnapshot};
-use udbms_relational::IndexKind;
 
 use crate::catalog::Catalog;
 use crate::config::{EngineConfig, EngineStats, GcStats, Metrics};
@@ -649,8 +648,7 @@ pub(crate) mod tests {
     /// created again, empty.
     #[test]
     fn drop_index_then_drop_collection() {
-        use udbms_core::obj;
-        use udbms_relational::Predicate;
+        use udbms_core::{obj, Predicate, Probe};
 
         let e = Engine::with_shards(4);
         let schema = || CollectionSchema::document("docs", "_id", vec![]);
@@ -665,7 +663,8 @@ pub(crate) mod tests {
         let id = e.inner.catalog.read().get("docs").unwrap().id;
         let pred = Predicate::eq("tag", Value::Int(1));
         let read = || e.begin_read().rows("docs", Some(&pred), None).unwrap();
-        let probed = || (e.inner.storage).index_lookup_eq(id, &path, &Value::Int(1));
+        let one = Probe::Eq(&Value::Int(1));
+        let probed = || (e.inner.storage).index_lookup(id, &path, one).unwrap();
         let by_index = read();
         assert_eq!(by_index.len(), 7);
         assert_eq!(probed().len(), 7);

@@ -8,8 +8,7 @@
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use udbms_core::{CollectionId, Error, FieldPath, Key, Result, Ts, TxnId, Value};
-use udbms_relational::Predicate;
+use udbms_core::{CollectionId, Error, FieldPath, Key, Predicate, Probe, Result, Ts, TxnId, Value};
 
 use crate::engine::Inner;
 use crate::storage::RecordId;
@@ -147,9 +146,8 @@ impl Txn {
     ///   prefix or belong in the read set.
     ///
     /// ```
-    /// use udbms_core::{obj, CollectionSchema, Key, Value};
+    /// use udbms_core::{obj, CollectionSchema, Key, Predicate, Value};
     /// use udbms_engine::{Engine, Isolation};
-    /// use udbms_relational::Predicate;
     ///
     /// let engine = Engine::new();
     /// engine.create_collection(CollectionSchema::key_value("orders"))?;
@@ -302,33 +300,24 @@ fn plan_access(
         return Ok((id, Access::Scan));
     };
     let pk_probe = info.schema.primary_key.as_ref().and_then(|pk| {
-        pred.equality_on(&FieldPath::key(pk.clone()))
-            .and_then(|v| Key::new(v.clone()).ok())
+        match pred.probe(&FieldPath::key(pk.clone()))? {
+            Probe::Eq(v) => Key::new(v.clone()).ok(),
+            Probe::Range(..) => None,
+        }
     });
     if let Some(key) = pk_probe {
         return Ok((id, Access::Point(key)));
     }
-    // Null probes must scan: nulls are never indexed, yet
-    // `Null == Null` holds in the canonical order, so an index lookup
-    // would silently drop matching records. Candidate keys are
-    // gathered from every shard's segment of the chosen index
-    // (catalog before shards is the documented lock order).
-    let storage = &inner.storage;
-    for path in catalog.indexed_paths(id) {
-        if let Some(v) = pred.equality_on(path) {
-            if v.is_null() {
-                continue;
-            }
-            return Ok((id, Access::Candidates(storage.index_lookup_eq(id, path, v))));
-        }
-        if let Some((lo, hi)) = pred.range_on(path) {
-            if lo.as_ref().is_some_and(Value::is_null) || hi.as_ref().is_some_and(Value::is_null) {
-                continue;
-            }
-            if let Some(keys) = storage.index_lookup_range(id, path, lo.as_ref(), hi.as_ref()) {
-                return Ok((id, Access::Candidates(keys)));
-            }
-        }
+    // the first indexed path whose index can answer the predicate
+    // (`Predicate::probe` says when one may); candidate keys are gathered
+    // from every shard's segment of it (catalog before shards is the
+    // documented lock order)
+    let probed = catalog.indexed_paths(id).into_iter().find_map(|path| {
+        let probe = pred.probe(path)?;
+        inner.storage.index_lookup(id, path, probe)
+    });
+    if let Some(keys) = probed {
+        return Ok((id, Access::Candidates(keys)));
     }
     Ok((id, Access::Scan))
 }
@@ -337,8 +326,7 @@ fn plan_access(
 mod tests {
     use super::*;
     use crate::engine::tests::engine;
-    use udbms_core::{arr, obj};
-    use udbms_relational::IndexKind;
+    use udbms_core::{arr, obj, IndexKind};
 
     #[test]
     fn read_your_writes_inside_txn() {
@@ -603,21 +591,32 @@ mod tests {
         e.run(Isolation::Snapshot, |t| {
             t.insert("orders", obj! {"tags" => arr!["rush", "eu"]})?;
             t.insert("orders", obj! {"tags" => arr!["bulk"]})?;
+            t.insert("orders", obj! {"tags" => "rush"})?;
             Ok(())
         })
         .unwrap();
-        let mut t = e.begin(Isolation::Snapshot);
-        let rush = t
-            .rows(
-                "orders",
-                Some(&Predicate::Contains(
-                    FieldPath::key("tags"),
-                    Value::from("rush"),
-                )),
-                None,
-            )
+        let scanned = |pred: &Predicate| {
+            let mut rows = e.begin_read().scan_shared("orders").unwrap();
+            rows.retain(|(_, v)| pred.matches(v));
+            rows
+        };
+        // an array compares whole; the scan is the reference
+        let whole = Predicate::eq("tags", arr!["rush", "eu"]);
+        let element = Predicate::eq("tags", Value::from("rush"));
+        let before = [scanned(&whole), scanned(&element)];
+        assert_eq!([before[0].len(), before[1].len()], [1, 1]);
+        // a hash index on `tags` posts each value whole and answers both
+        e.create_index("orders", FieldPath::key("tags"), IndexKind::Hash)
             .unwrap();
-        assert_eq!(rush.len(), 1);
+        let mut t = e.begin(Isolation::Snapshot);
+        let id = e.inner.catalog.read().get("orders").unwrap().id;
+        for (pred, want) in [&whole, &element].into_iter().zip(before) {
+            let path = FieldPath::key("tags");
+            let probe = pred.probe(&path).unwrap();
+            let candidates = e.inner.storage.index_lookup(id, &path, probe).unwrap();
+            assert_eq!(candidates.len(), 1, "{pred:?} is answered by the index");
+            assert_eq!(t.rows("orders", Some(pred), None).unwrap(), want);
+        }
     }
 
     #[test]

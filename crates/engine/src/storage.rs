@@ -28,8 +28,7 @@ use parking_lot::{LockRank, TrackedRwLock};
 
 use udbms_obs::{Histogram, Obs, Stamp};
 
-use udbms_core::{CollectionId, FieldPath, Key, Ts, Value};
-use udbms_relational::{Index, IndexKind};
+use udbms_core::{CollectionId, FieldPath, Index, IndexKind, Key, Probe, Ts, Value};
 
 /// Globally unique record address: which collection, which key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -520,25 +519,12 @@ impl Shard {
     }
 }
 
-/// What `value` posts under `path`: an array's elements, else the value
-/// there (`Null`, which no index holds, when there is none).
-fn posted<'v>(value: &'v Value, path: &FieldPath) -> &'v [Value] {
-    match value.get_path(path) {
-        Value::Array(items) => items,
-        v => std::slice::from_ref(v),
-    }
-}
-
-/// Post `key` under each value `value` carries at `path` that is not
-/// posted for it yet: by the postings invariant, one no retained version
-/// of the record carries already. What the record's `newest` value
-/// carries is known to be posted, without asking the index.
+/// Post `key` under what `value` carries at `path` unless the record's
+/// `newest` value carries the same — by the postings invariant it is
+/// posted already, without asking the index ([`Index::post`] asks).
 fn post(idx: &mut Index, path: &FieldPath, key: &Key, value: &Value, newest: Option<&Value>) {
-    for v in posted(value, path) {
-        let held = newest.is_some_and(|n| posted(n, path).contains(v));
-        if !held && !idx.contains(v, key) {
-            idx.insert(v.clone(), key.clone());
-        }
+    if newest.is_none_or(|n| n.get_path(path) != value.get_path(path)) {
+        idx.post(path, value, key);
     }
 }
 
@@ -556,11 +542,10 @@ fn unpost(
     };
     for (path, idx) in segs {
         for value in cut.iter().filter_map(|v| v.value.as_deref()) {
-            for v in posted(value, path) {
-                let mut kept_values = kept.into_iter().flat_map(Slot::values);
-                if !kept_values.any(|k| posted(k, path).contains(v)) {
-                    idx.remove(v, key);
-                }
+            let v = value.get_path(path);
+            let mut kept_values = kept.into_iter().flat_map(Slot::values);
+            if !kept_values.any(|k| k.get_path(path) == v) {
+                idx.unpost(path, value, key);
             }
         }
     }
@@ -717,35 +702,22 @@ impl ShardedStorage {
         flow
     }
 
-    /// Candidate keys for an equality probe, concatenated across every
-    /// shard's segment of the index (order across shards is arbitrary —
-    /// callers re-validate and dedupe anyway).
-    pub fn index_lookup_eq(&self, id: CollectionId, path: &FieldPath, value: &Value) -> Vec<Key> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let s = shard.read();
-            if let Some(idx) = s.index_segment(id, path) {
-                out.extend(idx.lookup_eq(value));
-            }
-        }
-        out
-    }
-
-    /// Candidate keys for a range probe, or `None` when the index kind
-    /// does not support ranges (segments share one kind, so the first
-    /// shard answers for all).
-    pub fn index_lookup_range(
+    /// Candidate keys for `probe`, concatenated across every shard's
+    /// segment of the index (order across shards is arbitrary — callers
+    /// re-validate and dedupe anyway), or `None` when the index kind
+    /// cannot answer it (segments share one kind, so the first shard
+    /// answers for all).
+    pub fn index_lookup(
         &self,
         id: CollectionId,
         path: &FieldPath,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
+        probe: Probe<'_>,
     ) -> Option<Vec<Key>> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let s = shard.read();
-            let idx = s.index_segment(id, path)?;
-            out.extend(idx.lookup_range(lo, hi)?);
+            if let Some(idx) = shard.read().index_segment(id, path) {
+                out.extend(idx.lookup(probe)?);
+            }
         }
         Some(out)
     }
@@ -1255,7 +1227,7 @@ mod tests {
     }
 
     /// The model's postings: `{(v, k) : some retained version of k
-    /// carries v at path}`, `Null` excluded.
+    /// carries v at path}`, `Null` excluded and arrays whole.
     fn model_postings(model: &Model, c: CollectionId, path: &FieldPath) -> Vec<(Value, Key)> {
         let mut out = BTreeSet::new();
         for ((_, key), chain) in model
@@ -1263,16 +1235,10 @@ mod tests {
             .take_while(|((mc, _), _)| *mc == c)
         {
             for value in chain.iter().filter_map(|v| v.value.as_deref()) {
-                let items = match value.get_path(path) {
-                    Value::Array(items) => items.clone(),
-                    v => vec![v.clone()],
-                };
-                out.extend(
-                    items
-                        .into_iter()
-                        .filter(|v| !v.is_null())
-                        .map(|v| (v, key.clone())),
-                );
+                let v = value.get_path(path);
+                if !v.is_null() {
+                    out.insert((v.clone(), key.clone()));
+                }
             }
         }
         out.into_iter().collect()
@@ -1452,15 +1418,17 @@ mod tests {
             Ts(12),
             some(obj! {"status" => "paid"}),
         );
-        let idx = shard.index_segment(C, &path).unwrap();
+        let keys = |shard: &Shard, v: &str| {
+            let idx = shard.index_segment(C, &path).unwrap();
+            idx.lookup(Probe::Eq(&Value::from(v))).unwrap()
+        };
         // both retained versions of key 1 are posted
-        assert_eq!(idx.lookup_eq(&Value::from("open")).len(), 2);
-        assert_eq!(idx.lookup_eq(&Value::from("paid")), vec![Key::int(1)]);
+        assert_eq!(keys(&shard, "open").len(), 2);
+        assert_eq!(keys(&shard, "paid"), vec![Key::int(1)]);
         // GC below ts 12 prunes key 1's "open" version and its posting
         let (removed, _) = shard.gc(Ts(12));
         assert!(removed >= 1);
-        let idx = shard.index_segment(C, &path).unwrap();
-        assert_eq!(idx.lookup_eq(&Value::from("open")), vec![Key::int(2)]);
+        assert_eq!(keys(&shard, "open"), vec![Key::int(2)]);
         shard.drop_index_segment(C, &path);
         assert!(shard.index_segment(C, &path).is_none());
     }
@@ -1477,8 +1445,10 @@ mod tests {
         let path = FieldPath::key("tags");
         shard.create_index_segment(C, &path, IndexKind::Hash);
         let idx = shard.index_segment(C, &path).unwrap();
-        assert_eq!(idx.lookup_eq(&Value::from("a")), vec![Key::int(7)]);
-        assert_eq!(idx.lookup_eq(&Value::from("b")), vec![Key::int(7)]);
+        let keys = |v: Value| idx.lookup(Probe::Eq(&v)).unwrap();
+        // the array is posted whole, as an equality compares it
+        assert_eq!(keys(udbms_core::arr!["a", "b"]), vec![Key::int(7)]);
+        assert_eq!(keys(Value::from("a")), Vec::<Key>::new());
     }
 
     #[test]

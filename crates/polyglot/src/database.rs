@@ -3,25 +3,19 @@
 
 use std::collections::BTreeMap;
 
-use udbms_core::{CollectionSchema, Error, Key, Result, Value};
+use udbms_core::{CollectionSchema, Error, Key, Predicate, Result, Value};
 
-use crate::predicate::Predicate;
 use crate::table::Table;
 
 /// An in-memory relational database: tables addressed by name.
 #[derive(Debug, Default, Clone)]
-pub struct RelationalDb {
+pub(crate) struct RelationalDb {
     tables: BTreeMap<String, Table>,
 }
 
 impl RelationalDb {
-    /// Empty database.
-    pub fn new() -> RelationalDb {
-        RelationalDb::default()
-    }
-
     /// Create a table from a schema.
-    pub fn create_table(&mut self, schema: CollectionSchema) -> Result<()> {
+    pub(crate) fn create_table(&mut self, schema: CollectionSchema) -> Result<()> {
         let name = schema.name.clone();
         if self.tables.contains_key(&name) {
             return Err(Error::AlreadyExists(format!("table `{name}`")));
@@ -31,37 +25,32 @@ impl RelationalDb {
     }
 
     /// Borrow a table.
-    pub fn table(&self, name: &str) -> Result<&Table> {
+    fn table(&self, name: &str) -> Result<&Table> {
         self.tables
             .get(name)
             .ok_or_else(|| Error::NotFound(format!("table `{name}`")))
     }
 
     /// Mutably borrow a table.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
+    pub(crate) fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
             .get_mut(name)
             .ok_or_else(|| Error::NotFound(format!("table `{name}`")))
     }
 
     /// Insert into a named table.
-    pub fn insert(&mut self, table: &str, row: Value) -> Result<Key> {
+    pub(crate) fn insert(&mut self, table: &str, row: Value) -> Result<Key> {
         self.table_mut(table)?.insert(row)
     }
 
     /// Fetch by primary key from a named table.
-    pub fn get(&self, table: &str, key: &Key) -> Result<Option<Value>> {
+    pub(crate) fn get(&self, table: &str, key: &Key) -> Result<Option<Value>> {
         Ok(self.table(table)?.get(key).cloned())
     }
 
     /// Select matching rows from a named table.
-    pub fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<Value>> {
-        Ok(self.table(table)?.select(pred).collect())
-    }
-
-    /// Total rows across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables.values().map(Table::len).sum()
+    pub(crate) fn select(&self, table: &str, pred: &Predicate) -> Result<Vec<Value>> {
+        Ok(self.table(table)?.select(pred))
     }
 }
 
@@ -71,7 +60,7 @@ mod tests {
     use udbms_core::{obj, FieldDef, FieldType};
 
     fn db() -> RelationalDb {
-        let mut db = RelationalDb::new();
+        let mut db = RelationalDb::default();
         db.create_table(CollectionSchema::relational(
             "customers",
             "id",
@@ -92,7 +81,8 @@ mod tests {
         let row = db.get("customers", &Key::int(1)).unwrap().unwrap();
         assert_eq!(row.get_field("name"), &Value::from("Ada"));
         assert!(db.get("customers", &Key::int(2)).unwrap().is_none());
-        assert_eq!(db.total_rows(), 1);
+        let every_row = Predicate::and([]);
+        assert_eq!(db.select("customers", &every_row).unwrap(), [row]);
     }
 
     #[test]
@@ -100,7 +90,7 @@ mod tests {
         let mut db = db();
         assert!(db.get("nope", &Key::int(1)).is_err());
         assert!(db.insert("nope", obj! {"id" => 1}).is_err());
-        assert!(db.select("nope", &Predicate::True).is_err());
+        assert!(db.select("nope", &Predicate::and([])).is_err());
     }
 
     #[test]

@@ -1,22 +1,22 @@
 //! The JSON document store: schemaless collections with automatic ids,
-//! path indexes, predicate queries (the shared
-//! [`udbms_relational::Predicate`] language over dotted paths) and
-//! merge updates.
+//! path indexes, predicate queries (the shared [`Predicate`] language
+//! over dotted paths) and merge updates.
 //!
 //! In the benchmark's domain this store holds *Orders* and *Products*
 //! ("JSON files (Orders, Product)" in the paper's transaction example).
 
 use std::collections::{BTreeMap, HashMap};
 
-use udbms_core::{Error, FieldPath, Key, Result, Value};
-use udbms_relational::{Index, IndexKind, Predicate};
+use udbms_core::{Error, FieldPath, Index, IndexKind, Key, Predicate, Result, Value};
+
+use crate::table::select;
 
 /// The reserved id field of every document.
 const ID_FIELD: &str = "_id";
 
 /// A schemaless collection of JSON documents keyed by `_id`.
 #[derive(Debug, Clone)]
-pub struct DocCollection {
+pub(crate) struct DocCollection {
     name: String,
     docs: BTreeMap<Key, Value>,
     indexes: HashMap<FieldPath, Index>,
@@ -25,7 +25,7 @@ pub struct DocCollection {
 
 impl DocCollection {
     /// Empty collection.
-    pub fn new(name: impl Into<String>) -> DocCollection {
+    pub(crate) fn new(name: impl Into<String>) -> DocCollection {
         DocCollection {
             name: name.into(),
             docs: BTreeMap::new(),
@@ -34,20 +34,10 @@ impl DocCollection {
         }
     }
 
-    /// Number of documents.
-    pub fn len(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
-    }
-
     /// Insert a document. If it carries `_id` that key is used (and must be
     /// free); otherwise a fresh integer id is assigned and written into the
     /// document. Returns the key.
-    pub fn insert(&mut self, mut doc: Value) -> Result<Key> {
+    pub(crate) fn insert(&mut self, mut doc: Value) -> Result<Key> {
         let obj = doc
             .as_object_mut()
             .ok_or_else(|| Error::type_err("Object (document)", "non-object"))?;
@@ -71,19 +61,19 @@ impl DocCollection {
             )));
         }
         for (path, idx) in &mut self.indexes {
-            index_doc(idx, path, &doc, &key);
+            idx.post(path, &doc, &key);
         }
         self.docs.insert(key.clone(), doc);
         Ok(key)
     }
 
     /// Fetch by id.
-    pub fn get(&self, key: &Key) -> Option<&Value> {
+    pub(crate) fn get(&self, key: &Key) -> Option<&Value> {
         self.docs.get(key)
     }
 
     /// Replace a document wholesale (the `_id` must match).
-    pub fn replace(&mut self, key: &Key, mut doc: Value) -> Result<()> {
+    pub(crate) fn replace(&mut self, key: &Key, mut doc: Value) -> Result<()> {
         if !self.docs.contains_key(key) {
             return Err(Error::NotFound(format!(
                 "document {key} in `{}`",
@@ -104,8 +94,8 @@ impl DocCollection {
         }
         let old = self.docs.get(key).expect("checked").clone();
         for (path, idx) in &mut self.indexes {
-            unindex_doc(idx, path, &old, key);
-            index_doc(idx, path, &doc, key);
+            idx.unpost(path, &old, key);
+            idx.post(path, &doc, key);
         }
         self.docs.insert(key.clone(), doc);
         Ok(())
@@ -113,7 +103,7 @@ impl DocCollection {
 
     /// Deep-merge `patch` into the document (objects merge, other values
     /// replace).
-    pub fn merge(&mut self, key: &Key, patch: Value) -> Result<()> {
+    pub(crate) fn merge(&mut self, key: &Key, patch: Value) -> Result<()> {
         let mut doc = self
             .docs
             .get(key)
@@ -124,117 +114,50 @@ impl DocCollection {
     }
 
     /// Iterate all documents in id order.
-    pub fn scan(&self) -> impl Iterator<Item = &Value> {
+    pub(crate) fn scan(&self) -> impl Iterator<Item = &Value> {
         self.docs.values()
     }
 
-    /// Create a path index and backfill it. Array values index every
-    /// element (multikey), scalars index the value itself.
-    pub fn create_index(&mut self, path: FieldPath, kind: IndexKind) -> Result<()> {
+    /// Create a path index and backfill it.
+    pub(crate) fn create_index(&mut self, path: FieldPath, kind: IndexKind) -> Result<()> {
         if self.indexes.contains_key(&path) {
             return Err(Error::AlreadyExists(format!("index on `{path}`")));
         }
         let mut idx = Index::new(kind);
         for (key, doc) in &self.docs {
-            index_doc(&mut idx, &path, doc, key);
+            idx.post(&path, doc, key);
         }
         self.indexes.insert(path, idx);
         Ok(())
     }
 
-    /// Find documents matching a predicate, using a path index when the
-    /// predicate pins an indexed path; candidates are always re-validated.
-    pub fn find(&self, pred: &Predicate) -> Vec<Value> {
-        for (path, idx) in &self.indexes {
-            if let Some(v) = pred.equality_on(path) {
-                if v.is_null() {
-                    // nulls are never indexed but Null == Null matches:
-                    // fall through to the scan
-                    continue;
-                }
-                return idx
-                    .lookup_eq(v)
-                    .into_iter()
-                    .filter_map(|k| self.docs.get(&k))
-                    .filter(|d| pred.matches(d))
-                    .cloned()
-                    .collect();
-            }
-            if let Some((lo, hi)) = pred.range_on(path) {
-                if lo.as_ref().is_some_and(Value::is_null)
-                    || hi.as_ref().is_some_and(Value::is_null)
-                {
-                    continue;
-                }
-                if let Some(keys) = idx.lookup_range(lo.as_ref(), hi.as_ref()) {
-                    let mut seen = std::collections::HashSet::new();
-                    return keys
-                        .into_iter()
-                        .filter(|k| seen.insert(k.clone()))
-                        .filter_map(|k| self.docs.get(&k))
-                        .filter(|d| pred.matches(d))
-                        .cloned()
-                        .collect();
-                }
-            }
-        }
-        self.docs
-            .values()
-            .filter(|d| pred.matches(d))
-            .cloned()
-            .collect()
-    }
-}
-
-/// Index every value reachable at `path` (multikey: arrays index each
-/// element).
-fn index_doc(idx: &mut Index, path: &FieldPath, doc: &Value, key: &Key) {
-    match doc.get_path(path) {
-        Value::Array(items) => {
-            for item in items {
-                idx.insert(item.clone(), key.clone());
-            }
-        }
-        v => idx.insert(v.clone(), key.clone()),
-    }
-}
-
-fn unindex_doc(idx: &mut Index, path: &FieldPath, doc: &Value, key: &Key) {
-    match doc.get_path(path) {
-        Value::Array(items) => {
-            for item in items {
-                idx.remove(item, key);
-            }
-        }
-        v => idx.remove(v, key),
+    /// Find documents matching a predicate, using a path index when one
+    /// can answer it; candidates are always re-validated.
+    pub(crate) fn find(&self, pred: &Predicate) -> Vec<Value> {
+        select(&self.docs, &self.indexes, pred)
     }
 }
 
 /// A named set of document collections — the standalone document database
 /// used by the polyglot baseline.
 #[derive(Debug, Clone, Default)]
-pub struct DocumentStore {
+pub(crate) struct DocumentStore {
     collections: BTreeMap<String, DocCollection>,
 }
 
 impl DocumentStore {
     /// Get or create a collection.
-    pub fn collection(&mut self, name: &str) -> &mut DocCollection {
+    pub(crate) fn collection(&mut self, name: &str) -> &mut DocCollection {
         self.collections
             .entry(name.to_string())
             .or_insert_with(|| DocCollection::new(name))
     }
 
     /// Borrow an existing collection.
-    pub fn get_collection(&self, name: &str) -> Result<&DocCollection> {
+    pub(crate) fn get_collection(&self, name: &str) -> Result<&DocCollection> {
         self.collections
             .get(name)
             .ok_or_else(|| Error::NotFound(format!("collection `{name}`")))
-    }
-
-    /// Total documents across collections.
-    pub fn total_docs(&self) -> usize {
-        self.collections.values().map(DocCollection::len).sum()
     }
 }
 
@@ -394,7 +317,10 @@ mod tests {
         let mut s = DocumentStore::default();
         s.collection("orders").insert(obj! {"x" => 1}).unwrap();
         s.collection("products").insert(obj! {"y" => 2}).unwrap();
-        assert_eq!(s.total_docs(), 2);
+        assert_eq!(
+            s.collections.values().map(|c| c.docs.len()).sum::<usize>(),
+            2
+        );
         assert!(s.get_collection("orders").is_ok());
         assert!(s.get_collection("missing").is_err());
     }
@@ -436,7 +362,7 @@ mod tests {
                 let key = coll.insert(obj! {"x" => 1}).unwrap();
                 prop_assert!(ids.insert(key));
             }
-            prop_assert_eq!(coll.len(), n);
+            prop_assert_eq!(coll.docs.len(), n);
         }
     }
 }

@@ -2,54 +2,37 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use udbms_core::{Error, Key, Result, Value};
+use udbms_core::{Direction, Error, Key, Result, Value};
 
 /// Identifier of an edge (assigned by the graph, dense).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EdgeId(pub u64);
-
-impl std::fmt::Display for EdgeId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "e{}", self.0)
-    }
-}
-
-/// Traversal direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Follow edges source → destination.
-    Out,
-    /// Follow edges destination → source.
-    In,
-    /// Both directions.
-    Both,
-}
+pub(crate) struct EdgeId(u64);
 
 /// A vertex: label + property object.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Vertex {
+pub(crate) struct Vertex {
     /// Vertex label (e.g. `"customer"`, `"product"`).
-    pub label: String,
+    pub(crate) label: String,
     /// Property map (any unified value; `Null` means no properties).
-    pub props: Value,
+    pub(crate) props: Value,
 }
 
 /// An edge: endpoints, label, property object.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Edge {
+pub(crate) struct Edge {
     /// Source vertex key.
-    pub src: Key,
+    pub(crate) src: Key,
     /// Destination vertex key.
-    pub dst: Key,
+    pub(crate) dst: Key,
     /// Edge label (e.g. `"knows"`, `"bought"`).
-    pub label: String,
+    pub(crate) label: String,
     /// Property map.
-    pub props: Value,
+    pub(crate) props: Value,
 }
 
 /// An in-memory directed property graph with adjacency indexes.
 #[derive(Debug, Clone, Default)]
-pub struct PropertyGraph {
+pub(crate) struct PropertyGraph {
     vertices: BTreeMap<Key, Vertex>,
     edges: BTreeMap<EdgeId, Edge>,
     out_adj: HashMap<Key, Vec<EdgeId>>,
@@ -58,23 +41,13 @@ pub struct PropertyGraph {
 }
 
 impl PropertyGraph {
-    /// Empty graph.
-    pub fn new() -> PropertyGraph {
-        PropertyGraph::default()
-    }
-
-    /// Number of vertices.
-    pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add a vertex. Fails if the key exists.
-    pub fn add_vertex(&mut self, key: Key, label: impl Into<String>, props: Value) -> Result<()> {
+    pub(crate) fn add_vertex(
+        &mut self,
+        key: Key,
+        label: impl Into<String>,
+        props: Value,
+    ) -> Result<()> {
         match self.vertices.entry(key) {
             std::collections::btree_map::Entry::Occupied(e) => {
                 Err(Error::AlreadyExists(format!("vertex {}", e.key())))
@@ -90,17 +63,12 @@ impl PropertyGraph {
     }
 
     /// Fetch a vertex.
-    pub fn vertex(&self, key: &Key) -> Option<&Vertex> {
+    pub(crate) fn vertex(&self, key: &Key) -> Option<&Vertex> {
         self.vertices.get(key)
     }
 
-    /// Iterate vertices in key order.
-    pub fn vertices(&self) -> impl Iterator<Item = (&Key, &Vertex)> {
-        self.vertices.iter()
-    }
-
     /// Add an edge between existing vertices. Returns its id.
-    pub fn add_edge(
+    pub(crate) fn add_edge(
         &mut self,
         src: Key,
         dst: Key,
@@ -129,18 +97,13 @@ impl PropertyGraph {
         Ok(id)
     }
 
-    /// Fetch an edge.
-    pub fn edge(&self, id: EdgeId) -> Option<&Edge> {
-        self.edges.get(&id)
-    }
-
-    /// Iterate edges in id order.
-    pub fn edges(&self) -> impl Iterator<Item = (EdgeId, &Edge)> {
-        self.edges.iter().map(|(id, e)| (*id, e))
-    }
-
     /// Incident edges of `key` in `dir`, optionally filtered by label.
-    pub fn incident(&self, key: &Key, dir: Direction, label: Option<&str>) -> Vec<(EdgeId, &Edge)> {
+    pub(crate) fn incident(
+        &self,
+        key: &Key,
+        dir: Direction,
+        label: Option<&str>,
+    ) -> Vec<(EdgeId, &Edge)> {
         fn push_from<'g>(
             edges: &'g BTreeMap<EdgeId, Edge>,
             ids: Option<&Vec<EdgeId>>,
@@ -169,7 +132,7 @@ impl PropertyGraph {
 
     /// Neighbor keys of `key` along `dir`, optionally filtered by edge
     /// label. Deduplicated, in first-seen order.
-    pub fn neighbors(&self, key: &Key, dir: Direction, label: Option<&str>) -> Vec<Key> {
+    pub(crate) fn neighbors(&self, key: &Key, dir: Direction, label: Option<&str>) -> Vec<Key> {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
         for (_, e) in self.incident(key, dir, label) {
@@ -198,7 +161,7 @@ mod tests {
     use udbms_core::obj;
 
     fn triangle() -> PropertyGraph {
-        let mut g = PropertyGraph::new();
+        let mut g = PropertyGraph::default();
         g.add_vertex(Key::str("a"), "customer", obj! {"name" => "Ada"})
             .unwrap();
         g.add_vertex(Key::str("b"), "customer", obj! {"name" => "Bob"})
@@ -217,8 +180,8 @@ mod tests {
     #[test]
     fn crud_vertices_and_edges() {
         let mut g = triangle();
-        assert_eq!(g.vertex_count(), 3);
-        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.vertices.len(), 3);
+        assert_eq!(g.edges.len(), 3);
         assert_eq!(g.vertex(&Key::str("a")).unwrap().label, "customer");
         assert!(g.add_vertex(Key::str("a"), "dup", Value::Null).is_err());
         assert!(

@@ -11,32 +11,22 @@ use udbms_core::{Error, Key, Result, Value};
 
 /// One namespace of keys — an independent ordered map.
 #[derive(Debug, Clone, Default)]
-pub struct KvNamespace(BTreeMap<Key, Value>);
+pub(crate) struct KvNamespace(BTreeMap<Key, Value>);
 
 impl KvNamespace {
     /// Store a value, overwriting any previous one.
-    pub fn put(&mut self, key: Key, value: Value) {
+    pub(crate) fn put(&mut self, key: Key, value: Value) {
         self.0.insert(key, value);
     }
 
     /// Fetch a value.
-    pub fn get(&self, key: &Key) -> Option<&Value> {
+    pub(crate) fn get(&self, key: &Key) -> Option<&Value> {
         self.0.get(key)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when the namespace holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// Iterate entries whose *string* keys start with `prefix`, in key
     /// order.
-    pub fn scan_prefix<'a>(
+    pub(crate) fn scan_prefix<'a>(
         &'a self,
         prefix: &'a str,
     ) -> impl Iterator<Item = (&'a Key, &'a Value)> + 'a {
@@ -49,26 +39,21 @@ impl KvNamespace {
 /// A store of named namespaces — the standalone KV database used by the
 /// polyglot baseline.
 #[derive(Debug, Clone, Default)]
-pub struct KvStore {
+pub(crate) struct KvStore {
     namespaces: BTreeMap<String, KvNamespace>,
 }
 
 impl KvStore {
     /// Get or create a namespace.
-    pub fn namespace(&mut self, name: &str) -> &mut KvNamespace {
+    pub(crate) fn namespace(&mut self, name: &str) -> &mut KvNamespace {
         self.namespaces.entry(name.to_string()).or_default()
     }
 
     /// Borrow an existing namespace.
-    pub fn get_namespace(&self, name: &str) -> Result<&KvNamespace> {
+    pub(crate) fn get_namespace(&self, name: &str) -> Result<&KvNamespace> {
         self.namespaces
             .get(name)
             .ok_or_else(|| Error::NotFound(format!("kv namespace `{name}`")))
-    }
-
-    /// Total entries across namespaces.
-    pub fn total_entries(&self) -> usize {
-        self.namespaces.values().map(KvNamespace::len).sum()
     }
 }
 
@@ -98,7 +83,7 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(ns.len(), model.len());
+            prop_assert_eq!(ns.0.len(), model.len());
         }
     }
 
@@ -132,7 +117,10 @@ mod tests {
             store.get_namespace("feedback").unwrap().get(&Key::str("x")),
             Some(&Value::Int(1))
         );
-        assert_eq!(store.total_entries(), 2);
+        assert_eq!(
+            store.get_namespace("sessions").unwrap().get(&Key::str("x")),
+            Some(&Value::Int(2))
+        );
         assert!(store.get_namespace("missing").is_err());
     }
 }

@@ -1,9 +1,8 @@
 //! Loading the generated dataset into the polyglot deployment. Writes pay
 //! the wire codec, as they would through real drivers.
 
-use udbms_core::{obj, FieldPath, Key, Result, Value};
+use udbms_core::{obj, FieldPath, IndexKind, Key, Result, Value};
 use udbms_datagen::Dataset;
-use udbms_relational::IndexKind;
 
 use crate::stores::PolyglotDb;
 use crate::wire::{json_hop, xml_hop};
@@ -96,40 +95,50 @@ pub fn load_into_polyglot(db: &PolyglotDb, data: &Dataset) -> Result<usize> {
     Ok(written)
 }
 
-/// Convenience: generate + load, returning the deployment and dataset.
-pub fn build_polyglot(cfg: &udbms_datagen::GenConfig) -> Result<(PolyglotDb, Dataset)> {
-    let data = udbms_datagen::generate(cfg);
-    let db = PolyglotDb::new();
-    load_into_polyglot(&db, &data)?;
-    Ok((db, data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use udbms_core::{Direction, Predicate};
     use udbms_datagen::GenConfig;
 
     #[test]
     fn loads_every_model() {
-        let (db, data) = build_polyglot(&GenConfig {
+        let data = udbms_datagen::generate(&GenConfig {
             scale_factor: 0.02,
             ..Default::default()
-        })
-        .unwrap();
-        assert_eq!(db.relational.lock().total_rows(), data.customers.len());
-        assert_eq!(
-            db.documents.lock().total_docs(),
-            data.orders.len() + data.products.len()
-        );
-        assert_eq!(db.kv.lock().total_entries(), data.feedback.len());
-        assert_eq!(
-            db.graph.lock().vertex_count(),
-            data.customers.len() + data.products.len()
-        );
-        assert_eq!(
-            db.graph.lock().edge_count(),
-            data.knows.len() + data.bought.len()
-        );
+        });
+        let db = PolyglotDb::new();
+        load_into_polyglot(&db, &data).unwrap();
+        let every_row = Predicate::and([]);
+        let rows = db
+            .relational
+            .lock()
+            .select("customers", &every_row)
+            .unwrap();
+        assert_eq!(rows.len(), data.customers.len());
+        let docs = db.documents.lock();
+        let count = |name| docs.get_collection(name).unwrap().scan().count();
+        assert_eq!(count("orders"), data.orders.len());
+        assert_eq!(count("products"), data.products.len());
+        let kv = db.kv.lock();
+        let feedback = kv.get_namespace("feedback").unwrap().scan_prefix("");
+        assert_eq!(feedback.count(), data.feedback.len());
+        let graph = db.graph.lock();
+        let customers = data
+            .customers
+            .iter()
+            .map(|c| Key::new(c.get_field("id").clone()).unwrap());
+        let products = data
+            .products
+            .iter()
+            .map(|p| Key::new(p.get_field("_id").clone()).unwrap());
+        let vertices: Vec<Key> = customers.chain(products).collect();
+        assert!(vertices.iter().all(|v| graph.vertex(v).is_some()));
+        let edges: usize = vertices
+            .iter()
+            .map(|v| graph.incident(v, Direction::Out, None).len())
+            .sum();
+        assert_eq!(edges, data.knows.len() + data.bought.len());
         assert_eq!(db.xml.lock().len(), data.invoices.len());
     }
 }

@@ -10,13 +10,12 @@
 
 use std::collections::BTreeMap;
 
-use udbms_core::{obj, Error, Key, Result, Value};
+use udbms_core::{obj, Direction, Error, Key, Predicate, Result, Value};
 use udbms_datagen::workload::QueryParams;
-use udbms_graph::{k_hop_neighbors, Direction};
-use udbms_relational::Predicate;
 use udbms_xml::XPath;
 
 use crate::stores::PolyglotDb;
+use crate::traverse::k_hop_neighbors;
 use crate::wire::{json_hop, xml_hop};
 
 /// Dispatch a workload query by id.
@@ -399,15 +398,15 @@ pub fn order_update_polyglot(db: &PolyglotDb, order_key: &Key) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::load::build_polyglot;
     use udbms_datagen::GenConfig;
 
     fn setup() -> (PolyglotDb, udbms_datagen::Dataset, QueryParams) {
-        let (db, data) = build_polyglot(&GenConfig {
+        let data = udbms_datagen::generate(&GenConfig {
             scale_factor: 0.02,
             ..Default::default()
-        })
-        .unwrap();
+        });
+        let db = PolyglotDb::new();
+        crate::load_into_polyglot(&db, &data).unwrap();
         let params = QueryParams::draw(&data, 1);
         (db, data, params)
     }

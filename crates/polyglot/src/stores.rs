@@ -15,44 +15,52 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard};
 
 use udbms_core::{Key, Result};
-use udbms_graph::PropertyGraph;
-use udbms_relational::RelationalDb;
 use udbms_xml::XmlNode;
 
+use crate::database::RelationalDb;
 use crate::document::DocumentStore;
+use crate::graph::PropertyGraph;
 use crate::kv::KvStore;
 
 /// A simple XML document store (key → tree), standing in for an XML
 /// database in the polyglot deployment.
-pub type XmlStore = HashMap<Key, XmlNode>;
+pub(crate) type XmlStore = HashMap<Key, XmlNode>;
 
 /// The polyglot deployment: five stores, five lock domains.
 #[derive(Clone, Default)]
 pub struct PolyglotDb {
     /// Relational store ("the SQL server").
-    pub relational: Arc<Mutex<RelationalDb>>,
+    pub(crate) relational: Arc<Mutex<RelationalDb>>,
     /// Document store ("the JSON store").
-    pub documents: Arc<Mutex<DocumentStore>>,
+    pub(crate) documents: Arc<Mutex<DocumentStore>>,
     /// Key-value store.
-    pub kv: Arc<Mutex<KvStore>>,
+    pub(crate) kv: Arc<Mutex<KvStore>>,
     /// Graph store.
-    pub graph: Arc<Mutex<PropertyGraph>>,
+    pub(crate) graph: Arc<Mutex<PropertyGraph>>,
     /// XML store.
-    pub xml: Arc<Mutex<XmlStore>>,
+    pub(crate) xml: Arc<Mutex<XmlStore>>,
 }
 
 /// Exclusive access to every store at once (cross-store transaction).
-pub struct AllStores<'a> {
+pub(crate) struct AllStores<'a> {
     /// Relational guard.
-    pub relational: MutexGuard<'a, RelationalDb>,
+    #[expect(
+        dead_code,
+        reason = "held, not read: order_update touches no table, but the coordinator locks every store"
+    )]
+    pub(crate) relational: MutexGuard<'a, RelationalDb>,
     /// Document guard.
-    pub documents: MutexGuard<'a, DocumentStore>,
+    pub(crate) documents: MutexGuard<'a, DocumentStore>,
     /// KV guard.
-    pub kv: MutexGuard<'a, KvStore>,
+    pub(crate) kv: MutexGuard<'a, KvStore>,
     /// Graph guard.
-    pub graph: MutexGuard<'a, PropertyGraph>,
+    #[expect(
+        dead_code,
+        reason = "held, not read: order_update touches no graph, but the coordinator locks every store"
+    )]
+    pub(crate) graph: MutexGuard<'a, PropertyGraph>,
     /// XML guard.
-    pub xml: MutexGuard<'a, XmlStore>,
+    pub(crate) xml: MutexGuard<'a, XmlStore>,
 }
 
 impl PolyglotDb {
@@ -64,7 +72,10 @@ impl PolyglotDb {
     /// Run a cross-store transaction: all five locks are held for the
     /// duration (fixed acquisition order prevents deadlock). This is the
     /// polyglot application's only way to get cross-model atomicity.
-    pub fn transact<T>(&self, body: impl FnOnce(&mut AllStores<'_>) -> Result<T>) -> Result<T> {
+    pub(crate) fn transact<T>(
+        &self,
+        body: impl FnOnce(&mut AllStores<'_>) -> Result<T>,
+    ) -> Result<T> {
         let mut all = AllStores {
             relational: self.relational.lock(),
             documents: self.documents.lock(),
@@ -82,8 +93,7 @@ impl PolyglotDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udbms_core::obj;
-    use udbms_core::{CollectionSchema, FieldDef, FieldType, Value};
+    use udbms_core::{obj, Value};
 
     #[test]
     fn stores_are_independent_lock_domains() {
@@ -103,29 +113,40 @@ mod tests {
     #[test]
     fn transact_spans_all_stores() {
         let db = PolyglotDb::new();
-        db.relational
-            .lock()
-            .create_table(CollectionSchema::relational(
-                "customers",
-                "id",
-                vec![FieldDef::required("id", FieldType::Int)],
-            ))
+        let (done, waited) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            db.transact(|s| {
+                s.documents
+                    .collection("orders")
+                    .insert(obj! {"_id" => "o1"})?;
+                s.kv.namespace("fb").put(Key::str("f1"), Value::Int(5));
+                s.xml.insert(Key::str("i1"), XmlNode::element("Invoice"));
+                // a client of the relational and graph stores waits for
+                // the coordinator to let go of them
+                let db = &db;
+                scope.spawn(move || {
+                    let _rel = db.relational.lock();
+                    let _graph = db.graph.lock();
+                    done.send(()).unwrap();
+                });
+                let wait = std::time::Duration::from_millis(50);
+                assert!(waited.recv_timeout(wait).is_err(), "stores held");
+                Ok(())
+            })
             .unwrap();
-        db.transact(|s| {
-            s.relational.insert("customers", obj! {"id" => 1})?;
-            s.documents
-                .collection("orders")
-                .insert(obj! {"_id" => "o1"})?;
-            s.kv.namespace("fb").put(Key::str("f1"), Value::Int(5));
-            s.graph.add_vertex(Key::int(1), "customer", Value::Null)?;
-            s.xml.insert(Key::str("i1"), XmlNode::element("Invoice"));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(db.relational.lock().total_rows(), 1);
-        assert_eq!(db.documents.lock().total_docs(), 1);
-        assert_eq!(db.kv.lock().total_entries(), 1);
-        assert_eq!(db.graph.lock().vertex_count(), 1);
+            waited.recv().unwrap();
+        });
+        let docs = db.documents.lock();
+        assert!(docs
+            .get_collection("orders")
+            .unwrap()
+            .get(&Key::str("o1"))
+            .is_some());
+        let kv = db.kv.lock();
+        assert_eq!(
+            kv.get_namespace("fb").unwrap().get(&Key::str("f1")),
+            Some(&Value::Int(5))
+        );
         assert_eq!(db.xml.lock().len(), 1);
     }
 

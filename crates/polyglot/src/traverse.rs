@@ -2,9 +2,9 @@
 
 use std::collections::HashSet;
 
-use udbms_core::Key;
+use udbms_core::{Direction, Key};
 
-use crate::graph::{Direction, PropertyGraph};
+use crate::graph::PropertyGraph;
 
 /// Breadth-first layers from `start` up to `max_depth` hops (layer 0 is
 /// `start` itself). Optionally restricted to one edge label.
@@ -38,7 +38,7 @@ fn bfs_layers(
 }
 
 /// Vertices at *exactly* `k` hops from `start` (the k-th BFS layer).
-pub fn k_hop_neighbors(
+pub(crate) fn k_hop_neighbors(
     g: &PropertyGraph,
     start: &Key,
     k: usize,
@@ -54,12 +54,13 @@ pub fn k_hop_neighbors(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use udbms_core::{obj, Value};
 
     /// a → b → c → d plus a shortcut a → d (weight 10) and a ↔ e social
     /// edge of another label.
     fn sample() -> PropertyGraph {
-        let mut g = PropertyGraph::new();
+        let mut g = PropertyGraph::default();
         for k in ["a", "b", "c", "d", "e", "island"] {
             g.add_vertex(Key::str(k), "v", Value::Null).unwrap();
         }
@@ -119,5 +120,34 @@ mod tests {
             k_hop_neighbors(&g, &Key::str("a"), 0, Direction::Out, None),
             vec![Key::str("a")]
         );
+    }
+
+    fn ring(n: usize) -> PropertyGraph {
+        let mut g = PropertyGraph::default();
+        for i in 0..n {
+            g.add_vertex(Key::int(i as i64), "v", Value::Null).unwrap();
+        }
+        for i in 0..n {
+            g.add_edge(
+                Key::int(i as i64),
+                Key::int(((i + 1) % n) as i64),
+                "next",
+                Value::Null,
+            )
+            .unwrap();
+        }
+        g
+    }
+
+    proptest! {
+        /// k-hop frontier sizes on a ring are 1 until wrap-around.
+        #[test]
+        fn ring_k_hop(n in 4usize..16) {
+            let g = ring(n);
+            for k in 1..n {
+                let frontier = k_hop_neighbors(&g, &Key::int(0), k, Direction::Out, None);
+                prop_assert_eq!(frontier.len(), 1, "exactly one vertex at distance {}", k);
+            }
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! MMQL abstract syntax.
 
-use udbms_core::Value;
-use udbms_graph::Direction;
+use udbms_core::{Direction, Value};
 
 /// A full MMQL statement.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,10 +2,8 @@
 
 use std::sync::Arc;
 
-use udbms_core::{Error, Key, Object, Result, Value};
+use udbms_core::{like_match, Direction, Error, Key, Object, Result, Value};
 use udbms_engine::Txn;
-use udbms_graph::Direction;
-use udbms_relational::like_match;
 
 use crate::ast::{AggFunc, BinOp, Expr, MemberStep, UnOp};
 

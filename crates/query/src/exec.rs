@@ -27,9 +27,8 @@ use std::cmp::Ordering;
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
-use udbms_core::{Error, Key, Result, Value};
+use udbms_core::{Error, Key, Predicate, Result, Value};
 use udbms_engine::Txn;
-use udbms_relational::Predicate;
 
 use crate::ast::*;
 use crate::compile::CompiledPred;

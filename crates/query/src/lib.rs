@@ -186,8 +186,7 @@ pub fn run(engine: &Engine, isolation: Isolation, text: &str) -> Result<Vec<Valu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udbms_core::{arr, obj, CollectionSchema, FieldDef, FieldType, Key};
-    use udbms_relational::IndexKind;
+    use udbms_core::{arr, obj, CollectionSchema, FieldDef, FieldType, IndexKind, Key};
 
     /// A miniature social-commerce engine: the paper's Figure-1 shape.
     fn engine() -> Engine {

@@ -1,7 +1,6 @@
 //! MMQL recursive-descent parser.
 
-use udbms_core::{Error, Result, Value};
-use udbms_graph::Direction;
+use udbms_core::{Direction, Error, Result, Value};
 
 use crate::ast::*;
 use crate::lexer::{lex, Token, TokenKind};

@@ -26,11 +26,9 @@ pub use udbms_datagen as datagen;
 pub use udbms_driver as driver;
 pub use udbms_engine as engine;
 pub use udbms_evolution as evolution;
-pub use udbms_graph as graph;
 pub use udbms_json as json;
 pub use udbms_polyglot as polyglot;
 pub use udbms_query as query;
-pub use udbms_relational as relational;
 pub use udbms_xml as xml;
 
 pub use udbms_core::{Error, Params, Result, Value};

@@ -2,9 +2,8 @@
 //! mutation, COLLECT corner shapes, traversal bounds — the behaviours a
 //! second implementation would most likely get subtly wrong.
 
-use udbms::core::{obj, CollectionSchema, FieldPath, Key, Value};
+use udbms::core::{obj, CollectionSchema, FieldPath, IndexKind, Key, Value};
 use udbms::engine::{Engine, Isolation};
-use udbms::relational::IndexKind;
 
 fn engine() -> Engine {
     let e = Engine::new();
@@ -137,6 +136,53 @@ fn dynamic_pushdown_handles_null_join_keys() {
     );
     assert_eq!(pushed, scanned);
     assert_eq!(pushed, vec![Value::Int(7)]);
+}
+
+#[test]
+fn btree_answers_equal_scan_answers_on_missing_null_and_array_fields() {
+    // `n` is 3, 9, missing, null, [1] and "7": a missing or null field
+    // sorts below every value and is never posted, an array compares
+    // (and is posted) whole
+    let e = Engine::new();
+    e.create_collection(CollectionSchema::document("docs", "_id", vec![]))
+        .unwrap();
+    e.run(Isolation::Snapshot, |txn| {
+        txn.insert("docs", obj! {"_id" => 1, "n" => 3})?;
+        txn.insert("docs", obj! {"_id" => 2, "n" => 9})?;
+        txn.insert("docs", obj! {"_id" => 3})?;
+        txn.insert("docs", obj! {"_id" => 4, "n" => Value::Null})?;
+        txn.insert("docs", obj! {"_id" => 5, "n" => udbms::core::arr![1]})?;
+        txn.insert("docs", obj! {"_id" => 6, "n" => "7"})?;
+        Ok(())
+    })
+    .unwrap();
+    let cases = [
+        ("r.n < 5", vec![1, 3, 4]),
+        ("r.n > 5", vec![2, 5, 6]),
+        (r#"r.n < "a""#, vec![1, 2, 3, 4, 6]),
+        ("r.n >= 9 AND r.n <= 1", vec![]),
+        ("r.n == [1]", vec![5]),
+    ];
+    let ids = |e: &Engine, text: String| -> Vec<i64> {
+        q(e, &text).iter().map(|v| v.as_int().unwrap()).collect()
+    };
+    for indexed in [false, true] {
+        if indexed {
+            e.create_index("docs", FieldPath::key("n"), IndexKind::BTree)
+                .unwrap();
+        }
+        for (filter, want) in &cases {
+            let pushed = ids(&e, format!("FOR r IN docs FILTER {filter} RETURN r._id"));
+            assert_eq!(&pushed, want, "{filter}, indexed: {indexed}");
+            // a LET-bound condition is not pushed down: the residual scan
+            let kept = format!("FOR r IN docs LET keep = ({filter}) FILTER keep RETURN r._id");
+            assert_eq!(
+                &ids(&e, kept),
+                want,
+                "{filter} unpushed, indexed: {indexed}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -11,7 +11,9 @@
 //! repeated that often around or in front of the text (deep). Log
 //! mutations: byte flips, truncation, a duplicated frame, a length field
 //! near 4 GiB, and a frame with a valid checksum whose value nests
-//! 100 000 deep or claims 2^40 elements. Everything derives from one
+//! 100 000 deep or claims 2^40 elements. Each MMQL text also runs bound
+//! to a parameter set whose price band is upside down (`@price_lo` above
+//! `@price_hi`, an empty range for Q9). Everything derives from one
 //! `SplitMix64` seed and runs on a 2 MB thread, so a decoder whose
 //! recursion follows its input aborts the test; any other outcome — `Ok`
 //! or `Err` — passes.
@@ -198,7 +200,16 @@ fn mutated_inputs_never_panic() {
             ..Default::default()
         };
         let (engine, data) = build_engine(&config).unwrap();
-        let params = workload::QueryParams::draw(&data, 1).bindings();
+        let draw = workload::QueryParams::draw(&data, 1);
+        let params = draw.bindings();
+        // Q9's price band upside down: an empty range, not a panic
+        let (price_lo, price_hi) = (draw.price_hi, draw.price_lo);
+        let swapped = workload::QueryParams {
+            price_lo,
+            price_hi,
+            ..draw
+        }
+        .bindings();
         let root = SplitMix64::new(SEED);
 
         // --- MMQL ---
@@ -246,6 +257,7 @@ fn mutated_inputs_never_panic() {
         let mut rng = root.substream("mmql");
         for text in &texts {
             mmql(&engine, &params, text);
+            mmql(&engine, &swapped, text);
             for _ in 0..40 {
                 mmql(&engine, &params, &mutate(&mut rng, text, &long, &deep));
             }

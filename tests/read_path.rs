@@ -11,10 +11,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use udbms_core::{obj, CollectionSchema, FieldPath, Key, Params, Value};
+use udbms_core::{obj, CollectionSchema, FieldPath, IndexKind, Key, Params, Predicate, Value};
 use udbms_engine::{Engine, Isolation};
 use udbms_query::{eval, CompiledPred, Env, Expr, Query, Statement};
-use udbms_relational::{IndexKind, Predicate};
 
 /// Build a deterministic MMQL expression over loop variable `r` from an
 /// opcode spec, as text. Covers literals, member paths (present and
@@ -393,7 +392,9 @@ proptest! {
     /// without buffered writes on the collection (inserts, overwrites
     /// that stop matching, deletes), for every access path (scan, hash
     /// index, B-tree index, `Null` probe on an indexed path, primary-key
-    /// point read) and limit, at shard counts 1, 3 and 8.
+    /// point read) and limit, at shard counts 1, 3 and 8. The B-tree's
+    /// path is missing, `Null` or a one-element array on some rows, and
+    /// its ranges include ones open below and upside down.
     #[test]
     fn general_read_agrees_with_the_model(
         rows in prop::collection::vec((0i64..64, 0i64..7, -50i64..50), 1..80),
@@ -401,16 +402,27 @@ proptest! {
         probe in (0i64..6, -50i64..50, 0i64..40, 0i64..80, any::<bool>()),
         limit in 2usize..40,
     ) {
-        // g == 6 stands for "no g field": what a Null probe must find
+        // g == 6 stands for "no g field": what a Null probe must find;
+        // n's shape follows from k: no field, Null, [n], or n itself
         let doc = |k: i64, g: i64, n: i64| {
-            let mut doc = obj! {"_id" => k, "n" => n, "u" => format!("s{}", n.rem_euclid(3))};
+            let mut doc = obj! {"_id" => k, "u" => format!("s{}", n.rem_euclid(3))};
+            let fields = doc.as_object_mut().unwrap();
             if g < 6 {
-                doc.as_object_mut().unwrap().insert("g".into(), Value::Int(g));
+                fields.insert("g".into(), Value::Int(g));
+            }
+            let n = match k.rem_euclid(8) {
+                0 => None,
+                1 => Some(Value::Null),
+                2 => Some(Value::Array(vec![Value::Int(n)])),
+                _ => Some(Value::Int(n)),
+            };
+            if let Some(n) = n {
+                fields.insert("n".into(), n);
             }
             doc
         };
         let (probe_g, lo, span, pk, open_ended) = probe;
-        let preds: [(&str, Option<Predicate>); 6] = [
+        let preds: [(&str, Option<Predicate>); 9] = [
             ("no predicate", None),
             ("hash-indexed equality", Some(Predicate::eq("g", Value::Int(probe_g)))),
             ("btree-indexed range", Some(if open_ended {
@@ -418,6 +430,9 @@ proptest! {
             } else {
                 Predicate::between("n", Value::Int(lo), Value::Int(lo + span))
             })),
+            ("btree-indexed range open above", Some(Predicate::gt("n", Value::Int(lo)))),
+            ("upside-down btree range", Some(Predicate::between("n", Value::Int(lo + span + 1), Value::Int(lo)))),
+            ("btree-indexed array equality", Some(Predicate::eq("n", Value::Array(vec![Value::Int(lo)])))),
             ("unindexed", Some(Predicate::eq("u", Value::from(format!("s{}", lo.rem_euclid(3)))))),
             ("Null probe on an indexed path", Some(Predicate::eq("g", Value::Null))),
             ("primary-key equality", Some(Predicate::eq("_id", Value::Int(pk)))),

@@ -8,9 +8,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use udbms_core::{obj, CollectionSchema, FieldPath, Key, Value};
+use udbms_core::{obj, CollectionSchema, FieldPath, IndexKind, Key, Predicate, Value};
 use udbms_engine::{shard_of, Engine, Isolation};
-use udbms_relational::{IndexKind, Predicate};
 
 /// Keys guaranteed to live in different shards of an 8-shard engine.
 fn keys_on_distinct_shards(n: usize) -> Vec<Key> {
