@@ -238,12 +238,6 @@ impl PolyglotSubject {
             db: PolyglotDb::new(),
         }
     }
-
-    /// Direct access to the wrapped stores (for experiment-specific
-    /// probes like wire-byte accounting).
-    pub fn db(&self) -> &PolyglotDb {
-        &self.db
-    }
 }
 
 impl Default for PolyglotSubject {

