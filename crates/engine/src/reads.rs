@@ -5,13 +5,16 @@
 //! Every public call resolves its collection name once, under one catalog
 //! guard; what runs below that takes the resolved [`CollectionId`].
 
+use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use udbms_core::{CollectionId, Error, FieldPath, Key, Predicate, Probe, Result, Ts, TxnId, Value};
+use udbms_core::{
+    CollectionId, Error, FieldPath, Key, PathStep, Predicate, Probe, Result, Ts, TxnId, Value,
+};
 
 use crate::engine::Inner;
-use crate::storage::RecordId;
+use crate::storage::{key_order, order_word, OrderKey, RecordId};
 use crate::txn::{Isolation, TxnState};
 
 /// The access path [`Txn::rows`] takes to the committed records.
@@ -41,7 +44,7 @@ pub(crate) fn read_one(inner: &Inner, state: &mut TxnState, rid: RecordId) -> Op
     }
     let shard = inner.storage.shard_for(&rid.key).read();
     let version = shard.store.visible(&rid, state.read_ts());
-    state.observe(rid, version)
+    state.observe(Cow::Owned(rid), version)
 }
 
 /// [`read_one`] for a batch: results in input order, each shard
@@ -69,7 +72,7 @@ pub(crate) fn read_many(
         while i < pending.len() && pending[i].0 == si {
             let pos = pending[i].1;
             let version = shard.store.visible(&rids[pos], read_ts);
-            out[pos] = state.observe(rids[pos].clone(), version);
+            out[pos] = state.observe(Cow::Borrowed(&rids[pos]), version);
             i += 1;
         }
     }
@@ -232,11 +235,18 @@ fn assemble(
             let hit = hit.filter(|v| matches(v) && limit != Some(0));
             return hit.map(|v| (key, v)).into_iter().collect();
         }
-        Access::Candidates(mut keys) => {
-            // segments concatenate in shard order and over-approximate
-            keys.sort();
-            keys.dedup();
-            let rids: Vec<RecordId> = keys.into_iter().map(|k| RecordId::new(id, k)).collect();
+        Access::Candidates(keys) => {
+            // segments concatenate in shard order and over-approximate;
+            // sorted by the walk's kernel, each key's word taken once
+            let mut keys: Vec<(u64, Key)> = keys.into_iter().map(|k| (order_word(&k), k)).collect();
+            keys.sort_by(|(wa, a), (wb, b)| {
+                key_order(OrderKey::new(a, *wa), OrderKey::new(b, *wb))
+            });
+            keys.dedup_by(|(_, a), (_, b)| a == b);
+            let rids: Vec<RecordId> = keys
+                .into_iter()
+                .map(|(_, k)| RecordId::new(id, k))
+                .collect();
             // batched validation: one lock per touched shard
             let values = read_many(inner, state, &rids);
             rids.into_iter()
@@ -299,12 +309,12 @@ fn plan_access(
     let Some(pred) = pred else {
         return Ok((id, Access::Scan));
     };
-    let pk_probe = info.schema.primary_key.as_ref().and_then(|pk| {
-        match pred.probe(&FieldPath::key(pk.clone()))? {
+    let pk_probe = (info.schema.primary_key.as_deref())
+        .and_then(|pk| key_path(pred, pk))
+        .and_then(|path| match pred.probe(path)? {
             Probe::Eq(v) => Key::new(v.clone()).ok(),
             Probe::Range(..) => None,
-        }
-    });
+        });
     if let Some(key) = pk_probe {
         return Ok((id, Access::Point(key)));
     }
@@ -320,6 +330,20 @@ fn plan_access(
         return Ok((id, Access::Candidates(keys)));
     }
     Ok((id, Access::Scan))
+}
+
+/// The path of an equality conjunct of `pred` on the top-level field
+/// `name`, borrowed from the predicate: a primary-key probe needs no
+/// `FieldPath` of its own.
+fn key_path<'p>(pred: &'p Predicate, name: &str) -> Option<&'p FieldPath> {
+    match pred {
+        Predicate::Eq(path, _) => match path.steps() {
+            [PathStep::Key(k)] if k == name => Some(path),
+            _ => None,
+        },
+        Predicate::And(ps) => ps.iter().find_map(|p| key_path(p, name)),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

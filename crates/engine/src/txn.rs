@@ -8,6 +8,7 @@
 //! which is what lets transaction handles be carried across threads and
 //! await points freely.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -159,17 +160,30 @@ impl TxnState {
     /// `Serializable`). The *first* observation wins — OCC validates
     /// against what the transaction actually based its logic on.
     pub fn note_read(&mut self, rid: RecordId, seen: Ts) {
-        let noted = seen != Ts::ZERO || self.isolation == Isolation::Serializable;
-        if noted && !self.read_only {
+        if self.notes(seen) {
             self.reads.entry(rid).or_insert(seen);
         }
     }
 
+    /// Whether a read that found the version committed at `seen`
+    /// (`Ts::ZERO`: none) joins the read set.
+    fn notes(&self, seen: Ts) -> bool {
+        !self.read_only && (seen != Ts::ZERO || self.isolation == Isolation::Serializable)
+    }
+
     /// What a read of `rid` found at the read horizon: the version is
     /// noted in the read set and its value handed out (a tombstone reads
-    /// as absent, like no version at all).
-    pub fn observe(&mut self, rid: RecordId, version: Option<&Version>) -> Option<Arc<Value>> {
-        self.note_read(rid, version.map_or(Ts::ZERO, |v| v.commit_ts));
+    /// as absent, like no version at all). A borrowed `rid` is cloned
+    /// only for a read that is noted.
+    pub fn observe(
+        &mut self,
+        rid: Cow<'_, RecordId>,
+        version: Option<&Version>,
+    ) -> Option<Arc<Value>> {
+        let seen = version.map_or(Ts::ZERO, |v| v.commit_ts);
+        if self.notes(seen) {
+            self.reads.entry(rid.into_owned()).or_insert(seen);
+        }
         version.and_then(|v| v.value.clone())
     }
 
@@ -230,7 +244,10 @@ mod tests {
             commit_ts: Ts(3),
             value: Some(Arc::new(Value::Int(1))),
         };
-        assert_eq!(lane.observe(rid(2), Some(&seen)), seen.value);
+        assert_eq!(
+            lane.observe(Cow::Borrowed(&rid(2)), Some(&seen)),
+            seen.value
+        );
         assert!(lane.reads.is_empty());
     }
 
