@@ -807,6 +807,60 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Park a follower on `wait_durable` behind a batch marked in flight,
+    /// then hand the log to `release` under the state lock; the
+    /// follower's outcome.
+    fn parked_follower(name: &str, release: impl FnOnce(&LogShared, &mut LogState)) -> Result<()> {
+        let path = temp_path(name);
+        let log = GroupLog::start(
+            Wal::open(&path).unwrap(),
+            Durability::Flush,
+            true,
+            test_obs(),
+        );
+        let seq = log.commit(rec(1)).unwrap();
+        {
+            let mut st = log.shared.state.lock();
+            st.writing = true;
+            log.shared.writing.store(true, Ordering::Relaxed);
+        }
+        let outcome = std::thread::scope(|scope| {
+            let follower = scope.spawn(|| log.wait_durable(seq));
+            loop {
+                let mut st = log.shared.state.lock();
+                if st.waiters == 1 {
+                    release(&log.shared, &mut st);
+                    break;
+                }
+                drop(st);
+                std::thread::yield_now();
+            }
+            follower.join().unwrap()
+        });
+        drop(log);
+        std::fs::remove_file(&path).unwrap();
+        outcome
+    }
+
+    #[test]
+    fn a_parked_follower_drains_once_the_batch_retires() {
+        let outcome = parked_follower("parked", |shared, st| {
+            st.writing = false;
+            shared.writing.store(false, Ordering::Relaxed);
+            shared.done.notify_all();
+        });
+        outcome.unwrap();
+    }
+
+    #[test]
+    fn a_parked_follower_sees_the_poison() {
+        let outcome = parked_follower("parked-poison", |shared, st| {
+            shared.poison(st, &Error::Io(std::io::Error::other("injected")));
+        });
+        let err = outcome.unwrap_err();
+        assert!(err.to_string().contains("wal poisoned"), "{err}");
+    }
+
     #[test]
     fn concurrent_committers_all_become_durable() {
         let path = temp_path("concurrent");

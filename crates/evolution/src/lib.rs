@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn adapted_queries_actually_run_after_migration() {
         let (engine, data) = build_engine(&GenConfig {
-            scale_factor: 0.01,
+            scale_factor: 0.02,
             ..Default::default()
         })
         .unwrap();
@@ -172,18 +172,38 @@ mod tests {
             .into_iter()
             .map(|(_, q)| q.statement().clone())
             .collect();
-        // apply the adaptable prefix of the chain (steps 1..=6)
-        let prefix = &standard_chain()[..6];
-        apply_chain(&engine, prefix).unwrap();
-        let (report, fates) = analyze_workload(&stmts, prefix);
-        assert_eq!(report.broken, 0, "prefix is non-destructive");
-        assert!(report.adaptable > 0, "prefix forces some rewrites");
-        for (fate, stmt) in &fates {
-            assert_ne!(*fate, QueryFate::Broken);
-            // both valid and adapted statements must execute cleanly
-            engine
-                .run(Isolation::Snapshot, |t| udbms_query::execute(stmt, t))
-                .unwrap_or_else(|e| panic!("{fate:?} query failed post-migration: {e}"));
+        // every prefix of the chain, migrating the engine one step at a time
+        let chain = standard_chain();
+        for n in 0..=chain.len() {
+            if n > 0 {
+                apply_chain(&engine, &chain[n - 1..n]).unwrap();
+            }
+            let prefix = &chain[..n];
+            let (report, fates) = analyze_workload(&stmts, prefix);
+            if n == 6 {
+                assert_eq!(report.broken, 0, "steps 1..=6 are non-destructive");
+                assert!(report.adaptable > 0, "steps 1..=6 force some rewrites");
+            }
+            for (i, (stmt, (fate, adapted))) in stmts.iter().zip(&fates).enumerate() {
+                if *fate == QueryFate::Adaptable {
+                    // one scope rule: the rewrite touched exactly the
+                    // paths the classification folded, in order
+                    let folded: Vec<_> = accessed_paths(stmt)
+                        .into_iter()
+                        .map(|(coll, path)| {
+                            let path = usability::fold_path(&coll, &path, prefix).unwrap();
+                            (coll, path)
+                        })
+                        .collect();
+                    assert_eq!(accessed_paths(adapted), folded, "Q{} at {n}", i + 1);
+                }
+                // both valid and adapted statements must execute cleanly
+                if *fate != QueryFate::Broken {
+                    engine
+                        .run(Isolation::Snapshot, |t| udbms_query::execute(adapted, t))
+                        .unwrap_or_else(|e| panic!("Q{} ({fate:?}) at {n}: {e}", i + 1));
+                }
+            }
         }
     }
 

@@ -15,17 +15,20 @@ pub struct MigrationStats {
     pub new_version: u32,
 }
 
-/// Apply an operation to a collection: migrate every record forward and
-/// install the new schema. The data migration runs in batched snapshot
-/// transactions; the schema swap happens after the data is in the new
-/// shape (the schema is validated against migrated values on write).
+/// Apply an operation to a collection: install the new schema, then
+/// migrate every record forward. The schema swap goes first, through
+/// [`Engine::set_schema`] and outside any transaction, so the write path
+/// validates each migrated value against the new schema; the data
+/// migration then runs in batched snapshot transactions. Until the last
+/// batch commits, a reader sees the new schema over partly migrated
+/// data: the swap and the migration share no commit point (ROADMAP
+/// item 1, "the catalog is data", owns that).
 pub fn apply(engine: &Engine, op: &EvolutionOp) -> Result<MigrationStats> {
     let name = op.collection().to_string();
     let old_schema = engine.schema_of(&name)?;
     let new_schema = op.apply_schema(&old_schema)?;
 
-    // Swap the schema first when it only *adds* leniency (open schemas
-    // accept both shapes); the write path validates against it.
+    // the write path validates against the new schema, so it goes first
     engine.set_schema(&name, new_schema.clone())?;
 
     const BATCH: usize = 512;

@@ -81,26 +81,53 @@ pub fn analyze_workload(
     (report, fates)
 }
 
-/// Classify one query against a chain and produce its adapted form.
+/// Classify one query against a chain and produce its adapted form, in
+/// one pass over a copy of the statement.
 pub fn classify(stmt: &Statement, ops: &[EvolutionOp]) -> (QueryFate, Statement) {
-    let accesses = accessed_paths(stmt);
-    let mut any_rewrite = false;
-    for (coll, path) in &accesses {
-        match fold_path(coll, path, ops) {
-            None => return (QueryFate::Broken, stmt.clone()),
-            Some(p) if &p != path => any_rewrite = true,
+    let mut adapted = stmt.clone();
+    match adapt_in_place(&mut adapted, ops) {
+        QueryFate::Broken => (QueryFate::Broken, stmt.clone()),
+        fate => (fate, adapted),
+    }
+}
+
+/// Rewrite a statement's member paths through the chain's mappings
+/// (call only on queries classified `Adaptable`).
+pub fn adapt_statement(stmt: &Statement, ops: &[EvolutionOp]) -> Statement {
+    let mut adapted = stmt.clone();
+    adapt_in_place(&mut adapted, ops);
+    adapted
+}
+
+/// Rewrite every accessed path of `stmt` that the chain maps elsewhere,
+/// leave a dropped one as it is, and say which fate that makes.
+fn adapt_in_place(stmt: &mut Statement, ops: &[EvolutionOp]) -> QueryFate {
+    let (mut broken, mut rewritten) = (false, false);
+    visit_paths(
+        stmt,
+        &mut |coll, path, steps| match fold_path(coll, &path, ops) {
+            None => broken = true,
+            Some(p) if p != path => {
+                *steps = member_steps(&p);
+                rewritten = true;
+            }
             Some(_) => {}
-        }
+        },
+    );
+    match (broken, rewritten) {
+        (true, _) => QueryFate::Broken,
+        (false, true) => QueryFate::Adaptable,
+        (false, false) => QueryFate::Valid,
     }
-    if !any_rewrite {
-        return (QueryFate::Valid, stmt.clone());
-    }
-    (QueryFate::Adaptable, adapt_statement(stmt, ops))
 }
 
 /// Fold a path through a chain (ops on other collections are skipped).
 /// `None` = dropped.
-fn fold_path(collection: &str, path: &FieldPath, ops: &[EvolutionOp]) -> Option<FieldPath> {
+pub(crate) fn fold_path(
+    collection: &str,
+    path: &FieldPath,
+    ops: &[EvolutionOp],
+) -> Option<FieldPath> {
     let mut cur = path.clone();
     for op in ops {
         if op.collection() != collection {
@@ -115,303 +142,98 @@ fn fold_path(collection: &str, path: &FieldPath, ops: &[EvolutionOp]) -> Option<
     Some(cur)
 }
 
-/// Variable scope: variable name → collection it ranges over.
-type Scope = HashMap<String, String>;
-
 /// Extract every `(collection, path)` access a statement performs.
 pub fn accessed_paths(stmt: &Statement) -> Vec<(String, FieldPath)> {
     let mut out = Vec::new();
-    match stmt {
-        Statement::Query(body) => walk_body(body, &Scope::new(), &mut out),
-        Statement::Insert { value, collection } => {
-            walk_expr(value, &Scope::new(), &mut out);
-            let _ = collection;
-        }
-        Statement::Update {
-            key,
-            patch,
-            collection,
-        } => {
-            walk_expr(key, &Scope::new(), &mut out);
-            walk_expr(patch, &Scope::new(), &mut out);
-            let _ = collection;
-        }
-        Statement::Remove { key, .. } => walk_expr(key, &Scope::new(), &mut out),
-    }
+    visit_paths(&mut stmt.clone(), &mut |coll, path, _| {
+        out.push((coll.to_string(), path))
+    });
     out
 }
 
-fn walk_body(body: &QueryBody, outer: &Scope, out: &mut Vec<(String, FieldPath)>) {
+/// Variable scope: variable name → collection it ranges over.
+type Scope = HashMap<String, String>;
+
+/// What [`visit_paths`] calls for each member path `var.a[0].b` whose
+/// variable ranges over a collection: the collection, the path, and the
+/// member's steps, to rewrite in place.
+type OnPath<'a> = dyn FnMut(&str, FieldPath, &mut Vec<MemberStep>) + 'a;
+
+/// The scoped walk: call `on_path` for every access to a collection's
+/// path, in source order.
+fn visit_paths(stmt: &mut Statement, on_path: &mut OnPath) {
+    match stmt {
+        Statement::Query(body) => visit_body(body, &Scope::new(), on_path),
+        dml => dml.for_each_expr_mut(&mut |e| visit_expr(e, &Scope::new(), on_path)),
+    }
+}
+
+/// The scope rule: a clause's expressions see the variables bound before
+/// it, then the clause binds its own. A subquery starts from the scope
+/// around it.
+fn visit_body(body: &mut QueryBody, outer: &Scope, on_path: &mut OnPath) {
     let mut scope = outer.clone();
-    for clause in &body.clauses {
+    let (clauses, ret) = body.parts_mut();
+    for clause in clauses {
+        clause.for_each_expr_mut(&mut |e| visit_expr(e, &scope, on_path));
         match clause {
             Clause::For { var, source } => match source {
                 Source::Collection(name) => {
                     scope.insert(var.clone(), name.clone());
                 }
-                Source::Traversal { start, graph, .. } => {
-                    walk_expr(start, &scope, out);
+                Source::Traversal { graph, .. } => {
                     scope.insert(var.clone(), format!("{graph}#v"));
                 }
-                Source::Expr(e) => {
-                    walk_expr(e, &scope, out);
+                Source::Expr(_) => {
                     scope.remove(var.as_str());
                 }
             },
-            Clause::Filter(e) => walk_expr(e, &scope, out),
+            // LET x = DOCUMENT("coll", …) binds x to that collection;
+            // any other LET shadows x
             Clause::Let { var, value } => {
-                walk_expr(value, &scope, out);
-                // LET x = DOCUMENT("coll", …) binds x to that collection
+                scope.remove(var.as_str());
                 if let Expr::Call { name, args } = value {
-                    if name == "DOCUMENT" {
-                        if let Some(Expr::Literal(Value::Str(coll))) = args.first() {
+                    if let Some(Expr::Literal(Value::Str(coll))) = args.first() {
+                        if name == "DOCUMENT" {
                             scope.insert(var.clone(), coll.clone());
-                            continue;
                         }
                     }
                 }
-                scope.remove(var.as_str());
             }
-            Clause::Sort { keys } => {
-                for (e, _) in keys {
-                    walk_expr(e, &scope, out);
-                }
-            }
-            Clause::Limit { .. } => {}
-            Clause::Collect {
-                groups,
-                aggregates,
-                into,
-            } => {
-                for (_, e) in groups {
-                    walk_expr(e, &scope, out);
-                }
-                for (_, _, e) in aggregates {
-                    walk_expr(e, &scope, out);
-                }
-                // COLLECT resets the scope
-                scope.clear();
-                for (name, _) in groups {
-                    scope.remove(name.as_str());
-                }
-                if let Some(v) = into {
-                    scope.remove(v.as_str());
-                }
-            }
+            Clause::Collect { .. } => scope.clear(),
+            Clause::Filter(_) | Clause::Sort { .. } | Clause::Limit { .. } => {}
         }
     }
-    walk_expr(&body.ret, &scope, out);
+    visit_expr(ret, &scope, on_path);
 }
 
-fn walk_expr(e: &Expr, scope: &Scope, out: &mut Vec<(String, FieldPath)>) {
+fn visit_expr(e: &mut Expr, scope: &Scope, on_path: &mut OnPath) {
     match e {
         Expr::Member { .. } => {
-            if let Some((var, path)) = e.as_var_path() {
-                if let Some(coll) = scope.get(var) {
-                    if !path.is_root() {
-                        out.push((coll.clone(), path));
-                    }
-                    return;
+            let hit = e
+                .as_var_path()
+                .and_then(|(var, path)| Some((scope.get(var)?, path)));
+            if let (Some((coll, path)), Expr::Member { steps, .. }) = (hit, &mut *e) {
+                if !path.is_root() {
+                    on_path(coll, path, steps);
                 }
-            }
-            // dynamic member chain: recurse into parts
-            if let Expr::Member { base, steps } = e {
-                walk_expr(base, scope, out);
-                for s in steps {
-                    if let MemberStep::Index(ix) = s {
-                        walk_expr(ix, scope, out);
-                    }
-                }
+                return;
             }
         }
-        Expr::Array(items) => items.iter().for_each(|i| walk_expr(i, scope, out)),
-        Expr::Object(fields) => fields.iter().for_each(|(_, v)| walk_expr(v, scope, out)),
-        Expr::Unary { expr, .. } => walk_expr(expr, scope, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, scope, out);
-            walk_expr(rhs, scope, out);
-        }
-        Expr::Chain { first, links } => {
-            walk_expr(first, scope, out);
-            links.iter().for_each(|(_, e)| walk_expr(e, scope, out));
-        }
-        Expr::Call { args, .. } => args.iter().for_each(|a| walk_expr(a, scope, out)),
-        Expr::Subquery(body) => walk_body(body, scope, out),
-        Expr::Literal(_) | Expr::Var(_) | Expr::Param { .. } => {}
+        Expr::Subquery(body) => return visit_body(body, scope, on_path),
+        _ => {}
     }
+    e.for_each_child_mut(&mut |child| visit_expr(child, scope, on_path));
 }
 
-/// Rewrite a statement's member paths through the chain's mappings
-/// (call only on queries classified `Adaptable`).
-pub fn adapt_statement(stmt: &Statement, ops: &[EvolutionOp]) -> Statement {
-    match stmt {
-        Statement::Query(body) => Statement::Query(adapt_body(body, &Scope::new(), ops)),
-        other => other.clone(),
-    }
-}
-
-fn adapt_body(body: &QueryBody, outer: &Scope, ops: &[EvolutionOp]) -> QueryBody {
-    let mut scope = outer.clone();
-    let mut clauses = Vec::with_capacity(body.clauses.len());
-    for clause in &body.clauses {
-        let adapted = match clause {
-            Clause::For { var, source } => {
-                let new_source = match source {
-                    Source::Collection(name) => {
-                        scope.insert(var.clone(), name.clone());
-                        Source::Collection(name.clone())
-                    }
-                    Source::Traversal {
-                        min,
-                        max,
-                        dir,
-                        start,
-                        graph,
-                        label,
-                    } => {
-                        let s = adapt_expr(start, &scope, ops);
-                        scope.insert(var.clone(), format!("{graph}#v"));
-                        Source::Traversal {
-                            min: *min,
-                            max: *max,
-                            dir: *dir,
-                            start: Box::new(s),
-                            graph: graph.clone(),
-                            label: label.clone(),
-                        }
-                    }
-                    Source::Expr(e) => {
-                        let adapted = Source::Expr(Box::new(adapt_expr(e, &scope, ops)));
-                        scope.remove(var.as_str());
-                        adapted
-                    }
-                };
-                Clause::For {
-                    var: var.clone(),
-                    source: new_source,
-                }
-            }
-            Clause::Filter(e) => Clause::Filter(adapt_expr(e, &scope, ops)),
-            Clause::Let { var, value } => {
-                let v = adapt_expr(value, &scope, ops);
-                if let Expr::Call { name, args } = value {
-                    if name == "DOCUMENT" {
-                        if let Some(Expr::Literal(Value::Str(coll))) = args.first() {
-                            scope.insert(var.clone(), coll.clone());
-                        }
-                    }
-                }
-                Clause::Let {
-                    var: var.clone(),
-                    value: v,
-                }
-            }
-            Clause::Sort { keys } => Clause::Sort {
-                keys: keys
-                    .iter()
-                    .map(|(e, asc)| (adapt_expr(e, &scope, ops), *asc))
-                    .collect(),
-            },
-            Clause::Limit { offset, count } => Clause::Limit {
-                offset: *offset,
-                count: *count,
-            },
-            Clause::Collect {
-                groups,
-                aggregates,
-                into,
-            } => {
-                let c = Clause::Collect {
-                    groups: groups
-                        .iter()
-                        .map(|(n, e)| (n.clone(), adapt_expr(e, &scope, ops)))
-                        .collect(),
-                    aggregates: aggregates
-                        .iter()
-                        .map(|(n, f, e)| (n.clone(), *f, adapt_expr(e, &scope, ops)))
-                        .collect(),
-                    into: into.clone(),
-                };
-                scope.clear();
-                c
-            }
-        };
-        clauses.push(adapted);
-    }
-    QueryBody::new(clauses, body.distinct, adapt_expr(&body.ret, &scope, ops))
-}
-
-fn adapt_expr(e: &Expr, scope: &Scope, ops: &[EvolutionOp]) -> Expr {
-    match e {
-        Expr::Member { base, steps } => {
-            if let Some((var, path)) = e.as_var_path() {
-                if let Some(coll) = scope.get(var) {
-                    if let Some(new_path) = fold_path(coll, &path, ops) {
-                        return rebuild_member(var, &new_path);
-                    }
-                }
-            }
-            Expr::Member {
-                base: Box::new(adapt_expr(base, scope, ops)),
-                steps: steps
-                    .iter()
-                    .map(|s| match s {
-                        MemberStep::Field(f) => MemberStep::Field(f.clone()),
-                        MemberStep::Index(ix) => {
-                            MemberStep::Index(Box::new(adapt_expr(ix, scope, ops)))
-                        }
-                    })
-                    .collect(),
-            }
-        }
-        Expr::Array(items) => {
-            Expr::Array(items.iter().map(|i| adapt_expr(i, scope, ops)).collect())
-        }
-        Expr::Object(fields) => Expr::Object(
-            fields
-                .iter()
-                .map(|(k, v)| (k.clone(), adapt_expr(v, scope, ops)))
-                .collect(),
-        ),
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(adapt_expr(expr, scope, ops)),
-        },
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(adapt_expr(lhs, scope, ops)),
-            rhs: Box::new(adapt_expr(rhs, scope, ops)),
-        },
-        Expr::Chain { first, links } => Expr::Chain {
-            first: Box::new(adapt_expr(first, scope, ops)),
-            links: links
-                .iter()
-                .map(|(op, e)| (*op, adapt_expr(e, scope, ops)))
-                .collect(),
-        },
-        Expr::Call { name, args } => Expr::Call {
-            name: name.clone(),
-            args: args.iter().map(|a| adapt_expr(a, scope, ops)).collect(),
-        },
-        Expr::Subquery(body) => Expr::Subquery(Box::new(adapt_body(body, scope, ops))),
-        Expr::Literal(_) | Expr::Var(_) | Expr::Param { .. } => e.clone(),
-    }
-}
-
-fn rebuild_member(var: &str, path: &FieldPath) -> Expr {
+/// The member steps that spell `path`.
+fn member_steps(path: &FieldPath) -> Vec<MemberStep> {
     use udbms_core::PathStep;
-    let steps = path
-        .steps()
-        .iter()
-        .map(|s| match s {
-            PathStep::Key(k) => MemberStep::Field(k.clone()),
-            PathStep::Index(i) => MemberStep::Index(Box::new(Expr::Literal(Value::Int(*i as i64)))),
-        })
-        .collect();
-    Expr::Member {
-        base: Box::new(Expr::Var(var.to_string())),
-        steps,
-    }
+    let step = |s: &PathStep| match s {
+        PathStep::Key(k) => MemberStep::Field(k.clone()),
+        PathStep::Index(i) => MemberStep::Index(Box::new(Expr::Literal(Value::Int(*i as i64)))),
+    };
+    path.steps().iter().map(step).collect()
 }
 
 #[cfg(test)]
@@ -500,6 +322,32 @@ mod tests {
                 assert!(!paths.contains(&("orders".into(), FieldPath::key("status"))));
             });
         walk.unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn a_let_shadowing_the_loop_variable_keeps_its_paths() {
+        use udbms_core::{obj, CollectionSchema};
+        use udbms_engine::{Engine, Isolation};
+
+        let q = parse(
+            r#"FOR o IN orders FILTER o.status == "open" LET o = {status: 1} RETURN o.status"#,
+        );
+        let (fate, adapted) = classify(&q, &[rename_op()]);
+        assert_eq!(fate, QueryFate::Adaptable);
+        let engine = Engine::new();
+        engine
+            .create_collection(CollectionSchema::document("orders", "_id", vec![]))
+            .unwrap();
+        engine
+            .run(Isolation::Snapshot, |t| {
+                t.insert("orders", obj! {"_id" => "a", "state" => "open"})
+            })
+            .unwrap();
+        let out = engine
+            .run(Isolation::Snapshot, |t| udbms_query::execute(&adapted, t))
+            .unwrap();
+        // the FILTER reads the renamed field; the RETURN reads the LET object
+        assert_eq!(out, vec![Value::Int(1)]);
     }
 
     #[test]

@@ -42,7 +42,10 @@ pub struct QueryBody {
     /// The projected expression.
     pub ret: Expr,
     /// What the executor derives from `clauses`, on first execution or
-    /// `explain`; edit a body by building a new one.
+    /// `explain`. [`QueryBody::parts_mut`], which every mutable
+    /// traversal goes through, drops it, so a cached plan never outlives
+    /// an edit; a body edited through its fields directly must be built
+    /// anew with [`QueryBody::new`].
     pub(crate) plan: crate::exec::PlanCell,
 }
 
@@ -55,6 +58,69 @@ impl QueryBody {
             ret,
             plan: Default::default(),
         }
+    }
+
+    /// The clauses and the `RETURN` expression, for editing in place.
+    /// Drops the cached plan.
+    pub fn parts_mut(&mut self) -> (&mut [Clause], &mut Expr) {
+        self.plan = Default::default();
+        (&mut self.clauses, &mut self.ret)
+    }
+
+    /// Call `f` on each expression the clauses hold, in order, then on
+    /// the `RETURN` expression. Subexpressions are not visited.
+    pub fn for_each_expr(&self, f: &mut impl FnMut(&Expr)) {
+        self.clauses.iter().for_each(|c| c.for_each_expr(f));
+        f(&self.ret);
+    }
+
+    /// [`QueryBody::for_each_expr`], handing out `&mut` (which drops the
+    /// cached plan).
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        let (clauses, ret) = self.parts_mut();
+        clauses.iter_mut().for_each(|c| c.for_each_expr_mut(f));
+        f(ret);
+    }
+}
+
+impl Statement {
+    /// Call `f` on each expression the statement holds at its top level:
+    /// a query's clause and `RETURN` expressions, a DML statement's
+    /// value, key and patch.
+    pub fn for_each_expr(&self, f: &mut impl FnMut(&Expr)) {
+        match self {
+            Statement::Query(body) => body.for_each_expr(f),
+            Statement::Insert { value, .. } => f(value),
+            Statement::Update { key, patch, .. } => {
+                f(key);
+                f(patch);
+            }
+            Statement::Remove { key, .. } => f(key),
+        }
+    }
+
+    /// [`Statement::for_each_expr`], handing out `&mut`.
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        match self {
+            Statement::Query(body) => body.for_each_expr_mut(f),
+            Statement::Insert { value, .. } => f(value),
+            Statement::Update { key, patch, .. } => {
+                f(key);
+                f(patch);
+            }
+            Statement::Remove { key, .. } => f(key),
+        }
+    }
+
+    /// Call `f` on every expression in the statement, subqueries
+    /// included, each before its children ([`Expr::walk`]).
+    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+        self.for_each_expr(&mut |e| e.walk(f));
+    }
+
+    /// [`Statement::walk`], handing out `&mut`.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        self.for_each_expr_mut(&mut |e| e.walk_mut(f));
     }
 }
 
@@ -98,6 +164,49 @@ pub enum Clause {
         /// Bind the group's member bindings (as objects) to this name.
         into: Option<String>,
     },
+}
+
+impl Clause {
+    /// Call `f` on each expression the clause holds, in source order: a
+    /// traversal's start vertex, a `FOR` source expression, a `FILTER`
+    /// condition, a `LET` value, the `SORT` keys, the `COLLECT` groups
+    /// and then its aggregate inputs.
+    pub fn for_each_expr(&self, f: &mut impl FnMut(&Expr)) {
+        match self {
+            Clause::For { source, .. } => match source {
+                Source::Collection(_) => {}
+                Source::Traversal { start: e, .. } | Source::Expr(e) => f(e),
+            },
+            Clause::Filter(e) | Clause::Let { value: e, .. } => f(e),
+            Clause::Sort { keys } => keys.iter().for_each(|(e, _)| f(e)),
+            Clause::Limit { .. } => {}
+            Clause::Collect {
+                groups, aggregates, ..
+            } => {
+                groups.iter().for_each(|(_, e)| f(e));
+                aggregates.iter().for_each(|(_, _, e)| f(e));
+            }
+        }
+    }
+
+    /// [`Clause::for_each_expr`], handing out `&mut`.
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        match self {
+            Clause::For { source, .. } => match source {
+                Source::Collection(_) => {}
+                Source::Traversal { start: e, .. } | Source::Expr(e) => f(e),
+            },
+            Clause::Filter(e) | Clause::Let { value: e, .. } => f(e),
+            Clause::Sort { keys } => keys.iter_mut().for_each(|(e, _)| f(e)),
+            Clause::Limit { .. } => {}
+            Clause::Collect {
+                groups, aggregates, ..
+            } => {
+                groups.iter_mut().for_each(|(_, e)| f(e));
+                aggregates.iter_mut().for_each(|(_, _, e)| f(e));
+            }
+        }
+    }
 }
 
 /// Aggregation functions available in `COLLECT … AGGREGATE`.
@@ -341,15 +450,91 @@ impl Expr {
     pub fn is_const(&self) -> bool {
         match self {
             Expr::Literal(_) => true,
-            Expr::Array(items) => items.iter().all(Expr::is_const),
-            Expr::Object(fields) => fields.iter().all(|(_, e)| e.is_const()),
-            Expr::Unary { expr, .. } => expr.is_const(),
-            Expr::Binary { lhs, rhs, .. } => lhs.is_const() && rhs.is_const(),
-            Expr::Chain { first, links } => {
-                first.is_const() && links.iter().all(|(_, e)| e.is_const())
+            Expr::Array(_)
+            | Expr::Object(_)
+            | Expr::Unary { .. }
+            | Expr::Binary { .. }
+            | Expr::Chain { .. } => {
+                let mut all = true;
+                self.for_each_child(&mut |e| all = all && e.is_const());
+                all
             }
             _ => false,
         }
+    }
+
+    /// Call `f` on each direct child expression, in source order: a
+    /// member chain's base and index expressions, the items, fields,
+    /// operands and arguments, and a subquery's clause and `RETURN`
+    /// expressions ([`QueryBody::for_each_expr`]). A chain's links are
+    /// visited in a loop, so a recursion through this costs no depth
+    /// for a chain however long.
+    pub fn for_each_child(&self, f: &mut impl FnMut(&Expr)) {
+        match self {
+            Expr::Literal(_) | Expr::Param { .. } | Expr::Var(_) => {}
+            Expr::Member { base, steps } => {
+                f(base);
+                for step in steps {
+                    if let MemberStep::Index(e) = step {
+                        f(e);
+                    }
+                }
+            }
+            Expr::Array(items) | Expr::Call { args: items, .. } => items.iter().for_each(f),
+            Expr::Object(fields) => fields.iter().for_each(|(_, e)| f(e)),
+            Expr::Unary { expr, .. } => f(expr),
+            Expr::Binary { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            Expr::Chain { first, links } => {
+                f(first);
+                links.iter().for_each(|(_, e)| f(e));
+            }
+            Expr::Subquery(body) => body.for_each_expr(f),
+        }
+    }
+
+    /// [`Expr::for_each_child`], handing out `&mut` (a subquery drops its
+    /// cached plan).
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Literal(_) | Expr::Param { .. } | Expr::Var(_) => {}
+            Expr::Member { base, steps } => {
+                f(base);
+                for step in steps {
+                    if let MemberStep::Index(e) = step {
+                        f(e);
+                    }
+                }
+            }
+            Expr::Array(items) | Expr::Call { args: items, .. } => items.iter_mut().for_each(f),
+            Expr::Object(fields) => fields.iter_mut().for_each(|(_, e)| f(e)),
+            Expr::Unary { expr, .. } => f(expr),
+            Expr::Binary { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            Expr::Chain { first, links } => {
+                f(first);
+                links.iter_mut().for_each(|(_, e)| f(e));
+            }
+            Expr::Subquery(body) => body.for_each_expr_mut(f),
+        }
+    }
+
+    /// Call `f` on this expression and then on every expression below
+    /// it, subqueries included, depth first.
+    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        self.for_each_child(&mut |e| e.walk(f));
+    }
+
+    /// [`Expr::walk`], handing out `&mut`: `f` sees a node before its
+    /// children, so what it puts in a node's place is walked in turn.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        f(self);
+        self.for_each_child_mut(&mut |e| e.walk_mut(f));
     }
 }
 

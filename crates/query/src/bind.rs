@@ -1,7 +1,8 @@
 //! Binding `@name` parameters to concrete values.
 //!
-//! Binding rewrites every [`Expr::Param`] in a statement into
-//! [`Expr::Literal`] *before* execution, so a bound statement goes through
+//! Binding copies a statement and replaces every [`Expr::Param`] in the
+//! copy with an [`Expr::Literal`] *before* execution, through the AST's
+//! one traversal ([`Statement::walk_mut`]), so a bound statement goes through
 //! planning exactly like a hand-written constant — in particular,
 //! parameterized filters still reach index pushdown. Parse once, bind and
 //! execute many times: the parse cost is paid a single time per query
@@ -18,40 +19,36 @@ use crate::ast::*;
 /// *allowed* (workloads share one params map across many queries); use
 /// [`check_extra_params`] for the strict variant.
 pub fn bind_statement(stmt: &Statement, params: &Params) -> Result<Statement> {
-    Ok(match stmt {
-        Statement::Query(body) => Statement::Query(bind_body(body, params)?),
-        Statement::Insert { value, collection } => Statement::Insert {
-            value: bind_expr(value, params)?,
-            collection: collection.clone(),
-        },
-        Statement::Update {
-            key,
-            patch,
-            collection,
-        } => Statement::Update {
-            key: bind_expr(key, params)?,
-            patch: bind_expr(patch, params)?,
-            collection: collection.clone(),
-        },
-        Statement::Remove { key, collection } => Statement::Remove {
-            key: bind_expr(key, params)?,
-            collection: collection.clone(),
-        },
-    })
+    let mut bound = stmt.clone();
+    let mut missing = None;
+    bound.walk_mut(&mut |e| {
+        if let Expr::Param { name, line, col } = e {
+            match params.get(name) {
+                Some(v) => *e = Expr::Literal(v.clone()),
+                None => {
+                    missing.get_or_insert_with(|| {
+                        let msg = format!("missing bind parameter `@{name}`");
+                        Error::parse("mmql", *line, *col, msg)
+                    });
+                }
+            }
+        }
+    });
+    match missing {
+        Some(err) => Err(err),
+        None => Ok(bound),
+    }
 }
 
 /// Collect the distinct parameter names a statement references, in first
 /// appearance order.
 pub fn statement_params(stmt: &Statement) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut push = |name: &str| {
-        if !out.iter().any(|n| n == name) {
-            out.push(name.to_string());
-        }
-    };
-    walk_statement(stmt, &mut |e| {
+    let mut out: Vec<String> = Vec::new();
+    stmt.walk(&mut |e| {
         if let Expr::Param { name, .. } = e {
-            push(name);
+            if !out.contains(name) {
+                out.push(name.clone());
+            }
         }
     });
     out
@@ -77,201 +74,6 @@ pub fn check_extra_params(stmt: &Statement, params: &Params) -> Result<()> {
                 .collect::<Vec<_>>()
                 .join(", ")
         )))
-    }
-}
-
-fn bind_body(body: &QueryBody, params: &Params) -> Result<QueryBody> {
-    let mut clauses = Vec::with_capacity(body.clauses.len());
-    for clause in &body.clauses {
-        clauses.push(match clause {
-            Clause::For { var, source } => Clause::For {
-                var: var.clone(),
-                source: match source {
-                    Source::Collection(name) => Source::Collection(name.clone()),
-                    Source::Traversal {
-                        min,
-                        max,
-                        dir,
-                        start,
-                        graph,
-                        label,
-                    } => Source::Traversal {
-                        min: *min,
-                        max: *max,
-                        dir: *dir,
-                        start: Box::new(bind_expr(start, params)?),
-                        graph: graph.clone(),
-                        label: label.clone(),
-                    },
-                    Source::Expr(e) => Source::Expr(Box::new(bind_expr(e, params)?)),
-                },
-            },
-            Clause::Filter(e) => Clause::Filter(bind_expr(e, params)?),
-            Clause::Let { var, value } => Clause::Let {
-                var: var.clone(),
-                value: bind_expr(value, params)?,
-            },
-            Clause::Sort { keys } => Clause::Sort {
-                keys: keys
-                    .iter()
-                    .map(|(e, asc)| Ok((bind_expr(e, params)?, *asc)))
-                    .collect::<Result<Vec<_>>>()?,
-            },
-            Clause::Limit { offset, count } => Clause::Limit {
-                offset: *offset,
-                count: *count,
-            },
-            Clause::Collect {
-                groups,
-                aggregates,
-                into,
-            } => Clause::Collect {
-                groups: groups
-                    .iter()
-                    .map(|(n, e)| Ok((n.clone(), bind_expr(e, params)?)))
-                    .collect::<Result<Vec<_>>>()?,
-                aggregates: aggregates
-                    .iter()
-                    .map(|(n, f, e)| Ok((n.clone(), *f, bind_expr(e, params)?)))
-                    .collect::<Result<Vec<_>>>()?,
-                into: into.clone(),
-            },
-        });
-    }
-    Ok(QueryBody::new(
-        clauses,
-        body.distinct,
-        bind_expr(&body.ret, params)?,
-    ))
-}
-
-fn bind_expr(expr: &Expr, params: &Params) -> Result<Expr> {
-    Ok(match expr {
-        Expr::Param { name, line, col } => match params.get(name) {
-            Some(v) => Expr::Literal(v.clone()),
-            None => {
-                return Err(Error::parse(
-                    "mmql",
-                    *line,
-                    *col,
-                    format!("missing bind parameter `@{name}`"),
-                ))
-            }
-        },
-        Expr::Literal(v) => Expr::Literal(v.clone()),
-        Expr::Var(v) => Expr::Var(v.clone()),
-        Expr::Member { base, steps } => Expr::Member {
-            base: Box::new(bind_expr(base, params)?),
-            steps: steps
-                .iter()
-                .map(|s| {
-                    Ok(match s {
-                        MemberStep::Field(f) => MemberStep::Field(f.clone()),
-                        MemberStep::Index(e) => MemberStep::Index(Box::new(bind_expr(e, params)?)),
-                    })
-                })
-                .collect::<Result<Vec<_>>>()?,
-        },
-        Expr::Array(items) => Expr::Array(
-            items
-                .iter()
-                .map(|e| bind_expr(e, params))
-                .collect::<Result<Vec<_>>>()?,
-        ),
-        Expr::Object(fields) => Expr::Object(
-            fields
-                .iter()
-                .map(|(k, e)| Ok((k.clone(), bind_expr(e, params)?)))
-                .collect::<Result<Vec<_>>>()?,
-        ),
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(bind_expr(expr, params)?),
-        },
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(bind_expr(lhs, params)?),
-            rhs: Box::new(bind_expr(rhs, params)?),
-        },
-        Expr::Chain { first, links } => Expr::Chain {
-            first: Box::new(bind_expr(first, params)?),
-            links: links
-                .iter()
-                .map(|(op, e)| Ok((*op, bind_expr(e, params)?)))
-                .collect::<Result<Vec<_>>>()?,
-        },
-        Expr::Call { name, args } => Expr::Call {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|e| bind_expr(e, params))
-                .collect::<Result<Vec<_>>>()?,
-        },
-        Expr::Subquery(body) => Expr::Subquery(Box::new(bind_body(body, params)?)),
-    })
-}
-
-/// Depth-first visit of every expression in a statement.
-fn walk_statement(stmt: &Statement, f: &mut impl FnMut(&Expr)) {
-    match stmt {
-        Statement::Query(body) => walk_body(body, f),
-        Statement::Insert { value, .. } => walk_expr(value, f),
-        Statement::Update { key, patch, .. } => {
-            walk_expr(key, f);
-            walk_expr(patch, f);
-        }
-        Statement::Remove { key, .. } => walk_expr(key, f),
-    }
-}
-
-fn walk_body(body: &QueryBody, f: &mut impl FnMut(&Expr)) {
-    for clause in &body.clauses {
-        match clause {
-            Clause::For { source, .. } => match source {
-                Source::Collection(_) => {}
-                Source::Traversal { start, .. } => walk_expr(start, f),
-                Source::Expr(e) => walk_expr(e, f),
-            },
-            Clause::Filter(e) => walk_expr(e, f),
-            Clause::Let { value, .. } => walk_expr(value, f),
-            Clause::Sort { keys } => keys.iter().for_each(|(e, _)| walk_expr(e, f)),
-            Clause::Limit { .. } => {}
-            Clause::Collect {
-                groups, aggregates, ..
-            } => {
-                groups.iter().for_each(|(_, e)| walk_expr(e, f));
-                aggregates.iter().for_each(|(_, _, e)| walk_expr(e, f));
-            }
-        }
-    }
-    walk_expr(&body.ret, f);
-}
-
-pub(crate) fn walk_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(expr);
-    match expr {
-        Expr::Literal(_) | Expr::Var(_) | Expr::Param { .. } => {}
-        Expr::Member { base, steps } => {
-            walk_expr(base, f);
-            for s in steps {
-                if let MemberStep::Index(e) = s {
-                    walk_expr(e, f);
-                }
-            }
-        }
-        Expr::Array(items) => items.iter().for_each(|e| walk_expr(e, f)),
-        Expr::Object(fields) => fields.iter().for_each(|(_, e)| walk_expr(e, f)),
-        Expr::Unary { expr, .. } => walk_expr(expr, f),
-        Expr::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, f);
-            walk_expr(rhs, f);
-        }
-        Expr::Chain { first, links } => {
-            walk_expr(first, f);
-            links.iter().for_each(|(_, e)| walk_expr(e, f));
-        }
-        Expr::Call { args, .. } => args.iter().for_each(|e| walk_expr(e, f)),
-        Expr::Subquery(body) => walk_body(body, f),
     }
 }
 

@@ -762,9 +762,7 @@ fn pushable(expr: &Expr, var: &str) -> Option<DynPred> {
     // (where it could be captured) included?
     let independent = |e: &Expr| {
         let mut mentioned = false;
-        crate::bind::walk_expr(e, &mut |e| {
-            mentioned |= matches!(e, Expr::Var(v) if v == var)
-        });
+        e.walk(&mut |e| mentioned |= matches!(e, Expr::Var(v) if v == var));
         !mentioned
     };
     let (path, op, rhs) = match (own_path(lhs), own_path(rhs)) {

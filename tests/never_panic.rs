@@ -1,10 +1,11 @@
 //! No input may panic: seeded mutation loops over the four text decoders
-//! — MMQL (parse, `explain`, bind and execute on a small engine), JSON,
-//! XML and XPath — starting from the texts the workload itself uses: the
-//! paper's Q1–Q10 and the DML statements, generated customer and order
-//! documents, generated invoices, and the XPath expressions the queries
-//! and `order_update` evaluate; and over the WAL's frame decoder,
-//! starting from a real log of that workload.
+//! — MMQL (parse, `explain`, E3's path classifier and rewriter, bind and
+//! execute on a small engine), JSON, XML and XPath — starting from the
+//! texts the workload itself uses: the paper's Q1–Q10 and the DML
+//! statements, generated customer and order documents, generated
+//! invoices, and the XPath expressions the queries and `order_update`
+//! evaluate; and over the WAL's frame decoder, starting from a real log
+//! of that workload.
 //!
 //! Text mutations: byte flips, truncation, duplication of a token, a
 //! token repeated tens of thousands of times (long), and an opening token
@@ -21,6 +22,7 @@
 use udbms::core::{Key, Params, SplitMix64};
 use udbms::datagen::{build_engine, create_collections, load_into_engine, workload, GenConfig};
 use udbms::engine::{Engine, Isolation, Wal};
+use udbms::evolution::{accessed_paths, classify, standard_chain};
 use udbms::query::Query;
 use udbms::xml::XPath;
 
@@ -91,13 +93,16 @@ fn mutate(rng: &mut SplitMix64, text: &str, long: &[&str], deep: &[(&str, &str)]
     }
 }
 
-/// Parse, explain, bind and — unless the mutation multiplied the loops —
-/// execute; the transaction is dropped, so DML changes nothing.
+/// Parse, explain, classify and adapt against E3's evolution chain,
+/// bind and — unless the mutation multiplied the loops — execute; the
+/// transaction is dropped, so DML changes nothing.
 fn mmql(engine: &Engine, params: &Params, text: &str) {
     let Ok(parsed) = Query::parse(text) else {
         return;
     };
     let _ = parsed.explain();
+    let (_, adapted) = classify(parsed.statement(), &standard_chain());
+    let _ = accessed_paths(&adapted);
     let _ = parsed.parameters();
     let Ok(bound) = parsed.bind(params) else {
         return;
