@@ -14,7 +14,7 @@ use udbms_query::{PlanCache, Query};
 use crate::{PreparedQuery, Subject, TxnOp};
 
 /// The unified multi-model engine as a benchmark subject: one MMQL text
-/// per query, resolved through an LRU **plan cache** at prepare time
+/// per query, resolved through a FIFO **plan cache** at prepare time
 /// (repeat preparations of the same text share one parse) and bound per
 /// execution. Statements the planner proves read-only execute on the
 /// engine's **read lane** (`Engine::begin_read`): a lock-free snapshot,
@@ -34,12 +34,6 @@ impl EngineSubject {
         EngineSubject::wrap(Engine::new())
     }
 
-    /// A fresh, empty engine subject with an explicit storage shard
-    /// count (the harness `--shards N` knob).
-    pub fn with_shards(shards: usize) -> EngineSubject {
-        EngineSubject::wrap(Engine::with_shards(shards))
-    }
-
     /// A fresh, empty engine subject with full [`EngineConfig`] tuning
     /// (shards, durability level, group commit).
     pub fn with_config(config: EngineConfig) -> EngineSubject {
@@ -56,25 +50,10 @@ impl EngineSubject {
         Ok(EngineSubject::wrap(Engine::with_wal_config(path, config)?))
     }
 
-    /// [`EngineSubject::with_wal_config`] with a seeded storage fault
-    /// plan threaded under the WAL (the E12 fault experiment's
-    /// construction). Recovery of any existing log runs un-faulted; the
-    /// plan covers the running engine.
-    pub fn with_wal_faults(
-        path: impl AsRef<std::path::Path>,
-        config: EngineConfig,
-        faults: std::sync::Arc<udbms_engine::FaultPlan>,
-    ) -> Result<EngineSubject> {
-        Ok(EngineSubject::wrap(Engine::with_wal_faults(
-            path, config, faults,
-        )?))
-    }
-
     fn wrap(engine: Engine) -> EngineSubject {
-        let plans = PlanCache::default();
-        // plan-cache hits/misses and parse latency join the engine's
-        // registry, so Engine::obs_snapshot() covers the query layer too
-        plans.attach_obs(engine.obs());
+        // plan-cache hits/misses and parse latency count in the engine's
+        // registry, so Engine::stats() and obs_snapshot() cover them
+        let plans = PlanCache::new(engine.obs());
         let exec_us = engine.obs().histogram("query_exec_us");
         EngineSubject {
             engine,
@@ -123,7 +102,7 @@ impl Subject for EngineSubject {
     }
 
     fn prepare(&self, q: &workload::BenchQuery) -> Result<PreparedQuery> {
-        // parse through the LRU plan cache: repeat preparations of the
+        // parse through the plan cache: repeat preparations of the
         // same text (every benchmark loop, most application traffic)
         // share one parsed statement
         Ok(PreparedQuery::new(q, self.plans.get_or_parse(q.mmql)?))
@@ -190,9 +169,9 @@ impl Subject for EngineSubject {
             // queries routed through the lock-free read lane
             out.push(("read_lane".into(), stats.read_txns as i64));
         }
-        if self.plans.hits() + self.plans.misses() > 0 {
-            out.push(("plan_hits".into(), self.plans.hits() as i64));
-            out.push(("plan_misses".into(), self.plans.misses() as i64));
+        if stats.plan_hits + stats.plan_misses > 0 {
+            out.push(("plan_hits".into(), stats.plan_hits as i64));
+            out.push(("plan_misses".into(), stats.plan_misses as i64));
         }
         if stats.wal_records > 0 {
             // group-commit efficiency: records per flushed batch

@@ -228,6 +228,9 @@ fn plan_cache_counters_surface_in_engine_stats() {
     let stats = subject.engine().stats();
     assert_eq!(stats.plan_misses, 1, "first prepare parses");
     assert_eq!(stats.plan_hits, 2, "repeat prepares hit the cache");
+    // the cache reads the very counters the engine reports
+    let plans = subject.plan_cache();
+    assert_eq!((plans.hits(), plans.misses()), (2, 1));
     // and the same numbers ride the Subject::counters() surface
     let counters = subject.counters();
     let get = |name: &str| counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);

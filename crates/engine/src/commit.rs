@@ -21,10 +21,12 @@
 //!            stamp commit_ts into the frame, enqueue it on the
 //!              group-commit queue
 //!          unlock(commit) → park until durable (per Durability level)
-//!          → finish: lock(active) → deregister, read the horizon
-//!            prune the chains read and rewritten (a blind write's old
-//!              value is cold: left to `gc`) below the horizon, one
-//!              shard write-lock per touched shard; drop the cut
+//!          → finish: lock(active) → deregister → unlock
+//!            if it rewrote what it read: lock(active) → read the
+//!              horizon → unlock, then prune the chains read and
+//!              rewritten (a blind write's old value is cold: left to
+//!              `gc`) below it, one shard write-lock per touched shard;
+//!              drop the cut
 //! ```
 //!
 //! Because `published` advances only once a commit's versions are all
@@ -64,8 +66,9 @@ fn finish(inner: &Inner, state: &TxnState, outcome: Outcome) {
     let rewritten: Vec<&RecordId> = (state.write_order.iter())
         .filter(|rid| installed && state.reads.contains_key(*rid))
         .collect();
-    let horizon = inner.registry.finish(state.id, &inner.published);
+    inner.registry.finish(state.id);
     if !rewritten.is_empty() {
+        let horizon = inner.registry.watermark(&inner.published);
         inner.storage.prune(&rewritten, horizon);
     }
     let m = &inner.metrics;

@@ -144,10 +144,10 @@ pub struct EngineStats {
     pub wal_batches: u64,
     /// WAL records written; 0 without a WAL.
     pub wal_records: u64,
-    /// Plan-cache hits (0 until a plan cache attaches to this engine's
-    /// obs registry — see `PlanCache::attach_obs` in `udbms-query`).
+    /// Plan-cache hits (0 until a plan cache is built against this
+    /// engine's obs registry — `PlanCache::new` in `udbms-query`).
     pub plan_hits: u64,
-    /// Plan-cache misses (compiled plans); 0 until a cache attaches.
+    /// Plan-cache misses (fresh parses); 0 without such a cache.
     pub plan_misses: u64,
     /// Times the WAL transitioned to a failed state (0 or 1): a failed
     /// flush/fsync (poison) or ENOSPC (read-only degraded mode).

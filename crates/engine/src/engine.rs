@@ -311,7 +311,7 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         let (versions, chains, max_chain_len) = self.inner.storage.shape();
         let m = &self.inner.metrics;
-        // declared by the WAL pipeline and an attached plan cache
+        // declared by the WAL pipeline and a plan cache built against this obs
         let count = |name| self.inner.obs.counter(name).get();
         EngineStats {
             commits: m.commits.get(),

@@ -146,7 +146,7 @@ impl Engine {
             self.inner.registry.register(&self.inner.published)
         };
         let state = self.state_frames(snapshot);
-        self.inner.registry.finish(id, &self.inner.published);
+        self.inner.registry.finish(id);
         let (synthetic, rows_logged) = state?;
         self.inner
             .obs

@@ -3,10 +3,14 @@
 //! the snapshot under the lock it inserts it under, so no pruning can
 //! take its horizon between a snapshot being read and being registered.
 //! The pruning horizon, `min(open snapshots, published)`, is read under
-//! the same lock ([`Registry::watermark`], [`Registry::finish`]), so a
-//! snapshot registered after it reads a `published` at or above it.
-//! Every way of ending a transaction finishes it (`commit.rs`); so does
-//! the checkpoint, which registers the snapshot it walks.
+//! the same lock ([`Registry::watermark`]), so a snapshot registered
+//! after it reads a `published` at or above it. Every way of ending a
+//! transaction finishes it (`commit.rs`), which only removes it; so does
+//! the checkpoint, which registers the snapshot it walks. A commit that
+//! prunes reads the horizon after its `finish`, in a critical section of
+//! its own: that horizon is at or above the one at removal (snapshots
+//! only leave, `published` only grows, and a new snapshot reads
+//! `published`) and still at or below every open snapshot.
 //!
 //! The map's lock (`LockRank::ActiveTxns`) is only ever taken on its own.
 
@@ -44,28 +48,22 @@ impl Registry {
         (id, snapshot)
     }
 
-    /// Close transaction `id` — its snapshot no longer holds back
-    /// pruning — and read the horizon in the same critical section.
-    pub(crate) fn finish(&self, id: TxnId, published: &TrackedAtomicU64) -> Ts {
-        let mut active = self.active.lock();
-        active.remove(&id);
-        horizon(&active, published)
+    /// Close transaction `id`: its snapshot no longer holds back pruning.
+    pub(crate) fn finish(&self, id: TxnId) {
+        self.active.lock().remove(&id);
     }
 
-    /// The horizon `gc` prunes below.
+    /// The horizon `gc` and a rewriting commit prune below:
+    /// `min(open snapshots, published)`, read under the `active` lock.
     pub(crate) fn watermark(&self, published: &TrackedAtomicU64) -> Ts {
-        horizon(&self.active.lock(), published)
+        let active = self.active.lock();
+        // ORDER: Acquire pairs with try_commit's Release publish, as in `register`.
+        let now = Ts(published.load(Ordering::Acquire));
+        active.values().copied().fold(now, Ts::min)
     }
 
     /// Open transactions.
     pub(crate) fn len(&self) -> usize {
         self.active.lock().len()
     }
-}
-
-/// `min(open snapshots, published)`, read under the `active` lock.
-fn horizon(active: &HashMap<TxnId, Ts>, published: &TrackedAtomicU64) -> Ts {
-    // ORDER: Acquire pairs with try_commit's Release publish, as in `register`.
-    let now = Ts(published.load(Ordering::Acquire));
-    active.values().copied().fold(now, Ts::min)
 }

@@ -7,7 +7,7 @@
 //! and this module performs that rewrite), or **broken** (touches paths
 //! the chain destroyed).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use udbms_core::{FieldPath, Value};
 use udbms_query::{Clause, Expr, MemberStep, QueryBody, Source, Statement};
@@ -100,12 +100,14 @@ pub fn adapt_statement(stmt: &Statement, ops: &[EvolutionOp]) -> Statement {
 }
 
 /// Rewrite every accessed path of `stmt` that the chain maps elsewhere,
-/// leave a dropped one as it is, and say which fate that makes.
+/// leave a dropped one as it is, and say which fate that makes. A read
+/// the walk cannot place on a path breaks the query when the chain
+/// changes a collection it may read from: it can be neither kept nor
+/// rewritten.
 fn adapt_in_place(stmt: &mut Statement, ops: &[EvolutionOp]) -> QueryFate {
     let (mut broken, mut rewritten) = (false, false);
-    visit_paths(
-        stmt,
-        &mut |coll, path, steps| match fold_path(coll, &path, ops) {
+    visit_paths(stmt, &mut |access| match access {
+        Access::Path(coll, path, steps) => match fold_path(coll, &path, ops) {
             None => broken = true,
             Some(p) if p != path => {
                 *steps = member_steps(&p);
@@ -113,7 +115,14 @@ fn adapt_in_place(stmt: &mut Statement, ops: &[EvolutionOp]) -> QueryFate {
             }
             Some(_) => {}
         },
-    );
+        Access::Untraced(rows) => {
+            let changes = |op: &EvolutionOp| {
+                !matches!(op, EvolutionOp::AddField { .. })
+                    && (rows.contains(op.collection()) || rows.contains(ANY))
+            };
+            broken |= ops.iter().any(changes);
+        }
+    });
     match (broken, rewritten) {
         (true, _) => QueryFate::Broken,
         (false, true) => QueryFate::Adaptable,
@@ -145,85 +154,178 @@ pub(crate) fn fold_path(
 /// Extract every `(collection, path)` access a statement performs.
 pub fn accessed_paths(stmt: &Statement) -> Vec<(String, FieldPath)> {
     let mut out = Vec::new();
-    visit_paths(&mut stmt.clone(), &mut |coll, path, _| {
-        out.push((coll.to_string(), path))
+    visit_paths(&mut stmt.clone(), &mut |access| {
+        if let Access::Path(coll, path, _) = access {
+            out.push((coll.to_string(), path));
+        }
     });
     out
 }
 
-/// Variable scope: variable name → collection it ranges over.
-type Scope = HashMap<String, String>;
+/// Collections whose whole rows a value may hold.
+type Rows = BTreeSet<String>;
 
-/// What [`visit_paths`] calls for each member path `var.a[0].b` whose
-/// variable ranges over a collection: the collection, the path, and the
-/// member's steps, to rewrite in place.
-type OnPath<'a> = dyn FnMut(&str, FieldPath, &mut Vec<MemberStep>) + 'a;
+/// In [`Rows`]: a `DOCUMENT` read whose collection is named at run time.
+const ANY: &str = "*";
 
-/// The scoped walk: call `on_path` for every access to a collection's
-/// path, in source order.
-fn visit_paths(stmt: &mut Statement, on_path: &mut OnPath) {
+/// What a variable in scope holds, as far as the walk can tell. A name
+/// not in scope holds no whole row: a plain value, or a value read below
+/// a row's top level, which no evolution op changes (each renames,
+/// moves, retypes or drops a top-level field, and the read of that
+/// field is itself an access).
+#[derive(Debug, Clone)]
+enum Holds {
+    /// One row of the collection (a graph's vertices are `graph#v`): a
+    /// member path on it is a path of that collection.
+    Row(String),
+    /// A value built from whole rows of these collections, at places the
+    /// walk does not follow: the group members of `COLLECT … INTO`, a
+    /// `FOR`/`LET` over a subquery or an expression that holds rows.
+    Rows(Rows),
+}
+
+impl Holds {
+    fn rows(&self) -> Rows {
+        match self {
+            Holds::Row(coll) => Rows::from([coll.clone()]),
+            Holds::Rows(rows) => rows.clone(),
+        }
+    }
+}
+
+/// Variable scope: variable name → what it holds.
+type Scope = HashMap<String, Holds>;
+
+/// What [`visit_paths`] reports.
+enum Access<'a> {
+    /// A member path `var.a[0].b` whose variable is a row: the
+    /// collection, the path, and the member's steps, to rewrite in place.
+    Path(&'a str, FieldPath, &'a mut Vec<MemberStep>),
+    /// A member read on a value that may hold whole rows of these
+    /// collections, which the walk cannot place on a path.
+    Untraced(&'a Rows),
+}
+
+/// The scoped walk: report every access, in source order.
+fn visit_paths(stmt: &mut Statement, on: &mut dyn FnMut(Access)) {
     match stmt {
-        Statement::Query(body) => visit_body(body, &Scope::new(), on_path),
-        dml => dml.for_each_expr_mut(&mut |e| visit_expr(e, &Scope::new(), on_path)),
+        Statement::Query(body) => {
+            visit_body(body, &Scope::new(), on);
+        }
+        dml => dml.for_each_expr_mut(&mut |e| {
+            visit_expr(e, &Scope::new(), on);
+        }),
     }
 }
 
 /// The scope rule: a clause's expressions see the variables bound before
 /// it, then the clause binds its own. A subquery starts from the scope
-/// around it.
-fn visit_body(body: &mut QueryBody, outer: &Scope, on_path: &mut OnPath) {
+/// around it. Returns the rows the `RETURN` expression may hold.
+fn visit_body(body: &mut QueryBody, outer: &Scope, on: &mut dyn FnMut(Access)) -> Rows {
     let mut scope = outer.clone();
     let (clauses, ret) = body.parts_mut();
     for clause in clauses {
-        clause.for_each_expr_mut(&mut |e| visit_expr(e, &scope, on_path));
+        // the rows each of the clause's expressions may hold, in order
+        let mut held = Vec::new();
+        clause.for_each_expr_mut(&mut |e| held.push(visit_expr(e, &scope, on)));
+        let mut held = held.into_iter().map(untraced);
         match clause {
-            Clause::For { var, source } => match source {
-                Source::Collection(name) => {
-                    scope.insert(var.clone(), name.clone());
-                }
-                Source::Traversal { graph, .. } => {
-                    scope.insert(var.clone(), format!("{graph}#v"));
-                }
-                Source::Expr(_) => {
-                    scope.remove(var.as_str());
-                }
-            },
-            // LET x = DOCUMENT("coll", …) binds x to that collection;
-            // any other LET shadows x
+            Clause::For { var, source } => {
+                let holds = match source {
+                    Source::Collection(name) => Some(Holds::Row(name.clone())),
+                    Source::Traversal { graph, .. } => Some(Holds::Row(format!("{graph}#v"))),
+                    Source::Expr(_) => held.next().flatten(),
+                };
+                bind(&mut scope, var, holds);
+            }
+            // LET x = DOCUMENT("coll", …) binds x to a row of that collection
             Clause::Let { var, value } => {
-                scope.remove(var.as_str());
-                if let Expr::Call { name, args } = value {
-                    if let Some(Expr::Literal(Value::Str(coll))) = args.first() {
-                        if name == "DOCUMENT" {
-                            scope.insert(var.clone(), coll.clone());
-                        }
-                    }
+                let holds = match document_collection(value) {
+                    Some(coll) => Some(Holds::Row(coll.to_string())),
+                    None => held.next().flatten(),
+                };
+                bind(&mut scope, var, holds);
+            }
+            Clause::Collect {
+                groups,
+                aggregates,
+                into,
+            } => {
+                // each group member is an object of every variable in scope
+                let members = scope.values().flat_map(Holds::rows).collect();
+                scope.clear();
+                let names = groups.iter().map(|(name, _)| name);
+                for (name, holds) in names
+                    .chain(aggregates.iter().map(|(name, ..)| name))
+                    .zip(held)
+                {
+                    bind(&mut scope, name, holds);
+                }
+                if let Some(into) = into {
+                    bind(&mut scope, into, untraced(members));
                 }
             }
-            Clause::Collect { .. } => scope.clear(),
             Clause::Filter(_) | Clause::Sort { .. } | Clause::Limit { .. } => {}
         }
     }
-    visit_expr(ret, &scope, on_path);
+    visit_expr(ret, &scope, on)
 }
 
-fn visit_expr(e: &mut Expr, scope: &Scope, on_path: &mut OnPath) {
-    match e {
-        Expr::Member { .. } => {
-            let hit = e
-                .as_var_path()
-                .and_then(|(var, path)| Some((scope.get(var)?, path)));
-            if let (Some((coll, path)), Expr::Member { steps, .. }) = (hit, &mut *e) {
-                if !path.is_root() {
-                    on_path(coll, path, steps);
-                }
-                return;
-            }
+/// Report `e`'s accesses; return the rows its value may hold.
+fn visit_expr(e: &mut Expr, scope: &Scope, on: &mut dyn FnMut(Access)) -> Rows {
+    let traced = e.as_var_path().map(|(var, path)| (scope.get(var), path));
+    match (traced, &mut *e) {
+        (Some((Some(Holds::Row(coll)), path)), Expr::Member { steps, .. }) if !path.is_root() => {
+            on(Access::Path(coll, path, steps));
+            Rows::new()
         }
-        Expr::Subquery(body) => return visit_body(body, scope, on_path),
-        _ => {}
+        (Some((Some(holds), path)), _) => {
+            let rows = holds.rows();
+            if !path.is_root() {
+                on(Access::Untraced(&rows));
+            }
+            rows
+        }
+        (Some((None, _)), _) => Rows::new(),
+        (None, Expr::Subquery(body)) => visit_body(body, scope, on),
+        (None, e) => {
+            let mut rows = Rows::new();
+            e.for_each_child_mut(&mut |child| rows.extend(visit_expr(child, scope, on)));
+            match e {
+                // `o.items[i]`, `(FOR …)[0].a`: no static path to place
+                Expr::Member { .. } if !rows.is_empty() => on(Access::Untraced(&rows)),
+                Expr::Call { name, .. } if name == "DOCUMENT" => {
+                    rows.insert(document_collection(e).unwrap_or(ANY).to_string());
+                }
+                _ => {}
+            }
+            rows
+        }
     }
-    e.for_each_child_mut(&mut |child| visit_expr(child, scope, on_path));
+}
+
+/// `Some` when `rows` is not empty: what a variable bound to them holds.
+fn untraced(rows: Rows) -> Option<Holds> {
+    (!rows.is_empty()).then_some(Holds::Rows(rows))
+}
+
+/// Bind `var` to `holds`, or drop it from the scope when it holds no row.
+fn bind(scope: &mut Scope, var: &str, holds: Option<Holds>) {
+    match holds {
+        Some(holds) => scope.insert(var.to_string(), holds),
+        None => scope.remove(var),
+    };
+}
+
+/// The collection of `DOCUMENT("coll", key)`, when `e` is one.
+fn document_collection(e: &Expr) -> Option<&str> {
+    match e {
+        Expr::Call { name, args } if name == "DOCUMENT" => match args.first() {
+            Some(Expr::Literal(Value::Str(coll))) => Some(coll),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// The member steps that spell `path`.
@@ -348,6 +450,38 @@ mod tests {
             .unwrap();
         // the FILTER reads the renamed field; the RETURN reads the LET object
         assert_eq!(out, vec![Value::Int(1)]);
+    }
+
+    #[test]
+    fn rows_read_through_into_members_or_a_subquery_are_not_valid() {
+        let derived = [
+            "FOR o IN orders COLLECT c = o.customer INTO g RETURN g[0].o.status",
+            "FOR x IN (FOR o IN orders RETURN o) RETURN x.status",
+            "FOR o IN orders LET x = [o] RETURN x[0].status",
+            r#"RETURN DOCUMENT("orders", "a").status"#,
+        ];
+        let add = EvolutionOp::AddField {
+            collection: "orders".into(),
+            field: FieldDef::optional("channel", FieldType::Str),
+        };
+        for text in derived {
+            let q = parse(text);
+            // the verbatim query would read `status`, which is now `state`
+            assert_eq!(classify(&q, &[rename_op()]).0, QueryFate::Broken, "{text}");
+            // a chain that changes no read leaves it valid
+            assert_eq!(classify(&q, &[]).0, QueryFate::Valid, "{text}");
+            assert_eq!(
+                classify(&q, std::slice::from_ref(&add)).0,
+                QueryFate::Valid,
+                "{text}"
+            );
+        }
+        // rows of another collection are not touched by the rename
+        let customers = parse("FOR x IN (FOR c IN customers RETURN c) RETURN x.status");
+        assert_eq!(classify(&customers, &[rename_op()]).0, QueryFate::Valid);
+        // a read below a row's top level is placed through its own access
+        let items = parse("FOR o IN orders FOR i IN o.items RETURN i.status");
+        assert_eq!(classify(&items, &[rename_op()]).0, QueryFate::Valid);
     }
 
     #[test]

@@ -12,13 +12,14 @@ use udbms_core::{Error, Params, Result};
 
 use crate::ast::*;
 
-/// Replace every parameter in `stmt` with its value from `params`.
+/// Replace every parameter in `stmt` with its value from `params`
+/// ([`crate::Query::bind`]).
 ///
 /// Missing parameters are an error carrying the `@`'s source position.
 /// Parameters present in `params` but unused by the statement are
-/// *allowed* (workloads share one params map across many queries); use
-/// [`check_extra_params`] for the strict variant.
-pub fn bind_statement(stmt: &Statement, params: &Params) -> Result<Statement> {
+/// *allowed* (workloads share one params map across many queries);
+/// [`crate::Query::check_extra_params`] is the strict variant.
+pub(crate) fn bind_statement(stmt: &Statement, params: &Params) -> Result<Statement> {
     let mut bound = stmt.clone();
     let mut missing = None;
     bound.walk_mut(&mut |e| {
@@ -41,8 +42,8 @@ pub fn bind_statement(stmt: &Statement, params: &Params) -> Result<Statement> {
 }
 
 /// Collect the distinct parameter names a statement references, in first
-/// appearance order.
-pub fn statement_params(stmt: &Statement) -> Vec<String> {
+/// appearance order ([`crate::Query::parameters`]).
+pub(crate) fn statement_params(stmt: &Statement) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
     stmt.walk(&mut |e| {
         if let Expr::Param { name, .. } = e {
@@ -52,29 +53,6 @@ pub fn statement_params(stmt: &Statement) -> Vec<String> {
         }
     });
     out
-}
-
-/// Error if `params` supplies names the statement never references.
-/// Complements [`bind_statement`]'s lenient policy when a caller wants to
-/// catch typos like binding `@customr`.
-pub fn check_extra_params(stmt: &Statement, params: &Params) -> Result<()> {
-    let used = statement_params(stmt);
-    let extra: Vec<&str> = params
-        .names()
-        .filter(|n| !used.iter().any(|u| u == n))
-        .collect();
-    if extra.is_empty() {
-        Ok(())
-    } else {
-        Err(Error::Invalid(format!(
-            "extra bind parameter(s) not referenced by the query: {}",
-            extra
-                .iter()
-                .map(|n| format!("@{n}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        )))
-    }
 }
 
 /// Convenience used by tests: the literal a bound statement ended up
@@ -146,9 +124,12 @@ mod tests {
         let bound = bind_statement(&stmt, &params).unwrap();
         assert_eq!(ret_literal(&bound), Some(&Value::Int(1)));
         // strict check reports it
-        let err = check_extra_params(&stmt, &params).unwrap_err();
+        let query = crate::Query::parse("RETURN @a").unwrap();
+        let err = query.check_extra_params(&params).unwrap_err();
         assert!(err.to_string().contains("@typo"), "{err}");
-        assert!(check_extra_params(&stmt, &Params::new().with("a", 1)).is_ok());
+        assert!(query
+            .check_extra_params(&Params::new().with("a", 1))
+            .is_ok());
     }
 
     #[test]

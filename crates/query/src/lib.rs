@@ -42,9 +42,10 @@
 //! transaction, or [`run`] for one-shot execution with automatic retry.
 //!
 //! Queries may reference **bind parameters** (`@customer`, `@price_lo`):
-//! parse once, then [`Query::bind`] or [`Query::execute_with`] per
-//! parameter draw. Binding substitutes literals before planning, so a
-//! parameterized filter uses indexes exactly like an inline constant.
+//! parse once, then [`Query::bind`] per parameter draw and
+//! [`Query::execute`] the bound query. Binding substitutes literals
+//! before planning, so a parameterized filter uses indexes exactly like
+//! an inline constant.
 //!
 //! Read-path machinery (see DESIGN.md "Read path"): expressions
 //! evaluate borrowed (a member path never copies the document under
@@ -52,7 +53,7 @@
 //! per-group accumulators, each body is planned once, row-local filters
 //! compile into [`CompiledPred`] closure trees evaluated against
 //! borrowed `Arc`-shared rows, `LIMIT` adjacency pushes bounds into the
-//! engine's streaming scans, [`PlanCache`] is a text-keyed LRU over
+//! engine's streaming scans, [`PlanCache`] is a text-keyed FIFO over
 //! parsed statements, and
 //! [`Query::is_read_only`] lets drivers route query statements through
 //! the engine's lock-free read lane.
@@ -68,15 +69,16 @@ mod lexer;
 mod parser;
 
 pub use ast::{AggFunc, BinOp, Clause, Expr, MemberStep, QueryBody, Source, Statement, UnOp};
-pub use bind::{bind_statement, check_extra_params, statement_params};
-pub use cache::{PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
+pub use cache::PlanCache;
 pub use compile::CompiledPred;
 pub use eval::{eval, eval_const, Env};
 pub use exec::{execute, explain};
 pub use lexer::{lex, Token, TokenKind};
 pub use parser::parse;
 
-use udbms_core::{Params, Result, Value};
+use std::sync::Arc;
+
+use udbms_core::{Error, Params, Result, Value};
 use udbms_engine::{Engine, Isolation, Txn};
 
 /// A parsed MMQL statement, ready for repeated execution.
@@ -104,7 +106,9 @@ use udbms_engine::{Engine, Isolation, Txn};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     stmt: Statement,
-    text: String,
+    /// The source text, shared by every query bound from this one and
+    /// by the [`PlanCache`] key.
+    text: Arc<str>,
 }
 
 impl Query {
@@ -112,7 +116,7 @@ impl Query {
     pub fn parse(text: &str) -> Result<Query> {
         Ok(Query {
             stmt: parser::parse(text)?,
-            text: text.to_string(),
+            text: Arc::from(text),
         })
     }
 
@@ -152,22 +156,32 @@ impl Query {
     /// query whose plan (including index pushdown) is identical to one
     /// written with inline constants. Missing parameters error with the
     /// `@`'s source position; unused entries in `params` are permitted —
-    /// see [`check_extra_params`] for the strict check.
+    /// see [`Query::check_extra_params`] for the strict check.
     pub fn bind(&self, params: &Params) -> Result<Query> {
         Ok(Query {
             stmt: bind::bind_statement(&self.stmt, params)?,
-            text: self.text.clone(),
+            text: Arc::clone(&self.text),
         })
     }
 
-    /// Parse-once/execute-many entry point: bind `params` and execute
-    /// inside an open transaction.
-    pub fn execute_with(&self, txn: &mut Txn, params: &Params) -> Result<Vec<Value>> {
-        if params.is_empty() && self.parameters().is_empty() {
-            return exec::execute(&self.stmt, txn);
+    /// Error if `params` supplies names this query never references:
+    /// the strict complement of [`Query::bind`]'s lenient policy, for a
+    /// caller that wants to catch typos like binding `@customr`.
+    pub fn check_extra_params(&self, params: &Params) -> Result<()> {
+        let used = self.parameters();
+        let extra: Vec<String> = params
+            .names()
+            .filter(|n| !used.iter().any(|u| u == n))
+            .map(|n| format!("@{n}"))
+            .collect();
+        if extra.is_empty() {
+            Ok(())
+        } else {
+            Err(Error::Invalid(format!(
+                "extra bind parameter(s) not referenced by the query: {}",
+                extra.join(", ")
+            )))
         }
-        let bound = bind::bind_statement(&self.stmt, params)?;
-        exec::execute(&bound, txn)
     }
 
     /// A human-readable plan sketch (pushdown decisions, clause order).
@@ -492,16 +506,16 @@ mod tests {
         let parsed =
             Query::parse(r#"FOR o IN orders FILTER o.customer == @customer RETURN o._id"#).unwrap();
         assert_eq!(parsed.parameters(), vec!["customer"]);
-        let params = udbms_core::Params::new().with("customer", 1);
-        let bound = e
-            .run(Isolation::Snapshot, |t| parsed.execute_with(t, &params))
-            .unwrap();
+        let run_bound = |customer: i64| {
+            let bound = parsed
+                .bind(&udbms_core::Params::new().with("customer", customer))
+                .unwrap();
+            e.run(Isolation::Snapshot, |t| bound.execute(t)).unwrap()
+        };
+        let bound = run_bound(1);
         assert_eq!(inline, bound);
         // parse-once/execute-many: a second draw reuses the parse
-        let params2 = udbms_core::Params::new().with("customer", 2);
-        let bound2 = e
-            .run(Isolation::Snapshot, |t| parsed.execute_with(t, &params2))
-            .unwrap();
+        let bound2 = run_bound(2);
         assert_eq!(bound2, vec![Value::from("o3")]);
     }
 

@@ -36,7 +36,7 @@ fn extra_param_detection_is_strict_only() {
     // lenient bind succeeds (workloads share one map across queries)
     assert!(q.bind(&params).is_ok());
     // the strict check names the typo
-    let err = udbms::query::check_extra_params(q.statement(), &params).unwrap_err();
+    let err = q.check_extra_params(&params).unwrap_err();
     assert!(err.to_string().contains("@customr"), "{err}");
 }
 
@@ -78,12 +78,13 @@ fn pushdown_and_scan_agree_for_bound_params() {
     let scanned =
         Query::parse("FOR o IN orders FILTER TO_NUMBER(o.customer) == @customer RETURN o._id")
             .unwrap();
-    let a = engine
-        .run(Isolation::Snapshot, |t| indexed.execute_with(t, &binds))
-        .unwrap();
-    let b = engine
-        .run(Isolation::Snapshot, |t| scanned.execute_with(t, &binds))
-        .unwrap();
+    let run = |q: &Query| {
+        let bound = q.bind(&binds).unwrap();
+        engine
+            .run(Isolation::Snapshot, |t| bound.execute(t))
+            .unwrap()
+    };
+    let (a, b) = (run(&indexed), run(&scanned));
     assert_eq!(a, b, "index pushdown must not change answers");
 }
 
@@ -220,7 +221,7 @@ fn golden_parameterized_workload_matches_interpolated_texts() {
 }
 
 #[test]
-fn execute_with_rejects_unbound_execution() {
+fn bind_rejects_unbound_execution() {
     let (engine, _) = build_engine(&GenConfig {
         scale_factor: 0.01,
         ..Default::default()
@@ -232,9 +233,7 @@ fn execute_with_rejects_unbound_execution() {
         .run(Isolation::Snapshot, |t| q.execute(t))
         .unwrap_err();
     assert!(err.to_string().contains("@customer"), "{err}");
-    // execute_with an empty map fails at bind time, also naming the param
-    let err = engine
-        .run(Isolation::Snapshot, |t| q.execute_with(t, &Params::new()))
-        .unwrap_err();
+    // binding an empty map fails, also naming the param
+    let err = q.bind(&Params::new()).unwrap_err();
     assert!(err.to_string().contains("missing bind parameter"), "{err}");
 }

@@ -792,7 +792,7 @@ fn driver_counters_report_plan_cache_and_read_lane() {
 #[test]
 fn plan_cache_serves_bindable_plans() {
     let engine = social_engine();
-    let cache = udbms_query::PlanCache::new(4);
+    let cache = udbms_query::PlanCache::default();
     let plan = cache
         .get_or_parse("FOR r IN orders FILTER r.g == @g RETURN r.n")
         .unwrap();
