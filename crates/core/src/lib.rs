@@ -25,6 +25,9 @@
 //!   assert_eq!(fields.keys().collect::<Vec<_>>(), ["customer", "status", "total"]);
 //!   assert_eq!(order.get_field("status"), &Value::from("open"));
 //!   ```
+//! * [`Symbol`] — a field name as an [`Object`] stores it: the one
+//!   interned copy of the name, so objects share it and compare it by
+//!   pointer ([`symbol`] has the interner and its bounds).
 //! * [`Key`] — a scalar [`Value`] usable as a record key (totally ordered,
 //!   hashable).
 //! * [`FieldPath`] — dotted-path navigation (`a.b[2].c`) into nested
@@ -52,6 +55,7 @@ pub mod path;
 pub mod predicate;
 pub mod rng;
 pub mod schema;
+pub mod symbol;
 pub mod value;
 
 pub use direction::Direction;
@@ -64,4 +68,5 @@ pub use path::{FieldPath, PathStep};
 pub use predicate::{like_match, Predicate, Probe};
 pub use rng::{SplitMix64, Zipf};
 pub use schema::{CollectionSchema, FieldDef, FieldType, ModelKind};
+pub use symbol::Symbol;
 pub use value::{Key, Value};

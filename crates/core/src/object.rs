@@ -2,20 +2,26 @@
 //!
 //! A document is read far more often than it is built, and almost always
 //! by name: `o.customer`, `o.total`. An `Object` therefore keeps its
-//! fields as **one key-sorted, duplicate-free `Vec<(String, Value)>`** —
-//! one allocation per object, 56 bytes per field, names compared without
-//! leaving the slice. Lookup probes linearly (length first, then bytes)
-//! up to eight fields and binary-searches above; insertion keeps
-//! the order, with a push fast path for keys that arrive sorted; bulk
-//! construction ([`FromIterator`], [`Extend`]) sorts once and keeps the
-//! last value of a repeated key, as inserting one by one would.
+//! fields as **one key-sorted, duplicate-free vector of (name, value)
+//! pairs** — one allocation per object, 56 bytes per field. A name is the
+//! one shared, interned copy of it, or — when it is long, or the interner
+//! is full — the object's own string (see [`crate::symbol`]), so the
+//! records of a collection do not each carry their own copy of the same
+//! names. Lookup by `&str` probes linearly (length first, then bytes) up
+//! to eight fields and binary-searches above; lookup by a [`Symbol`]
+//! compares pointers instead. Insertion keeps the order, with a push fast
+//! path for keys that arrive sorted; bulk construction ([`FromIterator`],
+//! [`Extend`]) sorts once and keeps the last value of a repeated key, as
+//! inserting one by one would.
 //!
 //! Everything observable — iteration order, `Eq`, the canonical order and
-//! hash [`Value`] defines over objects — is a function of the sorted pair
-//! sequence, so it is exactly what a `BTreeMap<String, Value>` would give.
+//! hash [`Value`] defines over objects — is a function of the sorted
+//! sequence of name strings and values, so it is exactly what a
+//! `BTreeMap<String, Value>` would give.
 
 use std::fmt;
 
+use crate::symbol::Symbol;
 use crate::value::Value;
 
 /// Up to this many fields a lookup is a linear probe; above, a binary
@@ -44,7 +50,7 @@ const LINEAR_MAX: usize = 8;
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Object {
     /// Strictly increasing by name.
-    fields: Vec<(String, Value)>,
+    fields: Vec<(Symbol, Value)>,
 }
 
 impl Object {
@@ -71,7 +77,7 @@ impl Object {
     /// Index of `key`, if present — the read-side lookup.
     fn position(&self, key: &str) -> Option<usize> {
         if self.fields.len() <= LINEAR_MAX {
-            self.fields.iter().position(|(k, _)| k == key)
+            self.fields.iter().position(|(k, _)| k.as_str() == key)
         } else {
             self.search(key).ok()
         }
@@ -80,6 +86,16 @@ impl Object {
     /// The value of field `key`.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.position(key).map(|i| &self.fields[i].1)
+    }
+
+    /// The value of field `name`: [`Object::get`], but an interned name
+    /// is found by pointer compare.
+    pub fn get_symbol(&self, name: &Symbol) -> Option<&Value> {
+        if self.fields.len() <= LINEAR_MAX {
+            self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+        } else {
+            self.get(name.as_str())
+        }
     }
 
     /// Mutable access to field `key`.
@@ -92,16 +108,21 @@ impl Object {
         self.position(key).is_some()
     }
 
+    /// Where `key` is (`Ok`) or would be inserted (`Err`), with a fast
+    /// path for a key past the last.
+    fn slot(&self, key: &str) -> Result<usize, usize> {
+        match self.fields.last() {
+            Some((last, _)) if last.as_str() >= key => self.search(key),
+            _ => Err(self.fields.len()),
+        }
+    }
+
     /// Set field `key`, returning the value it replaced.
     pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
-        if self.fields.last().is_none_or(|(last, _)| *last < key) {
-            self.fields.push((key, value));
-            return None;
-        }
-        match self.search(&key) {
+        match self.slot(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.fields[i].1, value)),
             Err(i) => {
-                self.fields.insert(i, (key, value));
+                self.fields.insert(i, (Symbol::from(key), value));
                 None
             }
         }
@@ -129,7 +150,7 @@ impl Object {
 
     /// Field names in order.
     pub fn keys(&self) -> impl DoubleEndedIterator<Item = &String> + ExactSizeIterator {
-        self.fields.iter().map(|(k, _)| k)
+        self.fields.iter().map(|(k, _)| k.as_string())
     }
 
     /// Field values in name order.
@@ -139,7 +160,26 @@ impl Object {
 
     /// Keep only the fields `keep` accepts.
     pub fn retain(&mut self, mut keep: impl FnMut(&String, &mut Value) -> bool) {
-        self.fields.retain_mut(|(k, v)| keep(k, v));
+        self.fields.retain_mut(|(k, v)| keep(k.as_string(), v));
+    }
+
+    /// Deep-merge `other` into `self`, moving its names (see
+    /// [`Value::merge_from`]).
+    pub(crate) fn merge_from(&mut self, other: Object) {
+        for (name, v) in other.fields {
+            match self.slot(name.as_str()) {
+                Ok(i) => self.fields[i].1.merge_from(v),
+                Err(i) => self.fields.insert(i, (name, v)),
+            }
+        }
+    }
+
+    /// Heap bytes the fields cost beyond their slots (see
+    /// [`Value::deep_size`]): a shared name costs nothing.
+    pub(crate) fn deep_size(&self) -> usize {
+        (self.fields.iter())
+            .map(|(k, v)| k.inline_bytes() + v.deep_size())
+            .sum()
     }
 
     /// Restore the invariant after fields were appended from position
@@ -147,11 +187,11 @@ impl Object {
     fn normalize(&mut self, sorted: usize) {
         let tail_in_order = self.fields[sorted.saturating_sub(1)..]
             .windows(2)
-            .all(|w| w[0].0 < w[1].0);
+            .all(|w| w[0].0.as_str() < w[1].0.as_str());
         if tail_in_order {
             return;
         }
-        self.fields.sort_by(|a, b| a.0.cmp(&b.0));
+        self.fields.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
         self.fields.dedup_by(|later, kept| {
             let same = later.0 == kept.0;
             if same {
@@ -187,7 +227,8 @@ impl<'a> Entry<'a> {
         let i = match self.slot {
             Ok(i) => i,
             Err(i) => {
-                self.object.fields.insert(i, (self.key, default()));
+                let name = Symbol::from(self.key);
+                self.object.fields.insert(i, (name, default()));
                 i
             }
         };
@@ -197,13 +238,13 @@ impl<'a> Entry<'a> {
 
 /// Borrowing iterator over an [`Object`]'s fields in name order.
 #[derive(Debug, Clone)]
-pub struct Iter<'a>(std::slice::Iter<'a, (String, Value)>);
+pub struct Iter<'a>(std::slice::Iter<'a, (Symbol, Value)>);
 
 impl<'a> Iterator for Iter<'a> {
     type Item = (&'a String, &'a Value);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|(k, v)| (k, v))
+        self.0.next().map(|(k, v)| (k.as_string(), v))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -213,7 +254,7 @@ impl<'a> Iterator for Iter<'a> {
 
 impl DoubleEndedIterator for Iter<'_> {
     fn next_back(&mut self) -> Option<Self::Item> {
-        self.0.next_back().map(|(k, v)| (k, v))
+        self.0.next_back().map(|(k, v)| (k.as_string(), v))
     }
 }
 
@@ -228,17 +269,52 @@ impl<'a> IntoIterator for &'a Object {
     }
 }
 
+/// Owning iterator over an [`Object`]'s fields in name order; a shared
+/// name is copied out.
+#[derive(Debug)]
+pub struct IntoIter(std::vec::IntoIter<(Symbol, Value)>);
+
+impl Iterator for IntoIter {
+    type Item = (String, Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k.into_string(), v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for IntoIter {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        self.0.next_back().map(|(k, v)| (k.into_string(), v))
+    }
+}
+
+impl ExactSizeIterator for IntoIter {}
+
 impl IntoIterator for Object {
     type Item = (String, Value);
-    type IntoIter = std::vec::IntoIter<(String, Value)>;
+    type IntoIter = IntoIter;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.fields.into_iter()
+    fn into_iter(self) -> IntoIter {
+        IntoIter(self.fields.into_iter())
     }
 }
 
 impl FromIterator<(String, Value)> for Object {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Object {
+        (iter.into_iter())
+            .map(|(k, v)| (Symbol::from(k), v))
+            .collect()
+    }
+}
+
+impl FromIterator<(Symbol, Value)> for Object {
+    /// Sorted once, the last of a repeated name kept; a `Vec`'s pairs
+    /// become the object's without a copy.
+    fn from_iter<I: IntoIterator<Item = (Symbol, Value)>>(iter: I) -> Object {
         let mut object = Object {
             fields: iter.into_iter().collect(),
         };
@@ -250,7 +326,8 @@ impl FromIterator<(String, Value)> for Object {
 impl Extend<(String, Value)> for Object {
     fn extend<I: IntoIterator<Item = (String, Value)>>(&mut self, iter: I) {
         let sorted = self.fields.len();
-        self.fields.extend(iter);
+        let named = iter.into_iter().map(|(k, v)| (Symbol::from(k), v));
+        self.fields.extend(named);
         self.normalize(sorted);
     }
 }
@@ -270,7 +347,8 @@ mod tests {
     #[test]
     fn layout_is_pinned() {
         assert_eq!(std::mem::size_of::<Value>(), 32);
-        assert_eq!(std::mem::size_of::<(String, Value)>(), 56);
+        assert_eq!(std::mem::size_of::<Symbol>(), 24);
+        assert_eq!(std::mem::size_of::<(Symbol, Value)>(), 56);
     }
 
     #[derive(Debug, Clone)]
@@ -280,15 +358,25 @@ mod tests {
         GetMut(String, Value),
         EntryOrInsert(String, Value),
         Extend(Vec<(String, Value)>),
+        /// `FromIterator` of symbols.
+        FromSymbols(Vec<(String, Value)>),
+        /// `Value::merge_from` of an object of these fields.
+        MergeFrom(Vec<(String, Value)>),
         /// Keep the fields whose value is not a multiple of this.
         Retain(i64),
         FromIter(Vec<(String, Value)>),
     }
 
-    /// Twenty possible names, so sequences collide, and objects grow past
+    /// A prefix that makes a name too long to intern.
+    fn long(name: &str) -> String {
+        format!("{}{name}", "L".repeat(70))
+    }
+
+    /// Twenty short names and the same twenty made long, so sequences
+    /// collide, objects mix shared and inline names, and they grow past
     /// the linear-probe threshold and shrink back under it.
     fn name() -> impl Strategy<Value = String> {
-        "[a-e][xyz]?"
+        ("[a-e][xyz]?", 0u8..4).prop_map(|(n, l)| if l == 0 { long(&n) } else { n })
     }
 
     fn pairs() -> impl Strategy<Value = Vec<(String, Value)>> {
@@ -296,7 +384,7 @@ mod tests {
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        (0usize..9, name(), 0i64..50, pairs(), 2i64..5).prop_map(|(kind, k, v, pairs, m)| {
+        (0usize..11, name(), 0i64..50, pairs(), 2i64..5).prop_map(|(kind, k, v, pairs, m)| {
             let v = Value::Int(v);
             match kind {
                 0..=2 => Op::Insert(k, v),
@@ -305,6 +393,8 @@ mod tests {
                 5 => Op::EntryOrInsert(k, v),
                 6 => Op::Extend(pairs),
                 7 => Op::Retain(m),
+                8 => Op::FromSymbols(pairs),
+                9 => Op::MergeFrom(pairs),
                 _ => Op::FromIter(pairs),
             }
         })
@@ -350,6 +440,17 @@ mod tests {
                 object.extend(pairs.clone());
                 model.extend(pairs);
             }
+            Op::FromSymbols(pairs) => {
+                let symbols = pairs.iter().map(|(k, v)| (Symbol::new(k), v.clone()));
+                *object = symbols.collect();
+                *model = pairs.into_iter().collect();
+            }
+            Op::MergeFrom(pairs) => {
+                let mut merged = Value::Object(std::mem::take(object));
+                merged.merge_from(Value::Object(pairs.iter().cloned().collect()));
+                *object = merged.as_object().unwrap().clone();
+                model.extend(pairs);
+            }
             Op::Retain(m) => {
                 let keep = |v: &Value| v.as_int().is_some_and(|i| i % m != 0);
                 object.retain(|_, v| keep(v));
@@ -387,9 +488,15 @@ mod tests {
                 prop_assert_eq!(format!("{object:?}"), format!("{model:?}"));
                 for first in 'a'..='f' {
                     for tail in ["", "x", "y", "z", "q"] {
-                        let k = format!("{first}{tail}");
-                        prop_assert_eq!(object.get(&k), model.get(&k), "get {}", k);
-                        prop_assert_eq!(object.contains_key(&k), model.contains_key(&k));
+                        let short = format!("{first}{tail}");
+                        for k in [long(&short), short] {
+                            prop_assert_eq!(object.get(&k), model.get(&k), "get {}", k);
+                            prop_assert_eq!(object.contains_key(&k), model.contains_key(&k));
+                            prop_assert_eq!(object.get_symbol(&Symbol::new(&k)), model.get(&k));
+                            if let Some(interned) = Symbol::lookup(&k) {
+                                prop_assert_eq!(object.get_symbol(&interned), model.get(&k));
+                            }
+                        }
                     }
                 }
                 // as values: equal to the model's, ordered and hashed as it was

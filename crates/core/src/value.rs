@@ -36,6 +36,7 @@ use std::hash::{Hash, Hasher};
 use crate::error::{Error, Result};
 use crate::object::Object;
 use crate::path::{FieldPath, PathStep};
+use crate::symbol::Symbol;
 
 /// A dynamically-typed value in the unified multi-model data model.
 #[derive(Debug, Clone, Default)]
@@ -146,7 +147,12 @@ impl Value {
                         (None, Some(_)) => return Ordering::Less,
                         (Some(_), None) => return Ordering::Greater,
                         (Some((ka, va)), Some((kb, vb))) => {
-                            let c = ka.cmp(kb);
+                            // an interned name is one copy: same pointer, same name
+                            let c = if std::ptr::eq(ka, kb) {
+                                Ordering::Equal
+                            } else {
+                                ka.cmp(kb)
+                            };
                             if c != Ordering::Equal {
                                 return c;
                             }
@@ -291,6 +297,16 @@ impl Value {
         }
     }
 
+    /// [`Value::get_field`] by a name resolved once: see
+    /// [`Object::get_symbol`].
+    pub fn get_symbol(&self, name: &Symbol) -> &Value {
+        const NULL: &Value = &Value::Null;
+        match self {
+            Value::Object(o) => o.get_symbol(name).unwrap_or(NULL),
+            _ => NULL,
+        }
+    }
+
     /// Navigate a parsed [`FieldPath`]; missing steps yield `Null`.
     pub fn get_path(&self, path: &FieldPath) -> &Value {
         const NULL: &Value = &Value::Null;
@@ -412,21 +428,7 @@ impl Value {
     /// values (including arrays) are replaced. Used by document `UPDATE`.
     pub fn merge_from(&mut self, other: Value) {
         match (self, other) {
-            (Value::Object(dst), Value::Object(src)) => {
-                for (k, v) in src {
-                    match dst.get_mut(&k) {
-                        Some(slot)
-                            if matches!(slot, Value::Object(_))
-                                && matches!(v, Value::Object(_)) =>
-                        {
-                            slot.merge_from(v);
-                        }
-                        _ => {
-                            dst.insert(k, v);
-                        }
-                    }
-                }
-            }
+            (Value::Object(dst), Value::Object(src)) => dst.merge_from(src),
             (dst, src) => *dst = src,
         }
     }
@@ -439,10 +441,7 @@ impl Value {
             Value::Str(s) => s.capacity(),
             Value::Bytes(b) => b.capacity(),
             Value::Array(a) => a.iter().map(Value::deep_size).sum(),
-            Value::Object(o) => o
-                .iter()
-                .map(|(k, v)| k.capacity() + v.deep_size())
-                .sum::<usize>(),
+            Value::Object(o) => o.deep_size(),
             _ => 0,
         }
     }
@@ -672,7 +671,7 @@ macro_rules! obj {
     () => { $crate::Value::Object($crate::Object::new()) };
     ( $( $k:expr => $v:expr ),+ $(,)? ) => {
         $crate::Value::Object(<$crate::Object as ::std::iter::FromIterator<_>>::from_iter([
-            $( (::std::string::String::from($k), $crate::Value::from($v)) ),+
+            $( ($crate::Symbol::new(::std::convert::AsRef::<str>::as_ref(&$k)), $crate::Value::from($v)) ),+
         ]))
     };
 }
@@ -988,6 +987,21 @@ mod tests {
         let v = obj! {"a" => arr![1, 2, 3], "b" => obj!{"c" => "x"}};
         assert_eq!(v.leaf_count(), 4);
         assert!(v.deep_size() > std::mem::size_of::<Value>());
+    }
+
+    #[test]
+    fn deep_size_counts_only_inline_names() {
+        let slot = std::mem::size_of::<Value>();
+        // shared names cost neither object anything: three slots each
+        let a = obj! {"customer" => 1, "total" => 2};
+        let b = obj! {"customer" => 3, "total" => 4};
+        assert_eq!(a.deep_size(), 3 * slot);
+        assert_eq!(b.deep_size(), 3 * slot);
+        // a name too long to intern is the object's own string
+        let long = "n".repeat(80);
+        let c = obj! {long.as_str() => 1};
+        let capacity = 80;
+        assert_eq!(c.deep_size(), 2 * slot + capacity);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! the same key stream and the same records on every machine, so two
 //! runs of an experiment compare engines, never inputs.
 
-use udbms_core::{Object, SplitMix64, Value, Zipf};
+use std::fmt::Write;
+
+use udbms_core::{SplitMix64, Symbol, Value, Zipf};
 
 /// How a workload draws keys from its key space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,43 +183,34 @@ impl ValueProvider {
     /// `g` (a 16-way group) — plus the shape-driven payload.
     pub fn record(&self, i: usize) -> Value {
         let mut rng = SplitMix64::new(self.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let mut top = Object::new();
-        top.insert("n".to_string(), Value::Int(i as i64));
-        top.insert("g".to_string(), Value::Int((i % 16) as i64));
+        let mut top = vec![
+            (Symbol::new("n"), Value::Int(i as i64)),
+            (Symbol::new("g"), Value::Int((i % 16) as i64)),
+        ];
         if self.shape.array_len > 0 {
-            top.insert(
-                "tags".to_string(),
-                Value::Array(
-                    (0..self.shape.array_len)
-                        .map(|t| {
-                            if t % 2 == 0 {
-                                Value::Int(rng.range_i64(0, 999))
-                            } else {
-                                Value::from(rng.ident(self.shape.string_len.clamp(1, 12)))
-                            }
-                        })
-                        .collect(),
-                ),
-            );
+            let tags = (0..self.shape.array_len).map(|t| {
+                if t % 2 == 0 {
+                    Value::Int(rng.range_i64(0, 999))
+                } else {
+                    Value::from(rng.ident(self.shape.string_len.clamp(1, 12)))
+                }
+            });
+            top.push((Symbol::new("tags"), tags.collect()));
         }
         if self.shape.depth == 0 {
-            top.insert(
-                "pad".to_string(),
-                Value::from(rng.ident(self.shape.string_len.max(1))),
-            );
+            let pad = Value::from(rng.ident(self.shape.string_len.max(1)));
+            top.push((Symbol::new("pad"), pad));
         } else {
-            top.insert(
-                "payload".to_string(),
-                self.nested_object(&mut rng, self.shape.depth),
-            );
+            let payload = self.nested_object(&mut rng, self.shape.depth);
+            top.push((Symbol::new("payload"), payload));
         }
-        Value::Object(top)
+        Value::Object(top.into_iter().collect())
     }
 
     fn nested_object(&self, rng: &mut SplitMix64, depth: usize) -> Value {
-        let mut obj = Object::new();
+        let mut name = String::new();
+        let mut fields = Vec::with_capacity(self.shape.fanout);
         for f in 0..self.shape.fanout {
-            let name = format!("f{f}");
             let v = if depth > 1 && f == 0 {
                 // first field recurses so total depth is exactly `depth`
                 self.nested_object(rng, depth - 1)
@@ -226,9 +219,11 @@ impl ValueProvider {
             } else {
                 Value::from(rng.ident(self.shape.string_len.max(1)))
             };
-            obj.insert(name, v);
+            name.clear();
+            let _ = write!(name, "f{f}");
+            fields.push((Symbol::new(&name), v));
         }
-        Value::Object(obj)
+        Value::Object(fields.into_iter().collect())
     }
 }
 

@@ -29,7 +29,7 @@
 //! that remain before anything is allocated, strings must be UTF-8, keys
 //! must be valid keys, and a frame must be consumed exactly.
 
-use udbms_core::{Error, Key, Result, Ts, TxnId, Value};
+use udbms_core::{Error, Key, Result, Symbol, Ts, TxnId, Value};
 
 /// The file header: magic, then the format version (`u32`, 1).
 pub(crate) const HEADER: [u8; 12] = *b"UDBMSWAL\x01\x00\x00\x00";
@@ -296,12 +296,9 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    fn str(&mut self) -> Result<String> {
+    fn str(&mut self) -> Result<&'a str> {
         let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| malformed("string is not UTF-8"))
+        std::str::from_utf8(self.take(n)?).map_err(|_| malformed("string is not UTF-8"))
     }
 
     fn value(&mut self, depth: usize) -> Result<Value> {
@@ -311,7 +308,7 @@ impl<'a> Reader<'a> {
             TRUE => Value::Bool(true),
             INT => Value::Int(self.u64()? as i64),
             FLOAT => Value::Float(f64::from_bits(self.u64()?)),
-            STR => Value::Str(self.str()?),
+            STR => Value::Str(self.str()?.to_owned()),
             BYTES => {
                 let n = self.count(1)?;
                 Value::Bytes(self.take(n)?.to_vec())
@@ -330,7 +327,8 @@ impl<'a> Reader<'a> {
                 let n = self.count(2)?;
                 let mut fields = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let name = self.str()?;
+                    // interned from the frame's bytes
+                    let name = Symbol::new(self.str()?);
                     fields.push((name, self.value(depth + 1)?));
                 }
                 // already sorted when this log wrote it: a check, no sort
@@ -363,7 +361,7 @@ pub(crate) fn decode(frame: &[u8]) -> Result<super::WalRecord> {
     let n = r.count(3)?;
     let mut writes = Vec::with_capacity(n);
     for _ in 0..n {
-        let collection = r.str()?;
+        let collection = r.str()?.to_owned();
         let key = Key::new(r.value(0)?).map_err(|e| malformed(&e.to_string()))?;
         let value = match r.byte()? {
             0 => None,
@@ -564,6 +562,52 @@ mod tests {
                 ("c".into(), key, None)
             ]
         );
+    }
+
+    /// A write whose document has shared names, a name too long to
+    /// share and non-ASCII names, as the log wrote it before names were
+    /// interned.
+    const FIXED_FRAME: &str = concat!(
+        "b70000000ab8e1dc0700000000000000030000000000000001066f7264657273",
+        "05036f2d3101080408637573746f6d6572030700000000000000076772c3b6c3",
+        "9f650802046d61c39f020673746174757305046f70656e506e6e6e6e6e6e6e6e",
+        "6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e",
+        "6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e",
+        "6e6e6e6e6e6e6e6e0506696e6c696e6505746f74616c040000000000002340",
+    );
+
+    #[test]
+    fn interned_names_leave_the_log_format_unchanged() {
+        let long = "n".repeat(80);
+        let doc = obj! {
+            "customer" => 7,
+            "total" => 9.5,
+            long.as_str() => "inline",
+            "größe" => obj! {"maß" => true, "status" => "open"},
+        };
+        let key = Key::str("o-1");
+        let mut frame = Vec::new();
+        push_frame(
+            &mut frame,
+            Ts(7),
+            TxnId(3),
+            [("orders", &key, Some(&doc))].into_iter(),
+        )
+        .unwrap();
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, FIXED_FRAME);
+        let back = decode(&frame).unwrap().writes.remove(0).2.unwrap();
+        assert_eq!(back, doc);
+        // a decoded short name is the very copy the document holds; the
+        // long one is the decoded object's own
+        fn names(v: &Value) -> Vec<&String> {
+            let o = v.as_object().unwrap();
+            let inner = o.get("größe").unwrap().as_object().unwrap();
+            o.keys().chain(inner.keys()).collect()
+        }
+        for (a, b) in names(&back).into_iter().zip(names(&doc)) {
+            assert_eq!(std::ptr::eq(a, b), *a != long, "{a}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Integral numbers that fit `i64` become [`Value::Int`]; everything else
 //! numeric becomes [`Value::Float`]. Errors carry 1-based line/column.
 
-use udbms_core::{Error, Object, Result, Value};
+use udbms_core::{Error, Object, Result, Symbol, Value};
 
 /// Maximum nesting depth of arrays/objects (guards stack overflow on
 /// adversarial inputs).
@@ -21,6 +21,7 @@ pub fn parse(input: &str) -> Result<Value> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     line: usize,
@@ -30,6 +31,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
         Parser {
+            input,
             bytes: input.as_bytes(),
             pos: 0,
             line: 1,
@@ -150,13 +152,13 @@ impl<'a> Parser<'a> {
         }
         // fields are collected as written and sorted once at the `}`;
         // the last value wins for a repeated key
-        let mut fields: Vec<(String, Value)> = Vec::new();
+        let mut fields: Vec<(Symbol, Value)> = Vec::new();
         loop {
             self.skip_ws();
             if self.peek() != Some(b'"') {
                 return Err(self.err("expected string key"));
             }
-            let key = self.parse_string()?;
+            let key = self.parse_key()?;
             self.skip_ws();
             self.expect(b':')?;
             let val = self.parse_value(depth + 1)?;
@@ -171,6 +173,26 @@ impl<'a> Parser<'a> {
                 None => return Err(self.err("unterminated object")),
             }
         }
+    }
+
+    /// An object key, interned straight from the input when it holds no
+    /// escape, as almost every key does. The caller has seen its `"`.
+    fn parse_key(&mut self) -> Result<Symbol> {
+        let start = self.pos + 1;
+        let run = (self.bytes.get(start..)).and_then(|rest| {
+            rest.iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        });
+        // a run that `"` ends is the whole key, and both its ends are
+        // char boundaries
+        if let Some(len) = run.filter(|&len| self.bytes[start + len] == b'"') {
+            if let Some(key) = self.input.get(start..start + len) {
+                self.pos = start + len + 1;
+                self.col += len + 2;
+                return Ok(Symbol::new(key));
+            }
+        }
+        self.parse_string().map(Symbol::from)
     }
 
     fn parse_string(&mut self) -> Result<String> {

@@ -4,12 +4,11 @@
 //! The interpreter pays two per-row costs a hot filter never needs: it
 //! allocates an [`Env`](crate::eval::Env) binding and re-walks the AST,
 //! resolving variables by name, on every node. A [`CompiledPred`] pays
-//! neither — member chains capture their steps and resolve on the
-//! borrowed row through the interpreter's own `walk_member`, constant
-//! subexpressions are folded once at compile time via [`eval_const`],
-//! and operators are the interpreter's `apply_unary`/`apply_binary`, so
-//! results (including errors and short-circuit behaviour) are identical
-//! by construction.
+//! neither — member chains resolve each field name to a [`Symbol`] once,
+//! so a row's field is found by pointer compare, constant subexpressions
+//! are folded once at compile time via [`eval_const`], and operators are
+//! the interpreter's `apply_unary`/`apply_binary`, so results (including
+//! errors and short-circuit behaviour) are identical by construction.
 //!
 //! Compilation is **total or nothing**: any node the compiler cannot
 //! prove row-local (function calls, subqueries, other variables, bind
@@ -18,10 +17,10 @@
 //! proptest (`tests/read_path.rs`) checks agreement on arbitrary
 //! expressions and rows.
 
-use udbms_core::{Error, Result, Value};
+use udbms_core::{PathStep, Result, Symbol, Value};
 
 use crate::ast::{BinOp, Expr};
-use crate::eval::{apply_binary, apply_unary, eval_const, walk_member, Val};
+use crate::eval::{apply_binary, apply_unary, eval_const, Val};
 
 /// A compiled node: a folded constant, or a boxed closure from the
 /// borrowed row to a value that may still borrow from it.
@@ -82,6 +81,16 @@ impl CompiledPred {
     }
 }
 
+/// A static member step of a compiled path.
+enum Step {
+    /// `.field` by its interned name: a pointer compare per field
+    Symbol(Symbol),
+    /// `.field` by a name that was not interned when the plan was made
+    Name(String),
+    /// `[i]` with a literal `i >= 0`
+    At(usize),
+}
+
 /// Compile one AST node, or `None` when it is not row-local.
 fn compile_node(expr: &Expr, var: &str) -> Option<Node> {
     // constant subtree: fold once, keep the value
@@ -92,18 +101,26 @@ fn compile_node(expr: &Expr, var: &str) -> Option<Node> {
         // the loop variable, or a member chain rooted at it with static
         // steps: walk the borrowed row, clone nothing
         Expr::Member { .. } | Expr::Var(_) => {
-            if expr.as_var_path()?.0 != var {
+            let (root, path) = expr.as_var_path()?;
+            if root != var {
                 return None;
             }
-            let steps = match expr {
-                Expr::Member { steps, .. } => steps.clone(),
-                _ => Vec::new(),
-            };
+            let steps: Vec<Step> = (path.steps().iter())
+                .map(|step| match step {
+                    PathStep::Key(k) => {
+                        Symbol::lookup(k).map_or(Step::Name(k.clone()), Step::Symbol)
+                    }
+                    PathStep::Index(i) => Step::At(*i),
+                })
+                .collect();
             Box::new(move |row| {
-                let leaf = walk_member(row, &steps, |e| match e {
-                    Expr::Literal(i) => Ok(Val::Ref(i)),
-                    _ => Err(Error::Invalid("dynamic index in a compiled path".into())),
-                })?;
+                const NULL: &Value = &Value::Null;
+                let leaf = steps.iter().fold(row, |cur, step| match (step, cur) {
+                    (Step::Symbol(name), _) => cur.get_symbol(name),
+                    (Step::Name(name), _) => cur.get_field(name),
+                    (Step::At(i), Value::Array(items)) => items.get(*i).unwrap_or(NULL),
+                    (Step::At(_), _) => NULL,
+                });
                 Ok(Val::Ref(leaf))
             })
         }
@@ -118,9 +135,10 @@ fn compile_node(expr: &Expr, var: &str) -> Option<Node> {
             })
         }
         Expr::Object(fields) => {
-            let nodes: Vec<(String, Node)> = fields
+            // names interned once here: each row's object copies pointers
+            let nodes: Vec<(Symbol, Node)> = fields
                 .iter()
-                .map(|(k, e)| compile_node(e, var).map(|n| (k.clone(), n)))
+                .map(|(k, e)| compile_node(e, var).map(|n| (Symbol::new(k), n)))
                 .collect::<Option<_>>()?;
             Box::new(move |row| {
                 let fields = nodes

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use udbms_core::{like_match, Direction, Error, Key, Object, Result, Value};
+use udbms_core::{like_match, Direction, Error, Key, Object, Result, Symbol, Value};
 use udbms_engine::Txn;
 
 use crate::ast::{AggFunc, BinOp, Expr, MemberStep, UnOp};
@@ -132,7 +132,7 @@ fn eval_structural<'a>(
         Expr::Object(fields) => {
             let fields = fields
                 .iter()
-                .map(|(k, e)| Ok((k.clone(), child(e)?.into_owned())));
+                .map(|(k, e)| Ok((Symbol::new(k), child(e)?.into_owned())));
             Val::Owned(Value::Object(fields.collect::<Result<_>>()?))
         }
         Expr::Unary { op, expr } => {
@@ -258,9 +258,10 @@ pub(crate) fn eval_ref<'a>(expr: &'a Expr, env: &'a Env, txn: &mut Txn) -> Resul
     })
 }
 
-/// Walk member-access steps over a borrowed value: the one path walk the
-/// interpreter and [`CompiledPred`](crate::CompiledPred) share. `index`
-/// evaluates a `[expr]` step's subscript. Missing steps yield `Null`.
+/// Walk member-access steps over a borrowed value. `index` evaluates a
+/// `[expr]` step's subscript. Missing steps yield `Null`.
+/// [`CompiledPred`](crate::CompiledPred) walks the static chains it
+/// compiles by resolved names instead.
 pub(crate) fn walk_member<'v, 'e>(
     mut cur: &'v Value,
     steps: &'e [MemberStep],

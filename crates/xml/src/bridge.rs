@@ -17,7 +17,7 @@
 //! attributes in sorted order, which the equality used by the conversion
 //! gold standards treats as canonical.
 
-use udbms_core::{obj, Error, Object, Result, Value};
+use udbms_core::{obj, Error, Object, Result, Symbol, Value};
 
 use crate::node::XmlNode;
 
@@ -31,23 +31,21 @@ pub fn xml_to_value(node: &XmlNode) -> Value {
             attrs,
             children,
         } => {
-            // inserted in name order, so each insert is a push
-            let mut m = Object::new();
+            // pushed in name order, so the sort is one in-order check
+            let mut fields = Vec::with_capacity(3);
             if !attrs.is_empty() {
                 let amap: Object = attrs
                     .iter()
-                    .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
+                    .map(|(k, v)| (Symbol::new(k), Value::Str(v.clone())))
                     .collect();
-                m.insert("attrs".to_string(), Value::Object(amap));
+                fields.push((Symbol::new("attrs"), Value::Object(amap)));
             }
             if !children.is_empty() {
-                m.insert(
-                    "children".to_string(),
-                    Value::Array(children.iter().map(xml_to_value).collect()),
-                );
+                let children = children.iter().map(xml_to_value).collect();
+                fields.push((Symbol::new("children"), Value::Array(children)));
             }
-            m.insert("tag".to_string(), Value::Str(name.clone()));
-            Value::Object(m)
+            fields.push((Symbol::new("tag"), Value::Str(name.clone())));
+            Value::Object(fields.into_iter().collect())
         }
     }
 }

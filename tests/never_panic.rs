@@ -18,8 +18,15 @@
 //! `SplitMix64` seed and runs on a 2 MB thread, so a decoder whose
 //! recursion follows its input aborts the test; any other outcome — `Ok`
 //! or `Err` — passes.
+//!
+//! A second arm feeds objects with random field names — short and long,
+//! escaped and non-ASCII — through the JSON parser and the WAL decoder:
+//! each comes back equal, and the field-name interner stops growing at
+//! its cap, after which a new name is stored inline and an interned one
+//! is still the one shared copy.
 
-use udbms::core::{Key, Params, SplitMix64};
+use udbms::core::symbol::interned_names;
+use udbms::core::{CollectionSchema, Key, Params, SplitMix64, Value};
 use udbms::datagen::{build_engine, create_collections, load_into_engine, workload, GenConfig};
 use udbms::engine::{Engine, Isolation, Wal};
 use udbms::evolution::{accessed_paths, classify, standard_chain};
@@ -373,4 +380,82 @@ fn mutated_inputs_never_panic() {
     walk.unwrap()
         .join()
         .expect("a decoder panicked on a mutated input");
+}
+
+/// A random field name: mostly a few letters, sometimes a character JSON
+/// must escape or a non-ASCII one, sometimes too long to intern.
+fn random_name(rng: &mut SplitMix64) -> String {
+    const CHARS: [char; 8] = ['a', 'k', 'z', '_', '"', '\\', '\n', 'é'];
+    let len = if rng.chance(0.05) {
+        65 + rng.index(40)
+    } else {
+        1 + rng.index(12)
+    };
+    (0..len)
+        .map(|_| {
+            if rng.chance(0.9) {
+                char::from(b'a' + rng.below(26) as u8)
+            } else {
+                CHARS[rng.index(CHARS.len())]
+            }
+        })
+        .collect()
+}
+
+/// Both keys of a two-field object, in order.
+fn keys(v: &Value) -> Vec<&String> {
+    v.as_object().unwrap().keys().collect()
+}
+
+#[test]
+fn random_field_names_keep_the_interner_bounded() {
+    const NAMES: usize = 4096;
+    let wal = std::env::temp_dir().join(format!("udbms-names-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&wal);
+    let engine = Engine::with_wal(&wal).unwrap();
+    engine
+        .create_collection(CollectionSchema::key_value("ns"))
+        .unwrap();
+    let parse = |text: &str| udbms::json::parse(text).unwrap();
+    let known = parse(r#"{"customer":1}"#);
+    let mut rng = SplitMix64::new(SEED).substream("names");
+    let mut counts = vec![interned_names()];
+    let mut docs = Vec::new();
+    // rounds of fresh names until one leaves the interner as it was
+    for round in 0..64 {
+        let doc: Value = (0..NAMES)
+            .map(|i| (random_name(&mut rng), Value::Int(i as i64)))
+            .collect();
+        assert_eq!(parse(&udbms::json::to_string(&doc)), doc);
+        engine
+            .run(Isolation::Snapshot, |t| {
+                t.put("ns", Key::int(round), doc.clone())
+            })
+            .unwrap();
+        docs.push(doc);
+        counts.push(interned_names());
+        if counts[counts.len() - 2] == counts[counts.len() - 1] {
+            break;
+        }
+    }
+    let (first, last) = (counts[0], counts[counts.len() - 1]);
+    assert!(
+        counts.len() > 2 && last > first && counts.ends_with(&[last, last]),
+        "the interner must fill and then stop growing: {counts:?}"
+    );
+    // full: a name interned before is the shared copy, a new one is
+    // inline in each object that holds it, now and afterwards
+    for _ in 0..2 {
+        let again = parse(r#"{"customer":2,"zz-never-seen-before":3}"#);
+        assert!(std::ptr::eq(keys(&known)[0], keys(&again)[0]));
+        let other = parse(r#"{"zz-never-seen-before":4}"#);
+        assert!(!std::ptr::eq(keys(&again)[1], keys(&other)[0]));
+    }
+    // the log decodes every document, the last ones with the interner full
+    drop(engine);
+    let logged = Wal::scan(&wal).unwrap().records;
+    let values = logged.iter().map(|r| r.writes[0].2.as_ref());
+    assert!(values.eq(docs.iter().map(Some)));
+    assert_eq!(interned_names(), last);
+    std::fs::remove_file(&wal).unwrap();
 }
