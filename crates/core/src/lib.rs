@@ -10,8 +10,10 @@
 //!   lets the engine keep *one* integrated backend behind five model
 //!   facades, which is the defining property of a multi-model database in
 //!   the CIDR'17 vision paper this project reproduces.
-//! * [`Object`] — what a [`Value::Object`] holds: a document's fields as
-//!   one key-sorted slice, with the surface of a map.
+//! * [`Object`] — what a [`Value::Object`] holds: a document's fields in
+//!   key order, with the surface of a map — the values in one slice beside
+//!   a key list shared by every object with the same names ([`shape`] has
+//!   that interner and its bounds).
 //!
 //!   ```
 //!   use udbms_core::{obj, Object, Value};
@@ -55,6 +57,7 @@ pub mod path;
 pub mod predicate;
 pub mod rng;
 pub mod schema;
+pub mod shape;
 pub mod symbol;
 pub mod value;
 

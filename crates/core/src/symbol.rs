@@ -91,13 +91,22 @@ thread_local! {
 /// `name`'s slot in a thread's [`RECENT`] names: the top ten bits of a
 /// multiply-rotate hash over its 8-byte words. Two names that collide
 /// here only cost a map lookup.
-fn slot(name: &str) -> usize {
-    let words =
-        (name.as_bytes().chunks(8)).map(|w| w.iter().fold(0, |h, &b| h << 8 | u64::from(b)));
+fn slot(name: &[u8]) -> usize {
+    let words = (name.chunks(8)).map(|w| w.iter().fold(0, |h, &b| h << 8 | u64::from(b)));
     let hash = words.fold(0u64, |h, w| {
         (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
     });
     (hash >> 54) as usize
+}
+
+/// The interned name this thread resolved last in `name`'s slot, if it is
+/// `name`: bytes equal to an interned name's are that name, UTF-8 and all.
+fn recent(name: &[u8]) -> Option<&'static String> {
+    if name.len() > MAX_LEN {
+        return None;
+    }
+    let recent = RECENT.try_with(|r| r[slot(name)].get()).ok().flatten();
+    recent.filter(|s| s.as_bytes() == name)
 }
 
 /// The interned copy of `name`: from this thread's caches, else from the
@@ -106,11 +115,10 @@ fn resolve(name: &str, intern: bool) -> Option<&'static String> {
     if name.len() > MAX_LEN {
         return None;
     }
-    let slot = slot(name);
-    let recent = RECENT.try_with(|r| r[slot].get()).ok().flatten();
-    if let Some(s) = recent.filter(|s| s.as_str() == name) {
+    if let Some(s) = recent(name.as_bytes()) {
         return Some(s);
     }
+    let slot = slot(name.as_bytes());
     let seen = SEEN.try_with(|seen| seen.borrow().get(name).copied());
     let s = match seen.ok().flatten() {
         Some(s) => s,
@@ -183,6 +191,29 @@ impl Symbol {
     /// not interned is read by string compare.
     pub fn lookup(name: &str) -> Option<Symbol> {
         resolve(name, false).map(|s| Symbol(Name::Sym(s)))
+    }
+
+    /// [`Symbol::new`] over bytes that must be UTF-8, as a decoder reads
+    /// them: a name this thread resolved last in its cache slot is found
+    /// by one byte compare, and only other bytes are validated.
+    pub fn from_utf8(name: &[u8]) -> Result<Symbol, std::str::Utf8Error> {
+        match recent(name) {
+            Some(s) => Ok(Symbol(Name::Sym(s))),
+            None => std::str::from_utf8(name).map(Symbol::new),
+        }
+    }
+
+    /// The shared copy of an interned name.
+    pub(crate) fn interned_from(name: &'static String) -> Symbol {
+        Symbol(Name::Sym(name))
+    }
+
+    /// The shared copy of the name, if it is interned.
+    pub(crate) fn interned(&self) -> Option<&'static String> {
+        match self.0 {
+            Name::Sym(s) => Some(s),
+            Name::Own(_) => None,
+        }
     }
 
     /// The name.

@@ -138,6 +138,16 @@ impl Value {
                 }
                 a.len().cmp(&b.len())
             }
+            (Value::Object(a), Value::Object(b)) if a.same_shape(b) => {
+                // one shape, the same names: the values decide
+                for (x, y) in a.values().zip(b.values()) {
+                    let c = x.canonical_cmp(y);
+                    if c != Ordering::Equal {
+                        return c;
+                    }
+                }
+                Ordering::Equal
+            }
             (Value::Object(a), Value::Object(b)) => {
                 let mut ia = a.iter();
                 let mut ib = b.iter();
@@ -992,9 +1002,11 @@ mod tests {
     #[test]
     fn deep_size_counts_only_inline_names() {
         let slot = std::mem::size_of::<Value>();
-        // shared names cost neither object anything: three slots each
+        // the names of a shape cost neither object anything: three slots
+        // each
         let a = obj! {"customer" => 1, "total" => 2};
         let b = obj! {"customer" => 3, "total" => 4};
+        assert!(a.as_object().unwrap().same_shape(b.as_object().unwrap()));
         assert_eq!(a.deep_size(), 3 * slot);
         assert_eq!(b.deep_size(), 3 * slot);
         // a name too long to intern is the object's own string

@@ -183,11 +183,7 @@ impl ValueProvider {
     /// `g` (a 16-way group) — plus the shape-driven payload.
     pub fn record(&self, i: usize) -> Value {
         let mut rng = SplitMix64::new(self.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let mut top = vec![
-            (Symbol::new("n"), Value::Int(i as i64)),
-            (Symbol::new("g"), Value::Int((i % 16) as i64)),
-        ];
-        if self.shape.array_len > 0 {
+        let tags = (self.shape.array_len > 0).then(|| {
             let tags = (0..self.shape.array_len).map(|t| {
                 if t % 2 == 0 {
                     Value::Int(rng.range_i64(0, 999))
@@ -195,22 +191,25 @@ impl ValueProvider {
                     Value::from(rng.ident(self.shape.string_len.clamp(1, 12)))
                 }
             });
-            top.push((Symbol::new("tags"), tags.collect()));
-        }
-        if self.shape.depth == 0 {
+            (Symbol::new("tags"), tags.collect())
+        });
+        let body = if self.shape.depth == 0 {
             let pad = Value::from(rng.ident(self.shape.string_len.max(1)));
-            top.push((Symbol::new("pad"), pad));
+            (Symbol::new("pad"), pad)
         } else {
             let payload = self.nested_object(&mut rng, self.shape.depth);
-            top.push((Symbol::new("payload"), payload));
-        }
-        Value::Object(top.into_iter().collect())
+            (Symbol::new("payload"), payload)
+        };
+        let probes = [
+            (Symbol::new("n"), Value::Int(i as i64)),
+            (Symbol::new("g"), Value::Int((i % 16) as i64)),
+        ];
+        Value::Object(probes.into_iter().chain(tags).chain([body]).collect())
     }
 
     fn nested_object(&self, rng: &mut SplitMix64, depth: usize) -> Value {
         let mut name = String::new();
-        let mut fields = Vec::with_capacity(self.shape.fanout);
-        for f in 0..self.shape.fanout {
+        let fields = (0..self.shape.fanout).map(|f| {
             let v = if depth > 1 && f == 0 {
                 // first field recurses so total depth is exactly `depth`
                 self.nested_object(rng, depth - 1)
@@ -221,9 +220,9 @@ impl ValueProvider {
             };
             name.clear();
             let _ = write!(name, "f{f}");
-            fields.push((Symbol::new(&name), v));
-        }
-        Value::Object(fields.into_iter().collect())
+            (Symbol::new(&name), v)
+        });
+        Value::Object(fields.collect())
     }
 }
 

@@ -301,6 +301,13 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.take(n)?).map_err(|_| malformed("string is not UTF-8"))
     }
 
+    /// A field name, interned from the frame's bytes: a name this
+    /// thread's cache holds is not validated again.
+    fn name(&mut self) -> Result<Symbol> {
+        let n = self.count(1)?;
+        Symbol::from_utf8(self.take(n)?).map_err(|_| malformed("string is not UTF-8"))
+    }
+
     fn value(&mut self, depth: usize) -> Result<Value> {
         Ok(match self.byte()? {
             NULL => Value::Null,
@@ -325,14 +332,9 @@ impl<'a> Reader<'a> {
             OBJECT => {
                 // a field is at least a one-byte name length and a tag
                 let n = self.count(2)?;
-                let mut fields = Vec::with_capacity(n);
-                for _ in 0..n {
-                    // interned from the frame's bytes
-                    let name = Symbol::new(self.str()?);
-                    fields.push((name, self.value(depth + 1)?));
-                }
+                let fields = (0..n).map(|_| Ok((self.name()?, self.value(depth + 1)?)));
                 // already sorted when this log wrote it: a check, no sort
-                Value::Object(fields.into_iter().collect())
+                Value::Object(fields.collect::<Result<_>>()?)
             }
             tag => return Err(malformed(&format!("unknown value tag {tag}"))),
         })
@@ -608,6 +610,31 @@ mod tests {
         for (a, b) in names(&back).into_iter().zip(names(&doc)) {
             assert_eq!(std::ptr::eq(a, b), *a != long, "{a}");
         }
+    }
+
+    #[test]
+    fn a_name_that_is_not_utf8_is_refused_even_beside_a_cached_one() {
+        let decoded = |name: &[u8]| {
+            let mut bytes = Vec::new();
+            put_value(&mut bytes, &obj! {"customer" => 1}, 0).unwrap();
+            // the name's bytes follow the tag, the count and the length
+            bytes[3..3 + name.len()].copy_from_slice(name);
+            Reader {
+                bytes: &bytes,
+                pos: 0,
+            }
+            .value(0)
+        };
+        // caches "customer" in this thread, by its bytes
+        let cached = decoded(b"customer").unwrap();
+        assert_eq!(cached, obj! {"customer" => 1});
+        // invalid bytes of the cached name's length, and the name itself
+        // with a byte flipped into a lone continuation byte
+        for name in [b"\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8", b"custom\x80r"] {
+            let err = decoded(name).unwrap_err();
+            assert!(err.to_string().contains("string is not UTF-8"), "{err}");
+        }
+        assert_eq!(decoded(b"customer").unwrap(), cached);
     }
 
     #[test]

@@ -26,6 +26,10 @@ struct Parser<'a> {
     pos: usize,
     line: usize,
     col: usize,
+    /// The fields of the objects being parsed, innermost last. Each
+    /// object's fields move out at its `}`, so the stack is allocated
+    /// once per document and each object once, at its size.
+    fields: Vec<(Symbol, Value)>,
 }
 
 impl<'a> Parser<'a> {
@@ -36,6 +40,7 @@ impl<'a> Parser<'a> {
             pos: 0,
             line: 1,
             col: 1,
+            fields: Vec::new(),
         }
     }
 
@@ -150,9 +155,9 @@ impl<'a> Parser<'a> {
             self.bump();
             return Ok(Value::Object(Object::new()));
         }
-        // fields are collected as written and sorted once at the `}`;
-        // the last value wins for a repeated key
-        let mut fields: Vec<(Symbol, Value)> = Vec::new();
+        // fields are stacked as written and sorted once at the `}`; the
+        // last value wins for a repeated key
+        let start = self.fields.len();
         loop {
             self.skip_ws();
             if self.peek() != Some(b'"') {
@@ -162,11 +167,11 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             let val = self.parse_value(depth + 1)?;
-            fields.push((key, val));
+            self.fields.push((key, val));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(fields.into_iter().collect())),
+                Some(b'}') => return Ok(Value::Object(self.fields.drain(start..).collect())),
                 Some(b) => {
                     return Err(self.err(format!("expected `,` or `}}`, found `{}`", b as char)))
                 }

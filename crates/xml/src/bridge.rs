@@ -31,21 +31,20 @@ pub fn xml_to_value(node: &XmlNode) -> Value {
             attrs,
             children,
         } => {
-            // pushed in name order, so the sort is one in-order check
-            let mut fields = Vec::with_capacity(3);
-            if !attrs.is_empty() {
+            // chained in name order, so the sort is one in-order check
+            let attrs = (!attrs.is_empty()).then(|| {
                 let amap: Object = attrs
                     .iter()
                     .map(|(k, v)| (Symbol::new(k), Value::Str(v.clone())))
                     .collect();
-                fields.push((Symbol::new("attrs"), Value::Object(amap)));
-            }
-            if !children.is_empty() {
+                (Symbol::new("attrs"), Value::Object(amap))
+            });
+            let children = (!children.is_empty()).then(|| {
                 let children = children.iter().map(xml_to_value).collect();
-                fields.push((Symbol::new("children"), Value::Array(children)));
-            }
-            fields.push((Symbol::new("tag"), Value::Str(name.clone())));
-            Value::Object(fields.into_iter().collect())
+                (Symbol::new("children"), Value::Array(children))
+            });
+            let tag = (Symbol::new("tag"), Value::Str(name.clone()));
+            Value::Object(attrs.into_iter().chain(children).chain([tag]).collect())
         }
     }
 }

@@ -23,10 +23,16 @@
 //! escaped and non-ASCII — through the JSON parser and the WAL decoder:
 //! each comes back equal, and the field-name interner stops growing at
 //! its cap, after which a new name is stored inline and an interned one
-//! is still the one shared copy.
+//! is still the one shared copy. It goes on with objects over random
+//! *sets* of those names, through the same two decoders, until the shape
+//! interner stops growing at its cap too; every object still comes back
+//! equal.
 
+use std::collections::BTreeMap;
+
+use udbms::core::shape::interned_shapes;
 use udbms::core::symbol::interned_names;
-use udbms::core::{CollectionSchema, Key, Params, SplitMix64, Value};
+use udbms::core::{CollectionSchema, Key, Params, SplitMix64, Symbol, Value};
 use udbms::datagen::{build_engine, create_collections, load_into_engine, workload, GenConfig};
 use udbms::engine::{Engine, Isolation, Wal};
 use udbms::evolution::{accessed_paths, classify, standard_chain};
@@ -457,5 +463,80 @@ fn random_field_names_keep_the_interner_bounded() {
     let values = logged.iter().map(|r| r.writes[0].2.as_ref());
     assert!(values.eq(docs.iter().map(Some)));
     assert_eq!(interned_names(), last);
+    std::fs::remove_file(&wal).unwrap();
+    random_key_sets_keep_the_shape_interner_bounded(&docs[0]);
+}
+
+/// Documents over random sets of interned names — now and then one too
+/// wide to shape, or with a name stored inline — through the JSON parser
+/// and the WAL decoder, in rounds until the shape interner stops growing
+/// at its cap: every document comes back equal, before and after.
+fn random_key_sets_keep_the_shape_interner_bounded(named: &Value) {
+    const DOCS: usize = 2048;
+    let pool: Vec<&String> = keys(named)
+        .into_iter()
+        .filter(|k| Symbol::lookup(k).is_some())
+        .take(48)
+        .collect();
+    assert_eq!(pool.len(), 48);
+    let wal = std::env::temp_dir().join(format!("udbms-shapes-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&wal);
+    let engine = Engine::with_wal(&wal).unwrap();
+    engine
+        .create_collection(CollectionSchema::key_value("sets"))
+        .unwrap();
+    let mut rng = SplitMix64::new(SEED).substream("key sets");
+    let mut counts = vec![interned_shapes()];
+    let mut docs = BTreeMap::new();
+    for round in 0..64 {
+        let batch: Vec<(Key, Value)> = (0..DOCS)
+            .map(|i| {
+                let n = if rng.chance(0.05) {
+                    33 + rng.index(8)
+                } else {
+                    1 + rng.index(8)
+                };
+                let mut doc: Vec<(String, Value)> = (0..n)
+                    .map(|j| (pool[rng.index(pool.len())].clone(), Value::Int(j as i64)))
+                    .collect();
+                if rng.chance(0.05) {
+                    doc.push((random_name(&mut rng), Value::Null));
+                }
+                let doc: Value = doc.into_iter().collect();
+                assert_eq!(
+                    udbms::json::parse(&udbms::json::to_string(&doc)).unwrap(),
+                    doc
+                );
+                (Key::int((round * DOCS + i) as i64), doc)
+            })
+            .collect();
+        engine
+            .run(Isolation::Snapshot, |t| {
+                for (key, doc) in &batch {
+                    t.put("sets", key.clone(), doc.clone())?;
+                }
+                Ok(())
+            })
+            .unwrap();
+        docs.extend(batch);
+        counts.push(interned_shapes());
+        if counts[counts.len() - 2] == counts[counts.len() - 1] {
+            break;
+        }
+    }
+    let (first, last) = (counts[0], counts[counts.len() - 1]);
+    assert!(
+        counts.len() > 2 && last > first && counts.ends_with(&[last, last]),
+        "the shape interner must fill and then stop growing: {counts:?}"
+    );
+    // the log decodes every document, the last ones with the interner full
+    drop(engine);
+    let logged = Wal::scan(&wal).unwrap().records;
+    let decoded: BTreeMap<Key, Value> = (logged.iter())
+        .flat_map(|r| &r.writes)
+        .map(|(_, key, doc)| (key.clone(), doc.clone().unwrap()))
+        .collect();
+    assert!(decoded == docs);
+    assert_eq!(interned_shapes(), last);
     std::fs::remove_file(&wal).unwrap();
 }
