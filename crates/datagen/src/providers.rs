@@ -10,8 +10,6 @@
 //! the same key stream and the same records on every machine, so two
 //! runs of an experiment compare engines, never inputs.
 
-use std::fmt::Write;
-
 use udbms_core::{SplitMix64, Symbol, Value, Zipf};
 
 /// How a workload draws keys from its key space.
@@ -170,12 +168,21 @@ impl ValueShape {
 pub struct ValueProvider {
     shape: ValueShape,
     seed: u64,
+    /// The nested objects' field names `f0`, `f1`, …, resolved once.
+    fields: Vec<Symbol>,
 }
 
 impl ValueProvider {
     /// Build with a shape and a seed.
     pub fn new(shape: ValueShape, seed: u64) -> ValueProvider {
-        ValueProvider { shape, seed }
+        let fields = (0..shape.fanout)
+            .map(|f| Symbol::new(&format!("f{f}")))
+            .collect();
+        ValueProvider {
+            shape,
+            seed,
+            fields,
+        }
     }
 
     /// The record for key index `i`. Every record carries two scan
@@ -208,8 +215,7 @@ impl ValueProvider {
     }
 
     fn nested_object(&self, rng: &mut SplitMix64, depth: usize) -> Value {
-        let mut name = String::new();
-        let fields = (0..self.shape.fanout).map(|f| {
+        let fields = self.fields.iter().enumerate().map(|(f, name)| {
             let v = if depth > 1 && f == 0 {
                 // first field recurses so total depth is exactly `depth`
                 self.nested_object(rng, depth - 1)
@@ -218,9 +224,7 @@ impl ValueProvider {
             } else {
                 Value::from(rng.ident(self.shape.string_len.max(1)))
             };
-            name.clear();
-            let _ = write!(name, "f{f}");
-            (Symbol::new(&name), v)
+            (name.clone(), v)
         });
         Value::Object(fields.collect())
     }
