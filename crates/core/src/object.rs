@@ -211,7 +211,10 @@ impl Object {
     }
 
     /// Add field `name`, which is absent and sorts at `i`: the object
-    /// moves to the new key list's shape, or to the loose form.
+    /// moves to the new key list's shape, or to the loose form. A shaped
+    /// object interns the new list from its shape's pointers and moves
+    /// its values once, as does [`Object::remove`]; through the general
+    /// path, mmbench's `point_rw` (whose puts add a field) read p99 1.14×.
     fn insert_at(&mut self, i: usize, name: Symbol, value: Value) {
         if let (Repr::Shaped(shape, values), Some(new)) = (&mut self.0, name.interned()) {
             let keys = shape.keys();
@@ -308,6 +311,7 @@ impl Object {
     }
 
     /// Whether both objects hold the same shape, hence the same names.
+    #[cfg(test)]
     pub(crate) fn same_shape(&self, other: &Object) -> bool {
         matches!((&self.0, &other.0), (Repr::Shaped(a, _), Repr::Shaped(b, _)) if std::ptr::eq(*a, *b))
     }

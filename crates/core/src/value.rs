@@ -138,16 +138,6 @@ impl Value {
                 }
                 a.len().cmp(&b.len())
             }
-            (Value::Object(a), Value::Object(b)) if a.same_shape(b) => {
-                // one shape, the same names: the values decide
-                for (x, y) in a.values().zip(b.values()) {
-                    let c = x.canonical_cmp(y);
-                    if c != Ordering::Equal {
-                        return c;
-                    }
-                }
-                Ordering::Equal
-            }
             (Value::Object(a), Value::Object(b)) => {
                 let mut ia = a.iter();
                 let mut ib = b.iter();

@@ -10,6 +10,8 @@
 //! the same key stream and the same records on every machine, so two
 //! runs of an experiment compare engines, never inputs.
 
+use std::fmt::Write;
+
 use udbms_core::{SplitMix64, Symbol, Value, Zipf};
 
 /// How a workload draws keys from its key space.
@@ -168,21 +170,12 @@ impl ValueShape {
 pub struct ValueProvider {
     shape: ValueShape,
     seed: u64,
-    /// The nested objects' field names `f0`, `f1`, …, resolved once.
-    fields: Vec<Symbol>,
 }
 
 impl ValueProvider {
     /// Build with a shape and a seed.
     pub fn new(shape: ValueShape, seed: u64) -> ValueProvider {
-        let fields = (0..shape.fanout)
-            .map(|f| Symbol::new(&format!("f{f}")))
-            .collect();
-        ValueProvider {
-            shape,
-            seed,
-            fields,
-        }
+        ValueProvider { shape, seed }
     }
 
     /// The record for key index `i`. Every record carries two scan
@@ -215,7 +208,8 @@ impl ValueProvider {
     }
 
     fn nested_object(&self, rng: &mut SplitMix64, depth: usize) -> Value {
-        let fields = self.fields.iter().enumerate().map(|(f, name)| {
+        let mut name = String::new();
+        let fields = (0..self.shape.fanout).map(|f| {
             let v = if depth > 1 && f == 0 {
                 // first field recurses so total depth is exactly `depth`
                 self.nested_object(rng, depth - 1)
@@ -224,7 +218,9 @@ impl ValueProvider {
             } else {
                 Value::from(rng.ident(self.shape.string_len.max(1)))
             };
-            (name.clone(), v)
+            name.clear();
+            let _ = write!(name, "f{f}");
+            (Symbol::new(&name), v)
         });
         Value::Object(fields.collect())
     }
